@@ -44,6 +44,10 @@ var (
 	envErr  error
 )
 
+// benchEnv is the shared environment. An Env memoizes the sweeps, leak
+// panels and baseline its experiments derive, so the benchmarks of the
+// experiments that read them take e.Fresh() per iteration: the worlds stay
+// shared, the computation is timed every time.
 func benchEnv(b *testing.B) *experiments.Env {
 	b.Helper()
 	envOnce.Do(func() {
@@ -68,7 +72,7 @@ func BenchmarkFig2Reachability(b *testing.B) {
 	e := benchEnv(b)
 	var googlePct float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig2(e)
+		rows, err := experiments.Fig2(e.Fresh())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +90,7 @@ func BenchmarkTable1TopReachability(b *testing.B) {
 	e := benchEnv(b)
 	var amazonRank float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(e, 20)
+		res, err := experiments.Table1(e.Fresh(), 20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +104,7 @@ func BenchmarkFig3ReachVsCone(b *testing.B) {
 	e := benchEnv(b)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(e)
+		res, err := experiments.Fig3(e.Fresh())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +144,7 @@ func BenchmarkTable2TopReliance(b *testing.B) {
 func BenchmarkFig7LeakCDFs(b *testing.B) {
 	e := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(e); err != nil {
+		if _, err := experiments.Fig7(e.Fresh()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +155,7 @@ func BenchmarkFig8GoogleLeak(b *testing.B) {
 	e := benchEnv(b)
 	var meanAll float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig8(e)
+		fig, err := experiments.Fig8(e.Fresh())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +171,7 @@ func BenchmarkFig8GoogleLeak(b *testing.B) {
 func BenchmarkFig9UserWeighted(b *testing.B) {
 	e := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9(e); err != nil {
+		if _, err := experiments.Fig9(e.Fresh()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +180,7 @@ func BenchmarkFig9UserWeighted(b *testing.B) {
 func BenchmarkFig10LeakOverTime(b *testing.B) {
 	e := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig10(e); err != nil {
+		if _, err := experiments.Fig10(e.Fresh()); err != nil {
 			b.Fatal(err)
 		}
 	}

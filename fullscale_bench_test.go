@@ -41,7 +41,7 @@ func BenchmarkTable1TopReachabilityFullScale(b *testing.B) {
 	e := fullScaleEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(e, 20); err != nil {
+		if _, err := experiments.Table1(e.Fresh(), 20); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkFig3ReachVsConeFullScale(b *testing.B) {
 	e := fullScaleEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3(e); err != nil {
+		if _, err := experiments.Fig3(e.Fresh()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func BenchmarkFig7LeakCDFsFullScale(b *testing.B) {
 	e := fullScaleEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(e); err != nil {
+		if _, err := experiments.Fig7(e.Fresh()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -121,6 +122,15 @@ type fakeWorker struct {
 	served atomic.Int64
 	fail   atomic.Bool
 	delay  time.Duration
+
+	// dieAfter > 0 makes the sweep handler set fail itself, before it
+	// answers the dieAfter-th shard, so the death is ordered by the
+	// worker's own responses and not by a watcher's clock.
+	dieAfter int64
+	// onSweep, when set, runs at the top of every sweep request (failing
+	// says whether the request is about to be refused); tests block in it
+	// to order two workers' answers without sleeping.
+	onSweep func(failing bool)
 }
 
 func newFakeWorker(t *testing.T, base int, delay time.Duration) *fakeWorker {
@@ -135,7 +145,11 @@ func newFakeWorker(t *testing.T, base int, delay time.Duration) *fakeWorker {
 		fmt.Fprintln(w, `{"status":"ok"}`)
 	})
 	mux.HandleFunc("POST "+PathSweep, func(w http.ResponseWriter, r *http.Request) {
-		if fw.fail.Load() {
+		failing := fw.fail.Load()
+		if fw.onSweep != nil {
+			fw.onSweep(failing)
+		}
+		if failing {
 			http.Error(w, "down", http.StatusInternalServerError)
 			return
 		}
@@ -155,7 +169,9 @@ func newFakeWorker(t *testing.T, base int, delay time.Duration) *fakeWorker {
 		for i := range counts {
 			counts[i] = base + req.Lo + i
 		}
-		fw.served.Add(1)
+		if fw.served.Add(1) == fw.dieAfter {
+			fw.fail.Store(true)
+		}
 		json.NewEncoder(w).Encode(SweepResponse{Counts: counts})
 	})
 	fw.srv = httptest.NewServer(mux)
@@ -365,28 +381,23 @@ func TestPoolSweepMergesShards(t *testing.T) {
 // TestPoolRetriesOnWorkerDeath kills one worker after its first shard
 // response; the remaining shards must be retried on the healthy peer and
 // the merged result must be exactly what a single process would produce.
+// The death is the dying worker's own doing (dieAfter), and the healthy
+// peer answers nothing until the dying one has refused a shard, so the
+// queue cannot drain before the failure is seen; with hedging out of the
+// picture the refused shard's second attempt is always a counted retry.
 func TestPoolRetriesOnWorkerDeath(t *testing.T) {
+	refused := make(chan struct{})
+	var once sync.Once
 	dying := newFakeWorker(t, 0, 0)
-	healthy := newFakeWorker(t, 0, 0)
-	p := newTestPool(t, PoolConfig{ShardBlocks: 1}, dying, healthy)
-
-	// Flip the dying worker to failure as soon as it has served one shard.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if dying.served.Load() >= 1 {
-				dying.fail.Store(true)
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
+	dying.dieAfter = 1
+	dying.onSweep = func(failing bool) {
+		if failing {
+			once.Do(func() { close(refused) })
 		}
-	}()
+	}
+	healthy := newFakeWorker(t, 0, 0)
+	healthy.onSweep = func(bool) { <-refused }
+	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour}, dying, healthy)
 
 	const n = 2048 // 32 shards
 	counts, err := p.SweepCounts(context.Background(), "full", n)
@@ -395,14 +406,12 @@ func TestPoolRetriesOnWorkerDeath(t *testing.T) {
 	}
 	wantIdentity(t, counts, n)
 	st := p.StatsSnapshot()
-	if dying.fail.Load() {
-		if st.Retries == 0 {
-			t.Fatalf("worker died mid-sweep but retries = 0 (stats: %+v)", st)
-		}
-		for _, w := range st.Workers {
-			if w.Addr == dying.srv.URL && w.Healthy {
-				t.Fatal("dead worker still marked healthy after a failed shard")
-			}
+	if st.Retries == 0 {
+		t.Fatalf("worker died mid-sweep but retries = 0 (stats: %+v)", st)
+	}
+	for _, w := range st.Workers {
+		if w.Addr == dying.srv.URL && w.Healthy {
+			t.Fatal("dead worker still marked healthy after a failed shard")
 		}
 	}
 }
@@ -445,8 +454,15 @@ func TestPoolAllWorkersDeadNoLocalFails(t *testing.T) {
 }
 
 func TestPoolShedsBeyondMaxQueries(t *testing.T) {
-	slow := newFakeWorker(t, 0, 200*time.Millisecond)
-	p := newTestPool(t, PoolConfig{ShardBlocks: 64, MaxQueries: 1}, slow)
+	// The worker answers only once the second query has been shed, so the
+	// first query holds the admission slot for exactly as long as needed.
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	slow := newFakeWorker(t, 0, 0)
+	slow.onSweep = func(bool) { <-release }
+	p := newTestPool(t, PoolConfig{ShardBlocks: 64, MaxQueries: 1, HedgeDelay: time.Hour}, slow)
 
 	started := make(chan struct{})
 	result := make(chan error, 1)
@@ -467,6 +483,7 @@ func TestPoolShedsBeyondMaxQueries(t *testing.T) {
 	if _, err := p.SweepCounts(context.Background(), "full", 64); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("second concurrent query: err = %v, want ErrSaturated", err)
 	}
+	free()
 	if err := <-result; err != nil {
 		t.Fatalf("admitted query failed: %v", err)
 	}
@@ -475,24 +492,30 @@ func TestPoolShedsBeyondMaxQueries(t *testing.T) {
 	}
 }
 
-// TestPoolHedgesStragglers pairs a slow worker with a fast one under a
-// fixed hedge delay: shards stuck on the straggler are re-dispatched and
-// the fast copy's result wins, so the sweep finishes long before the
-// straggler would have.
+// TestPoolHedgesStragglers pairs a stuck worker with a fast one under a
+// fixed hedge delay: the shard stuck on the straggler is re-dispatched and
+// the fast copy's result wins. The straggler answers nothing until the
+// sweep has returned, so the sweep returning at all is the rescue; the fast
+// worker waits for the straggler to be holding a shard, so there is always
+// one to rescue.
 func TestPoolHedgesStragglers(t *testing.T) {
-	slow := newFakeWorker(t, 0, 2*time.Second)
+	stuck, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	var once sync.Once
+	slow := newFakeWorker(t, 0, 0)
+	slow.onSweep = func(bool) {
+		once.Do(func() { close(stuck) })
+		<-release
+	}
 	fast := newFakeWorker(t, 0, 0)
+	fast.onSweep = func(bool) { <-stuck }
 	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: 20 * time.Millisecond}, slow, fast)
 
-	start := time.Now()
 	counts, err := p.SweepCounts(context.Background(), "full", 256) // 4 shards
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantIdentity(t, counts, 256)
-	if took := time.Since(start); took > time.Second {
-		t.Fatalf("sweep took %v; hedging should have rescued shards stuck on the straggler", took)
-	}
 	if st := p.StatsSnapshot(); st.Hedges == 0 {
 		t.Fatalf("hedges = 0, want >0 (stats: %+v)", st)
 	}

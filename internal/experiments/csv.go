@@ -101,8 +101,8 @@ var csvers = map[string]func(*Env) ([]Table, error){
 		}
 		t := Table{Name: "fig6_reliance_hist", Header: []string{"cloud", "bin_start", "ases"}}
 		for _, f := range figs {
-			for bin, n := range f.Bins {
-				t.Rows = append(t.Rows, []string{f.Cloud, itoa(bin), itoa(n)})
+			for _, bin := range f.binStarts() {
+				t.Rows = append(t.Rows, []string{f.Cloud, itoa(bin), itoa(f.Bins[bin])})
 			}
 		}
 		return []Table{t}, nil

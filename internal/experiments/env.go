@@ -16,9 +16,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
-	"sync/atomic"
 
+	"flatnet/internal/bgpsim"
 	"flatnet/internal/core"
 	"flatnet/internal/netdb"
 	"flatnet/internal/par"
@@ -31,10 +32,13 @@ import (
 )
 
 // Env bundles the datasets experiments run over. Heavy artifacts (address
-// plans, traceroute corpora) are built lazily; builds for distinct keys run
-// concurrently, concurrent demands for the same key coalesce onto one build
-// (per-key singleflight, no coarse lock), and only successful builds are
-// memoized — a transient failure is retried by the next caller.
+// plans, traceroute corpora) and results derived by propagation (all-AS
+// sweeps, leak panels, the average-resilience baseline) are built on first
+// demand and memoized: builds for distinct keys run concurrently, concurrent
+// demands for the same key coalesce onto one build (per-key singleflight,
+// no coarse lock), and only successful builds are kept — a transient
+// failure is retried by the next caller. Everything an Env hands out is
+// shared between its callers and must be treated as read-only.
 type Env struct {
 	Scale float64
 
@@ -51,22 +55,81 @@ type Env struct {
 	// decoded from it on first demand instead of being rebuilt.
 	src *snapshot.Reader
 
-	flights single.Group[string, any]
-
-	mu       sync.Mutex // guards the memoization maps below, never held while building
-	plan2020 *netdb.Plan
-	plan2015 *netdb.Plan
-	rdns2020 *rdns.Corpus
-	engines  map[int]*tracesim.Engine
-	traces   map[traceKey][][]tracesim.Traceroute
+	memo *memo
 
 	// traceBuildHook, when set, is called at the start of every
 	// trace-corpus build with the build's flight key; the concurrency
 	// tests use it to hold two distinct builds open at once.
 	traceBuildHook func(key string)
-	// traceBuilds counts trace-corpus builds actually executed (not
-	// coalesced or served from cache).
-	traceBuilds atomic.Int32
+}
+
+// memo is what one Env scope has built so far.
+type memo struct {
+	flights single.Group[string, any]
+
+	mu     sync.Mutex // guards the maps below, never held while building
+	vals   map[string]any
+	builds map[string]int // successful builds per key
+	traces map[traceKey][][]tracesim.Traceroute
+}
+
+func newMemo() *memo {
+	return &memo{
+		vals:   make(map[string]any),
+		builds: make(map[string]int),
+		traces: make(map[traceKey][][]tracesim.Traceroute),
+	}
+}
+
+// memoize returns the value built under key in this Env scope, running
+// build only if no earlier call succeeded.
+func memoize[T any](e *Env, key string, build func() (T, error)) (T, error) {
+	m := e.memo
+	v, _, err := m.flights.Do(context.Background(), key, func() (any, error) {
+		m.mu.Lock()
+		v, ok := m.vals[key]
+		m.mu.Unlock()
+		if ok {
+			return v, nil
+		}
+		v, err := build()
+		if err != nil {
+			return nil, err
+		}
+		m.mu.Lock()
+		m.vals[key] = v
+		m.builds[key]++
+		m.mu.Unlock()
+		return v, nil
+	})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+// builds reports how many builds succeeded under keys with the given prefix
+// (coalesced and memo-served demands are not builds).
+func (e *Env) builds(prefix string) int {
+	e.memo.mu.Lock()
+	defer e.memo.mu.Unlock()
+	n := 0
+	for k, c := range e.memo.builds {
+		if strings.HasPrefix(k, prefix) {
+			n += c
+		}
+	}
+	return n
+}
+
+// Fresh returns a scope over the same worlds, metrics and population models
+// with nothing memoized. Benchmarks take one per iteration so that they keep
+// timing the computation rather than a map hit.
+func (e *Env) Fresh() *Env {
+	c := *e
+	c.memo = newMemo()
+	return &c
 }
 
 // traceKey identifies one cached corpus; nVMs is the resolved VM count
@@ -135,90 +198,43 @@ func newEnv(scale float64, serial bool) (*Env, error) {
 		Pop2020: built[0].pop,
 		Pop2015: built[1].pop,
 		serial:  serial,
+		memo:    newMemo(),
 	}, nil
 }
 
-// Plan2020 lazily builds the 2020 address plan.
-func (e *Env) Plan2020() (*netdb.Plan, error) {
-	e.mu.Lock()
-	p := e.plan2020
-	e.mu.Unlock()
-	if p != nil {
-		return p, nil
-	}
-	v, _, err := e.flights.Do(context.Background(), "plan/2020", func() (any, error) {
-		e.mu.Lock()
-		p := e.plan2020
-		e.mu.Unlock()
-		if p != nil {
-			return p, nil
-		}
-		var built *netdb.Plan
-		var err error
-		if e.src != nil && e.src.HasPlan(2020) {
-			built, err = e.src.Plan(2020)
-		} else {
-			built, err = netdb.Build(e.In2020)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.plan2020 = built
-		e.mu.Unlock()
-		return built, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*netdb.Plan), nil
-}
-
-// Plan2015 lazily builds the 2015 address plan.
-func (e *Env) Plan2015() (*netdb.Plan, error) {
-	e.mu.Lock()
-	p := e.plan2015
-	e.mu.Unlock()
-	if p != nil {
-		return p, nil
-	}
-	v, _, err := e.flights.Do(context.Background(), "plan/2015", func() (any, error) {
-		e.mu.Lock()
-		p := e.plan2015
-		e.mu.Unlock()
-		if p != nil {
-			return p, nil
-		}
-		var built *netdb.Plan
-		var err error
-		if e.src != nil && e.src.HasPlan(2015) {
-			built, err = e.src.Plan(2015)
-		} else {
-			built, err = netdb.Build(e.In2015)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.plan2015 = built
-		e.mu.Unlock()
-		return built, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*netdb.Plan), nil
-}
-
-func (e *Env) plan(year int) (*netdb.Plan, error) {
+// preset returns one year's world as the experiments consume it.
+func (e *Env) preset(year int) (*topogen.Internet, *core.Metrics, *population.Model, error) {
 	switch year {
 	case 2020:
-		return e.Plan2020()
+		return e.In2020, e.M2020, e.Pop2020, nil
 	case 2015:
-		return e.Plan2015()
+		return e.In2015, e.M2015, e.Pop2015, nil
 	}
-	return nil, fmt.Errorf("experiments: unknown year %d", year)
+	return nil, nil, nil, fmt.Errorf("experiments: unknown year %d", year)
 }
+
+// Plan2020 lazily builds the 2020 address plan.
+func (e *Env) Plan2020() (*netdb.Plan, error) { return e.plan(2020) }
+
+// Plan2015 lazily builds the 2015 address plan.
+func (e *Env) Plan2015() (*netdb.Plan, error) { return e.plan(2015) }
+
+func planKey(year int) string { return fmt.Sprintf("plan/%d", year) }
+
+func (e *Env) plan(year int) (*netdb.Plan, error) {
+	in, _, _, err := e.preset(year)
+	if err != nil {
+		return nil, err
+	}
+	return memoize(e, planKey(year), func() (*netdb.Plan, error) {
+		if e.src != nil && e.src.HasPlan(year) {
+			return e.src.Plan(year)
+		}
+		return netdb.Build(in)
+	})
+}
+
+const rdnsKey = "rdns/2020"
 
 // RDNS2020 lazily synthesizes the 2020 rDNS corpus.
 func (e *Env) RDNS2020() (*rdns.Corpus, error) {
@@ -226,37 +242,12 @@ func (e *Env) RDNS2020() (*rdns.Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	c := e.rdns2020
-	e.mu.Unlock()
-	if c != nil {
-		return c, nil
-	}
-	v, _, err := e.flights.Do(context.Background(), "rdns/2020", func() (any, error) {
-		e.mu.Lock()
-		c := e.rdns2020
-		e.mu.Unlock()
-		if c != nil {
-			return c, nil
-		}
-		var built *rdns.Corpus
+	return memoize(e, rdnsKey, func() (*rdns.Corpus, error) {
 		if e.src != nil && e.src.HasRDNS(2020) {
-			var err error
-			if built, err = e.src.RDNS(2020); err != nil {
-				return nil, err
-			}
-		} else {
-			built = rdns.Synthesize(plan, 20200901)
+			return e.src.RDNS(2020)
 		}
-		e.mu.Lock()
-		e.rdns2020 = built
-		e.mu.Unlock()
-		return built, nil
+		return rdns.Synthesize(plan, 20200901), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*rdns.Corpus), nil
 }
 
 // engine returns the year's shared trace engine (one per year so the
@@ -266,17 +257,40 @@ func (e *Env) engine(year int) (*tracesim.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.engines == nil {
-		e.engines = make(map[int]*tracesim.Engine)
+	return memoize(e, fmt.Sprintf("engine/%d", year), func() (*tracesim.Engine, error) {
+		return tracesim.New(plan, tracesim.DefaultOptions(int64(year))), nil
+	})
+}
+
+// AvgResilience is the paper's "average resilience" line for one preset:
+// the mean detoured fraction over random (origin, leaker) pairs under
+// announce-to-all, by AS count and by user population. Every leak panel of
+// a year draws the same line, so it is simulated once, with the population
+// weights supplied: the AS fraction is the detour count over the AS count
+// and does not read them.
+func (e *Env) AvgResilience(year int) (asFrac, userFrac float64, err error) {
+	in, _, pop, err := e.preset(year)
+	if err != nil {
+		return 0, 0, err
 	}
-	eng, ok := e.engines[year]
-	if !ok {
-		eng = tracesim.New(plan, tracesim.DefaultOptions(int64(year)))
-		e.engines[year] = eng
+	v, err := memoize(e, fmt.Sprintf("avgres/%d", year), func() ([2]float64, error) {
+		as, user, err := bgpsim.AverageResilience(in.Graph, 20, 20, 0xA0E5, pop.WeightsDense(in.Graph))
+		return [2]float64{as, user}, err
+	})
+	return v[0], v[1], err
+}
+
+// SweepAll is one preset's all-AS reachability under kind, indexed by dense
+// graph index. Table 1, Fig. 3 and Fig. 2's hierarchy-free column are views
+// of the same sweep.
+func (e *Env) SweepAll(year int, kind core.Kind) ([]int, error) {
+	_, m, _, err := e.preset(year)
+	if err != nil {
+		return nil, err
 	}
-	return eng, nil
+	return memoize(e, fmt.Sprintf("sweep/%d/%s", year, kind), func() ([]int, error) {
+		return m.ReachabilityAll(kind)
+	})
 }
 
 // lookupTraces serves a cached corpus. A request for n VM groups can be
@@ -285,15 +299,15 @@ func (e *Env) engine(year int) (*tracesim.Engine, error) {
 // depend only on its own VM and the destination, so group i is identical
 // in every corpus that includes it.
 func (e *Env) lookupTraces(year int, cloud string, n int) ([][]tracesim.Traceroute, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if tr, ok := e.traces[traceKey{year, cloud, n}]; ok {
+	e.memo.mu.Lock()
+	defer e.memo.mu.Unlock()
+	if tr, ok := e.memo.traces[traceKey{year, cloud, n}]; ok {
 		return tr, true
 	}
 	if e.serial {
 		return nil, false
 	}
-	for k, tr := range e.traces {
+	for k, tr := range e.memo.traces {
 		if k.year == year && k.cloud == cloud && k.nVMs > n {
 			return tr[:n:n], true
 		}
@@ -302,12 +316,9 @@ func (e *Env) lookupTraces(year int, cloud string, n int) ([][]tracesim.Tracerou
 }
 
 func (e *Env) storeTraces(key traceKey, tr [][]tracesim.Traceroute) {
-	e.mu.Lock()
-	if e.traces == nil {
-		e.traces = make(map[traceKey][][]tracesim.Traceroute)
-	}
-	e.traces[key] = tr
-	e.mu.Unlock()
+	e.memo.mu.Lock()
+	e.memo.traces[key] = tr
+	e.memo.mu.Unlock()
 }
 
 // Traces returns the cached traceroute corpus for one cloud (nVMs <= 0 uses
@@ -340,76 +351,51 @@ func (e *Env) Traces(year int, cloud string, nVMs int) ([][]tracesim.Traceroute,
 		}
 	}
 
+	key := fmt.Sprintf("traces/%d/%s/%d", year, cloud, n)
+	clouds, sets := []string{cloud}, [][]tracesim.VM{vms}
+	trace := engine.TraceAllMulti
 	if e.serial {
 		// Original behavior: one cloud at a time, serial propagation.
-		e.traceBuilds.Add(1)
-		tr, err := engine.TraceAllSerial(vms)
+		trace = func(sets [][]tracesim.VM) ([][][]tracesim.Traceroute, error) {
+			tr, err := engine.TraceAllSerial(sets[0])
+			return [][][]tracesim.Traceroute{tr}, err
+		}
+	} else {
+		defVMs, err := engine.VMs(cloud, 0)
 		if err != nil {
 			return nil, err
 		}
-		e.storeTraces(traceKey{year, cloud, n}, tr)
-		return tr, nil
-	}
-
-	defVMs, err := engine.VMs(cloud, 0)
-	if err != nil {
-		return nil, err
-	}
-	// The build stores into the cache and returns nothing: a joiner on the
-	// shared per-year flight wants its own cloud's entry, not whichever
-	// cloud the flight's leader asked for, so every caller re-reads the
-	// cache after the flight completes.
-	var flightKey string
-	var build func() (any, error)
-	if n == len(defVMs) {
-		// Default-count request: build all paper clouds of this year in
-		// one shared pass and populate every cloud's cache entry.
-		flightKey = fmt.Sprintf("traces/%d", year)
-		build = func() (any, error) {
-			if _, ok := e.lookupTraces(year, cloud, n); ok {
-				return nil, nil
-			}
-			if e.traceBuildHook != nil {
-				e.traceBuildHook(flightKey)
-			}
-			e.traceBuilds.Add(1)
-			clouds := Clouds()
-			sets := make([][]tracesim.VM, len(clouds))
-			for i, c := range clouds {
+		if n == len(defVMs) {
+			// Default-count request: build all paper clouds of this year
+			// in one shared pass and populate every cloud's cache entry.
+			key = fmt.Sprintf("traces/%d", year)
+			clouds, sets = Clouds(), nil
+			for _, c := range clouds {
 				set, err := engine.VMs(c, 0)
 				if err != nil {
 					return nil, err
 				}
-				sets[i] = set
+				sets = append(sets, set)
 			}
-			all, err := engine.TraceAllMulti(sets)
-			if err != nil {
-				return nil, err
-			}
-			for i, c := range clouds {
-				e.storeTraces(traceKey{year, c, len(sets[i])}, all[i])
-			}
-			return nil, nil
-		}
-	} else {
-		flightKey = fmt.Sprintf("traces/%d/%s/%d", year, cloud, n)
-		build = func() (any, error) {
-			if _, ok := e.lookupTraces(year, cloud, n); ok {
-				return nil, nil
-			}
-			if e.traceBuildHook != nil {
-				e.traceBuildHook(flightKey)
-			}
-			e.traceBuilds.Add(1)
-			all, err := engine.TraceAllMulti([][]tracesim.VM{vms})
-			if err != nil {
-				return nil, err
-			}
-			e.storeTraces(traceKey{year, cloud, n}, all[0])
-			return nil, nil
 		}
 	}
-	if _, _, err := e.flights.Do(context.Background(), flightKey, build); err != nil {
+	// The build stores into the cache and memoizes nothing but its own
+	// completion: a joiner on the shared per-year flight wants its own
+	// cloud's entry, not whichever cloud the flight's leader asked for, so
+	// every caller re-reads the cache after the flight completes.
+	if _, err := memoize(e, key, func() (struct{}, error) {
+		if e.traceBuildHook != nil {
+			e.traceBuildHook(key)
+		}
+		all, err := trace(sets)
+		if err != nil {
+			return struct{}{}, err
+		}
+		for i, c := range clouds {
+			e.storeTraces(traceKey{year, c, len(sets[i])}, all[i])
+		}
+		return struct{}{}, nil
+	}); err != nil {
 		return nil, err
 	}
 	if tr, ok := e.lookupTraces(year, cloud, n); ok {
@@ -421,34 +407,24 @@ func (e *Env) Traces(year int, cloud string, nVMs int) ([][]tracesim.Traceroute,
 // Prewarm builds every lazy artifact the experiment registry consumes: both
 // address plans, the rDNS corpus, and the default traceroute corpora of all
 // paper clouds for 2020 (no registered experiment reads 2015 traces). In
-// the default environment the builds overlap — the trace sweep, the rDNS
-// synthesis, and the 2015 plan proceed concurrently, coalescing on the
-// shared 2020 plan — while a serial environment runs them one after
-// another. This is the cold-start path BenchmarkEnvColdStart measures.
+// the default environment the builds overlap — the trace sweep (the four
+// clouds' demands coalesce onto one), the rDNS synthesis, and the 2015 plan
+// proceed concurrently, coalescing on the shared 2020 plan — while a serial
+// environment runs them one after another. This is the cold-start path
+// BenchmarkEnvColdStart measures.
 func (e *Env) Prewarm() error {
-	if e.serial {
-		if _, err := e.Plan2020(); err != nil {
-			return err
-		}
-		if _, err := e.Plan2015(); err != nil {
-			return err
-		}
-		if _, err := e.RDNS2020(); err != nil {
-			return err
-		}
-		for _, c := range Clouds() {
-			if _, err := e.Traces(2020, c, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	tasks := []func() error{
-		func() error { _, err := e.Traces(2020, "Google", 0); return err },
 		func() error { _, err := e.RDNS2020(); return err },
 		func() error { _, err := e.Plan2015(); return err },
 	}
-	return par.For(len(tasks), len(tasks), func(w int) func(i int) error {
+	for _, c := range Clouds() {
+		tasks = append(tasks, func() error { _, err := e.Traces(2020, c, 0); return err })
+	}
+	workers := len(tasks)
+	if e.serial {
+		workers = 1
+	}
+	return par.For(workers, len(tasks), func(w int) func(i int) error {
 		return func(i int) error { return tasks[i]() }
 	})
 }
@@ -471,8 +447,8 @@ var Registry = []Runner{
 	{"fig6", "Fig. 6: reliance histogram per cloud", runFig6},
 	{"table2", "Table 2: top-3 reliance per cloud", runTable2},
 	{"fig7", "Fig. 7: route-leak detour CDFs (Microsoft, Amazon, IBM, Facebook)", runFig7},
-	{"fig8", "Fig. 8: route-leak detour CDFs (Google)", runFig8},
-	{"fig9", "Fig. 9: user-weighted route-leak detour CDFs (Google)", runFig9},
+	{"fig8", "Fig. 8: route-leak detour CDFs (Google)", runLeakFigure(Fig8)},
+	{"fig9", "Fig. 9: user-weighted route-leak detour CDFs (Google)", runLeakFigure(Fig9)},
 	{"fig10", "Fig. 10: Google leak resilience, 2015 vs 2020", runFig10},
 	{"fig11", "Fig. 11: cloud vs transit PoP deployments", runFig11},
 	{"fig12", "Fig. 12: population coverage within 500/700/1000 km of PoPs", runFig12},

@@ -71,6 +71,23 @@ func TestFig2Shape(t *testing.T) {
 			t.Errorf("%s: reachability not monotone under growing exclusions: %d %d %d",
 				r.Name, r.ProviderFree, r.Tier1Free, r.HierarchyFree)
 		}
+		// The hierarchy-free column is read off the shared all-AS sweep; a
+		// scalar propagation for the row must agree.
+		if n, err := env.M2020.Reachability(r.AS, core.HierarchyFree); err != nil || n != r.HierarchyFree {
+			t.Errorf("%s: hierarchy-free from the sweep = %d, scalar = %d (%v)", r.Name, r.HierarchyFree, n, err)
+		}
+	}
+	// And so it must for the same networks on the 2015 preset's sweep.
+	sweep15, err := env.SweepAll(2015, core.HierarchyFree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in15 := env.In2015
+	for _, a := range append(append(in15.Tier1.Slice(), in15.Tier2.Slice()...), in15.Clouds["Google"], in15.Clouds["Amazon"]) {
+		i, _ := in15.Graph.Index(a)
+		if n, err := env.M2015.Reachability(a, core.HierarchyFree); err != nil || n != sweep15[i] {
+			t.Errorf("2015 AS%d: hierarchy-free from the sweep = %d, scalar = %d (%v)", a, sweep15[i], n, err)
+		}
 	}
 	total := env.In2020.Graph.NumASes() - 1
 	// Tier-1s have no providers: provider-free reachability is maximal.

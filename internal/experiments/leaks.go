@@ -10,9 +10,9 @@ import (
 	"flatnet/internal/topogen"
 )
 
-// leakTrialsPerConfig scales the paper's 5,000 simulations per
-// configuration down with the topology (enough for stable CDFs at 1:7
-// scale).
+// leakTrialsPerConfig is the paper's 5,000 simulations per configuration
+// cut to what keeps the CDFs stable on the grid below at every scale the
+// presets are generated at (the count is fixed, not scaled with the graph).
 const leakTrialsPerConfig = 400
 
 // cdfGrid is where the detour CDFs are evaluated (percent of ASes).
@@ -42,51 +42,68 @@ type LeakFigure struct {
 // Grid exposes the CDF evaluation points.
 func (LeakFigure) Grid() []float64 { return cdfGrid }
 
-// leakFigure runs all scenarios for one origin on one preset. classes,
-// when non-nil, dedups sampled leakers by origin equivalence class —
-// byte-identical on unweighted runs; weighted runs copy the classmate's
+// leakPanel replays the sampled leakers against every scenario for one
+// origin and returns the trials, one slice per bgpsim.LeakScenarios entry.
+// classes, when non-nil, dedups sampled leakers by origin equivalence class
+// — byte-identical on unweighted runs; weighted runs copy the classmate's
 // trial with an O(1) user-fraction correction (see bgpsim.TrialsN).
-func leakFigure(in *topogen.Internet, classes *bgpsim.ClassIndex, originName string, origin astopo.ASN, trials int, weighted bool, weights []float64) (*LeakFigure, error) {
-	fig := &LeakFigure{Origin: originName, OriginASN: origin, UserWeighted: weighted}
-	leakers := bgpsim.SampleLeakers(in.Graph, origin, trials, int64(origin))
+func leakPanel(in *topogen.Internet, classes *bgpsim.ClassIndex, origin astopo.ASN, weights []float64) ([][]bgpsim.LeakTrial, error) {
+	leakers := bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig, int64(origin))
 	// One explicit LeakSweep per scenario: each configuration's leak-free
 	// pre-pass runs once, every trial replays against its snapshot, and the
 	// batch engines behind Trials are pooled across scenarios.
+	var panel [][]bgpsim.LeakTrial
 	for _, scen := range bgpsim.LeakScenarios() {
-		cfg := bgpsim.ScenarioConfig(in.Graph, origin, in.Tier1, in.Tier2, scen)
-		var w []float64
-		if weighted {
-			w = weights
-		}
-		sweep, err := bgpsim.NewLeakSweep(in.Graph, cfg)
+		sweep, err := bgpsim.NewLeakSweep(in.Graph, bgpsim.ScenarioConfig(in.Graph, origin, in.Tier1, in.Tier2, scen))
 		if err != nil {
 			return nil, err
 		}
 		sweep.SetClasses(classes)
-		trialsRes, err := sweep.Trials(context.Background(), leakers, w)
+		trials, err := sweep.Trials(context.Background(), leakers, weights)
 		sweep.Release()
 		if err != nil {
 			return nil, err
 		}
-		curve := LeakCurve{Scenario: scen, CDF: bgpsim.CDF(trialsRes, cdfGrid, weighted)}
-		for _, tr := range trialsRes {
+		panel = append(panel, trials)
+	}
+	return panel, nil
+}
+
+// LeakPanel is the 2020 leak panel for one origin, simulated once with the
+// population weights supplied: a trial's DetouredFrac is the detour count
+// over the AS count whether or not weights are given, so the same trials
+// serve an AS-count figure (Fig. 8) and a user-weighted one (Fig. 9).
+func (e *Env) LeakPanel(origin astopo.ASN) ([][]bgpsim.LeakTrial, error) {
+	return memoize(e, fmt.Sprintf("leakpanel/%d", origin), func() ([][]bgpsim.LeakTrial, error) {
+		return leakPanel(e.In2020, e.M2020.SweepClasses(), origin, e.Pop2020.WeightsDense(e.In2020.Graph))
+	})
+}
+
+// leakFigure projects one origin's panel onto AS counts or user population.
+func leakFigure(env *Env, originName string, origin astopo.ASN, weighted bool) (*LeakFigure, error) {
+	panel, err := env.LeakPanel(origin)
+	if err != nil {
+		return nil, err
+	}
+	asFrac, userFrac, err := env.AvgResilience(2020)
+	if err != nil {
+		return nil, err
+	}
+	fig := &LeakFigure{Origin: originName, OriginASN: origin, UserWeighted: weighted, AvgResilience: asFrac}
+	if weighted {
+		fig.AvgResilience = userFrac
+	}
+	for i, scen := range bgpsim.LeakScenarios() {
+		curve := LeakCurve{Scenario: scen, CDF: bgpsim.CDF(panel[i], cdfGrid, weighted)}
+		for _, tr := range panel[i] {
 			if weighted {
 				curve.MeanDetoured += tr.DetouredUserFrac
 			} else {
 				curve.MeanDetoured += tr.DetouredFrac
 			}
 		}
-		curve.MeanDetoured /= float64(len(trialsRes))
+		curve.MeanDetoured /= float64(len(panel[i]))
 		fig.Curves = append(fig.Curves, curve)
-	}
-	asFrac, userFrac, err := bgpsim.AverageResilience(in.Graph, 20, 20, 0xA0E5, weights)
-	if err != nil {
-		return nil, err
-	}
-	if weighted {
-		fig.AvgResilience = userFrac
-	} else {
-		fig.AvgResilience = asFrac
 	}
 	return fig, nil
 }
@@ -105,7 +122,7 @@ func Fig7(env *Env) ([]*LeakFigure, error) {
 	}
 	var out []*LeakFigure
 	for _, p := range panels {
-		fig, err := leakFigure(in, env.M2020.SweepClasses(), p.name, p.asn, leakTrialsPerConfig, false, nil)
+		fig, err := leakFigure(env, p.name, p.asn, false)
 		if err != nil {
 			return nil, err
 		}
@@ -116,13 +133,12 @@ func Fig7(env *Env) ([]*LeakFigure, error) {
 
 // Fig8 runs the Google panel.
 func Fig8(env *Env) (*LeakFigure, error) {
-	return leakFigure(env.In2020, env.M2020.SweepClasses(), "Google", env.In2020.Clouds["Google"], leakTrialsPerConfig, false, nil)
+	return leakFigure(env, "Google", env.In2020.Clouds["Google"], false)
 }
 
 // Fig9 runs the user-population-weighted Google panel.
 func Fig9(env *Env) (*LeakFigure, error) {
-	weights := env.Pop2020.WeightsDense(env.In2020.Graph)
-	return leakFigure(env.In2020, env.M2020.SweepClasses(), "Google", env.In2020.Clouds["Google"], leakTrialsPerConfig, true, weights)
+	return leakFigure(env, "Google", env.In2020.Clouds["Google"], true)
 }
 
 // Fig10Result compares Google's announce-to-all resilience across years.
@@ -134,6 +150,10 @@ type Fig10Result struct {
 
 // Fig10 runs the 2015-vs-2020 comparison.
 func Fig10(env *Env) (*Fig10Result, error) {
+	return memoize(env, "fig10", func() (*Fig10Result, error) { return fig10(env) })
+}
+
+func fig10(env *Env) (*Fig10Result, error) {
 	run := func(in *topogen.Internet, classes *bgpsim.ClassIndex) ([]float64, float64, error) {
 		origin := in.Clouds["Google"]
 		leakers := bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig, 77)
@@ -195,22 +215,16 @@ func runFig7(env *Env, w io.Writer) error {
 	return nil
 }
 
-func runFig8(env *Env, w io.Writer) error {
-	fig, err := Fig8(env)
-	if err != nil {
-		return err
+// runLeakFigure renders a one-panel leak experiment (Figs. 8 and 9).
+func runLeakFigure(fig func(*Env) (*LeakFigure, error)) func(*Env, io.Writer) error {
+	return func(env *Env, w io.Writer) error {
+		f, err := fig(env)
+		if err != nil {
+			return err
+		}
+		renderLeakFigure(w, f)
+		return nil
 	}
-	renderLeakFigure(w, fig)
-	return nil
-}
-
-func runFig9(env *Env, w io.Writer) error {
-	fig, err := Fig9(env)
-	if err != nil {
-		return err
-	}
-	renderLeakFigure(w, fig)
-	return nil
 }
 
 func runFig10(env *Env, w io.Writer) error {

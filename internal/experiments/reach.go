@@ -24,9 +24,16 @@ type Fig2Row struct {
 
 // Fig2 computes reachability for the clouds, Tier-1s, and Tier-2s under
 // the three subgraph constraints, sorted by descending hierarchy-free
-// reachability like the paper's figure.
+// reachability like the paper's figure. The hierarchy-free column is read
+// off the all-AS sweep Table 1 and Fig. 3 rank; the other two kinds have no
+// other consumer, and the figure's few dozen rows are fewer than one
+// 64-lane word, so they stay on the scalar path.
 func Fig2(env *Env) ([]Fig2Row, error) {
 	in, m := env.In2020, env.M2020
+	hf, err := env.SweepAll(2020, core.HierarchyFree)
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig2Row
 	add := func(a astopo.ASN, group string) error {
 		row := Fig2Row{Name: in.NameOf(a), AS: a, Group: group}
@@ -37,9 +44,8 @@ func Fig2(env *Env) ([]Fig2Row, error) {
 		if row.Tier1Free, err = m.Reachability(a, core.Tier1Free); err != nil {
 			return err
 		}
-		if row.HierarchyFree, err = m.Reachability(a, core.HierarchyFree); err != nil {
-			return err
-		}
+		i, _ := in.Graph.Index(a) // present: the two propagations above found it
+		row.HierarchyFree = hf[i]
 		rows = append(rows, row)
 		return nil
 	}
@@ -102,8 +108,8 @@ type Table1Result struct {
 
 // Table1 ranks every AS by hierarchy-free reachability in both presets.
 func Table1(env *Env, topK int) (*Table1Result, error) {
-	rank := func(m *core.Metrics, in *topogen.Internet) ([]Table1Row, map[string]Table1Row, error) {
-		all, err := m.ReachabilityAll(core.HierarchyFree)
+	rank := func(year int, in *topogen.Internet) ([]Table1Row, map[string]Table1Row, error) {
+		all, err := env.SweepAll(year, core.HierarchyFree)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -138,11 +144,11 @@ func Table1(env *Env, topK int) (*Table1Result, error) {
 		}
 		return rows, clouds, nil
 	}
-	r15, c15, err := rank(env.M2015, env.In2015)
+	r15, c15, err := rank(2015, env.In2015)
 	if err != nil {
 		return nil, err
 	}
-	r20, c20, err := rank(env.M2020, env.In2020)
+	r20, c20, err := rank(2020, env.In2020)
 	if err != nil {
 		return nil, err
 	}
@@ -222,12 +228,13 @@ type Fig3Result struct {
 
 // Fig3 computes hierarchy-free reachability and customer cone for every AS.
 func Fig3(env *Env) (*Fig3Result, error) {
-	cones, reach, err := env.M2020.ConeVsReach()
+	reach, err := env.SweepAll(2020, core.HierarchyFree)
 	if err != nil {
 		return nil, err
 	}
 	in := env.In2020
 	g := in.Graph
+	cones := g.ConeSizes()
 	res := &Fig3Result{Points: make([]Fig3Point, g.NumASes())}
 	// Scale the paper's >= 1000 threshold to our graph size.
 	res.Threshold = int(1000 * float64(g.NumASes()) / 69488)

@@ -58,6 +58,16 @@ func Fig6(env *Env) ([]Fig6Result, error) {
 	return out, nil
 }
 
+// binStarts lists the occupied bins in ascending order.
+func (r Fig6Result) binStarts() []int {
+	bins := make([]int, 0, len(r.Bins))
+	for b := range r.Bins {
+		bins = append(bins, b)
+	}
+	sort.Ints(bins)
+	return bins
+}
+
 func runFig6(env *Env, w io.Writer) error {
 	results, err := Fig6(env)
 	if err != nil {
@@ -66,12 +76,7 @@ func runFig6(env *Env, w io.Writer) error {
 	for _, r := range results {
 		fmt.Fprintf(w, "%s: max reliance %.1f on %s; ASes with reliance in [1,2): %d\n",
 			r.Cloud, r.MaxReliance, env.In2020.NameOf(r.MaxAS), r.RelyOne)
-		bins := make([]int, 0, len(r.Bins))
-		for b := range r.Bins {
-			bins = append(bins, b)
-		}
-		sort.Ints(bins)
-		for _, b := range bins {
+		for _, b := range r.binStarts() {
 			if b > 400 {
 				fmt.Fprintf(w, "  [tail: bins above 400 omitted]\n")
 				break

@@ -139,7 +139,7 @@ func TestConcurrentTraceBuildsOverlapAndCoalesce(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := e.traceBuilds.Load(); got != 2 {
+	if got := e.builds("traces/"); got != 2 {
 		t.Fatalf("ran %d trace builds, want exactly 2 (one per year)", got)
 	}
 	// Every 2020 cloud must now be served from cache without new builds.
@@ -149,7 +149,7 @@ func TestConcurrentTraceBuildsOverlapAndCoalesce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.traceBuilds.Load(); got != 2 {
+	if got := e.builds("traces/"); got != 2 {
 		t.Fatalf("cache misses after the shared build: %d builds, want 2", got)
 	}
 }
@@ -173,7 +173,7 @@ func TestTraceBuildErrorRetried(t *testing.T) {
 	if len(tr) != 2 {
 		t.Fatalf("retry returned %d VM groups, want 2", len(tr))
 	}
-	if got := e.traceBuilds.Load(); got != 1 {
+	if got := e.builds("traces/"); got != 1 {
 		t.Fatalf("ran %d successful builds, want 1", got)
 	}
 }

@@ -24,55 +24,69 @@ func (e *Env) World() *snapshot.World {
 		RDNS:      make(map[int]*rdns.Corpus),
 		Traces:    make(map[snapshot.TraceKey][][]tracesim.Traceroute),
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.plan2020 != nil {
-		w.Plans[2020] = e.plan2020
+	e.memo.mu.Lock()
+	defer e.memo.mu.Unlock()
+	for _, year := range []int{2020, 2015} {
+		if p, ok := e.memo.vals[planKey(year)]; ok {
+			w.Plans[year] = p.(*netdb.Plan)
+		}
 	}
-	if e.plan2015 != nil {
-		w.Plans[2015] = e.plan2015
+	if c, ok := e.memo.vals[rdnsKey]; ok {
+		w.RDNS[2020] = c.(*rdns.Corpus)
 	}
-	if e.rdns2020 != nil {
-		w.RDNS[2020] = e.rdns2020
-	}
-	for k, tr := range e.traces {
+	for k, tr := range e.memo.traces {
 		w.Traces[snapshot.TraceKey{Year: k.year, Cloud: k.cloud, VMs: k.nVMs}] = tr
 	}
 	return w
 }
 
-// NewEnvFromWorld rebuilds a ready Env from a decoded snapshot without any
-// generation: metrics masks are recomputed (cheap, O(n)), and every artifact
-// present in the world seeds the corresponding lazy cache, so experiments
-// that would have triggered a build are served immediately. Artifacts the
-// snapshot lacks are built lazily as usual.
-func NewEnvFromWorld(w *snapshot.World) (*Env, error) {
+// envOver assembles an Env over presets and population models that already
+// exist, checking that both years are there; only the metrics masks are
+// computed (cheap, O(n)).
+func envOver(scale float64, src *snapshot.Reader, internet func(year int) *topogen.Internet, pop func(year int) *population.Model) (*Env, error) {
 	for _, year := range []int{2020, 2015} {
-		if w.Internets[year] == nil {
+		if internet(year) == nil {
 			return nil, fmt.Errorf("experiments: snapshot has no %d internet", year)
 		}
-		if w.Pops[year] == nil {
+		if pop(year) == nil {
 			return nil, fmt.Errorf("experiments: snapshot has no %d population model", year)
 		}
 	}
-	in2020, in2015 := w.Internets[2020], w.Internets[2015]
-	e := &Env{
-		Scale:   w.Scale,
+	in2020, in2015 := internet(2020), internet(2015)
+	return &Env{
+		Scale:   scale,
 		In2020:  in2020,
 		In2015:  in2015,
 		M2020:   core.New(core.Dataset{Graph: in2020.Graph, Tier1: in2020.Tier1, Tier2: in2020.Tier2}),
 		M2015:   core.New(core.Dataset{Graph: in2015.Graph, Tier1: in2015.Tier1, Tier2: in2015.Tier2}),
-		Pop2020: w.Pops[2020],
-		Pop2015: w.Pops[2015],
+		Pop2020: pop(2020),
+		Pop2015: pop(2015),
+		src:     src,
+		memo:    newMemo(),
+	}, nil
+}
+
+// NewEnvFromWorld rebuilds a ready Env from a decoded snapshot without any
+// generation: every artifact present in the world seeds the corresponding
+// lazy cache, so experiments that would have triggered a build are served
+// immediately. Artifacts the snapshot lacks are built lazily as usual.
+func NewEnvFromWorld(w *snapshot.World) (*Env, error) {
+	e, err := envOver(w.Scale, nil,
+		func(year int) *topogen.Internet { return w.Internets[year] },
+		func(year int) *population.Model { return w.Pops[year] })
+	if err != nil {
+		return nil, err
 	}
-	e.plan2020 = w.Plans[2020]
-	e.plan2015 = w.Plans[2015]
-	e.rdns2020 = w.RDNS[2020]
-	if len(w.Traces) > 0 {
-		e.traces = make(map[traceKey][][]tracesim.Traceroute, len(w.Traces))
-		for k, tr := range w.Traces {
-			e.traces[traceKey{year: k.Year, cloud: k.Cloud, nVMs: k.VMs}] = tr
+	for _, year := range []int{2020, 2015} {
+		if p := w.Plans[year]; p != nil {
+			e.memo.vals[planKey(year)] = p
 		}
+	}
+	if c := w.RDNS[2020]; c != nil {
+		e.memo.vals[rdnsKey] = c
+	}
+	for k, tr := range w.Traces {
+		e.memo.traces[traceKey{year: k.Year, cloud: k.Cloud, nVMs: k.VMs}] = tr
 	}
 	return e, nil
 }
@@ -88,25 +102,7 @@ func NewEnvFromWorld(w *snapshot.World) (*Env, error) {
 // not Close the Reader while the Env (or anything derived from it) is in
 // use.
 func NewEnvFromSnapshot(r *snapshot.Reader) (*Env, error) {
-	for _, year := range []int{2020, 2015} {
-		if r.Internet(year) == nil {
-			return nil, fmt.Errorf("experiments: snapshot has no %d internet", year)
-		}
-		if r.Population(year) == nil {
-			return nil, fmt.Errorf("experiments: snapshot has no %d population model", year)
-		}
-	}
-	in2020, in2015 := r.Internet(2020), r.Internet(2015)
-	return &Env{
-		Scale:   r.Scale(),
-		In2020:  in2020,
-		In2015:  in2015,
-		M2020:   core.New(core.Dataset{Graph: in2020.Graph, Tier1: in2020.Tier1, Tier2: in2020.Tier2}),
-		M2015:   core.New(core.Dataset{Graph: in2015.Graph, Tier1: in2015.Tier1, Tier2: in2015.Tier2}),
-		Pop2020: r.Population(2020),
-		Pop2015: r.Population(2015),
-		src:     r,
-	}, nil
+	return envOver(r.Scale(), r, r.Internet, r.Population)
 }
 
 // Mapped reports whether the Env serves its graphs zero-copy from an OS

@@ -26,6 +26,11 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> go test -count 20 (cluster + serve)"
+# The dispatch, hedging and evolve tests order real goroutines and loopback
+# HTTP; twenty runs surface a timing-dependent assertion before merge.
+go test -count 20 ./internal/cluster/ ./internal/serve/
+
 echo "==> go test -race -short (bgpsim + serve, scalar leak path)"
 # The race run above exercises the batch leak engine; this pass forces the
 # scalar fallback so both sides of the FLATNET_SCALAR_LEAK switch stay
