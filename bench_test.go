@@ -329,8 +329,7 @@ func BenchmarkHierarchyFreeReachability(b *testing.B) {
 
 // BenchmarkReachabilityAll measures one whole-Internet hierarchy-free
 // sweep — the bit-parallel batch engine behind Table 1, Fig. 3, and the
-// sensitivity analysis. FLATNET_SCALAR_SWEEP=1 pins the scalar fallback
-// for comparison.
+// sensitivity analysis.
 func BenchmarkReachabilityAll(b *testing.B) {
 	e := benchEnv(b)
 	b.ResetTimer()
@@ -349,7 +348,7 @@ func BenchmarkReachabilityAll(b *testing.B) {
 // (ASes per swept class) is reported alongside timing.
 func BenchmarkReachabilityAllClassed(b *testing.B) {
 	e := benchEnv(b)
-	ci := e.M2020.Classes()
+	ci := e.M2020.SweepClasses()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.M2020.ReachabilityAll(core.HierarchyFree); err != nil {
@@ -404,9 +403,8 @@ func BenchmarkLeakSweep(b *testing.B) {
 // full BatchLanes-wide block of leakers replayed in ONE propagation against
 // a cached pre-pass — the §8 hot path behind Figs. 7–10 and the serving
 // layer's /v1/leak batches. One op here covers BatchLanes leakers, so the
-// scalar-equivalent cost is BenchmarkLeakSweep × BatchLanes.
-// FLATNET_SCALAR_LEAK=1 pins LeakSweep.Trials to the scalar fallback for
-// comparison. allocs/op should be ~0.
+// scalar-equivalent cost is BenchmarkLeakSweep × BatchLanes. allocs/op
+// should be ~0.
 func BenchmarkLeakTrialsBatch(b *testing.B) {
 	e := benchEnv(b)
 	g := e.In2020.Graph

@@ -293,28 +293,21 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-// loadSnapshotEnv opens a snapshot on the zero-copy mmap path, falling
-// back to the eager legacy decoder for v1 files. The Reader (when used)
+// loadSnapshotEnv opens a snapshot on the zero-copy mmap path. The Reader
 // stays open for the life of the process: the environment borrows its
 // memory. verify forces a full checksum pass over every section, including
 // the hot arrays the mmap path otherwise only CRCs via this flag.
 func loadSnapshotEnv(path string, verify bool) (*experiments.Env, error) {
-	rd, oerr := snapshot.Open(path)
-	if oerr == nil {
-		if verify {
-			if err := rd.Verify(); err != nil {
-				return nil, err
-			}
+	rd, err := snapshot.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if verify {
+		if err := rd.Verify(); err != nil {
+			return nil, err
 		}
-		return experiments.NewEnvFromSnapshot(rd)
 	}
-	// Not a v2 file: try the legacy eager decoder, which checksums
-	// everything up front. If that fails too, report the v2 error.
-	world, rerr := snapshot.ReadFile(path)
-	if rerr != nil {
-		return nil, oerr
-	}
-	return experiments.NewEnvFromWorld(world)
+	return experiments.NewEnvFromSnapshot(rd)
 }
 
 func genPreset(scale float64, year int) (*topogen.Internet, error) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -90,6 +92,27 @@ func TestRuntimeErrorExitsOne(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "unknown year") {
 		t.Errorf("stderr = %q", stderr)
+	}
+}
+
+// A version 1 snapshot is refused with the explicit error on every path
+// that loads one — no silent fall-back to another decoder.
+func TestV1SnapshotExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	hdr := append([]byte("FLATSNAP"), 1, 0, 0, 0) // magic + version 1
+	hdr = append(hdr, make([]byte, 12)...)        // scale + section count
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"snapshot", "info", path},
+		{"run", "-snapshot", path, "fig2"},
+		{"serve", "-snapshot", path},
+	} {
+		code, _, stderr := runCLI(args...)
+		if code != 1 || !strings.Contains(stderr, "version 1 is no longer read") {
+			t.Errorf("run(%q) = %d, stderr %q; want exit 1 with the version 1 error", args, code, stderr)
+		}
 	}
 }
 

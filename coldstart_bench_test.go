@@ -12,27 +12,11 @@ import (
 // BenchmarkEnvColdStart measures the full cold-start path of the default
 // environment: generate both presets and prewarm every lazy artifact the
 // experiment registry consumes (plans, rDNS, all four clouds' 2020 trace
-// corpora). The trace corpora dominate; the parallel path pays one shared
-// propagation sweep for all clouds.
+// corpora). The trace corpora dominate; the builds overlap and all four
+// clouds share one propagation sweep.
 func BenchmarkEnvColdStart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e, err := experiments.NewEnv(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Prewarm(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEnvColdStartSerial is the same cold start over the serial
-// reference environment (one artifact at a time, one cloud at a time, no
-// shared propagation) — the baseline BenchmarkEnvColdStart's speedup is
-// quoted against.
-func BenchmarkEnvColdStartSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, err := experiments.NewEnvSerial(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,8 +35,8 @@ func BenchmarkEnvColdStartSerial(b *testing.B) {
 //
 //	mmap    zero-copy Reader (snapshot.Open + NewEnvFromSnapshot); the
 //	        topology arenas are served straight from the mapping
-//	decode  eager full decode (snapshot.ReadFile + NewEnvFromWorld),
-//	        the v1-era path kept as the comparison baseline
+//	decode  eager full decode of the same file (snapshot.ReadFile +
+//	        NewEnvFromWorld): every section verified and copied out
 //
 // The snapshot carries both years' peering plans and the 2020 rDNS corpus
 // alongside the topologies, as a production `flatnet snapshot build` file

@@ -79,7 +79,9 @@ func TestBatchLeakMatchesScalar(t *testing.T) {
 			}
 
 			// BreakTies is inherently scalar: the engine refuses it and the
-			// public Trials path must route around it, still trial-exact.
+			// public routing must go around it, still trial-exact. Four
+			// workers, whatever GOMAXPROCS is, so the cloned scalar arm runs
+			// concurrently under -race.
 			cfg.BreakTies = true
 			tieSweep, err := NewLeakSweep(g, cfg)
 			if err != nil {
@@ -90,7 +92,7 @@ func TestBatchLeakMatchesScalar(t *testing.T) {
 			}
 			if seed%16 == 0 {
 				big := padLeakers(leakers, BatchLanes)
-				res, err := tieSweep.Trials(context.Background(), big, weights)
+				res, err := tieSweep.TrialsN(context.Background(), big, weights, 4)
 				if err != nil {
 					t.Fatalf("seed %d scenario %v: tie Trials: %v", seed, scen, err)
 				}
@@ -121,7 +123,9 @@ func padLeakers(leakers []astopo.ASN, min int) []astopo.ASN {
 }
 
 // The public Trials batch routing (>= BatchLanes leakers, multi-block,
-// duplicate lanes) must agree with the scalar per-leaker path.
+// duplicate lanes) must agree with the scalar per-leaker path — both by
+// direct Trial calls and through the same public routing one leaker under
+// BatchLanes, where the input size alone picks the scalar arm.
 func TestLeakTrialsBatchRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomTopology(rng)
@@ -152,6 +156,15 @@ func TestLeakTrialsBatchRouting(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Fatalf("leaker %d (AS%d): batch=%+v scalar=%+v", i, l, got[i], want)
+		}
+	}
+	small, err := sweep.Trials(context.Background(), big[:BatchLanes-1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range small {
+		if small[i] != got[i] {
+			t.Fatalf("leaker %d (AS%d): scalar-routed=%+v batch-routed=%+v", i, big[i], small[i], got[i])
 		}
 	}
 }

@@ -179,7 +179,7 @@ func CDF(trials []LeakTrial, xs []float64, users bool) []float64 {
 // attacked by nLeakers leakers. Origins run in parallel; each origin's
 // worker builds one LeakSweep (pre-pass computed once) and replays its
 // leakers against it through a worker-local BatchLeak engine, up to
-// BatchLanes per propagation (scalar replay with FLATNET_SCALAR_LEAK set).
+// BatchLanes per propagation.
 // Sampling is drawn up-front from a single sequential RNG, so results are
 // deterministic in seed regardless of scheduling.
 func AverageResilience(g *astopo.Graph, nOrigins, nLeakers int, seed int64, weights []float64) (asFrac, userFrac float64, err error) {
@@ -211,18 +211,6 @@ func AverageResilience(g *astopo.Graph, nOrigins, nLeakers int, seed int64, weig
 				return err
 			}
 			defer sweep.Release()
-			if sweep.base.scalarLeak {
-				for _, l := range jobs[i].leakers {
-					tr, err := sweep.Trial(l, weights)
-					if err != nil {
-						return fmt.Errorf("leaker AS%d: %w", l, err)
-					}
-					sums[i] += tr.DetouredFrac
-					wsums[i] += tr.DetouredUserFrac
-					counts[i]++
-				}
-				return nil
-			}
 			if engines[w] == nil {
 				engines[w] = getBatchLeak(g)
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 
@@ -61,11 +60,6 @@ type sweepBase struct {
 	// keyed by base identity (BatchLeak's position index) must match the
 	// (pointer, gen) pair, not the pointer alone.
 	gen uint64
-
-	// scalarLeak pins Trials to the scalar per-leaker path instead of the
-	// word-parallel BatchLeak engine (the batch engine's fallback). Set by
-	// the FLATNET_SCALAR_LEAK env var for debugging and benchmarking.
-	scalarLeak bool
 }
 
 // simPool recycles Simulators across sweeps and clones of the same graph.
@@ -128,7 +122,6 @@ func NewLeakSweep(g *astopo.Graph, base Config) (*LeakSweep, error) {
 	}
 	b.order = append(b.order[:0], sim.orderByDistance()...)
 	b.gen++
-	b.scalarLeak = os.Getenv("FLATNET_SCALAR_LEAK") != ""
 	b.counts = growFloats(b.counts, sim.n)
 	pathCountsCSR(b.csr, b.class, b.dist, b.order, b.counts)
 	sw.classes = nil // recycled sweeps must not inherit a prior SetClasses
@@ -284,10 +277,10 @@ func (sw *LeakSweep) TrialCtx(ctx context.Context, leaker astopo.ASN, weights []
 //
 // Batches of at least BatchLanes leakers route through the word-parallel
 // BatchLeak engine, BatchLanes leakers per propagation, with the 64-lane
-// blocks spread over the workers; smaller batches, BreakTies configs (whose
-// tie order is inherently per-lane, see BatchLeak), and runs with
-// FLATNET_SCALAR_LEAK set replay leakers one at a time, one sweep clone per
-// extra worker. Both paths produce identical trials.
+// blocks spread over the workers; smaller batches and BreakTies configs
+// (whose tie order is inherently per-lane, see BatchLeak) replay leakers
+// one at a time, one sweep clone per extra worker. Both paths produce
+// identical trials.
 func (sw *LeakSweep) Trials(ctx context.Context, leakers []astopo.ASN, weights []float64) ([]LeakTrial, error) {
 	return sw.TrialsN(ctx, leakers, weights, 0)
 }
@@ -456,7 +449,7 @@ func (sw *LeakSweep) trialsDispatch(ctx context.Context, leakers []astopo.ASN, w
 // with a zero weight delta), so duplicate-ASN inputs stay exact.
 func (sw *LeakSweep) trialsDispatchProbes(ctx context.Context, leakers []astopo.ASN, weights []float64, out []LeakTrial, workers int, probeOff, probeNode []int32, bits []bool) error {
 	b := sw.base
-	if !b.cfg.BreakTies && !b.scalarLeak && len(leakers) >= BatchLanes {
+	if !b.cfg.BreakTies && len(leakers) >= BatchLanes {
 		nBlocks := (len(leakers) + BatchLanes - 1) / BatchLanes
 		if workers > nBlocks {
 			workers = nBlocks

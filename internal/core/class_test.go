@@ -3,49 +3,28 @@ package core
 import (
 	"context"
 	"math/rand"
-	"os"
 	"testing"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/topogen"
 )
 
-// withEnv sets an env var for the duration of fn. The class-collapse and
-// sweep-width knobs are read at Metrics construction, so tests flip them
-// around New calls.
-func withEnv(t *testing.T, key, val string, fn func()) {
+// uncollapsed is the reference the classed sweep is compared against: the
+// batch engine over [lo, hi) with one lane per origin and no class index.
+func uncollapsed(t *testing.T, m *Metrics, kind Kind, lo, hi int) []int {
 	t.Helper()
-	old, had := os.LookupEnv(key)
-	if err := os.Setenv(key, val); err != nil {
-		t.Fatal(err)
+	out := make([]int, hi-lo)
+	if err := m.batchCountsCtx(context.Background(), kind, denseRange{lo, hi}, out, 0); err != nil {
+		t.Fatalf("kind %v range [%d, %d): uncollapsed: %v", kind, lo, hi, err)
 	}
-	defer func() {
-		if had {
-			os.Setenv(key, old)
-		} else {
-			os.Unsetenv(key)
-		}
-	}()
-	fn()
-}
-
-// newClassed builds Metrics with class collapse force-enabled, so the golden
-// suites keep comparing both sides even when the ambient environment sets
-// FLATNET_NO_CLASS_COLLAPSE (check.sh runs the package that way too).
-func newClassed(t *testing.T, ds Dataset) *Metrics {
-	t.Helper()
-	var m *Metrics
-	withEnv(t, "FLATNET_NO_CLASS_COLLAPSE", "", func() {
-		m = New(ds)
-	})
-	return m
+	return out
 }
 
 // TestClassedSweepMatchesUncollapsed is the tentpole golden suite: the
 // class-collapsed all-AS sweep must be byte-identical to the uncollapsed
-// batch sweep (FLATNET_NO_CLASS_COLLAPSE) for every Kind, every origin,
-// full ranges and subranges, over the random tiered corpus — and the
-// collapse must actually fire on at least some of the corpus.
+// batch sweep (batchCountsCtx, called directly) for every Kind, every
+// origin, full ranges and subranges, over the random tiered corpus — and
+// the collapse must actually fire on at least some of the corpus.
 func TestClassedSweepMatchesUncollapsed(t *testing.T) {
 	ctx := context.Background()
 	collapsed := 0
@@ -56,12 +35,8 @@ func TestClassedSweepMatchesUncollapsed(t *testing.T) {
 			n = 150 + rng.Intn(50) // multi-block: spans several 64-lane words
 		}
 		ds := randomTieredDataset(rng, n)
-		m := newClassed(t, ds)
-		var mNo *Metrics
-		withEnv(t, "FLATNET_NO_CLASS_COLLAPSE", "1", func() {
-			mNo = New(ds)
-		})
-		if c, _, _ := m.ClassStats(); c > 0 && c < n {
+		m := New(ds)
+		if c, _ := m.ClassStats(); c > 0 && c < n {
 			collapsed++
 		}
 		lo := rng.Intn(n)
@@ -72,10 +47,7 @@ func TestClassedSweepMatchesUncollapsed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d kind %v range %v: classed: %v", seed, kind, r, err)
 				}
-				want, err := mNo.ReachabilityRangeCtx(ctx, kind, r[0], r[1], 0)
-				if err != nil {
-					t.Fatalf("seed %d kind %v range %v: uncollapsed: %v", seed, kind, r, err)
-				}
+				want := uncollapsed(t, m, kind, r[0], r[1])
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("seed %d kind %v origin %d (AS%d): classed %d != uncollapsed %d",
@@ -90,45 +62,6 @@ func TestClassedSweepMatchesUncollapsed(t *testing.T) {
 	}
 }
 
-// The wide dispatch (FLATNET_SWEEP_WORDS > 1) must give the same answers
-// through the full core stack, not just the raw engine.
-func TestClassedSweepWideMatchesNarrow(t *testing.T) {
-	ctx := context.Background()
-	for _, words := range []string{"2", "4"} {
-		for seed := int64(90); seed < 100; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			ds := randomTieredDataset(rng, 120+rng.Intn(80))
-			n := ds.Graph.NumASes()
-			var mWide *Metrics
-			withEnv(t, "FLATNET_NO_CLASS_COLLAPSE", "", func() {
-				withEnv(t, "FLATNET_SWEEP_WORDS", words, func() {
-					mWide = New(ds)
-				})
-			})
-			m := newClassed(t, ds)
-			if _, _, w := mWide.ClassStats(); w < 2 {
-				t.Fatalf("FLATNET_SWEEP_WORDS=%s not picked up: words=%d", words, w)
-			}
-			for _, kind := range allKinds {
-				got, err := mWide.ReachabilityRangeCtx(ctx, kind, 0, n, 0)
-				if err != nil {
-					t.Fatalf("words=%s seed %d kind %v: %v", words, seed, kind, err)
-				}
-				want, err := m.ReachabilityRangeCtx(ctx, kind, 0, n, 0)
-				if err != nil {
-					t.Fatalf("seed %d kind %v: %v", seed, kind, err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("words=%s seed %d kind %v origin %d: wide %d != narrow %d",
-							words, seed, kind, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // ClassCountsRangeCtx shards must concatenate to the per-class vector
 // whose expansion is exactly the full sweep — the cluster contract.
 func TestClassCountsRangeExpandsToSweep(t *testing.T) {
@@ -137,7 +70,7 @@ func TestClassCountsRangeExpandsToSweep(t *testing.T) {
 	ds := randomTieredDataset(rng, 160)
 	n := ds.Graph.NumASes()
 	m := New(ds)
-	ci := m.Classes()
+	ci := m.SweepClasses()
 	nc := ci.NumClasses()
 	for _, kind := range allKinds {
 		// Three uneven shards, concatenated.
@@ -209,7 +142,7 @@ func TestEvolveCarriesClassIndex(t *testing.T) {
 		rng := rand.New(rand.NewSource(700 + seed))
 		prev := randomTieredDataset(rng, 40+rng.Intn(120))
 		nxt, delta := mutateDataset(rng, prev, rng.Intn(3), 1+rng.Intn(3), rng.Intn(3))
-		prevM, nextM := newClassed(t, prev), newClassed(t, nxt)
+		prevM, nextM := New(prev), New(nxt)
 		n := prev.Graph.NumASes()
 		prevCounts, err := prevM.ReachabilityRangeCtx(ctx, HierarchyFree, 0, n, 0)
 		if err != nil {
@@ -230,7 +163,7 @@ func TestEvolveCarriesClassIndex(t *testing.T) {
 		if got == nil {
 			t.Fatalf("seed %d: next metrics has no index after carry", seed)
 		}
-		want := newClassed(t, nxt).Classes()
+		want := New(nxt).SweepClasses()
 		if got.NumClasses() != want.NumClasses() {
 			t.Fatalf("seed %d: evolved %d classes, rebuild %d", seed, got.NumClasses(), want.NumClasses())
 		}
@@ -250,31 +183,6 @@ func TestEvolveCarriesClassIndex(t *testing.T) {
 	}
 }
 
-// The escape hatch must actually disable collapse: SweepClasses reports
-// nil, stats gauges go flat, and sweeps still answer correctly.
-func TestNoClassCollapseEscapeHatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ds := randomTieredDataset(rng, 60)
-	var m *Metrics
-	withEnv(t, "FLATNET_NO_CLASS_COLLAPSE", "1", func() {
-		m = New(ds)
-	})
-	if m.SweepClasses() != nil {
-		t.Error("SweepClasses must be nil under FLATNET_NO_CLASS_COLLAPSE")
-	}
-	classes, ratio, words := m.ClassStats()
-	if classes != 0 || ratio != 1 {
-		t.Errorf("ClassStats under escape hatch = (%d, %v), want (0, 1)", classes, ratio)
-	}
-	if words < 1 {
-		t.Errorf("words = %d", words)
-	}
-	// Classes() still builds on explicit request.
-	if m.Classes() == nil || m.Classes().NumClasses() == 0 {
-		t.Error("explicit Classes() must still build the index")
-	}
-}
-
 // A preset world through the classed stack: the scaled-down Internet-2020
 // topology must sweep identically with and without collapse, anchoring the
 // corpus result on the generator the benchmarks use.
@@ -286,20 +194,13 @@ func TestClassedSweepMatchesUncollapsedPreset(t *testing.T) {
 	}
 	ds := Dataset{Graph: in.Graph, Tier1: in.Tier1, Tier2: in.Tier2}
 	n := ds.Graph.NumASes()
-	m := newClassed(t, ds)
-	var mNo *Metrics
-	withEnv(t, "FLATNET_NO_CLASS_COLLAPSE", "1", func() {
-		mNo = New(ds)
-	})
+	m := New(ds)
 	for _, kind := range allKinds {
 		got, err := m.ReachabilityRangeCtx(ctx, kind, 0, n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := mNo.ReachabilityRangeCtx(ctx, kind, 0, n, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := uncollapsed(t, m, kind, 0, n)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("kind %v origin %d (AS%d): classed %d != uncollapsed %d",
@@ -307,7 +208,7 @@ func TestClassedSweepMatchesUncollapsedPreset(t *testing.T) {
 			}
 		}
 	}
-	if c, ratio, _ := m.ClassStats(); c == 0 || ratio <= 1 {
+	if c, ratio := m.ClassStats(); c == 0 || ratio <= 1 {
 		t.Errorf("preset world did not collapse: classes=%d ratio=%v", c, ratio)
 	}
 }

@@ -19,7 +19,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -79,20 +78,6 @@ type Metrics struct {
 	// whole-graph sweeps, on a reusable per-worker scratch that undoes
 	// the overlay between origins (originScratch).
 	baseMask [HierarchyFree + 1][]bool
-	// scalarSweep forces ReachabilityAll onto the per-origin scalar path
-	// (the batch engine's fallback). Set by the FLATNET_SCALAR_SWEEP env
-	// var for debugging/perf comparison, and by the equivalence tests.
-	scalarSweep bool
-	// noCollapse disables the origin equivalence-class collapse on all-AS
-	// sweeps and multi-origin batches, forcing every origin to propagate
-	// individually. Set by the FLATNET_NO_CLASS_COLLAPSE env var as the
-	// escape hatch, and by the equivalence tests.
-	noCollapse bool
-	// sweepWords is the multi-word block width for class-collapsed sweeps
-	// (bgpsim.SweepWords): 1 uses the single-word BatchReach, >1 the
-	// BatchReachWide engine with sweepWords×64 lanes per propagation.
-	sweepWords int
-	widePool   sync.Pool // *bgpsim.BatchReachWide for sweepWords > 1
 
 	// classMu guards classIdx, the lazily built (or incrementally evolved,
 	// see EvolveCounts) origin equivalence-class index.
@@ -117,15 +102,9 @@ type classedScratch struct {
 // New returns a Metrics over ds. The graph is frozen.
 func New(ds Dataset) *Metrics {
 	ds.Graph.Freeze()
-	m := &Metrics{
-		ds:          ds,
-		scalarSweep: os.Getenv("FLATNET_SCALAR_SWEEP") != "",
-		noCollapse:  os.Getenv("FLATNET_NO_CLASS_COLLAPSE") != "",
-		sweepWords:  bgpsim.SweepWords(),
-	}
+	m := &Metrics{ds: ds}
 	m.pool.New = func() any { return bgpsim.New(ds.Graph) }
 	m.batchPool.New = func() any { return bgpsim.NewBatchReach(ds.Graph) }
-	m.widePool.New = func() any { return bgpsim.NewBatchReachWide(ds.Graph, m.sweepWords) }
 	n := ds.Graph.NumASes()
 	for kind := Full; kind <= HierarchyFree; kind++ {
 		mask := make([]bool, n)
@@ -151,28 +130,18 @@ func New(ds Dataset) *Metrics {
 // Dataset returns the dataset the metrics operate on.
 func (m *Metrics) Dataset() Dataset { return m.ds }
 
-// Classes returns the origin equivalence-class index for the dataset,
-// building it on first use. The index is always available (even under
-// FLATNET_NO_CLASS_COLLAPSE — the env var only stops the sweep paths from
-// consulting it) and is immutable once returned.
-func (m *Metrics) Classes() *bgpsim.ClassIndex {
+// SweepClasses returns the origin equivalence-class index for the dataset,
+// building it on first use. It never returns nil and the index is
+// immutable once returned. Every site that dedups per-origin work (the
+// sweeps here, leak trial batching, the serve layer's class caches) keys
+// off it.
+func (m *Metrics) SweepClasses() *bgpsim.ClassIndex {
 	m.classMu.Lock()
 	defer m.classMu.Unlock()
 	if m.classIdx == nil {
 		m.classIdx = bgpsim.NewClassIndex(m.ds.Graph, m.ds.Tier1, m.ds.Tier2, nil)
 	}
 	return m.classIdx
-}
-
-// SweepClasses returns the class index when collapse is enabled, nil when
-// the FLATNET_NO_CLASS_COLLAPSE escape hatch is set. Callers that want to
-// dedup per-origin work (leak trial batching, the serve layer's class
-// caches) key off this so the escape hatch disables every collapse site.
-func (m *Metrics) SweepClasses() *bgpsim.ClassIndex {
-	if m.noCollapse {
-		return nil
-	}
-	return m.Classes()
 }
 
 // setClasses installs an externally derived class index (EvolveCounts
@@ -193,14 +162,10 @@ func (m *Metrics) classesIfBuilt() *bgpsim.ClassIndex {
 }
 
 // ClassStats reports the class-collapse gauges: the number of equivalence
-// classes, the collapse ratio (ASes per class), and the sweep block width
-// in 64-lane words. Collapse disabled reports zero classes, ratio 1.
-func (m *Metrics) ClassStats() (classes int, ratio float64, words int) {
-	if m.noCollapse {
-		return 0, 1, m.sweepWords
-	}
-	ci := m.Classes()
-	return ci.NumClasses(), ci.CollapseRatio(), m.sweepWords
+// classes and the collapse ratio (ASes per class).
+func (m *Metrics) ClassStats() (classes int, ratio float64) {
+	ci := m.SweepClasses()
+	return ci.NumClasses(), ci.CollapseRatio()
 }
 
 // Mask builds the dense exclusion mask for (o, kind): the origin itself is
@@ -312,15 +277,6 @@ func (m *Metrics) Reachability(o astopo.ASN, kind Kind) (int, error) {
 	return sim.ReachabilityCount(bgpsim.Config{Origin: o, Exclude: mask})
 }
 
-// ReachabilityPct returns reachability as a fraction of all other ASes.
-func (m *Metrics) ReachabilityPct(o astopo.ASN, kind Kind) (float64, error) {
-	n, err := m.Reachability(o, kind)
-	if err != nil {
-		return 0, err
-	}
-	return float64(n) / float64(m.ds.Graph.NumASes()-1), nil
-}
-
 // Propagate runs a full propagation for (o, kind), exposing classes,
 // lengths, and (optionally) the tied-best next-hop DAG.
 func (m *Metrics) Propagate(o astopo.ASN, kind Kind, trackNextHops bool) (*bgpsim.Result, error) {
@@ -337,10 +293,11 @@ func (m *Metrics) Propagate(o astopo.ASN, kind Kind, trackNextHops bool) (*bgpsi
 // The sweep runs on the bit-parallel batch engine (bgpsim.BatchReach), 64
 // origins per propagation: the kind's base mask is lane-uniform and each
 // origin's providers become sparse per-lane overrides, so one block costs
-// about one propagation instead of 64. The per-origin scalar path remains
-// as the fallback — the batch engine covers exactly the plain-reachability
-// configuration this sweep needs, but policies/leaks/locking/tie-breaking
-// (and debugging via FLATNET_SCALAR_SWEEP) stay on the scalar Simulator.
+// about one propagation instead of 64. The batch engine covers exactly the
+// plain-reachability configuration this sweep needs;
+// policies/leaks/locking/tie-breaking stay on the scalar Simulator, and
+// reachabilityRangeScalar is the per-origin reference the equivalence
+// tests compare this sweep against.
 func (m *Metrics) ReachabilityAll(kind Kind) ([]int, error) {
 	return m.ReachabilityRangeCtx(context.Background(), kind, 0, m.ds.Graph.NumASes(), 0)
 }
@@ -375,21 +332,7 @@ func (m *Metrics) ReachabilityRangeIntoCtx(ctx context.Context, kind Kind, lo, h
 	if len(out) != hi-lo {
 		return fmt.Errorf("core: out has %d entries for range [%d, %d)", len(out), lo, hi)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if m.scalarSweep {
-		res, err := m.reachabilityRangeScalar(ctx, kind, lo, hi, workers)
-		if err != nil {
-			return err
-		}
-		copy(out, res)
-		return nil
-	}
-	if !m.noCollapse {
-		return m.reachabilityRangeClassed(ctx, kind, lo, hi, workers, out)
-	}
-	return m.batchCountsCtx(ctx, kind, denseRange{lo, hi}, out, workers)
+	return m.reachabilityRangeClassed(ctx, kind, lo, hi, workers, out)
 }
 
 // denseRange selects batch origins: a contiguous dense-index range when
@@ -398,14 +341,17 @@ type denseRange struct {
 	lo, hi int
 }
 
-// batchCountsCtx runs the bit-parallel engines over the origins selected
-// by r (contiguous) or idx (explicit list; r ignored), writing counts in
-// selection order to out. Blocks ride the wide engine when the configured
-// sweep width exceeds one word.
+// batchCountsCtx runs the bit-parallel engine over the contiguous dense
+// range r with no class collapse, one lane per origin — the uncollapsed
+// reference the class-equivalence tests compare the collapsed sweep
+// against.
 func (m *Metrics) batchCountsCtx(ctx context.Context, kind Kind, r denseRange, out []int, workers int) error {
 	return m.batchCountsIdxCtx(ctx, kind, nil, r, out, workers)
 }
 
+// batchCountsIdxCtx runs bgpsim.BatchReach, 64 origins per propagation,
+// over the origins selected by idx (explicit list) or, when idx is nil, by
+// r (contiguous), writing counts in selection order to out.
 func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32, r denseRange, out []int, workers int) error {
 	total := len(idx)
 	if idx == nil {
@@ -417,27 +363,12 @@ func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	lanes := bgpsim.BatchLanes
-	wide := m.sweepWords > 1
-	if wide {
-		lanes = m.sweepWords * bgpsim.BatchLanes
-	}
+	const lanes = bgpsim.BatchLanes
 	blocks := (total + lanes - 1) / lanes
-	type countEngine interface {
-		CountsCtx(ctx context.Context, origins []int32, base []bool, maskProviders bool, out []int) error
-	}
-	engines := make([]any, workers)
+	engines := make([]*bgpsim.BatchReach, workers)
 	err := par.ForCtx(ctx, workers, blocks, func(w int) func(i int) error {
-		var eng countEngine
-		if wide {
-			bw := m.widePool.Get().(*bgpsim.BatchReachWide)
-			engines[w] = bw
-			eng = bw
-		} else {
-			br := m.batchPool.Get().(*bgpsim.BatchReach)
-			engines[w] = br
-			eng = br
-		}
+		eng := m.batchPool.Get().(*bgpsim.BatchReach)
+		engines[w] = eng
 		scratch := make([]int32, lanes)
 		return func(bi int) error {
 			blo := bi * lanes
@@ -457,12 +388,9 @@ func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32,
 			return eng.CountsCtx(ctx, block, m.baseMask[kind], kind != Full, out[blo:bhi])
 		}
 	})
-	for _, e := range engines {
-		switch v := e.(type) {
-		case *bgpsim.BatchReach:
-			m.batchPool.Put(v)
-		case *bgpsim.BatchReachWide:
-			m.widePool.Put(v)
+	for _, eng := range engines {
+		if eng != nil {
+			m.batchPool.Put(eng)
 		}
 	}
 	return err
@@ -475,7 +403,7 @@ func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32,
 // to every member. Byte-identical to the uncollapsed sweep (golden-tested)
 // because class members have exactly equal counts for every kind.
 func (m *Metrics) reachabilityRangeClassed(ctx context.Context, kind Kind, lo, hi, workers int, out []int) error {
-	ci := m.Classes()
+	ci := m.SweepClasses()
 	n := hi - lo
 	if n == 0 {
 		return nil
@@ -521,11 +449,9 @@ func (m *Metrics) reachabilityRangeClassed(ctx context.Context, kind Kind, lo, h
 // classes [clo, chi), indexed by class id — the cluster shard primitive
 // for class-collapsed sweeps: a partition of [0, NumClasses()) concatenates
 // to the full per-class count vector, which ClassIndex.Expand scatters to
-// per-AS counts. Unlike the sweep paths this ignores the
-// FLATNET_NO_CLASS_COLLAPSE escape hatch: the request names classes
-// explicitly, so the caller has already chosen collapse.
+// per-AS counts.
 func (m *Metrics) ClassCountsRangeCtx(ctx context.Context, kind Kind, clo, chi, workers int) ([]int, error) {
-	ci := m.Classes()
+	ci := m.SweepClasses()
 	if clo < 0 || chi > ci.NumClasses() || clo > chi {
 		return nil, fmt.Errorf("core: class range [%d, %d) outside the %d-class index", clo, chi, ci.NumClasses())
 	}
@@ -539,50 +465,14 @@ func (m *Metrics) ClassCountsRangeCtx(ctx context.Context, kind Kind, clo, chi, 
 // ClassCountsRangeIntoCtx is ClassCountsRangeCtx writing into out (len
 // chi-clo) — the buffer-recycling variant cluster shard handlers use.
 func (m *Metrics) ClassCountsRangeIntoCtx(ctx context.Context, kind Kind, clo, chi, workers int, out []int) error {
-	ci := m.Classes()
+	ci := m.SweepClasses()
 	if clo < 0 || chi > ci.NumClasses() || clo > chi {
 		return fmt.Errorf("core: class range [%d, %d) outside the %d-class index", clo, chi, ci.NumClasses())
 	}
 	if len(out) != chi-clo {
 		return fmt.Errorf("core: out has %d entries for class range [%d, %d)", len(out), clo, chi)
 	}
-	reps := ci.Reps()[clo:chi]
-	if m.scalarSweep {
-		return m.scalarCountsIdxCtx(ctx, kind, reps, out, workers)
-	}
-	return m.batchCountsIdxCtx(ctx, kind, reps, denseRange{}, out, workers)
-}
-
-// scalarCountsIdxCtx is the per-origin scalar fallback over an explicit
-// dense-index list, used by ClassCountsRangeCtx under FLATNET_SCALAR_SWEEP.
-func (m *Metrics) scalarCountsIdxCtx(ctx context.Context, kind Kind, idx []int32, out []int, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	g := m.ds.Graph
-	sims := make([]*bgpsim.Simulator, workers)
-	err := par.ForCtx(ctx, workers, len(idx), func(w int) func(i int) error {
-		sim := m.pool.Get().(*bgpsim.Simulator)
-		sims[w] = sim
-		sc := m.scratch(kind)
-		return func(i int) error {
-			oi := int(idx[i])
-			mask := sc.acquire(oi)
-			cnt, err := sim.ReachabilityCountCtx(ctx, bgpsim.Config{Origin: g.ASNAt(oi), Exclude: mask})
-			sc.release()
-			if err != nil {
-				return err
-			}
-			out[i] = cnt
-			return nil
-		}
-	})
-	for _, sim := range sims {
-		if sim != nil {
-			m.pool.Put(sim)
-		}
-	}
-	return err
+	return m.batchCountsIdxCtx(ctx, kind, ci.Reps()[clo:chi], denseRange{}, out, workers)
 }
 
 // reachabilityRangeScalar is the per-origin sweep over [lo, hi): one scalar
@@ -706,14 +596,4 @@ func (m *Metrics) Unreachable(o astopo.ASN, kind Kind) ([]astopo.ASN, error) {
 		}
 	}
 	return out, nil
-}
-
-// ConeVsReach pairs each AS's customer-cone size with its hierarchy-free
-// reachability (Fig. 3's two axes), indexed by dense graph index.
-func (m *Metrics) ConeVsReach() (cones []int, reach []int, err error) {
-	reach, err = m.ReachabilityAll(HierarchyFree)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m.ds.Graph.ConeSizes(), reach, nil
 }

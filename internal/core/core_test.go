@@ -68,17 +68,6 @@ func TestOriginInExclusionSetNotMasked(t *testing.T) {
 	}
 }
 
-func TestReachabilityPctDenominator(t *testing.T) {
-	m := New(fixtureDataset(t))
-	pct, err := m.ReachabilityPct(100, Full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pct != 1.0 {
-		t.Errorf("full reachability pct = %v, want 1.0", pct)
-	}
-}
-
 func TestUnreachable(t *testing.T) {
 	m := New(fixtureDataset(t))
 	un, err := m.Unreachable(100, HierarchyFree)
@@ -168,22 +157,6 @@ func TestRelianceIncludesOrigin(t *testing.T) {
 	}
 	if originVal != 7 {
 		t.Errorf("origin reliance = %v, want 7 (all destinations' paths end there)", originVal)
-	}
-}
-
-func TestConeVsReach(t *testing.T) {
-	ds := fixtureDataset(t)
-	m := New(ds)
-	cones, reach, err := m.ConeVsReach()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cones) != ds.Graph.NumASes() || len(reach) != ds.Graph.NumASes() {
-		t.Fatal("length mismatch")
-	}
-	i1, _ := ds.Graph.Index(1)
-	if cones[i1] != 2 { // AS1 + customer 100... plus 100's customers: none. = {1,100}
-		t.Errorf("cone(AS1) = %d, want 2", cones[i1])
 	}
 }
 

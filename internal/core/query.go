@@ -100,7 +100,7 @@ func (m *Metrics) ReachabilityManyN(ctx context.Context, origins []astopo.ASN, k
 		idx[i] = int32(oi)
 	}
 	out := make([]int, len(origins))
-	if len(origins) < bgpsim.BatchLanes || m.scalarSweep {
+	if len(origins) < bgpsim.BatchLanes {
 		sim := m.pool.Get().(*bgpsim.Simulator)
 		defer m.pool.Put(sim)
 		for i, o := range origins {
@@ -119,33 +119,32 @@ func (m *Metrics) ReachabilityManyN(ctx context.Context, origins []astopo.ASN, k
 	// count is copied to the duplicates — exact, not approximate (the
 	// member-swap automorphism, see bgpsim.ClassIndex). Dedup keys on the
 	// first occurrence so the result is byte-identical in input order.
-	if ci := m.SweepClasses(); ci != nil && len(origins) > 0 {
-		firstOf := make(map[int32]int32, len(origins))
-		uniq := idx[:0:0]
-		slot := make([]int32, len(origins))
-		for i, oi := range idx {
-			c := ci.ClassOf(int(oi))
-			s, seen := firstOf[c]
-			if !seen {
-				s = int32(len(uniq))
-				firstOf[c] = s
-				uniq = append(uniq, oi)
-			}
-			slot[i] = s
+	ci := m.SweepClasses()
+	firstOf := make(map[int32]int32, len(origins))
+	uniq := idx[:0:0]
+	slot := make([]int32, len(origins))
+	for i, oi := range idx {
+		c := ci.ClassOf(int(oi))
+		s, seen := firstOf[c]
+		if !seen {
+			s = int32(len(uniq))
+			firstOf[c] = s
+			uniq = append(uniq, oi)
 		}
-		if len(uniq) < len(idx) {
-			counts := make([]int, len(uniq))
-			if err := m.batchCountsIdxCtx(ctx, kind, uniq, denseRange{}, counts, workers); err != nil {
-				return nil, err
-			}
-			for i, s := range slot {
-				out[i] = counts[s]
-			}
-			return out, nil
-		}
+		slot[i] = s
 	}
-	if err := m.batchCountsIdxCtx(ctx, kind, idx, denseRange{}, out, workers); err != nil {
+	if len(uniq) == len(idx) {
+		if err := m.batchCountsIdxCtx(ctx, kind, idx, denseRange{}, out, workers); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	counts := make([]int, len(uniq))
+	if err := m.batchCountsIdxCtx(ctx, kind, uniq, denseRange{}, counts, workers); err != nil {
 		return nil, err
+	}
+	for i, s := range slot {
+		out[i] = counts[s]
 	}
 	return out, nil
 }

@@ -46,10 +46,6 @@ type Env struct {
 	M2020, M2015     *core.Metrics
 	Pop2020, Pop2015 *population.Model
 
-	// serial pins every build to the original one-artifact-at-a-time,
-	// one-cloud-at-a-time behavior; the cold-start benchmark's baseline.
-	serial bool
-
 	// src, when non-nil, is the snapshot Reader backing this Env
 	// (NewEnvFromSnapshot): lazy artifacts present in the snapshot are
 	// decoded from it on first demand instead of being rebuilt.
@@ -147,19 +143,6 @@ type traceKey struct {
 // population models) are built concurrently; generation is deterministic
 // per preset seed, so the result is identical to a serial build.
 func NewEnv(scale float64) (*Env, error) {
-	return newEnv(scale, false)
-}
-
-// NewEnvSerial is NewEnv with every build — presets here, lazy artifacts
-// later — pinned to the original serial code path. It exists as the
-// baseline BenchmarkEnvColdStart compares against and as a debugging
-// fallback, mirroring the FLATNET_SCALAR_SWEEP/FLATNET_SCALAR_LEAK
-// switches of the simulators.
-func NewEnvSerial(scale float64) (*Env, error) {
-	return newEnv(scale, true)
-}
-
-func newEnv(scale float64, serial bool) (*Env, error) {
 	type parts struct {
 		in  *topogen.Internet
 		m   *core.Metrics
@@ -168,11 +151,7 @@ func newEnv(scale float64, serial bool) (*Env, error) {
 	specs := [2]topogen.Spec{topogen.Internet2020(scale), topogen.Internet2015(scale)}
 	years := [2]int{2020, 2015}
 	var built [2]parts
-	workers := 2
-	if serial {
-		workers = 1
-	}
-	err := par.For(workers, 2, func(w int) func(i int) error {
+	err := par.For(2, 2, func(w int) func(i int) error {
 		return func(i int) error {
 			in, err := topogen.Generate(specs[i])
 			if err != nil {
@@ -197,7 +176,6 @@ func newEnv(scale float64, serial bool) (*Env, error) {
 		M2015:   built[1].m,
 		Pop2020: built[0].pop,
 		Pop2015: built[1].pop,
-		serial:  serial,
 		memo:    newMemo(),
 	}, nil
 }
@@ -304,9 +282,6 @@ func (e *Env) lookupTraces(year int, cloud string, n int) ([][]tracesim.Tracerou
 	if tr, ok := e.memo.traces[traceKey{year, cloud, n}]; ok {
 		return tr, true
 	}
-	if e.serial {
-		return nil, false
-	}
 	for k, tr := range e.memo.traces {
 		if k.year == year && k.cloud == cloud && k.nVMs > n {
 			return tr[:n:n], true
@@ -353,30 +328,21 @@ func (e *Env) Traces(year int, cloud string, nVMs int) ([][]tracesim.Traceroute,
 
 	key := fmt.Sprintf("traces/%d/%s/%d", year, cloud, n)
 	clouds, sets := []string{cloud}, [][]tracesim.VM{vms}
-	trace := engine.TraceAllMulti
-	if e.serial {
-		// Original behavior: one cloud at a time, serial propagation.
-		trace = func(sets [][]tracesim.VM) ([][][]tracesim.Traceroute, error) {
-			tr, err := engine.TraceAllSerial(sets[0])
-			return [][][]tracesim.Traceroute{tr}, err
-		}
-	} else {
-		defVMs, err := engine.VMs(cloud, 0)
-		if err != nil {
-			return nil, err
-		}
-		if n == len(defVMs) {
-			// Default-count request: build all paper clouds of this year
-			// in one shared pass and populate every cloud's cache entry.
-			key = fmt.Sprintf("traces/%d", year)
-			clouds, sets = Clouds(), nil
-			for _, c := range clouds {
-				set, err := engine.VMs(c, 0)
-				if err != nil {
-					return nil, err
-				}
-				sets = append(sets, set)
+	defVMs, err := engine.VMs(cloud, 0)
+	if err != nil {
+		return nil, err
+	}
+	if n == len(defVMs) {
+		// Default-count request: build all paper clouds of this year
+		// in one shared pass and populate every cloud's cache entry.
+		key = fmt.Sprintf("traces/%d", year)
+		clouds, sets = Clouds(), nil
+		for _, c := range clouds {
+			set, err := engine.VMs(c, 0)
+			if err != nil {
+				return nil, err
 			}
+			sets = append(sets, set)
 		}
 	}
 	// The build stores into the cache and memoizes nothing but its own
@@ -387,7 +353,7 @@ func (e *Env) Traces(year int, cloud string, nVMs int) ([][]tracesim.Traceroute,
 		if e.traceBuildHook != nil {
 			e.traceBuildHook(key)
 		}
-		all, err := trace(sets)
+		all, err := engine.TraceAllMulti(sets)
 		if err != nil {
 			return struct{}{}, err
 		}
@@ -406,11 +372,10 @@ func (e *Env) Traces(year int, cloud string, nVMs int) ([][]tracesim.Traceroute,
 
 // Prewarm builds every lazy artifact the experiment registry consumes: both
 // address plans, the rDNS corpus, and the default traceroute corpora of all
-// paper clouds for 2020 (no registered experiment reads 2015 traces). In
-// the default environment the builds overlap — the trace sweep (the four
-// clouds' demands coalesce onto one), the rDNS synthesis, and the 2015 plan
-// proceed concurrently, coalescing on the shared 2020 plan — while a serial
-// environment runs them one after another. This is the cold-start path
+// paper clouds for 2020 (no registered experiment reads 2015 traces). The
+// builds overlap — the trace sweep (the four clouds' demands coalesce onto
+// one), the rDNS synthesis, and the 2015 plan proceed concurrently,
+// coalescing on the shared 2020 plan. This is the cold-start path
 // BenchmarkEnvColdStart measures.
 func (e *Env) Prewarm() error {
 	tasks := []func() error{
@@ -420,11 +385,7 @@ func (e *Env) Prewarm() error {
 	for _, c := range Clouds() {
 		tasks = append(tasks, func() error { _, err := e.Traces(2020, c, 0); return err })
 	}
-	workers := len(tasks)
-	if e.serial {
-		workers = 1
-	}
-	return par.For(workers, len(tasks), func(w int) func(i int) error {
+	return par.For(len(tasks), len(tasks), func(w int) func(i int) error {
 		return func(i int) error { return tasks[i]() }
 	})
 }

@@ -13,7 +13,6 @@ package population
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/geo"
@@ -111,33 +110,15 @@ type Entry struct {
 }
 
 // Snapshot returns every AS's annotations sorted by ASN, plus the exact
-// user total. The total is returned explicitly rather than recomputed on
-// restore: float summation order matters in the last ulp, and Share values
-// must survive a snapshot round trip bit-for-bit.
+// user total. The total is returned explicitly rather than recomputed:
+// float summation order matters in the last ulp, and Share values must
+// survive a snapshot round trip bit-for-bit.
 func (m *Model) Snapshot() ([]Entry, float64) {
 	entries := make([]Entry, len(m.asns))
 	for i, a := range m.asns {
 		entries[i] = Entry{AS: a, Type: m.types[i], Users: m.users[i]}
 	}
 	return entries, m.total
-}
-
-// Restore rebuilds a Model from snapshot entries and the exact total.
-func Restore(entries []Entry, total float64) *Model {
-	sorted := append([]Entry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].AS < sorted[j].AS })
-	m := &Model{
-		asns:  make([]astopo.ASN, len(sorted)),
-		types: make([]ASType, len(sorted)),
-		users: make([]float64, len(sorted)),
-		total: total,
-	}
-	for i, e := range sorted {
-		m.asns[i] = e.AS
-		m.types[i] = e.Type
-		m.users[i] = e.Users
-	}
-	return m
 }
 
 // Dense returns the model's columns — ASNs sorted ascending with parallel

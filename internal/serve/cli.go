@@ -113,24 +113,18 @@ func RunCLI(args []string, stdout, stderr io.Writer) error {
 		*year = info.Year
 	}
 	if *snap != "" {
-		// Zero-copy mmap path first; fall back to the eager legacy decoder
-		// for v1 files. The Reader stays open for the daemon's lifetime —
-		// the served graph borrows its memory.
-		var in *topogen.Internet
-		if rd, oerr := snapshot.Open(*snap); oerr == nil {
-			if *verify {
-				if err := rd.Verify(); err != nil {
-					return err
-				}
-			}
-			in = rd.Internet(*year)
-		} else {
-			world, rerr := snapshot.ReadFile(*snap)
-			if rerr != nil {
-				return oerr
-			}
-			in = world.Internets[*year]
+		// Zero-copy mmap path. The Reader stays open for the daemon's
+		// lifetime — the served graph borrows its memory.
+		rd, err := snapshot.Open(*snap)
+		if err != nil {
+			return err
 		}
+		if *verify {
+			if err := rd.Verify(); err != nil {
+				return err
+			}
+		}
+		in := rd.Internet(*year)
 		if in == nil {
 			return fmt.Errorf("serve: snapshot %s has no %d internet section", *snap, *year)
 		}

@@ -253,7 +253,7 @@ func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 		// ids are deterministic per world (first appearance in dense-index
 		// order), so the coordinator's ids and this worker's ids agree by
 		// the same world-hash argument that covers dense index ranges.
-		nc := ws.metrics.Classes().NumClasses()
+		nc := ws.metrics.SweepClasses().NumClasses()
 		if req.Lo < 0 || req.Hi > nc || req.Lo >= req.Hi {
 			s.writeError(w, badRequestf("class shard range [%d, %d) outside the %d-class index", req.Lo, req.Hi, nc))
 			return
@@ -325,7 +325,7 @@ func (s *Server) handleClusterSweepMulti(w http.ResponseWriter, r *http.Request,
 	}
 	n := ws.ds.Graph.NumASes()
 	if req.Classes {
-		n = ws.metrics.Classes().NumClasses()
+		n = ws.metrics.SweepClasses().NumClasses()
 	}
 	for _, rg := range req.Ranges {
 		if rg.Lo < 0 || rg.Hi > n || rg.Lo >= rg.Hi {
@@ -509,30 +509,24 @@ type sweepResponse struct {
 }
 
 // sweepAllCounts computes the full per-AS reachability vector in dense
-// graph-index order: partitioned across the cluster when workers are
-// joined (class-collapsed when the world has a class index), in-process
-// otherwise. Both routes produce byte-identical counts — disjoint exact-
-// integer ranges computed by the same engine.
+// graph-index order: partitioned by equivalence class across the cluster
+// when workers are joined, in-process otherwise. Both routes produce
+// byte-identical counts — disjoint exact-integer ranges computed by the
+// same engine.
 func (s *Server) sweepAllCounts(ctx context.Context, ws *worldState, kind core.Kind) ([]int, error) {
 	n := ws.ds.Graph.NumASes()
 	if s.pool.Ready() && s.pool.World() == ws.id {
+		// The cluster shards the equivalence classes instead of the ASes:
+		// every shard propagates only distinct work, and the coordinator
+		// expands the merged per-class vector locally. Expansion is a
+		// plain copy, so the counts are byte-identical to the
+		// single-process sweep.
+		ci := ws.metrics.SweepClasses()
 		var counts []int
-		var err error
-		// With collapse enabled the cluster shards the equivalence
-		// classes instead of the ASes: every shard propagates only
-		// distinct work, and the coordinator expands the merged
-		// per-class vector locally. Expansion is a plain copy, so the
-		// counts are byte-identical to the AS-sharded (and to the
-		// single-process) sweep.
-		if ci := ws.metrics.SweepClasses(); ci != nil {
-			var classCounts []int
-			classCounts, err = s.pool.ClassCounts(ctx, kind.String(), ci.NumClasses())
-			if err == nil {
-				counts = make([]int, n)
-				ci.Expand(classCounts, counts)
-			}
-		} else {
-			counts, err = s.pool.SweepCounts(ctx, kind.String(), n)
+		classCounts, err := s.pool.ClassCounts(ctx, kind.String(), ci.NumClasses())
+		if err == nil {
+			counts = make([]int, n)
+			ci.Expand(classCounts, counts)
 		}
 		if err = s.verifyWorld(ws, err); err != nil {
 			return nil, err

@@ -161,19 +161,27 @@ func mustDataset(t *testing.T) core.Dataset {
 // TestClusterWorkerDeathMidSweep kills one worker after its first shard
 // response. The coordinator must retry the lost shards on the healthy
 // peer and still produce the single-process answer — the golden
-// equivalence under partial failure.
+// equivalence under partial failure. The healthy peer answers no shard
+// until the dead one has refused one, so the death always lands mid-sweep
+// however the two workers' first responses are timed.
 func TestClusterWorkerDeathMidSweep(t *testing.T) {
 	coord, _ := startServer(t, func(c *Config) {
 		c.Cluster = cluster.PoolConfig{ShardBlocks: 1}
 	})
-	victim, err := New(Config{Dataset: mustDataset(t), Names: genIn.NameOf})
-	if err != nil {
-		t.Fatal(err)
+	worker := func() http.Handler {
+		s, err := New(Config{Dataset: mustDataset(t), Names: genIn.NameOf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Handler()
 	}
-	vh := victim.Handler()
+	vh, hh := worker(), worker()
 	var dead atomic.Bool
+	refused := make(chan struct{})
+	var refuseOnce sync.Once
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if dead.Load() {
+			refuseOnce.Do(func() { close(refused) })
 			http.Error(w, "killed", http.StatusInternalServerError)
 			return
 		}
@@ -183,9 +191,15 @@ func TestClusterWorkerDeathMidSweep(t *testing.T) {
 		}
 	}))
 	defer proxy.Close()
-	_, healthyURL := startServer(t, nil)
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.PathSweep {
+			<-refused
+		}
+		hh.ServeHTTP(w, r)
+	}))
+	defer healthy.Close()
 	coord.Pool().Register(proxy.URL, 1)
-	coord.Pool().Register(healthyURL, 1)
+	coord.Pool().Register(healthy.URL, 1)
 
 	single, err := New(Config{Dataset: mustDataset(t), Names: genIn.NameOf})
 	if err != nil {

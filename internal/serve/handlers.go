@@ -215,13 +215,10 @@ type statsResponse struct {
 	WireResponses int64 `json:"wire_responses"`
 
 	// Class-collapse gauges: Classes is the number of origin equivalence
-	// classes of the served world (0 when FLATNET_NO_CLASS_COLLAPSE
-	// disables collapse), CollapseRatio is ASes per class (the sweep-work
-	// reduction factor; 1 when disabled), and SweepWords is the configured
-	// multi-word block width of the bit-parallel engines.
+	// classes of the served world and CollapseRatio is ASes per class (the
+	// sweep-work reduction factor).
 	Classes       int     `json:"classes"`
 	CollapseRatio float64 `json:"collapse_ratio"`
-	SweepWords    int     `json:"sweep_words"`
 
 	// World is the served dataset's content address and Year the timeline
 	// year it represents; Cluster appears once workers have registered
@@ -255,7 +252,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		World:         ws.id,
 		Year:          ws.year,
 	}
-	resp.Classes, resp.CollapseRatio, resp.SweepWords = ws.metrics.ClassStats()
+	resp.Classes, resp.CollapseRatio = ws.metrics.ClassStats()
 	if len(cs.Workers) > 0 {
 		resp.Cluster = &cs
 	}
@@ -301,17 +298,14 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 // every member of one origin equivalence class has the identical count, so
 // the count is cached once per (world, class, kind) — a cold query for an
 // AS whose classmate was already asked costs a cache lookup instead of a
-// propagation. Disabled (plain per-origin compute) when the collapse
-// escape hatch is set.
+// propagation.
 func (s *Server) reachCount(ctx context.Context, ws *worldState, origin astopo.ASN, kind core.Kind) (int, error) {
 	var ckey string
-	if ci := ws.metrics.SweepClasses(); ci != nil {
-		if oi, ok := ws.ds.Graph.Index(origin); ok {
-			ckey = fmt.Sprintf("%sccount|%d|%d", ws.key, ci.ClassOf(oi), kind)
-			if v, ok := s.cache.Get(ckey); ok {
-				s.stats.cacheHits.Add(1)
-				return v.(int), nil
-			}
+	if oi, ok := ws.ds.Graph.Index(origin); ok {
+		ckey = fmt.Sprintf("%sccount|%d|%d", ws.key, ws.metrics.SweepClasses().ClassOf(oi), kind)
+		if v, ok := s.cache.Get(ckey); ok {
+			s.stats.cacheHits.Add(1)
+			return v.(int), nil
 		}
 	}
 	n, err := ws.metrics.ReachabilityCtx(ctx, origin, kind)
@@ -468,8 +462,7 @@ func (s *Server) leakSweep(ws *worldState, origin astopo.ASN, scenName string, s
 		return nil, err
 	}
 	// Dedup replayed leakers by origin equivalence class (weighted trials
-	// apply a per-classmate correction; clones inherit the index). Nil
-	// under the collapse escape hatch.
+	// apply a per-classmate correction; clones inherit the index).
 	sw.SetClasses(ws.metrics.SweepClasses())
 	s.sweeps.Put(key, sw)
 	return sw, nil

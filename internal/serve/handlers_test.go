@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
@@ -56,17 +55,12 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("topology stats = %d ASes, %d tier1, %d tier2; want 8/2/1", st.ASes, st.Tier1, st.Tier2)
 	}
 	// One reach computation fills two entries: the response body plus the
-	// per-(class, kind) count that classmate queries reuse. With collapse
-	// disabled only the body entry exists and the gauges read zero classes.
-	wantEntries, wantClasses := 2, true
-	if os.Getenv("FLATNET_NO_CLASS_COLLAPSE") != "" {
-		wantEntries, wantClasses = 1, false
-	}
-	if st.Requests < 1 || st.Computations != 1 || st.CacheEntries != wantEntries {
+	// per-(class, kind) count that classmate queries reuse.
+	if st.Requests < 1 || st.Computations != 1 || st.CacheEntries != 2 {
 		t.Errorf("counters = %+v", st)
 	}
-	if (st.Classes > 0) != wantClasses || st.CollapseRatio < 1 || st.SweepWords < 1 {
-		t.Errorf("class gauges = %d classes, ratio %.2f, %d words", st.Classes, st.CollapseRatio, st.SweepWords)
+	if st.Classes <= 0 || st.CollapseRatio < 1 {
+		t.Errorf("class gauges = %d classes, ratio %.2f", st.Classes, st.CollapseRatio)
 	}
 }
 

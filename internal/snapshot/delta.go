@@ -164,10 +164,8 @@ func DecodeDelta(raw []byte) (*Delta, error) {
 	if !hostLE {
 		return nil, fmt.Errorf("snapshot: v2 format requires a little-endian host")
 	}
-	if v, err := sniffVersion(raw); err != nil {
+	if err := checkMagicVersion(raw); err != nil {
 		return nil, err
-	} else if v != Version {
-		return nil, fmt.Errorf("snapshot: version %d file cannot carry a delta", v)
 	}
 	headerEnd := v2HeaderLen + v2EntryLen + 4
 	if len(raw) < headerEnd {

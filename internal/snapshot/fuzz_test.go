@@ -2,21 +2,18 @@ package snapshot
 
 import (
 	"bytes"
-	"os"
 	"testing"
 )
 
-// FuzzSnapshotDecode throws arbitrary bytes at the version dispatcher, both
-// decoders, and the info reader. The contract under fuzz is purely "never
-// panic, never hang": a valid world decodes, everything else must come back
-// as an error. Seeds cover both format versions plus systematic one-byte
-// corruptions and truncations of a valid v2 file.
+// FuzzSnapshotDecode throws arbitrary bytes at the decoder and the info
+// reader. The contract under fuzz is purely "never panic, never hang": a
+// valid world decodes, everything else must come back as an error. Seeds
+// cover a valid file, a refused version 1 header, and systematic one-byte
+// corruptions and truncations of the valid file.
 func FuzzSnapshotDecode(f *testing.F) {
 	raw := encode(f, buildWorld(f))
 	f.Add(raw)
-	if legacy, err := os.ReadFile("testdata/v1-mini.snap"); err == nil {
-		f.Add(legacy)
-	}
+	f.Add(v1Header())
 	for _, off := range []int{0, 9, 21, 30, 40, len(raw) / 2, len(raw) - 3} {
 		bad := bytes.Clone(raw)
 		bad[off] ^= 0xff

@@ -31,9 +31,9 @@
 //	hcrc     uint32   IEEE CRC-32 of every preceding byte
 //	payloads           8-aligned, zero-padded gaps, file ends at the last payload
 //
-// Version 1 (a single concatenated stream of length-prefixed sections with
-// one trailing CRC, every value decoded eagerly) is still read — see
-// legacy.go — but no longer written.
+// Version 2 is the only format read or written. A version 1 file (the
+// eager stream format earlier builds wrote) is refused with an error that
+// says to rebuild it.
 package snapshot
 
 import (
@@ -55,44 +55,12 @@ import (
 	"flatnet/internal/tracesim"
 )
 
-// Version is the current schema version. Readers accept it and
-// VersionLegacy only: the payload encoding is positional, so there is no
-// safe way to skip unknown fields within a section.
+// Version is the schema version, the only one readers accept: the payload
+// encoding is positional, so there is no safe way to skip unknown fields
+// within a section.
 const Version = 2
 
-// VersionLegacy is the v1 stream format, still decodable for old files.
-const VersionLegacy = 1
-
 var magic = [8]byte{'F', 'L', 'A', 'T', 'S', 'N', 'A', 'P'}
-
-// Kind identifies a section's artifact type.
-type Kind uint32
-
-// Section kinds. The zero value is invalid so that zeroed corruption is
-// caught structurally as well as by the checksum.
-const (
-	KindInternet   Kind = 1
-	KindPopulation Kind = 2
-	KindPlan       Kind = 3
-	KindRDNS       Kind = 4
-	KindTraces     Kind = 5
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindInternet:
-		return "internet"
-	case KindPopulation:
-		return "population"
-	case KindPlan:
-		return "plan"
-	case KindRDNS:
-		return "rdns"
-	case KindTraces:
-		return "traces"
-	}
-	return fmt.Sprintf("kind(%d)", uint32(k))
-}
 
 // TraceKey identifies one cloud's traceroute campaign.
 type TraceKey struct {
@@ -125,10 +93,8 @@ type Info struct {
 }
 
 // SectionInfo labels one section. Label is the human-readable section
-// name in either format version; Kind is set for v1 sections only. Cloud
-// and VMs are set for traces sections only.
+// name. Cloud and VMs are set for traces sections only.
 type SectionInfo struct {
-	Kind   Kind
 	Label  string
 	Length uint64
 	Year   int
@@ -176,35 +142,38 @@ func Read(r io.Reader) (*World, error) {
 	return Decode(raw)
 }
 
-// Decode is Read over bytes already in memory. Every section is verified
-// and every value decoded eagerly; raw may be reused or freed after Decode
-// returns. It accepts both the current and the legacy format.
+// Decode is Read over bytes already in memory. Every section is
+// CRC-verified and every value decoded eagerly; raw may be reused or freed
+// after Decode returns.
 func Decode(raw []byte) (*World, error) {
-	v, err := sniffVersion(raw)
+	r, err := newReader(raw, nil)
 	if err != nil {
 		return nil, err
 	}
-	if v == VersionLegacy {
-		return decodeV1(raw)
+	if err := r.Verify(); err != nil {
+		return nil, err
 	}
-	return decodeV2(raw)
+	return r.World()
 }
 
-// sniffVersion validates the magic and returns the supported version.
-func sniffVersion(raw []byte) (uint32, error) {
+// checkMagicVersion validates the magic and the version of a snapshot
+// header. Open, Decode, DecodeDelta and ReadInfo all answer a version 1
+// header with the same explicit error.
+func checkMagicVersion(raw []byte) error {
 	if len(raw) < len(magic)+4 {
-		return 0, fmt.Errorf("snapshot: truncated: %d bytes", len(raw))
+		return fmt.Errorf("snapshot: truncated: %d bytes", len(raw))
 	}
-	var m [8]byte
-	copy(m[:], raw)
-	if m != magic {
-		return 0, fmt.Errorf("snapshot: bad magic %q", m[:])
+	if !bytes.Equal(raw[:len(magic)], magic[:]) {
+		return fmt.Errorf("snapshot: bad magic %q", raw[:len(magic)])
 	}
-	v := binary.LittleEndian.Uint32(raw[8:12])
-	if v != Version && v != VersionLegacy {
-		return 0, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
+	switch v := binary.LittleEndian.Uint32(raw[8:12]); v {
+	case Version:
+		return nil
+	case 1:
+		return fmt.Errorf("snapshot version 1 is no longer read; rebuild with `flatnet snapshot build`")
+	default:
+		return fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
 	}
-	return v, nil
 }
 
 // ReadFile reads and decodes the snapshot at path. The file is read in one
@@ -226,21 +195,14 @@ func ReadInfo(r io.Reader) (*Info, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("snapshot: reading header: %w", err)
 	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
-		return nil, fmt.Errorf("snapshot: bad magic %q", hdr[:8])
+	if err := checkMagicVersion(hdr[:]); err != nil {
+		return nil, err
 	}
 	info := &Info{
-		Version: binary.LittleEndian.Uint32(hdr[8:12]),
+		Version: Version,
 		Scale:   math.Float64frombits(binary.LittleEndian.Uint64(hdr[12:20])),
 	}
-	nsect := int(binary.LittleEndian.Uint32(hdr[20:24]))
-	switch info.Version {
-	case VersionLegacy:
-		return readInfoV1(r, info, nsect)
-	case Version:
-		return readInfoV2(r, info, nsect)
-	}
-	return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", info.Version, Version)
+	return readInfoV2(r, info, int(binary.LittleEndian.Uint32(hdr[20:24])))
 }
 
 func sortedYears[V any](m map[int]V) []int {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -428,49 +429,33 @@ func TestWriteReadFile(t *testing.T) {
 	}
 }
 
-// testdata/v1-mini.snap was written by the v1 encoder (scale 0.02 of the
-// old presets ≈ 198 ASes, internets for 2015+2020, one plan, one rDNS
-// corpus, one Google 2-VM campaign). Old files must keep loading through
-// the legacy decoder, and re-encoding them must produce a loadable v2 file.
-func TestLegacyV1Snapshot(t *testing.T) {
-	w, err := ReadFile("testdata/v1-mini.snap")
-	if err != nil {
+// v1Header is a version 1 file's fixed header: magic, version 1, scale,
+// section count. No v1 payload follows — every entry point must refuse the
+// file on the header alone.
+func v1Header() []byte {
+	hdr := append([]byte(nil), magic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1)
+	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(0.02))
+	return binary.LittleEndian.AppendUint32(hdr, 5)
+}
+
+// Version 1 files are no longer read: Open, Decode and ReadInfo must all
+// refuse one with the same explicit error naming the version and the way
+// out, not a generic "unsupported version" or a truncation complaint.
+func TestV1SnapshotRefused(t *testing.T) {
+	hdr := v1Header()
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, year := range []int{2015, 2020} {
-		in := w.Internets[year]
-		if in == nil {
-			t.Fatalf("v1 snapshot lost its %d internet", year)
+	_, openErr := Open(path)
+	_, decodeErr := Decode(hdr)
+	_, infoErr := ReadInfo(bytes.NewReader(hdr))
+	for name, err := range map[string]error{"Open": openErr, "Decode": decodeErr, "ReadInfo": infoErr} {
+		if err == nil || !strings.Contains(err.Error(), "version 1 is no longer read") ||
+			!strings.Contains(err.Error(), "flatnet snapshot build") {
+			t.Errorf("%s on a v1 header: err = %v, want the explicit version 1 error", name, err)
 		}
-		if in.Graph.NumASes() == 0 || in.Meta == nil {
-			t.Fatalf("v1 %d internet decoded empty", year)
-		}
-	}
-	if w.Plans[2020] == nil || w.Plans[2020].Internet() != w.Internets[2020] {
-		t.Fatal("v1 plan missing or unbound")
-	}
-	if w.RDNS[2020] == nil || w.Pops[2020] == nil {
-		t.Fatal("v1 rdns or population missing")
-	}
-	key := TraceKey{Year: 2020, Cloud: "Google", VMs: 2}
-	if len(w.Traces[key]) == 0 {
-		t.Fatalf("v1 traces missing for %+v (have %d corpora)", key, len(w.Traces))
-	}
-	// Open (mmap path) is v2-only: v1 files must be rejected, not
-	// misparsed.
-	if _, err := Open("testdata/v1-mini.snap"); err == nil ||
-		!strings.Contains(err.Error(), "unsupported version") {
-		t.Fatalf("Open accepted a v1 file (err=%v)", err)
-	}
-	// And the migrated world must survive a v2 round trip.
-	raw := encode(t, w)
-	got, err := Decode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInternetEqual(t, 2020, got.Internets[2020], w.Internets[2020])
-	if !reflect.DeepEqual(got.Traces, w.Traces) {
-		t.Fatal("migrated trace corpora differ")
 	}
 }
 

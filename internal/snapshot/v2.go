@@ -6,7 +6,7 @@ package snapshot
 // columns, dense per-AS metadata, population columns — are raw host-endian
 // arrays written with a single cast and served back the same way from an
 // mmap'd file, so loading touches O(pages used) instead of decoding the
-// world. Cold payloads (spec, tier sets, plans, rDNS, traces) keep the v1
+// world. Cold payloads (spec, tier sets, plans, rDNS, traces) use a
 // field-by-field encoding inside their sections and are decoded eagerly
 // (world) or lazily (plan/rdns/traces) by Reader.
 //
@@ -67,7 +67,7 @@ const (
 	// Hot population columns, parallel to sectNodes.
 	sectPopTypes sectKind = 15 // n ASType bytes
 	sectPopUsers sectKind = 16 // total float64, then n float64
-	// Cold lazily-decoded artifacts, payloads identical to their v1 form.
+	// Cold lazily-decoded artifacts, encoded field by field.
 	sectPlan   sectKind = 17
 	sectRDNS   sectKind = 18
 	sectTraces sectKind = 19
@@ -374,8 +374,7 @@ type Reader struct {
 
 // Open maps the snapshot at path and wires a Reader over it. Time to
 // first query is O(header + cold sections); the bulk arrays fault in on
-// demand. Open accepts only the v2 format — use ReadFile for a
-// version-agnostic eager load.
+// demand.
 func Open(path string) (*Reader, error) {
 	m, err := mmap.Open(path)
 	if err != nil {
@@ -389,34 +388,15 @@ func Open(path string) (*Reader, error) {
 	return r, nil
 }
 
-// decodeV2 eagerly loads a v2 snapshot from in-memory bytes: every section
-// is CRC-verified and every artifact decoded before returning, matching
-// the legacy Decode contract.
-func decodeV2(raw []byte) (*World, error) {
-	r, err := newReader(raw, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Verify(); err != nil {
-		return nil, err
-	}
-	return r.World()
-}
-
 func newReader(raw []byte, m *mmap.Mapping) (*Reader, error) {
 	if !hostLE {
 		return nil, fmt.Errorf("snapshot: v2 format requires a little-endian host")
 	}
+	if err := checkMagicVersion(raw); err != nil {
+		return nil, err
+	}
 	if len(raw) < v2HeaderLen+4 {
 		return nil, fmt.Errorf("snapshot: truncated: %d bytes", len(raw))
-	}
-	var mg [8]byte
-	copy(mg[:], raw)
-	if mg != magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q", mg[:])
-	}
-	if v := binary.LittleEndian.Uint32(raw[8:12]); v != Version {
-		return nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
 	}
 	r := &Reader{
 		m:         m,

@@ -162,8 +162,7 @@ type ASMeta struct {
 }
 
 // NewASMeta builds the dense annotation table for a frozen graph from
-// map-form annotations (the shape the generator and the v1 snapshot decoder
-// produce).
+// map-form annotations (the shape the generator produces).
 func NewASMeta(g *astopo.Graph, class map[astopo.ASN]ASClass, name map[astopo.ASN]string,
 	home map[astopo.ASN]geo.CityID, pops map[astopo.ASN][]geo.CityID) *ASMeta {
 	nodes := g.ASes()

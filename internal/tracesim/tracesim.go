@@ -19,16 +19,14 @@
 // The per-destination propagation depends only on the destination, never on
 // the vantage point, so TraceAllMulti shares one tracked propagation per
 // destination across every cloud's VM set — the paper's four campaigns cost
-// one propagation sweep instead of four. TraceAllSerial preserves the
-// original one-cloud-at-a-time reference implementation (also reachable via
-// FLATNET_SERIAL_TRACES=1) as the baseline the cold-start benchmark
-// compares against.
+// one propagation sweep instead of four. TraceAllSerial keeps the
+// one-cloud-at-a-time implementation as the reference the equivalence
+// tests compare TraceAllMulti against.
 package tracesim
 
 import (
 	"fmt"
 	"net/netip"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -106,10 +104,9 @@ func DefaultOptions(seed int64) Options {
 // safe for concurrent use once built; the per-VM-city distance rows it
 // caches are published copy-on-write.
 type Engine struct {
-	plan   *netdb.Plan
-	in     *topogen.Internet
-	opts   Options
-	serial bool
+	plan *netdb.Plan
+	in   *topogen.Internet
+	opts Options
 
 	// dist caches, per VM city, the distance from that city to every AS's
 	// home city, indexed by dense graph index. Rows are immutable once
@@ -119,15 +116,9 @@ type Engine struct {
 	dist   atomic.Pointer[map[geo.CityID][]float64]
 }
 
-// New returns an Engine. FLATNET_SERIAL_TRACES=1 pins TraceAll and
-// TraceAllMulti to the serial reference implementation.
+// New returns an Engine.
 func New(plan *netdb.Plan, opts Options) *Engine {
-	return &Engine{
-		plan:   plan,
-		in:     plan.Internet(),
-		opts:   opts,
-		serial: os.Getenv("FLATNET_SERIAL_TRACES") == "1",
-	}
+	return &Engine{plan: plan, in: plan.Internet(), opts: opts}
 }
 
 // paperVMCounts are the per-cloud VM deployments of §4.1.
@@ -182,17 +173,6 @@ func (e *Engine) TraceAll(vms []VM) ([][]Traceroute, error) {
 // together costs one sweep instead of four. Results are indexed
 // [set][vm][destination] and are identical to per-set TraceAll calls.
 func (e *Engine) TraceAllMulti(vmSets [][]VM) ([][][]Traceroute, error) {
-	if e.serial {
-		out := make([][][]Traceroute, len(vmSets))
-		for si, vms := range vmSets {
-			tr, err := e.TraceAllSerial(vms)
-			if err != nil {
-				return nil, err
-			}
-			out[si] = tr
-		}
-		return out, nil
-	}
 	g := e.in.Graph
 	g.Freeze()
 	dests := g.ASes()

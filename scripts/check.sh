@@ -17,6 +17,14 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
+echo "==> no env-selected engine switch"
+# Engines are chosen by the input (tie-breaking, policies, batch width),
+# never by a FLATNET_* variable read in non-test code.
+if grep -rn 'Getenv("FLATNET_' --include='*.go' cmd internal | grep -v _test.go; then
+    echo "a FLATNET_* switch is read outside tests" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -31,21 +39,9 @@ echo "==> go test -count 20 (cluster + serve)"
 # HTTP; twenty runs surface a timing-dependent assertion before merge.
 go test -count 20 ./internal/cluster/ ./internal/serve/
 
-echo "==> go test -race -short (bgpsim + serve, scalar leak path)"
-# The race run above exercises the batch leak engine; this pass forces the
-# scalar fallback so both sides of the FLATNET_SCALAR_LEAK switch stay
-# race-clean.
-FLATNET_SCALAR_LEAK=1 go test -race -short ./internal/bgpsim/ ./internal/serve/
-
-echo "==> go test -race -short (core + serve, class collapse disabled)"
-# Sweeps ride the class-collapsed path by default; this pass pins the
-# uncollapsed batch dispatch so both sides of the FLATNET_NO_CLASS_COLLAPSE
-# switch stay race-clean.
-FLATNET_NO_CLASS_COLLAPSE=1 go test -race -short ./internal/core/ ./internal/serve/
-
 echo "==> snapshot decoder fuzz (10s)"
-# Short coverage-guided pass over the v1/v2 snapshot decoders; the seed
-# corpus carries valid snapshots plus known corruption shapes, so even a
+# Short coverage-guided pass over the snapshot decoder; the seed corpus
+# carries a valid snapshot plus known corruption shapes, so even a
 # brief run exercises every section parser against hostile input.
 go test -run '^$' -fuzz 'FuzzSnapshotDecode' -fuzztime 10s ./internal/snapshot/
 
