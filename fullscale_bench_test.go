@@ -1,9 +1,13 @@
 package flatnet_bench
 
 import (
+	"context"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"flatnet/internal/astopo"
 	"flatnet/internal/core"
 	"flatnet/internal/experiments"
 )
@@ -79,4 +83,43 @@ func BenchmarkReachabilityAllFullScale(b *testing.B) {
 		}
 	}
 	reportNsPerAS(b, e.In2020.Graph.NumASes())
+}
+
+// BenchmarkPointReachFullScale measures one cold point count — what a
+// /v1/reach cache miss costs below the serving layer — for each restricted
+// kind, over uniform origins drawn from a fixed seed. The count is one lane
+// of the active-set batch engine, so ns/op tracks what the origins reach
+// (provider-free ≫ tier1-free ≫ hierarchy-free), and it allocates nothing.
+// It is a one-core number whatever -cpu says.
+func BenchmarkPointReachFullScale(b *testing.B) {
+	e := fullScaleEnv(b)
+	g := e.In2020.Graph
+	rng := rand.New(rand.NewSource(1))
+	origins := make([]astopo.ASN, 256)
+	for i := range origins {
+		origins[i] = g.ASNAt(rng.Intn(g.NumASes()))
+	}
+	ctx := context.Background()
+	for _, kind := range []core.Kind{core.ProviderFree, core.Tier1Free, core.HierarchyFree} {
+		pass := func(b *testing.B, n int) {
+			for i := 0; i < n; i++ {
+				if _, err := e.M2020.ReachabilityCtx(ctx, origins[i%len(origins)], kind); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.Run(kind.String(), func(b *testing.B) {
+			// One P (the harness sets -cpu's value before every run): a
+			// sync.Pool keeps a private slot per P, so on several the
+			// goroutine's first migration builds a second engine mid-run.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			// The harness also collects garbage before every run, which
+			// can empty the pool: take the kind's engine back to its
+			// high-water buffers outside the timer.
+			pass(b, len(origins))
+			b.ReportAllocs()
+			b.ResetTimer()
+			pass(b, b.N)
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -74,6 +75,73 @@ func (r *Result) Reliance() ([]float64, error) {
 		}
 		m := visits[v]
 		for _, u := range r.NextHops[v] {
+			visits[u] += m * counts[u] / total
+		}
+	}
+	return visits, nil
+}
+
+// RelianceCtx runs cfg with next-hop tracking and returns what
+// Result.Reliance would — bit for bit — without building the Result: class,
+// lengths and the next-hop arena are read in place and the path counts,
+// visit masses and distance orders live in the Simulator's scratch, so a
+// steady-state call allocates nothing proportional to the graph. The
+// returned slice aliases that scratch and is valid only until the next
+// propagation on this Simulator. Cancellation is as in RunCtx; leak configs
+// are rejected as in RunShared.
+func (s *Simulator) RelianceCtx(ctx context.Context, cfg Config) ([]float64, error) {
+	if cfg.Leaker != 0 {
+		return nil, fmt.Errorf("bgpsim: RelianceCtx does not support leak configs")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s.ctx = ctx
+	defer func() { s.ctx = nil }()
+	seeds, _, err := s.prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if !s.propagate(seeds, cfg.Exclude, cfg.Locking, true, cfg.BreakTies) {
+		return nil, s.ctx.Err()
+	}
+	s.ensureLeakScratch()
+	origin, csr, dist := seeds[0].idx, s.csr(), s.dist
+	counts, visits := s.counts, s.reach
+	// A node's path count reads only nodes one hop closer, so any
+	// ascending-length order gives PathCounts' exact sums.
+	order := s.orderByDistance()
+	pathCountsCSR(csr, s.class, dist, order, counts)
+	// One unit of mass at every route holder but the origin. The push
+	// toward the origin adds into visits[u] from every v one hop further
+	// out, so its float sums depend on the order within a length: feed
+	// sort.Slice (unstable) the same ascending-index sequence and
+	// comparison as Result.byDistance(true) to get the same order.
+	k := 0
+	for i, c := range s.class {
+		visits[i] = 0
+		if c != ClassNone {
+			visits[i] = 1
+			order[k] = int32(i)
+			k++
+		}
+	}
+	visits[origin] = 0
+	sort.Slice(order, func(i, j int) bool { return dist[order[i]] > dist[order[j]] })
+	for _, v := range order {
+		if v == origin || visits[v] == 0 {
+			continue
+		}
+		hops := csr.at(v)
+		var total float64
+		for _, u := range hops {
+			total += counts[u]
+		}
+		if total == 0 {
+			continue
+		}
+		m := visits[v]
+		for _, u := range hops {
 			visits[u] += m * counts[u] / total
 		}
 	}

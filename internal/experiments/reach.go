@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -26,8 +27,8 @@ type Fig2Row struct {
 // the three subgraph constraints, sorted by descending hierarchy-free
 // reachability like the paper's figure. The hierarchy-free column is read
 // off the all-AS sweep Table 1 and Fig. 3 rank; the other two kinds have no
-// other consumer, and the figure's few dozen rows are fewer than one
-// 64-lane word, so they stay on the scalar path.
+// other consumer, so each is one ReachabilityMany over the figure's few
+// dozen origins — a partial block of the batch engine.
 func Fig2(env *Env) ([]Fig2Row, error) {
 	in, m := env.In2020, env.M2020
 	hf, err := env.SweepAll(2020, core.HierarchyFree)
@@ -35,34 +36,32 @@ func Fig2(env *Env) ([]Fig2Row, error) {
 		return nil, err
 	}
 	var rows []Fig2Row
-	add := func(a astopo.ASN, group string) error {
-		row := Fig2Row{Name: in.NameOf(a), AS: a, Group: group}
-		var err error
-		if row.ProviderFree, err = m.Reachability(a, core.ProviderFree); err != nil {
-			return err
-		}
-		if row.Tier1Free, err = m.Reachability(a, core.Tier1Free); err != nil {
-			return err
-		}
-		i, _ := in.Graph.Index(a) // present: the two propagations above found it
-		row.HierarchyFree = hf[i]
-		rows = append(rows, row)
-		return nil
+	var origins []astopo.ASN
+	add := func(a astopo.ASN, group string) {
+		rows = append(rows, Fig2Row{Name: in.NameOf(a), AS: a, Group: group})
+		origins = append(origins, a)
 	}
 	for _, c := range Clouds() {
-		if err := add(in.Clouds[c], "cloud"); err != nil {
-			return nil, err
-		}
+		add(in.Clouds[c], "cloud")
 	}
 	for _, a := range in.Tier1.Slice() {
-		if err := add(a, "tier1"); err != nil {
-			return nil, err
-		}
+		add(a, "tier1")
 	}
 	for _, a := range in.Tier2.Slice() {
-		if err := add(a, "tier2"); err != nil {
-			return nil, err
-		}
+		add(a, "tier2")
+	}
+	ctx := context.Background()
+	pf, err := m.ReachabilityMany(ctx, origins, core.ProviderFree)
+	if err != nil {
+		return nil, err
+	}
+	t1f, err := m.ReachabilityMany(ctx, origins, core.Tier1Free)
+	if err != nil {
+		return nil, err
+	}
+	for k := range rows {
+		i, _ := in.Graph.Index(origins[k]) // present: ReachabilityMany found it
+		rows[k].ProviderFree, rows[k].Tier1Free, rows[k].HierarchyFree = pf[k], t1f[k], hf[i]
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].HierarchyFree > rows[j].HierarchyFree })
 	return rows, nil

@@ -485,9 +485,9 @@ type batchResponse struct {
 	Results []batchResult `json:"results"`
 }
 
-// handleBatch answers multi-origin reachability. Requests of at least
-// bgpsim.BatchLanes origins ride the bit-parallel batch engine; narrower
-// ones take the scalar path (see core.ReachabilityMany).
+// handleBatch answers multi-origin reachability. Every width rides the
+// bit-parallel batch engine, a list under bgpsim.BatchLanes origins as one
+// partial block (see core.ReachabilityMany).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ws := s.w()
 	var origins []astopo.ASN
@@ -551,9 +551,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, o := range origins {
 		fmt.Fprintf(&sb, "|%d", o)
 	}
-	// The engine label describes the compute width, not where it ran: a
-	// cluster-partitioned batch still rides the bit-parallel engine on
-	// each worker, so the response body stays identical either way.
+	// The engine field is a width label, not an engine selector: every
+	// count rides the bit-parallel engine (a list under one word is a
+	// partial block), here or on a cluster worker. It is a response byte
+	// clients and the goldens have seen, so it keeps saying "scalar" below
+	// one 64-lane word and "batch" from there up.
 	engine := "scalar"
 	if len(origins) >= bgpsim.BatchLanes {
 		engine = "batch"

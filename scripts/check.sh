@@ -18,7 +18,7 @@ if [ -n "$UNFORMATTED" ]; then
 fi
 
 echo "==> no env-selected engine switch"
-# Engines are chosen by the input (tie-breaking, policies, batch width),
+# Engines are chosen by the input (tie-breaking, policies, count vs. DAG),
 # never by a FLATNET_* variable read in non-test code.
 if grep -rn 'Getenv("FLATNET_' --include='*.go' cmd internal | grep -v _test.go; then
     echo "a FLATNET_* switch is read outside tests" >&2
@@ -57,7 +57,7 @@ echo "==> cluster wire decoder fuzz (5s)"
 go test -run '^$' -fuzz 'FuzzWireDecode' -fuzztime 5s ./internal/cluster/
 
 echo "==> benchmark smoke (1 iteration)"
-go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkPropagateNoAlloc|BenchmarkPropagationSingleOrigin|BenchmarkReachabilityAll|BenchmarkClassIndexBuild|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkEvolveDelta$|BenchmarkTimelineSeries|BenchmarkWireCounts' \
+go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkPropagateNoAlloc|BenchmarkPropagationSingleOrigin|BenchmarkPointReachFullScale|BenchmarkReachabilityAll|BenchmarkClassIndexBuild|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkEvolveDelta$|BenchmarkTimelineSeries|BenchmarkWireCounts' \
     -benchtime 1x -benchmem -run '^$' .
 
 echo "==> snapshot build/load smoke"
