@@ -405,8 +405,11 @@ func BenchmarkLeakSweep(b *testing.B) {
 // layer's /v1/leak batches. One op here covers BatchLanes leakers, so the
 // scalar-equivalent cost is BenchmarkLeakSweep × BatchLanes. allocs/op
 // should be ~0.
-func BenchmarkLeakTrialsBatch(b *testing.B) {
-	e := benchEnv(b)
+func BenchmarkLeakTrialsBatch(b *testing.B) { benchLeakTrialsBatch(b, benchEnv(b)) }
+
+// benchLeakTrialsBatch times one warmed BatchLanes-wide block against
+// Google's announce-to-all sweep in e's 2020 world.
+func benchLeakTrialsBatch(b *testing.B, e *experiments.Env) {
 	g := e.In2020.Graph
 	google := e.In2020.Clouds["Google"]
 	leakers := bgpsim.SampleLeakers(g, google, bgpsim.BatchLanes, 7)
@@ -416,7 +419,7 @@ func BenchmarkLeakTrialsBatch(b *testing.B) {
 	}
 	bl := bgpsim.NewBatchLeak(g)
 	out := make([]bgpsim.LeakTrial, len(leakers))
-	// Warm the dial-queue buckets and scratch high-water marks.
+	// Warm the settle logs and scratch high-water marks.
 	if err := bl.Trials(sweep, leakers, nil, out); err != nil {
 		b.Fatal(err)
 	}
@@ -427,6 +430,7 @@ func BenchmarkLeakTrialsBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(leakers)), "ns/leaker")
 }
 
 // BenchmarkPropagateNoAlloc measures one steady-state reachability

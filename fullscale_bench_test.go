@@ -74,6 +74,11 @@ func BenchmarkFig7LeakCDFsFullScale(b *testing.B) {
 	reportNsPerAS(b, e.In2020.Graph.NumASes())
 }
 
+// BenchmarkLeakTrialsBatchFullScale is BenchmarkLeakTrialsBatch at scale
+// 1.0 — the kernel a reproduction pass spends most of its time in.
+// ns/leaker is the per-trial cost; allocs/op should be 0.
+func BenchmarkLeakTrialsBatchFullScale(b *testing.B) { benchLeakTrialsBatch(b, fullScaleEnv(b)) }
+
 func BenchmarkReachabilityAllFullScale(b *testing.B) {
 	e := fullScaleEnv(b)
 	b.ResetTimer()

@@ -20,29 +20,46 @@ import (
 // order, distances ascending, exactly the scalar engine's settle order —
 // and the buckets are GLOBAL: which bucket a route arrives in depends only
 // on its class and length, never on which leaker produced it. So the
-// engine runs one synchronized bucket sweep where every per-node quantity
-// is a word over leaker lanes:
+// engine runs one synchronized bucket sweep over lane words.
 //
-//	done[v]   lanes whose class and length are decided at v;
-//	legit[v]  settled lanes with a tied-best route chaining to the origin;
-//	leak[v]   settled lanes with a tied-best route through the leak.
+// All of an AS's propagation state is one 32-byte laneNode, so an edge
+// touches one cache line at its receiver:
 //
-// Arrivals are (node, legit-word, leak-word) pushes bucketed by distance.
-// A bucket's arrivals are merged (tied flags OR together, the paper's
-// keep-all-ties rule) and then settled against ^done — the word-wise form
-// of the scalar dial queue's min-distance tent with stale-entry skipping.
-// Per-leaker differences enter only as per-node words composed once per
-// batch from the cached snapshot:
+//	acceptLegit  lanes that may still install a legitimate route here;
+//	acceptLeak   lanes that may still install a leaked route here;
+//	curLegit,    arrivals of the length being relayed — zero at every
+//	curLeak      length boundary.
 //
-//	accept[v]   lane-uniform exclusion base, minus lane k at leaker k
-//	            (a leaker originates in its own lane and takes no routes);
-//	blocked[v]  lanes whose BGP loop detection rejects every leaked copy
-//	            at v (the pre-pass path-count argument of the scalar
-//	            engine, run once per lane over the cached DAG);
+// Both accept words start as the lane-uniform exclusion base, minus lane k
+// at leaker k (a leaker originates in its own lane and takes no routes);
+// acceptLeak also loses the lanes whose BGP loop detection rejects every
+// leaked copy at the AS (loopWalk.onAllPaths over the cached DAG, once per
+// lane). Settling a lane clears it from both words, so "already decided"
+// is the same test as "may not install" and an arrival for a settled lane
+// is never written anywhere.
 //
-// plus each leaker's seed, injected at its cached leak-free distance.
-// Peer locking stays lane-uniform because a locked node's acceptance
-// depends only on the sender being the origin.
+// Each class stage keeps a settle log bucketed by settled length, one
+// {node, legit, leak} entry per settle. A stage at length d walks the
+// senders that settled at d over its edge kind — stage A its own log over
+// provider edges, stage B stage A's log over peer edges, stage C all three
+// logs over customer edges — ORs what each receiver accepts into its cur
+// words (tied flags OR together, the paper's keep-all-ties rule), then
+// settles the touched receivers at d+1. That is the scalar dial queue's
+// schedule read from the sender's side: the arrivals of bucket d+1 are
+// exactly what the senders of length d relay, and they are masked by the
+// lanes settled before the bucket either way. The origin (length 0, policy
+// filtered) and leaker k (its cached leak-free length, or 0 for a hijack)
+// are simply the first senders of stage A's log.
+//
+// Peer locking never reaches the relay loop. A locking AS accepts the
+// prefix only from the origin, so both its accept words are zero from the
+// start, and a locking neighbor the origin announces to is entered in its
+// stage's log at length 1 beforehand: nothing else could have reached it
+// first, and nothing else may tie with the origin there.
+//
+// leak[v] collects the lanes settled at v with a tied-best route through
+// the leak; it is the only per-node state outside the laneNode, written
+// when a settle carries leak lanes and read by the reduction.
 //
 // Trial results are bit-for-bit identical to LeakSweep.Trial for every
 // configuration except BreakTies: breaking ties keeps the first tied
@@ -57,36 +74,21 @@ type BatchLeak struct {
 	g *astopo.Graph
 	n int
 
-	// ctx, when non-nil, aborts an in-flight batch between distance
-	// buckets (set by TrialsCtx, nil otherwise).
+	// ctx, when non-nil, aborts an in-flight batch at a length boundary
+	// (set by TrialsCtx, nil otherwise). The cur words are zero and touched
+	// is empty there, so an aborted engine is reusable as it stands.
 	ctx context.Context
 
-	acceptW  []uint64 // lanes that may install routes at each node
-	blockedW []uint64 // lanes whose loop detection strips leaked copies
-	leakerAt []uint64 // bit k set at leaker k's node
-	done     []uint64 // settled lanes
-	legit    []uint64 // settled lanes with a legitimate tied-best route
-	leak     []uint64 // settled lanes with a leaked tied-best route
+	nodes   []laneNode
+	leak    []uint64 // settled lanes with a leaked tied-best route
+	touched []int32  // receivers with nonzero cur words
 
-	// Per-bucket arrival accumulators, nonzero only while a bucket is
-	// being processed.
-	curLegit []uint64
-	curLeak  []uint64
-	touched  []int32
+	// logs[kind] is the log of the stage that settles what arrives over
+	// that edge kind: stage A (toProviders), B (toPeers), C (toCustomers).
+	logs    [3]settleLog
+	allowed []int32 // the origin's policy-allowed neighbors of one kind
 
-	up, peer, down bucketedPushes
-
-	// Loop-detection scratch: reach/reachSet for the per-lane backward
-	// pass, pos[v] = v's index in the snapshot's distance order (cached
-	// per snapshot, rebuilt when the engine switches sweeps). The cache
-	// key is the (pointer, generation) pair: released sweeps recycle the
-	// same sweepBase struct for new configurations, so pointer identity
-	// alone would accept a stale index.
-	reach    []float64
-	reachSet []int32
-	pos      []int32
-	posBase  *sweepBase
-	posGen   uint64
+	walk loopWalk // loop-detection scratch
 
 	lanes   [BatchLanes]int32 // leaker dense index per active lane
 	laneOut [BatchLanes]int   // output slot per active lane
@@ -100,36 +102,47 @@ type BatchLeak struct {
 	lastLanes int
 }
 
-// pushT is one bucketed arrival: the lanes in legit|leak reach node at the
-// bucket's distance with the corresponding route-source flags.
-type pushT struct {
-	node  int32
-	legit uint64
-	leak  uint64
+// Edge kinds a stage relays over.
+const (
+	toProviders = iota
+	toPeers
+	toCustomers
+)
+
+type laneNode struct {
+	acceptLegit, acceptLeak uint64
+	curLegit, curLeak       uint64
 }
 
-// bucketedPushes is a dial queue of arrivals keyed by distance. Buckets
+// settleT is one settle: the lanes in legit|leak took a best route at node
+// with the corresponding route-source flags.
+type settleT struct {
+	node        int32
+	legit, leak uint64
+}
+
+// settleLog holds one stage's settles bucketed by settled length. Buckets
 // keep their high-water capacity across runs.
-type bucketedPushes struct {
-	buckets [][]pushT
-	maxd    int
+type settleLog [][]settleT
+
+func (l settleLog) at(d int) []settleT {
+	if d < len(l) {
+		return l[d]
+	}
+	return nil
 }
 
-func (bp *bucketedPushes) add(d int, node int32, legit, leak uint64) {
-	for d >= len(bp.buckets) {
-		bp.buckets = append(bp.buckets, nil)
+func (l *settleLog) add(d int, e settleT) {
+	for d >= len(*l) {
+		*l = append(*l, nil)
 	}
-	bp.buckets[d] = append(bp.buckets[d], pushT{node: node, legit: legit, leak: leak})
-	if d > bp.maxd {
-		bp.maxd = d
-	}
+	(*l)[d] = append((*l)[d], e)
 }
 
-func (bp *bucketedPushes) reset() {
-	for i := range bp.buckets {
-		bp.buckets[i] = bp.buckets[i][:0]
+func (l settleLog) reset() {
+	for i := range l {
+		l[i] = l[i][:0]
 	}
-	bp.maxd = 0
 }
 
 // NewBatchLeak returns a batch leak engine for g. The graph is frozen by
@@ -137,21 +150,7 @@ func (bp *bucketedPushes) reset() {
 func NewBatchLeak(g *astopo.Graph) *BatchLeak {
 	g.Freeze()
 	n := g.NumASes()
-	return &BatchLeak{
-		g:        g,
-		n:        n,
-		acceptW:  make([]uint64, n),
-		blockedW: make([]uint64, n),
-		leakerAt: make([]uint64, n),
-		done:     make([]uint64, n),
-		legit:    make([]uint64, n),
-		leak:     make([]uint64, n),
-		curLegit: make([]uint64, n),
-		curLeak:  make([]uint64, n),
-		reach:    make([]float64, n),
-		pos:      make([]int32, n),
-		posBase:  nil,
-	}
+	return &BatchLeak{g: g, n: n, nodes: make([]laneNode, n), leak: make([]uint64, n)}
 }
 
 // batchLeakPool recycles engines across sweeps of the same graph: the
@@ -217,15 +216,14 @@ func (bl *BatchLeak) TrialsCtx(ctx context.Context, sw *LeakSweep, leakers []ast
 
 // detoured reports whether, in the most recently finished block, the trial
 // written to out[slot] detoured the given node (dense index) through the
-// leak. Masking out leakerAt keeps the answer aligned with the scalar
-// reduction, which never counts a leaker's own lane bit at its own node;
-// reading another leaker's node is safe because only that node's own lane
-// is masked. A block that assigned zero lanes leaves lastLanes at 0, so
-// every probe against its stale leak words answers false.
+// leak. A leaker's own lane is never set at its own node, which keeps the
+// answer aligned with the scalar reduction. A block that assigned zero
+// lanes leaves lastLanes at 0, so every probe against its stale leak words
+// answers false.
 func (bl *BatchLeak) detoured(slot int, node int32) bool {
 	for k := 0; k < bl.lastLanes; k++ {
 		if bl.laneOut[k] == slot {
-			return (bl.leak[node]&^bl.leakerAt[node])>>k&1 == 1
+			return bl.leak[node]>>k&1 == 1
 		}
 	}
 	return false
@@ -234,8 +232,8 @@ func (bl *BatchLeak) detoured(slot int, node int32) bool {
 // block runs one ≤BatchLanes batch: validation, lane assignment, the
 // three-stage word-wise propagation, and the per-lane detour reduction.
 func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64, out []LeakTrial) error {
-	cfg := b.cfg
-	g, n := bl.g, bl.n
+	cfg := &b.cfg
+	g := bl.g
 
 	// ---- Lane assignment ----
 	// Leakers holding no legitimate route have nothing to leak (their
@@ -268,195 +266,93 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 	bl.lastLanes = nlanes
 	allLanes := ^uint64(0) >> (BatchLanes - nlanes)
 
-	// ---- Per-node words from the cached snapshot ----
-	for i := 0; i < n; i++ {
-		bl.blockedW[i] = 0
-		bl.leakerAt[i] = 0
-		bl.done[i] = 0
-		bl.legit[i] = 0
-		bl.leak[i] = 0
-	}
-	if cfg.Exclude == nil {
-		for i := range bl.acceptW {
-			bl.acceptW[i] = allLanes
+	// ---- Per-node words and first senders from the cached snapshot ----
+	// The origin announces in every lane at length 0; leaker k re-announces
+	// in its own lane at its cached leak-free length (zero for hijacks,
+	// which forge an origination). Neither ever takes a route.
+	nodes := bl.nodes
+	for i := range nodes {
+		a := allLanes
+		if cfg.Exclude != nil && cfg.Exclude[i] {
+			a = 0
 		}
-	} else {
-		for i, m := range cfg.Exclude {
-			if m {
-				bl.acceptW[i] = 0
-			} else {
-				bl.acceptW[i] = allLanes
-			}
-		}
+		nodes[i] = laneNode{acceptLegit: a, acceptLeak: a}
 	}
-	origin := b.origin
-	bl.acceptW[origin] = 0
-	bl.done[origin] = allLanes
-	bl.legit[origin] = allLanes
+	clear(bl.leak)
+	for kind := range bl.logs {
+		bl.logs[kind].reset()
+	}
+	nodes[b.origin] = laneNode{}
+	bl.logs[toProviders].add(0, settleT{node: b.origin, legit: allLanes})
 	for k := 0; k < nlanes; k++ {
 		li := bl.lanes[k]
 		bit := uint64(1) << k
-		bl.acceptW[li] &^= bit
-		bl.leakerAt[li] |= bit
-		bl.done[li] |= bit
-		bl.leak[li] |= bit
-		if !cfg.Hijack {
-			bl.blockedPass(b, li, bit)
-		}
-	}
-
-	// ---- Seeds ----
-	// The origin's announcement is lane-uniform: one legit push per
-	// (policy-allowed) neighbor carrying every lane. Each leaker exports
-	// to all its neighbors in its own lane at its cached leak-free
-	// length (zero for hijacks, which forge an origination).
-	bl.up.reset()
-	bl.peer.reset()
-	bl.down.reset()
-	locking := cfg.Locking
-	seed := func(from int32, d int, lg, lk uint64, policy *Policy) {
-		fromOrigin := from == origin
-		for _, p := range g.ProvidersOf(int(from)) {
-			if policy != nil && !policy.allows(p) {
-				continue
-			}
-			if locking != nil && locking[p] && !fromOrigin {
-				continue
-			}
-			plg := lg & bl.acceptW[p]
-			plk := lk & bl.acceptW[p] &^ bl.blockedW[p]
-			if plg|plk != 0 {
-				bl.up.add(d, p, plg, plk)
-			}
-		}
-		for _, pe := range g.PeersOf(int(from)) {
-			if policy != nil && !policy.allows(pe) {
-				continue
-			}
-			if locking != nil && locking[pe] && !fromOrigin {
-				continue
-			}
-			plg := lg & bl.acceptW[pe]
-			plk := lk & bl.acceptW[pe] &^ bl.blockedW[pe]
-			if plg|plk != 0 {
-				bl.peer.add(d, pe, plg, plk)
-			}
-		}
-		for _, c := range g.CustomersOf(int(from)) {
-			if policy != nil && !policy.allows(c) {
-				continue
-			}
-			if locking != nil && locking[c] && !fromOrigin {
-				continue
-			}
-			plg := lg & bl.acceptW[c]
-			plk := lk & bl.acceptW[c] &^ bl.blockedW[c]
-			if plg|plk != 0 {
-				bl.down.add(d, c, plg, plk)
-			}
-		}
-	}
-	seed(origin, 1, allLanes, 0, cfg.Policy)
-	for k := 0; k < nlanes; k++ {
+		nodes[li].acceptLegit &^= bit
+		nodes[li].acceptLeak &^= bit
 		d0 := 0
 		if !cfg.Hijack {
-			d0 = int(b.dist[bl.lanes[k]])
+			d0 = int(b.dist[li])
+			for _, v := range bl.walk.onAllPaths(b.csr, b.counts, li) {
+				nodes[v].acceptLeak &^= bit
+			}
 		}
-		seed(bl.lanes[k], d0+1, 0, uint64(1)<<k, nil)
+		bl.logs[toProviders].add(d0, settleT{node: li, leak: bit})
+	}
+	// A peer-locking AS takes the prefix from the origin alone: the ones the
+	// origin announces to settle here, at length 1 of their stage, and every
+	// locking AS is then closed to the relay loop.
+	if cfg.Locking != nil {
+		o := int(b.origin)
+		for kind, nbrs := range [...][]int32{g.ProvidersOf(o), g.PeersOf(o), g.CustomersOf(o)} {
+			for _, p := range bl.announced(b, nbrs) {
+				if lanes := nodes[p].acceptLegit; cfg.Locking[p] && lanes != 0 {
+					bl.logs[kind].add(1, settleT{node: p, legit: lanes})
+				}
+			}
+		}
+		for i, locked := range cfg.Locking {
+			if locked {
+				nodes[i] = laneNode{}
+			}
+		}
 	}
 
-	// ---- Stage A: customer routes, ascending length ----
-	// A settling node relays to its providers (growing this stage) and
-	// contributes its peer and customer arrivals for the later stages at
-	// the settled length plus one — the word-wise form of the scalar
-	// engine's stage B/C seeding loops over customer-classed nodes.
-	err := bl.runStage(&bl.up, func(v int32, lg, lk uint64, d int) {
-		for _, p := range g.ProvidersOf(int(v)) {
-			if locking != nil && locking[p] {
-				continue
+	// ---- Stage A: customer routes, then stage B: peer routes ----
+	// Both walk stage A's log by ascending length: A over provider edges,
+	// growing the log it walks; B one p2p hop from every customer-route
+	// holder and first sender, where the first length a lane arrives at is
+	// its shortest peer route and later lengths find it cleared from the
+	// accept words.
+	for kind := toProviders; kind <= toPeers; kind++ {
+		for d := 0; d < len(bl.logs[toProviders]); d++ {
+			if err := bl.canceled(); err != nil {
+				return err
 			}
-			plg := lg & bl.acceptW[p]
-			plk := lk & bl.acceptW[p] &^ bl.blockedW[p]
-			if plg|plk != 0 {
-				bl.up.add(d+1, p, plg, plk)
-			}
+			bl.relay(b, bl.logs[toProviders][d], kind)
+			bl.settle(kind, d+1)
 		}
-		for _, pe := range g.PeersOf(int(v)) {
-			if locking != nil && locking[pe] {
-				continue
-			}
-			plg := lg & bl.acceptW[pe]
-			plk := lk & bl.acceptW[pe] &^ bl.blockedW[pe]
-			if plg|plk != 0 {
-				bl.peer.add(d+1, pe, plg, plk)
-			}
-		}
-		for _, c := range g.CustomersOf(int(v)) {
-			if locking != nil && locking[c] {
-				continue
-			}
-			plg := lg & bl.acceptW[c]
-			plk := lk & bl.acceptW[c] &^ bl.blockedW[c]
-			if plg|plk != 0 {
-				bl.down.add(d+1, c, plg, plk)
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-
-	// ---- Stage B: peer routes ----
-	// One p2p hop, already bucketed by sender length: the first bucket a
-	// lane arrives in is its shortest peer route, later buckets are
-	// masked by done — the tent/min-distance logic of the scalar stage.
-	// Peer-classed nodes export only to customers.
-	err = bl.runStage(&bl.peer, func(v int32, lg, lk uint64, d int) {
-		for _, c := range g.CustomersOf(int(v)) {
-			if locking != nil && locking[c] {
-				continue
-			}
-			plg := lg & bl.acceptW[c]
-			plk := lk & bl.acceptW[c] &^ bl.blockedW[c]
-			if plg|plk != 0 {
-				bl.down.add(d+1, c, plg, plk)
-			}
-		}
-	})
-	if err != nil {
-		return err
 	}
 
 	// ---- Stage C: provider routes, ascending length ----
-	err = bl.runStage(&bl.down, func(v int32, lg, lk uint64, d int) {
-		for _, c := range g.CustomersOf(int(v)) {
-			if locking != nil && locking[c] {
-				continue
-			}
-			plg := lg & bl.acceptW[c]
-			plk := lk & bl.acceptW[c] &^ bl.blockedW[c]
-			if plg|plk != 0 {
-				bl.down.add(d+1, c, plg, plk)
-			}
+	// Every route holder exports to its customers.
+	for d := 0; d < max(len(bl.logs[0]), len(bl.logs[1]), len(bl.logs[2])); d++ {
+		if err := bl.canceled(); err != nil {
+			return err
 		}
-	})
-	if err != nil {
-		return err
+		for kind := range bl.logs {
+			bl.relay(b, bl.logs[kind].at(d), toCustomers)
+		}
+		bl.settle(toCustomers, d+1)
 	}
 
 	// ---- Reduction ----
-	// detoured(k) = nodes with a leaked tied-best route in lane k, minus
-	// the leaker itself; the origin holds no leak bit by construction but
-	// is skipped for symmetry with the scalar count.
+	// detoured(k) = nodes with a leaked tied-best route in lane k. Neither
+	// the origin nor leaker k itself ever holds lane k's leak bit.
 	for k := 0; k < nlanes; k++ {
 		bl.counts[k] = 0
 		bl.wsums[k] = 0
 	}
-	for v := 0; v < n; v++ {
-		if int32(v) == origin {
-			continue
-		}
-		w := bl.leak[v] &^ bl.leakerAt[v]
+	for v, w := range bl.leak {
 		if w == 0 {
 			continue
 		}
@@ -486,99 +382,75 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 	return nil
 }
 
-// runStage drains one stage's dial queue: per ascending bucket, arrivals
-// are merged into the cur accumulators (tied flags OR), unsettled lanes
-// settle, and expand relays the settled lanes onward. The cur arrays are
-// zero outside bucket processing, including after a cancellation.
-func (bl *BatchLeak) runStage(bp *bucketedPushes, expand func(v int32, lg, lk uint64, d int)) error {
-	for d := 0; d <= bp.maxd; d++ {
-		if bl.ctx != nil && bl.ctx.Err() != nil {
-			for i := range bl.curLegit {
-				bl.curLegit[i] = 0
-				bl.curLeak[i] = 0
-			}
-			return bl.ctx.Err()
-		}
-		if d >= len(bp.buckets) || len(bp.buckets[d]) == 0 {
-			continue
-		}
-		touched := bl.touched[:0]
-		for _, e := range bp.buckets[d] {
-			if bl.curLegit[e.node]|bl.curLeak[e.node] == 0 {
-				touched = append(touched, e.node)
-			}
-			bl.curLegit[e.node] |= e.legit
-			bl.curLeak[e.node] |= e.leak
-		}
-		for _, v := range touched {
-			lg, lk := bl.curLegit[v], bl.curLeak[v]
-			bl.curLegit[v], bl.curLeak[v] = 0, 0
-			s := (lg | lk) &^ bl.done[v]
-			if s == 0 {
-				continue
-			}
-			bl.done[v] |= s
-			lg &= s
-			lk &= s
-			bl.legit[v] |= lg
-			bl.leak[v] |= lk
-			expand(v, lg, lk, d)
-		}
-		bl.touched = touched[:0]
+func (bl *BatchLeak) canceled() error {
+	if bl.ctx != nil {
+		return bl.ctx.Err()
 	}
 	return nil
 }
 
-// blockedPass marks, in lane bit of blockedW, the ASes on every tied-best
-// path from the leaker toward the origin — the same path-count argument
-// as the scalar blockedOnAllPaths, restricted to the leaker's ancestry:
-// reach flows only toward strictly shorter best lengths, so the backward
-// pass starts at the leaker's position in the cached distance order and
-// only nodes it touches can satisfy the all-paths product test. The
-// floating-point operations performed are exactly the scalar pass's (the
-// skipped iterations all carry zero reach), so the resulting set is
-// bit-for-bit identical.
-func (bl *BatchLeak) blockedPass(b *sweepBase, li int32, bit uint64) {
-	if bl.posBase != b || bl.posGen != b.gen {
-		for i := range bl.pos {
-			bl.pos[i] = -1
-		}
-		for i, v := range b.order {
-			bl.pos[v] = int32(i)
-		}
-		bl.posBase = b
-		bl.posGen = b.gen
+// announced returns those of the origin's neighbors nbrs its announcement
+// policy allows (in bl.allowed, valid until the next call).
+func (bl *BatchLeak) announced(b *sweepBase, nbrs []int32) []int32 {
+	if b.cfg.Policy == nil {
+		return nbrs
 	}
-	reach := bl.reach
-	set := bl.reachSet[:0]
-	reach[li] = 1
-	set = append(set, li)
-	order := b.order
-	for i := bl.pos[li]; i >= 0; i-- {
-		v := order[i]
-		rv := reach[v]
-		if rv == 0 {
-			continue
-		}
-		for _, u := range b.csr.at(v) {
-			if reach[u] == 0 {
-				set = append(set, u)
-			}
-			reach[u] += rv
+	bl.allowed = bl.allowed[:0]
+	for _, p := range nbrs {
+		if b.cfg.Policy.allows(p) {
+			bl.allowed = append(bl.allowed, p)
 		}
 	}
-	if total := b.counts[li]; total > 0 {
-		for _, v := range set {
-			if v == li {
+	return bl.allowed
+}
+
+// relay sends every sender's settled lanes over its edges of one kind and
+// ORs what each receiver still accepts into the receiver's cur words.
+func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
+	g, nodes, touched := bl.g, bl.nodes, bl.touched
+	for _, e := range senders {
+		var nbrs []int32
+		switch kind {
+		case toProviders:
+			nbrs = g.ProvidersOf(int(e.node))
+		case toPeers:
+			nbrs = g.PeersOf(int(e.node))
+		default:
+			nbrs = g.CustomersOf(int(e.node))
+		}
+		if e.node == b.origin {
+			nbrs = bl.announced(b, nbrs)
+		}
+		for _, p := range nbrs {
+			nd := &nodes[p]
+			lg, lk := e.legit&nd.acceptLegit, e.leak&nd.acceptLeak
+			if lg|lk == 0 {
 				continue
 			}
-			if p := reach[v] * b.counts[v]; p > 0 && p >= total*(1-1e-9) {
-				bl.blockedW[v] |= bit
+			if nd.curLegit|nd.curLeak == 0 {
+				touched = append(touched, p)
 			}
+			nd.curLegit |= lg
+			nd.curLeak |= lk
 		}
 	}
-	for _, v := range set {
-		reach[v] = 0
+	bl.touched = touched
+}
+
+// settle decides the touched receivers at length d of a stage: the arrived
+// lanes leave both accept words, the cur words return to zero, and one log
+// entry makes the node a sender of length d.
+func (bl *BatchLeak) settle(stage, d int) {
+	for _, v := range bl.touched {
+		nd := &bl.nodes[v]
+		e := settleT{node: v, legit: nd.curLegit, leak: nd.curLeak}
+		nd.acceptLegit &^= e.legit | e.leak
+		nd.acceptLeak &^= e.legit | e.leak
+		nd.curLegit, nd.curLeak = 0, 0
+		if e.leak != 0 {
+			bl.leak[v] |= e.leak
+		}
+		bl.logs[stage].add(d, e)
 	}
-	bl.reachSet = set[:0]
+	bl.touched = bl.touched[:0]
 }

@@ -2,7 +2,10 @@ package bgpsim
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -345,4 +348,430 @@ func TestBatchLeakConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// refBlockedOnAllPaths is the loop-detection pass as both engines ran it
+// before they shared loopWalk: a backward scan of the whole pre-pass
+// distance order. It stays here as the reference for the ancestors-only
+// walk; reach is returned uncleared.
+func refBlockedOnAllPaths(csr nextHopCSR, order []int32, counts []float64, leaker int32) (reach []float64, blocked []bool) {
+	reach = make([]float64, len(counts))
+	blocked = make([]bool, len(counts))
+	reach[leaker] = 1
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		rv := reach[v]
+		if rv == 0 {
+			continue
+		}
+		for _, u := range csr.at(v) {
+			reach[u] += rv
+		}
+	}
+	total := counts[leaker]
+	if total == 0 {
+		return reach, blocked
+	}
+	for i := range blocked {
+		if int32(i) == leaker {
+			continue
+		}
+		if p := reach[i] * counts[i]; p > 0 && p >= total*(1-1e-9) {
+			blocked[i] = true
+		}
+	}
+	return reach, blocked
+}
+
+// The ancestors-only walk must visit exactly the nodes the full-order scan
+// gives nonzero reach, sum every reach in the scan's order (bit-for-bit),
+// mark the same set, and leave its scratch zeroed — for every routed leaker
+// of the corpus, many of which have three or more tied-best paths, so the
+// order within a length matters.
+func TestLoopWalkMatchesFullScan(t *testing.T) {
+	manyPaths := 0
+	for seed := int64(0); seed < 110; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		all := g.ASes()
+		sw, err := NewLeakSweep(g, Config{Origin: all[rng.Intn(len(all))]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := sw.base
+		var w loopWalk
+		for li := int32(0); li < int32(len(all)); li++ {
+			if li == b.origin || b.class[li] == ClassNone {
+				continue
+			}
+			if b.counts[li] >= 3 {
+				manyPaths++
+			}
+			wantReach, wantBlocked := refBlockedOnAllPaths(b.csr, b.order, b.counts, li)
+			seen := w.ancestors(b.csr, len(all), li)
+			if seen[0] != li {
+				t.Fatalf("seed %d leaker %d: walk starts at %d", seed, li, seen[0])
+			}
+			for v := range wantReach {
+				if math.Float64bits(w.reach[v]) != math.Float64bits(wantReach[v]) {
+					t.Fatalf("seed %d leaker %d node %d: reach %v, full scan %v", seed, li, v, w.reach[v], wantReach[v])
+				}
+				if (wantReach[v] != 0) != slices.Contains(seen, int32(v)) {
+					t.Fatalf("seed %d leaker %d node %d: reach %v but visited=%v", seed, li, v, wantReach[v], !(wantReach[v] != 0))
+				}
+			}
+			for _, v := range seen {
+				w.reach[v] = 0
+			}
+			got := make([]bool, len(all))
+			for _, v := range w.onAllPaths(b.csr, b.counts, li) {
+				if got[v] {
+					t.Fatalf("seed %d leaker %d: node %d marked twice", seed, li, v)
+				}
+				got[v] = true
+			}
+			if !slices.Equal(got, wantBlocked) {
+				t.Fatalf("seed %d leaker %d: walk marks %v, full scan %v", seed, li, got, wantBlocked)
+			}
+			for v, r := range w.reach {
+				if r != 0 {
+					t.Fatalf("seed %d leaker %d: reach[%d] = %v after the walk", seed, li, v, r)
+				}
+			}
+		}
+	}
+	if manyPaths < 10 {
+		t.Fatalf("only %d leakers with >= 3 tied-best paths", manyPaths)
+	}
+}
+
+// Where path counts outgrow float64's integers the order of a sum shows in
+// its bits. AS1000's 2^53+2 tied-best paths meet at AS2: 2^53 of them through
+// 53 levels of provider diamonds ending in AS900, one each through two plain
+// provider chains ending in AS800 and AS801. Scanned in descending index,
+// A(AS2) = (2^53 + 1) + 1 = 2^53; ascending, (1 + 1) + 2^53 = 2^53 + 2.
+func TestLoopWalkSumsInScanOrder(t *testing.T) {
+	g := astopo.NewGraph(0, 0)
+	g.MustAddLink(2, 1, astopo.P2C)
+	level := []astopo.ASN{1000} // the leaker, then each level of providers above it
+	chains := []astopo.ASN{1000, 1000}
+	for i := 0; i < 54; i++ {
+		up := []astopo.ASN{astopo.ASN(100 + 2*i), astopo.ASN(101 + 2*i)}
+		next := []astopo.ASN{astopo.ASN(300 + 2*i), astopo.ASN(301 + 2*i)}
+		if i == 53 {
+			up, next = []astopo.ASN{900}, []astopo.ASN{800, 801}
+		}
+		for _, p := range up {
+			for _, c := range level {
+				g.MustAddLink(p, c, astopo.P2C)
+			}
+		}
+		for k := range chains {
+			g.MustAddLink(next[k], chains[k], astopo.P2C)
+		}
+		level, chains = up, next
+	}
+	for _, top := range []astopo.ASN{900, 800, 801} {
+		g.MustAddLink(2, top, astopo.P2C)
+	}
+	sw, err := NewLeakSweep(g, Config{Origin: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sw.base
+	li, _ := g.Index(1000)
+	i2, _ := g.Index(2)
+	wantReach, wantBlocked := refBlockedOnAllPaths(b.csr, b.order, b.counts, int32(li))
+	if wantReach[i2] != 1<<53 {
+		t.Fatalf("full scan sums A(AS2) = %v, want 2^53: the topology no longer rounds", wantReach[i2])
+	}
+	var w loopWalk
+	for _, v := range w.ancestors(b.csr, g.NumASes(), int32(li)) {
+		if math.Float64bits(w.reach[v]) != math.Float64bits(wantReach[v]) {
+			t.Errorf("AS%d: reach %v, full scan %v", g.ASNAt(int(v)), w.reach[v], wantReach[v])
+		}
+		w.reach[v] = 0
+	}
+	blocked := w.onAllPaths(b.csr, b.counts, int32(li))
+	if !wantBlocked[i2] || !slices.Contains(blocked, int32(i2)) {
+		t.Errorf("AS2 on every path: full scan %v, walk %v", wantBlocked[i2], blocked)
+	}
+}
+
+// withdrawalTopology is a hand-built case for the one way a leak takes a
+// route away instead of offering one. AS4 lies on every best path of its
+// customer AS5 (AS5 -> AS4 -> {AS2, AS3} -> AS1), so its loop detection
+// drops every leaked copy; AS5's other provider chain (AS6 -> AS7) hands the
+// leak to AS2 and AS3 as a customer route, which both prefer to their peer
+// route from the origin. When AS5 leaks, every tied-best next hop of AS4
+// therefore relays only copies AS4 rejects, and AS4 must fall back to the
+// longer legitimate route via AS9 -> AS8 — in AS5's lane only. AS11 has
+// three tied-best paths (two via AS4, one via AS9) and leaks AS4 a customer
+// route it does accept.
+func withdrawalTopology() *astopo.Graph {
+	g := astopo.NewGraph(0, 0)
+	for _, l := range []struct {
+		a, b astopo.ASN
+		r    astopo.Rel
+	}{
+		{2, 1, astopo.P2P}, {3, 1, astopo.P2P}, {8, 1, astopo.P2P},
+		{2, 4, astopo.P2C}, {3, 4, astopo.P2C}, {9, 4, astopo.P2C},
+		{4, 5, astopo.P2C}, {4, 10, astopo.P2C}, {4, 11, astopo.P2C}, {9, 11, astopo.P2C},
+		{6, 5, astopo.P2C}, {7, 6, astopo.P2C}, {2, 7, astopo.P2C}, {3, 7, astopo.P2C},
+		{8, 9, astopo.P2C},
+	} {
+		g.MustAddLink(l.a, l.b, l.r)
+	}
+	g.Freeze()
+	return g
+}
+
+func TestBatchLeakWithdrawalAndLaneMix(t *testing.T) {
+	g := withdrawalTopology()
+	sw, err := NewLeakSweep(g, Config{Origin: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i4, _ := g.Index(4)
+
+	// The scenario is what the comment says it is, by the scalar engine.
+	res, err := sw.Run(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.base.dist[i4] != 2 || res.Dist[i4] != 3 || res.Class[i4] != ClassProvider || res.Flags[i4] != ViaLegit {
+		t.Fatalf("AS4 under AS5's leak: pre-pass length %d, then class %v length %d flags %b; want 2, then a legitimate provider route of length 3",
+			sw.base.dist[i4], res.Class[i4], res.Dist[i4], res.Flags[i4])
+	}
+	if res.Detoured() != 4 {
+		t.Fatalf("AS5's leak detours %d ASes, want AS2, AS3, AS6, AS7", res.Detoured())
+	}
+
+	leakers := []astopo.ASN{5, 10, 11, 9, 6, 7, 2, 3, 8, 4}
+	weights := make([]float64, g.NumASes())
+	for i := range weights {
+		weights[i] = float64(i+1) / 100
+	}
+	bl := NewBatchLeak(g)
+	got := make([]LeakTrial, len(leakers))
+	if err := bl.Trials(sw, leakers, weights, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range leakers {
+		want, err := sw.Trial(l, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("leaker AS%d: batch=%+v scalar=%+v", l, got[i], want)
+		}
+	}
+
+	// Lane mix: AS4 settles AS11's lane as a customer route of length 4
+	// (stage A); AS5's lane, and AS7's (whose leak lengthens what AS2 and
+	// AS3 relay), as the provider route of length 3 via AS9; and every other
+	// lane at its leak-free length 2 (stage C) — three sender entries.
+	const lane5, lane11, lane7, lane4 = 1 << 0, 1 << 2, 1 << 5, 1 << 9
+	type entry struct {
+		log   string
+		d     int
+		lanes uint64
+	}
+	var at4 []entry
+	for name, log := range map[string]settleLog{"A": bl.logs[toProviders], "B": bl.logs[toPeers], "C": bl.logs[toCustomers]} {
+		for d, bucket := range log {
+			for _, e := range bucket {
+				if e.node == int32(i4) && e.leak != lane4 { // its own lane: AS4 as a first sender
+					at4 = append(at4, entry{name, d, e.legit | e.leak})
+				}
+			}
+		}
+	}
+	slices.SortFunc(at4, func(a, b entry) int { return a.d - b.d })
+	want := []entry{{"C", 2, 0x3ff &^ (lane5 | lane11 | lane7 | lane4)}, {"C", 3, lane5 | lane7}, {"A", 4, lane11}}
+	if !slices.Equal(at4, want) {
+		t.Errorf("AS4 settles %+v, want %+v", at4, want)
+	}
+}
+
+// Peer locking, an announcement policy and hijacks in one block: the origin
+// (policy-filtered, passes locked receivers) and every length-0 hijacker
+// (unfiltered, refused by locked receivers) are senders of the same bucket.
+func TestBatchLeakLockingPolicyHijackShareFirstBucket(t *testing.T) {
+	for seed := int64(0); seed < 110; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		n := g.NumASes()
+		all := g.ASes()
+		origin := all[rng.Intn(n)]
+		oi, _ := g.Index(origin)
+		var allowed []astopo.ASN
+		locking := make([]bool, n)
+		for _, rows := range [][]int32{g.ProvidersOf(oi), g.PeersOf(oi), g.CustomersOf(oi)} {
+			for _, p := range rows {
+				if rng.Intn(4) > 0 {
+					allowed = append(allowed, g.ASNAt(int(p)))
+				}
+				locking[p] = rng.Intn(2) == 0
+			}
+		}
+		for i := range locking {
+			if i != oi && rng.Intn(5) == 0 {
+				locking[i] = true
+			}
+		}
+		cfg := Config{Origin: origin, Policy: NewPolicy(g, allowed), Locking: locking, Hijack: true}
+		sw, err := NewLeakSweep(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var leakers []astopo.ASN
+		for _, a := range all {
+			if a != origin {
+				leakers = append(leakers, a)
+			}
+		}
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = rng.Float64()
+		}
+		bl := NewBatchLeak(g)
+		got := make([]LeakTrial, len(leakers))
+		if err := bl.Trials(sw, leakers, weights, got); err != nil {
+			t.Fatal(err)
+		}
+		if first := bl.logs[toProviders][0]; len(first) != 1+len(leakers) || first[0].node != int32(oi) {
+			t.Fatalf("seed %d: length-0 bucket holds %d senders, want the origin and %d hijackers", seed, len(first), len(leakers))
+		}
+		for i, l := range leakers {
+			want, err := sw.Trial(l, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Fatalf("seed %d hijacker AS%d: batch=%+v scalar=%+v", seed, l, got[i], want)
+			}
+		}
+	}
+}
+
+// countdownCtx reports cancellation from its (after+1)-th Err call on. One
+// goroutine owns each value.
+type countdownCtx struct {
+	context.Context
+	after int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.after--; c.after < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A batch canceled at any length boundary of any stage leaves the engine
+// reusable as it stands: no cur word set, nothing touched, and the next
+// batch on it equal to a fresh engine's.
+func TestBatchLeakCancelAtEveryLengthThenReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := randomTopology(rng)
+	g.Freeze()
+	all := g.ASes()
+	sw, err := NewLeakSweep(g, Config{Origin: all[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leakers := all[1:]
+	want := make([]LeakTrial, len(leakers))
+	if err := NewBatchLeak(g).Trials(sw, leakers, nil, want); err != nil {
+		t.Fatal(err)
+	}
+	bl := NewBatchLeak(g)
+	got := make([]LeakTrial, len(leakers))
+	canceled := 0
+	for after := 1; ; after++ {
+		// Err call 1 is TrialsCtx's entry check; call after+1 is a boundary.
+		err := bl.TrialsCtx(&countdownCtx{Context: context.Background(), after: after}, sw, leakers, nil, got)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("after %d checks: err = %v, want context.Canceled", after, err)
+		}
+		canceled++
+		for v, nd := range bl.nodes {
+			if nd.curLegit|nd.curLeak != 0 {
+				t.Fatalf("after %d checks: node %d keeps cur words %x/%x", after, v, nd.curLegit, nd.curLeak)
+			}
+		}
+		if len(bl.touched) != 0 {
+			t.Fatalf("after %d checks: %d receivers left touched", after, len(bl.touched))
+		}
+		if err := bl.Trials(sw, leakers, nil, got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %d checks: reused engine %+v, fresh engine %+v", after, got, want)
+		}
+	}
+	// Stage A and B each check once per length of stage A's log, stage C
+	// once per length of the longest log.
+	a, b, c := len(bl.logs[toProviders]), len(bl.logs[toPeers]), len(bl.logs[toCustomers])
+	if boundaries := 2*a + max(a, b, c); canceled != boundaries || a < 2 {
+		t.Fatalf("canceled at %d boundaries, the block has %d (stage A spans %d lengths)", canceled, boundaries, a)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("uncanceled TrialsCtx %+v, Trials %+v", got, want)
+	}
+}
+
+// Scale 1.0 (CI's fullscale job): a full block and a partial one of sampled
+// leakers, every §8.2 scenario, leaks and hijacks, user-weighted — lane for
+// lane the scalar sweep's trials.
+func TestBatchLeakMatchesScalarFullScale(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full-scale topology: skipped with -short and under -race")
+	}
+	in := genInternet(t, 1.0)
+	g := in.Graph
+	google := in.Clouds["Google"]
+	rng := rand.New(rand.NewSource(5))
+	weights := make([]float64, g.NumASes())
+	for i := range weights {
+		weights[i] = rng.Float64()
+	}
+	leakers := SampleLeakers(g, google, BatchLanes+16, 7)
+	bl := NewBatchLeak(g)
+	got := make([]LeakTrial, len(leakers))
+	for _, scen := range LeakScenarios() {
+		base, err := NewLeakSweep(g, ScenarioConfig(g, google, in.Tier1, in.Tier2, scen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hijack := range []bool{false, true} {
+			sw := base.WithHijack(hijack)
+			if err := bl.Trials(sw, leakers, weights, got); err != nil {
+				t.Fatalf("%v hijack=%v: %v", scen, hijack, err)
+			}
+			detours := 0
+			for i, l := range leakers {
+				want, err := sw.Trial(l, weights)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want {
+					t.Fatalf("%v hijack=%v leaker AS%d: batch=%+v scalar=%+v", scen, hijack, l, got[i], want)
+				}
+				if want.DetouredFrac > 0 {
+					detours++
+				}
+			}
+			if detours == 0 {
+				t.Errorf("%v hijack=%v: no sampled leaker detours anything", scen, hijack)
+			}
+		}
+		base.Release()
+	}
 }

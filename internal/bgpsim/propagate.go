@@ -1,5 +1,7 @@
 package bgpsim
 
+import "slices"
+
 // propagate runs the three-stage Gao–Rexford propagation for the given
 // seeds. Stage A spreads customer-learned routes up customer→provider
 // edges; stage B grants peer-learned routes (one p2p hop from any
@@ -391,43 +393,68 @@ func pathCountsCSR(csr nextHopCSR, class []Class, dist []int32, order []int32, c
 	}
 }
 
-// blockedOnAllPaths marks in blocked the ASes appearing on every tied-best
-// path from the leaker toward the origin — the set whose BGP loop detection
-// rejects every leaked copy. Uses path-count products: with N(w) DAG paths
-// from w to the origin and A(w) DAG paths from the leaker to w, node w lies
-// on all leaker paths iff A(w)·N(w) equals the leaker's total path count.
-// counts must come from pathCountsCSR over the same order; reach is
-// caller-provided scratch. All inputs are read-only but reach and blocked
-// are overwritten, so distinct callers may share csr/order/counts.
-func blockedOnAllPaths(csr nextHopCSR, order []int32, counts []float64, leaker int32, reach []float64, blocked []bool) {
-	for i := range reach {
-		reach[i] = 0
+// loopWalk is the scratch of the leak loop-detection walk, shared by the
+// scalar and batch leak engines. reach is all-zero between walks; blocked
+// holds the latest onAllPaths result.
+type loopWalk struct {
+	reach   []float64
+	seen    []int32
+	blocked []int32
+}
+
+// ancestors returns the ASes on any tied-best path from the leaker toward
+// the origin, leaker first, leaving in w.reach[v] the number of DAG paths
+// from the leaker to each (A(v) in the loop-detection derivation) for the
+// caller to read and zero. n is the graph's AS count.
+//
+// Every next-hop edge drops the best length by exactly one, so the ancestry
+// is walked a length at a time, each length in descending index — the order
+// in which a backward scan of the pre-pass distance order (ascending
+// length, index within a length) meets the nodes holding nonzero A. Every
+// A(v) is therefore summed in exactly that scan's order.
+func (w *loopWalk) ancestors(csr nextHopCSR, n int, leaker int32) []int32 {
+	if len(w.reach) < n {
+		w.reach = make([]float64, n)
 	}
+	reach := w.reach
 	reach[leaker] = 1
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		rv := reach[v]
-		if rv == 0 {
-			continue
-		}
-		for _, u := range csr.at(v) {
-			reach[u] += rv
+	seen := append(w.seen[:0], leaker)
+	for lo := 0; lo < len(seen); {
+		level := seen[lo:]
+		lo = len(seen)
+		slices.Sort(level)
+		for i := len(level) - 1; i >= 0; i-- {
+			rv := reach[level[i]]
+			for _, u := range csr.at(level[i]) {
+				if reach[u] == 0 {
+					seen = append(seen, u)
+				}
+				reach[u] += rv
+			}
 		}
 	}
-	for i := range blocked {
-		blocked[i] = false
-	}
+	w.seen = seen
+	return seen
+}
+
+// onAllPaths returns the ASes appearing on every tied-best path from the
+// leaker toward the origin — the set whose BGP loop detection rejects every
+// leaked copy. Uses path-count products: with N(w) DAG paths from w to the
+// origin (counts, from pathCountsCSR) and A(w) DAG paths from the leaker to
+// w, node w lies on all leaker paths iff A(w)·N(w) equals the leaker's
+// total path count. Only the leaker's ancestors are visited. The result
+// aliases w.blocked and is valid until the next call; csr and counts are
+// only read, so callers may share them.
+func (w *loopWalk) onAllPaths(csr nextHopCSR, counts []float64, leaker int32) []int32 {
+	seen := w.ancestors(csr, len(counts), leaker)
+	w.blocked = w.blocked[:0]
 	total := counts[leaker]
-	if total == 0 {
-		return
-	}
-	for i := range blocked {
-		if int32(i) == leaker {
-			continue
+	for _, v := range seen[1:] {
+		if p := w.reach[v] * counts[v]; total != 0 && p > 0 && p >= total*(1-1e-9) {
+			w.blocked = append(w.blocked, v)
 		}
-		p := reach[i] * counts[i]
-		if p > 0 && p >= total*(1-1e-9) {
-			blocked[i] = true
-		}
+		w.reach[v] = 0
 	}
+	w.reach[leaker] = 0
+	return w.blocked
 }

@@ -251,13 +251,15 @@ type Simulator struct {
 	nhLen   []int32
 	nhArena []int32
 
-	// Scratch reused by prepare and the leak pre-pass.
+	// Scratch reused by prepare and the leak pre-pass. blocked carries
+	// exactly the marks of walk's latest result.
 	seeds   []seed
 	order   []int32
 	distCnt []int32
 	counts  []float64
 	reach   []float64
 	blocked []bool
+	walk    loopWalk
 
 	// RunShared's reusable view Result: the [][]int32 next-hop headers are
 	// kept at high water across runs so steady-state tracked propagations
@@ -488,10 +490,8 @@ func (s *Simulator) prepare(cfg Config) ([]seed, int32, error) {
 		// reject every leaked copy. Mark those ASes so propagation
 		// strips the leak flag at them.
 		s.ensureLeakScratch()
-		order := s.orderByDistance()
-		pathCountsCSR(s.csr(), s.class, s.dist, order, s.counts)
-		blockedOnAllPaths(s.csr(), order, s.counts, int32(li), s.reach, s.blocked)
-		s.leakBlocked = s.blocked
+		pathCountsCSR(s.csr(), s.class, s.dist, s.orderByDistance(), s.counts)
+		s.blockLeakLoops(s.csr(), s.counts, leakerIdx)
 		s.seeds = append(seeds, seed{
 			idx:       leakerIdx,
 			dist0:     s.dist[li],
@@ -508,8 +508,24 @@ func (s *Simulator) ensureLeakScratch() {
 	if s.counts == nil {
 		s.counts = make([]float64, s.n)
 		s.reach = make([]float64, s.n)
+	}
+}
+
+// blockLeakLoops installs the loop-detection mask of a leak by leaker over
+// a leak-free pre-pass (its next-hop DAG and path counts): the previous
+// leak's marks are cleared from the list that set them, so a trial pays for
+// the leaker's ancestry, not for the graph.
+func (s *Simulator) blockLeakLoops(csr nextHopCSR, counts []float64, leaker int32) {
+	if s.blocked == nil {
 		s.blocked = make([]bool, s.n)
 	}
+	for _, v := range s.walk.blocked {
+		s.blocked[v] = false
+	}
+	for _, v := range s.walk.onAllPaths(csr, counts, leaker) {
+		s.blocked[v] = true
+	}
+	s.leakBlocked = s.blocked
 }
 
 // seed is one announcement source in a propagation.

@@ -36,10 +36,6 @@ type LeakSweep struct {
 	// classes, when set via SetClasses, lets Trials/TrialsN replay only one
 	// leaker per origin equivalence class and copy the trial to classmates.
 	classes *ClassIndex
-
-	// Per-sweep scratch for the leaker loop-detection pass.
-	reach   []float64
-	blocked []bool
 }
 
 // sweepBase is the leaker-invariant snapshot: the leak-free propagation
@@ -54,12 +50,6 @@ type sweepBase struct {
 	csr    nextHopCSR
 	order  []int32   // classed nodes in ascending best-length order
 	counts []float64 // N(w): tied-best DAG paths w -> origin
-
-	// gen distinguishes successive configurations rebuilt into this same
-	// (pooled) struct: NewLeakSweep bumps it on every rebuild, so caches
-	// keyed by base identity (BatchLeak's position index) must match the
-	// (pointer, gen) pair, not the pointer alone.
-	gen uint64
 }
 
 // simPool recycles Simulators across sweeps and clones of the same graph.
@@ -82,7 +72,6 @@ func getSim(g *astopo.Graph) *Simulator {
 
 func putSim(s *Simulator) {
 	s.ctx = nil
-	s.leakBlocked = nil // points into a sweep's scratch; never outlive it
 	simPool.Put(s)
 }
 
@@ -113,31 +102,25 @@ func NewLeakSweep(g *astopo.Graph, base Config) (*LeakSweep, error) {
 	b := sw.base
 	b.cfg = base
 	b.origin = seeds[0].idx
-	b.class = append(b.class[:0], sim.class...)
-	b.dist = append(b.dist[:0], sim.dist...)
-	b.csr = nextHopCSR{
-		off:   append(b.csr.off[:0], sim.nhOff...),
-		num:   append(b.csr.num[:0], sim.nhLen...),
-		arena: append(b.csr.arena[:0], sim.nhArena...),
+	// The snapshot takes the simulator's pre-pass arrays (sim.order among
+	// them, once filled) and hands back its own — the previous
+	// configuration's, or fresh ones; every one of them is rewritten by the
+	// simulator's next propagation before it is read.
+	sim.orderByDistance()
+	if b.class == nil {
+		b.class, b.dist = make([]Class, sim.n), make([]int32, sim.n)
+		b.csr.off, b.csr.num = make([]int32, sim.n), make([]int32, sim.n)
+		b.counts = make([]float64, sim.n)
 	}
-	b.order = append(b.order[:0], sim.orderByDistance()...)
-	b.gen++
-	b.counts = growFloats(b.counts, sim.n)
+	b.class, sim.class = sim.class, b.class
+	b.dist, sim.dist = sim.dist, b.dist
+	b.csr.off, sim.nhOff = sim.nhOff, b.csr.off
+	b.csr.num, sim.nhLen = sim.nhLen, b.csr.num
+	b.csr.arena, sim.nhArena = sim.nhArena, b.csr.arena
+	b.order, sim.order = sim.order, b.order
 	pathCountsCSR(b.csr, b.class, b.dist, b.order, b.counts)
 	sw.classes = nil // recycled sweeps must not inherit a prior SetClasses
-	sw.reach = growFloats(sw.reach, sim.n)
-	if cap(sw.blocked) < sim.n {
-		sw.blocked = make([]bool, sim.n)
-	}
-	sw.blocked = sw.blocked[:sim.n]
 	return sw, nil
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // Release returns the sweep's buffers to per-graph pools for reuse by the
@@ -155,7 +138,6 @@ func (sw *LeakSweep) Release() {
 		return
 	}
 	sw.sim.ctx = nil
-	sw.sim.leakBlocked = nil
 	sweepPool.Put(sw)
 }
 
@@ -167,8 +149,6 @@ func (sw *LeakSweep) Clone() *LeakSweep {
 		base:    sw.base,
 		sim:     getSim(sw.base.g),
 		classes: sw.classes,
-		reach:   make([]float64, len(sw.reach)),
-		blocked: make([]bool, len(sw.blocked)),
 	}
 }
 
@@ -208,8 +188,6 @@ func (sw *LeakSweep) WithHijack(hijack bool) *LeakSweep {
 		base:    &nb,
 		sim:     getSim(nb.g),
 		classes: sw.classes,
-		reach:   make([]float64, len(sw.reach)),
-		blocked: make([]bool, len(sw.blocked)),
 	}
 }
 
@@ -249,8 +227,7 @@ func (sw *LeakSweep) runLeaker(leaker astopo.ASN, track bool) (li int32, propaga
 		sim.seeds = seeds
 		return li, false, nil // nothing to leak
 	}
-	blockedOnAllPaths(b.csr, b.order, b.counts, li, sw.reach, sw.blocked)
-	sim.leakBlocked = sw.blocked
+	sim.blockLeakLoops(b.csr, b.counts, li)
 	seeds = append(seeds, seed{idx: li, dist0: b.dist[li], flag: ViaLeak, exportAll: true})
 	sim.seeds = seeds
 	if !sim.propagate(seeds, cfg.Exclude, cfg.Locking, track, cfg.BreakTies) {

@@ -240,6 +240,19 @@ func (e *Env) engine(year int) (*tracesim.Engine, error) {
 	})
 }
 
+// userWeights is one preset's per-AS user population by dense graph index:
+// every leak panel of a year and its average-resilience line weight by the
+// same vector.
+func (e *Env) userWeights(year int) ([]float64, error) {
+	in, _, pop, err := e.preset(year)
+	if err != nil {
+		return nil, err
+	}
+	return memoize(e, fmt.Sprintf("weights/%d", year), func() ([]float64, error) {
+		return pop.WeightsDense(in.Graph), nil
+	})
+}
+
 // AvgResilience is the paper's "average resilience" line for one preset:
 // the mean detoured fraction over random (origin, leaker) pairs under
 // announce-to-all, by AS count and by user population. Every leak panel of
@@ -247,12 +260,16 @@ func (e *Env) engine(year int) (*tracesim.Engine, error) {
 // weights supplied: the AS fraction is the detour count over the AS count
 // and does not read them.
 func (e *Env) AvgResilience(year int) (asFrac, userFrac float64, err error) {
-	in, _, pop, err := e.preset(year)
+	in, _, _, err := e.preset(year)
 	if err != nil {
 		return 0, 0, err
 	}
 	v, err := memoize(e, fmt.Sprintf("avgres/%d", year), func() ([2]float64, error) {
-		as, user, err := bgpsim.AverageResilience(in.Graph, 20, 20, 0xA0E5, pop.WeightsDense(in.Graph))
+		weights, err := e.userWeights(year)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		as, user, err := bgpsim.AverageResilience(in.Graph, 20, 20, 0xA0E5, weights)
 		return [2]float64{as, user}, err
 	})
 	return v[0], v[1], err

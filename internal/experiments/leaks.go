@@ -75,7 +75,11 @@ func leakPanel(in *topogen.Internet, classes *bgpsim.ClassIndex, origin astopo.A
 // serve an AS-count figure (Fig. 8) and a user-weighted one (Fig. 9).
 func (e *Env) LeakPanel(origin astopo.ASN) ([][]bgpsim.LeakTrial, error) {
 	return memoize(e, fmt.Sprintf("leakpanel/%d", origin), func() ([][]bgpsim.LeakTrial, error) {
-		return leakPanel(e.In2020, e.M2020.SweepClasses(), origin, e.Pop2020.WeightsDense(e.In2020.Graph))
+		weights, err := e.userWeights(2020)
+		if err != nil {
+			return nil, err
+		}
+		return leakPanel(e.In2020, e.M2020.SweepClasses(), origin, weights)
 	})
 }
 

@@ -111,6 +111,7 @@ func TestDerivedResultsBuiltOnce(t *testing.T) {
 		fmt.Sprintf("leakpanel/%d", google): 1, // was 2: Fig. 8 and Fig. 9
 		"leakpanel/":                        5, // Fig. 7's four origins and Google
 		"fig10":                             1,
+		"weights/2020":                      1, // was 6: once per panel and once for the baseline
 	} {
 		if got := env.builds(prefix); got != want {
 			t.Errorf("%d builds under %q, want %d", got, prefix, want)
