@@ -16,7 +16,7 @@ import (
 // BenchmarkClusterSweep measures the sharded full-scale all-AS sweep
 // through a coordinator Pool fanning out to N in-process flatnetd workers
 // over real loopback HTTP — the whole cluster path: shard partitioning,
-// JSON wire round-trips, and merge. Workers run with MaxConcurrent=1 (one
+// coalesced binary-frame round trips, and merge. Workers run with MaxConcurrent=1 (one
 // shard per slot, the cluster's backpressure contract) and CacheSize=1 so
 // every iteration recomputes its shards instead of replaying the result
 // cache. On a multi-core host the ns/AS metric drops roughly with worker

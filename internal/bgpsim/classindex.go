@@ -208,10 +208,6 @@ func (ci *ClassIndex) ClassOf(i int) int32 { return ci.classOf[i] }
 // member).
 func (ci *ClassIndex) Rep(c int) int32 { return ci.reps[c] }
 
-// Reps returns the representatives of all classes, indexed by class id.
-// The returned slice is shared; callers must not modify it.
-func (ci *ClassIndex) Reps() []int32 { return ci.reps }
-
 // Size returns the member count of class c.
 func (ci *ClassIndex) Size(c int) int32 { return ci.size[c] }
 
@@ -221,18 +217,6 @@ func (ci *ClassIndex) CollapseRatio() float64 {
 		return 1
 	}
 	return float64(ci.n) / float64(len(ci.reps))
-}
-
-// Expand scatters per-class counts to per-AS counts: out[i] =
-// classCounts[ClassOf(i)]. Every class member's reachability equals its
-// representative's exactly (see the type comment), including the self-bit:
-// the engine's count already excludes the origin itself, and the
-// member-swap automorphism maps the representative's reach set onto the
-// member's bijectively.
-func (ci *ClassIndex) Expand(classCounts []int, out []int) {
-	for i, c := range ci.classOf {
-		out[i] = classCounts[c]
-	}
 }
 
 // Evolve derives the class index of ng from this one, given that only the

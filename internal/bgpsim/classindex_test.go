@@ -28,7 +28,8 @@ func tiersFor(g *astopo.Graph, rng *rand.Rand) (astopo.ASSet, astopo.ASSet) {
 // Soundness of the collapse itself: every member of a class must have
 // exactly the count of its representative, for every tier-derived base
 // mask shape, with and without per-origin provider masking. This is the
-// property Expand relies on.
+// property every classed sweep relies on when it copies a representative's
+// count to its classmates.
 func TestClassIndexMembersEquivalent(t *testing.T) {
 	collapsed := 0
 	for seed := int64(0); seed < 110; seed++ {

@@ -49,6 +49,11 @@ func TestShardRangesPartitionAndAlign(t *testing.T) {
 	if got := shardRanges(0, 4, 64); got != nil {
 		t.Fatalf("n=0: got %v, want nil", got)
 	}
+	// A full-scale sweep on two slots splits evenly: 18 shards of 61
+	// blocks drain 9 and 9, where 17 of 64 would drain 9 and 8.
+	if got := shardRanges(69488, 2, 64); len(got) != 18 || got[0].Hi != 61*laneWidth {
+		t.Fatalf("69,488 ASes on 2 slots: %d shards, first %v; want 18 of 61 blocks", len(got), got[0])
+	}
 }
 
 func TestCanonicalAddr(t *testing.T) {
@@ -113,29 +118,35 @@ func TestDatasetHashStableAndDistinct(t *testing.T) {
 	}
 }
 
-// fakeWorker serves PathSweep with counts[i] = base + index, so merged
-// results are fully predictable. The fail gate, once set, turns every
-// subsequent shard request into a 500 — the "worker dies between shard
-// responses" scenario.
+// fakeWorker is a frames-only shard server with predictable answers:
+// counts[i] = lo + i for every requested range (ranges or a bare lo/hi),
+// one length-prefixed frame per range, and counts[i] = origins[i] for an
+// origin list. The fail gate,
+// once set, turns every subsequent shard request into a 500 — the "worker
+// dies between shard responses" scenario.
 type fakeWorker struct {
 	srv    *httptest.Server
-	served atomic.Int64
+	served atomic.Int64 // sweep requests answered
 	fail   atomic.Bool
-	delay  time.Duration
 
 	// dieAfter > 0 makes the sweep handler set fail itself, before it
-	// answers the dieAfter-th shard, so the death is ordered by the
+	// answers the dieAfter-th request, so the death is ordered by the
 	// worker's own responses and not by a watcher's clock.
 	dieAfter int64
 	// onSweep, when set, runs at the top of every sweep request (failing
 	// says whether the request is about to be refused); tests block in it
 	// to order two workers' answers without sleeping.
 	onSweep func(failing bool)
+	// corrupt makes a multi-range answer keep its first frame and then
+	// trail junk, and takes the worker dark (healthz included) so the
+	// remaining shards drain through the local fallback instead of racing
+	// the prober.
+	corrupt bool
 }
 
-func newFakeWorker(t *testing.T, base int, delay time.Duration) *fakeWorker {
+func newFakeWorker(t *testing.T) *fakeWorker {
 	t.Helper()
-	fw := &fakeWorker{delay: delay}
+	fw := &fakeWorker{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if fw.fail.Load() {
@@ -153,26 +164,45 @@ func newFakeWorker(t *testing.T, base int, delay time.Duration) *fakeWorker {
 			http.Error(w, "down", http.StatusInternalServerError)
 			return
 		}
-		if fw.delay > 0 {
-			select {
-			case <-time.After(fw.delay):
-			case <-r.Context().Done():
-				return
-			}
-		}
 		var req SweepRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		counts := make([]int, req.Hi-req.Lo)
-		for i := range counts {
-			counts[i] = base + req.Lo + i
+		var body []byte
+		appendFrame := func(counts []int) {
+			frame := AppendCounts(nil, counts)
+			body = AppendFramePrefix(body, len(frame))
+			body = append(body, frame...)
+		}
+		if len(req.Origins) > 0 {
+			counts := make([]int, len(req.Origins))
+			for i, o := range req.Origins {
+				counts[i] = int(o)
+			}
+			appendFrame(counts)
+		}
+		ranges := req.Ranges
+		if req.Lo != 0 || req.Hi != 0 {
+			ranges = []Range{{req.Lo, req.Hi}} // a bare lo/hi is a one-element ranges
+		}
+		for k, rg := range ranges {
+			if fw.corrupt && k == 1 {
+				fw.fail.Store(true)
+				body = append(body, "not a frame"...)
+				break
+			}
+			counts := make([]int, rg.Hi-rg.Lo)
+			for i := range counts {
+				counts[i] = rg.Lo + i
+			}
+			appendFrame(counts)
 		}
 		if fw.served.Add(1) == fw.dieAfter {
 			fw.fail.Store(true)
 		}
-		json.NewEncoder(w).Encode(SweepResponse{Counts: counts})
+		w.Header().Set("Content-Type", WireContentType)
+		w.Write(body)
 	})
 	fw.srv = httptest.NewServer(mux)
 	t.Cleanup(fw.srv.Close)
@@ -190,92 +220,32 @@ func newTestPool(t *testing.T, cfg PoolConfig, workers ...*fakeWorker) *Pool {
 	return p
 }
 
-// newWireWorker is fakeWorker's current-version sibling: it answers
-// PathSweep with binary wire frames and understands the coalesced
-// multi-range form, with the same predictable counts[i] = base + index.
-func newWireWorker(t *testing.T, base int) *fakeWorker {
-	t.Helper()
-	fw := &fakeWorker{}
-	counts := func(lo, hi int) []int {
-		c := make([]int, hi-lo)
-		for i := range c {
-			c[i] = base + lo + i
-		}
-		return c
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	})
-	mux.HandleFunc("POST "+PathSweep, func(w http.ResponseWriter, r *http.Request) {
-		var req SweepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fw.served.Add(1)
-		w.Header().Set("Content-Type", WireContentType)
-		if len(req.Ranges) > 0 {
-			var body []byte
-			for _, rg := range req.Ranges {
-				frame := AppendCounts(nil, counts(rg.Lo, rg.Hi))
-				body = AppendFramePrefix(body, len(frame))
-				body = append(body, frame...)
-			}
-			w.Write(body)
-			return
-		}
-		w.Write(AppendCounts(nil, counts(req.Lo, req.Hi)))
-	})
-	fw.srv = httptest.NewServer(mux)
-	t.Cleanup(fw.srv.Close)
-	return fw
-}
-
-// TestPoolCoalescesWireShards pins the capability gate and the round-trip
-// collapse: the first shard of a fresh worker goes out singly (wire
-// capability unproven), its response latches wireOK, and from then on a
-// puller drains the queue into multi-range requests — while the merged
-// counts stay exactly the identity either way.
+// TestPoolCoalescesWireShards pins the round-trip collapse: a puller
+// drains the queue into one multi-range request from a fresh worker's
+// very first pull, with no capability round trip first, and the merged
+// counts stay exactly the identity.
 func TestPoolCoalescesWireShards(t *testing.T) {
-	fw := newWireWorker(t, 0)
+	fw := newFakeWorker(t)
 	// A huge hedge delay makes round-trip counts deterministic: no
 	// duplicate dispatches to muddy the served counter.
 	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour}, fw)
 	const n = 64 * 8 // 8 one-block shards, one slot
-	counts, err := p.SweepCounts(context.Background(), "full", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIdentity(t, counts, n)
-	st := p.StatsSnapshot()
-	// Shard 0 single, then the puller drains shards 1..7 into one
-	// coalesced request: exactly two round trips for eight shards.
-	if got := fw.served.Load(); got != 2 {
-		t.Fatalf("sweep took %d round trips, want 2 (1 single + 1 coalesced); stats %+v", got, st)
-	}
-	if st.MultiBatches != 1 {
-		t.Fatalf("multi batches = %d, want 1", st.MultiBatches)
-	}
-	if st.WireShards != 8 || st.RemoteShards != 8 {
-		t.Fatalf("wire/remote shards = %d/%d, want 8/8", st.WireShards, st.RemoteShards)
-	}
-	// Second sweep: capability already proven, so the whole queue drains
-	// into a single multi-range request.
-	counts, err = p.SweepCounts(context.Background(), "full", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIdentity(t, counts, n)
-	st = p.StatsSnapshot()
-	if got := fw.served.Load(); got != 3 {
-		t.Fatalf("second sweep took %d extra round trips, want 1 coalesced; stats %+v", got-2, st)
-	}
-	if st.MultiBatches != 2 || st.WireShards != 16 {
-		t.Fatalf("after two sweeps: multi batches = %d, wire shards = %d; want 2, 16", st.MultiBatches, st.WireShards)
-	}
-	if st.WireSaved <= 0 {
-		t.Fatalf("wire_saved_bytes = %d, want > 0", st.WireSaved)
+	for sweep := int64(1); sweep <= 2; sweep++ {
+		counts, err := p.SweepCounts(context.Background(), "full", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIdentity(t, counts, n)
+		st := p.StatsSnapshot()
+		if got := fw.served.Load(); got != sweep {
+			t.Fatalf("after sweep %d: %d round trips, want %d (one per sweep); stats %+v", sweep, got, sweep, st)
+		}
+		if st.MultiBatches != sweep || st.RemoteShards != 8*sweep {
+			t.Fatalf("after sweep %d: multi batches = %d, remote shards = %d; want %d, %d", sweep, st.MultiBatches, st.RemoteShards, sweep, 8*sweep)
+		}
+		if st.WireBytes <= 0 {
+			t.Fatalf("wire_bytes = %d, want > 0", st.WireBytes)
+		}
 	}
 }
 
@@ -283,44 +253,8 @@ func TestPoolCoalescesWireShards(t *testing.T) {
 // is garbage must not poison the merge — every member is requeued and the
 // query drains through the fallback with the exact answer.
 func TestPoolMultiFailureRequeuesMembers(t *testing.T) {
-	fw := &fakeWorker{}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if fw.fail.Load() {
-			http.Error(w, "down", http.StatusInternalServerError)
-			return
-		}
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	})
-	mux.HandleFunc("POST "+PathSweep, func(w http.ResponseWriter, r *http.Request) {
-		var req SweepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fw.served.Add(1)
-		w.Header().Set("Content-Type", WireContentType)
-		if len(req.Ranges) > 0 {
-			// Valid first frame, then junk: the decoder must reject the
-			// response as a unit. The worker also goes dark (healthz
-			// included), so the remaining members deterministically drain
-			// through the local fallback instead of racing the prober.
-			fw.fail.Store(true)
-			frame := AppendCounts(nil, make([]int, req.Ranges[0].Hi-req.Ranges[0].Lo))
-			body := AppendFramePrefix(nil, len(frame))
-			body = append(body, frame...)
-			w.Write(append(body, "not a frame"...))
-			return
-		}
-		c := make([]int, req.Hi-req.Lo)
-		for i := range c {
-			c[i] = req.Lo + i
-		}
-		w.Write(AppendCounts(nil, c))
-	})
-	fw.srv = httptest.NewServer(mux)
-	t.Cleanup(fw.srv.Close)
-
+	fw := newFakeWorker(t)
+	fw.corrupt = true
 	var localCalls atomic.Int64
 	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour, MaxAttempts: 2,
 		LocalSweep: func(_ context.Context, _ string, lo, hi int) ([]int, error) {
@@ -338,8 +272,8 @@ func TestPoolMultiFailureRequeuesMembers(t *testing.T) {
 	}
 	wantIdentity(t, counts, n)
 	st := p.StatsSnapshot()
-	if st.LocalShards == 0 {
-		t.Fatalf("corrupt multi responses never drained to the local fallback (stats %+v)", st)
+	if st.LocalShards == 0 || st.RemoteShards != 0 {
+		t.Fatalf("a corrupt multi response must be rejected whole and drain locally (stats %+v)", st)
 	}
 }
 
@@ -356,8 +290,19 @@ func wantIdentity(t *testing.T, got []int, n int) {
 }
 
 func TestPoolSweepMergesShards(t *testing.T) {
-	p := newTestPool(t, PoolConfig{ShardBlocks: 1},
-		newFakeWorker(t, 0, 0), newFakeWorker(t, 0, 0))
+	// Each worker's first request waits until the other has one too, so
+	// neither can drain the whole queue before its peer pulls.
+	var seen atomic.Int32
+	both := make(chan struct{})
+	meet := func(bool) {
+		if seen.Add(1) == 2 {
+			close(both)
+		}
+		<-both
+	}
+	w1, w2 := newFakeWorker(t), newFakeWorker(t)
+	w1.onSweep, w2.onSweep = meet, meet
+	p := newTestPool(t, PoolConfig{ShardBlocks: 1}, w1, w2)
 	const n = 1000 // 16 shards at one block each
 	counts, err := p.SweepCounts(context.Background(), "full", n)
 	if err != nil {
@@ -378,28 +323,29 @@ func TestPoolSweepMergesShards(t *testing.T) {
 	}
 }
 
-// TestPoolRetriesOnWorkerDeath kills one worker after its first shard
-// response; the remaining shards must be retried on the healthy peer and
-// the merged result must be exactly what a single process would produce.
-// The death is the dying worker's own doing (dieAfter), and the healthy
-// peer answers nothing until the dying one has refused a shard, so the
-// queue cannot drain before the failure is seen; with hedging out of the
-// picture the refused shard's second attempt is always a counted retry.
+// TestPoolRetriesOnWorkerDeath kills one worker after its first response;
+// the shards it refuses must be retried on the healthy peer and the merged
+// result must be exactly what a single process would produce. The death
+// is the dying worker's own doing (dieAfter), and the healthy peer answers
+// nothing until the dying one has refused a request. Each pull takes at
+// most 32 of the 128 shards, so the dying worker always pulls a second
+// batch to refuse; with hedging out of the picture every refused shard's
+// second attempt is a counted retry.
 func TestPoolRetriesOnWorkerDeath(t *testing.T) {
 	refused := make(chan struct{})
 	var once sync.Once
-	dying := newFakeWorker(t, 0, 0)
+	dying := newFakeWorker(t)
 	dying.dieAfter = 1
 	dying.onSweep = func(failing bool) {
 		if failing {
 			once.Do(func() { close(refused) })
 		}
 	}
-	healthy := newFakeWorker(t, 0, 0)
+	healthy := newFakeWorker(t)
 	healthy.onSweep = func(bool) { <-refused }
 	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour}, dying, healthy)
 
-	const n = 2048 // 32 shards
+	const n = 8192 // 128 shards
 	counts, err := p.SweepCounts(context.Background(), "full", n)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +363,7 @@ func TestPoolRetriesOnWorkerDeath(t *testing.T) {
 }
 
 func TestPoolAllWorkersDeadFallsBackToLocal(t *testing.T) {
-	dead := newFakeWorker(t, 0, 0)
+	dead := newFakeWorker(t)
 	dead.fail.Store(true)
 	var localCalls atomic.Int64
 	cfg := PoolConfig{ShardBlocks: 1, MaxAttempts: 2,
@@ -444,7 +390,7 @@ func TestPoolAllWorkersDeadFallsBackToLocal(t *testing.T) {
 }
 
 func TestPoolAllWorkersDeadNoLocalFails(t *testing.T) {
-	dead := newFakeWorker(t, 0, 0)
+	dead := newFakeWorker(t)
 	dead.fail.Store(true)
 	p := newTestPool(t, PoolConfig{ShardBlocks: 1, MaxAttempts: 2}, dead)
 	_, err := p.SweepCounts(context.Background(), "full", 500)
@@ -460,7 +406,7 @@ func TestPoolShedsBeyondMaxQueries(t *testing.T) {
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
 	defer free()
-	slow := newFakeWorker(t, 0, 0)
+	slow := newFakeWorker(t)
 	slow.onSweep = func(bool) { <-release }
 	p := newTestPool(t, PoolConfig{ShardBlocks: 64, MaxQueries: 1, HedgeDelay: time.Hour}, slow)
 
@@ -502,12 +448,12 @@ func TestPoolHedgesStragglers(t *testing.T) {
 	stuck, release := make(chan struct{}), make(chan struct{})
 	defer close(release)
 	var once sync.Once
-	slow := newFakeWorker(t, 0, 0)
+	slow := newFakeWorker(t)
 	slow.onSweep = func(bool) {
 		once.Do(func() { close(stuck) })
 		<-release
 	}
-	fast := newFakeWorker(t, 0, 0)
+	fast := newFakeWorker(t)
 	fast.onSweep = func(bool) { <-stuck }
 	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: 20 * time.Millisecond}, slow, fast)
 
@@ -521,33 +467,12 @@ func TestPoolHedgesStragglers(t *testing.T) {
 	}
 }
 
+// TestPoolBatchCountsMergeInRequestOrder: origin-list shards go out one
+// per request (the request names one slice of the list) and merge back in
+// input order.
 func TestPoolBatchCountsMergeInRequestOrder(t *testing.T) {
-	// Workers echo base+Lo+i for range requests; for origin-list requests
-	// the fake needs the origin itself, so extend: serve counts[i] =
-	// int(origins[i]) when an origin list is present.
-	mkWorker := func() *fakeWorker {
-		fw := &fakeWorker{}
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-			fmt.Fprintln(w, `{"status":"ok"}`)
-		})
-		mux.HandleFunc("POST "+PathSweep, func(w http.ResponseWriter, r *http.Request) {
-			var req SweepRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			counts := make([]int, len(req.Origins))
-			for i, o := range req.Origins {
-				counts[i] = int(o)
-			}
-			json.NewEncoder(w).Encode(SweepResponse{Counts: counts})
-		})
-		fw.srv = httptest.NewServer(mux)
-		t.Cleanup(fw.srv.Close)
-		return fw
-	}
-	p := newTestPool(t, PoolConfig{ShardBlocks: 1}, mkWorker(), mkWorker())
+	w1, w2 := newFakeWorker(t), newFakeWorker(t)
+	p := newTestPool(t, PoolConfig{ShardBlocks: 1}, w1, w2)
 	origins := make([]uint32, 300)
 	for i := range origins {
 		origins[i] = uint32(10000 + i)
@@ -560,5 +485,8 @@ func TestPoolBatchCountsMergeInRequestOrder(t *testing.T) {
 		if c != int(origins[i]) {
 			t.Fatalf("counts[%d] = %d, want %d (request order lost)", i, c, origins[i])
 		}
+	}
+	if st := p.StatsSnapshot(); st.MultiBatches != 0 || st.RemoteShards != 5 {
+		t.Fatalf("multi batches = %d, remote shards = %d; want 0, 5 (one request per shard)", st.MultiBatches, st.RemoteShards)
 	}
 }

@@ -9,31 +9,17 @@ import (
 	"time"
 )
 
-// encodeShardBodies marshals every shard's request once, up front. Retries
-// and hedges re-send the same bytes wrapped in a fresh reader (postShard),
-// instead of paying a json.Marshal per attempt.
-func encodeShardBodies(shards []shardRange, build func(s shardRange) any) ([][]byte, error) {
-	bodies := make([][]byte, len(shards))
-	for i, s := range shards {
-		b, err := json.Marshal(build(s))
-		if err != nil {
-			return nil, err
-		}
-		bodies[i] = b
-	}
-	return bodies, nil
-}
-
-// shardRange is one contiguous slice [Lo, Hi) of a partitioned sweep.
-type shardRange struct{ Lo, Hi int }
-
 // shardRanges partitions [0, n) into 64-aligned shards. It aims for about
 // four shards per worker slot — enough granularity that a straggler near
 // the end of a sweep idles no one — but never lets a shard exceed
 // maxBlocks 64-origin blocks, so a retried or hedged shard stays cheap.
-// Every boundary except possibly the last is a multiple of laneWidth,
-// which keeps every propagation word of the bit-parallel engine full.
-func shardRanges(n, slots, maxBlocks int) []shardRange {
+// The shard count is rounded up to a multiple of slots and the blocks
+// spread evenly over it, so the even drain split (see fanout) hands every
+// slot the same amount of work: 69,488 ASes on two slots are 18 shards of
+// 61 blocks, not 17 of 64 split 9 to 8. Every boundary except possibly the
+// last is a multiple of laneWidth, which keeps every propagation word of
+// the bit-parallel engine full.
+func shardRanges(n, slots, maxBlocks int) []Range {
 	if n <= 0 {
 		return nil
 	}
@@ -44,18 +30,17 @@ func shardRanges(n, slots, maxBlocks int) []shardRange {
 		maxBlocks = 1
 	}
 	blocks := (n + laneWidth - 1) / laneWidth
-	per := (blocks + slots*4 - 1) / (slots * 4)
-	if per > maxBlocks {
-		per = maxBlocks
-	}
+	count := max(slots*4, (blocks+maxBlocks-1)/maxBlocks)
+	count = (count + slots - 1) / slots * slots
+	per := (blocks + count - 1) / count
 	step := per * laneWidth
-	out := make([]shardRange, 0, (n+step-1)/step)
+	out := make([]Range, 0, (n+step-1)/step)
 	for lo := 0; lo < n; lo += step {
 		hi := lo + step
 		if hi > n {
 			hi = n
 		}
-		out = append(out, shardRange{lo, hi})
+		out = append(out, Range{lo, hi})
 	}
 	return out
 }
@@ -71,9 +56,9 @@ func (p *Pool) admit() error {
 	return nil
 }
 
-// maxCoalesce bounds how many queued shards one multi-range request may
-// carry. The cap limits the blast radius of a single lost response and
-// keeps any one request's latency (the worker computes its ranges
+// maxCoalesce bounds how many queued shards one request may carry. The
+// cap limits the blast radius of a single lost response and keeps any one
+// request's latency (the worker computes its ranges
 // sequentially under one serving slot) within a small multiple of a
 // single shard's.
 const maxCoalesce = 32
@@ -82,28 +67,23 @@ const maxCoalesce = 32
 // each shard's result exactly once.
 //
 // Mechanics: shards go into a queue; each healthy worker gets one puller
-// goroutine per slot. A failed attempt demotes the worker (one strike —
-// the background prober restores it) and requeues the shard for a peer,
-// up to MaxAttempts tries. The first attempt of each shard arms a hedge
-// timer: if the shard is still unfinished at the hedge delay, a duplicate
-// is dispatched to another worker and the first result wins. Completion
-// is a per-shard CAS, so of two racing attempts only the winner commits —
-// that CAS is the whole merging-safety argument — and the loser's request
-// is canceled via a per-shard context. If every worker dies mid-query, a
-// monitor drains the remaining shards through the local fallback; with no
-// fallback the query fails instead of hanging.
-//
-// Coalescing: when the caller supplies remoteMulti and a worker has
-// proven wire-capable, its puller drains up to batchCap queued shards and
-// sends them as one multi-range request — the streaming merge that turns
-// a fan-out's per-shard HTTP round trips into a handful of requests whose
-// frames decode straight into disjoint slices of the merge output. Every
-// member still finishes through its own CAS (hedge singles race coalesced
-// members safely), and a failed batch requeues each member individually,
-// so coalescing changes round-trip count, never the merge semantics.
-func (p *Pool) fanout(ctx context.Context, n int,
-	remote func(ctx context.Context, w *Worker, i int) (func(), error),
-	remoteMulti func(ctx context.Context, w *Worker, idxs []int) ([]func(), error),
+// goroutine per slot. A puller drains up to maxBatch queued shards (fewer
+// when an even split across every healthy slot is smaller) and sends them
+// as one request — the streaming merge that turns a fan-out's per-shard
+// round trips into a handful of requests whose frames decode straight into
+// disjoint slices of the merge output. A failed attempt demotes the worker
+// (one strike — the background prober restores it) and requeues each
+// member for a peer, up to MaxAttempts tries per shard. The first attempt
+// of each shard arms a hedge timer: if the shard is still unfinished at
+// the hedge delay, a duplicate is dispatched to another worker and the
+// first result wins. Completion is a per-shard CAS, so of two racing
+// attempts only the winner commits — that CAS is the whole merging-safety
+// argument — and a single-shard loser's request is canceled via its
+// per-shard context. If every worker dies mid-query, a monitor drains the
+// remaining shards through the local fallback; with no fallback the query
+// fails instead of hanging.
+func (p *Pool) fanout(ctx context.Context, n, maxBatch int,
+	remote func(ctx context.Context, w *Worker, idxs []int) ([]func(), error),
 	local func(ctx context.Context, i int) (func(), error)) error {
 	if n == 0 {
 		return nil
@@ -215,33 +195,9 @@ func (p *Pool) fanout(ctx context.Context, n int,
 		}
 		return true
 	}
-	// exec is the remote half of a single-shard attempt.
-	exec := func(w *Worker, i int) {
-		w.inflight.Add(1)
-		start := time.Now()
-		commit, err := remote(sctx[i], w, i)
-		w.inflight.Add(-1)
-		if err != nil {
-			if sctx[i].Err() != nil {
-				return // shard already won or query canceled; not the worker's fault
-			}
-			w.fails.Add(1)
-			w.healthy.Store(false) // one strike; the prober restores it
-			requeue(i)
-			return
-		}
-		p.lat.record(time.Since(start))
-		w.shards.Add(1)
-		if finish(i, commit, &p.remote) {
-			scancel[i]()
-		}
-	}
-	attempt := func(w *Worker, i int) {
-		if preAttempt(i) {
-			exec(w, i)
-		}
-	}
-	attemptMulti := func(w *Worker, batch []int) {
+	// attempt sends the live members of one drained batch to w in a single
+	// request.
+	attempt := func(w *Worker, batch []int) {
 		live := batch[:0]
 		for _, i := range batch {
 			if preAttempt(i) {
@@ -251,32 +207,32 @@ func (p *Pool) fanout(ctx context.Context, n int,
 		if len(live) == 0 {
 			return
 		}
+		// A lone shard runs under its own context, so a hedge winner
+		// cancels it; a coalesced request runs under the query context: a
+		// hedge winning one member must not abort the members still
+		// pending. The per-shard CAS keeps the race safe either way — a
+		// loser's commit simply never runs.
+		actx := qctx
 		if len(live) == 1 {
-			exec(w, live[0])
-			return
+			actx = sctx[live[0]]
 		}
-		// One request for the whole batch, under the query context rather
-		// than a per-shard one: a hedge winning one member must not abort
-		// the members still pending. The per-shard CAS keeps the race
-		// safe either way — a loser's commit simply never runs.
 		w.inflight.Add(int64(len(live)))
 		start := time.Now()
-		commits, err := remoteMulti(qctx, w, live)
+		commits, err := remote(actx, w, live)
 		w.inflight.Add(-int64(len(live)))
 		if err != nil {
-			if qctx.Err() != nil {
-				return
+			if actx.Err() != nil {
+				return // shard already won or query canceled; not the worker's fault
 			}
 			w.fails.Add(1)
-			w.healthy.Store(false)
+			w.healthy.Store(false) // one strike; the prober restores it
 			for _, i := range live {
 				requeue(i)
 			}
 			return
 		}
-		// One latency sample for the batch: the adaptive hedge point then
-		// tracks round-trip cost at the granularity work is actually
-		// dispatched.
+		// One latency sample per request: the adaptive hedge point tracks
+		// round-trip cost at the granularity work is actually dispatched.
 		p.lat.record(time.Since(start))
 		for k, i := range live {
 			w.shards.Add(1)
@@ -286,20 +242,14 @@ func (p *Pool) fanout(ctx context.Context, n int,
 		}
 	}
 
-	// batchCap is the coalescing drain limit: an even split of the shard
-	// count across every healthy slot, so the first puller to reach the
-	// queue cannot starve its peers, capped by maxCoalesce.
-	batchCap := 0
-	if remoteMulti != nil {
-		slots := 0
-		for _, w := range workers {
-			slots += w.slots
-		}
-		batchCap = (n + slots - 1) / slots
-		if batchCap > maxCoalesce {
-			batchCap = maxCoalesce
-		}
+	// batchCap is the drain limit: an even split of the shard count across
+	// every healthy slot, so the first puller to reach the queue cannot
+	// starve its peers, capped by maxBatch.
+	slots := 0
+	for _, w := range workers {
+		slots += w.slots
 	}
+	batchCap := min((n+slots-1)/slots, maxBatch)
 
 	var wg sync.WaitGroup
 	for _, w := range workers {
@@ -318,13 +268,6 @@ func (p *Pool) fanout(ctx context.Context, n int,
 					case <-allDone:
 						return
 					case i := <-queue:
-						// Coalesce only once the worker has proven it
-						// speaks the wire protocol (see Worker.wireOK);
-						// until then every shard goes out singly.
-						if batchCap < 2 || !w.wireOK.Load() {
-							attempt(w, i)
-							continue
-						}
 						batch = append(batch[:0], i)
 					drain:
 						for len(batch) < batchCap {
@@ -335,7 +278,7 @@ func (p *Pool) fanout(ctx context.Context, n int,
 								break drain
 							}
 						}
-						attemptMulti(w, batch)
+						attempt(w, batch)
 					}
 				}
 			}(w)
@@ -392,6 +335,63 @@ func (p *Pool) fanout(ctx context.Context, n int,
 	}
 }
 
+// query is one fan-out: n results partitioned into 64-aligned shards, each
+// drained batch of shards posted to path as request(ranges) and answered
+// with one frame per shard, vetted by check and merged by decode.
+type query[T int | float64] struct {
+	n    int
+	path string
+	// maxBatch caps the shards one request carries: maxCoalesce for range
+	// sweeps, 1 for the shapes whose request names a single slice.
+	maxBatch int
+	request  func(rs []Range) any
+	check    func(frame []byte, n int) error
+	decode   func(dst []T, frame []byte) error
+	// local computes results [lo, hi) on the coordinator; nil means no
+	// fallback.
+	local func(ctx context.Context, lo, hi int) ([]T, error)
+}
+
+// run admits q, fans it out, and returns the merged results in partition
+// order — every shard a disjoint slice of the output, so the merge is a
+// concatenation.
+func run[T int | float64](ctx context.Context, p *Pool, q query[T]) ([]T, error) {
+	if err := p.admit(); err != nil {
+		return nil, err
+	}
+	defer p.queries.Add(-1)
+	shards := shardRanges(q.n, p.totalSlots(), p.cfg.ShardBlocks)
+	out := make([]T, q.n)
+	remote := func(ctx context.Context, w *Worker, idxs []int) ([]func(), error) {
+		rs := make([]Range, len(idxs))
+		dsts := make([][]T, len(idxs))
+		for k, i := range idxs {
+			rs[k] = shards[i]
+			dsts[k] = out[shards[i].Lo:shards[i].Hi]
+		}
+		body, err := json.Marshal(q.request(rs))
+		if err != nil {
+			return nil, err
+		}
+		return fetchFrames(ctx, p, w, q.path, body, dsts, q.check, q.decode)
+	}
+	var local func(context.Context, int) (func(), error)
+	if q.local != nil {
+		local = func(ctx context.Context, i int) (func(), error) {
+			s := shards[i]
+			vals, err := q.local(ctx, s.Lo, s.Hi)
+			if err != nil {
+				return nil, err
+			}
+			return func() { copy(out[s.Lo:s.Hi], vals) }, nil
+		}
+	}
+	if err := p.fanout(ctx, len(shards), q.maxBatch, remote, local); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // SweepCounts computes the reachability count of every dense graph index
 // in [0, n) for the named kind, partitioned across the cluster. The
 // merged slice is exactly what core.Metrics.ReachabilityAll returns: each
@@ -399,104 +399,12 @@ func (p *Pool) fanout(ctx context.Context, n int,
 // are exact integers, so concatenation is byte-identical to the
 // single-process sweep.
 func (p *Pool) SweepCounts(ctx context.Context, kind string, n int) ([]int, error) {
-	if err := p.admit(); err != nil {
-		return nil, err
-	}
-	defer p.queries.Add(-1)
-	shards := shardRanges(n, p.totalSlots(), p.cfg.ShardBlocks)
-	out := make([]int, n)
-	bodies, err := encodeShardBodies(shards, func(s shardRange) any {
-		return SweepRequest{Kind: kind, Lo: s.Lo, Hi: s.Hi}
-	})
-	if err != nil {
-		return nil, err
-	}
-	remote := func(ctx context.Context, w *Worker, i int) (func(), error) {
-		s := shards[i]
-		return p.fetchCounts(ctx, w, PathSweep, bodies[i], out[s.Lo:s.Hi])
-	}
-	remoteMulti := p.countsMulti(kind, false, shards, out)
-	var local func(context.Context, int) (func(), error)
+	q := query[int]{n: n, path: PathSweep, maxBatch: maxCoalesce, check: CheckCounts, decode: DecodeCountsInto,
+		request: func(rs []Range) any { return SweepRequest{Kind: kind, Ranges: rs} }}
 	if p.cfg.LocalSweep != nil {
-		local = func(ctx context.Context, i int) (func(), error) {
-			s := shards[i]
-			counts, err := p.cfg.LocalSweep(ctx, kind, s.Lo, s.Hi)
-			if err != nil {
-				return nil, err
-			}
-			return func() { copy(out[s.Lo:s.Hi], counts) }, nil
-		}
+		q.local = func(ctx context.Context, lo, hi int) ([]int, error) { return p.cfg.LocalSweep(ctx, kind, lo, hi) }
 	}
-	if err := p.fanout(ctx, len(shards), remote, remoteMulti, local); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// countsMulti builds the coalesced-dispatch closure shared by SweepCounts
-// and ClassCounts: marshal the drained shards' ranges into one multi-range
-// request (per batch, not per shard — batch membership is only known at
-// drain time) and hand each member's frame back as a commit into its
-// disjoint slice of the merge output.
-func (p *Pool) countsMulti(kind string, classes bool, shards []shardRange, out []int) func(ctx context.Context, w *Worker, idxs []int) ([]func(), error) {
-	return func(ctx context.Context, w *Worker, idxs []int) ([]func(), error) {
-		req := SweepRequest{Kind: kind, Classes: classes, Ranges: make([]Range, len(idxs))}
-		dsts := make([][]int, len(idxs))
-		for k, i := range idxs {
-			s := shards[i]
-			req.Ranges[k] = Range(s)
-			dsts[k] = out[s.Lo:s.Hi]
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			return nil, err
-		}
-		return p.fetchCountsMulti(ctx, w, body, dsts)
-	}
-}
-
-// ClassCounts computes the reachability count of every equivalence-class
-// representative for class ids [0, nClasses), partitioned across the
-// cluster — the class-collapsed counterpart of SweepCounts. Class ids are
-// deterministic functions of the frozen world (see SweepRequest.Classes),
-// so shards merged from different workers concatenate to exactly the local
-// per-class vector; the caller expands it to per-AS counts with
-// ClassIndex.Expand. Sharding by class blocks rather than AS blocks keeps
-// every worker's propagation words full of *distinct* work — the collapse
-// ratio is paid once, up front, instead of per shard.
-func (p *Pool) ClassCounts(ctx context.Context, kind string, nClasses int) ([]int, error) {
-	if err := p.admit(); err != nil {
-		return nil, err
-	}
-	defer p.queries.Add(-1)
-	shards := shardRanges(nClasses, p.totalSlots(), p.cfg.ShardBlocks)
-	out := make([]int, nClasses)
-	bodies, err := encodeShardBodies(shards, func(s shardRange) any {
-		return SweepRequest{Kind: kind, Lo: s.Lo, Hi: s.Hi, Classes: true}
-	})
-	if err != nil {
-		return nil, err
-	}
-	remote := func(ctx context.Context, w *Worker, i int) (func(), error) {
-		s := shards[i]
-		return p.fetchCounts(ctx, w, PathSweep, bodies[i], out[s.Lo:s.Hi])
-	}
-	remoteMulti := p.countsMulti(kind, true, shards, out)
-	var local func(context.Context, int) (func(), error)
-	if p.cfg.LocalClasses != nil {
-		local = func(ctx context.Context, i int) (func(), error) {
-			s := shards[i]
-			counts, err := p.cfg.LocalClasses(ctx, kind, s.Lo, s.Hi)
-			if err != nil {
-				return nil, err
-			}
-			return func() { copy(out[s.Lo:s.Hi], counts) }, nil
-		}
-	}
-	if err := p.fanout(ctx, len(shards), remote, remoteMulti, local); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return run(ctx, p, q)
 }
 
 // BatchCounts computes reach counts for an explicit origin list (ASNs),
@@ -504,37 +412,14 @@ func (p *Pool) ClassCounts(ctx context.Context, kind string, nClasses int) ([]in
 // 64-aligned positions in the list, so each shard rides full bit-parallel
 // words on its worker and the concatenated result preserves input order.
 func (p *Pool) BatchCounts(ctx context.Context, origins []uint32, kind string) ([]int, error) {
-	if err := p.admit(); err != nil {
-		return nil, err
-	}
-	defer p.queries.Add(-1)
-	shards := shardRanges(len(origins), p.totalSlots(), p.cfg.ShardBlocks)
-	out := make([]int, len(origins))
-	bodies, err := encodeShardBodies(shards, func(s shardRange) any {
-		return SweepRequest{Kind: kind, Origins: origins[s.Lo:s.Hi]}
-	})
-	if err != nil {
-		return nil, err
-	}
-	remote := func(ctx context.Context, w *Worker, i int) (func(), error) {
-		s := shards[i]
-		return p.fetchCounts(ctx, w, PathSweep, bodies[i], out[s.Lo:s.Hi])
-	}
-	var local func(context.Context, int) (func(), error)
+	q := query[int]{n: len(origins), path: PathSweep, maxBatch: 1, check: CheckCounts, decode: DecodeCountsInto,
+		request: func(rs []Range) any { return SweepRequest{Kind: kind, Origins: origins[rs[0].Lo:rs[0].Hi]} }}
 	if p.cfg.LocalBatch != nil {
-		local = func(ctx context.Context, i int) (func(), error) {
-			s := shards[i]
-			counts, err := p.cfg.LocalBatch(ctx, kind, origins[s.Lo:s.Hi])
-			if err != nil {
-				return nil, err
-			}
-			return func() { copy(out[s.Lo:s.Hi], counts) }, nil
+		q.local = func(ctx context.Context, lo, hi int) ([]int, error) {
+			return p.cfg.LocalBatch(ctx, kind, origins[lo:hi])
 		}
 	}
-	if err := p.fanout(ctx, len(shards), remote, nil, local); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return run(ctx, p, q)
 }
 
 // LeakFracs replays a leak-trial batch across the cluster: leakers are
@@ -544,38 +429,13 @@ func (p *Pool) BatchCounts(ctx context.Context, origins []uint32, kind string) (
 // single-process engine would produce — the aggregate stats downstream
 // (mean, p95, worst) sum the same floats in the same order. n is the
 // actual sample length (bgpsim.SampleLeakers caps the request at the
-// graph size, so it can be below q.Trials); the caller computes it from
+// graph size, so it can be below lq.Trials); the caller computes it from
 // its own sample and every worker reproduces the identical sample.
-func (p *Pool) LeakFracs(ctx context.Context, q LeakQuery, n int) ([]float64, error) {
-	if err := p.admit(); err != nil {
-		return nil, err
-	}
-	defer p.queries.Add(-1)
-	shards := shardRanges(n, p.totalSlots(), p.cfg.ShardBlocks)
-	out := make([]float64, n)
-	bodies, err := encodeShardBodies(shards, func(s shardRange) any {
-		return LeakRequest{LeakQuery: q, Lo: s.Lo, Hi: s.Hi}
-	})
-	if err != nil {
-		return nil, err
-	}
-	remote := func(ctx context.Context, w *Worker, i int) (func(), error) {
-		s := shards[i]
-		return p.fetchFracs(ctx, w, PathLeak, bodies[i], out[s.Lo:s.Hi])
-	}
-	var local func(context.Context, int) (func(), error)
+func (p *Pool) LeakFracs(ctx context.Context, lq LeakQuery, n int) ([]float64, error) {
+	q := query[float64]{n: n, path: PathLeak, maxBatch: 1, check: CheckFracs, decode: DecodeFracsInto,
+		request: func(rs []Range) any { return LeakRequest{LeakQuery: lq, Lo: rs[0].Lo, Hi: rs[0].Hi} }}
 	if p.cfg.LocalLeak != nil {
-		local = func(ctx context.Context, i int) (func(), error) {
-			s := shards[i]
-			fracs, err := p.cfg.LocalLeak(ctx, q, s.Lo, s.Hi)
-			if err != nil {
-				return nil, err
-			}
-			return func() { copy(out[s.Lo:s.Hi], fracs) }, nil
-		}
+		q.local = func(ctx context.Context, lo, hi int) ([]float64, error) { return p.cfg.LocalLeak(ctx, lq, lo, hi) }
 	}
-	if err := p.fanout(ctx, len(shards), remote, nil, local); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return run(ctx, p, q)
 }

@@ -104,7 +104,8 @@ func DownloadSnapshot(ctx context.Context, client *http.Client, coordinator stri
 }
 
 // Join registers a worker with the coordinator. The coordinator rejects
-// (HTTP 409) a worker whose world hash differs from its own.
+// (HTTP 409) a worker whose world hash or wire version differs from its
+// own.
 func Join(ctx context.Context, client *http.Client, coordinator string, jr JoinRequest) (JoinResponse, error) {
 	var out JoinResponse
 	b, err := json.Marshal(jr)

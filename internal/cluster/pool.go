@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -44,37 +43,38 @@ type PoolConfig struct {
 
 	// HedgeDelay, when positive, hedges a shard onto a second worker after
 	// the fixed delay. When zero, the delay adapts: the 95th percentile of
-	// recent shard latencies (HedgePercentile), floored at HedgeMin, once
-	// enough samples exist.
+	// recent shard latencies, floored at 25ms, once enough samples exist.
 	HedgeDelay time.Duration
-	// HedgePercentile picks the adaptive hedge point (default 95).
-	HedgePercentile int
-	// HedgeMin floors the adaptive hedge delay (default 25ms).
-	HedgeMin time.Duration
 
 	// HealthInterval is the background health-probe period (default 2s);
 	// ProbeTimeout bounds one probe (default 1s).
 	HealthInterval time.Duration
 	ProbeTimeout   time.Duration
-	// ShardTimeout is forwarded as the per-shard compute deadline on
-	// worker requests (default 30s).
-	ShardTimeout time.Duration
 
-	// Client is the HTTP client for worker requests (default: a dedicated
-	// client with generous per-host keep-alive connections).
-	Client *http.Client
-
-	// LocalSweep and LocalLeak compute one shard on the coordinator
-	// itself. They are the fallback of last resort: used only when no
-	// healthy worker remains mid-query, so a dying cluster degrades to
-	// single-process service instead of failing.
+	// LocalSweep, LocalBatch and LocalLeak compute one shard on the
+	// coordinator itself. They are the fallback of last resort: used only
+	// when no healthy worker remains mid-query, so a dying cluster degrades
+	// to single-process service instead of failing.
 	LocalSweep func(ctx context.Context, kind string, lo, hi int) ([]int, error)
 	LocalBatch func(ctx context.Context, kind string, origins []uint32) ([]int, error)
 	LocalLeak  func(ctx context.Context, q LeakQuery, lo, hi int) ([]float64, error)
-	// LocalClasses computes one class-collapsed shard locally: counts for
-	// the equivalence-class representatives [clo, chi), one per class.
-	LocalClasses func(ctx context.Context, kind string, clo, chi int) ([]int, error)
 }
+
+// The fixed dispatch policy: the adaptive hedge point and its floor, and
+// the per-shard compute deadline forwarded on every worker request (30s).
+const (
+	hedgePercentile = 95
+	hedgeMin        = 25 * time.Millisecond
+	shardTimeoutQS  = "?timeout=30s"
+)
+
+// httpClient carries every worker request, with generous per-host
+// keep-alive connections so a fan-out reuses its sockets.
+var httpClient = &http.Client{Transport: &http.Transport{
+	MaxIdleConns:        256,
+	MaxIdleConnsPerHost: 64,
+	IdleConnTimeout:     90 * time.Second,
+}}
 
 func (c *PoolConfig) fillDefaults() {
 	if c.MaxQueries <= 0 {
@@ -86,27 +86,11 @@ func (c *PoolConfig) fillDefaults() {
 	if c.ShardBlocks <= 0 {
 		c.ShardBlocks = 64
 	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile > 100 {
-		c.HedgePercentile = 95
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 25 * time.Millisecond
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
-	}
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = 30 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 }
 
@@ -121,12 +105,6 @@ type Worker struct {
 	inflight atomic.Int64
 	shards   atomic.Int64 // completed shard computations
 	fails    atomic.Int64 // consecutive failures (shard or probe)
-	// wireOK latches once the worker answers a binary wire frame. It
-	// gates multi-range coalescing: a pre-wire worker would misread the
-	// Ranges field (see SweepRequest), so capability must be observed on
-	// a plain single-shard response before any coalesced dispatch.
-	wireOK atomic.Bool
-	joined time.Time
 }
 
 // Pool is the coordinator's worker registry plus the shard dispatcher.
@@ -148,15 +126,8 @@ type Pool struct {
 	remote  atomic.Int64 // shards merged from workers
 	local   atomic.Int64 // shards merged from the local fallback
 
-	wireShards atomic.Int64 // shards merged from binary wire frames
-	jsonShards atomic.Int64 // shards merged from the JSON fallback
-	wireBytes  atomic.Int64 // wire frame bytes received
-	wireSaved  atomic.Int64 // bytes the wire saved vs the JSON encoding
-	multi      atomic.Int64 // coalesced multi-range requests sent
-
-	// timeoutQS is the per-shard deadline query string ("?timeout=30s"),
-	// rendered once here instead of fmt.Sprintf-ing it per attempt.
-	timeoutQS string
+	wireBytes atomic.Int64 // frame bytes merged
+	multi     atomic.Int64 // responses that carried more than one shard
 
 	lat latencyWindow
 }
@@ -166,10 +137,9 @@ type Pool struct {
 func NewPool(cfg PoolConfig) *Pool {
 	cfg.fillDefaults()
 	return &Pool{
-		cfg:       cfg,
-		workers:   make(map[string]*Worker),
-		closed:    make(chan struct{}),
-		timeoutQS: "?timeout=" + cfg.ShardTimeout.String(),
+		cfg:     cfg,
+		workers: make(map[string]*Worker),
+		closed:  make(chan struct{}),
 	}
 }
 
@@ -224,7 +194,7 @@ func (p *Pool) RegisterFor(addr string, slots int, world string) (*Worker, bool)
 	}
 	w, ok := p.workers[addr]
 	if !ok {
-		w = &Worker{Addr: addr, joined: time.Now()}
+		w = &Worker{Addr: addr}
 		p.workers[addr] = w
 	}
 	w.slots = slots
@@ -315,7 +285,7 @@ func (p *Pool) probe(w *Worker) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := p.cfg.Client.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		w.fails.Add(1)
 		return false
@@ -331,9 +301,9 @@ func (p *Pool) probe(w *Worker) bool {
 }
 
 // bodyPool recycles response-body buffers across shard requests. One
-// full-scale wire shard is ~12 KB (JSON fallback ~40 KB), so after the
-// first few fan-outs every read lands in an already-sized buffer and the
-// per-shard transport cost is the syscalls, not the allocator.
+// full-scale shard is ~12 KB, so after the first few fan-outs every read
+// lands in an already-sized buffer and the per-shard transport cost is the
+// syscalls, not the allocator.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getBody() *bytes.Buffer {
@@ -344,25 +314,18 @@ func getBody() *bytes.Buffer {
 
 func putBody(b *bytes.Buffer) { bodyPool.Put(b) }
 
-// postShard sends one pre-encoded shard request and returns the raw
-// response body in a pooled buffer, plus whether the worker answered with
-// a binary wire frame (it negotiated via our Accept header) or the JSON
-// fallback (a pre-wire worker). The caller owns the buffer and must
-// release it with putBody once decoded.
-//
-// The body is []byte, not an io.Reader: retries and hedges re-enter here
-// with the same encoded bytes wrapped in a fresh reader, instead of
-// re-marshaling the request per attempt.
-func (p *Pool) postShard(ctx context.Context, w *Worker, path string, body []byte) (*bytes.Buffer, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Addr+path+p.timeoutQS, bytes.NewReader(body))
+// postShard sends one encoded shard request and returns the raw response
+// body in a pooled buffer. The caller owns the buffer and must release it
+// with putBody once decoded.
+func (p *Pool) postShard(ctx context.Context, w *Worker, path string, body []byte) (*bytes.Buffer, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Addr+path+shardTimeoutQS, bytes.NewReader(body))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", wireAccept)
-	resp, err := p.cfg.Client.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
@@ -370,148 +333,65 @@ func (p *Pool) postShard(ctx context.Context, w *Worker, path string, body []byt
 	}()
 	if resp.StatusCode != http.StatusOK {
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, false, fmt.Errorf("cluster: %s%s: status %d: %s", w.Addr, path, resp.StatusCode, bytes.TrimSpace(snippet))
+		return nil, fmt.Errorf("cluster: %s%s: status %d: %s", w.Addr, path, resp.StatusCode, bytes.TrimSpace(snippet))
 	}
 	buf := getBody()
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		putBody(buf)
-		return nil, false, err
+		return nil, err
 	}
-	return buf, isWireResponse(resp.Header), nil
+	return buf, nil
 }
 
-// fetchCounts posts one encoded counts-shard request and returns a commit
-// closure that writes the response into dst — the caller's preallocated
-// slice of the merge output, no intermediate vector. Validation happens
-// here, before the dispatcher's done-CAS, so a corrupt frame surfaces as a
-// retryable error; the decode itself happens inside the commit closure
-// because the CAS runs commits exactly once per shard — of two racing
-// attempts (original + hedge duplicate) only the winner touches dst.
-func (p *Pool) fetchCounts(ctx context.Context, w *Worker, path string, body []byte, dst []int) (func(), error) {
-	buf, wire, err := p.postShard(ctx, w, path, body)
+// fetchFrames posts one encoded shard request and splits the response into
+// one length-prefixed frame per destination, in request order. Every frame
+// is vetted by check before any commit is handed back — the response is
+// accepted or rejected as a unit, so a corrupt or non-frame body surfaces
+// as a retryable error before the dispatcher's done-CAS. Commit k decodes
+// frame k straight into dsts[k], the caller's slice of the merge output;
+// the CAS runs each commit at most once, so of two racing attempts
+// (original + hedge duplicate) only the winner touches dst. The pooled
+// response buffer is returned once the last commit fires; if a hedge
+// steals a member, the buffer is left to the GC instead.
+func fetchFrames[T int | float64](ctx context.Context, p *Pool, w *Worker, path string, body []byte, dsts [][]T,
+	check func(frame []byte, n int) error, decode func(dst []T, frame []byte) error) ([]func(), error) {
+	buf, err := p.postShard(ctx, w, path, body)
 	if err != nil {
 		return nil, err
-	}
-	if wire {
-		w.wireOK.Store(true)
-		frame := buf.Bytes()
-		if err := CheckCounts(frame, len(dst)); err != nil {
-			putBody(buf)
-			return nil, err
-		}
-		return func() {
-			// CheckCounts vetted the frame; DecodeCountsInto cannot fail now.
-			_ = DecodeCountsInto(dst, frame)
-			p.wireShards.Add(1)
-			p.wireBytes.Add(int64(len(frame)))
-			p.wireSaved.Add(int64(jsonCountsLen(dst) - len(frame)))
-			putBody(buf)
-		}, nil
-	}
-	var resp SweepResponse
-	err = json.Unmarshal(buf.Bytes(), &resp)
-	putBody(buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Counts) != len(dst) {
-		return nil, fmt.Errorf("cluster: worker returned %d counts, want %d", len(resp.Counts), len(dst))
-	}
-	return func() {
-		copy(dst, resp.Counts)
-		p.jsonShards.Add(1)
-	}, nil
-}
-
-// fetchCountsMulti posts one coalesced multi-range request and returns
-// one commit closure per destination, in request order. Every frame is
-// validated before any commit is handed back — the whole response is
-// accepted or rejected as a unit — but each range still commits through
-// its own per-shard CAS, so a member whose hedge already won is simply a
-// closure that never runs. The pooled response buffer is returned once
-// the last commit fires; if a hedge steals a member, the buffer is left
-// to the GC instead (one buffer per coalesced request, not per shard).
-func (p *Pool) fetchCountsMulti(ctx context.Context, w *Worker, body []byte, dsts [][]int) ([]func(), error) {
-	buf, wire, err := p.postShard(ctx, w, PathSweep, body)
-	if err != nil {
-		return nil, err
-	}
-	if !wire {
-		putBody(buf)
-		return nil, fmt.Errorf("cluster: %s answered a multi-range request with JSON", w.Addr)
 	}
 	frames := make([][]byte, len(dsts))
 	rest := buf.Bytes()
-	for k := range dsts {
-		var frame []byte
-		frame, rest, err = NextFrame(rest)
+	for k, dst := range dsts {
+		frame, next, err := NextFrame(rest)
+		if err == nil {
+			err = check(frame, len(dst))
+		}
 		if err != nil {
 			putBody(buf)
 			return nil, err
 		}
-		if err := CheckCounts(frame, len(dsts[k])); err != nil {
-			putBody(buf)
-			return nil, err
-		}
-		frames[k] = frame
+		frames[k], rest = frame, next
 	}
 	if len(rest) != 0 {
 		putBody(buf)
-		return nil, fmt.Errorf("cluster: wire: %d trailing bytes after %d multi-range frames", len(rest), len(dsts))
+		return nil, fmt.Errorf("cluster: wire: %d trailing bytes after %d frames", len(rest), len(dsts))
 	}
-	p.multi.Add(1)
+	if len(dsts) > 1 {
+		p.multi.Add(1)
+	}
 	var left atomic.Int32
 	left.Store(int32(len(dsts)))
 	commits := make([]func(), len(dsts))
 	for k := range dsts {
-		k := k
 		commits[k] = func() {
-			_ = DecodeCountsInto(dsts[k], frames[k])
-			p.wireShards.Add(1)
+			_ = decode(dsts[k], frames[k]) // check vetted the frame; decode cannot fail now
 			p.wireBytes.Add(int64(len(frames[k])))
-			p.wireSaved.Add(int64(jsonCountsLen(dsts[k]) - len(frames[k])))
 			if left.Add(-1) == 0 {
 				putBody(buf)
 			}
 		}
 	}
 	return commits, nil
-}
-
-// fetchFracs is fetchCounts for float64 leak fractions.
-func (p *Pool) fetchFracs(ctx context.Context, w *Worker, path string, body []byte, dst []float64) (func(), error) {
-	buf, wire, err := p.postShard(ctx, w, path, body)
-	if err != nil {
-		return nil, err
-	}
-	if wire {
-		w.wireOK.Store(true)
-		frame := buf.Bytes()
-		if err := CheckFracs(frame, len(dst)); err != nil {
-			putBody(buf)
-			return nil, err
-		}
-		return func() {
-			_ = DecodeFracsInto(dst, frame)
-			p.wireShards.Add(1)
-			p.wireBytes.Add(int64(len(frame)))
-			p.wireSaved.Add(int64(jsonFracsLen(dst) - len(frame)))
-			putBody(buf)
-		}, nil
-	}
-	var resp LeakResponse
-	err = json.Unmarshal(buf.Bytes(), &resp)
-	putBody(buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Fracs) != len(dst) {
-		return nil, fmt.Errorf("cluster: worker returned %d fracs, want %d", len(resp.Fracs), len(dst))
-	}
-	return func() {
-		copy(dst, resp.Fracs)
-		p.jsonShards.Add(1)
-	}, nil
 }
 
 // WorkerStats is one worker's row in Stats.
@@ -533,10 +413,7 @@ type Stats struct {
 	Hedges       int64         `json:"hedges"`
 	RemoteShards int64         `json:"remote_shards"`
 	LocalShards  int64         `json:"local_shards"`
-	WireShards   int64         `json:"wire_shards"`
-	JSONShards   int64         `json:"json_shards"`
 	WireBytes    int64         `json:"wire_bytes"`
-	WireSaved    int64         `json:"wire_saved_bytes"`
 	MultiBatches int64         `json:"wire_multi_batches"`
 	Workers      []WorkerStats `json:"workers"`
 }
@@ -559,10 +436,7 @@ func (p *Pool) StatsSnapshot() Stats {
 		Hedges:       p.hedges.Load(),
 		RemoteShards: p.remote.Load(),
 		LocalShards:  p.local.Load(),
-		WireShards:   p.wireShards.Load(),
-		JSONShards:   p.jsonShards.Load(),
 		WireBytes:    p.wireBytes.Load(),
-		WireSaved:    p.wireSaved.Load(),
 		MultiBatches: p.multi.Load(),
 		Workers:      make([]WorkerStats, len(ws)),
 	}
@@ -620,18 +494,15 @@ func (l *latencyWindow) percentile(q int) time.Duration {
 }
 
 // hedgeDelay resolves the current hedge point: the fixed configured delay,
-// or the adaptive latency percentile floored at HedgeMin. Zero disables
+// or the adaptive latency percentile floored at hedgeMin. Zero disables
 // hedging (not enough signal yet).
 func (p *Pool) hedgeDelay() time.Duration {
 	if p.cfg.HedgeDelay > 0 {
 		return p.cfg.HedgeDelay
 	}
-	d := p.lat.percentile(p.cfg.HedgePercentile)
+	d := p.lat.percentile(hedgePercentile)
 	if d == 0 {
 		return 0
 	}
-	if d < p.cfg.HedgeMin {
-		d = p.cfg.HedgeMin
-	}
-	return d
+	return max(d, hedgeMin)
 }

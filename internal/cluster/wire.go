@@ -2,19 +2,20 @@
 // coordinator partitions all-AS sweeps, wide batch requests, and leak-trial
 // batches into 64-origin-aligned shards, fans them out over registered
 // workers, and merges the partials. Workers sync state by content address —
-// the snapshot codec produces byte-identical worlds (PR 5), so a worker
-// proves it serves the same world by hash instead of re-generating it, and
-// fetches the v2 snapshot over HTTP when it has none.
+// the snapshot codec produces byte-identical worlds, so a worker proves it
+// serves the same world by hash instead of re-generating it, and fetches the
+// v2 snapshot over HTTP when it has none.
 //
 // The package is deliberately independent of the serving layer: it speaks
-// a small HTTP protocol — JSON request envelopes (this file) with bulk
-// responses negotiated up to a compact binary framing (wirecodec.go) and
-// JSON as the compatibility fallback — and takes the coordinator's local
-// compute as plain closures, so internal/serve can mount the worker
-// endpoints while the Pool stays testable against fake workers. Shard
-// results are deterministic and per-origin independent, which is what makes
-// the whole design safe: any partition of the work, executed anywhere,
-// merges back to exactly the single-process answer.
+// a small HTTP protocol — JSON request envelopes (this file) answered by
+// length-prefixed binary frames (wirecodec.go), one per requested shard —
+// and takes the coordinator's local compute as plain closures, so
+// internal/serve can mount the worker endpoints while the Pool stays
+// testable against fake workers. The protocol has one version, checked once
+// at join (JoinRequest.Wire). Shard results are deterministic and
+// per-origin independent, which is what makes the whole design safe: any
+// partition of the work, executed anywhere, merges back to exactly the
+// single-process answer.
 package cluster
 
 // Worker-side endpoint paths, mounted by internal/serve on every daemon
@@ -28,8 +29,8 @@ const (
 	PathSnapshot = "/v1/cluster/snapshot"
 	// PathJoin registers a worker with the coordinator.
 	PathJoin = "/v1/cluster/join"
-	// PathSweep computes reachability counts for a shard: either a dense
-	// index range or an explicit origin list.
+	// PathSweep computes reachability counts for a shard: dense index
+	// ranges or an explicit origin list.
 	PathSweep = "/v1/cluster/sweep"
 	// PathLeak replays a sub-range of a leak-trial batch.
 	PathLeak = "/v1/cluster/leak"
@@ -69,6 +70,10 @@ type JoinRequest struct {
 	// Slots is how many shards the worker computes concurrently (its
 	// serving concurrency limit).
 	Slots int `json:"slots"`
+	// Wire must equal the coordinator's WireVersion: the one place the
+	// shard protocol's version is checked, so every registered worker
+	// speaks exactly the coordinator's frames.
+	Wire int `json:"wire"`
 }
 
 // JoinResponse acknowledges a join.
@@ -77,40 +82,27 @@ type JoinResponse struct {
 	Workers int `json:"workers"`
 }
 
-// SweepRequest asks a worker for reachability counts (POST PathSweep).
-// Exactly one of the three forms is used: a dense index range [Lo, Hi) for
-// all-AS sweeps, an explicit Origins list (ASNs) for batch queries, or —
-// with Classes set — an equivalence-class id range [Lo, Hi) whose
-// representatives are swept, one count per class. Class ids are derived
-// deterministically from the frozen world (bgpsim.ClassIndex assigns them
-// in dense-index order), so matching world hashes guarantee matching class
-// ids on every node, the same argument that makes dense index ranges safe.
+// SweepRequest asks a worker for reachability counts (POST PathSweep) in
+// one of two forms: dense index ranges for all-AS sweeps — Ranges, or the
+// single range [Lo, Hi), which means the same as a one-element Ranges — or
+// an explicit Origins list (ASNs) for batch queries. A request mixing the
+// forms is refused. The response is one length-prefixed counts frame per
+// range (NextFrame), in request order; an origin list is one frame.
 type SweepRequest struct {
 	Kind    string   `json:"kind"`
 	Lo      int      `json:"lo"`
 	Hi      int      `json:"hi"`
 	Origins []uint32 `json:"origins,omitempty"`
-	Classes bool     `json:"classes,omitempty"`
-	// Ranges coalesces several shards into one request: dense index
-	// ranges, or — with Classes — class-id ranges. The response is the
-	// wire-only multi form: one length-prefixed binary counts frame per
-	// range, in request order (see NextFrame). A coordinator sends this
-	// form only to workers that have already answered it a binary wire
-	// frame: a pre-wire worker would drop the unknown field and misread
-	// the request as the empty range [0, 0), so capability is proven
-	// before coalescing, never assumed.
+	// Ranges lets one request carry several shards: the coordinator
+	// coalesces the shards a puller drains from its queue into one round
+	// trip whose frames decode straight into disjoint merge slices.
 	Ranges []Range `json:"ranges,omitempty"`
 }
 
-// Range is one [Lo, Hi) member of a coalesced multi-range sweep request.
+// Range is one [Lo, Hi) member of a multi-range sweep request.
 type Range struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-}
-
-// SweepResponse carries one count per requested origin, in request order.
-type SweepResponse struct {
-	Counts []int `json:"counts"`
 }
 
 // LeakQuery identifies one leak-trial batch. Leakers are sampled
@@ -125,15 +117,10 @@ type LeakQuery struct {
 }
 
 // LeakRequest asks a worker to replay leakers [Lo, Hi) of the query's
-// deterministic sample (POST PathLeak).
+// deterministic sample (POST PathLeak). The response is one length-prefixed
+// fracs frame: one detoured fraction per replayed leaker, in sample order.
 type LeakRequest struct {
 	LeakQuery
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-}
-
-// LeakResponse carries one detoured fraction per replayed leaker, in
-// sample order.
-type LeakResponse struct {
-	Fracs []float64 `json:"fracs"`
 }

@@ -5,52 +5,46 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"net/http"
-	"strconv"
-	"strings"
 )
 
-// Binary wire frames for the cluster's bulk payloads. A full-scale sweep
-// moves 69,488 counts per query; as JSON that is ~8 bytes of decimal text
-// per count plus a reflection-driven decode allocating an []int per shard.
-// The frame below carries the same vector in one to two bytes per count
-// (zig-zag varint deltas: sweep counts are large but near each other, so
-// deltas are small) and decodes by appending nothing — the coordinator
-// streams values straight into its preallocated merge slice.
+// Binary wire frames: the only encoding of the cluster's shard responses.
+// A full-scale sweep moves 69,488 counts per query; the frame carries them
+// in one to two bytes per count (zig-zag varint deltas: sweep counts are
+// large but near each other, so deltas are small) and decodes by appending
+// nothing — the coordinator streams values straight into its preallocated
+// merge slice.
 //
 // Frame layout (all fixed-width fields little-endian, matching
 // internal/snapshot):
 //
 //	magic   [8]byte  "FLATWIRE"
-//	version uint32   (1)
+//	version uint32   (WireVersion)
 //	kind    uint8    (1 = counts, 2 = fracs)
 //	n       uint32   element count
 //	payload counts: n zig-zag varints, value[0] then successive deltas
 //	        fracs:  n × 8 bytes, raw IEEE-754 float64 bits
 //	crc32   uint32   IEEE, over every byte before it
 //
+// A shard response body is a sequence of such frames, each behind a 4-byte
+// length prefix (AppendFramePrefix / NextFrame), one per requested range.
+//
 // The decoder is fail-closed like the snapshot codec: bad magic, unknown
 // version, wrong kind, a count that disagrees with the caller's expected
 // shard width, a CRC mismatch, a truncated payload, or trailing bytes all
 // return an error and never panic — frames arrive over the network from
-// peers the coordinator does not control.
-//
-// Negotiation is plain HTTP content negotiation so mixed-version clusters
-// keep working: the coordinator sends "Accept: application/x-flatnet-wire,
-// application/json" and decodes whatever Content-Type comes back. A
-// pre-wire worker ignores the Accept header and answers JSON; a pre-wire
-// coordinator never asks for the wire type, so a new worker answers it
-// JSON too.
+// peers the coordinator does not control. Anything else a worker might
+// answer (a JSON body, an error page) fails the same checks and is handled
+// like any other failed attempt.
 
-// WireContentType is the media type of the binary frame; JSON remains the
-// negotiation fallback.
+// WireContentType is the media type of a shard response body.
 const WireContentType = "application/x-flatnet-wire"
 
-// wireAccept is what the coordinator sends: binary preferred, JSON accepted.
-const wireAccept = WireContentType + ", application/json"
+// WireVersion is the frame header's version. A worker joins only when its
+// JoinRequest.Wire equals the coordinator's, so version skew is refused at
+// registration rather than discovered per shard.
+const WireVersion = 1
 
 const (
-	wireVersion    = 1
 	wireKindCounts = 1
 	wireKindFracs  = 2
 
@@ -60,22 +54,10 @@ const (
 
 var wireMagic = [8]byte{'F', 'L', 'A', 'T', 'W', 'I', 'R', 'E'}
 
-// WireAccepted reports whether the request asked for binary frames. Exact
-// media-type containment, not wildcard matching: only peers that know the
-// frame format name it, and everyone else gets JSON.
-func WireAccepted(h http.Header) bool {
-	return strings.Contains(h.Get("Accept"), WireContentType)
-}
-
-// isWireResponse reports whether a response body is a binary frame.
-func isWireResponse(h http.Header) bool {
-	return strings.HasPrefix(h.Get("Content-Type"), WireContentType)
-}
-
 // wireHeader appends the fixed frame header.
 func wireHeader(dst []byte, kind uint8, n int) []byte {
 	dst = append(dst, wireMagic[:]...)
-	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, WireVersion)
 	dst = append(dst, kind)
 	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
@@ -129,8 +111,8 @@ func checkWireHeader(frame []byte, kind uint8, n int) ([]byte, error) {
 	if [8]byte(frame[:8]) != wireMagic {
 		return nil, fmt.Errorf("cluster: wire: bad magic %q", frame[:8])
 	}
-	if v := binary.LittleEndian.Uint32(frame[8:12]); v != wireVersion {
-		return nil, fmt.Errorf("cluster: wire: unsupported version %d (this build speaks %d)", v, wireVersion)
+	if v := binary.LittleEndian.Uint32(frame[8:12]); v != WireVersion {
+		return nil, fmt.Errorf("cluster: wire: unsupported version %d (this build speaks %d)", v, WireVersion)
 	}
 	if k := frame[12]; k != kind {
 		return nil, fmt.Errorf("cluster: wire: payload kind %d, want %d", k, kind)
@@ -223,67 +205,25 @@ func DecodeFracsInto(dst []float64, frame []byte) error {
 }
 
 // AppendFramePrefix appends the 4-byte little-endian length prefix that
-// separates frames in a multi-range response body. The multi form is a
-// plain concatenation of prefixed frames — no outer magic or checksum,
-// because every member frame carries its own envelope and CRC.
+// separates frames in a shard response body. The body is a plain
+// concatenation of prefixed frames — no outer magic or checksum, because
+// every member frame carries its own envelope and CRC.
 func AppendFramePrefix(dst []byte, frameLen int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
 }
 
-// NextFrame splits the first length-prefixed frame off a multi-range
-// response body, returning the frame and the remaining bytes. Fail-closed
+// NextFrame splits the first length-prefixed frame off a shard response
+// body, returning the frame and the remaining bytes. Fail-closed
 // like the frame decoders: a truncated prefix or a length that overruns
 // the buffer is an error, never a panic. The frame's own contents are
 // validated separately (CheckCounts); this walks only the envelope.
 func NextFrame(b []byte) (frame, rest []byte, err error) {
 	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("cluster: wire: multi-frame prefix of %d bytes, want 4", len(b))
+		return nil, nil, fmt.Errorf("cluster: wire: frame prefix of %d bytes, want 4", len(b))
 	}
 	n := binary.LittleEndian.Uint32(b)
 	if uint64(n) > uint64(len(b)-4) {
-		return nil, nil, fmt.Errorf("cluster: wire: multi-frame length %d overruns the %d remaining bytes", n, len(b)-4)
+		return nil, nil, fmt.Errorf("cluster: wire: frame length %d overruns the %d remaining bytes", n, len(b)-4)
 	}
 	return b[4 : 4+n], b[4+n:], nil
-}
-
-// jsonCountsLen is the exact byte length of the JSON fallback body for a
-// counts shard ({"counts":[...]}\n) — what the coordinator would have
-// received without the wire frame. It feeds the wire_saved_bytes gauge.
-func jsonCountsLen(counts []int) int {
-	n := len(`{"counts":[]}`) + 1 // +1: the serving layer's trailing newline
-	for i, c := range counts {
-		if i > 0 {
-			n++ // comma
-		}
-		n += decimalLen(c)
-	}
-	return n
-}
-
-// jsonFracsLen estimates the JSON fallback body length for a fracs shard
-// by formatting each float the way encoding/json shortest-form output
-// does. An estimate feeding a gauge, not a protocol quantity.
-func jsonFracsLen(fracs []float64) int {
-	n := len(`{"fracs":[]}`) + 1
-	var scratch [32]byte
-	for i, f := range fracs {
-		if i > 0 {
-			n++
-		}
-		n += len(strconv.AppendFloat(scratch[:0], f, 'g', -1, 64))
-	}
-	return n
-}
-
-func decimalLen(v int) int {
-	n := 1
-	if v < 0 {
-		n++
-		v = -v
-	}
-	for v >= 10 {
-		n++
-		v /= 10
-	}
-	return n
 }

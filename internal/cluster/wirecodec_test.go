@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
-	"net/http"
 	"testing"
 )
 
@@ -133,39 +132,6 @@ func reseal(f []byte) {
 // as payload.
 func reseal2(f []byte) {
 	reseal(append(f, 0, 0, 0, 0))
-}
-
-func TestWireNegotiationHelpers(t *testing.T) {
-	h := http.Header{}
-	if WireAccepted(h) {
-		t.Fatal("empty Accept must mean JSON")
-	}
-	h.Set("Accept", "application/json")
-	if WireAccepted(h) {
-		t.Fatal("JSON-only Accept must mean JSON")
-	}
-	h.Set("Accept", wireAccept)
-	if !WireAccepted(h) {
-		t.Fatal("coordinator Accept header not recognised")
-	}
-	h = http.Header{}
-	h.Set("Content-Type", "application/json")
-	if isWireResponse(h) {
-		t.Fatal("JSON response mistaken for wire")
-	}
-	h.Set("Content-Type", WireContentType)
-	if !isWireResponse(h) {
-		t.Fatal("wire response not recognised")
-	}
-}
-
-func TestWireJSONLenHelpers(t *testing.T) {
-	if got, want := jsonCountsLen([]int{0, -12, 34567}), len(`{"counts":[0,-12,34567]}`)+1; got != want {
-		t.Fatalf("jsonCountsLen = %d, want %d", got, want)
-	}
-	if got, want := jsonFracsLen([]float64{0.5}), len(`{"fracs":[0.5]}`)+1; got != want {
-		t.Fatalf("jsonFracsLen = %d, want %d", got, want)
-	}
 }
 
 func TestWireNextFrame(t *testing.T) {

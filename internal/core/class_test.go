@@ -62,47 +62,6 @@ func TestClassedSweepMatchesUncollapsed(t *testing.T) {
 	}
 }
 
-// ClassCountsRangeCtx shards must concatenate to the per-class vector
-// whose expansion is exactly the full sweep — the cluster contract.
-func TestClassCountsRangeExpandsToSweep(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(11))
-	ds := randomTieredDataset(rng, 160)
-	n := ds.Graph.NumASes()
-	m := New(ds)
-	ci := m.SweepClasses()
-	nc := ci.NumClasses()
-	for _, kind := range allKinds {
-		// Three uneven shards, concatenated.
-		cuts := []int{0, nc / 3, nc / 2, nc}
-		classCounts := make([]int, 0, nc)
-		for s := 0; s+1 < len(cuts); s++ {
-			part, err := m.ClassCountsRangeCtx(ctx, kind, cuts[s], cuts[s+1], 0)
-			if err != nil {
-				t.Fatalf("kind %v shard %d: %v", kind, s, err)
-			}
-			classCounts = append(classCounts, part...)
-		}
-		expanded := make([]int, n)
-		ci.Expand(classCounts, expanded)
-		want, err := m.ReachabilityRangeCtx(ctx, kind, 0, n, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if expanded[i] != want[i] {
-				t.Fatalf("kind %v origin %d: expanded %d != sweep %d", kind, i, expanded[i], want[i])
-			}
-		}
-	}
-	if _, err := m.ClassCountsRangeCtx(ctx, Full, 0, nc+1, 0); err == nil {
-		t.Error("expected error for class range past NumClasses")
-	}
-	if _, err := m.ClassCountsRangeCtx(ctx, Full, -1, 0, 0); err == nil {
-		t.Error("expected error for negative class range")
-	}
-}
-
 // The many-origin query path dedups classmates; the answers must match
 // per-origin queries exactly, duplicates and all.
 func TestReachabilityManyClassDedupMatches(t *testing.T) {

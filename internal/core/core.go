@@ -417,7 +417,7 @@ func (m *Metrics) reachabilityRangeClassed(ctx context.Context, kind Kind, lo, h
 	}
 	// slot[c] = index into the unique-reps list, or -1. For a full-graph
 	// sweep first-in-range membership is exactly the index's own
-	// representative assignment, so classes and reps align with ci.Reps().
+	// representative assignment.
 	if cap(sc.slot) < ci.NumClasses() {
 		sc.slot = make([]int32, ci.NumClasses())
 	}
@@ -446,36 +446,6 @@ func (m *Metrics) reachabilityRangeClassed(ctx context.Context, kind Kind, lo, h
 	sc.slot, sc.reps, sc.counts = slot, reps, counts
 	m.classedPool.Put(sc)
 	return err
-}
-
-// ClassCountsRangeCtx computes reach(rep(c), kind) for the equivalence
-// classes [clo, chi), indexed by class id — the cluster shard primitive
-// for class-collapsed sweeps: a partition of [0, NumClasses()) concatenates
-// to the full per-class count vector, which ClassIndex.Expand scatters to
-// per-AS counts.
-func (m *Metrics) ClassCountsRangeCtx(ctx context.Context, kind Kind, clo, chi, workers int) ([]int, error) {
-	ci := m.SweepClasses()
-	if clo < 0 || chi > ci.NumClasses() || clo > chi {
-		return nil, fmt.Errorf("core: class range [%d, %d) outside the %d-class index", clo, chi, ci.NumClasses())
-	}
-	out := make([]int, chi-clo)
-	if err := m.ClassCountsRangeIntoCtx(ctx, kind, clo, chi, workers, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ClassCountsRangeIntoCtx is ClassCountsRangeCtx writing into out (len
-// chi-clo) — the buffer-recycling variant cluster shard handlers use.
-func (m *Metrics) ClassCountsRangeIntoCtx(ctx context.Context, kind Kind, clo, chi, workers int, out []int) error {
-	ci := m.SweepClasses()
-	if clo < 0 || chi > ci.NumClasses() || clo > chi {
-		return fmt.Errorf("core: class range [%d, %d) outside the %d-class index", clo, chi, ci.NumClasses())
-	}
-	if len(out) != chi-clo {
-		return fmt.Errorf("core: out has %d entries for class range [%d, %d)", len(out), clo, chi)
-	}
-	return m.batchCountsIdxCtx(ctx, kind, ci.Reps()[clo:chi], denseRange{}, out, workers)
 }
 
 // reachabilityRangeScalar is the per-origin sweep over [lo, hi): one scalar

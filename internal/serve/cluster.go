@@ -115,6 +115,11 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("missing worker world"))
 		return
 	}
+	if req.Wire != cluster.WireVersion {
+		s.writeError(w, &apiError{Status: http.StatusConflict, Code: "wire_mismatch",
+			Message: fmt.Sprintf("worker speaks wire version %d, coordinator speaks %d; run the same flatnetd build", req.Wire, cluster.WireVersion)})
+		return
+	}
 	// RegisterFor checks and inserts under one pool lock, so a worker
 	// holding an old world cannot slip in between this handler's check and
 	// the registration while /v1/evolve rotates the pool.
@@ -154,185 +159,38 @@ func encodeFracsFrame(fracs []float64) []byte {
 // countsScratch recycles shard-sized count vectors: a shard's counts exist
 // only between compute and encode, so a coordinator fanning sweeps through
 // this worker reuses one high-water buffer instead of allocating ~32 KB per
-// shard request.
-var countsScratch sync.Pool // *[]int
+// shard.
+var countsScratch = sync.Pool{New: func() any { return new([]int) }}
 
-func getCountsBuf(n int) *[]int {
-	p, _ := countsScratch.Get().(*[]int)
-	if p == nil {
-		s := make([]int, n)
-		return &s
-	}
-	if cap(*p) < n {
-		*p = make([]int, n)
-	} else {
-		*p = (*p)[:n]
-	}
-	return p
-}
-
-func putCountsBuf(p *[]int) { countsScratch.Put(p) }
-
-// serveCachedCounts serves one counts vector under content negotiation:
-// callers that accept the binary wire type get a framed vector, cached
-// under its own "|w"-suffixed key so the LRU holds both encodings
-// independently; everyone else gets the JSON SweepResponse — the
-// compatibility fallback that keeps mixed-version clusters merging.
-// compute returns a buffer from getCountsBuf (or any heap slice); it is
-// recycled here once the response body is encoded.
-func (s *Server) serveCachedCounts(w http.ResponseWriter, r *http.Request, ws *worldState, key string, compute func(ctx context.Context) (*[]int, error)) {
-	if cluster.WireAccepted(r.Header) {
-		s.stats.wireResponses.Add(1)
-		s.serveCachedBody(w, r, ws, key+"|w", cluster.WireContentType, func(ctx context.Context) ([]byte, error) {
-			counts, err := compute(ctx)
-			if err != nil {
-				return nil, err
-			}
-			frame := encodeCountsFrame(*counts)
-			putCountsBuf(counts)
-			return frame, nil
-		})
-		return
-	}
-	s.serveCachedBody(w, r, ws, key, contentTypeJSON, func(ctx context.Context) ([]byte, error) {
-		counts, err := compute(ctx)
-		if err != nil {
+// rangeFrame computes counts [lo, hi) for kind into a pooled buffer and
+// encodes them as one counts frame.
+func rangeFrame(ws *worldState, kind core.Kind, lo, hi int) func(ctx context.Context) ([]byte, error) {
+	return func(ctx context.Context) ([]byte, error) {
+		p := countsScratch.Get().(*[]int)
+		if cap(*p) < hi-lo {
+			*p = make([]int, hi-lo)
+		}
+		counts := (*p)[:hi-lo]
+		defer countsScratch.Put(p)
+		if err := ws.metrics.ReachabilityRangeIntoCtx(ctx, kind, lo, hi, 1, counts); err != nil {
 			return nil, err
 		}
-		body, err := json.Marshal(cluster.SweepResponse{Counts: *counts})
-		putCountsBuf(counts)
-		return body, err
-	})
+		return encodeCountsFrame(counts), nil
+	}
 }
 
-// serveCachedFracs is serveCachedCounts for leak fractions.
-func (s *Server) serveCachedFracs(w http.ResponseWriter, r *http.Request, ws *worldState, key string, compute func(ctx context.Context) ([]float64, error)) {
-	if cluster.WireAccepted(r.Header) {
-		s.stats.wireResponses.Add(1)
-		s.serveCachedBody(w, r, ws, key+"|w", cluster.WireContentType, func(ctx context.Context) ([]byte, error) {
-			fracs, err := compute(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return encodeFracsFrame(fracs), nil
-		})
-		return
-	}
-	s.serveCachedBody(w, r, ws, key, contentTypeJSON, func(ctx context.Context) ([]byte, error) {
-		fracs, err := compute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(cluster.LeakResponse{Fracs: fracs})
-	})
+// framePart is one frame of a shard response: the result-cache key it is
+// stored under and the computation that encodes it on a miss.
+type framePart struct {
+	key     string
+	compute func(ctx context.Context) ([]byte, error)
 }
 
-// handleClusterSweep computes one reachability shard: a dense index range
-// (all-AS sweeps) or an explicit origin list (batch queries). Responses
-// ride the same result cache as every endpoint, so a coordinator retrying
-// a shard this worker already finished pays a lookup, not a propagation.
-func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
-	ws := s.w()
-	var req cluster.SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeError(w, badRequestf("bad JSON body: %v", err))
-		return
-	}
-	kind, err := core.KindFromString(req.Kind)
-	if err != nil {
-		s.writeError(w, badRequestf("%v", err))
-		return
-	}
-	if len(req.Ranges) > 0 {
-		s.handleClusterSweepMulti(w, r, ws, kind, &req)
-		return
-	}
-	if req.Classes {
-		// Class-collapsed shard: [Lo, Hi) names equivalence-class ids and
-		// the response carries one representative count per class. Class
-		// ids are deterministic per world (first appearance in dense-index
-		// order), so the coordinator's ids and this worker's ids agree by
-		// the same world-hash argument that covers dense index ranges.
-		nc := ws.metrics.SweepClasses().NumClasses()
-		if req.Lo < 0 || req.Hi > nc || req.Lo >= req.Hi {
-			s.writeError(w, badRequestf("class shard range [%d, %d) outside the %d-class index", req.Lo, req.Hi, nc))
-			return
-		}
-		key := fmt.Sprintf("cclass|%d|%d|%d", kind, req.Lo, req.Hi)
-		s.serveCachedCounts(w, r, ws, key, func(ctx context.Context) (*[]int, error) {
-			counts := getCountsBuf(req.Hi - req.Lo)
-			if err := ws.metrics.ClassCountsRangeIntoCtx(ctx, kind, req.Lo, req.Hi, 1, *counts); err != nil {
-				putCountsBuf(counts)
-				return nil, err
-			}
-			return counts, nil
-		})
-		return
-	}
-	if len(req.Origins) > 0 {
-		origins := make([]astopo.ASN, len(req.Origins))
-		for i, o := range req.Origins {
-			origins[i] = astopo.ASN(o)
-		}
-		key := fmt.Sprintf("cbatch|%d|%s", kind, originsKey(req.Origins))
-		s.serveCachedCounts(w, r, ws, key, func(ctx context.Context) (*[]int, error) {
-			counts, err := ws.metrics.ReachabilityManyN(ctx, origins, kind, 1)
-			if err != nil {
-				return nil, err
-			}
-			return &counts, nil
-		})
-		return
-	}
-	n := ws.ds.Graph.NumASes()
-	if req.Lo < 0 || req.Hi > n || req.Lo >= req.Hi {
-		s.writeError(w, badRequestf("shard range [%d, %d) outside the %d-AS graph", req.Lo, req.Hi, n))
-		return
-	}
-	key := fmt.Sprintf("csweep|%d|%d|%d", kind, req.Lo, req.Hi)
-	s.serveCachedCounts(w, r, ws, key, func(ctx context.Context) (*[]int, error) {
-		counts := getCountsBuf(req.Hi - req.Lo)
-		if err := ws.metrics.ReachabilityRangeIntoCtx(ctx, kind, req.Lo, req.Hi, 1, *counts); err != nil {
-			putCountsBuf(counts)
-			return nil, err
-		}
-		return counts, nil
-	})
-}
-
-// handleClusterSweepMulti answers a coalesced multi-range shard request —
-// several dense-index (or, with Classes, class-id) ranges in one round
-// trip, the worker half of the coordinator's streaming merge. The
-// response is wire-only: one length-prefixed binary counts frame per
-// range, in request order. Each frame is looked up or computed under the
-// exact cache key the single-range form uses, so coalesced and
-// singly-dispatched coordinators share compute and a retried range is a
-// lookup, not a propagation. Coordinators send the multi form only to
-// workers that have already answered them a wire frame, so a non-wire
-// Accept here is a protocol error, not a fallback case.
-func (s *Server) handleClusterSweepMulti(w http.ResponseWriter, r *http.Request, ws *worldState, kind core.Kind, req *cluster.SweepRequest) {
-	if !cluster.WireAccepted(r.Header) {
-		s.writeError(w, badRequestf("multi-range sweep requests are wire-only; set Accept: %s", cluster.WireContentType))
-		return
-	}
-	if len(req.Origins) > 0 {
-		s.writeError(w, badRequestf("multi-range sweep requests take ranges, not origin lists"))
-		return
-	}
-	if len(req.Ranges) > 4096 {
-		s.writeError(w, badRequestf("%d ranges in one request; the limit is 4096", len(req.Ranges)))
-		return
-	}
-	n := ws.ds.Graph.NumASes()
-	if req.Classes {
-		n = ws.metrics.SweepClasses().NumClasses()
-	}
-	for _, rg := range req.Ranges {
-		if rg.Lo < 0 || rg.Hi > n || rg.Lo >= rg.Hi {
-			s.writeError(w, badRequestf("shard range [%d, %d) outside [0, %d)", rg.Lo, rg.Hi, n))
-			return
-		}
-	}
+// serveFrames answers a shard request with the parts' frames, each behind
+// its length prefix, in request order. Every frame rides the result cache
+// like any endpoint's body, so a coordinator retrying a shard this worker
+// already finished pays a lookup, not a propagation.
+func (s *Server) serveFrames(w http.ResponseWriter, r *http.Request, ws *worldState, parts []framePart) {
 	timeout, err := s.timeoutFor(r)
 	if err != nil {
 		s.writeError(w, err)
@@ -340,32 +198,10 @@ func (s *Server) handleClusterSweepMulti(w http.ResponseWriter, r *http.Request,
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	frames := make([][]byte, len(req.Ranges))
+	frames := make([][]byte, len(parts))
 	total := 0
-	for k, rg := range req.Ranges {
-		rg := rg
-		var key string
-		if req.Classes {
-			key = fmt.Sprintf("cclass|%d|%d|%d|w", kind, rg.Lo, rg.Hi)
-		} else {
-			key = fmt.Sprintf("csweep|%d|%d|%d|w", kind, rg.Lo, rg.Hi)
-		}
-		frame, err := s.cachedBody(ctx, ws, key, func(ctx context.Context) ([]byte, error) {
-			counts := getCountsBuf(rg.Hi - rg.Lo)
-			var err error
-			if req.Classes {
-				err = ws.metrics.ClassCountsRangeIntoCtx(ctx, kind, rg.Lo, rg.Hi, 1, *counts)
-			} else {
-				err = ws.metrics.ReachabilityRangeIntoCtx(ctx, kind, rg.Lo, rg.Hi, 1, *counts)
-			}
-			if err != nil {
-				putCountsBuf(counts)
-				return nil, err
-			}
-			frame := encodeCountsFrame(*counts)
-			putCountsBuf(counts)
-			return frame, nil
-		})
+	for k, part := range parts {
+		frame, err := s.cachedBody(ctx, ws, part.key, part.compute)
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -373,7 +209,6 @@ func (s *Server) handleClusterSweepMulti(w http.ResponseWriter, r *http.Request,
 		frames[k] = frame
 		total += 4 + len(frame)
 	}
-	s.stats.wireResponses.Add(1)
 	w.Header().Set("Content-Type", cluster.WireContentType)
 	w.Header().Set("Content-Length", fmt.Sprint(total))
 	w.WriteHeader(http.StatusOK)
@@ -386,6 +221,67 @@ func (s *Server) handleClusterSweepMulti(w http.ResponseWriter, r *http.Request,
 			return
 		}
 	}
+}
+
+// maxShardRanges bounds the ranges one sweep shard request may carry.
+const maxShardRanges = 4096
+
+// handleClusterSweep computes reachability shards: dense index ranges
+// (all-AS sweeps; lo/hi is a one-element ranges) or an explicit origin
+// list (batch queries), one counts frame per range or one for the list.
+func (s *Server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
+	ws := s.w()
+	var req cluster.SweepRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+		s.writeError(w, badRequestf("bad JSON body: %v", err))
+		return
+	}
+	kind, err := core.KindFromString(req.Kind)
+	if err != nil {
+		s.writeError(w, badRequestf("%v", err))
+		return
+	}
+	loHi := req.Lo != 0 || req.Hi != 0
+	if len(req.Origins) > 0 {
+		if loHi || len(req.Ranges) > 0 {
+			s.writeError(w, badRequestf("a sweep shard takes an origin list or ranges, not both"))
+			return
+		}
+		origins := make([]astopo.ASN, len(req.Origins))
+		for i, o := range req.Origins {
+			origins[i] = astopo.ASN(o)
+		}
+		key := fmt.Sprintf("cbatch|%d|%s", kind, originsKey(req.Origins))
+		s.serveFrames(w, r, ws, []framePart{{key, func(ctx context.Context) ([]byte, error) {
+			counts, err := ws.metrics.ReachabilityManyN(ctx, origins, kind, 1)
+			if err != nil {
+				return nil, err
+			}
+			return encodeCountsFrame(counts), nil
+		}}})
+		return
+	}
+	ranges := req.Ranges
+	switch {
+	case len(ranges) == 0:
+		ranges = []cluster.Range{{Lo: req.Lo, Hi: req.Hi}}
+	case loHi:
+		s.writeError(w, badRequestf("a sweep shard takes lo/hi or ranges, not both"))
+		return
+	case len(ranges) > maxShardRanges:
+		s.writeError(w, badRequestf("%d ranges in one request; the limit is %d", len(ranges), maxShardRanges))
+		return
+	}
+	n := ws.ds.Graph.NumASes()
+	parts := make([]framePart, len(ranges))
+	for k, rg := range ranges {
+		if rg.Lo < 0 || rg.Hi > n || rg.Lo >= rg.Hi {
+			s.writeError(w, badRequestf("shard range [%d, %d) outside the %d-AS graph", rg.Lo, rg.Hi, n))
+			return
+		}
+		parts[k] = framePart{fmt.Sprintf("csweep|%d|%d|%d", kind, rg.Lo, rg.Hi), rangeFrame(ws, kind, rg.Lo, rg.Hi)}
+	}
+	s.serveFrames(w, r, ws, parts)
 }
 
 // originsKey renders an origin list compactly for cache keys; the sha256
@@ -411,11 +307,26 @@ func (s *Server) handleClusterLeak(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("bad JSON body: %v", err))
 		return
 	}
+	// Bounds first, before the O(V+E) pre-pass: trials sizes the sample, so
+	// one outside [1, MaxTrials] would buy a full-graph batch (or, negative,
+	// fail the sampler), exactly as on /v1/leak.
+	if req.Trials < 1 || req.Trials > s.cfg.MaxTrials {
+		s.writeError(w, badRequestf("trials %d outside [1, %d]", req.Trials, s.cfg.MaxTrials))
+		return
+	}
+	if _, ok := scenarioNames[req.Scenario]; !ok {
+		s.writeError(w, badRequestf("unknown scenario %q", req.Scenario))
+		return
+	}
 	key := fmt.Sprintf("cleak|%d|%s|%v|%d|%d|%d|%d",
 		req.Origin, req.Scenario, req.Hijack, req.Trials, req.Seed, req.Lo, req.Hi)
-	s.serveCachedFracs(w, r, ws, key, func(ctx context.Context) ([]float64, error) {
-		return s.leakFracsRange(ctx, ws, req.LeakQuery, req.Lo, req.Hi, 1)
-	})
+	s.serveFrames(w, r, ws, []framePart{{key, func(ctx context.Context) ([]byte, error) {
+		fracs, err := s.leakFracsRange(ctx, ws, req.LeakQuery, req.Lo, req.Hi, 1)
+		if err != nil {
+			return nil, err
+		}
+		return encodeFracsFrame(fracs), nil
+	}}})
 }
 
 // leakFracsRange computes the detoured fractions of leakers [lo, hi) of
@@ -484,14 +395,6 @@ func (s *Server) localLeak(ctx context.Context, q cluster.LeakQuery, lo, hi int)
 	return s.leakFracsRange(ctx, s.w(), q, lo, hi, 0)
 }
 
-func (s *Server) localClasses(ctx context.Context, kind string, clo, chi int) ([]int, error) {
-	k, err := core.KindFromString(kind)
-	if err != nil {
-		return nil, err
-	}
-	return s.w().metrics.ClassCountsRangeCtx(ctx, k, clo, chi, 0)
-}
-
 // ---- the public full-sweep endpoint ----
 
 type sweepEntry struct {
@@ -509,25 +412,14 @@ type sweepResponse struct {
 }
 
 // sweepAllCounts computes the full per-AS reachability vector in dense
-// graph-index order: partitioned by equivalence class across the cluster
-// when workers are joined, in-process otherwise. Both routes produce
+// graph-index order: partitioned by AS range across the cluster when
+// workers are joined, in-process otherwise. Both routes produce
 // byte-identical counts — disjoint exact-integer ranges computed by the
-// same engine.
+// same engine, each range class-collapsed on its own node.
 func (s *Server) sweepAllCounts(ctx context.Context, ws *worldState, kind core.Kind) ([]int, error) {
 	n := ws.ds.Graph.NumASes()
 	if s.pool.Ready() && s.pool.World() == ws.id {
-		// The cluster shards the equivalence classes instead of the ASes:
-		// every shard propagates only distinct work, and the coordinator
-		// expands the merged per-class vector locally. Expansion is a
-		// plain copy, so the counts are byte-identical to the
-		// single-process sweep.
-		ci := ws.metrics.SweepClasses()
-		var counts []int
-		classCounts, err := s.pool.ClassCounts(ctx, kind.String(), ci.NumClasses())
-		if err == nil {
-			counts = make([]int, n)
-			ci.Expand(classCounts, counts)
-		}
+		counts, err := s.pool.SweepCounts(ctx, kind.String(), n)
 		if err = s.verifyWorld(ws, err); err != nil {
 			return nil, err
 		}
@@ -542,28 +434,11 @@ func (s *Server) sweepAllCounts(ctx context.Context, ws *worldState, kind core.K
 // partitioned across the cluster; the merged counts are identical to the
 // single-process sweep (disjoint exact-integer ranges), so the response
 // body is byte-for-byte the same either way.
-//
-// Clients that accept the binary wire type opt into the full per-AS
-// vector instead of the ranked top-N: a counts frame in dense graph-index
-// order, the bulk form downstream tooling asks for when it wants every AS
-// without ~70k JSON objects.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ws := s.w()
 	kind, err := parseKind(r)
 	if err != nil {
 		s.writeError(w, err)
-		return
-	}
-	if cluster.WireAccepted(r.Header) {
-		s.stats.wireResponses.Add(1)
-		key := fmt.Sprintf("sweep|%d|w", kind)
-		s.serveCachedBody(w, r, ws, key, cluster.WireContentType, func(ctx context.Context) ([]byte, error) {
-			counts, err := s.sweepAllCounts(ctx, ws, kind)
-			if err != nil {
-				return nil, err
-			}
-			return encodeCountsFrame(counts), nil
-		})
 		return
 	}
 	top, err := parseIntParam(r, "top", 20, s.cfg.MaxTop)

@@ -84,16 +84,16 @@ func joinWorker(t *testing.T, coordURL string, w *Server, workerURL string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_, err := cluster.Join(ctx, http.DefaultClient, coordURL,
-		cluster.JoinRequest{Addr: workerURL, World: w.WorldID(), Slots: 1})
+		cluster.JoinRequest{Addr: workerURL, World: w.WorldID(), Slots: 1, Wire: cluster.WireVersion})
 	if err != nil {
 		t.Fatalf("join %s -> %s: %v", workerURL, coordURL, err)
 	}
 }
 
 // TestClusterSmoke is the end-to-end equivalence gate: a coordinator with
-// two joined workers must answer the Table-1-style sweep byte-for-byte
-// identically to a single process over the same world. CI runs exactly
-// this test (with -race) as the cluster smoke job.
+// two joined workers must answer the Table-1-style sweep of every kind
+// byte-for-byte identically to a single process over the same world. CI
+// runs exactly this test (with -race) as the cluster smoke job.
 func TestClusterSmoke(t *testing.T) {
 	coord, coordURL := startServer(t, func(c *Config) {
 		c.Cluster = cluster.PoolConfig{ShardBlocks: 1}
@@ -110,22 +110,25 @@ func TestClusterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const query = "/v1/sweep?kind=hierarchy-free&top=20"
-	wantRec := get(t, single.Handler(), query)
-	if wantRec.Code != http.StatusOK {
-		t.Fatalf("single-process sweep: status %d, body %s", wantRec.Code, wantRec.Body)
-	}
-	status, got := httpGet(t, coordURL+query)
-	if status != http.StatusOK {
-		t.Fatalf("cluster sweep: status %d, body %s", status, got)
-	}
-	if !bytes.Equal(got, wantRec.Body.Bytes()) {
-		t.Fatalf("cluster sweep differs from single process:\ncluster: %s\nsingle:  %s", got, wantRec.Body.Bytes())
+	for _, kind := range []core.Kind{core.Full, core.ProviderFree, core.Tier1Free, core.HierarchyFree} {
+		query := "/v1/sweep?top=20&kind=" + kind.String()
+		wantRec := get(t, single.Handler(), query)
+		if wantRec.Code != http.StatusOK {
+			t.Fatalf("single-process %s sweep: status %d, body %s", kind, wantRec.Code, wantRec.Body)
+		}
+		before := coord.Pool().StatsSnapshot().RemoteShards
+		status, got := httpGet(t, coordURL+query)
+		if status != http.StatusOK {
+			t.Fatalf("cluster %s sweep: status %d, body %s", kind, status, got)
+		}
+		if !bytes.Equal(got, wantRec.Body.Bytes()) {
+			t.Fatalf("cluster %s sweep differs from single process:\ncluster: %s\nsingle:  %s", kind, got, wantRec.Body.Bytes())
+		}
+		if coord.Pool().StatsSnapshot().RemoteShards == before {
+			t.Fatalf("%s sweep did not fan out; the cluster path never ran", kind)
+		}
 	}
 	st := coord.Pool().StatsSnapshot()
-	if st.RemoteShards == 0 {
-		t.Fatal("sweep did not fan out (remote shards = 0); the cluster path never ran")
-	}
 	for _, w := range st.Workers {
 		if w.Shards == 0 {
 			t.Fatalf("worker %s computed no shards", w.Addr)
@@ -158,12 +161,14 @@ func mustDataset(t *testing.T) core.Dataset {
 	return ds
 }
 
-// TestClusterWorkerDeathMidSweep kills one worker after its first shard
-// response. The coordinator must retry the lost shards on the healthy
-// peer and still produce the single-process answer — the golden
-// equivalence under partial failure. The healthy peer answers no shard
-// until the dead one has refused one, so the death always lands mid-sweep
-// however the two workers' first responses are timed.
+// TestClusterWorkerDeathMidSweep lets one worker serve exactly one shard
+// request and then die. The coordinator must retry the lost shards on the
+// healthy peer and still produce the single-process answer — the golden
+// equivalence under partial failure. The healthy peer answers nothing
+// until the dead one has refused a request, and holds one drained batch
+// at most; the victim's three pullers leave shards only the victim can
+// pull, so it always has a request to refuse and the death always lands
+// mid-sweep.
 func TestClusterWorkerDeathMidSweep(t *testing.T) {
 	coord, _ := startServer(t, func(c *Config) {
 		c.Cluster = cluster.PoolConfig{ShardBlocks: 1}
@@ -176,19 +181,17 @@ func TestClusterWorkerDeathMidSweep(t *testing.T) {
 		return s.Handler()
 	}
 	vh, hh := worker(), worker()
-	var dead atomic.Bool
+	var served, dead atomic.Bool
 	refused := make(chan struct{})
 	var refuseOnce sync.Once
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if dead.Load() {
+		if dead.Load() || (r.URL.Path == cluster.PathSweep && !served.CompareAndSwap(false, true)) {
+			dead.Store(true)
 			refuseOnce.Do(func() { close(refused) })
 			http.Error(w, "killed", http.StatusInternalServerError)
 			return
 		}
 		vh.ServeHTTP(w, r)
-		if r.URL.Path == cluster.PathSweep {
-			dead.Store(true) // die right after the first shard response
-		}
 	}))
 	defer proxy.Close()
 	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -198,7 +201,7 @@ func TestClusterWorkerDeathMidSweep(t *testing.T) {
 		hh.ServeHTTP(w, r)
 	}))
 	defer healthy.Close()
-	coord.Pool().Register(proxy.URL, 1)
+	coord.Pool().Register(proxy.URL, 3)
 	coord.Pool().Register(healthy.URL, 1)
 
 	single, err := New(Config{Dataset: mustDataset(t), Names: genIn.NameOf})
@@ -215,8 +218,8 @@ func TestClusterWorkerDeathMidSweep(t *testing.T) {
 		t.Fatal("sweep result diverged from single process after worker death")
 	}
 	st := coord.Pool().StatsSnapshot()
-	if !dead.Load() {
-		t.Fatal("victim never served a shard; test exercised nothing")
+	if !served.Load() || !dead.Load() {
+		t.Fatal("victim never served and then refused a shard; test exercised nothing")
 	}
 	if st.Retries == 0 {
 		t.Fatalf("worker died mid-sweep but retries = 0 (stats: %+v)", st)
@@ -281,30 +284,49 @@ func TestClusterLeakAndBatchMatchSingleProcess(t *testing.T) {
 	}
 }
 
-// TestClusterMixedWireVersions runs one sweep through a cluster of one
-// modern worker (negotiates the binary wire via Accept) and one legacy
-// worker — a real worker behind a proxy that strips the Accept header, so
-// it never sees the wire offer and always answers JSON, exactly how a
-// pre-wire flatnetd behaves. The merged response must be byte-identical
-// to single process, with shards merged from BOTH encodings.
+// TestClusterMixedWireVersions puts a worker that answers JSON — a build
+// that predates the frame-only protocol, registered behind the join gate's
+// back — next to a current one. Its answer must fail the frame checks like
+// any failed attempt: the shards it took are retried on the peer, the
+// merged sweep is byte-identical to single process, and the JSON worker
+// ends up demoted. The current worker answers nothing until the JSON one
+// has, so the JSON worker always takes part.
 func TestClusterMixedWireVersions(t *testing.T) {
-	coord, coordURL := startServer(t, func(c *Config) {
-		c.Cluster = cluster.PoolConfig{ShardBlocks: 1}
+	coord, _ := startServer(t, func(c *Config) {
+		// No prober: the demotion the test asserts must be the dispatcher's.
+		c.Cluster = cluster.PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour, HealthInterval: time.Hour}
 	})
-	w1, w1URL := startServer(t, nil)
-	joinWorker(t, coordURL, w1, w1URL)
-
-	legacy, err := New(Config{Dataset: mustDataset(t), Names: genIn.NameOf})
+	answered := make(chan struct{})
+	var once sync.Once
+	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != cluster.PathSweep {
+			fmt.Fprintln(w, `{"status":"ok"}`)
+			return
+		}
+		defer once.Do(func() { close(answered) })
+		var req cluster.SweepRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string][]int{"counts": make([]int, req.Hi-req.Lo)})
+	}))
+	defer legacy.Close()
+	current, err := New(Config{Dataset: mustDataset(t), Names: genIn.NameOf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh := legacy.Handler()
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept")
-		lh.ServeHTTP(w, r)
+	ch := current.Handler()
+	gated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.PathSweep {
+			<-answered
+		}
+		ch.ServeHTTP(w, r)
 	}))
-	defer proxy.Close()
-	coord.Pool().Register(proxy.URL, 1)
+	defer gated.Close()
+	coord.Pool().Register(legacy.URL, 1)
+	coord.Pool().Register(gated.URL, 1)
 
 	single, err := New(Config{Dataset: mustDataset(t), Names: genIn.NameOf})
 	if err != nil {
@@ -312,33 +334,62 @@ func TestClusterMixedWireVersions(t *testing.T) {
 	}
 	const query = "/v1/sweep?kind=hierarchy-free&top=20"
 	want := get(t, single.Handler(), query)
-	if want.Code != http.StatusOK {
-		t.Fatalf("single-process sweep: status %d, body %s", want.Code, want.Body)
+	got := get(t, coord.Handler(), query)
+	if got.Code != http.StatusOK {
+		t.Fatalf("mixed-version sweep: status %d, body %s", got.Code, got.Body)
 	}
-	status, got := httpGet(t, coordURL+query)
-	if status != http.StatusOK {
-		t.Fatalf("mixed-version sweep: status %d, body %s", status, got)
-	}
-	if !bytes.Equal(got, want.Body.Bytes()) {
-		t.Fatal("mixed JSON/binary cluster sweep diverged from single process")
+	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatal("mixed-version cluster sweep diverged from single process")
 	}
 	st := coord.Pool().StatsSnapshot()
-	if st.WireShards == 0 {
-		t.Fatalf("no shard arrived as a binary frame; negotiation with the modern worker failed (stats %+v)", st)
+	if st.Retries == 0 {
+		t.Fatalf("the JSON worker's shards were never retried (stats %+v)", st)
 	}
-	if st.JSONShards == 0 {
-		t.Fatalf("no shard arrived as JSON; the legacy worker was never exercised (stats %+v)", st)
+	for _, w := range st.Workers {
+		if w.Addr == cluster.CanonicalAddr(legacy.URL) && (w.Healthy || w.Shards != 0) {
+			t.Fatalf("JSON worker: healthy=%v shards=%d, want demoted with no merged shard", w.Healthy, w.Shards)
+		}
 	}
-	if st.WireBytes <= 0 || st.WireSaved <= 0 {
-		t.Fatalf("wire byte gauges not populated: bytes=%d saved=%d", st.WireBytes, st.WireSaved)
+}
+
+// TestClusterWorkerRejectsHostileInput: the shard endpoints refuse
+// malformed requests with a 400 before computing anything — a trials
+// count outside [1, MaxTrials] (which would otherwise buy a full-graph
+// batch, or panic the sampler), an unknown scenario, and sweep requests
+// that mix the origin-list and range forms.
+func TestClusterWorkerRejectsHostileInput(t *testing.T) {
+	s := testServer(t, nil)
+	h := s.Handler()
+	leak := func(trials int, scenario string) string {
+		return fmt.Sprintf(`{"origin":100,"scenario":%q,"trials":%d,"seed":1,"lo":0,"hi":1}`, scenario, trials)
+	}
+	for _, c := range []struct{ name, path, body string }{
+		{"negative trials", cluster.PathLeak, leak(-1, "announce-all")},
+		{"zero trials", cluster.PathLeak, leak(0, "announce-all")},
+		{"trials above MaxTrials", cluster.PathLeak, leak(1<<30, "announce-all")},
+		{"unknown scenario", cluster.PathLeak, leak(4, "nope")},
+		{"origins and lo/hi", cluster.PathSweep, `{"kind":"full","origins":[100],"lo":0,"hi":2}`},
+		{"origins and ranges", cluster.PathSweep, `{"kind":"full","origins":[100],"ranges":[{"lo":0,"hi":2}]}`},
+		{"lo/hi and ranges", cluster.PathSweep, `{"kind":"full","lo":0,"hi":2,"ranges":[{"lo":0,"hi":2}]}`},
+		{"range past the graph", cluster.PathSweep, `{"kind":"full","ranges":[{"lo":0,"hi":99}]}`},
+		{"empty range", cluster.PathSweep, `{"kind":"full"}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (body %s)", c.name, rec.Code, rec.Body)
+		}
+	}
+	if n := s.stats.computations.Load(); n != 0 {
+		t.Fatalf("%d computations ran for refused requests", n)
 	}
 }
 
 // TestClusterCoalescedSweepMatchesSingleProcess: with a single worker the
-// coordinator learns wire capability on the first shard response and
-// coalesces the rest of the sweep into multi-range requests against the
-// real worker handler — and the merged answer must stay byte-identical to
-// the single process, with the multi gauge confirming the path ran.
+// coordinator coalesces the sweep into multi-range requests from the first
+// pull against the real worker handler — and the merged answer must stay
+// byte-identical to the single process, with the multi gauge confirming
+// the path ran.
 func TestClusterCoalescedSweepMatchesSingleProcess(t *testing.T) {
 	coord, coordURL := startServer(t, func(c *Config) {
 		c.Cluster = cluster.PoolConfig{ShardBlocks: 1}
@@ -362,64 +413,42 @@ func TestClusterCoalescedSweepMatchesSingleProcess(t *testing.T) {
 	if !bytes.Equal(got, want.Body.Bytes()) {
 		t.Fatal("coalesced cluster sweep diverged from single process")
 	}
-	st := coord.Pool().StatsSnapshot()
-	if st.MultiBatches == 0 {
+	if st := coord.Pool().StatsSnapshot(); st.MultiBatches == 0 || st.WireBytes == 0 {
 		t.Fatalf("sweep sent no coalesced multi-range requests (stats %+v)", st)
 	}
-	if st.WireShards == 0 || st.JSONShards != 0 {
-		t.Fatalf("wire/json shards = %d/%d; every shard should ride the wire", st.WireShards, st.JSONShards)
-	}
 }
 
-// TestSweepBinaryOptIn: a client that accepts the wire content type gets
-// the full per-AS counts vector from GET /v1/sweep as a binary frame, in
-// dense graph-index order, matching the engine's counts exactly.
-func TestSweepBinaryOptIn(t *testing.T) {
-	s := testServer(t, nil)
-	req := httptest.NewRequest(http.MethodGet, "/v1/sweep?kind=hierarchy-free", nil)
-	req.Header.Set("Accept", cluster.WireContentType)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("binary sweep: status %d, body %s", rec.Code, rec.Body)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != cluster.WireContentType {
-		t.Fatalf("binary sweep Content-Type = %q, want %q", ct, cluster.WireContentType)
-	}
-	ws := s.w()
-	n := ws.ds.Graph.NumASes()
-	got := make([]int, n)
-	if err := cluster.DecodeCountsInto(got, rec.Body.Bytes()); err != nil {
-		t.Fatalf("response is not a valid counts frame: %v", err)
-	}
-	want, err := ws.metrics.ReachabilityRangeCtx(context.Background(), core.HierarchyFree, 0, n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("binary sweep counts[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-// TestJoinRejectsWorldMismatch: a worker serving a different world must
-// be refused with 409, never silently mixed into the pool.
+// TestJoinRejectsWorldMismatch: a worker serving a different world, or
+// speaking a different (or no) wire version, must be refused with 409,
+// never silently mixed into the pool.
 func TestJoinRejectsWorldMismatch(t *testing.T) {
 	s := testServer(t, nil) // fixture world
-	body, _ := json.Marshal(cluster.JoinRequest{Addr: "http://127.0.0.1:1", World: "deadbeef", Slots: 1})
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, cluster.PathJoin, bytes.NewReader(body)))
-	if rec.Code != http.StatusConflict {
-		t.Fatalf("mismatched join: status %d, want 409 (body %s)", rec.Code, rec.Body)
+	join := func(jr cluster.JoinRequest) *httptest.ResponseRecorder {
+		body, _ := json.Marshal(jr)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, cluster.PathJoin, bytes.NewReader(body)))
+		return rec
 	}
-	if s.Pool().NumWorkers() != 0 {
-		t.Fatal("mismatched worker was registered anyway")
+	for _, c := range []struct {
+		name string
+		jr   cluster.JoinRequest
+		code string
+	}{
+		{"other world", cluster.JoinRequest{World: "deadbeef", Wire: cluster.WireVersion}, "world_mismatch"},
+		{"other wire version", cluster.JoinRequest{World: s.WorldID(), Wire: cluster.WireVersion + 1}, "wire_mismatch"},
+		{"no wire version", cluster.JoinRequest{World: s.WorldID()}, "wire_mismatch"},
+	} {
+		c.jr.Addr, c.jr.Slots = "http://127.0.0.1:1", 1
+		rec := join(c.jr)
+		if rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), c.code) {
+			t.Fatalf("%s: status %d, want 409 %s (body %s)", c.name, rec.Code, c.code, rec.Body)
+		}
+		if s.Pool().NumWorkers() != 0 {
+			t.Fatalf("%s: mismatched worker was registered anyway", c.name)
+		}
 	}
 
-	body, _ = json.Marshal(cluster.JoinRequest{Addr: "http://127.0.0.1:1", World: s.WorldID(), Slots: 1})
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, cluster.PathJoin, bytes.NewReader(body)))
+	rec := join(cluster.JoinRequest{Addr: "http://127.0.0.1:1", World: s.WorldID(), Slots: 1, Wire: cluster.WireVersion})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("matching join: status %d, body %s", rec.Code, rec.Body)
 	}

@@ -129,7 +129,7 @@ func TestEvolveSwapsWorld(t *testing.T) {
 	}
 
 	// A worker that synced the old world can no longer join.
-	jb, _ := json.Marshal(cluster.JoinRequest{Addr: "http://127.0.0.1:1", World: baseID, Slots: 1})
+	jb, _ := json.Marshal(cluster.JoinRequest{Addr: "http://127.0.0.1:1", World: baseID, Slots: 1, Wire: cluster.WireVersion})
 	jrec := httptest.NewRecorder()
 	h.ServeHTTP(jrec, httptest.NewRequest(http.MethodPost, cluster.PathJoin, bytes.NewReader(jb)))
 	if jrec.Code != http.StatusConflict {

@@ -74,22 +74,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, b)
 }
 
-const contentTypeJSON = "application/json"
-
+// writeBody writes a JSON response body with the customary trailing
+// newline.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	writeBodyAs(w, status, contentTypeJSON, body)
-}
-
-// writeBodyAs writes a response body under an explicit content type. JSON
-// bodies get the customary trailing newline; binary wire frames must not —
-// the frame's fail-closed decoder rejects trailing bytes.
-func writeBodyAs(w http.ResponseWriter, status int, contentType string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-	if contentType == contentTypeJSON {
-		_, _ = w.Write([]byte{'\n'})
-	}
+	_, _ = w.Write([]byte{'\n'})
 }
 
 // Handler returns the service's HTTP routes.
@@ -210,9 +201,6 @@ type statsResponse struct {
 	Inflight     int64 `json:"inflight"`
 	Shed         int64 `json:"shed"`
 	Evolves      int64 `json:"evolves"`
-	// WireResponses counts responses this daemon served as binary wire
-	// frames; the coordinator-side byte savings live under Cluster.
-	WireResponses int64 `json:"wire_responses"`
 
 	// Class-collapse gauges: Classes is the number of origin equivalence
 	// classes of the served world and CollapseRatio is ASes per class (the
@@ -233,24 +221,23 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	g := ws.ds.Graph
 	cs := s.pool.StatsSnapshot()
 	resp := statsResponse{
-		ASes:          g.NumASes(),
-		Links:         g.NumLinks(),
-		Tier1:         len(ws.ds.Tier1),
-		Tier2:         len(ws.ds.Tier2),
-		UptimeSecs:    time.Since(s.started).Seconds(),
-		Requests:      s.stats.requests.Load(),
-		CacheHits:     s.stats.cacheHits.Load(),
-		CacheMisses:   s.stats.cacheMisses.Load(),
-		CacheEntries:  s.cache.Len(),
-		Coalesced:     s.stats.coalesced.Load(),
-		Computations:  s.stats.computations.Load(),
-		Deadlines:     s.stats.deadlines.Load(),
-		Inflight:      s.stats.inflight.Load(),
-		Shed:          cs.Shed,
-		Evolves:       s.stats.evolves.Load(),
-		WireResponses: s.stats.wireResponses.Load(),
-		World:         ws.id,
-		Year:          ws.year,
+		ASes:         g.NumASes(),
+		Links:        g.NumLinks(),
+		Tier1:        len(ws.ds.Tier1),
+		Tier2:        len(ws.ds.Tier2),
+		UptimeSecs:   time.Since(s.started).Seconds(),
+		Requests:     s.stats.requests.Load(),
+		CacheHits:    s.stats.cacheHits.Load(),
+		CacheMisses:  s.stats.cacheMisses.Load(),
+		CacheEntries: s.cache.Len(),
+		Coalesced:    s.stats.coalesced.Load(),
+		Computations: s.stats.computations.Load(),
+		Deadlines:    s.stats.deadlines.Load(),
+		Inflight:     s.stats.inflight.Load(),
+		Shed:         cs.Shed,
+		Evolves:      s.stats.evolves.Load(),
+		World:        ws.id,
+		Year:         ws.year,
 	}
 	resp.Classes, resp.CollapseRatio = ws.metrics.ClassStats()
 	if len(cs.Workers) > 0 {

@@ -217,9 +217,6 @@ type Server struct {
 		deadlines    atomic.Int64
 		inflight     atomic.Int64
 		evolves      atomic.Int64
-		// wireResponses counts responses served as binary wire frames
-		// (negotiated via Accept) rather than JSON.
-		wireResponses atomic.Int64
 	}
 
 	// slowdown, when non-nil, runs at the start of every leader
@@ -259,7 +256,6 @@ func New(cfg Config) (*Server, error) {
 	pc.LocalSweep = s.localSweep
 	pc.LocalBatch = s.localBatch
 	pc.LocalLeak = s.localLeak
-	pc.LocalClasses = s.localClasses
 	s.pool = cluster.NewPool(pc)
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
@@ -325,21 +321,6 @@ func (s *Server) timeoutFor(r *http.Request) (time.Duration, error) {
 // result-cache lookup, then singleflight-coalesced computation under the
 // worker pool and the request deadline, then cache fill.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ws *worldState, key string, compute func(ctx context.Context) (any, error)) {
-	s.serveCachedBody(w, r, ws, key, contentTypeJSON, func(ctx context.Context) ([]byte, error) {
-		v, err := compute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(v)
-	})
-}
-
-// serveCachedBody is serveCached one level down: the compute closure
-// produces the exact response body bytes (any encoding), and contentType
-// names them. Binary-negotiated endpoints cache their encoded frames here
-// under a key distinct from the JSON variant's, so the LRU holds both
-// encodings independently.
-func (s *Server) serveCachedBody(w http.ResponseWriter, r *http.Request, ws *worldState, key, contentType string, compute func(ctx context.Context) ([]byte, error)) {
 	timeout, err := s.timeoutFor(r)
 	if err != nil {
 		s.writeError(w, err)
@@ -347,17 +328,23 @@ func (s *Server) serveCachedBody(w http.ResponseWriter, r *http.Request, ws *wor
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	body, err := s.cachedBody(ctx, ws, key, compute)
+	body, err := s.cachedBody(ctx, ws, key, func(ctx context.Context) ([]byte, error) {
+		v, err := compute(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(v)
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	writeBodyAs(w, http.StatusOK, contentType, body)
+	writeBody(w, http.StatusOK, body)
 }
 
-// cachedBody is the cache-or-compute core of serveCachedBody, separate so
-// handlers that assemble one response from several cached bodies (the
-// multi-range shard endpoint) can reuse it: world-prefixed LRU lookup,
+// cachedBody is the cache-or-compute core of serveCached, separate so the
+// shard endpoints, which assemble one response from several cached frames,
+// can reuse it: world-prefixed LRU lookup,
 // single-flight coalescing, and the serving-slot semaphore around compute.
 func (s *Server) cachedBody(ctx context.Context, ws *worldState, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, error) {
 	// Every key is world-prefixed: a cache (or a coalesced flight) keyed

@@ -950,9 +950,15 @@ func (r *Reader) Close() error {
 // readInfoV2 labels the sections of a v2 stream whose fixed header has
 // already been consumed. It streams forward without validating CRCs.
 func readInfoV2(r io.Reader, info *Info, nsect int) (*Info, error) {
-	table := make([]byte, v2EntryLen*nsect+4)
-	if _, err := io.ReadFull(r, table); err != nil {
+	// The table grows with the bytes that arrive, not with the header's
+	// claim: a corrupt nsect must not size a multi-gigabyte allocation.
+	want := v2EntryLen*nsect + 4
+	table, err := io.ReadAll(io.LimitReader(r, int64(want)))
+	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading section table: %w", err)
+	}
+	if len(table) != want {
+		return nil, fmt.Errorf("snapshot: reading section table: %w", io.ErrUnexpectedEOF)
 	}
 	entries := make([]v2entry, nsect)
 	for i := range entries {
