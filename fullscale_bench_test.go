@@ -98,12 +98,7 @@ func BenchmarkReachabilityAllFullScale(b *testing.B) {
 // It is a one-core number whatever -cpu says.
 func BenchmarkPointReachFullScale(b *testing.B) {
 	e := fullScaleEnv(b)
-	g := e.In2020.Graph
-	rng := rand.New(rand.NewSource(1))
-	origins := make([]astopo.ASN, 256)
-	for i := range origins {
-		origins[i] = g.ASNAt(rng.Intn(g.NumASes()))
-	}
+	origins := pointOrigins(e.In2020.Graph)
 	ctx := context.Background()
 	for _, kind := range []core.Kind{core.ProviderFree, core.Tier1Free, core.HierarchyFree} {
 		pass := func(b *testing.B, n int) {
@@ -127,4 +122,40 @@ func BenchmarkPointReachFullScale(b *testing.B) {
 			pass(b, b.N)
 		})
 	}
+}
+
+// BenchmarkPointRelianceFullScale measures one cold hierarchy-free top-10
+// reliance query — what a /v1/reliance cache miss costs below the serving
+// layer — over BenchmarkPointReachFullScale's origins, on one P with a
+// warmed pool. The pooled scalar simulator resets and scans only what the
+// origin's propagation touched, so ns/op tracks what the origins reach.
+func BenchmarkPointRelianceFullScale(b *testing.B) {
+	e := fullScaleEnv(b)
+	origins := pointOrigins(e.In2020.Graph)
+	ctx := context.Background()
+	pass := func(b *testing.B, n int) {
+		for i := 0; i < n; i++ {
+			if _, err := e.M2020.TopRelianceCtx(ctx, origins[i%len(origins)], core.HierarchyFree, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run(core.HierarchyFree.String(), func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		pass(b, len(origins))
+		b.ReportAllocs()
+		b.ResetTimer()
+		pass(b, b.N)
+	})
+}
+
+// pointOrigins draws the point benchmarks' 256 uniform origins from a fixed
+// seed.
+func pointOrigins(g *astopo.Graph) []astopo.ASN {
+	rng := rand.New(rand.NewSource(1))
+	origins := make([]astopo.ASN, 256)
+	for i := range origins {
+		origins[i] = g.ASNAt(rng.Intn(g.NumASes()))
+	}
+	return origins
 }

@@ -3,6 +3,7 @@ package bgpsim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"flatnet/internal/astopo"
@@ -85,25 +86,27 @@ func (r *Result) Reliance() ([]float64, error) {
 // Result.Reliance would — bit for bit — without building the Result: class,
 // lengths and the next-hop arena are read in place and the path counts,
 // visit masses and distance orders live in the Simulator's scratch, so a
-// steady-state call allocates nothing proportional to the graph. The
-// returned slice aliases that scratch and is valid only until the next
+// steady-state call allocates nothing and costs what the origin reaches
+// plus O(n/64). It also returns the route holders — the only entries of
+// the dense reliance slice that can be nonzero — in ascending index order.
+// Both slices alias that scratch and are valid only until the next
 // propagation on this Simulator. Cancellation is as in RunCtx; leak configs
 // are rejected as in RunShared.
-func (s *Simulator) RelianceCtx(ctx context.Context, cfg Config) ([]float64, error) {
+func (s *Simulator) RelianceCtx(ctx context.Context, cfg Config) (reliance []float64, holders []int32, err error) {
 	if cfg.Leaker != 0 {
-		return nil, fmt.Errorf("bgpsim: RelianceCtx does not support leak configs")
+		return nil, nil, fmt.Errorf("bgpsim: RelianceCtx does not support leak configs")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.ctx = ctx
 	defer func() { s.ctx = nil }()
 	seeds, _, err := s.prepare(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !s.propagate(seeds, cfg.Exclude, cfg.Locking, true, cfg.BreakTies) {
-		return nil, s.ctx.Err()
+		return nil, nil, s.ctx.Err()
 	}
 	s.ensureLeakScratch()
 	origin, csr, dist := seeds[0].idx, s.csr(), s.dist
@@ -112,21 +115,27 @@ func (s *Simulator) RelianceCtx(ctx context.Context, cfg Config) ([]float64, err
 	// ascending-length order gives PathCounts' exact sums.
 	order := s.orderByDistance()
 	pathCountsCSR(csr, s.class, dist, order, counts)
-	// One unit of mass at every route holder but the origin. The push
-	// toward the origin adds into visits[u] from every v one hop further
-	// out, so its float sums depend on the order within a length: feed
-	// sort.Slice (unstable) the same ascending-index sequence and
+	// One unit of mass at every route holder but the origin, after
+	// clearing the previous call's holders (visits is zero elsewhere). The
+	// push toward the origin adds into visits[u] from every v one hop
+	// further out, so its float sums depend on the order within a length:
+	// feed sort.Slice (unstable) the same ascending-index sequence and
 	// comparison as Result.byDistance(true) to get the same order.
-	k := 0
-	for i, c := range s.class {
-		visits[i] = 0
-		if c != ClassNone {
-			visits[i] = 1
-			order[k] = int32(i)
-			k++
+	for _, v := range s.holders {
+		visits[v] = 0
+	}
+	holders = s.holders[:0]
+	for w, word := range s.touched {
+		for ; word != 0; word &= word - 1 {
+			if i := int32(w<<6 | bits.TrailingZeros64(word)); s.class[i] != ClassNone {
+				visits[i] = 1
+				holders = append(holders, i)
+			}
 		}
 	}
+	s.holders = holders
 	visits[origin] = 0
+	order = append(order[:0], holders...)
 	sort.Slice(order, func(i, j int) bool { return dist[order[i]] > dist[order[j]] })
 	for _, v := range order {
 		if v == origin || visits[v] == 0 {
@@ -145,7 +154,7 @@ func (s *Simulator) RelianceCtx(ctx context.Context, cfg Config) ([]float64, err
 			visits[u] += m * counts[u] / total
 		}
 	}
-	return visits, nil
+	return visits, holders, nil
 }
 
 // byDistance returns the dense indexes of route-holding ASes ordered by

@@ -274,7 +274,7 @@ func TestRelianceCtxMatchesResult(t *testing.T) {
 			mask[oi] = false
 			cfg.Exclude = mask
 		}
-		got, err := inplace.RelianceCtx(context.Background(), cfg)
+		got, _, err := inplace.RelianceCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,10 +295,10 @@ func TestRelianceCtxMatchesResult(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := inplace.RelianceCtx(ctx, Config{Origin: g.ASNAt(0)}); !errors.Is(err, context.Canceled) {
+	if _, _, err := inplace.RelianceCtx(ctx, Config{Origin: g.ASNAt(0)}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled RelianceCtx: err = %v, want context.Canceled", err)
 	}
-	if _, err := inplace.RelianceCtx(context.Background(), Config{Origin: g.ASNAt(0), Leaker: g.ASNAt(1)}); err == nil {
+	if _, _, err := inplace.RelianceCtx(context.Background(), Config{Origin: g.ASNAt(0), Leaker: g.ASNAt(1)}); err == nil {
 		t.Error("RelianceCtx accepted a leak config")
 	}
 }

@@ -1,6 +1,9 @@
 package bgpsim
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // propagate runs the three-stage Gao–Rexford propagation for the given
 // seeds. Stage A spreads customer-learned routes up customer→provider
@@ -14,6 +17,12 @@ import "slices"
 // it touches is owned by the Simulator and reused across runs, so
 // steady-state propagations allocate nothing.
 //
+// Only the ASes marked in s.touched are reset, and every write of class,
+// dist, flags or tent marks its AS, so a propagation costs what the origin
+// reaches plus one pass over the n/64 touched words per scan. The scans
+// walk the marks in ascending index order, as a dense scan would, so the
+// next-hop arena and the dial queue fill in the same order either way.
+//
 // When the Simulator carries a context (the *Ctx entry points), the stages
 // poll it between distance buckets; propagate then returns false and the
 // buffers are only partially filled. Without a context it always returns
@@ -24,38 +33,46 @@ func (s *Simulator) propagate(seeds []seed, exclude, locking []bool, track, brea
 	class := s.class
 	dist := s.dist
 	flags := s.flags
+	tent := s.tent
+	tflags := s.tflags
+	touched := s.touched
 	if track && s.vias == nil {
 		s.vias = make([][]int32, n)
 		s.nhOff = make([]int32, n)
 		s.nhLen = make([]int32, n)
 	}
-	vias := s.vias
-	for i := 0; i < n; i++ {
-		class[i] = ClassNone
-		dist[i] = -1
-		flags[i] = 0
+	vias, nhLen := s.vias, s.nhLen
+	// Reset what the previous propagation touched. A node's next-hop span
+	// is cleared on untracked runs too, so a later tracked run (or its
+	// RunShared view) never meets a span an earlier one left behind; the
+	// vias and tflags of a node are overwritten when it first takes a
+	// tentative route, so they need no reset.
+	for w, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			class[i] = ClassNone
+			dist[i] = -1
+			flags[i] = 0
+			tent[i] = -1
+			if nhLen != nil {
+				nhLen[i] = 0
+			}
+		}
+		touched[w] = 0
 	}
 	if track {
-		for i := 0; i < n; i++ {
-			s.nhLen[i] = 0
-			vias[i] = vias[i][:0]
-		}
 		s.nhArena = s.nhArena[:0]
 	}
+	mark := func(v int32) { touched[v>>6] |= 1 << (uint32(v) & 63) }
 
 	origin := seeds[0].idx
 	for _, sd := range seeds {
+		mark(sd.idx)
 		class[sd.idx] = ClassOrigin
 		dist[sd.idx] = sd.dist0
 		flags[sd.idx] |= sd.flag
 	}
 
-	// Tentative per-stage state, reused across runs.
-	tent := s.tent
-	tflags := s.tflags
-	for i := range tent {
-		tent[i] = -1
-	}
 	// The dial queue keeps its high-water shape across runs: only the
 	// inner buckets are truncated, so steady-state runs never reallocate.
 	clearBuckets := func() {
@@ -91,6 +108,7 @@ func (s *Simulator) propagate(seeds []seed, exclude, locking []bool, track, brea
 		}
 		switch {
 		case tent[node] == -1 || d < tent[node]:
+			mark(node)
 			tent[node] = d
 			tflags[node] = f
 			if track {
@@ -153,17 +171,10 @@ func (s *Simulator) propagate(seeds []seed, exclude, locking []bool, track, brea
 	if s.canceled() {
 		return false
 	}
-	// Reset tentative state for nodes still unclassed; classed nodes are
-	// skipped by the class check, so only clear what stage B can touch.
-	for i := 0; i < n; i++ {
-		if class[i] == ClassNone {
-			tent[i] = -1
-			tflags[i] = 0
-			if track {
-				vias[i] = vias[i][:0]
-			}
-		}
-	}
+	// Every node given a tentative route in stage A settled there (each
+	// such route sits in the dial queue at its own length), so the nodes
+	// still unclassed carry no tentative state into stage B; likewise from
+	// stage B into stage C.
 	peerContribute := func(pe, d int32, f uint8, via int32) {
 		if class[pe] != ClassNone {
 			return
@@ -179,6 +190,7 @@ func (s *Simulator) propagate(seeds []seed, exclude, locking []bool, track, brea
 		}
 		switch {
 		case tent[pe] == -1 || d < tent[pe]:
+			mark(pe)
 			tent[pe] = d
 			tflags[pe] = f
 			if track {
@@ -199,32 +211,32 @@ func (s *Simulator) propagate(seeds []seed, exclude, locking []bool, track, brea
 			peerContribute(pe, sd.dist0+1, sd.flag, sd.idx)
 		}
 	}
-	for u := int32(0); u < int32(n); u++ {
-		if class[u] != ClassCustomer {
-			continue
-		}
-		for _, pe := range g.PeersOf(int(u)) {
-			peerContribute(pe, dist[u]+1, flags[u], u)
+	// The walks below meet the nodes marked since the walk began or not,
+	// depending on their word; either way those hold no route yet and fail
+	// the class test.
+	for w, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			u := int32(w<<6 | bits.TrailingZeros64(word))
+			if class[u] != ClassCustomer {
+				continue
+			}
+			for _, pe := range g.PeersOf(int(u)) {
+				peerContribute(pe, dist[u]+1, flags[u], u)
+			}
 		}
 	}
-	for i := int32(0); i < int32(n); i++ {
-		if class[i] == ClassNone && tent[i] >= 0 {
-			settle(i, ClassPeer)
+	for w, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			i := int32(w<<6 | bits.TrailingZeros64(word))
+			if class[i] == ClassNone && tent[i] >= 0 {
+				settle(i, ClassPeer)
+			}
 		}
 	}
 
 	// ---- Stage C: provider routes ----
 	if s.canceled() {
 		return false
-	}
-	for i := 0; i < n; i++ {
-		if class[i] == ClassNone {
-			tent[i] = -1
-			tflags[i] = 0
-			if track {
-				vias[i] = vias[i][:0]
-			}
-		}
 	}
 	clearBuckets()
 	downPush := func(c, d int32, f uint8, via int32) {
@@ -244,12 +256,15 @@ func (s *Simulator) propagate(seeds []seed, exclude, locking []bool, track, brea
 			downPush(c, sd.dist0+1, sd.flag, sd.idx)
 		}
 	}
-	for u := int32(0); u < int32(n); u++ {
-		if class[u] != ClassCustomer && class[u] != ClassPeer {
-			continue
-		}
-		for _, c := range g.CustomersOf(int(u)) {
-			downPush(c, dist[u]+1, flags[u], u)
+	for w, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			u := int32(w<<6 | bits.TrailingZeros64(word))
+			if class[u] != ClassCustomer && class[u] != ClassPeer {
+				continue
+			}
+			for _, c := range g.CustomersOf(int(u)) {
+				downPush(c, dist[u]+1, flags[u], u)
+			}
 		}
 	}
 	for d := 0; d < len(s.buckets); d++ {
@@ -273,7 +288,7 @@ func (s *Simulator) propagate(seeds []seed, exclude, locking []bool, track, brea
 // done. It is polled between propagation stages and distance buckets:
 // cheap enough to keep the hot loops allocation- and branch-lean, frequent
 // enough that a deadline aborts a propagation within a fraction of its
-// O(V+E) runtime.
+// runtime.
 func (s *Simulator) canceled() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
@@ -328,18 +343,18 @@ func (s *Simulator) csr() nextHopCSR {
 // orderByDistance fills and returns s.order with the dense indexes of all
 // classed nodes in ascending best-length order, using a counting sort over
 // distances (they are small ints bounded by the dial queue's depth), stable
-// by index within a distance. Valid until the next call.
+// by index within a distance. Valid until the next call. It walks the
+// latest propagation's touched marks, so it costs O(touched + n/64).
 func (s *Simulator) orderByDistance() []int32 {
-	n := s.n
+	class, dist := s.class, s.dist
 	maxd := int32(0)
 	classed := 0
-	for i := 0; i < n; i++ {
-		if s.class[i] == ClassNone {
-			continue
-		}
-		classed++
-		if s.dist[i] > maxd {
-			maxd = s.dist[i]
+	for w, word := range s.touched {
+		for ; word != 0; word &= word - 1 {
+			if i := w<<6 | bits.TrailingZeros64(word); class[i] != ClassNone {
+				classed++
+				maxd = max(maxd, dist[i])
+			}
 		}
 	}
 	if cap(s.distCnt) < int(maxd)+2 {
@@ -349,9 +364,11 @@ func (s *Simulator) orderByDistance() []int32 {
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	for i := 0; i < n; i++ {
-		if s.class[i] != ClassNone {
-			cnt[s.dist[i]+1]++
+	for w, word := range s.touched {
+		for ; word != 0; word &= word - 1 {
+			if i := w<<6 | bits.TrailingZeros64(word); class[i] != ClassNone {
+				cnt[dist[i]+1]++
+			}
 		}
 	}
 	for d := int32(1); d < int32(len(cnt)); d++ {
@@ -361,25 +378,26 @@ func (s *Simulator) orderByDistance() []int32 {
 		s.order = make([]int32, classed)
 	}
 	order := s.order[:classed]
-	for i := 0; i < n; i++ {
-		if s.class[i] != ClassNone {
-			order[cnt[s.dist[i]]] = int32(i)
-			cnt[s.dist[i]]++
+	for w, word := range s.touched {
+		for ; word != 0; word &= word - 1 {
+			if i := w<<6 | bits.TrailingZeros64(word); class[i] != ClassNone {
+				order[cnt[dist[i]]] = int32(i)
+				cnt[dist[i]]++
+			}
 		}
 	}
 	s.order = order
 	return order
 }
 
-// pathCountsCSR fills counts[v] with the number of tied-best DAG paths from
-// v to the origin (N(w) in the loop-detection derivation). order must hold
-// the classed nodes in ascending best-length order; every next-hop edge
-// drops the best length by exactly one, so each node only reads counts
-// settled by an earlier distance bucket.
+// pathCountsCSR sets counts[v], for every v in order, to the number of
+// tied-best DAG paths from v to the origin (N(w) in the loop-detection
+// derivation). order must hold the classed nodes in ascending best-length
+// order; every next-hop edge drops the best length by exactly one, so each
+// node only reads counts settled by an earlier distance bucket. Entries of
+// routeless nodes keep whatever they held: every reader reaches counts
+// through next hops or a routed leaker, never through a routeless node.
 func pathCountsCSR(csr nextHopCSR, class []Class, dist []int32, order []int32, counts []float64) {
-	for i := range counts {
-		counts[i] = 0
-	}
 	for _, v := range order {
 		if class[v] == ClassOrigin && dist[v] == 0 {
 			counts[v] = 1

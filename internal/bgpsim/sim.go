@@ -13,15 +13,18 @@
 // for route-leak experiments (§8) — whether any tied-best route leads to a
 // misconfigured leaker instead of the legitimate origin.
 //
-// Propagation over a graph with V ASes and E links costs O(V+E): customer
-// routes spread by a bucketed BFS up customer→provider edges, peer routes
-// take a single peer hop from customer-route holders, and provider routes
-// spread down provider→customer edges in best-length order.
+// Propagation over a graph with V ASes costs O(reached edges + V/64), after
+// a one-time O(V) first run: customer routes spread by a bucketed BFS up
+// customer→provider edges, peer routes take a single peer hop from
+// customer-route holders, and provider routes spread down provider→customer
+// edges in best-length order. A Simulator remembers which ASes a
+// propagation touched (one bit each) and resets and scans only those.
 package bgpsim
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"flatnet/internal/astopo"
 )
@@ -236,6 +239,13 @@ type Simulator struct {
 	tent   []int32
 	tflags []uint8
 
+	// touched holds one bit per AS, set for every AS whose entries above
+	// (or next-hop span) the latest propagation may have written. Every
+	// other AS holds the reset state, so the next propagation resets only
+	// the set bits, and the scans over classed ASes walk them in ascending
+	// index order — the order of a dense scan.
+	touched []uint64
+
 	// leakBlocked marks ASes whose BGP loop detection rejects every
 	// leaked copy (set by prepare for leak runs, nil otherwise).
 	leakBlocked []bool
@@ -252,12 +262,14 @@ type Simulator struct {
 	nhArena []int32
 
 	// Scratch reused by prepare and the leak pre-pass. blocked carries
-	// exactly the marks of walk's latest result.
+	// exactly the marks of walk's latest result. reach is RelianceCtx's
+	// visit mass, zero outside holders (its latest route holders).
 	seeds   []seed
 	order   []int32
 	distCnt []int32
 	counts  []float64
 	reach   []float64
+	holders []int32
 	blocked []bool
 	walk    loopWalk
 
@@ -273,14 +285,29 @@ type Simulator struct {
 func New(g *astopo.Graph) *Simulator {
 	g.Freeze()
 	n := g.NumASes()
-	return &Simulator{
-		g:      g,
-		n:      n,
-		class:  make([]Class, n),
-		dist:   make([]int32, n),
-		flags:  make([]uint8, n),
-		tent:   make([]int32, n),
-		tflags: make([]uint8, n),
+	s := &Simulator{
+		g:       g,
+		n:       n,
+		class:   make([]Class, n),
+		dist:    make([]int32, n),
+		flags:   make([]uint8, n),
+		tent:    make([]int32, n),
+		tflags:  make([]uint8, n),
+		touched: make([]uint64, (n+63)/64),
+	}
+	s.markAll()
+	return s
+}
+
+// markAll marks every AS touched, so the next propagation resets the whole
+// graph: the state of a fresh Simulator, and of one whose arrays a LeakSweep
+// has just swapped for others.
+func (s *Simulator) markAll() {
+	for w := range s.touched {
+		s.touched[w] = ^uint64(0)
+	}
+	if r := s.n % 64; r != 0 {
+		s.touched[len(s.touched)-1] = 1<<r - 1
 	}
 }
 
@@ -316,13 +343,9 @@ func (s *Simulator) Run(cfg Config) (*Result, error) {
 	if seeds == nil {
 		// Leak configured but the leaker holds no route: the leak-free
 		// state with everything marked legitimate is the outcome.
-		res, err := s.Run(Config{
-			Origin:        cfg.Origin,
-			Policy:        cfg.Policy,
-			Exclude:       cfg.Exclude,
-			Locking:       cfg.Locking,
-			TrackNextHops: cfg.TrackNextHops,
-		})
+		base := cfg
+		base.Leaker, base.Hijack = 0, false
+		res, err := s.Run(base)
 		if err != nil {
 			return nil, err
 		}
@@ -422,9 +445,12 @@ func (s *Simulator) ReachabilityCount(cfg Config) (int, error) {
 		return 0, s.ctx.Err()
 	}
 	n := 0
-	for i, c := range s.class {
-		if c != ClassNone && int32(i) != seeds[0].idx {
-			n++
+	for w, word := range s.touched {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if s.class[i] != ClassNone && int32(i) != seeds[0].idx {
+				n++
+			}
 		}
 	}
 	return n, nil
@@ -503,7 +529,7 @@ func (s *Simulator) prepare(cfg Config) ([]seed, int32, error) {
 }
 
 // ensureLeakScratch sizes the path-count scratch the leak pre-pass and
-// RelianceCtx share.
+// RelianceCtx share, and RelianceCtx's visit masses.
 func (s *Simulator) ensureLeakScratch() {
 	if s.counts == nil {
 		s.counts = make([]float64, s.n)

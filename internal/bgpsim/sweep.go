@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -92,11 +93,20 @@ func NewLeakSweep(g *astopo.Graph, base Config) (*LeakSweep, error) {
 	} else {
 		sw = &LeakSweep{base: &sweepBase{g: g}, sim: New(g), ownsBase: true}
 	}
+	if err := sw.prepass(base); err != nil {
+		sweepPool.Put(sw)
+		return nil, err
+	}
+	return sw, nil
+}
+
+// prepass runs base's leak-free propagation on the sweep's simulator and
+// installs it as the sweep's snapshot.
+func (sw *LeakSweep) prepass(base Config) error {
 	sim := sw.sim
 	seeds, _, err := sim.prepare(base)
 	if err != nil {
-		sweepPool.Put(sw)
-		return nil, err
+		return err
 	}
 	sim.propagate(seeds, base.Exclude, base.Locking, true, base.BreakTies)
 	b := sw.base
@@ -104,8 +114,9 @@ func NewLeakSweep(g *astopo.Graph, base Config) (*LeakSweep, error) {
 	b.origin = seeds[0].idx
 	// The snapshot takes the simulator's pre-pass arrays (sim.order among
 	// them, once filled) and hands back its own — the previous
-	// configuration's, or fresh ones; every one of them is rewritten by the
-	// simulator's next propagation before it is read.
+	// configuration's, or fresh ones. None of them matches the simulator's
+	// touched marks, so all are marked: the next propagation resets every
+	// entry before it is read.
 	sim.orderByDistance()
 	if b.class == nil {
 		b.class, b.dist = make([]Class, sim.n), make([]int32, sim.n)
@@ -118,9 +129,10 @@ func NewLeakSweep(g *astopo.Graph, base Config) (*LeakSweep, error) {
 	b.csr.num, sim.nhLen = sim.nhLen, b.csr.num
 	b.csr.arena, sim.nhArena = sim.nhArena, b.csr.arena
 	b.order, sim.order = sim.order, b.order
+	sim.markAll()
 	pathCountsCSR(b.csr, b.class, b.dist, b.order, b.counts)
 	sw.classes = nil // recycled sweeps must not inherit a prior SetClasses
-	return sw, nil
+	return nil
 }
 
 // Release returns the sweep's buffers to per-graph pools for reuse by the
@@ -520,11 +532,15 @@ func (sw *LeakSweep) Trial(leaker astopo.ASN, weights []float64) (LeakTrial, err
 	b := sw.base
 	detoured := 0
 	var wsum float64
-	for i, f := range sw.sim.flags {
-		if int32(i) == b.origin || int32(i) == li {
-			continue
-		}
-		if f&ViaLeak != 0 {
+	// Only touched ASes can carry a flag; the walk meets them in index
+	// order, so the weighted sum adds up as a dense scan would.
+	flags := sw.sim.flags
+	for w, word := range sw.sim.touched {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if flags[i]&ViaLeak == 0 || int32(i) == b.origin || int32(i) == li {
+				continue
+			}
 			detoured++
 			if weights != nil {
 				wsum += weights[i]
