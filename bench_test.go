@@ -341,40 +341,6 @@ func BenchmarkReachabilityAll(b *testing.B) {
 	reportNsPerAS(b, e.In2020.Graph.NumASes())
 }
 
-// BenchmarkReachabilityAllClassed measures the steady-state class-collapsed
-// sweep with the origin equivalence-class index pre-built, isolating the
-// propagation cost from the one-time index construction that
-// BenchmarkReachabilityAll's first iteration pays. The collapse ratio
-// (ASes per swept class) is reported alongside timing.
-func BenchmarkReachabilityAllClassed(b *testing.B) {
-	e := benchEnv(b)
-	ci := e.M2020.SweepClasses()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.M2020.ReachabilityAll(core.HierarchyFree); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(ci.CollapseRatio(), "collapse-ratio")
-	reportNsPerAS(b, e.In2020.Graph.NumASes())
-}
-
-// BenchmarkClassIndexBuild measures a from-scratch equivalence-class index
-// build over the 2020 topology — the one-time cost a fresh world pays
-// before its first collapsed sweep (evolved worlds carry the index
-// incrementally instead).
-func BenchmarkClassIndexBuild(b *testing.B) {
-	e := benchEnv(b)
-	in := e.In2020
-	var ci *bgpsim.ClassIndex
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ci = bgpsim.NewClassIndex(in.Graph, in.Tier1, in.Tier2, nil)
-	}
-	b.ReportMetric(ci.CollapseRatio(), "collapse-ratio")
-	reportNsPerAS(b, in.Graph.NumASes())
-}
-
 // BenchmarkLeakSweep measures one steady-state leak trial against a cached
 // pre-pass — the inner loop of Figs. 7–10. allocs/op should be ~0.
 func BenchmarkLeakSweep(b *testing.B) {

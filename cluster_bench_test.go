@@ -84,8 +84,8 @@ func BenchmarkClusterSweep(b *testing.B) {
 				}
 			}
 			// Second warm pass: the verification sweep above built each
-			// worker's lazy state (engine pools, class index, HTTP
-			// keep-alives) on first touch, so only a second full fan-out
+			// worker's lazy state (engine pools, HTTP keep-alives) on
+			// first touch, so only a second full fan-out
 			// runs every shard at steady state. A GC fence then keeps the
 			// warmup's garbage from being collected inside the timed loop —
 			// the two together pin the per-op work to exactly one

@@ -43,17 +43,23 @@ const BatchLanes = 64
 // (they share the frozen graph safely). All buffers are high-water-reused,
 // so steady-state calls allocate nothing.
 //
-// The engine is active-set based: every stage word a call sets is recorded
-// in a touched list, and the per-call bookkeeping passes (state reset,
-// stage-B gating, stage-C seeding, the final popcount) walk only that list
-// instead of all n nodes. Profiling the full-scale sweep showed those O(n)
-// passes — not edge relaxation — were ~80% of the runtime; with masked
-// kinds the average block reaches a fraction of the graph, so the
-// bookkeeping now costs O(reached) per block. For the same reason the
-// composed allowed words are kept across calls: while the caller passes
-// the same base mask (compared by backing-array identity), each call only
-// un-applies the previous call's sparse per-lane overrides instead of
-// recomposing all n words.
+// The engine is active-set based: every node a call gives a route is
+// recorded in a touched list, and the per-call bookkeeping passes (stage-B
+// and stage-C seeding, the final count, which also resets what it counts)
+// walk only that list instead of all n nodes. Profiling the full-scale
+// sweep showed those O(n) passes — not edge relaxation — were ~80% of the
+// runtime; with masked kinds the average block reaches a fraction of the
+// graph, so the bookkeeping costs O(reached) per block. For the same
+// reason the composed allowed words are kept across calls: while the
+// caller passes the same base mask (compared by backing-array identity),
+// each call only un-applies the previous call's sparse per-lane overrides
+// instead of recomposing all n words.
+//
+// All of a node's per-call state is one 32-byte reachNode, so an edge
+// check and a reset each touch one cache line. Words only ever gain bits,
+// so a node is on the touched list exactly when one of its three route
+// words is nonzero: the word test doubles as the membership test, and
+// between calls every route word is zero.
 type BatchReach struct {
 	g *astopo.Graph
 	n int
@@ -62,24 +68,34 @@ type BatchReach struct {
 	// CountsCtx, nil otherwise).
 	ctx context.Context
 
-	allowed []uint64 // per-node allowed lanes for the current call
-	up      []uint64 // origin ∪ customer-route holders (stage A)
-	peer    []uint64 // peer-route holders (stage B)
-	down    []uint64 // provider-route holders (stage C)
+	nodes []reachNode
 
-	queue []int32 // shared worklist for the stage A/C fixed points
-	inq   []bool  // worklist membership, cleared on pop
+	queue []int32  // shared worklist for the stage A/C fixed points
+	inq   []uint64 // worklist membership bitset, cleared on pop
 
-	touched []int32 // nodes with any stage word set this call
-	intouch []bool  // touched membership, cleared by the next call's reset
+	touched []int32 // this call's nodes with a route, in first-touch order
 
 	// allowed-word reuse across calls: basePtr/baseLen identify the base
-	// mask allowed was composed from, overrides lists the words the last
-	// call's per-lane origin/provider edits diverged from it.
+	// mask the allowed words were composed from, overrides lists the nodes
+	// whose words the last call's per-lane origin/provider edits diverged.
 	basePtr   *bool
 	baseLen   int
 	overrides []int32
 }
+
+// reachNode is one AS's lane words for the current call.
+type reachNode struct {
+	allowed uint64 // lanes that may hold a route here
+	up      uint64 // origin ∪ customer-route holders (stage A)
+	peer    uint64 // peer-route holders (stage B)
+	down    uint64 // provider-route holders (stage C)
+}
+
+// countPlanes is the depth of the vertical counter behind the final count:
+// plane k holds bit k of every lane's running count, so it absorbs
+// 1<<countPlanes - 1 words before a lane could overflow and is flushed
+// into the output that often.
+const countPlanes = 15
 
 // NewBatchReach returns a batch engine for g. The graph is frozen by the
 // call and must not be mutated afterwards.
@@ -89,12 +105,8 @@ func NewBatchReach(g *astopo.Graph) *BatchReach {
 	return &BatchReach{
 		g:       g,
 		n:       n,
-		allowed: make([]uint64, n),
-		up:      make([]uint64, n),
-		peer:    make([]uint64, n),
-		down:    make([]uint64, n),
-		inq:     make([]bool, n),
-		intouch: make([]bool, n),
+		nodes:   make([]reachNode, n),
+		inq:     make([]uint64, (n+63)/64),
 		baseLen: -1, // no base composed yet (distinct from a nil base)
 	}
 }
@@ -132,29 +144,29 @@ func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, ou
 	// per kind), the lane-uniform part survives from the previous call and
 	// only that call's sparse overrides are un-applied; the base is
 	// recomposed in full only when it changes.
-	allowed := b.allowed
+	nodes := b.nodes
 	sameBase := base == nil && b.baseLen == 0 ||
 		base != nil && len(base) > 0 && b.basePtr == &base[0] && b.baseLen == len(base)
 	if sameBase {
 		for _, i := range b.overrides {
 			if base != nil && base[i] {
-				allowed[i] = 0
+				nodes[i].allowed = 0
 			} else {
-				allowed[i] = ^uint64(0)
+				nodes[i].allowed = ^uint64(0)
 			}
 		}
 	} else {
 		if base == nil {
-			for i := range allowed {
-				allowed[i] = ^uint64(0)
+			for i := range nodes {
+				nodes[i].allowed = ^uint64(0)
 			}
 			b.basePtr, b.baseLen = nil, 0
 		} else {
 			for i, m := range base {
 				if m {
-					allowed[i] = 0
+					nodes[i].allowed = 0
 				} else {
-					allowed[i] = ^uint64(0)
+					nodes[i].allowed = ^uint64(0)
 				}
 			}
 			b.basePtr, b.baseLen = &base[0], len(base)
@@ -169,25 +181,19 @@ func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, ou
 	overrides := b.overrides[:0]
 	for lane, o := range origins {
 		bit := uint64(1) << lane
-		allowed[o] |= bit // the origin is never excluded from its own lane
+		nodes[o].allowed |= bit // the origin is never excluded from its own lane
 		overrides = append(overrides, o)
 		if maskProviders {
 			for _, p := range g.ProvidersOf(int(o)) {
-				allowed[p] &^= bit
+				nodes[p].allowed &^= bit
 				overrides = append(overrides, p)
 			}
 		}
 	}
 	b.overrides = overrides
 
-	// Reset only the nodes the previous call touched; a fresh engine's
-	// arrays are already zero.
-	up, peer, down := b.up, b.peer, b.down
-	intouch := b.intouch
-	for _, v := range b.touched {
-		up[v], peer[v], down[v] = 0, 0, 0
-		intouch[v] = false
-	}
+	// Every route word is zero here: the count below clears each node it
+	// reads, and a canceled call clears what it touched before returning.
 	touched := b.touched[:0]
 
 	// ---- Stage A: upward closure over customer→provider edges ----
@@ -195,35 +201,35 @@ func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, ou
 	// word; nodes re-enter when they gain new bits. Words only ever gain
 	// bits, so the fixed point is reached after O(set-bit insertions).
 	if err := b.canceled(); err != nil {
-		b.touched = touched
+		b.clear(touched)
 		return err
 	}
 	queue := b.queue[:0]
 	inq := b.inq
 	for lane, o := range origins {
-		up[o] |= uint64(1) << lane
-		if !intouch[o] {
-			intouch[o] = true
+		nd := &nodes[o]
+		if nd.up == 0 {
 			touched = append(touched, o)
 		}
-		if !inq[o] {
-			inq[o] = true
+		nd.up |= uint64(1) << lane
+		if inq[o>>6]&(1<<(o&63)) == 0 {
+			inq[o>>6] |= 1 << (o & 63)
 			queue = append(queue, o)
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		inq[u] = false
-		w := up[u]
+		inq[u>>6] &^= 1 << (u & 63)
+		w := nodes[u].up
 		for _, p := range g.ProvidersOf(int(u)) {
-			if add := w & allowed[p] &^ up[p]; add != 0 {
-				up[p] |= add
-				if !intouch[p] {
-					intouch[p] = true
+			nd := &nodes[p]
+			if add := w & nd.allowed &^ nd.up; add != 0 {
+				if nd.up == 0 {
 					touched = append(touched, p)
 				}
-				if !inq[p] {
-					inq[p] = true
+				nd.up |= add
+				if inq[p>>6]&(1<<(p&63)) == 0 {
+					inq[p>>6] |= 1 << (p & 63)
 					queue = append(queue, p)
 				}
 			}
@@ -232,92 +238,105 @@ func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, ou
 
 	// ---- Stage B: one p2p hop, gated on "no customer route yet" ----
 	// touched is exactly the nonzero-up set here: scan it, not all n nodes.
+	// Every up word is final, so each arrival is gated as it lands.
 	if err := b.canceled(); err != nil {
-		b.touched = touched
+		b.clear(touched)
 		return err
 	}
-	aEnd := len(touched)
-	for _, u := range touched[:aEnd] {
-		w := up[u]
+	for _, u := range touched {
+		w := nodes[u].up
 		for _, pe := range g.PeersOf(int(u)) {
-			peer[pe] |= w
-			if !intouch[pe] {
-				intouch[pe] = true
-				touched = append(touched, pe)
+			nd := &nodes[pe]
+			if add := w & nd.allowed &^ nd.up; add != 0 {
+				if nd.up|nd.peer == 0 {
+					touched = append(touched, pe)
+				}
+				nd.peer |= add
 			}
 		}
-	}
-	for _, v := range touched {
-		peer[v] &= allowed[v] &^ up[v]
 	}
 
 	// ---- Stage C: downward closure over provider→customer edges ----
-	// Seeds are the up∪peer holders — a subset of touched; the snapshot
-	// taken by the range below is safe because stage C only ever adds
-	// down-only nodes, which can never seed.
+	// Seeds are the up∪peer holders — exactly touched here — so the
+	// worklist starts as a copy of it. A popped node relays every lane it
+	// holds: re-offering its up∪peer lanes is harmless (customers that
+	// took them hold them), and a seed that gained provider routes before
+	// its turn relays them in the same pass.
 	if err := b.canceled(); err != nil {
-		b.touched = touched
+		b.clear(touched)
 		return err
 	}
-	queue = queue[:0]
-	for _, u := range touched[:len(touched)] {
-		w := up[u] | peer[u]
-		if w == 0 {
-			continue
-		}
-		for _, c := range g.CustomersOf(int(u)) {
-			if add := w & allowed[c] &^ (up[c] | peer[c] | down[c]); add != 0 {
-				down[c] |= add
-				if !intouch[c] {
-					intouch[c] = true
-					touched = append(touched, c)
-				}
-				if !inq[c] {
-					inq[c] = true
-					queue = append(queue, c)
-				}
-			}
-		}
+	queue = append(queue[:0], touched...)
+	for _, u := range touched {
+		inq[u>>6] |= 1 << (u & 63)
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		inq[u] = false
-		w := down[u]
+		inq[u>>6] &^= 1 << (u & 63)
+		w := nodes[u].up | nodes[u].peer | nodes[u].down
 		for _, c := range g.CustomersOf(int(u)) {
-			if add := w & allowed[c] &^ (up[c] | peer[c] | down[c]); add != 0 {
-				down[c] |= add
-				if !intouch[c] {
-					intouch[c] = true
+			nd := &nodes[c]
+			held := nd.up | nd.peer | nd.down
+			if add := w & nd.allowed &^ held; add != 0 {
+				if held == 0 {
 					touched = append(touched, c)
 				}
-				if !inq[c] {
-					inq[c] = true
+				nd.down |= add
+				if inq[c>>6]&(1<<(c&63)) == 0 {
+					inq[c>>6] |= 1 << (c & 63)
 					queue = append(queue, c)
 				}
 			}
 		}
 	}
-	b.queue = queue // keep the high-water backing array
-	b.touched = touched
+	b.queue = queue // keep the high-water backing arrays
+	b.touched = touched[:0]
 
 	// ---- Count ----
-	// Every lane's origin bit is set in up[origin]; subtract it at the
-	// end rather than carrying a separate origin word. Only touched nodes
-	// can hold bits.
+	// A bit-sliced vertical counter: each touched node's route word is
+	// added to every lane's count at once, as a binary increment rippling
+	// through the planes, instead of one increment per set bit. Every
+	// lane's origin bit is set in up[origin]; subtract it at the end rather
+	// than carrying a separate origin word. Only touched nodes hold bits,
+	// and each is cleared as it is counted, leaving the engine zeroed for
+	// the next call.
 	for i := range origins {
 		out[i] = 0
 	}
-	for _, v := range touched {
-		w := up[v] | peer[v] | down[v]
-		for w != 0 {
-			out[bits.TrailingZeros64(w)]++
-			w &= w - 1
+	const chunk = 1<<countPlanes - 1
+	for rest := touched; len(rest) > 0; {
+		part := rest[:min(len(rest), chunk)]
+		rest = rest[len(part):]
+		var planes [countPlanes]uint64
+		for _, v := range part {
+			nd := &nodes[v]
+			for k, c := 0, nd.up|nd.peer|nd.down; c != 0; k++ {
+				p := planes[k]
+				planes[k] = p ^ c
+				c &= p
+			}
+			nd.up, nd.peer, nd.down = 0, 0, 0
+		}
+		for k, p := range planes {
+			for ; p != 0; p &= p - 1 {
+				out[bits.TrailingZeros64(p)] += 1 << k
+			}
 		}
 	}
 	for i := range origins {
 		out[i]--
 	}
 	return nil
+}
+
+// clear zeroes the route words of the touched nodes, for a call that
+// stops before its count.
+func (b *BatchReach) clear(touched []int32) {
+	for _, v := range touched {
+		nd := &b.nodes[v]
+		nd.up, nd.peer, nd.down = 0, 0, 0
+	}
+	b.touched = touched[:0]
 }
 
 // CountsCtx is Counts with cancellation: the batch propagation is aborted

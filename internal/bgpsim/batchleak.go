@@ -94,12 +94,6 @@ type BatchLeak struct {
 	laneOut [BatchLanes]int   // output slot per active lane
 	counts  [BatchLanes]int
 	wsums   [BatchLanes]float64
-
-	// lastLanes is the lane count of the most recently finished block; it
-	// scopes detoured() to blocks whose lane arrays are still live (a
-	// block with zero lanes leaves stale leak words behind and must answer
-	// every probe false).
-	lastLanes int
 }
 
 // Edge kinds a stage relays over.
@@ -214,21 +208,6 @@ func (bl *BatchLeak) TrialsCtx(ctx context.Context, sw *LeakSweep, leakers []ast
 	return bl.Trials(sw, leakers, weights, out)
 }
 
-// detoured reports whether, in the most recently finished block, the trial
-// written to out[slot] detoured the given node (dense index) through the
-// leak. A leaker's own lane is never set at its own node, which keeps the
-// answer aligned with the scalar reduction. A block that assigned zero
-// lanes leaves lastLanes at 0, so every probe against its stale leak words
-// answers false.
-func (bl *BatchLeak) detoured(slot int, node int32) bool {
-	for k := 0; k < bl.lastLanes; k++ {
-		if bl.laneOut[k] == slot {
-			return bl.leak[node]>>k&1 == 1
-		}
-	}
-	return false
-}
-
 // block runs one ≤BatchLanes batch: validation, lane assignment, the
 // three-stage word-wise propagation, and the per-lane detour reduction.
 func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64, out []LeakTrial) error {
@@ -240,7 +219,6 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 	// trial is all-zero, matching the scalar path) and get no lane;
 	// hijacks forge an origination and always propagate.
 	nlanes := 0
-	bl.lastLanes = 0
 	for i, leaker := range leakers {
 		li, ok := g.Index(leaker)
 		if !ok {
@@ -263,7 +241,6 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 	if nlanes == 0 {
 		return nil
 	}
-	bl.lastLanes = nlanes
 	allLanes := ^uint64(0) >> (BatchLanes - nlanes)
 
 	// ---- Per-node words and first senders from the cached snapshot ----

@@ -3,7 +3,6 @@ package bgpsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -33,10 +32,6 @@ type LeakSweep struct {
 	// recycles the whole sweep); Clone/WithHijack derivatives share the
 	// base and only recycle their simulator.
 	ownsBase bool
-
-	// classes, when set via SetClasses, lets Trials/TrialsN replay only one
-	// leaker per origin equivalence class and copy the trial to classmates.
-	classes *ClassIndex
 }
 
 // sweepBase is the leaker-invariant snapshot: the leak-free propagation
@@ -131,7 +126,6 @@ func (sw *LeakSweep) prepass(base Config) error {
 	b.order, sim.order = sim.order, b.order
 	sim.markAll()
 	pathCountsCSR(b.csr, b.class, b.dist, b.order, b.counts)
-	sw.classes = nil // recycled sweeps must not inherit a prior SetClasses
 	return nil
 }
 
@@ -157,27 +151,7 @@ func (sw *LeakSweep) Release() {
 // owning fresh propagation and scratch buffers, for use from another
 // goroutine.
 func (sw *LeakSweep) Clone() *LeakSweep {
-	return &LeakSweep{
-		base:    sw.base,
-		sim:     getSim(sw.base.g),
-		classes: sw.classes,
-	}
-}
-
-// SetClasses attaches an origin equivalence-class index built over the
-// sweep's graph, enabling leaker dedup in Trials/TrialsN: two leakers in
-// one class produce identical unweighted trials (the member-swap
-// automorphism fixes the origin and every other AS, so the detoured set
-// maps bijectively), weighted trials differ only by an O(1) correction to
-// the detoured user fraction, and per-trial config invariance is
-// re-checked at replay time (see TrialsN). nil, or an index over a
-// different graph, disables dedup. Returns the sweep for chaining.
-func (sw *LeakSweep) SetClasses(ci *ClassIndex) *LeakSweep {
-	if ci != nil && ci.NumASes() != sw.base.g.NumASes() {
-		ci = nil
-	}
-	sw.classes = ci
-	return sw
+	return &LeakSweep{base: sw.base, sim: getSim(sw.base.g)}
 }
 
 // Base returns the sweep's base configuration (Leaker is always zero).
@@ -196,11 +170,7 @@ func (sw *LeakSweep) WithHijack(hijack bool) *LeakSweep {
 	}
 	nb := *sw.base
 	nb.cfg.Hijack = hijack
-	return &LeakSweep{
-		base:    &nb,
-		sim:     getSim(nb.g),
-		classes: sw.classes,
-	}
+	return &LeakSweep{base: &nb, sim: getSim(nb.g)}
 }
 
 // runLeaker validates the leaker against the cached pre-pass, installs the
@@ -281,189 +251,23 @@ func (sw *LeakSweep) Trials(ctx context.Context, leakers []astopo.ASN, weights [
 // concatenates to exactly Trials' output — the property cluster leak
 // shards rely on.
 func (sw *LeakSweep) TrialsN(ctx context.Context, leakers []astopo.ASN, weights []float64, workers int) ([]LeakTrial, error) {
-	out := make([]LeakTrial, len(leakers))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// Class collapse: trials of leakers in one equivalence class are related
-	// by the member-swap automorphism, so only the first classmate replays.
-	// Unweighted trials are identical and copy verbatim. Weighted trials
-	// differ only in the swapped pair's own contribution: swapping
-	// classmates a↔b maps the detoured set S_a to (S_a\{b})∪{a} when b∈S_a
-	// and fixes it otherwise, so DetouredFrac copies exactly and
-	// DetouredUserFrac takes the O(1) correction ind_b·(w[a]−w[b]) with
-	// ind_b read from the representative trial's detour bit at b. Soundness
-	// needs the automorphism to fix the whole configuration, which the class
-	// fingerprint does not see: classmates must agree on their exclusion
-	// bit, locking bit, and policy membership, so the dedup key carries
-	// those three bits alongside the class id.
-	if ci := sw.classes; ci != nil && len(leakers) > 1 {
-		cfg := sw.base.cfg
-		g := sw.base.g
-		type leakKey struct {
-			class      int32
-			lock, poli bool
-		}
-		firstOf := make(map[leakKey]int32, len(leakers))
-		uniq := make([]astopo.ASN, 0, len(leakers))
-		slot := make([]int32, len(leakers))
-		isRep := make([]bool, len(leakers))
-		lidx := make([]int32, len(leakers))
-		repIdx := make([]int32, 0, len(leakers))
-		for i, l := range leakers {
-			li, ok := g.Index(l)
-			if !ok || l == cfg.Origin || (cfg.Exclude != nil && cfg.Exclude[li]) {
-				// Unknown, origin-equal, and excluded leakers error per
-				// leaker; they stay unique so the replay reports the same
-				// error, naming the same leaker, the undeduped path would.
-				slot[i] = int32(len(uniq))
-				isRep[i] = true
-				lidx[i] = -1
-				uniq = append(uniq, l)
-				repIdx = append(repIdx, -1)
-				continue
-			}
-			lidx[i] = int32(li)
-			k := leakKey{
-				class: ci.ClassOf(li),
-				lock:  cfg.Locking != nil && cfg.Locking[li],
-				poli:  cfg.Policy.allows(int32(li)),
-			}
-			s, seen := firstOf[k]
-			if !seen {
-				s = int32(len(uniq))
-				firstOf[k] = s
-				isRep[i] = true
-				uniq = append(uniq, l)
-				repIdx = append(repIdx, int32(li))
-			}
-			slot[i] = s
-		}
-		if len(uniq) < len(leakers) {
-			trials := make([]LeakTrial, len(uniq))
-			if weights == nil {
-				if err := sw.trialsDispatch(ctx, uniq, nil, trials, workers); err != nil {
-					return nil, err
-				}
-				for i, s := range slot {
-					out[i] = trials[s]
-					out[i].Leaker = leakers[i]
-				}
-				return out, nil
-			}
-			// Weighted collapse: each duplicate probes its own node's
-			// detour bit in the representative's trial (CSR layout, one
-			// probe per duplicate, answered in-engine by the dispatch) and
-			// applies the correction above to the copied DetouredUserFrac.
-			probeOff := make([]int32, len(uniq)+1)
-			for i := range leakers {
-				if !isRep[i] {
-					probeOff[slot[i]+1]++
-				}
-			}
-			for s := 0; s < len(uniq); s++ {
-				probeOff[s+1] += probeOff[s]
-			}
-			nProbes := int(probeOff[len(uniq)])
-			probeNode := make([]int32, nProbes)
-			probeAt := make([]int32, len(leakers))
-			cursor := make([]int32, len(uniq))
-			copy(cursor, probeOff[:len(uniq)])
-			for i := range leakers {
-				if isRep[i] {
-					probeAt[i] = -1
-					continue
-				}
-				p := cursor[slot[i]]
-				cursor[slot[i]]++
-				probeNode[p] = lidx[i]
-				probeAt[i] = p
-			}
-			bits := make([]bool, nProbes)
-			if err := sw.trialsDispatchProbes(ctx, uniq, weights, trials, workers, probeOff, probeNode, bits); err != nil {
-				return nil, err
-			}
-			for i, s := range slot {
-				out[i] = trials[s]
-				out[i].Leaker = leakers[i]
-				if !isRep[i] && bits[probeAt[i]] {
-					out[i].DetouredUserFrac += weights[repIdx[s]] - weights[lidx[i]]
-				}
-			}
-			// Runtime parity check: the first duplicate replays directly
-			// and must agree — DetouredFrac exactly, DetouredUserFrac up to
-			// the correction's float reordering. Any mismatch voids the
-			// collapse and the whole list reruns undeduped.
-			for i := range leakers {
-				if isRep[i] {
-					continue
-				}
-				direct, err := sw.TrialCtx(ctx, leakers[i], weights)
-				if err != nil {
-					return nil, fmt.Errorf("leaker AS%d: %w", leakers[i], err)
-				}
-				if direct.DetouredFrac != out[i].DetouredFrac ||
-					!wsumClose(direct.DetouredUserFrac, out[i].DetouredUserFrac) {
-					if err := sw.trialsDispatch(ctx, leakers, weights, out, workers); err != nil {
-						return nil, err
-					}
-				}
-				break
-			}
-			return out, nil
-		}
-	}
-	if err := sw.trialsDispatch(ctx, leakers, weights, out, workers); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// trialsDispatch replays every leaker with no dedup, writing trials to out
-// in input order — the batch/scalar engine split behind Trials/TrialsN.
-func (sw *LeakSweep) trialsDispatch(ctx context.Context, leakers []astopo.ASN, weights []float64, out []LeakTrial, workers int) error {
-	return sw.trialsDispatchProbes(ctx, leakers, weights, out, workers, nil, nil, nil)
-}
-
-// trialsDispatchProbes is trialsDispatch plus detour probes: for leaker j,
-// each probe p in probeNode[probeOff[j]:probeOff[j+1]] answers into bits[p]
-// whether j's trial detoured that node (dense index) through the leak. The
-// bits are read straight off the engine that ran the trial — the batch
-// engine's lane words or the scalar simulator's flags — before the engine
-// moves on, which is what lets the weighted class collapse in TrialsN pay
-// O(1) per duplicate instead of a full replay. probeOff == nil means no
-// probes. Both engines answer a leaker's probe of its own node as false-
-// equivalent (the batch lane mask excludes it; the scalar bit is paired
-// with a zero weight delta), so duplicate-ASN inputs stay exact.
-func (sw *LeakSweep) trialsDispatchProbes(ctx context.Context, leakers []astopo.ASN, weights []float64, out []LeakTrial, workers int, probeOff, probeNode []int32, bits []bool) error {
+	out := make([]LeakTrial, len(leakers))
 	b := sw.base
+	var err error
 	if !b.cfg.BreakTies && len(leakers) >= BatchLanes {
 		nBlocks := (len(leakers) + BatchLanes - 1) / BatchLanes
-		if workers > nBlocks {
-			workers = nBlocks
-		}
+		workers = min(workers, nBlocks)
 		engines := make([]*BatchLeak, workers)
-		err := par.ForCtx(ctx, workers, nBlocks, func(w int) func(i int) error {
+		err = par.ForCtx(ctx, workers, nBlocks, func(w int) func(i int) error {
 			bl := getBatchLeak(b.g)
 			engines[w] = bl
 			return func(i int) error {
 				lo := i * BatchLanes
-				hi := lo + BatchLanes
-				if hi > len(leakers) {
-					hi = len(leakers)
-				}
-				if err := bl.TrialsCtx(ctx, sw, leakers[lo:hi], weights, out[lo:hi]); err != nil {
-					return err
-				}
-				if probeOff != nil {
-					for j := lo; j < hi; j++ {
-						for p := probeOff[j]; p < probeOff[j+1]; p++ {
-							bits[p] = bl.detoured(j-lo, probeNode[p])
-						}
-					}
-				}
-				return nil
+				hi := min(lo+BatchLanes, len(leakers))
+				return bl.TrialsCtx(ctx, sw, leakers[lo:hi], weights, out[lo:hi])
 			}
 		})
 		for _, bl := range engines {
@@ -471,50 +275,33 @@ func (sw *LeakSweep) trialsDispatchProbes(ctx context.Context, leakers []astopo.
 				putBatchLeak(bl)
 			}
 		}
-		return err
-	}
-	clones := make([]*LeakSweep, workers)
-	err := par.ForCtx(ctx, workers, len(leakers), func(w int) func(i int) error {
-		s := sw
-		if w > 0 {
-			s = sw.Clone()
-			clones[w] = s
-		}
-		return func(i int) error {
-			tr, err := s.TrialCtx(ctx, leakers[i], weights)
-			if err != nil {
-				return fmt.Errorf("leaker AS%d: %w", leakers[i], err)
+	} else {
+		clones := make([]*LeakSweep, workers)
+		err = par.ForCtx(ctx, workers, len(leakers), func(w int) func(i int) error {
+			s := sw
+			if w > 0 {
+				s = sw.Clone()
+				clones[w] = s
 			}
-			out[i] = tr
-			if probeOff != nil {
-				// A zero DetouredFrac covers both "nothing detoured" and
-				// "nothing propagated" — in the latter case the simulator
-				// flags are stale from an earlier trial and must not be read.
-				for p := probeOff[i]; p < probeOff[i+1]; p++ {
-					bits[p] = tr.DetouredFrac != 0 && s.sim.flags[probeNode[p]]&ViaLeak != 0
+			return func(i int) error {
+				tr, err := s.TrialCtx(ctx, leakers[i], weights)
+				if err != nil {
+					return fmt.Errorf("leaker AS%d: %w", leakers[i], err)
 				}
+				out[i] = tr
+				return nil
 			}
-			return nil
-		}
-	})
-	for _, c := range clones {
-		if c != nil {
-			c.Release()
+		})
+		for _, c := range clones {
+			if c != nil {
+				c.Release()
+			}
 		}
 	}
-	return err
-}
-
-// wsumClose reports whether two weighted detour sums agree up to float
-// reordering: the collapse correction adds terms in a different order than
-// the direct node-order reduction, so parity checks allow ~1e-9 relative.
-func wsumClose(a, b float64) bool {
-	d := math.Abs(a - b)
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m < 1 {
-		m = 1
+	if err != nil {
+		return nil, err
 	}
-	return d <= 1e-9*m
+	return out, nil
 }
 
 // Trial replays one leaker and reduces the outcome straight to a LeakTrial

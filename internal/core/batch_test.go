@@ -93,6 +93,41 @@ func TestBatchMatchesScalarReachability(t *testing.T) {
 	}
 }
 
+// TestRangeSweepMatchesScalar covers the shard primitive: a sweep over an
+// arbitrary dense range [lo, hi) — cut points off the 64-lane grid, so
+// blocks straddle them — must equal the scalar per-origin sweep over the
+// same range, for every kind.
+func TestRangeSweepMatchesScalar(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 12 + rng.Intn(40)
+		if seed%10 == 0 {
+			n = 150 + rng.Intn(50) // multi-block: spans several 64-lane words
+		}
+		ds := randomTieredDataset(rng, n)
+		m := New(ds)
+		lo := rng.Intn(n)
+		hi := lo + rng.Intn(n-lo)
+		for _, kind := range allKinds {
+			got, err := m.ReachabilityRangeCtx(ctx, kind, lo, hi, 0)
+			if err != nil {
+				t.Fatalf("seed %d kind %v range [%d, %d): %v", seed, kind, lo, hi, err)
+			}
+			want, err := m.reachabilityRangeScalar(ctx, kind, lo, hi, 0)
+			if err != nil {
+				t.Fatalf("seed %d kind %v range [%d, %d): scalar: %v", seed, kind, lo, hi, err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d kind %v origin %d (AS%d): range sweep %d != scalar %d",
+						seed, kind, lo+i, ds.Graph.ASNAt(lo+i), got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // The kinds' exclusion masks nest (Full ⊆ ProviderFree ⊆ Tier1Free ⊆
 // HierarchyFree), so per-origin reachability through the batch path must
 // be monotone non-increasing across them.

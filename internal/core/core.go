@@ -83,25 +83,6 @@ type Metrics struct {
 	// whole-graph sweeps, on a reusable per-worker scratch that undoes
 	// the overlay between origins (originScratch).
 	baseMask [HierarchyFree + 1][]bool
-
-	// classMu guards classIdx, the lazily built (or incrementally evolved,
-	// see EvolveCounts) origin equivalence-class index.
-	classMu  sync.Mutex
-	classIdx *bgpsim.ClassIndex
-
-	// classedPool recycles the per-call scratch of class-collapsed range
-	// sweeps (slot table sized to the class count, plus rep/count lists).
-	// Cluster workers run one such sweep per shard request, and without
-	// pooling the slot table alone dominated the worker's steady-state
-	// allocation (hundreds of KB per shard at scale 1.0).
-	classedPool sync.Pool // *classedScratch
-}
-
-// classedScratch is the reusable state of one class-collapsed range sweep.
-type classedScratch struct {
-	slot   []int32 // class id → index into reps, -1 when absent
-	reps   []int32 // representative dense index per in-range class
-	counts []int   // per-representative counts
 }
 
 // New returns a Metrics over ds. The graph is frozen.
@@ -137,42 +118,11 @@ func New(ds Dataset) *Metrics {
 // Dataset returns the dataset the metrics operate on.
 func (m *Metrics) Dataset() Dataset { return m.ds }
 
-// SweepClasses returns the origin equivalence-class index for the dataset,
-// building it on first use. It never returns nil and the index is
-// immutable once returned. Every site that dedups per-origin work (the
-// sweeps here, leak trial batching, the serve layer's class caches) keys
-// off it.
+// SweepClasses builds the dataset's origin equivalence-class index, a
+// topology statistic (see bgpsim.ClassIndex). No metric reads it: every
+// sweep propagates every origin.
 func (m *Metrics) SweepClasses() *bgpsim.ClassIndex {
-	m.classMu.Lock()
-	defer m.classMu.Unlock()
-	if m.classIdx == nil {
-		m.classIdx = bgpsim.NewClassIndex(m.ds.Graph, m.ds.Tier1, m.ds.Tier2, nil)
-	}
-	return m.classIdx
-}
-
-// setClasses installs an externally derived class index (EvolveCounts
-// carries the previous world's index across a delta instead of rebuilding).
-func (m *Metrics) setClasses(ci *bgpsim.ClassIndex) {
-	m.classMu.Lock()
-	m.classIdx = ci
-	m.classMu.Unlock()
-}
-
-// classesIfBuilt returns the index only if it has already been built —
-// EvolveCounts uses this to evolve an existing index without forcing a
-// build that lazy construction would otherwise defer.
-func (m *Metrics) classesIfBuilt() *bgpsim.ClassIndex {
-	m.classMu.Lock()
-	defer m.classMu.Unlock()
-	return m.classIdx
-}
-
-// ClassStats reports the class-collapse gauges: the number of equivalence
-// classes and the collapse ratio (ASes per class).
-func (m *Metrics) ClassStats() (classes int, ratio float64) {
-	ci := m.SweepClasses()
-	return ci.NumClasses(), ci.CollapseRatio()
+	return bgpsim.NewClassIndex(m.ds.Graph, m.ds.Tier1, m.ds.Tier2, nil)
 }
 
 // Mask builds the dense exclusion mask for (o, kind): the origin itself is
@@ -335,31 +285,15 @@ func (m *Metrics) ReachabilityRangeIntoCtx(ctx context.Context, kind Kind, lo, h
 	if len(out) != hi-lo {
 		return fmt.Errorf("core: out has %d entries for range [%d, %d)", len(out), lo, hi)
 	}
-	return m.reachabilityRangeClassed(ctx, kind, lo, hi, workers, out)
-}
-
-// denseRange selects batch origins: a contiguous dense-index range when
-// idx is nil, or an explicit index list otherwise.
-type denseRange struct {
-	lo, hi int
-}
-
-// batchCountsCtx runs the bit-parallel engine over the contiguous dense
-// range r with no class collapse, one lane per origin — the uncollapsed
-// reference the class-equivalence tests compare the collapsed sweep
-// against.
-func (m *Metrics) batchCountsCtx(ctx context.Context, kind Kind, r denseRange, out []int, workers int) error {
-	return m.batchCountsIdxCtx(ctx, kind, nil, r, out, workers)
+	return m.batchCountsIdxCtx(ctx, kind, nil, lo, out, workers)
 }
 
 // batchCountsIdxCtx runs bgpsim.BatchReach, 64 origins per propagation,
-// over the origins selected by idx (explicit list) or, when idx is nil, by
-// r (contiguous), writing counts in selection order to out.
-func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32, r denseRange, out []int, workers int) error {
-	total := len(idx)
-	if idx == nil {
-		total = r.hi - r.lo
-	}
+// over the origins idx (dense indexes) or, when idx is nil, the contiguous
+// dense range [lo, lo+len(out)), writing counts in selection order to out.
+// It is the one path behind sweeps, range shards and origin lists.
+func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32, lo int, out []int, workers int) error {
+	total := len(out)
 	if total == 0 {
 		return nil
 	}
@@ -383,7 +317,7 @@ func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32,
 			if idx == nil {
 				block = scratch[:bhi-blo]
 				for i := range block {
-					block[i] = int32(r.lo + blo + i)
+					block[i] = int32(lo + blo + i)
 				}
 			} else {
 				block = idx[blo:bhi:bhi]
@@ -396,55 +330,6 @@ func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32,
 			m.batchPool[kind].Put(eng)
 		}
 	}
-	return err
-}
-
-// reachabilityRangeClassed is the class-collapsed sweep over [lo, hi): the
-// unique equivalence classes appearing in the range are swept once each —
-// represented by their first member inside the range, so shard-local
-// blocks keep their locality — and the per-class counts are scattered back
-// to every member. Byte-identical to the uncollapsed sweep (golden-tested)
-// because class members have exactly equal counts for every kind.
-func (m *Metrics) reachabilityRangeClassed(ctx context.Context, kind Kind, lo, hi, workers int, out []int) error {
-	ci := m.SweepClasses()
-	n := hi - lo
-	if n == 0 {
-		return nil
-	}
-	sc, _ := m.classedPool.Get().(*classedScratch)
-	if sc == nil {
-		sc = &classedScratch{}
-	}
-	// slot[c] = index into the unique-reps list, or -1. For a full-graph
-	// sweep first-in-range membership is exactly the index's own
-	// representative assignment.
-	if cap(sc.slot) < ci.NumClasses() {
-		sc.slot = make([]int32, ci.NumClasses())
-	}
-	slot := sc.slot[:ci.NumClasses()]
-	for i := range slot {
-		slot[i] = -1
-	}
-	reps := sc.reps[:0]
-	for i := lo; i < hi; i++ {
-		c := ci.ClassOf(i)
-		if slot[c] < 0 {
-			slot[c] = int32(len(reps))
-			reps = append(reps, int32(i))
-		}
-	}
-	if cap(sc.counts) < len(reps) {
-		sc.counts = make([]int, len(reps))
-	}
-	counts := sc.counts[:len(reps)]
-	err := m.batchCountsIdxCtx(ctx, kind, reps, denseRange{}, counts, workers)
-	if err == nil {
-		for i := lo; i < hi; i++ {
-			out[i-lo] = counts[slot[ci.ClassOf(i)]]
-		}
-	}
-	sc.slot, sc.reps, sc.counts = slot, reps, counts
-	m.classedPool.Put(sc)
 	return err
 }
 

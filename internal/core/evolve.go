@@ -39,11 +39,6 @@ type EvolveStats struct {
 	FullSweep bool
 	// Reason explains a FullSweep.
 	Reason string
-	// ClassesEvolved is set when the origin equivalence-class index was
-	// carried across the delta incrementally (untouched ASes keep their
-	// fingerprints verbatim) instead of being rebuilt from scratch by the
-	// next world's first sweep.
-	ClassesEvolved bool
 }
 
 // EvolveCounts computes reach(o, kind) for every AS of the next world,
@@ -93,27 +88,6 @@ func EvolveCounts(ctx context.Context, prev, next *Metrics, kind Kind, prevCount
 	stats := EvolveStats{Origins: n}
 	if len(prevCounts) != pg.NumASes() {
 		return nil, EvolveStats{}, fmt.Errorf("core: prevCounts has %d entries, previous world has %d ASes", len(prevCounts), pg.NumASes())
-	}
-
-	// Carry the origin equivalence-class index across the delta before any
-	// sweep below (even a full-sweep fallback benefits): ASes untouched by
-	// the delta keep their fingerprints verbatim, so the next world skips
-	// the from-scratch signature pass its first classed sweep would pay.
-	// Sound only when the tier sets match — tier bytes are part of the
-	// fingerprint — and worth doing only when the previous index exists and
-	// the next one does not.
-	if prevCI := prev.classesIfBuilt(); prevCI != nil && next.classesIfBuilt() == nil &&
-		sameSet(prev.ds.Tier1, next.ds.Tier1) && sameSet(prev.ds.Tier2, next.ds.Tier2) {
-		touched := make([]astopo.ASN, 0, 2*(len(d.AddedLinks)+len(d.RemovedLinks))+len(d.NewASes))
-		for _, l := range d.AddedLinks {
-			touched = append(touched, l.A, l.B)
-		}
-		for _, l := range d.RemovedLinks {
-			touched = append(touched, l.A, l.B)
-		}
-		touched = append(touched, d.NewASes...)
-		next.setClasses(prevCI.Evolve(next.ds.Graph, next.ds.Tier1, next.ds.Tier2, nil, touched))
-		stats.ClassesEvolved = true
 	}
 
 	fullSweep := func(reason string) ([]int, EvolveStats, error) {

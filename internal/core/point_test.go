@@ -62,18 +62,69 @@ func TestPointReachMatchesScalarOracle(t *testing.T) {
 	checkPointMatchesOracle(t, Dataset{Graph: in.Graph, Tier1: in.Tier1, Tier2: in.Tier2}, 1, "preset 0.02")
 }
 
-// The full-scale variant samples every 64th origin of the paper-size world
-// (CI's fullscale job). It is one goroutine comparing two engines, so the
-// race detector would add minutes and find nothing.
-func TestPointReachMatchesScalarOracleFullScale(t *testing.T) {
+var (
+	fullScaleOnce sync.Once
+	fullScaleDS   Dataset
+	fullScaleErr  error
+)
+
+// fullScaleDataset generates the paper-size 2020 world once per test
+// process for the full-scale oracle tests (CI's fullscale job). Each is one
+// goroutine comparing two engines, so the race detector would add minutes
+// and find nothing: they skip under -race, and with -short.
+func fullScaleDataset(t *testing.T) Dataset {
+	t.Helper()
 	if testing.Short() || raceEnabled {
 		t.Skip("full-scale topology: skipped with -short and under -race")
 	}
-	in, err := topogen.Generate(topogen.Internet2020(1.0))
-	if err != nil {
-		t.Fatal(err)
+	fullScaleOnce.Do(func() {
+		in, err := topogen.Generate(topogen.Internet2020(1.0))
+		if err != nil {
+			fullScaleErr = err
+			return
+		}
+		fullScaleDS = Dataset{Graph: in.Graph, Tier1: in.Tier1, Tier2: in.Tier2}
+	})
+	if fullScaleErr != nil {
+		t.Fatal(fullScaleErr)
 	}
-	checkPointMatchesOracle(t, Dataset{Graph: in.Graph, Tier1: in.Tier1, Tier2: in.Tier2}, 64, "scale 1.0")
+	return fullScaleDS
+}
+
+// The full-scale variant samples every 64th origin of the paper-size world.
+func TestPointReachMatchesScalarOracleFullScale(t *testing.T) {
+	checkPointMatchesOracle(t, fullScaleDataset(t), 64, "scale 1.0")
+}
+
+// TestSweepBlocksMatchScalarFullScale runs four full 64-lane sweep blocks
+// per kind, spread across the paper-size world, against the scalar oracle:
+// the point test above drives one lane per call, this one every lane of a
+// block at once, with the graph's real degree skew behind each word.
+func TestSweepBlocksMatchScalarFullScale(t *testing.T) {
+	ds := fullScaleDataset(t)
+	m := New(ds)
+	g := ds.Graph
+	n := g.NumASes()
+	sim := bgpsim.New(g)
+	for _, kind := range allKinds {
+		for b := 0; b < 4; b++ {
+			lo := b * (n / 4) / bgpsim.BatchLanes * bgpsim.BatchLanes
+			got, err := m.ReachabilityRangeCtx(context.Background(), kind, lo, lo+bgpsim.BatchLanes, 1)
+			if err != nil {
+				t.Fatalf("%v block at %d: %v", kind, lo, err)
+			}
+			for k, cnt := range got {
+				o := g.ASNAt(lo + k)
+				want, err := sim.ReachabilityCount(bgpsim.Config{Origin: o, Exclude: m.Mask(o, kind)})
+				if err != nil {
+					t.Fatalf("%v AS%d: oracle: %v", kind, o, err)
+				}
+				if cnt != want {
+					t.Fatalf("%v block at %d lane %d (AS%d): batch=%d scalar=%d", kind, lo, k, o, cnt, want)
+				}
+			}
+		}
+	}
 }
 
 // An origin outside the graph is refused, with the scalar path's error

@@ -106,37 +106,8 @@ func (m *Metrics) ReachabilityManyN(ctx context.Context, origins []astopo.ASN, k
 		idx[i] = int32(oi)
 	}
 	out := make([]int, len(origins))
-	// Class collapse: distinct origins sharing an equivalence class have
-	// identical counts, so only one member per class propagates and the
-	// count is copied to the duplicates — exact, not approximate (the
-	// member-swap automorphism, see bgpsim.ClassIndex). Dedup keys on the
-	// first occurrence so the result is byte-identical in input order.
-	ci := m.SweepClasses()
-	firstOf := make(map[int32]int32, len(origins))
-	uniq := idx[:0:0]
-	slot := make([]int32, len(origins))
-	for i, oi := range idx {
-		c := ci.ClassOf(int(oi))
-		s, seen := firstOf[c]
-		if !seen {
-			s = int32(len(uniq))
-			firstOf[c] = s
-			uniq = append(uniq, oi)
-		}
-		slot[i] = s
-	}
-	if len(uniq) == len(idx) {
-		if err := m.batchCountsIdxCtx(ctx, kind, idx, denseRange{}, out, workers); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	counts := make([]int, len(uniq))
-	if err := m.batchCountsIdxCtx(ctx, kind, uniq, denseRange{}, counts, workers); err != nil {
+	if err := m.batchCountsIdxCtx(ctx, kind, idx, 0, out, workers); err != nil {
 		return nil, err
-	}
-	for i, s := range slot {
-		out[i] = counts[s]
 	}
 	return out, nil
 }

@@ -78,14 +78,7 @@ func TestRelianceMatchesResult(t *testing.T) {
 // (CI's fullscale job); like TestPointReachMatchesScalarOracleFullScale it
 // is one goroutine comparing two paths, so -race would only add minutes.
 func TestRelianceMatchesResultFullScale(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("full-scale topology: skipped with -short and under -race")
-	}
-	in, err := topogen.Generate(topogen.Internet2020(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRelianceMatchesResult(t, Dataset{Graph: in.Graph, Tier1: in.Tier1, Tier2: in.Tier2}, 64, "scale 1.0")
+	checkRelianceMatchesResult(t, fullScaleDataset(t), 64, "scale 1.0")
 }
 
 // A steady-state TopRelianceCtx allocates only for its answer, never a

@@ -44,10 +44,7 @@ func (LeakFigure) Grid() []float64 { return cdfGrid }
 
 // leakPanel replays the sampled leakers against every scenario for one
 // origin and returns the trials, one slice per bgpsim.LeakScenarios entry.
-// classes, when non-nil, dedups sampled leakers by origin equivalence class
-// — byte-identical on unweighted runs; weighted runs copy the classmate's
-// trial with an O(1) user-fraction correction (see bgpsim.TrialsN).
-func leakPanel(in *topogen.Internet, classes *bgpsim.ClassIndex, origin astopo.ASN, weights []float64) ([][]bgpsim.LeakTrial, error) {
+func leakPanel(in *topogen.Internet, origin astopo.ASN, weights []float64) ([][]bgpsim.LeakTrial, error) {
 	leakers := bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig, int64(origin))
 	// One explicit LeakSweep per scenario: each configuration's leak-free
 	// pre-pass runs once, every trial replays against its snapshot, and the
@@ -58,7 +55,6 @@ func leakPanel(in *topogen.Internet, classes *bgpsim.ClassIndex, origin astopo.A
 		if err != nil {
 			return nil, err
 		}
-		sweep.SetClasses(classes)
 		trials, err := sweep.Trials(context.Background(), leakers, weights)
 		sweep.Release()
 		if err != nil {
@@ -79,7 +75,7 @@ func (e *Env) LeakPanel(origin astopo.ASN) ([][]bgpsim.LeakTrial, error) {
 		if err != nil {
 			return nil, err
 		}
-		return leakPanel(e.In2020, e.M2020.SweepClasses(), origin, weights)
+		return leakPanel(e.In2020, origin, weights)
 	})
 }
 
@@ -158,14 +154,13 @@ func Fig10(env *Env) (*Fig10Result, error) {
 }
 
 func fig10(env *Env) (*Fig10Result, error) {
-	run := func(in *topogen.Internet, classes *bgpsim.ClassIndex) ([]float64, float64, error) {
+	run := func(in *topogen.Internet) ([]float64, float64, error) {
 		origin := in.Clouds["Google"]
 		leakers := bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig, 77)
 		sweep, err := bgpsim.NewLeakSweep(in.Graph, bgpsim.Config{Origin: origin})
 		if err != nil {
 			return nil, 0, err
 		}
-		sweep.SetClasses(classes)
 		trials, err := sweep.Trials(context.Background(), leakers, nil)
 		sweep.Release()
 		if err != nil {
@@ -179,10 +174,10 @@ func fig10(env *Env) (*Fig10Result, error) {
 	}
 	res := &Fig10Result{Grid: cdfGrid}
 	var err error
-	if res.CDF2015, res.Mean2015, err = run(env.In2015, env.M2015.SweepClasses()); err != nil {
+	if res.CDF2015, res.Mean2015, err = run(env.In2015); err != nil {
 		return nil, err
 	}
-	if res.CDF2020, res.Mean2020, err = run(env.In2020, env.M2020.SweepClasses()); err != nil {
+	if res.CDF2020, res.Mean2020, err = run(env.In2020); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -139,7 +139,7 @@ func TestFig8IsUnweightedProjectionOfFig9Run(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unweighted, err := leakPanel(in, env.M2020.SweepClasses(), google, nil)
+	unweighted, err := leakPanel(in, google, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,7 +191,7 @@ type framePart struct {
 // like any endpoint's body, so a coordinator retrying a shard this worker
 // already finished pays a lookup, not a propagation.
 func (s *Server) serveFrames(w http.ResponseWriter, r *http.Request, ws *worldState, parts []framePart) {
-	timeout, err := s.timeoutFor(r)
+	timeout, err := s.timeoutFor(r.URL.Query())
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -415,7 +415,7 @@ type sweepResponse struct {
 // graph-index order: partitioned by AS range across the cluster when
 // workers are joined, in-process otherwise. Both routes produce
 // byte-identical counts — disjoint exact-integer ranges computed by the
-// same engine, each range class-collapsed on its own node.
+// same engine.
 func (s *Server) sweepAllCounts(ctx context.Context, ws *worldState, kind core.Kind) ([]int, error) {
 	n := ws.ds.Graph.NumASes()
 	if s.pool.Ready() && s.pool.World() == ws.id {
@@ -436,18 +436,19 @@ func (s *Server) sweepAllCounts(ctx context.Context, ws *worldState, kind core.K
 // body is byte-for-byte the same either way.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ws := s.w()
-	kind, err := parseKind(r)
+	q := r.URL.Query()
+	kind, err := parseKind(q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	top, err := parseIntParam(r, "top", 20, s.cfg.MaxTop)
+	top, err := parseIntParam(q, "top", 20, s.cfg.MaxTop)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	key := fmt.Sprintf("sweep|%d|%d", kind, top)
-	s.serveCached(w, r, ws, key, func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, q, ws, key, func(ctx context.Context) (any, error) {
 		g := ws.ds.Graph
 		n := g.NumASes()
 		counts, err := s.sweepAllCounts(ctx, ws, kind)

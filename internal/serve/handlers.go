@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,11 +108,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 // ---- parameter parsing ----
+// Each handler parses its request's query once and hands the values to
+// these helpers.
 
 // parseAS resolves the required `as` query parameter against the pinned
 // world's graph.
-func parseAS(ws *worldState, r *http.Request) (astopo.ASN, error) {
-	raw := r.URL.Query().Get("as")
+func parseAS(ws *worldState, q url.Values) (astopo.ASN, error) {
+	raw := q.Get("as")
 	if raw == "" {
 		return 0, badRequestf("missing required parameter 'as'")
 	}
@@ -126,8 +129,8 @@ func parseAS(ws *worldState, r *http.Request) (astopo.ASN, error) {
 	return a, nil
 }
 
-func parseKind(r *http.Request) (core.Kind, error) {
-	raw := r.URL.Query().Get("kind")
+func parseKind(q url.Values) (core.Kind, error) {
+	raw := q.Get("kind")
 	if raw == "" {
 		return core.HierarchyFree, nil
 	}
@@ -146,8 +149,8 @@ var scenarioNames = map[string]bgpsim.LeakScenario{
 	"hierarchy":    bgpsim.AnnounceHierarchy,
 }
 
-func parseScenario(r *http.Request) (string, bgpsim.LeakScenario, error) {
-	raw := r.URL.Query().Get("scenario")
+func parseScenario(q url.Values) (string, bgpsim.LeakScenario, error) {
+	raw := q.Get("scenario")
 	if raw == "" {
 		raw = "announce-all"
 	}
@@ -163,8 +166,8 @@ func parseScenario(r *http.Request) (string, bgpsim.LeakScenario, error) {
 	return raw, scen, nil
 }
 
-func parseIntParam(r *http.Request, name string, def, max int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func parseIntParam(q url.Values, name string, def, max int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -202,12 +205,6 @@ type statsResponse struct {
 	Shed         int64 `json:"shed"`
 	Evolves      int64 `json:"evolves"`
 
-	// Class-collapse gauges: Classes is the number of origin equivalence
-	// classes of the served world and CollapseRatio is ASes per class (the
-	// sweep-work reduction factor).
-	Classes       int     `json:"classes"`
-	CollapseRatio float64 `json:"collapse_ratio"`
-
 	// World is the served dataset's content address and Year the timeline
 	// year it represents; Cluster appears once workers have registered
 	// (per-worker in-flight gauges included).
@@ -239,7 +236,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		World:        ws.id,
 		Year:         ws.year,
 	}
-	resp.Classes, resp.CollapseRatio = ws.metrics.ClassStats()
 	if len(cs.Workers) > 0 {
 		resp.Cluster = &cs
 	}
@@ -257,19 +253,20 @@ type reachResponse struct {
 
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	ws := s.w()
-	origin, err := parseAS(ws, r)
+	q := r.URL.Query()
+	origin, err := parseAS(ws, q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	kind, err := parseKind(r)
+	kind, err := parseKind(q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	key := fmt.Sprintf("reach|%d|%d", origin, kind)
-	s.serveCached(w, r, ws, key, func(ctx context.Context) (any, error) {
-		n, err := s.reachCount(ctx, ws, origin, kind)
+	s.serveCached(w, r, q, ws, key, func(ctx context.Context) (any, error) {
+		n, err := ws.metrics.ReachabilityCtx(ctx, origin, kind)
 		if err != nil {
 			return nil, err
 		}
@@ -279,27 +276,6 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 			Reachable: n, Total: total, Pct: 100 * float64(n) / float64(total),
 		}, nil
 	})
-}
-
-// reachCount computes reach(origin, kind) with class-level result reuse:
-// every member of one origin equivalence class has the identical count, so
-// the count is cached once per (world, class, kind) — a cold query for an
-// AS whose classmate was already asked costs a cache lookup instead of a
-// propagation.
-func (s *Server) reachCount(ctx context.Context, ws *worldState, origin astopo.ASN, kind core.Kind) (int, error) {
-	var ckey string
-	if oi, ok := ws.ds.Graph.Index(origin); ok {
-		ckey = fmt.Sprintf("%sccount|%d|%d", ws.key, ws.metrics.SweepClasses().ClassOf(oi), kind)
-		if v, ok := s.cache.Get(ckey); ok {
-			s.stats.cacheHits.Add(1)
-			return v.(int), nil
-		}
-	}
-	n, err := ws.metrics.ReachabilityCtx(ctx, origin, kind)
-	if err == nil && ckey != "" {
-		s.cache.Put(ckey, n)
-	}
-	return n, err
 }
 
 type relianceEntry struct {
@@ -317,23 +293,24 @@ type relianceResponse struct {
 
 func (s *Server) handleReliance(w http.ResponseWriter, r *http.Request) {
 	ws := s.w()
-	origin, err := parseAS(ws, r)
+	q := r.URL.Query()
+	origin, err := parseAS(ws, q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	kind, err := parseKind(r)
+	kind, err := parseKind(q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	top, err := parseIntParam(r, "top", 10, s.cfg.MaxTop)
+	top, err := parseIntParam(q, "top", 10, s.cfg.MaxTop)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	key := fmt.Sprintf("reliance|%d|%d|%d", origin, kind, top)
-	s.serveCached(w, r, ws, key, func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, q, ws, key, func(ctx context.Context) (any, error) {
 		entries, err := ws.metrics.TopRelianceCtx(ctx, origin, kind, top)
 		if err != nil {
 			return nil, err
@@ -361,24 +338,25 @@ type leakResponse struct {
 
 func (s *Server) handleLeak(w http.ResponseWriter, r *http.Request) {
 	ws := s.w()
-	origin, err := parseAS(ws, r)
+	q := r.URL.Query()
+	origin, err := parseAS(ws, q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	scenName, scen, err := parseScenario(r)
+	scenName, scen, err := parseScenario(q)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	trials, err := parseIntParam(r, "trials", 200, s.cfg.MaxTrials)
+	trials, err := parseIntParam(q, "trials", 200, s.cfg.MaxTrials)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	hijack := r.URL.Query().Get("hijack") == "true"
+	hijack := q.Get("hijack") == "true"
 	seed := int64(origin)
-	if raw := r.URL.Query().Get("seed"); raw != "" {
+	if raw := q.Get("seed"); raw != "" {
 		seed, err = strconv.ParseInt(raw, 10, 64)
 		if err != nil {
 			s.writeError(w, badRequestf("bad seed %q", raw))
@@ -386,9 +364,9 @@ func (s *Server) handleLeak(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	key := fmt.Sprintf("leak|%d|%s|%v|%d|%d", origin, scenName, hijack, trials, seed)
-	q := cluster.LeakQuery{Origin: uint32(origin), Scenario: scenName, Hijack: hijack, Trials: trials, Seed: seed}
+	lq := cluster.LeakQuery{Origin: uint32(origin), Scenario: scenName, Hijack: hijack, Trials: trials, Seed: seed}
 	_ = scen // validated by parseScenario; leakFracsRange re-resolves by name
-	s.serveCached(w, r, ws, key, func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, q, ws, key, func(ctx context.Context) (any, error) {
 		g := ws.ds.Graph
 		leakers := bgpsim.SampleLeakers(g, origin, trials, seed)
 		// The fractions come back in deterministic sample order either
@@ -399,10 +377,10 @@ func (s *Server) handleLeak(w http.ResponseWriter, r *http.Request) {
 		var fracs []float64
 		var err error
 		if s.pool.Ready() && s.pool.World() == ws.id && len(leakers) >= clusterWide {
-			fracs, err = s.pool.LeakFracs(ctx, q, len(leakers))
+			fracs, err = s.pool.LeakFracs(ctx, lq, len(leakers))
 			err = s.verifyWorld(ws, err)
 		} else {
-			fracs, err = s.leakFracsRange(ctx, ws, q, 0, len(leakers), 0)
+			fracs, err = s.leakFracsRange(ctx, ws, lq, 0, len(leakers), 0)
 		}
 		if err != nil {
 			return nil, err
@@ -448,9 +426,6 @@ func (s *Server) leakSweep(ws *worldState, origin astopo.ASN, scenName string, s
 	if err != nil {
 		return nil, err
 	}
-	// Dedup replayed leakers by origin equivalence class (weighted trials
-	// apply a per-classmate correction; clones inherit the index).
-	sw.SetClasses(ws.metrics.SweepClasses())
 	s.sweeps.Put(key, sw)
 	return sw, nil
 }
@@ -477,6 +452,7 @@ type batchResponse struct {
 // partial block (see core.ReachabilityMany).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ws := s.w()
+	q := r.URL.Query()
 	var origins []astopo.ASN
 	var kind core.Kind
 	if r.Method == http.MethodPost {
@@ -498,7 +474,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			kind = k
 		}
 	} else {
-		raw := r.URL.Query().Get("as")
+		raw := q.Get("as")
 		if raw == "" {
 			s.writeError(w, badRequestf("missing required parameter 'as' (comma-separated ASN list)"))
 			return
@@ -511,7 +487,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			origins = append(origins, astopo.ASN(v))
 		}
-		k, err := parseKind(r)
+		k, err := parseKind(q)
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -547,7 +523,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(origins) >= bgpsim.BatchLanes {
 		engine = "batch"
 	}
-	s.serveCached(w, r, ws, sb.String(), func(ctx context.Context) (any, error) {
+	s.serveCached(w, r, q, ws, sb.String(), func(ctx context.Context) (any, error) {
 		var counts []int
 		var err error
 		if s.pool.Ready() && s.pool.World() == ws.id && len(origins) >= clusterWide {

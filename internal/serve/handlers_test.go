@@ -54,13 +54,14 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.ASes != 8 || st.Tier1 != 2 || st.Tier2 != 1 {
 		t.Errorf("topology stats = %d ASes, %d tier1, %d tier2; want 8/2/1", st.ASes, st.Tier1, st.Tier2)
 	}
-	// One reach computation fills two entries: the response body plus the
-	// per-(class, kind) count that classmate queries reuse.
-	if st.Requests < 1 || st.Computations != 1 || st.CacheEntries != 2 {
+	// One reach computation fills one entry: the response body.
+	if st.Requests < 1 || st.Computations != 1 || st.CacheEntries != 1 {
 		t.Errorf("counters = %+v", st)
 	}
-	if st.Classes <= 0 || st.CollapseRatio < 1 {
-		t.Errorf("class gauges = %d classes, ratio %.2f", st.Classes, st.CollapseRatio)
+	for _, gone := range []string{`"classes"`, `"collapse_ratio"`} {
+		if strings.Contains(rec.Body.String(), gone) {
+			t.Errorf("stats still report %s: %s", gone, rec.Body.String())
+		}
 	}
 }
 

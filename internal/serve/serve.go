@@ -30,6 +30,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -296,11 +297,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.httpSrv.Shutdown(ctx)
 }
 
-// timeoutFor resolves the effective deadline for a request: the `timeout`
-// query parameter when present (clamped to MaxTimeout), DefaultTimeout
-// otherwise.
-func (s *Server) timeoutFor(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
+// timeoutFor resolves the effective deadline for a request from its parsed
+// query: the `timeout` parameter when present (clamped to MaxTimeout),
+// DefaultTimeout otherwise.
+func (s *Server) timeoutFor(q url.Values) (time.Duration, error) {
+	raw := q.Get("timeout")
 	if raw == "" {
 		return s.cfg.DefaultTimeout, nil
 	}
@@ -319,9 +320,10 @@ func (s *Server) timeoutFor(r *http.Request) (time.Duration, error) {
 
 // serveCached is the shared request path of every cacheable JSON endpoint:
 // result-cache lookup, then singleflight-coalesced computation under the
-// worker pool and the request deadline, then cache fill.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ws *worldState, key string, compute func(ctx context.Context) (any, error)) {
-	timeout, err := s.timeoutFor(r)
+// worker pool and the request deadline, then cache fill. q is the request's
+// query, parsed once by the handler.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, q url.Values, ws *worldState, key string, compute func(ctx context.Context) (any, error)) {
+	timeout, err := s.timeoutFor(q)
 	if err != nil {
 		s.writeError(w, err)
 		return

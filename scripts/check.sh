@@ -57,7 +57,7 @@ echo "==> cluster wire decoder fuzz (5s)"
 go test -run '^$' -fuzz 'FuzzWireDecode' -fuzztime 5s ./internal/cluster/
 
 echo "==> benchmark smoke (1 iteration)"
-go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkPropagateNoAlloc|BenchmarkPropagationSingleOrigin|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkReachabilityAll|BenchmarkClassIndexBuild|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkEvolveDelta$|BenchmarkTimelineSeries|BenchmarkWireCounts' \
+go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkPropagateNoAlloc|BenchmarkPropagationSingleOrigin|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkEvolveDelta$|BenchmarkTimelineSeries|BenchmarkWireCounts' \
     -benchtime 1x -benchmem -run '^$' .
 
 echo "==> snapshot build/load smoke"
