@@ -42,17 +42,14 @@ func BenchmarkClusterSweep(b *testing.B) {
 
 	for _, nWorkers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", nWorkers), func(b *testing.B) {
-			// Hedging stays effectively off: it exists for straggler
-			// tolerance, and duplicate shards would distort a throughput
-			// measurement on shared CPUs. Health probing is pinned off for
-			// the same reason: with 4–8 workers saturating a shared CPU, a
-			// 1s probe can time out and demote a perfectly alive worker,
-			// and a demotion mid-fan-out permanently parks that worker's
-			// puller goroutines for the rest of the sweep — the workers=4/8
-			// runs used to swing 1.2–5.7s from exactly that collapse.
+			// Health probing is pinned off: with 4–8 workers saturating a
+			// shared CPU, a 1s probe can time out and demote a perfectly
+			// alive worker, and a demotion mid-fan-out permanently parks
+			// that worker's puller goroutines for the rest of the sweep —
+			// the workers=4/8 runs used to swing 1.2–5.7s from exactly
+			// that collapse.
 			pool := cluster.NewPool(cluster.PoolConfig{
 				World:          "bench",
-				HedgeDelay:     30 * time.Second,
 				HealthInterval: time.Hour,
 				ProbeTimeout:   30 * time.Second,
 			})

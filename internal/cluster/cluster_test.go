@@ -68,20 +68,6 @@ func TestCanonicalAddr(t *testing.T) {
 	}
 }
 
-func TestLatencyWindowPercentile(t *testing.T) {
-	var lw latencyWindow
-	if d := lw.percentile(95); d != 0 {
-		t.Fatalf("empty window: got %v, want 0 (not enough samples)", d)
-	}
-	for i := 1; i <= 100; i++ {
-		lw.record(time.Duration(i) * time.Millisecond)
-	}
-	got := lw.percentile(95)
-	if got < 90*time.Millisecond || got > 100*time.Millisecond {
-		t.Fatalf("p95 of 1..100ms = %v", got)
-	}
-}
-
 func TestDatasetHashStableAndDistinct(t *testing.T) {
 	build := func() (*astopo.Graph, astopo.ASSet, astopo.ASSet) {
 		g := astopo.NewGraph(0, 0)
@@ -226,9 +212,7 @@ func newTestPool(t *testing.T, cfg PoolConfig, workers ...*fakeWorker) *Pool {
 // counts stay exactly the identity.
 func TestPoolCoalescesWireShards(t *testing.T) {
 	fw := newFakeWorker(t)
-	// A huge hedge delay makes round-trip counts deterministic: no
-	// duplicate dispatches to muddy the served counter.
-	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour}, fw)
+	p := newTestPool(t, PoolConfig{ShardBlocks: 1}, fw)
 	const n = 64 * 8 // 8 one-block shards, one slot
 	for sweep := int64(1); sweep <= 2; sweep++ {
 		counts, err := p.SweepCounts(context.Background(), "full", n)
@@ -255,16 +239,7 @@ func TestPoolCoalescesWireShards(t *testing.T) {
 func TestPoolMultiFailureRequeuesMembers(t *testing.T) {
 	fw := newFakeWorker(t)
 	fw.corrupt = true
-	var localCalls atomic.Int64
-	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour, MaxAttempts: 2,
-		LocalSweep: func(_ context.Context, _ string, lo, hi int) ([]int, error) {
-			localCalls.Add(1)
-			c := make([]int, hi-lo)
-			for i := range c {
-				c[i] = lo + i
-			}
-			return c, nil
-		}}, fw)
+	p := newTestPool(t, PoolConfig{ShardBlocks: 1, MaxAttempts: 2, LocalSweep: identitySweep}, fw)
 	const n = 64 * 6
 	counts, err := p.SweepCounts(context.Background(), "full", n)
 	if err != nil {
@@ -275,6 +250,15 @@ func TestPoolMultiFailureRequeuesMembers(t *testing.T) {
 	if st.LocalShards == 0 || st.RemoteShards != 0 {
 		t.Fatalf("a corrupt multi response must be rejected whole and drain locally (stats %+v)", st)
 	}
+}
+
+// identitySweep is a local fallback with the fake workers' answers.
+func identitySweep(_ context.Context, _ string, lo, hi int) ([]int, error) {
+	c := make([]int, hi-lo)
+	for i := range c {
+		c[i] = lo + i
+	}
+	return c, nil
 }
 
 func wantIdentity(t *testing.T, got []int, n int) {
@@ -329,8 +313,8 @@ func TestPoolSweepMergesShards(t *testing.T) {
 // is the dying worker's own doing (dieAfter), and the healthy peer answers
 // nothing until the dying one has refused a request. Each pull takes at
 // most 32 of the 128 shards, so the dying worker always pulls a second
-// batch to refuse; with hedging out of the picture every refused shard's
-// second attempt is a counted retry.
+// batch to refuse, and every refused shard's second attempt is a counted
+// retry.
 func TestPoolRetriesOnWorkerDeath(t *testing.T) {
 	refused := make(chan struct{})
 	var once sync.Once
@@ -343,7 +327,7 @@ func TestPoolRetriesOnWorkerDeath(t *testing.T) {
 	}
 	healthy := newFakeWorker(t)
 	healthy.onSweep = func(bool) { <-refused }
-	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour}, dying, healthy)
+	p := newTestPool(t, PoolConfig{ShardBlocks: 1}, dying, healthy)
 
 	const n = 8192 // 128 shards
 	counts, err := p.SweepCounts(context.Background(), "full", n)
@@ -399,6 +383,49 @@ func TestPoolAllWorkersDeadNoLocalFails(t *testing.T) {
 	}
 }
 
+// TestPoolLastPullerOutDrains: a query's pullers belong to the workers
+// healthy when it starts, so a worker that joins mid-query holds none. Once
+// the only puller has gone with its demoted worker, the shards left must
+// drain through the local fallback — or fail with errNoWorkers without one
+// — instead of waiting for the newcomer until the deadline. Worker a
+// registers late from inside its first request, answers that request (32
+// of 64 shards), and refuses every one after it.
+func TestPoolLastPullerOutDrains(t *testing.T) {
+	for _, withLocal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("local=%v", withLocal), func(t *testing.T) {
+			late, a := newFakeWorker(t), newFakeWorker(t)
+			a.dieAfter = 1
+			cfg := PoolConfig{ShardBlocks: 1, HealthInterval: time.Hour}
+			if withLocal {
+				cfg.LocalSweep = identitySweep
+			}
+			var p *Pool
+			var once sync.Once
+			a.onSweep = func(bool) { once.Do(func() { p.Register(late.srv.URL, 1) }) }
+			p = newTestPool(t, cfg, a)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			const n = 64 * 64
+			counts, err := p.SweepCounts(ctx, "full", n)
+			st := p.StatsSnapshot()
+			if !withLocal {
+				if !errors.Is(err, errNoWorkers) {
+					t.Fatalf("err = %v, want errNoWorkers (stats %+v)", err, st)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("err = %v, want the local fallback to finish the sweep (stats %+v)", err, st)
+			}
+			wantIdentity(t, counts, n)
+			if st.LocalShards == 0 || st.RemoteShards == 0 {
+				t.Fatalf("want shards from both a and the local fallback (stats %+v)", st)
+			}
+		})
+	}
+}
+
 func TestPoolShedsBeyondMaxQueries(t *testing.T) {
 	// The worker answers only once the second query has been shed, so the
 	// first query holds the admission slot for exactly as long as needed.
@@ -408,7 +435,7 @@ func TestPoolShedsBeyondMaxQueries(t *testing.T) {
 	defer free()
 	slow := newFakeWorker(t)
 	slow.onSweep = func(bool) { <-release }
-	p := newTestPool(t, PoolConfig{ShardBlocks: 64, MaxQueries: 1, HedgeDelay: time.Hour}, slow)
+	p := newTestPool(t, PoolConfig{ShardBlocks: 64, MaxQueries: 1}, slow)
 
 	started := make(chan struct{})
 	result := make(chan error, 1)
@@ -435,35 +462,6 @@ func TestPoolShedsBeyondMaxQueries(t *testing.T) {
 	}
 	if st := p.StatsSnapshot(); st.Shed != 1 {
 		t.Fatalf("shed = %d, want 1", st.Shed)
-	}
-}
-
-// TestPoolHedgesStragglers pairs a stuck worker with a fast one under a
-// fixed hedge delay: the shard stuck on the straggler is re-dispatched and
-// the fast copy's result wins. The straggler answers nothing until the
-// sweep has returned, so the sweep returning at all is the rescue; the fast
-// worker waits for the straggler to be holding a shard, so there is always
-// one to rescue.
-func TestPoolHedgesStragglers(t *testing.T) {
-	stuck, release := make(chan struct{}), make(chan struct{})
-	defer close(release)
-	var once sync.Once
-	slow := newFakeWorker(t)
-	slow.onSweep = func(bool) {
-		once.Do(func() { close(stuck) })
-		<-release
-	}
-	fast := newFakeWorker(t)
-	fast.onSweep = func(bool) { <-stuck }
-	p := newTestPool(t, PoolConfig{ShardBlocks: 1, HedgeDelay: 20 * time.Millisecond}, slow, fast)
-
-	counts, err := p.SweepCounts(context.Background(), "full", 256) // 4 shards
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIdentity(t, counts, 256)
-	if st := p.StatsSnapshot(); st.Hedges == 0 {
-		t.Fatalf("hedges = 0, want >0 (stats: %+v)", st)
 	}
 }
 

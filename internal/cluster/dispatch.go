@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // shardRanges partitions [0, n) into 64-aligned shards. It aims for about
 // four shards per worker slot — enough granularity that a straggler near
 // the end of a sweep idles no one — but never lets a shard exceed
-// maxBlocks 64-origin blocks, so a retried or hedged shard stays cheap.
+// maxBlocks 64-origin blocks, so a retried shard stays cheap.
 // The shard count is rounded up to a multiple of slots and the blocks
 // spread evenly over it, so the even drain split (see fanout) hands every
 // slot the same amount of work: 69,488 ASes on two slots are 18 shards of
@@ -63,55 +62,38 @@ func (p *Pool) admit() error {
 // single shard's.
 const maxCoalesce = 32
 
-// fanout executes n shards across the pool's healthy workers and commits
-// each shard's result exactly once.
+// fanout executes n shards across slots — the healthy workers when the
+// query starts, one entry per slot — and commits each shard's result
+// exactly once.
 //
-// Mechanics: shards go into a queue; each healthy worker gets one puller
-// goroutine per slot. A puller drains up to maxBatch queued shards (fewer
-// when an even split across every healthy slot is smaller) and sends them
-// as one request — the streaming merge that turns a fan-out's per-shard
-// round trips into a handful of requests whose frames decode straight into
-// disjoint slices of the merge output. A failed attempt demotes the worker
-// (one strike — the background prober restores it) and requeues each
-// member for a peer, up to MaxAttempts tries per shard. The first attempt
-// of each shard arms a hedge timer: if the shard is still unfinished at
-// the hedge delay, a duplicate is dispatched to another worker and the
-// first result wins. Completion is a per-shard CAS, so of two racing
-// attempts only the winner commits — that CAS is the whole merging-safety
-// argument — and a single-shard loser's request is canceled via its
-// per-shard context. If every worker dies mid-query, a monitor drains the
-// remaining shards through the local fallback; with no fallback the query
-// fails instead of hanging.
-func (p *Pool) fanout(ctx context.Context, n, maxBatch int,
+// Mechanics: shards go into a queue, and each slot gets one puller
+// goroutine. A puller drains up to maxBatch queued shards (fewer when an
+// even split across the slots is smaller) and sends them as one request —
+// the streaming merge that turns a fan-out's per-shard round trips into a
+// handful of requests whose frames decode straight into disjoint slices of
+// the merge output. At most one attempt of a shard is in flight: a shard
+// is either queued, held by one puller, or done. A failed attempt — an
+// error, a bad frame, or a worker that outlives the shard deadline —
+// demotes the worker (one strike; the background prober restores it) and
+// requeues each member for a peer, up to MaxAttempts tries per shard; past
+// that the shard runs locally, or fails the query without a fallback. A
+// puller returns once its worker is demoted, and the last puller out with
+// shards unfinished drains them through the local fallback, or fails the
+// query with errNoWorkers when there is none. Completion is a per-shard
+// CAS, so a shard commits exactly once.
+func (p *Pool) fanout(ctx context.Context, slots []*Worker, n, maxBatch int,
 	remote func(ctx context.Context, w *Worker, idxs []int) ([]func(), error),
 	local func(ctx context.Context, i int) (func(), error)) error {
 	if n == 0 {
 		return nil
 	}
-	workers := p.healthyWorkers()
-	if len(workers) == 0 {
-		if local == nil {
-			return errNoWorkers
-		}
-		for i := 0; i < n; i++ {
-			commit, err := local(ctx, i)
-			if err != nil {
-				return err
-			}
-			commit()
-			p.local.Add(1)
-		}
-		return nil
-	}
-
 	qctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	queue := make(chan int, n*(2*p.cfg.MaxAttempts+2))
+	// A shard is never queued twice, so n slots hold every enqueue.
+	queue := make(chan int, n)
 	done := make([]atomic.Bool, n)
 	attempts := make([]atomic.Int32, n)
-	hedged := make([]atomic.Bool, n)
-	allDone := make(chan struct{})
 	var remaining atomic.Int64
 	remaining.Store(int64(n))
 	var errOnce sync.Once
@@ -122,217 +104,142 @@ func (p *Pool) fanout(ctx context.Context, n, maxBatch int,
 			cancel()
 		})
 	}
-	finish := func(i int, commit func(), where *atomic.Int64) bool {
+	// finish commits shard i; the last commit closes the queue, which
+	// releases every puller waiting on it. No send can follow: every send
+	// queues an undone shard.
+	finish := func(i int, commit func(), where *atomic.Int64) {
 		if !done[i].CompareAndSwap(false, true) {
-			return false
+			return
 		}
 		commit()
 		where.Add(1)
 		if remaining.Add(-1) == 0 {
-			close(allDone)
+			close(queue)
 		}
+	}
+	runLocal := func(i int) bool {
+		commit, err := local(qctx, i)
+		if err != nil {
+			fail(err)
+			return false
+		}
+		finish(i, commit, &p.local)
 		return true
 	}
-	// Per-shard contexts: canceling one aborts the hedge loser's request
-	// the moment the winner commits, without touching other shards.
-	sctx := make([]context.Context, n)
-	scancel := make([]context.CancelFunc, n)
-	for i := range sctx {
-		sctx[i], scancel[i] = context.WithCancel(qctx)
-	}
-	defer func() {
-		for _, c := range scancel {
-			c()
+	// drainLocal finishes every undone shard on the coordinator. It runs
+	// only once no puller is left, so nothing else touches a shard.
+	drainLocal := func() {
+		if local == nil {
+			fail(errNoWorkers)
+			return
 		}
-	}()
-	requeue := func(i int) {
-		select {
-		case queue <- i:
-		default:
-			// The queue is sized for every possible enqueue (initial +
-			// failure requeues + one hedge per shard), so this is
-			// unreachable; dropping is still safer than blocking.
+		for i := range done {
+			if !done[i].Load() && !runLocal(i) {
+				return
+			}
 		}
 	}
 	for i := 0; i < n; i++ {
 		queue <- i
 	}
 
-	hedge := p.hedgeDelay()
-	// preAttempt runs one shard's per-attempt bookkeeping — attempt
-	// accounting, the local-fallback drain past MaxAttempts, the retry
-	// counter, arming the first-attempt hedge timer — and reports whether
-	// the shard should still go to a worker.
-	preAttempt := func(i int) bool {
-		if done[i].Load() {
-			return false
-		}
-		att := int(attempts[i].Add(1))
-		if att > p.cfg.MaxAttempts {
-			if local == nil {
-				fail(fmt.Errorf("cluster: shard %d failed after %d attempts", i, p.cfg.MaxAttempts))
-				return false
-			}
-			commit, err := local(qctx, i)
-			if err != nil {
-				fail(err)
-				return false
-			}
-			finish(i, commit, &p.local)
-			return false
-		}
-		if att > 1 && !hedged[i].CompareAndSwap(true, false) {
-			p.retries.Add(1)
-		}
-		if att == 1 && hedge > 0 {
-			time.AfterFunc(hedge, func() {
-				if !done[i].Load() && qctx.Err() == nil {
-					p.hedges.Add(1)
-					hedged[i].Store(true)
-					requeue(i)
-				}
-			})
-		}
-		return true
-	}
-	// attempt sends the live members of one drained batch to w in a single
-	// request.
+	// attempt sends one drained batch to w in a single request. A member
+	// past MaxAttempts drains locally instead (or fails the query).
 	attempt := func(w *Worker, batch []int) {
 		live := batch[:0]
 		for _, i := range batch {
-			if preAttempt(i) {
+			att := int(attempts[i].Add(1))
+			switch {
+			case att <= p.cfg.MaxAttempts:
+				if att > 1 {
+					p.retries.Add(1)
+				}
 				live = append(live, i)
+			case local == nil:
+				fail(fmt.Errorf("cluster: shard %d failed after %d attempts", i, p.cfg.MaxAttempts))
+				return
+			case !runLocal(i):
+				return
 			}
 		}
 		if len(live) == 0 {
 			return
 		}
-		// A lone shard runs under its own context, so a hedge winner
-		// cancels it; a coalesced request runs under the query context: a
-		// hedge winning one member must not abort the members still
-		// pending. The per-shard CAS keeps the race safe either way — a
-		// loser's commit simply never runs.
-		actx := qctx
-		if len(live) == 1 {
-			actx = sctx[live[0]]
-		}
 		w.inflight.Add(int64(len(live)))
-		start := time.Now()
-		commits, err := remote(actx, w, live)
+		commits, err := remote(qctx, w, live)
 		w.inflight.Add(-int64(len(live)))
 		if err != nil {
-			if actx.Err() != nil {
-				return // shard already won or query canceled; not the worker's fault
+			if qctx.Err() != nil {
+				return // query canceled; not the worker's fault
 			}
 			w.fails.Add(1)
 			w.healthy.Store(false) // one strike; the prober restores it
 			for _, i := range live {
-				requeue(i)
+				queue <- i
 			}
 			return
 		}
-		// One latency sample per request: the adaptive hedge point tracks
-		// round-trip cost at the granularity work is actually dispatched.
-		p.lat.record(time.Since(start))
 		for k, i := range live {
 			w.shards.Add(1)
-			if finish(i, commits[k], &p.remote) {
-				scancel[i]()
-			}
+			finish(i, commits[k], &p.remote)
 		}
 	}
 
 	// batchCap is the drain limit: an even split of the shard count across
-	// every healthy slot, so the first puller to reach the queue cannot
-	// starve its peers, capped by maxBatch.
-	slots := 0
-	for _, w := range workers {
-		slots += w.slots
-	}
-	batchCap := min((n+slots-1)/slots, maxBatch)
+	// the slots, so the first puller to reach the queue cannot starve its
+	// peers, capped by maxBatch.
+	batchCap := min((n+len(slots)-1)/max(len(slots), 1), maxBatch)
 
 	var wg sync.WaitGroup
-	for _, w := range workers {
-		for s := 0; s < w.slots; s++ {
-			wg.Add(1)
-			go func(w *Worker) {
-				defer wg.Done()
-				var batch []int
-				for {
-					if !w.healthy.Load() {
-						return
-					}
-					select {
-					case <-qctx.Done():
-						return
-					case <-allDone:
-						return
-					case i := <-queue:
-						batch = append(batch[:0], i)
-					drain:
-						for len(batch) < batchCap {
-							select {
-							case j := <-queue:
-								batch = append(batch, j)
-							default:
-								break drain
-							}
-						}
-						attempt(w, batch)
-					}
-				}
-			}(w)
-		}
-	}
-
-	// Monitor: if the whole pool dies mid-query, drain what is left
-	// through the local fallback (or fail fast without one).
-	wg.Add(1)
-	go func() {
+	var pullers atomic.Int64
+	pullers.Store(int64(len(slots)))
+	puller := func(w *Worker) {
 		defer wg.Done()
-		t := time.NewTicker(10 * time.Millisecond)
-		defer t.Stop()
-		for {
+		defer func() {
+			if pullers.Add(-1) == 0 && remaining.Load() > 0 && qctx.Err() == nil {
+				drainLocal()
+			}
+		}()
+		var batch []int
+		for w.healthy.Load() {
 			select {
 			case <-qctx.Done():
 				return
-			case <-allDone:
-				return
-			case <-t.C:
-			}
-			if len(p.healthyWorkers()) > 0 {
-				continue
-			}
-			if local == nil {
-				fail(errNoWorkers)
-				return
-			}
-			for i := 0; i < n; i++ {
-				if done[i].Load() {
-					continue
-				}
-				commit, err := local(qctx, i)
-				if err != nil {
-					fail(err)
+			case i, ok := <-queue:
+				if !ok {
 					return
 				}
-				finish(i, commit, &p.local)
+				batch = append(batch[:0], i)
 			}
+			// The queue stays open while this puller holds an undone shard.
+		drain:
+			for len(batch) < batchCap {
+				select {
+				case j := <-queue:
+					batch = append(batch, j)
+				default:
+					break drain
+				}
+			}
+			attempt(w, batch)
 		}
-	}()
-
-	select {
-	case <-allDone:
-		cancel()
-		wg.Wait()
-		return nil
-	case <-qctx.Done():
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
-		return ctx.Err()
 	}
+	for _, w := range slots {
+		wg.Add(1)
+		go puller(w)
+	}
+	if len(slots) == 0 {
+		drainLocal() // no worker at all: the coordinator answers alone
+	}
+	wg.Wait()
+
+	if remaining.Load() == 0 {
+		return nil
+	}
+	if firstErr != nil {
+		return firstErr
+	}
+	return ctx.Err()
 }
 
 // query is one fan-out: n results partitioned into 64-aligned shards, each
@@ -360,7 +267,8 @@ func run[T int | float64](ctx context.Context, p *Pool, q query[T]) ([]T, error)
 		return nil, err
 	}
 	defer p.queries.Add(-1)
-	shards := shardRanges(q.n, p.totalSlots(), p.cfg.ShardBlocks)
+	slots := p.healthySlots()
+	shards := shardRanges(q.n, len(slots), p.cfg.ShardBlocks)
 	out := make([]T, q.n)
 	remote := func(ctx context.Context, w *Worker, idxs []int) ([]func(), error) {
 		rs := make([]Range, len(idxs))
@@ -386,7 +294,7 @@ func run[T int | float64](ctx context.Context, p *Pool, q query[T]) ([]T, error)
 			return func() { copy(out[s.Lo:s.Hi], vals) }, nil
 		}
 	}
-	if err := p.fanout(ctx, len(shards), q.maxBatch, remote, local); err != nil {
+	if err := p.fanout(ctx, slots, len(shards), q.maxBatch, remote, local); err != nil {
 		return nil, err
 	}
 	return out, nil

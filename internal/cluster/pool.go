@@ -34,17 +34,13 @@ type PoolConfig struct {
 	// are shed with ErrSaturated (default 8).
 	MaxQueries int
 	// MaxAttempts bounds how many times one shard is tried across workers
-	// (including the hedge) before the whole query fails (default 4).
+	// before it drains through the local fallback, or fails the whole
+	// query without one (default 4).
 	MaxAttempts int
 	// ShardBlocks caps one shard's size in 64-origin blocks (default 64,
 	// i.e. 4096 origins), keeping shards small enough to retry cheaply and
 	// to keep every worker busy near the end of a sweep.
 	ShardBlocks int
-
-	// HedgeDelay, when positive, hedges a shard onto a second worker after
-	// the fixed delay. When zero, the delay adapts: the 95th percentile of
-	// recent shard latencies, floored at 25ms, once enough samples exist.
-	HedgeDelay time.Duration
 
 	// HealthInterval is the background health-probe period (default 2s);
 	// ProbeTimeout bounds one probe (default 1s).
@@ -53,20 +49,18 @@ type PoolConfig struct {
 
 	// LocalSweep, LocalBatch and LocalLeak compute one shard on the
 	// coordinator itself. They are the fallback of last resort: used only
-	// when no healthy worker remains mid-query, so a dying cluster degrades
-	// to single-process service instead of failing.
+	// once every puller of a query is gone, or a shard has run out of
+	// attempts, so a dying cluster degrades to single-process service
+	// instead of failing.
 	LocalSweep func(ctx context.Context, kind string, lo, hi int) ([]int, error)
 	LocalBatch func(ctx context.Context, kind string, origins []uint32) ([]int, error)
 	LocalLeak  func(ctx context.Context, q LeakQuery, lo, hi int) ([]float64, error)
 }
 
-// The fixed dispatch policy: the adaptive hedge point and its floor, and
-// the per-shard compute deadline forwarded on every worker request (30s).
-const (
-	hedgePercentile = 95
-	hedgeMin        = 25 * time.Millisecond
-	shardTimeoutQS  = "?timeout=30s"
-)
+// shardTimeout bounds one worker request. The worker is told the same
+// bound as its compute deadline, so a stalled worker is an ordinary failed
+// attempt rather than a query that waits out its own deadline.
+const shardTimeout = 30 * time.Second
 
 // httpClient carries every worker request, with generous per-host
 // keep-alive connections so a fan-out reuses its sockets.
@@ -122,14 +116,11 @@ type Pool struct {
 	queries atomic.Int64 // in-flight fan-out queries
 	shed    atomic.Int64
 	retries atomic.Int64
-	hedges  atomic.Int64
 	remote  atomic.Int64 // shards merged from workers
 	local   atomic.Int64 // shards merged from the local fallback
 
 	wireBytes atomic.Int64 // frame bytes merged
 	multi     atomic.Int64 // responses that carried more than one shard
-
-	lat latencyWindow
 }
 
 // NewPool returns an empty pool. The health prober starts lazily on the
@@ -228,31 +219,23 @@ func (p *Pool) NumWorkers() int {
 // Ready reports whether at least one healthy worker is registered — the
 // serving layer's signal to route a query through the cluster rather than
 // computing it in-process.
-func (p *Pool) Ready() bool { return len(p.healthyWorkers()) > 0 }
+func (p *Pool) Ready() bool { return len(p.healthySlots()) > 0 }
 
-func (p *Pool) healthyWorkers() []*Worker {
+// healthySlots lists every healthy worker once per slot. Slot counts are
+// read under the pool lock, so a concurrent re-join cannot change one
+// mid-read.
+func (p *Pool) healthySlots() []*Worker {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*Worker, 0, len(p.workers))
+	var out []*Worker
 	for _, w := range p.workers {
 		if w.healthy.Load() {
-			out = append(out, w)
+			for s := 0; s < w.slots; s++ {
+				out = append(out, w)
+			}
 		}
 	}
 	return out
-}
-
-// totalSlots sums the healthy workers' concurrency, the denominator of
-// shard sizing.
-func (p *Pool) totalSlots() int {
-	n := 0
-	for _, w := range p.healthyWorkers() {
-		n += w.slots
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // probeLoop health-checks every worker until the pool closes: dead workers
@@ -318,7 +301,9 @@ func putBody(b *bytes.Buffer) { bodyPool.Put(b) }
 // body in a pooled buffer. The caller owns the buffer and must release it
 // with putBody once decoded.
 func (p *Pool) postShard(ctx context.Context, w *Worker, path string, body []byte) (*bytes.Buffer, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Addr+path+shardTimeoutQS, bytes.NewReader(body))
+	ctx, cancel := context.WithTimeout(ctx, shardTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Addr+path+"?timeout="+shardTimeout.String(), bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -349,10 +334,9 @@ func (p *Pool) postShard(ctx context.Context, w *Worker, path string, body []byt
 // accepted or rejected as a unit, so a corrupt or non-frame body surfaces
 // as a retryable error before the dispatcher's done-CAS. Commit k decodes
 // frame k straight into dsts[k], the caller's slice of the merge output;
-// the CAS runs each commit at most once, so of two racing attempts
-// (original + hedge duplicate) only the winner touches dst. The pooled
-// response buffer is returned once the last commit fires; if a hedge
-// steals a member, the buffer is left to the GC instead.
+// the CAS runs each commit at most once. The pooled response buffer is
+// returned once the last commit fires; if a query fails before every
+// member commits, the buffer is left to the GC instead.
 func fetchFrames[T int | float64](ctx context.Context, p *Pool, w *Worker, path string, body []byte, dsts [][]T,
 	check func(frame []byte, n int) error, decode func(dst []T, frame []byte) error) ([]func(), error) {
 	buf, err := p.postShard(ctx, w, path, body)
@@ -410,7 +394,6 @@ type Stats struct {
 	Queries      int64         `json:"queries_inflight"`
 	Shed         int64         `json:"shed"`
 	Retries      int64         `json:"retries"`
-	Hedges       int64         `json:"hedges"`
 	RemoteShards int64         `json:"remote_shards"`
 	LocalShards  int64         `json:"local_shards"`
 	WireBytes    int64         `json:"wire_bytes"`
@@ -433,7 +416,6 @@ func (p *Pool) StatsSnapshot() Stats {
 		Queries:      p.queries.Load(),
 		Shed:         p.shed.Load(),
 		Retries:      p.retries.Load(),
-		Hedges:       p.hedges.Load(),
 		RemoteShards: p.remote.Load(),
 		LocalShards:  p.local.Load(),
 		WireBytes:    p.wireBytes.Load(),
@@ -451,58 +433,4 @@ func (p *Pool) StatsSnapshot() Stats {
 		}
 	}
 	return st
-}
-
-// latencyWindow keeps the most recent successful shard latencies for the
-// adaptive hedge point.
-type latencyWindow struct {
-	mu   sync.Mutex
-	ring [128]time.Duration
-	n    int // total recorded
-}
-
-func (l *latencyWindow) record(d time.Duration) {
-	l.mu.Lock()
-	l.ring[l.n%len(l.ring)] = d
-	l.n++
-	l.mu.Unlock()
-}
-
-// percentile returns the q-th percentile of the recorded window, or 0
-// when fewer than 16 samples exist (too early to hedge).
-func (l *latencyWindow) percentile(q int) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.n
-	if n > len(l.ring) {
-		n = len(l.ring)
-	}
-	if n < 16 {
-		return 0
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, l.ring[:n])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := (q*n)/100 - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return buf[idx]
-}
-
-// hedgeDelay resolves the current hedge point: the fixed configured delay,
-// or the adaptive latency percentile floored at hedgeMin. Zero disables
-// hedging (not enough signal yet).
-func (p *Pool) hedgeDelay() time.Duration {
-	if p.cfg.HedgeDelay > 0 {
-		return p.cfg.HedgeDelay
-	}
-	d := p.lat.percentile(hedgePercentile)
-	if d == 0 {
-		return 0
-	}
-	return max(d, hedgeMin)
 }

@@ -68,13 +68,18 @@ type JoinRequest struct {
 	// World must equal the coordinator's world content address.
 	World string `json:"world"`
 	// Slots is how many shards the worker computes concurrently (its
-	// serving concurrency limit).
+	// serving concurrency limit), in [1, MaxSlots].
 	Slots int `json:"slots"`
 	// Wire must equal the coordinator's WireVersion: the one place the
 	// shard protocol's version is checked, so every registered worker
 	// speaks exactly the coordinator's frames.
 	Wire int `json:"wire"`
 }
+
+// MaxSlots bounds a joining worker's Slots. The coordinator runs one
+// puller goroutine per slot for every wide query, so a join claiming more
+// is refused rather than taken at its word.
+const MaxSlots = 1024
 
 // JoinResponse acknowledges a join.
 type JoinResponse struct {

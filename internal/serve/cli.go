@@ -218,6 +218,7 @@ func RunCLI(args []string, stdout, stderr io.Writer) error {
 		if slots <= 0 {
 			slots = runtime.GOMAXPROCS(0)
 		}
+		slots = min(slots, cluster.MaxSlots)
 		jr := cluster.JoinRequest{Addr: cluster.CanonicalAddr(adv), World: srv.WorldID(), Slots: slots, Wire: cluster.WireVersion}
 		if err := cluster.JoinRetry(ctx, httpClient, *join, jr, 5*time.Second); err != nil {
 			return fmt.Errorf("serve: join %s: %w", *join, err)

@@ -115,6 +115,10 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("missing worker world"))
 		return
 	}
+	if req.Slots < 1 || req.Slots > cluster.MaxSlots {
+		s.writeError(w, badRequestf("slots %d outside [1, %d]", req.Slots, cluster.MaxSlots))
+		return
+	}
 	if req.Wire != cluster.WireVersion {
 		s.writeError(w, &apiError{Status: http.StatusConflict, Code: "wire_mismatch",
 			Message: fmt.Sprintf("worker speaks wire version %d, coordinator speaks %d; run the same flatnetd build", req.Wire, cluster.WireVersion)})

@@ -153,6 +153,15 @@ func TestClusterSmoke(t *testing.T) {
 	if stats.Cluster == nil || len(stats.Cluster.Workers) != 2 {
 		t.Fatalf("stats cluster section missing or wrong size: %s", sb)
 	}
+	var keys struct {
+		Cluster map[string]json.RawMessage `json:"cluster"`
+	}
+	if err := json.Unmarshal(sb, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys.Cluster["hedges"]; ok {
+		t.Fatalf("stats still carry cluster.hedges: %s", sb)
+	}
 }
 
 func mustDataset(t *testing.T) core.Dataset {
@@ -294,7 +303,7 @@ func TestClusterLeakAndBatchMatchSingleProcess(t *testing.T) {
 func TestClusterMixedWireVersions(t *testing.T) {
 	coord, _ := startServer(t, func(c *Config) {
 		// No prober: the demotion the test asserts must be the dispatcher's.
-		c.Cluster = cluster.PoolConfig{ShardBlocks: 1, HedgeDelay: time.Hour, HealthInterval: time.Hour}
+		c.Cluster = cluster.PoolConfig{ShardBlocks: 1, HealthInterval: time.Hour}
 	})
 	answered := make(chan struct{})
 	var once sync.Once
@@ -356,12 +365,17 @@ func TestClusterMixedWireVersions(t *testing.T) {
 // malformed requests with a 400 before computing anything — a trials
 // count outside [1, MaxTrials] (which would otherwise buy a full-graph
 // batch, or panic the sampler), an unknown scenario, and sweep requests
-// that mix the origin-list and range forms.
+// that mix the origin-list and range forms — and the join endpoint refuses
+// a slot count outside [1, MaxSlots], which would otherwise start that
+// many pullers per wide query.
 func TestClusterWorkerRejectsHostileInput(t *testing.T) {
 	s := testServer(t, nil)
 	h := s.Handler()
 	leak := func(trials int, scenario string) string {
 		return fmt.Sprintf(`{"origin":100,"scenario":%q,"trials":%d,"seed":1,"lo":0,"hi":1}`, scenario, trials)
+	}
+	join := func(slots int) string {
+		return fmt.Sprintf(`{"addr":"http://127.0.0.1:1","world":%q,"slots":%d,"wire":%d}`, s.WorldID(), slots, cluster.WireVersion)
 	}
 	for _, c := range []struct{ name, path, body string }{
 		{"negative trials", cluster.PathLeak, leak(-1, "announce-all")},
@@ -373,6 +387,8 @@ func TestClusterWorkerRejectsHostileInput(t *testing.T) {
 		{"lo/hi and ranges", cluster.PathSweep, `{"kind":"full","lo":0,"hi":2,"ranges":[{"lo":0,"hi":2}]}`},
 		{"range past the graph", cluster.PathSweep, `{"kind":"full","ranges":[{"lo":0,"hi":99}]}`},
 		{"empty range", cluster.PathSweep, `{"kind":"full"}`},
+		{"slots above MaxSlots", cluster.PathJoin, join(1 << 30)},
+		{"zero slots", cluster.PathJoin, join(0)},
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
@@ -382,6 +398,9 @@ func TestClusterWorkerRejectsHostileInput(t *testing.T) {
 	}
 	if n := s.stats.computations.Load(); n != 0 {
 		t.Fatalf("%d computations ran for refused requests", n)
+	}
+	if n := s.Pool().NumWorkers(); n != 0 {
+		t.Fatalf("%d workers registered by refused joins", n)
 	}
 }
 

@@ -35,8 +35,9 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> go test -count 20 (cluster + serve)"
-# The dispatch, hedging and evolve tests order real goroutines and loopback
-# HTTP; twenty runs surface a timing-dependent assertion before merge.
+# The dispatch, worker-death and evolve tests order real goroutines and
+# loopback HTTP; twenty runs surface a timing-dependent assertion before
+# merge.
 go test -count 20 ./internal/cluster/ ./internal/serve/
 
 echo "==> snapshot decoder fuzz (10s)"
