@@ -139,7 +139,7 @@ func walkPath(g *astopo.Graph, res *bgpsim.Result, vp int32, salt uint64) []asto
 	fmt.Fprintf(h, "%d/%d", vp, res.Origin)
 	x := h.Sum64() + salt
 	for cur != res.Origin {
-		hops := res.NextHops[cur]
+		hops := res.NextHops(cur)
 		if len(hops) == 0 {
 			return nil
 		}

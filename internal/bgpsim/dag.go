@@ -20,7 +20,7 @@ import (
 // only ratios are consumed downstream). ASes without routes get 0; the
 // origin gets 1.
 func (r *Result) PathCounts() ([]float64, error) {
-	if r.NextHops == nil {
+	if !r.tracked() {
 		return nil, fmt.Errorf("bgpsim: PathCounts requires TrackNextHops")
 	}
 	n := len(r.Class)
@@ -33,7 +33,7 @@ func (r *Result) PathCounts() ([]float64, error) {
 			continue
 		}
 		var c float64
-		for _, u := range r.NextHops[v] {
+		for _, u := range r.NextHops(v) {
 			c += counts[u]
 		}
 		counts[v] = c
@@ -68,14 +68,14 @@ func (r *Result) Reliance() ([]float64, error) {
 			continue
 		}
 		var total float64
-		for _, u := range r.NextHops[v] {
+		for _, u := range r.NextHops(v) {
 			total += counts[u]
 		}
 		if total == 0 {
 			continue
 		}
 		m := visits[v]
-		for _, u := range r.NextHops[v] {
+		for _, u := range r.NextHops(v) {
 			visits[u] += m * counts[u] / total
 		}
 	}
@@ -91,7 +91,7 @@ func (r *Result) Reliance() ([]float64, error) {
 // the dense reliance slice that can be nonzero — in ascending index order.
 // Both slices alias that scratch and are valid only until the next
 // propagation on this Simulator. Cancellation is as in RunCtx; leak configs
-// are rejected as in RunShared.
+// are rejected.
 func (s *Simulator) RelianceCtx(ctx context.Context, cfg Config) (reliance []float64, holders []int32, err error) {
 	if cfg.Leaker != 0 {
 		return nil, nil, fmt.Errorf("bgpsim: RelianceCtx does not support leak configs")
@@ -179,7 +179,7 @@ func (r *Result) byDistance(desc bool) []int32 {
 // origin last) is one of the tied-best paths of its first element. Used to
 // validate simulated paths against traceroute-observed paths (Appendix A).
 func (r *Result) ContainsPath(path []astopo.ASN) (bool, error) {
-	if r.NextHops == nil {
+	if !r.tracked() {
 		return false, fmt.Errorf("bgpsim: ContainsPath requires TrackNextHops")
 	}
 	if len(path) < 2 {
@@ -199,7 +199,7 @@ func (r *Result) ContainsPath(path []astopo.ASN) (bool, error) {
 			return false, nil
 		}
 		found := false
-		for _, u := range r.NextHops[cur] {
+		for _, u := range r.NextHops(int32(cur)) {
 			if u == int32(ni) {
 				found = true
 				break
@@ -218,7 +218,7 @@ func (r *Result) ContainsPath(path []astopo.ASN) (bool, error) {
 // stopping after limit paths (limit must be positive; tied-path counts can
 // grow exponentially on dense graphs — check PathCounts first).
 func (r *Result) AllBestPaths(t astopo.ASN, limit int) ([][]astopo.ASN, error) {
-	if r.NextHops == nil {
+	if !r.tracked() {
 		return nil, fmt.Errorf("bgpsim: AllBestPaths requires TrackNextHops")
 	}
 	if limit <= 0 {
@@ -239,7 +239,7 @@ func (r *Result) AllBestPaths(t astopo.ASN, limit int) ([][]astopo.ASN, error) {
 			out = append(out, append([]astopo.ASN(nil), prefix...))
 			return
 		}
-		hops := append([]int32(nil), r.NextHops[cur]...)
+		hops := append([]int32(nil), r.NextHops(cur)...)
 		sort.Slice(hops, func(i, j int) bool {
 			return r.Graph.ASNAt(int(hops[i])) < r.Graph.ASNAt(int(hops[j]))
 		})
@@ -258,7 +258,7 @@ func (r *Result) AllBestPaths(t astopo.ASN, limit int) ([][]astopo.ASN, error) {
 // the lexicographically smallest next hop at every step (deterministic).
 // Returns nil if t holds no route.
 func (r *Result) SampleBestPath(t astopo.ASN) []astopo.ASN {
-	if r.NextHops == nil {
+	if !r.tracked() {
 		return nil
 	}
 	ti, ok := r.Graph.Index(t)
@@ -268,7 +268,7 @@ func (r *Result) SampleBestPath(t astopo.ASN) []astopo.ASN {
 	path := []astopo.ASN{t}
 	cur := int32(ti)
 	for cur != r.Origin {
-		hops := r.NextHops[cur]
+		hops := r.NextHops(cur)
 		if len(hops) == 0 {
 			return nil
 		}

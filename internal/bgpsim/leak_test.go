@@ -253,6 +253,7 @@ func TestHijackDominatesLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	leak = leak.Clone()
 	hijack, err := sim.Run(Config{Origin: 10, Leaker: 40, Hijack: true})
 	if err != nil {
 		t.Fatal(err)

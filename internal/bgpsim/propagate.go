@@ -43,8 +43,8 @@ func (s *Simulator) propagate(seeds []seed, exclude, locking []bool, track, brea
 	}
 	vias, nhLen := s.vias, s.nhLen
 	// Reset what the previous propagation touched. A node's next-hop span
-	// is cleared on untracked runs too, so a later tracked run (or its
-	// RunShared view) never meets a span an earlier one left behind; the
+	// is cleared on untracked runs too, so a later tracked run (and the
+	// Result viewing it) never meets a span an earlier one left behind; the
 	// vias and tflags of a node are overwritten when it first takes a
 	// tentative route, so they need no reset.
 	for w, word := range touched {
@@ -310,28 +310,14 @@ func (c nextHopCSR) at(v int32) []int32 {
 }
 
 // clone deep-copies the CSR so it survives future propagations of the
-// Simulator that built it.
+// Simulator that built it. The clone of an untracked run's empty CSR is
+// empty too.
 func (c nextHopCSR) clone() nextHopCSR {
 	return nextHopCSR{
 		off:   append([]int32(nil), c.off...),
 		num:   append([]int32(nil), c.num...),
 		arena: append([]int32(nil), c.arena...),
 	}
-}
-
-// materialize converts the CSR to the Result.NextHops representation: one
-// freshly allocated flat backing array shared by all per-node slices (two
-// allocations total, independent of the DAG's shape).
-func (c nextHopCSR) materialize() [][]int32 {
-	flat := append([]int32(nil), c.arena...)
-	out := make([][]int32, len(c.off))
-	for i := range out {
-		if m := c.num[i]; m > 0 {
-			o := c.off[i]
-			out[i] = flat[o : o+m : o+m]
-		}
-	}
-	return out
 }
 
 // csr returns a view of the Simulator's next-hop arena as filled by the

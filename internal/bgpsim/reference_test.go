@@ -199,7 +199,7 @@ func TestPropagationMatchesReference(t *testing.T) {
 				continue
 			}
 			got := map[int32]bool{}
-			for _, h := range res.NextHops[i] {
+			for _, h := range res.NextHops(int32(i)) {
 				got[h] = true
 			}
 			if !sameSet(ref[i].nhops, got) {

@@ -74,15 +74,21 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 			if err != nil && wantErr == nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: canceled run: %v", at, err)
 			}
-		case op == 1 && cfg.Leaker == 0 && wantErr == nil:
-			got, err := reused.RunShared(cfg)
+		case op == 1 && wantErr == nil:
+			// A Clone owns its state: another run on the simulator that
+			// lent the view must leave it as the fresh result.
+			got, err := reused.Run(cfg)
 			if err != nil {
-				t.Fatalf("%s: RunShared: %v", at, err)
+				t.Fatalf("%s: Run: %v", at, err)
 			}
-			if msg := diffResults(got, want); msg != "" {
-				t.Fatalf("%s: RunShared %s", at, msg)
+			held := got.Clone()
+			if _, err := reused.Run(Config{Origin: g.ASNAt(rng.Intn(n)), TrackNextHops: true}); err != nil {
+				t.Fatalf("%s: second Run: %v", at, err)
 			}
-			oracle(got, cfg, at)
+			if msg := diffResults(held, want); msg != "" {
+				t.Fatalf("%s: Clone after another run %s", at, msg)
+			}
+			oracle(held, cfg, at)
 		case op == 2 && cfg.Leaker == 0 && wantErr == nil:
 			got, err := reused.ReachabilityCount(cfg)
 			if err != nil || got != want.Reachable() {
@@ -186,12 +192,12 @@ func diffResults(got, want *Result) string {
 		return "Dist differs from a fresh simulator's"
 	case !slices.Equal(got.Flags, want.Flags):
 		return "Flags differ from a fresh simulator's"
-	case (got.NextHops == nil) != (want.NextHops == nil):
-		return fmt.Sprintf("NextHops tracked %v, fresh %v", got.NextHops != nil, want.NextHops != nil)
+	case got.tracked() != want.tracked():
+		return fmt.Sprintf("NextHops tracked %v, fresh %v", got.tracked(), want.tracked())
 	}
-	for i := range want.NextHops {
-		if !slices.Equal(got.NextHops[i], want.NextHops[i]) {
-			return fmt.Sprintf("NextHops[%d] = %v, fresh %v", i, got.NextHops[i], want.NextHops[i])
+	for i := range want.Class {
+		if v := int32(i); !slices.Equal(got.NextHops(v), want.NextHops(v)) {
+			return fmt.Sprintf("NextHops(%d) = %v, fresh %v", i, got.NextHops(v), want.NextHops(v))
 		}
 	}
 	return ""
@@ -208,11 +214,11 @@ func diffReference(g *astopo.Graph, res *Result, cfg Config) string {
 		if ref[i].class != res.Class[i] || ref[i].dist != res.Dist[i] {
 			return fmt.Sprintf("AS%d: reference %v/%d, sim %v/%d", g.ASNAt(i), ref[i].class, ref[i].dist, res.Class[i], res.Dist[i])
 		}
-		if ref[i].class == ClassNone || res.NextHops == nil {
+		if ref[i].class == ClassNone || !res.tracked() {
 			continue
 		}
 		got := map[int32]bool{}
-		for _, h := range res.NextHops[i] {
+		for _, h := range res.NextHops(int32(i)) {
 			got[h] = true
 		}
 		if !sameSet(ref[i].nhops, got) {

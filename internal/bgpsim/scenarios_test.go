@@ -69,6 +69,7 @@ func TestScenarioConfigHierarchyPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rAll = rAll.Clone()
 	rHier, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -19,12 +19,18 @@
 // customer-route holders, and provider routes spread down provider→customer
 // edges in best-length order. A Simulator remembers which ASes a
 // propagation touched (one bit each) and resets and scans only those.
+//
+// Simulator.Run is the one entry point that returns a Result, and the Result
+// it returns is borrowed: its arrays and next-hop spans are the Simulator's
+// own buffers, valid until the next run on that Simulator. Result.Clone is
+// the owned copy for callers that keep a Result past that point.
 package bgpsim
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"flatnet/internal/astopo"
 )
@@ -139,6 +145,11 @@ type Config struct {
 
 // Result holds the outcome of one propagation. Slices are indexed by the
 // graph's dense AS indexes.
+//
+// A Result from Simulator.Run is a view, not a copy: Class, Dist, Flags and
+// the next-hop spans alias the Simulator's buffers and are valid only until
+// the next propagation on that Simulator. Clone returns a copy that owns its
+// state.
 type Result struct {
 	Graph  *astopo.Graph
 	Origin int32
@@ -149,14 +160,41 @@ type Result struct {
 	Class []Class
 	Dist  []int32
 
-	// NextHops is the tied-best next-hop DAG (only when TrackNextHops).
-	NextHops [][]int32
-
 	// Flags carries ViaLegit/ViaLeak bits (only for leak simulations).
 	Flags []uint8
 
 	// LeakerIdx is the dense index of the leaker, or -1.
 	LeakerIdx int32
+
+	// nh is the tied-best next-hop DAG; nh.num is nil unless the run set
+	// TrackNextHops.
+	nh nextHopCSR
+}
+
+// NextHops returns the dense indexes of the neighbors providing v's
+// tied-best routes: nil for the origin (and a leak's leaker), for an AS
+// without a route, and for every AS when the run did not set TrackNextHops. The span aliases the
+// Result's next-hop arena and must not be modified.
+func (r *Result) NextHops(v int32) []int32 {
+	if !r.tracked() || r.nh.num[v] == 0 {
+		return nil
+	}
+	o, m := r.nh.off[v], r.nh.num[v]
+	return r.nh.arena[o : o+m : o+m]
+}
+
+// tracked reports whether the run recorded the next-hop DAG.
+func (r *Result) tracked() bool { return r.nh.num != nil }
+
+// Clone returns a deep copy of r that owns its state, so it stays valid
+// across later runs of the Simulator r was borrowed from.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.Class = slices.Clone(r.Class)
+	c.Dist = slices.Clone(r.Dist)
+	c.Flags = slices.Clone(r.Flags)
+	c.nh = r.nh.clone()
+	return &c
 }
 
 // Reachable counts ASes other than the origin (and leaker, if any) holding
@@ -170,18 +208,6 @@ func (r *Result) Reachable() int {
 		n++
 	}
 	return n
-}
-
-// ReachableSet returns the ASNs counted by Reachable.
-func (r *Result) ReachableSet() []astopo.ASN {
-	out := make([]astopo.ASN, 0, len(r.Class))
-	for i, c := range r.Class {
-		if c == ClassNone || int32(i) == r.Origin || int32(i) == r.LeakerIdx {
-			continue
-		}
-		out = append(out, r.Graph.ASNAt(i))
-	}
-	return out
 }
 
 // Detoured counts ASes with at least one tied-best route via the leak,
@@ -273,11 +299,8 @@ type Simulator struct {
 	blocked []bool
 	walk    loopWalk
 
-	// RunShared's reusable view Result: the [][]int32 next-hop headers are
-	// kept at high water across runs so steady-state tracked propagations
-	// allocate nothing.
-	shared *Result
-	nhView [][]int32
+	// res is the view Run returns, repointed at the buffers on every run.
+	res Result
 }
 
 // New returns a Simulator for g. The graph is frozen by the call and must
@@ -333,8 +356,10 @@ func (s *Simulator) ReachabilityCountCtx(ctx context.Context, cfg Config) (int, 
 	return s.ReachabilityCount(cfg)
 }
 
-// Run executes one propagation and returns a Result owning its own state
-// (independent of the Simulator's reusable buffers).
+// Run executes one propagation and returns its outcome as a view of the
+// Simulator's buffers, valid until the next propagation on this Simulator
+// (see Result); Clone it to keep it longer. A steady-state Run allocates
+// nothing, with or without TrackNextHops.
 func (s *Simulator) Run(cfg Config) (*Result, error) {
 	seeds, leakerIdx, err := s.prepare(cfg)
 	if err != nil {
@@ -342,97 +367,40 @@ func (s *Simulator) Run(cfg Config) (*Result, error) {
 	}
 	if seeds == nil {
 		// Leak configured but the leaker holds no route: the leak-free
-		// state with everything marked legitimate is the outcome.
+		// state is the outcome, and its propagation leaves ViaLegit on
+		// every routed AS.
 		base := cfg
 		base.Leaker, base.Hijack = 0, false
 		res, err := s.Run(base)
 		if err != nil {
 			return nil, err
 		}
-		res.LeakerIdx = leakerIdx
-		res.Flags = make([]uint8, s.n)
-		for i, c := range res.Class {
-			if c != ClassNone {
-				res.Flags[i] = ViaLegit
-			}
-		}
+		res.LeakerIdx, res.Flags = leakerIdx, s.flags
 		return res, nil
 	}
-
 	if !s.propagate(seeds, cfg.Exclude, cfg.Locking, cfg.TrackNextHops, cfg.BreakTies) {
 		return nil, s.ctx.Err()
 	}
-	res := &Result{
-		Graph:     s.g,
-		Origin:    seeds[0].idx,
-		LeakerIdx: leakerIdx,
-		Class:     append([]Class(nil), s.class...),
-		Dist:      append([]int32(nil), s.dist...),
-	}
-	if cfg.TrackNextHops {
-		res.NextHops = s.csr().materialize()
-	}
-	if cfg.Leaker != 0 {
-		res.Flags = append([]uint8(nil), s.flags...)
-	}
-	return res, nil
+	return s.view(seeds[0].idx, leakerIdx, cfg), nil
 }
 
-// RunShared executes one propagation like Run but returns a Result that
-// aliases the Simulator's reusable buffers instead of copying them: Class,
-// Dist, and every NextHops span point into the Simulator's arenas and are
-// valid only until the next propagation on this Simulator. The [][]int32
-// next-hop header slice is kept at high water and reused across calls, so
-// steady-state tracked runs add no per-run allocations — the same pooling
-// discipline the propagation core applies to its masks. This is the fast
-// path for per-destination loops (trace synthesis) that fully consume one
-// Result before running the next.
-//
-// Leak configs need an owned Result (their no-route fallback re-enters Run);
-// they are rejected here — use Run.
-func (s *Simulator) RunShared(cfg Config) (*Result, error) {
-	if cfg.Leaker != 0 {
-		return nil, fmt.Errorf("bgpsim: RunShared does not support leak configs")
-	}
-	seeds, _, err := s.prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if !s.propagate(seeds, cfg.Exclude, cfg.Locking, cfg.TrackNextHops, cfg.BreakTies) {
-		return nil, s.ctx.Err()
-	}
-	if s.shared == nil {
-		s.shared = &Result{Graph: s.g}
-	}
-	res := s.shared
-	res.Origin = seeds[0].idx
-	res.LeakerIdx = -1
-	res.Class = s.class
-	res.Dist = s.dist
-	res.Flags = nil
-	res.NextHops = nil
+// view points the Simulator's reusable Result at the buffers the latest
+// propagation of cfg filled.
+func (s *Simulator) view(origin, leakerIdx int32, cfg Config) *Result {
+	r := &s.res
+	*r = Result{Graph: s.g, Origin: origin, Class: s.class, Dist: s.dist, LeakerIdx: leakerIdx}
 	if cfg.TrackNextHops {
-		if cap(s.nhView) < s.n {
-			s.nhView = make([][]int32, s.n)
-		}
-		view := s.nhView[:s.n]
-		arena := s.nhArena
-		for i := range view {
-			if m := s.nhLen[i]; m > 0 {
-				o := s.nhOff[i]
-				view[i] = arena[o : o+m : o+m]
-			} else {
-				view[i] = nil
-			}
-		}
-		res.NextHops = view
+		r.nh = s.csr()
 	}
-	return res, nil
+	if cfg.Leaker != 0 {
+		r.Flags = s.flags
+	}
+	return r
 }
 
 // ReachabilityCount runs cfg and returns only the number of ASes, excluding
-// the origin, that receive a route. It avoids materializing a Result and is
-// the fast path for whole-Internet sweeps.
+// the origin, that receive a route. It counts over the ASes the propagation
+// touched instead of scanning a whole Result.
 func (s *Simulator) ReachabilityCount(cfg Config) (int, error) {
 	seeds, _, err := s.prepare(cfg)
 	if err != nil {

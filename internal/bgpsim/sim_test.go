@@ -124,8 +124,8 @@ func TestTiedNextHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	i30, _ := g.Index(30)
-	if len(r.NextHops[i30]) != 2 {
-		t.Fatalf("AS30 next hops = %v, want 2 tied", r.NextHops[i30])
+	if hops := r.NextHops(int32(i30)); len(hops) != 2 {
+		t.Fatalf("AS30 next hops = %v, want 2 tied", hops)
 	}
 	if c, d := classOf(t, r, 30); c != ClassCustomer || d != 2 {
 		t.Errorf("AS30: %v/%d", c, d)
@@ -241,7 +241,8 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// Simulator buffer reuse: running twice gives identical, independent results.
+// Simulator buffer reuse: a Clone of the first run is independent of the
+// second run, which reuses the buffers the first one's view lent.
 func TestRunReuse(t *testing.T) {
 	g := mustGraph(t, p2c(20, 10), p2c(30, 20), p2p(30, 40))
 	sim := New(g)
@@ -249,13 +250,14 @@ func TestRunReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1 = r1.Clone()
 	want1 := r1.Reachable()
 	r2, err := sim.Run(Config{Origin: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Reachable() != want1 {
-		t.Error("first result mutated by second run")
+		t.Error("cloned first result mutated by second run")
 	}
 	if r2.Reachable() == want1 && want1 == 0 {
 		t.Error("second run empty")
@@ -279,6 +281,7 @@ func TestBreakTiesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	all = all.Clone()
 	one, err := sim.Run(Config{Origin: 10, TrackNextHops: true, BreakTies: true})
 	if err != nil {
 		t.Fatal(err)
@@ -287,12 +290,12 @@ func TestBreakTiesSemantics(t *testing.T) {
 		if all.Class[i] != one.Class[i] || all.Dist[i] != one.Dist[i] {
 			t.Fatalf("AS%d: (class,dist) changed under BreakTies", g.ASNAt(i))
 		}
-		if one.Class[i] != ClassNone && int32(i) != one.Origin && len(one.NextHops[i]) != 1 {
-			t.Errorf("AS%d: %d next hops under BreakTies, want 1", g.ASNAt(i), len(one.NextHops[i]))
+		if one.Class[i] != ClassNone && int32(i) != one.Origin && len(one.NextHops(int32(i))) != 1 {
+			t.Errorf("AS%d: %d next hops under BreakTies, want 1", g.ASNAt(i), len(one.NextHops(int32(i))))
 		}
 	}
 	i30, _ := g.Index(30)
-	if len(all.NextHops[i30]) != 2 {
-		t.Fatalf("fixture lost its tie: %v", all.NextHops[i30])
+	if hops := all.NextHops(int32(i30)); len(hops) != 2 {
+		t.Fatalf("fixture lost its tie: %v", hops)
 	}
 }

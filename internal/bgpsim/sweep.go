@@ -305,7 +305,7 @@ func (sw *LeakSweep) TrialsN(ctx context.Context, leakers []astopo.ASN, weights 
 }
 
 // Trial replays one leaker and reduces the outcome straight to a LeakTrial
-// without materializing a Result. The detoured fraction's denominator is
+// without building a Result. The detoured fraction's denominator is
 // every AS other than the origin and the leaker, matching RunLeakTrials.
 func (sw *LeakSweep) Trial(leaker astopo.ASN, weights []float64) (LeakTrial, error) {
 	li, propagated, err := sw.runLeaker(leaker, false)
@@ -341,37 +341,26 @@ func (sw *LeakSweep) Trial(leaker astopo.ASN, weights []float64) (LeakTrial, err
 	return tr, nil
 }
 
-// Run replays one leaker and materializes the full Result, exactly as
-// Simulator.Run would for the base config plus this leaker (including the
-// leak-free outcome with everything marked legitimate when the leaker holds
-// no route). Next hops are tracked iff the base config asks for them.
+// Run replays one leaker and returns an owned copy of the full Result,
+// exactly as Simulator.Run would give for the base config plus this leaker
+// (including the leak-free outcome, every routed AS ViaLegit, when the
+// leaker holds no route). Next hops are tracked iff the base config asks
+// for them.
 func (sw *LeakSweep) Run(leaker astopo.ASN) (*Result, error) {
 	b := sw.base
 	li, propagated, err := sw.runLeaker(leaker, b.cfg.TrackNextHops)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Graph: b.g, Origin: b.origin, LeakerIdx: li}
-	if !propagated {
-		res.Class = append([]Class(nil), b.class...)
-		res.Dist = append([]int32(nil), b.dist...)
-		res.Flags = make([]uint8, len(b.class))
-		for i, c := range b.class {
-			if c != ClassNone {
-				res.Flags[i] = ViaLegit
-			}
-		}
-		if b.cfg.TrackNextHops {
-			res.NextHops = b.csr.materialize()
-		}
-		return res, nil
-	}
 	sim := sw.sim
-	res.Class = append([]Class(nil), sim.class...)
-	res.Dist = append([]int32(nil), sim.dist...)
-	res.Flags = append([]uint8(nil), sim.flags...)
-	if b.cfg.TrackNextHops {
-		res.NextHops = sim.csr().materialize()
+	if !propagated {
+		// The leaker holds no route: Simulator.Run's leak-free re-run
+		// (runLeaker left the origin alone in sim.seeds).
+		if !sim.propagate(sim.seeds, b.cfg.Exclude, b.cfg.Locking, b.cfg.TrackNextHops, b.cfg.BreakTies) {
+			return nil, sim.ctx.Err()
+		}
 	}
-	return res, nil
+	cfg := b.cfg
+	cfg.Leaker = leaker
+	return sim.view(b.origin, li, cfg).Clone(), nil
 }

@@ -27,11 +27,12 @@ func requireResultsIdentical(t *testing.T, label string, want, got *Result) {
 			t.Fatalf("%s: Flags[%d] = %b, want %b", label, i, got.Flags[i], want.Flags[i])
 		}
 	}
-	if (want.NextHops == nil) != (got.NextHops == nil) {
+	if want.tracked() != got.tracked() {
 		t.Fatalf("%s: NextHops presence mismatch", label)
 	}
-	for v := range want.NextHops {
-		w, g := want.NextHops[v], got.NextHops[v]
+	for i := range want.Class {
+		v := int32(i)
+		w, g := want.NextHops(v), got.NextHops(v)
 		if len(w) != len(g) {
 			t.Fatalf("%s: NextHops[%d] len %d, want %d", label, v, len(g), len(w))
 		}

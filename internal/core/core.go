@@ -230,14 +230,19 @@ func (m *Metrics) Reachability(o astopo.ASN, kind Kind) (int, error) {
 	return m.ReachabilityCtx(context.Background(), o, kind)
 }
 
-// Propagate runs a full propagation for (o, kind), exposing classes,
-// lengths, and (optionally) the tied-best next-hop DAG.
-func (m *Metrics) Propagate(o astopo.ASN, kind Kind, trackNextHops bool) (*bgpsim.Result, error) {
+// Propagate runs a full propagation for (o, kind), exposing classes and
+// lengths. The Result is an owned copy: its simulator goes back to the pool
+// before the caller reads it.
+func (m *Metrics) Propagate(o astopo.ASN, kind Kind) (*bgpsim.Result, error) {
 	sim := m.pool.Get().(*bgpsim.Simulator)
 	defer m.pool.Put(sim)
 	mask := m.acquireMask(o, kind)
 	defer m.releaseMask(mask)
-	return sim.Run(bgpsim.Config{Origin: o, Exclude: mask, TrackNextHops: trackNextHops})
+	res, err := sim.Run(bgpsim.Config{Origin: o, Exclude: mask})
+	if err != nil {
+		return nil, err
+	}
+	return res.Clone(), nil
 }
 
 // ReachabilityAll computes reach(o, kind) for every AS in the graph,

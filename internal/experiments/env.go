@@ -33,11 +33,11 @@ import (
 
 // Env bundles the datasets experiments run over. Heavy artifacts (address
 // plans, traceroute corpora) and results derived by propagation (all-AS
-// sweeps, leak panels, the average-resilience baseline) are built on first
-// demand and memoized: builds for distinct keys run concurrently, concurrent
-// demands for the same key coalesce onto one build (per-key singleflight,
-// no coarse lock), and only successful builds are kept — a transient
-// failure is retried by the next caller. Everything an Env hands out is
+// sweeps, leak panels, the average-resilience baseline, the BGP feed view)
+// are built on first demand and memoized: builds for distinct keys run
+// concurrently, concurrent demands for the same key coalesce onto one build
+// (per-key singleflight, no coarse lock), and only successful builds are
+// kept — a transient failure is retried by the next caller. Everything an Env hands out is
 // shared between its callers and must be treated as read-only.
 type Env struct {
 	Scale float64

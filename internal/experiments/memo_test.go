@@ -119,6 +119,19 @@ func TestDerivedResultsBuiltOnce(t *testing.T) {
 	}
 }
 
+// §4.1 and the ablation read one feed view: run on one scope, they collect
+// it once.
+func TestFeedViewCollectedOnce(t *testing.T) {
+	env := getEnv(t).Fresh()
+	for _, id := range []string{"sec41", "ablation"} {
+		r, _ := ByID(id)
+		render(t, env, r)
+	}
+	if got := env.builds("feed/"); got != 1 {
+		t.Errorf("sec41 and ablation collected %d feed views, want 1", got)
+	}
+}
+
 // Fig. 8 is Fig. 9's run read by AS count: its curves must equal both the
 // unweighted projection of the shared trials and a run of the same panel
 // that was never given weights, and the baseline's AS fraction must not

@@ -60,7 +60,7 @@ func Fig13(env *Env) ([]Fig13Cell, error) {
 	for _, y := range years {
 		for _, cloud := range Clouds() {
 			asn := y.in.Clouds[cloud]
-			res, err := y.m.Propagate(asn, core.Full, false)
+			res, err := y.m.Propagate(asn, core.Full)
 			if err != nil {
 				return nil, err
 			}

@@ -14,16 +14,23 @@ import (
 // feedVPCount is the number of simulated route-collector vantage points.
 const feedVPCount = 40
 
-// feedView collects the BGP-feed-visible topology of a preset.
-func feedView(in *topogen.Internet) (*bgpfeed.View, error) {
-	var cands []astopo.ASN
-	for i, a := range in.Graph.ASes() {
-		switch in.ClassAt(i) {
-		case topogen.ClassTransit, topogen.ClassTier2, topogen.ClassTier1:
-			cands = append(cands, a)
-		}
+// feedView is one preset's BGP-feed-visible topology, collected once per
+// Env scope: §4.1 and the ablation read the same view.
+func (e *Env) feedView(year int) (*bgpfeed.View, error) {
+	in, _, _, err := e.preset(year)
+	if err != nil {
+		return nil, err
 	}
-	return bgpfeed.Collect(in.Graph, bgpfeed.SampleVPs(cands, feedVPCount, 11))
+	return memoize(e, fmt.Sprintf("feed/%d", year), func() (*bgpfeed.View, error) {
+		var cands []astopo.ASN
+		for i, a := range in.Graph.ASes() {
+			switch in.ClassAt(i) {
+			case topogen.ClassTransit, topogen.ClassTier2, topogen.ClassTier1:
+				cands = append(cands, a)
+			}
+		}
+		return bgpfeed.Collect(in.Graph, bgpfeed.SampleVPs(cands, feedVPCount, 11))
+	})
 }
 
 // Sec41Row compares BGP-feed-visible with combined (feed + traceroute)
@@ -40,7 +47,7 @@ type Sec41Row struct {
 // Sec41 runs the visibility comparison.
 func Sec41(env *Env) ([]Sec41Row, error) {
 	in := env.In2020
-	view, err := feedView(in)
+	view, err := env.feedView(2020)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +164,7 @@ type AblationRow struct {
 // paper's core methodological claim.
 func Ablation(env *Env) ([]AblationRow, error) {
 	in := env.In2020
-	view, err := feedView(in)
+	view, err := env.feedView(2020)
 	if err != nil {
 		return nil, err
 	}

@@ -194,7 +194,7 @@ func (e *Engine) TraceAllMulti(vmSets [][]VM) ([][][]Traceroute, error) {
 		sim := bgpsim.New(g)
 		return func(di int) error {
 			d := dests[di]
-			res, err := sim.RunShared(bgpsim.Config{Origin: d, TrackNextHops: true})
+			res, err := sim.Run(bgpsim.Config{Origin: d, TrackNextHops: true})
 			if err != nil {
 				return err
 			}
@@ -370,7 +370,7 @@ func (e *Engine) forwardPath(vm VM, dst astopo.ASN, res *bgpsim.Result, h uint64
 		return nil, false
 	}
 	onBest = false
-	for _, nh := range res.NextHops[ci] {
+	for _, nh := range res.NextHops(int32(ci)) {
 		if nh == first {
 			onBest = true
 			break
@@ -380,7 +380,7 @@ func (e *Engine) forwardPath(vm VM, dst astopo.ASN, res *bgpsim.Result, h uint64
 	path[0], path[1] = vm.CloudASN, g.ASNAt(int(first))
 	cur := first
 	for cur != int32(oi) {
-		hops := res.NextHops[cur]
+		hops := res.NextHops(cur)
 		if len(hops) == 0 {
 			return nil, false
 		}
@@ -473,7 +473,7 @@ func (e *Engine) firstHop(vm VM, res *bgpsim.Result, cloudIdx, dstIdx int32) (in
 		if dstIsNeighbor(g, cloudIdx, dstIdx) && usable(dstIdx) {
 			return dstIdx, true
 		}
-		bestHop, okBest := e.nearestWhere(vm.City, res.NextHops[cloudIdx], usable)
+		bestHop, okBest := e.nearestWhere(vm.City, res.NextHops(cloudIdx), usable)
 		exitHop, okExit := anyExporting()
 		switch {
 		case okBest && okExit:
@@ -490,14 +490,14 @@ func (e *Engine) firstHop(vm VM, res *bgpsim.Result, cloudIdx, dstIdx int32) (in
 			return exitHop, true
 		}
 	}
-	if best, ok := e.nearestWhere(vm.City, res.NextHops[cloudIdx], usable); ok {
+	if best, ok := e.nearestWhere(vm.City, res.NextHops(cloudIdx), usable); ok {
 		return best, true
 	}
 	if best, ok := anyExporting(); ok {
 		return best, true
 	}
 	// Last resort: any tied-best next hop even if "unusable".
-	if hops := res.NextHops[cloudIdx]; len(hops) > 0 {
+	if hops := res.NextHops(cloudIdx); len(hops) > 0 {
 		return hops[0], true
 	}
 	return 0, false
@@ -586,7 +586,7 @@ func (e *Engine) onBestPath(path []astopo.ASN, res *bgpsim.Result) bool {
 			return false
 		}
 		found := false
-		for _, h := range res.NextHops[ci] {
+		for _, h := range res.NextHops(int32(ci)) {
 			if h == int32(ni) {
 				found = true
 				break
