@@ -335,8 +335,7 @@ func BenchmarkHierarchyFreeReachability(b *testing.B) {
 }
 
 // BenchmarkReachabilityAll measures one whole-Internet hierarchy-free
-// sweep — the bit-parallel batch engine behind Table 1, Fig. 3, and the
-// sensitivity analysis.
+// sweep — the bit-parallel batch engine behind Table 1 and Fig. 3.
 func BenchmarkReachabilityAll(b *testing.B) {
 	e := benchEnv(b)
 	b.ResetTimer()

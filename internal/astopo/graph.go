@@ -93,8 +93,8 @@ func NewGraph(n, m int) *Graph {
 // ownership of it (the caller must not mutate it while the graph is in
 // use). Construction is O(1): the duplicate-detection pair index is built
 // lazily on the first mutation or HasLink query, so derived graphs that
-// are only frozen and propagated over (e.g. the sensitivity sweep's
-// degraded copies) never pay for it. Links must be valid and unique as if
+// are only frozen and propagated over (e.g. topogen's delta apply) never
+// pay for it. Links must be valid and unique as if
 // added through AddLink.
 func FromLinks(links []Link) *Graph {
 	return &Graph{links: links}
@@ -297,10 +297,10 @@ func (g *Graph) NumLinks() int {
 // counting pass sizes every row up front, so freezing costs a handful of
 // allocations regardless of the node count — per-node append growth would
 // otherwise dominate workloads that rebuild derived graphs in a loop, such
-// as the sensitivity sweep's degraded copies. Rows are filled in link
-// order (P2P links contribute both directions at the same step), keeping
-// the exact neighbor order of incremental appends, which the propagation
-// code's determinism depends on.
+// as topogen's delta apply. Rows are filled in link order (P2P links
+// contribute both directions at the same step), keeping the exact
+// neighbor order of incremental appends, which the propagation code's
+// determinism depends on.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return

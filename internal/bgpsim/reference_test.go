@@ -309,3 +309,116 @@ func TestReachabilityMonotoneInExclusions(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// An origin export filter is the same as removing the origin's links to
+// the filtered neighbors: a route's AS path never contains its origin
+// twice, so an origin-incident link can only be a first hop. The identity
+// holds for a fixed exclusion mask, which is why the mask here is chosen
+// once by ASN and mapped into both graphs. core's kind masks derive from
+// the origin's providers and would move if provider links were dropped;
+// the sensitivity sweep drops only peers, so its mask stays fixed.
+func TestExportFilterMatchesLinkRemoval(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		all := g.ASes()
+		origin := all[rng.Intn(len(all))]
+		oi, _ := g.Index(origin)
+		var allow []astopo.ASN
+		cut := make(map[astopo.ASN]bool)
+		for _, pick := range []func(int) []int32{g.ProvidersOf, g.CustomersOf, g.PeersOf} {
+			for _, v := range pick(oi) {
+				if a := g.ASNAt(int(v)); rng.Intn(2) == 0 {
+					cut[a] = true
+				} else {
+					allow = append(allow, a)
+				}
+			}
+		}
+		var links []astopo.Link
+		for _, l := range g.Links() {
+			if (l.A == origin && cut[l.B]) || (l.B == origin && cut[l.A]) {
+				continue
+			}
+			links = append(links, l)
+		}
+		h := astopo.FromLinks(links)
+		h.Freeze()
+		var excluded map[astopo.ASN]bool
+		if rng.Intn(2) == 1 {
+			excluded = make(map[astopo.ASN]bool)
+			for _, a := range all {
+				if a != origin && rng.Intn(5) == 0 {
+					excluded[a] = true
+				}
+			}
+		}
+		maskFor := func(gr *astopo.Graph) []bool {
+			if excluded == nil {
+				return nil
+			}
+			mask := make([]bool, gr.NumASes())
+			for i := range mask {
+				mask[i] = excluded[gr.ASNAt(i)]
+			}
+			return mask
+		}
+
+		filtered := Config{Origin: origin, Policy: NewPolicy(g, allow), Exclude: maskFor(g)}
+		fsim := New(g)
+		n, err := fsim.ReachabilityCount(filtered)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		fres, err := fsim.Run(filtered)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if _, ok := h.Index(origin); !ok {
+			// Every link of the origin was cut: nothing may be reached.
+			if n != 0 {
+				t.Logf("seed %d: origin cut off entirely, filter reaches %d", seed, n)
+				return false
+			}
+			return true
+		}
+		rebuilt := Config{Origin: origin, Exclude: maskFor(h)}
+		hsim := New(h)
+		want, err := hsim.ReachabilityCount(rebuilt)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if n != want {
+			t.Logf("seed %d: filter reaches %d, rebuild %d", seed, n, want)
+			return false
+		}
+		hres, err := hsim.Run(rebuilt)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		for i, a := range all {
+			j, ok := h.Index(a)
+			if !ok {
+				if fres.Class[i] != ClassNone {
+					t.Logf("seed %d: AS%d left the rebuild but holds a %v route under the filter", seed, a, fres.Class[i])
+					return false
+				}
+				continue
+			}
+			if fres.Class[i] != hres.Class[j] || fres.Dist[i] != hres.Dist[j] {
+				t.Logf("seed %d: AS%d filter %v/%d, rebuild %v/%d",
+					seed, a, fres.Class[i], fres.Dist[i], hres.Class[j], hres.Dist[j])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -450,36 +450,63 @@ func TestSensitivityShape(t *testing.T) {
 	}
 }
 
-// The direct mask composition the sensitivity sweep uses for its degraded
-// pairs must be interchangeable with the core.Mask overlay it replaces.
-func TestHierarchyFreeReachMatchesCore(t *testing.T) {
+// Every sensitivity row must equal the metric on a rebuilt graph that
+// lacks the hidden peer links: the same nested permutation and seed,
+// core.New over the degraded links, and the rebuilt graph's own AS count
+// as the denominator. This fails if the allow-list or the denominator is
+// wrong.
+func TestSensitivityMatchesRebuild(t *testing.T) {
 	env := getEnv(t)
 	in := env.In2020
+	rows, err := Sensitivity(env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	links := in.Graph.Links()
+	k := 0
 	for _, cloud := range Clouds() {
 		asn := in.Clouds[cloud]
 		peers := in.Graph.Peers(asn)
-		rng := rand.New(rand.NewSource(int64(asn)))
-		perm := rng.Perm(len(peers))
-		drop := make(map[astopo.ASN]bool, len(peers)/2)
-		for i := 0; i < len(peers)/2; i++ {
-			drop[peers[perm[i]]] = true
-		}
-		buf := degradedLinks(nil, links, asn, drop)
-		g := astopo.FromLinks(buf)
-		got, err := hierarchyFreeReach(g, asn, in.Tier1, in.Tier2, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", cloud, err)
-		}
-		m := core.New(core.Dataset{Graph: g, Tier1: in.Tier1, Tier2: in.Tier2})
-		want, err := m.Reachability(asn, core.HierarchyFree)
-		if err != nil {
-			t.Fatalf("%s: %v", cloud, err)
-		}
-		if got != want {
-			t.Errorf("%s: direct mask reach %d != core.New reach %d", cloud, got, want)
+		perm := rand.New(rand.NewSource(int64(asn))).Perm(len(peers))
+		drop := make(map[astopo.ASN]bool, len(peers))
+		for _, frac := range sensitivityFractions {
+			for i := 0; i < int(frac*float64(len(peers))); i++ {
+				drop[peers[perm[i]]] = true
+			}
+			g := astopo.FromLinks(degradedLinks(links, asn, drop))
+			m := core.New(core.Dataset{Graph: g, Tier1: in.Tier1, Tier2: in.Tier2})
+			want, err := m.Reachability(asn, core.HierarchyFree)
+			if err != nil {
+				t.Fatalf("%s at %.0f%%: %v", cloud, 100*frac, err)
+			}
+			wantPct := 100 * float64(want) / float64(g.NumASes()-1)
+			r := rows[k]
+			k++
+			if r.Cloud != cloud || r.MissFrac != frac {
+				t.Fatalf("row %d is %s at %.0f%%, want %s at %.0f%%", k-1, r.Cloud, 100*r.MissFrac, cloud, 100*frac)
+			}
+			if r.Reach != want || r.Pct != wantPct {
+				t.Errorf("%s at %.0f%%: reach %d (%.4f%%), rebuild %d (%.4f%%)",
+					cloud, 100*frac, r.Reach, r.Pct, want, wantPct)
+			}
 		}
 	}
+	if k != len(rows) {
+		t.Errorf("%d rows, want %d", len(rows), k)
+	}
+}
+
+// degradedLinks returns the topology's links minus asn's peer links to the
+// dropped neighbors.
+func degradedLinks(links []astopo.Link, asn astopo.ASN, drop map[astopo.ASN]bool) []astopo.Link {
+	var out []astopo.Link
+	for _, l := range links {
+		if l.Rel == astopo.P2P && ((l.A == asn && drop[l.B]) || (l.B == asn && drop[l.A])) {
+			continue
+		}
+		out = append(out, l)
+	}
+	return out
 }
 
 func TestTablesForAllCSVers(t *testing.T) {

@@ -16,7 +16,7 @@ type SensitivityRow struct {
 	Cloud string
 	// MissFrac is the fraction of true peerings removed (simulated FNR).
 	MissFrac float64
-	// Reach and Pct are the metric on the degraded graph.
+	// Reach and Pct are the metric with those peerings hidden.
 	Reach int
 	Pct   float64
 }
@@ -25,59 +25,45 @@ type SensitivityRow struct {
 var sensitivityFractions = []float64{0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9}
 
 // Sensitivity quantifies the paper's §4.4 caveat — "it is likely that we
-// underestimate the interconnectivity" — by removing random fractions of
+// underestimate the interconnectivity" — by hiding random fractions of
 // each cloud's peer links (simulating measurement false negatives) and
 // recomputing hierarchy-free reachability. The paper's final methodology
 // missed ~21% of neighbors; the sweep shows how much metric error that
 // implies.
 //
-// The inner loop is a single-origin propagation (one cloud per degraded
-// graph), so the bit-parallel all-AS engine does not apply; the cost is
-// instead kept down by reusing one sweep context — the hoisted link slice,
-// one degraded-link buffer, one exclusion-mask buffer, and one nested drop
-// set per cloud — across every (cloud, fraction) pair rather than
-// rebuilding them each time. Degraded pairs skip core.New entirely: the
-// hierarchy-free mask (Tier-1s, Tier-2s, and the cloud's providers, cloud
-// itself unmasked) is composed directly on the reused buffer and fed to a
-// bare simulator over the degraded graph. The frac=0 row bypasses the
-// rebuild entirely and reuses the headline env.M2020: it MUST equal the
-// Fig. 2 hierarchy-free metric (the sensitivityBaseline invariant the
-// tests pin), and sharing the Metrics makes that equality structural.
+// Every row runs on the one frozen 2020 graph. A route's AS path never
+// contains its origin twice, so a link incident to the origin can only
+// ever be a route's first hop: hiding the cloud's peering with p is the
+// same as the cloud not announcing to p. Each row is therefore one
+// propagation under the cloud's hierarchy-free mask with a Policy that
+// announces to every neighbor except the dropped peers. The mask is
+// unchanged by the drop because only peers go, never providers.
 func Sensitivity(env *Env) ([]SensitivityRow, error) {
-	in := env.In2020
-	links := in.Graph.Links()
-	// Degraded-link and mask scratch shared by every rebuilt graph; each
-	// graph is discarded before the buffers' next reuse.
-	buf := make([]astopo.Link, 0, len(links))
-	mask := make([]bool, in.Graph.NumASes())
+	g := env.In2020.Graph
+	sim := bgpsim.New(g)
+	total := float64(g.NumASes() - 1)
 	var rows []SensitivityRow
 	for _, cloud := range Clouds() {
-		asn := in.Clouds[cloud]
-		peers := in.Graph.Peers(asn)
-		// One permutation per cloud so removal sets nest: a higher miss
-		// fraction always removes a superset, making the sweep monotone
-		// by construction. The drop set grows incrementally with the
-		// fraction instead of being rebuilt per pair.
+		asn := env.In2020.Clouds[cloud]
+		mask := env.M2020.Mask(asn, core.HierarchyFree)
+		// One permutation per cloud so the drop sets nest: a higher miss
+		// fraction always hides a superset, making the sweep monotone by
+		// construction. The permuted peers come first, so the row that
+		// hides d of them announces to the suffix allow[d:].
+		peers := g.Peers(asn)
 		rng := rand.New(rand.NewSource(int64(asn)))
-		perm := rng.Perm(len(peers))
-		drop := make(map[astopo.ASN]bool, len(peers))
-		dropped := 0
+		allow := make([]astopo.ASN, 0, g.Degree(asn))
+		for _, i := range rng.Perm(len(peers)) {
+			allow = append(allow, peers[i])
+		}
+		allow = append(append(allow, g.Providers(asn)...), g.Customers(asn)...)
 		for _, frac := range sensitivityFractions {
-			for cut := int(frac * float64(len(peers))); dropped < cut; dropped++ {
-				drop[peers[perm[dropped]]] = true
+			dropped := int(frac * float64(len(peers)))
+			var policy *bgpsim.Policy
+			if dropped > 0 {
+				policy = bgpsim.NewPolicy(g, allow[dropped:])
 			}
-			var n int
-			var err error
-			var total float64
-			if dropped == 0 {
-				n, err = env.M2020.Reachability(asn, core.HierarchyFree)
-				total = float64(in.Graph.NumASes() - 1)
-			} else {
-				buf = degradedLinks(buf[:0], links, asn, drop)
-				g := astopo.FromLinks(buf)
-				n, err = hierarchyFreeReach(g, asn, in.Tier1, in.Tier2, mask)
-				total = float64(g.NumASes() - 1)
-			}
+			n, err := sim.ReachabilityCount(bgpsim.Config{Origin: asn, Policy: policy, Exclude: mask})
 			if err != nil {
 				return nil, err
 			}
@@ -90,53 +76,6 @@ func Sensitivity(env *Env) ([]SensitivityRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// hierarchyFreeReach computes core.Reachability(origin, HierarchyFree)
-// over g without building a Metrics: the exclusion mask — the Tier-1 and
-// Tier-2 sets plus the origin's transit providers, with the origin itself
-// never masked — is composed on the caller's reusable buffer, replicating
-// core.Mask's overlay semantics (asserted against core.New by the
-// sensitivity tests).
-func hierarchyFreeReach(g *astopo.Graph, origin astopo.ASN, tier1, tier2 astopo.ASSet, mask []bool) (int, error) {
-	g.Freeze()
-	n := g.NumASes()
-	if cap(mask) < n {
-		mask = make([]bool, n)
-	}
-	mask = mask[:n]
-	for i := range mask {
-		mask[i] = false
-	}
-	for a := range tier1 {
-		if i, ok := g.Index(a); ok {
-			mask[i] = true
-		}
-	}
-	for a := range tier2 {
-		if i, ok := g.Index(a); ok {
-			mask[i] = true
-		}
-	}
-	if oi, ok := g.Index(origin); ok {
-		mask[oi] = false
-		for _, p := range g.ProvidersOf(oi) {
-			mask[p] = true
-		}
-	}
-	return bgpsim.New(g).ReachabilityCount(bgpsim.Config{Origin: origin, Exclude: mask})
-}
-
-// degradedLinks appends to dst the topology's links minus the given AS's
-// peer links to the dropped neighbors.
-func degradedLinks(dst, links []astopo.Link, asn astopo.ASN, drop map[astopo.ASN]bool) []astopo.Link {
-	for _, l := range links {
-		if l.Rel == astopo.P2P && ((l.A == asn && drop[l.B]) || (l.B == asn && drop[l.A])) {
-			continue
-		}
-		dst = append(dst, l)
-	}
-	return dst
 }
 
 func runSensitivity(env *Env, w io.Writer) error {
