@@ -79,6 +79,10 @@ type Graph struct {
 	// likewise customers and peers. All offsets are absolute into arena.
 	provOff, custOff, peerOff []int32
 	arena                     []int32
+	// hasCust has bit i set when row i of customers is nonempty: the one
+	// adjacency fact the propagation engines test per settle, kept as
+	// 1 bit per AS so the test stays in cache (see HasCustomers).
+	hasCust []uint64
 
 	linkSet map[[2]ASN]Rel  // canonical (min,max) -> rel as stored
 	linkDir map[[2]ASN]bool // canonical pair -> true if stored order was (min,max)
@@ -136,7 +140,8 @@ func (g *Graph) Frozen() Frozen {
 }
 
 // FromFrozen reconstructs a frozen graph view over externally built arrays
-// in O(1), without copying. The arrays may live in read-only memory (an
+// without copying them; the only work is deriving the one-bit-per-AS
+// customer bitset from CustOff. The arrays may live in read-only memory (an
 // mmap'd snapshot): the graph only writes to them if mutated, in which case
 // AddLink first materializes a private []Link copy and the next Freeze
 // rebuilds the indexes in fresh memory. The caller is responsible for the
@@ -158,8 +163,21 @@ func FromFrozen(f Frozen) (*Graph, error) {
 		frozen:  true,
 		nodes:   f.Nodes,
 		provOff: f.ProvOff, custOff: f.CustOff, peerOff: f.PeerOff,
-		arena: f.Arena,
+		arena:   f.Arena,
+		hasCust: customerBits(f.CustOff),
 	}, nil
+}
+
+// customerBits returns the hasCust bitset of a customer offset row.
+func customerBits(custOff []int32) []uint64 {
+	n := len(custOff) - 1
+	set := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if custOff[i+1] > custOff[i] {
+			set[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return set
 }
 
 // materializeLinks converts raw link columns into the mutable []Link form.
@@ -301,10 +319,16 @@ func (g *Graph) NumLinks() int {
 // contribute both directions at the same step), keeping the exact
 // neighbor order of incremental appends, which the propagation code's
 // determinism depends on.
+//
+// The frozen check is split from the build so that Freeze, and with it
+// every adjacency accessor, inlines into the propagation loops.
 func (g *Graph) Freeze() {
-	if g.frozen {
-		return
+	if !g.frozen {
+		g.freeze()
 	}
+}
+
+func (g *Graph) freeze() {
 	// Sorted-unique endpoint list via sort+compact rather than a map: no
 	// pointer-shaped index survives freezing (Index is a binary search),
 	// and at millions of links the sort beats map inserts handily.
@@ -378,6 +402,7 @@ func (g *Graph) Freeze() {
 			provCur[bi]++
 		}
 	}
+	g.hasCust = customerBits(g.custOff)
 	g.frozen = true
 }
 
@@ -420,6 +445,15 @@ func (g *Graph) ProvidersOf(i int) []int32 {
 func (g *Graph) CustomersOf(i int) []int32 {
 	g.Freeze()
 	return g.arena[g.custOff[i]:g.custOff[i+1]]
+}
+
+// HasCustomers reports whether i has at least one customer. Unless it
+// originates, an AS without customers holds only peer and provider routes,
+// which Gao–Rexford exports to customers alone: the propagation engines
+// settle such an AS but never relay from it.
+func (g *Graph) HasCustomers(i int) bool {
+	g.Freeze()
+	return g.hasCust[i>>6]&(1<<(i&63)) != 0
 }
 
 // PeersOf returns the dense indexes of i's settlement-free peers.

@@ -110,6 +110,32 @@ func TestAdjacency(t *testing.T) {
 	}
 }
 
+// HasCustomers agrees with the customer rows on a frozen graph, on its
+// FromFrozen view, and after a mutation turns a stub into a provider.
+func TestHasCustomers(t *testing.T) {
+	g := buildTestGraph(t)
+	check := func(name string, g *Graph, want map[ASN]bool) {
+		t.Helper()
+		for i, a := range g.ASes() {
+			if got := g.HasCustomers(i); got != want[a] || got != (len(g.CustomersOf(i)) > 0) {
+				t.Errorf("%s: HasCustomers(AS%d) = %v, want %v", name, a, got, want[a])
+			}
+		}
+	}
+	want := map[ASN]bool{1: true, 2: true, 11: true, 12: true, 13: true, 101: true}
+	check("frozen", g, want)
+	view, err := FromFrozen(g.Frozen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("FromFrozen", view, want)
+	if err := view.AddLink(202, 301, P2C); err != nil {
+		t.Fatal(err)
+	}
+	want[202] = true
+	check("mutated view", view, want)
+}
+
 func TestAddPeerIfAbsent(t *testing.T) {
 	g := buildTestGraph(t)
 	if g.AddPeerIfAbsent(1, 11) {

@@ -257,18 +257,23 @@ func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, ou
 	}
 
 	// ---- Stage C: downward closure over provider→customer edges ----
-	// Seeds are the up∪peer holders — exactly touched here — so the
-	// worklist starts as a copy of it. A popped node relays every lane it
-	// holds: re-offering its up∪peer lanes is harmless (customers that
-	// took them hold them), and a seed that gained provider routes before
-	// its turn relays them in the same pass.
+	// Seeds are the up∪peer holders — exactly touched here — that have
+	// customers: a stub has no one to relay to, so it gains its down bits
+	// and stays on touched for the count, but never enters the worklist.
+	// A popped node relays every lane it holds: re-offering its up∪peer
+	// lanes is harmless (customers that took them hold them), and a seed
+	// that gained provider routes before its turn relays them in the same
+	// pass.
 	if err := b.canceled(); err != nil {
 		b.clear(touched)
 		return err
 	}
-	queue = append(queue[:0], touched...)
+	queue = queue[:0]
 	for _, u := range touched {
-		inq[u>>6] |= 1 << (u & 63)
+		if g.HasCustomers(int(u)) {
+			inq[u>>6] |= 1 << (u & 63)
+			queue = append(queue, u)
+		}
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -282,7 +287,7 @@ func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, ou
 					touched = append(touched, c)
 				}
 				nd.down |= add
-				if inq[c>>6]&(1<<(c&63)) == 0 {
+				if g.HasCustomers(int(c)) && inq[c>>6]&(1<<(c&63)) == 0 {
 					inq[c>>6] |= 1 << (c & 63)
 					queue = append(queue, c)
 				}

@@ -82,6 +82,54 @@ func TestBatchCountsMatchScalar(t *testing.T) {
 	}
 }
 
+// Stubs are sinks in stage C too: after a count, stage C's worklist (left
+// in b.queue) holds only ASes with customers, while the counts still
+// include every stub that took a provider route.
+func TestBatchReachQueueHoldsOnlyRelayers(t *testing.T) {
+	queued := 0
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		n := g.NumASes()
+		var base []bool
+		if rng.Intn(2) == 0 {
+			base = make([]bool, n)
+			for i := range base {
+				base[i] = rng.Intn(5) == 0
+			}
+		}
+		maskProviders := rng.Intn(2) == 0
+		br := NewBatchReach(g)
+		sim := New(g)
+		out := make([]int, 1)
+		for o := int32(0); o < int32(n); o++ {
+			if err := br.Counts([]int32{o}, base, maskProviders, out); err != nil {
+				t.Fatal(err)
+			}
+			want, err := sim.ReachabilityCount(Config{
+				Origin:  g.ASNAt(int(o)),
+				Exclude: scalarMask(g, base, int(o), maskProviders),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[0] != want {
+				t.Fatalf("seed %d origin AS%d: batch=%d scalar=%d", seed, g.ASNAt(int(o)), out[0], want)
+			}
+			for _, v := range br.queue {
+				if !g.HasCustomers(int(v)) {
+					t.Fatalf("seed %d origin AS%d: customerless AS%d on stage C's worklist", seed, g.ASNAt(int(o)), g.ASNAt(int(v)))
+				}
+			}
+			queued += len(br.queue)
+		}
+	}
+	if queued == 0 {
+		t.Fatal("stage C never queued anything")
+	}
+}
+
 func TestBatchCountsValidation(t *testing.T) {
 	g := astopo.NewGraph(0, 0)
 	g.MustAddLink(1, 2, astopo.P2C)

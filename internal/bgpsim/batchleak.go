@@ -39,27 +39,36 @@ import (
 // is never written anywhere.
 //
 // Each class stage keeps a settle log bucketed by settled length, one
-// {node, legit, leak} entry per settle. A stage at length d walks the
-// senders that settled at d over its edge kind — stage A its own log over
-// provider edges, stage B stage A's log over peer edges, stage C all three
-// logs over customer edges — ORs what each receiver accepts into its cur
-// words (tied flags OR together, the paper's keep-all-ties rule), then
-// settles the touched receivers at d+1. That is the scalar dial queue's
-// schedule read from the sender's side: the arrivals of bucket d+1 are
-// exactly what the senders of length d relay, and they are masked by the
-// lanes settled before the bucket either way. The origin (length 0, policy
-// filtered) and leaker k (its cached leak-free length, or 0 for a hijack)
-// are simply the first senders of stage A's log.
+// {node, legit, leak} entry per settle of an AS with customers. A stage at
+// length d walks the senders that settled at d over its edge kind — stage A
+// its own log over provider edges, stage B stage A's log over peer edges,
+// stage C all three logs over customer edges — ORs what each receiver
+// accepts into its cur words (tied flags OR together, the paper's
+// keep-all-ties rule), then settles the touched receivers at d+1. That is
+// the scalar dial queue's schedule read from the sender's side: the
+// arrivals of bucket d+1 are exactly what the senders of length d relay,
+// and they are masked by the lanes settled before the bucket either way.
+// The origin (length 0, policy filtered) and leaker k (its cached leak-free
+// length, or 0 for a hijack) are simply the first senders of stage A's log.
+//
+// Stubs are sinks. Stages B and C deliver only to customers, so an AS
+// without customers settles and is counted there but never relays, and
+// its settles stay out of the logs; stage A's receivers are providers and
+// always have customers. At scale 1.0, 95 % of ASes are stubs, and the
+// logs of a 64-lane block shrink from 71k–214k entries to 3.5k–7.7k.
 //
 // Peer locking never reaches the relay loop. A locking AS accepts the
 // prefix only from the origin, so both its accept words are zero from the
 // start, and a locking neighbor the origin announces to is entered in its
-// stage's log at length 1 beforehand: nothing else could have reached it
-// first, and nothing else may tie with the origin there.
+// stage's log at length 1 beforehand (if it has customers to relay to):
+// nothing else could have reached it first, and nothing else may tie with
+// the origin there.
 //
 // leak[v] collects the lanes settled at v with a tied-best route through
 // the leak; it is the only per-node state outside the laneNode, written
-// when a settle carries leak lanes and read by the reduction.
+// when a settle carries leak lanes. The leaked bitset marks the nodes with
+// a nonzero leak word, so the reduction visits those alone, in index
+// order, and zeroes both as it reads them.
 //
 // Trial results are bit-for-bit identical to LeakSweep.Trial for every
 // configuration except BreakTies: breaking ties keeps the first tied
@@ -76,11 +85,13 @@ type BatchLeak struct {
 
 	// ctx, when non-nil, aborts an in-flight batch at a length boundary
 	// (set by TrialsCtx, nil otherwise). The cur words are zero and touched
-	// is empty there, so an aborted engine is reusable as it stands.
+	// is empty there, and the abort zeroes the leak words, so an aborted
+	// engine is reusable as it stands.
 	ctx context.Context
 
 	nodes   []laneNode
 	leak    []uint64 // settled lanes with a leaked tied-best route
+	leaked  []uint64 // bitset: nodes with a nonzero leak word
 	touched []int32  // receivers with nonzero cur words
 
 	// logs[kind] is the log of the stage that settles what arrives over
@@ -144,7 +155,7 @@ func (l settleLog) reset() {
 func NewBatchLeak(g *astopo.Graph) *BatchLeak {
 	g.Freeze()
 	n := g.NumASes()
-	return &BatchLeak{g: g, n: n, nodes: make([]laneNode, n), leak: make([]uint64, n)}
+	return &BatchLeak{g: g, n: n, nodes: make([]laneNode, n), leak: make([]uint64, n), leaked: make([]uint64, (n+63)/64)}
 }
 
 // batchLeakPool recycles engines across sweeps of the same graph: the
@@ -255,7 +266,6 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 		}
 		nodes[i] = laneNode{acceptLegit: a, acceptLeak: a}
 	}
-	clear(bl.leak)
 	for kind := range bl.logs {
 		bl.logs[kind].reset()
 	}
@@ -276,13 +286,14 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 		bl.logs[toProviders].add(d0, settleT{node: li, leak: bit})
 	}
 	// A peer-locking AS takes the prefix from the origin alone: the ones the
-	// origin announces to settle here, at length 1 of their stage, and every
-	// locking AS is then closed to the relay loop.
+	// origin announces to settle here, at length 1 of their stage (logged
+	// only if they have customers, like every settle), and every locking AS
+	// is then closed to the relay loop.
 	if cfg.Locking != nil {
 		o := int(b.origin)
 		for kind, nbrs := range [...][]int32{g.ProvidersOf(o), g.PeersOf(o), g.CustomersOf(o)} {
 			for _, p := range bl.announced(b, nbrs) {
-				if lanes := nodes[p].acceptLegit; cfg.Locking[p] && lanes != 0 {
+				if lanes := nodes[p].acceptLegit; cfg.Locking[p] && lanes != 0 && g.HasCustomers(int(p)) {
 					bl.logs[kind].add(1, settleT{node: p, legit: lanes})
 				}
 			}
@@ -324,27 +335,30 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 
 	// ---- Reduction ----
 	// detoured(k) = nodes with a leaked tied-best route in lane k. Neither
-	// the origin nor leaker k itself ever holds lane k's leak bit.
+	// the origin nor leaker k itself ever holds lane k's leak bit. Nodes
+	// are visited in index order, so the weighted sums add up in the scalar
+	// Trial's order.
 	for k := 0; k < nlanes; k++ {
 		bl.counts[k] = 0
 		bl.wsums[k] = 0
 	}
-	for v, w := range bl.leak {
-		if w == 0 {
-			continue
-		}
-		if weights == nil {
-			for w != 0 {
-				bl.counts[bits.TrailingZeros64(w)]++
-				w &= w - 1
+	for i, set := range bl.leaked {
+		bl.leaked[i] = 0
+		for ; set != 0; set &= set - 1 {
+			v := i<<6 | bits.TrailingZeros64(set)
+			w := bl.leak[v]
+			bl.leak[v] = 0
+			if weights == nil {
+				for ; w != 0; w &= w - 1 {
+					bl.counts[bits.TrailingZeros64(w)]++
+				}
+				continue
 			}
-		} else {
 			wv := weights[v]
-			for w != 0 {
+			for ; w != 0; w &= w - 1 {
 				k := bits.TrailingZeros64(w)
 				bl.counts[k]++
 				bl.wsums[k] += wv
-				w &= w - 1
 			}
 		}
 	}
@@ -359,11 +373,23 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 	return nil
 }
 
+// canceled returns the in-flight context's error, zeroing the leak words
+// the aborted block set, or nil when no context is attached or it is
+// still live.
 func (bl *BatchLeak) canceled() error {
-	if bl.ctx != nil {
-		return bl.ctx.Err()
+	if bl.ctx == nil {
+		return nil
 	}
-	return nil
+	err := bl.ctx.Err()
+	if err != nil {
+		for i, set := range bl.leaked {
+			for ; set != 0; set &= set - 1 {
+				bl.leak[i<<6|bits.TrailingZeros64(set)] = 0
+			}
+			bl.leaked[i] = 0
+		}
+	}
+	return err
 }
 
 // announced returns those of the origin's neighbors nbrs its announcement
@@ -416,7 +442,7 @@ func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
 
 // settle decides the touched receivers at length d of a stage: the arrived
 // lanes leave both accept words, the cur words return to zero, and one log
-// entry makes the node a sender of length d.
+// entry makes a node with customers a sender of length d.
 func (bl *BatchLeak) settle(stage, d int) {
 	for _, v := range bl.touched {
 		nd := &bl.nodes[v]
@@ -425,9 +451,12 @@ func (bl *BatchLeak) settle(stage, d int) {
 		nd.acceptLeak &^= e.legit | e.leak
 		nd.curLegit, nd.curLeak = 0, 0
 		if e.leak != 0 {
+			bl.leaked[v>>6] |= 1 << (v & 63)
 			bl.leak[v] |= e.leak
 		}
-		bl.logs[stage].add(d, e)
+		if bl.g.HasCustomers(int(v)) {
+			bl.logs[stage].add(d, e)
+		}
 	}
 	bl.touched = bl.touched[:0]
 }

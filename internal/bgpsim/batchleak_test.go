@@ -3,6 +3,7 @@ package bgpsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -672,8 +673,10 @@ func (c *countdownCtx) Err() error {
 }
 
 // A batch canceled at any length boundary of any stage leaves the engine
-// reusable as it stands: no cur word set, nothing touched, and the next
-// batch on it equal to a fresh engine's.
+// reusable as it stands: no cur word set, nothing touched, no leak word or
+// leaked bit left, and the next batch on it equal to a fresh engine's —
+// unweighted and user-weighted alike. A completed batch leaves no leak word
+// or leaked bit either.
 func TestBatchLeakCancelAtEveryLengthThenReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomTopology(rng)
@@ -684,46 +687,252 @@ func TestBatchLeakCancelAtEveryLengthThenReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	leakers := all[1:]
-	want := make([]LeakTrial, len(leakers))
-	if err := NewBatchLeak(g).Trials(sw, leakers, nil, want); err != nil {
+	weights := make([]float64, g.NumASes())
+	for i := range weights {
+		weights[i] = rng.Float64()
+	}
+	for _, w := range [][]float64{nil, weights} {
+		want := make([]LeakTrial, len(leakers))
+		if err := NewBatchLeak(g).Trials(sw, leakers, w, want); err != nil {
+			t.Fatal(err)
+		}
+		bl := NewBatchLeak(g)
+		leakZero := func(when string) {
+			t.Helper()
+			for v, word := range bl.leak {
+				if word != 0 {
+					t.Fatalf("weighted=%v %s: node %d keeps leak word %x", w != nil, when, v, word)
+				}
+			}
+			for i, set := range bl.leaked {
+				if set != 0 {
+					t.Fatalf("weighted=%v %s: leaked bitset word %d is %x", w != nil, when, i, set)
+				}
+			}
+		}
+		got := make([]LeakTrial, len(leakers))
+		canceled := 0
+		for after := 1; ; after++ {
+			// Err call 1 is TrialsCtx's entry check; call after+1 is a boundary.
+			err := bl.TrialsCtx(&countdownCtx{Context: context.Background(), after: after}, sw, leakers, w, got)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("weighted=%v after %d checks: err = %v, want context.Canceled", w != nil, after, err)
+			}
+			canceled++
+			for v, nd := range bl.nodes {
+				if nd.curLegit|nd.curLeak != 0 {
+					t.Fatalf("weighted=%v after %d checks: node %d keeps cur words %x/%x", w != nil, after, v, nd.curLegit, nd.curLeak)
+				}
+			}
+			if len(bl.touched) != 0 {
+				t.Fatalf("weighted=%v after %d checks: %d receivers left touched", w != nil, after, len(bl.touched))
+			}
+			leakZero(fmt.Sprintf("aborted after %d checks", after))
+			if err := bl.Trials(sw, leakers, w, got); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("weighted=%v after %d checks: reused engine %+v, fresh engine %+v", w != nil, after, got, want)
+			}
+			leakZero("after the reuse block")
+		}
+		// Stage A and B each check once per length of stage A's log, stage C
+		// once per length of the longest log.
+		a, b, c := len(bl.logs[toProviders]), len(bl.logs[toPeers]), len(bl.logs[toCustomers])
+		if boundaries := 2*a + max(a, b, c); canceled != boundaries || a < 2 {
+			t.Fatalf("weighted=%v: canceled at %d boundaries, the block has %d (stage A spans %d lengths)", w != nil, canceled, boundaries, a)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("weighted=%v: uncanceled TrialsCtx %+v, Trials %+v", w != nil, got, want)
+		}
+		leakZero("after the uncanceled block")
+	}
+}
+
+// Stubs are sinks: after a block, every stage-B and stage-C log entry is an
+// AS with customers, and every stage-A entry is one too or is a first
+// sender (the origin in every lane, a leaker in its own). The length-1
+// entries of locking neighbors follow the same rule: a customerless one is
+// dropped, not logged. Leaks and hijacks, with and without an announcement
+// policy, peer locking and user weights, all still lane-exact.
+func TestBatchLeakLogsHoldOnlyRelayers(t *testing.T) {
+	stubLeakers, lockedStubs := 0, 0
+	for seed := int64(0); seed < 110; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		n := g.NumASes()
+		all := g.ASes()
+		oi := rng.Intn(n)
+		origin := all[oi]
+		cfg := Config{Origin: origin, Hijack: rng.Intn(2) == 0}
+		if rng.Intn(2) == 0 {
+			var allowed []astopo.ASN
+			for _, rows := range [][]int32{g.ProvidersOf(oi), g.PeersOf(oi), g.CustomersOf(oi)} {
+				for _, p := range rows {
+					if rng.Intn(4) > 0 {
+						allowed = append(allowed, g.ASNAt(int(p)))
+					}
+				}
+			}
+			cfg.Policy = NewPolicy(g, allowed)
+		}
+		if rng.Intn(2) == 0 {
+			cfg.Locking = make([]bool, n)
+			for i := range cfg.Locking {
+				cfg.Locking[i] = i != oi && rng.Intn(3) == 0
+			}
+			for _, rows := range [][]int32{g.PeersOf(oi), g.CustomersOf(oi)} {
+				for _, p := range rows {
+					if cfg.Locking[p] && !g.HasCustomers(int(p)) {
+						lockedStubs++
+					}
+				}
+			}
+		}
+		var weights []float64
+		if rng.Intn(2) == 0 {
+			weights = make([]float64, n)
+			for i := range weights {
+				weights[i] = rng.Float64()
+			}
+		}
+		sw, err := NewLeakSweep(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl := NewBatchLeak(g)
+		got := make([]LeakTrial, 1)
+		// One leaker per call, so the logs checked are that block's.
+		for _, l := range all {
+			if l == origin {
+				continue
+			}
+			li, _ := g.Index(l)
+			if err := bl.Trials(sw, []astopo.ASN{l}, weights, got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := sw.Trial(l, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != want {
+				t.Fatalf("seed %d leaker AS%d: batch=%+v scalar=%+v", seed, l, got[0], want)
+			}
+			if !cfg.Hijack && sw.base.class[li] == ClassNone {
+				continue // no lane, no block: the logs are the last block's
+			}
+			if !g.HasCustomers(li) {
+				stubLeakers++
+			}
+			for kind, log := range bl.logs {
+				for d, bucket := range log {
+					for _, e := range bucket {
+						if g.HasCustomers(int(e.node)) {
+							continue
+						}
+						first := kind == toProviders &&
+							(e.node == int32(oi) && d == 0 && e == settleT{node: e.node, legit: 1} ||
+								e.node == int32(li) && e == settleT{node: e.node, leak: 1})
+						if !first {
+							t.Fatalf("seed %d leaker AS%d: customerless AS%d logged in stage %c at length %d: %+v",
+								seed, l, g.ASNAt(int(e.node)), 'A'+kind, d, e)
+						}
+					}
+				}
+			}
+		}
+	}
+	if stubLeakers < 100 || lockedStubs < 10 {
+		t.Fatalf("corpus has %d routed stub leakers and %d customerless locking neighbors", stubLeakers, lockedStubs)
+	}
+}
+
+// stubTieTopology is a hand-built case of keep-all-ties at a stub. Stub
+// AS50 has three providers: AS10 holds the legitimate customer route
+// AS10 -> AS11 -> AS1 (length 2); AS20 holds nothing until its customer AS5
+// leaks its peer route from the origin AS1 (AS20 -> AS5 -> AS1, length 2);
+// AS30 holds only a peer route via AS10 (length 3). Under AS5's leak, AS50
+// takes two tied provider routes of length 3 — one legitimate via AS10, one
+// leaked via AS20 — and the longer legitimate one via AS30 loses.
+func stubTieTopology() *astopo.Graph {
+	g := astopo.NewGraph(0, 0)
+	for _, l := range []struct {
+		a, b astopo.ASN
+		r    astopo.Rel
+	}{
+		{11, 1, astopo.P2C}, {10, 11, astopo.P2C}, {5, 1, astopo.P2P}, {20, 5, astopo.P2C},
+		{10, 30, astopo.P2P}, {10, 50, astopo.P2C}, {20, 50, astopo.P2C}, {30, 50, astopo.P2C},
+	} {
+		g.MustAddLink(l.a, l.b, l.r)
+	}
+	g.Freeze()
+	return g
+}
+
+// A stub settled by a tie of a legitimate and a leaked route of one lane is
+// detoured in that lane, although it enters no log as a relayer.
+func TestBatchLeakStubTie(t *testing.T) {
+	g := stubTieTopology()
+	sw, err := NewLeakSweep(g, Config{Origin: 1})
+	if err != nil {
 		t.Fatal(err)
+	}
+	i50, _ := g.Index(50)
+	if g.HasCustomers(i50) {
+		t.Fatal("AS50 has customers")
+	}
+
+	// The scenario is what the comment says it is, by the scalar engine.
+	res, err := sw.Run(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Class[i50] != ClassProvider || res.Dist[i50] != 3 || res.Flags[i50] != ViaLegit|ViaLeak {
+		t.Fatalf("AS50 under AS5's leak: class %v length %d flags %b; want tied legitimate and leaked provider routes of length 3",
+			res.Class[i50], res.Dist[i50], res.Flags[i50])
+	}
+	if res.Detoured() != 2 {
+		t.Fatalf("AS5's leak detours %d ASes, want AS20 and AS50", res.Detoured())
+	}
+
+	// Lanes: AS5 0, AS10 1, AS11 2, AS30 3, AS50 4. AS20 holds no route
+	// without a leak, so it gets no lane and an all-zero trial.
+	leakers := []astopo.ASN{5, 10, 11, 30, 50, 20}
+	weights := make([]float64, g.NumASes())
+	for i := range weights {
+		weights[i] = float64(i+1) / 10
 	}
 	bl := NewBatchLeak(g)
 	got := make([]LeakTrial, len(leakers))
-	canceled := 0
-	for after := 1; ; after++ {
-		// Err call 1 is TrialsCtx's entry check; call after+1 is a boundary.
-		err := bl.TrialsCtx(&countdownCtx{Context: context.Background(), after: after}, sw, leakers, nil, got)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("after %d checks: err = %v, want context.Canceled", after, err)
-		}
-		canceled++
-		for v, nd := range bl.nodes {
-			if nd.curLegit|nd.curLeak != 0 {
-				t.Fatalf("after %d checks: node %d keeps cur words %x/%x", after, v, nd.curLegit, nd.curLeak)
-			}
-		}
-		if len(bl.touched) != 0 {
-			t.Fatalf("after %d checks: %d receivers left touched", after, len(bl.touched))
-		}
-		if err := bl.Trials(sw, leakers, nil, got); err != nil {
+	for _, w := range [][]float64{nil, weights} {
+		if err := bl.Trials(sw, leakers, w, got); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("after %d checks: reused engine %+v, fresh engine %+v", after, got, want)
+		for i, l := range leakers {
+			want, err := sw.Trial(l, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Errorf("weighted=%v leaker AS%d: batch=%+v scalar=%+v", w != nil, l, got[i], want)
+			}
+		}
+		if want := 2 / float64(g.NumASes()-2); got[0].DetouredFrac != want {
+			t.Errorf("weighted=%v: AS5's lane detours %v, want AS20 and AS50 (%v)", w != nil, got[0].DetouredFrac, want)
 		}
 	}
-	// Stage A and B each check once per length of stage A's log, stage C
-	// once per length of the longest log.
-	a, b, c := len(bl.logs[toProviders]), len(bl.logs[toPeers]), len(bl.logs[toCustomers])
-	if boundaries := 2*a + max(a, b, c); canceled != boundaries || a < 2 {
-		t.Fatalf("canceled at %d boundaries, the block has %d (stage A spans %d lengths)", canceled, boundaries, a)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("uncanceled TrialsCtx %+v, Trials %+v", got, want)
+	for _, log := range bl.logs {
+		for _, bucket := range log {
+			for _, e := range bucket {
+				if e.node == int32(i50) && e.leak != 1<<4 {
+					t.Errorf("stub AS50 logged as a relayer: %+v", e)
+				}
+			}
+		}
 	}
 }
 
