@@ -67,39 +67,34 @@ func openTimelineSnap(path string) (*snapshot.Reader, int, *topogen.Internet, er
 func cmdTimelineReport(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("timeline report", flag.ContinueOnError)
 	scale := fs.Float64("scale", 0.04987, "topology scale (1.0 = the paper's 69,488 ASes)")
-	snap := fs.String("snapshot", "", "print this snapshot's world(s) instead of folding the whole series")
+	snap := fs.String("snapshot", "", "print this snapshot's world(s) instead of the whole series")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return usagef("timeline report: unexpected argument %q", fs.Arg(0))
 	}
+	var rows []experiments.TimelineRow
 	if *snap != "" {
 		rd, err := snapshot.Open(*snap)
 		if err != nil {
 			return err
 		}
 		defer rd.Close()
-		experiments.PrintTimelineHeader(stdout)
 		for _, year := range rd.Years() {
 			row, err := experiments.TimelineRowFor(year, rd.Internet(year))
 			if err != nil {
 				return err
 			}
-			experiments.PrintTimelineRow(stdout, row)
+			rows = append(rows, row)
 		}
-		return nil
+	} else {
+		var err error
+		if rows, err = experiments.TimelineAt(*scale); err != nil {
+			return err
+		}
 	}
-	res, err := experiments.TimelineAt(*scale)
-	if err != nil {
-		return err
-	}
-	experiments.PrintTimelineHeader(stdout)
-	for _, row := range res.Rows {
-		experiments.PrintTimelineRow(stdout, row)
-	}
-	fmt.Fprintf(stdout, "incremental fold: %d/%d origins re-propagated across %d steps (%d full-sweep fallbacks)\n",
-		res.Dirty, res.Origins, len(res.Rows)-1, res.FullSweeps)
+	experiments.PrintTimeline(stdout, rows)
 	return nil
 }
 

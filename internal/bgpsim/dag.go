@@ -90,8 +90,8 @@ func (r *Result) Reliance() ([]float64, error) {
 // plus O(n/64). It also returns the route holders — the only entries of
 // the dense reliance slice that can be nonzero — in ascending index order.
 // Both slices alias that scratch and are valid only until the next
-// propagation on this Simulator. Cancellation is as in RunCtx; leak configs
-// are rejected.
+// propagation on this Simulator. Cancellation is as in
+// ReachabilityCountCtx; leak configs are rejected.
 func (s *Simulator) RelianceCtx(ctx context.Context, cfg Config) (reliance []float64, holders []int32, err error) {
 	if cfg.Leaker != 0 {
 		return nil, nil, fmt.Errorf("bgpsim: RelianceCtx does not support leak configs")

@@ -69,7 +69,14 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 			if cfg.Leaker == 0 && rng.Intn(2) == 0 {
 				_, _, err = reused.RelianceCtx(ctx, cfg)
 			} else {
-				_, err = reused.RunCtx(ctx, cfg)
+				// Cancel through the hook LeakSweep.TrialCtx sets, after
+				// the same up-front check: Run aborts between distance
+				// buckets once ctx is done.
+				if err = ctx.Err(); err == nil {
+					reused.ctx = ctx
+					_, err = reused.Run(cfg)
+					reused.ctx = nil
+				}
 			}
 			if err != nil && wantErr == nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: canceled run: %v", at, err)

@@ -334,19 +334,9 @@ func (s *Simulator) markAll() {
 	}
 }
 
-// RunCtx is Run with cancellation: the propagation is aborted between
-// distance buckets once ctx is done, returning ctx.Err(). The serving layer
-// threads per-request deadlines through here.
-func (s *Simulator) RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.ctx = ctx
-	defer func() { s.ctx = nil }()
-	return s.Run(cfg)
-}
-
-// ReachabilityCountCtx is ReachabilityCount with cancellation (see RunCtx).
+// ReachabilityCountCtx is ReachabilityCount with cancellation: the
+// propagation is aborted between distance buckets once ctx is done,
+// returning ctx.Err().
 func (s *Simulator) ReachabilityCountCtx(ctx context.Context, cfg Config) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

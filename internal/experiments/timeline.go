@@ -1,16 +1,12 @@
 package experiments
 
 // Timeline (longitudinal extension): hierarchy-free reachability of the
-// four paper clouds for every year of the 2015–2025 preset series. The
-// fold is incremental — each year's per-AS counts are evolved from the
-// previous year's with core.EvolveCounts instead of re-propagating the
-// whole world — which is exactly the machinery `flatnetd` uses behind
-// POST /v1/evolve. The incremental engine is trial-exact (see
-// core.TestEvolveCountsMatchesFullSweep), so every printed number is
-// identical to a fresh full sweep of that year's world.
+// four paper clouds for every year of the 2015–2025 preset series. Each
+// year's world is the previous one grown by one topogen growth step, and
+// each row is four point queries on that world — the same TimelineRowFor
+// that `flatnet timeline report -snapshot` prints a frozen year with.
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -38,57 +34,8 @@ type TimelineRow struct {
 	Clouds []CloudReach
 }
 
-// TimelineResult carries the series plus how much propagation the
-// incremental fold actually did versus the full-sweep equivalent.
-type TimelineResult struct {
-	Scale float64
-	Rows  []TimelineRow
-	// Dirty and Origins sum the evolved steps' stats: Dirty origins were
-	// re-propagated, out of Origins total across all steps (the first
-	// year's bootstrap sweep is not counted).
-	Dirty, Origins int
-	// FullSweeps counts steps where the engine fell back to a full
-	// re-propagation (dirty region too large or tier sets changed).
-	FullSweeps int
-}
-
-// cloudRow extracts the paper clouds' standings from a per-AS count
-// vector.
-func cloudRow(year int, in *topogen.Internet, counts []int) (TimelineRow, error) {
-	g := in.Graph
-	total := g.NumASes() - 1
-	row := TimelineRow{
-		Year:  year,
-		World: cluster.DatasetHash(g, in.Tier1, in.Tier2),
-		ASes:  g.NumASes(),
-		Links: g.NumLinks(),
-	}
-	for _, name := range Clouds() {
-		a, ok := in.Clouds[name]
-		if !ok {
-			return row, fmt.Errorf("experiments: %d world has no %s cloud", year, name)
-		}
-		i, ok := g.Index(a)
-		if !ok {
-			return row, fmt.Errorf("experiments: %s (AS%d) missing from the %d graph", name, a, year)
-		}
-		row.Clouds = append(row.Clouds, CloudReach{
-			Name: name, AS: a, Reach: counts[i],
-			Pct: 100 * float64(counts[i]) / float64(total),
-		})
-	}
-	return row, nil
-}
-
-// Timeline folds the whole preset series at the environment's scale.
-func Timeline(env *Env) (*TimelineResult, error) {
-	return TimelineAt(env.Scale)
-}
-
-// TimelineRowFor computes one world's row directly (one propagation per
-// cloud, no full sweep) — how `flatnet timeline report -snapshot` prints
-// a single year. The incremental fold is trial-exact, so this row is
-// byte-identical to the same year's row out of TimelineAt.
+// TimelineRowFor computes one world's row: one hierarchy-free propagation
+// per paper cloud.
 func TimelineRowFor(year int, in *topogen.Internet) (TimelineRow, error) {
 	g := in.Graph
 	total := g.NumASes() - 1
@@ -116,95 +63,57 @@ func TimelineRowFor(year int, in *topogen.Internet) (TimelineRow, error) {
 	return row, nil
 }
 
-// TimelineAt folds the whole preset series at one scale: generate the
-// first year, full-sweep it once, then evolve counts year over year
-// through the growth deltas.
-func TimelineAt(scale float64) (*TimelineResult, error) {
-	ctx := context.Background()
+// TimelineAt computes the whole preset series at one scale: generate the
+// first year, then grow the world one year at a time through the growth
+// deltas, taking each year's row from TimelineRowFor.
+func TimelineAt(scale float64) ([]TimelineRow, error) {
 	in, err := topogen.GenerateYear(topogen.TimelineFirstYear, scale)
 	if err != nil {
 		return nil, err
 	}
-	m := core.New(core.Dataset{Graph: in.Graph, Tier1: in.Tier1, Tier2: in.Tier2})
-	counts, err := m.ReachabilityRangeCtx(ctx, core.HierarchyFree, 0, in.Graph.NumASes(), 0)
-	if err != nil {
-		return nil, err
+	var rows []TimelineRow
+	for year := topogen.TimelineFirstYear; ; year++ {
+		row, err := TimelineRowFor(year, in)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+		if year == topogen.TimelineLastYear {
+			return rows, nil
+		}
+		d, err := topogen.EvolveStep(in, year+1, scale)
+		if err != nil {
+			return nil, err
+		}
+		if in, err = topogen.ApplyDelta(in, d); err != nil {
+			return nil, err
+		}
 	}
-	res := &TimelineResult{Scale: scale}
-	row, err := cloudRow(topogen.TimelineFirstYear, in, counts)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row)
-	for year := topogen.TimelineFirstYear + 1; year <= topogen.TimelineLastYear; year++ {
-		g, err := topogen.EvolveStep(in, year, scale)
-		if err != nil {
-			return nil, err
-		}
-		next, err := topogen.ApplyDelta(in, g)
-		if err != nil {
-			return nil, err
-		}
-		nm := core.New(core.Dataset{Graph: next.Graph, Tier1: next.Tier1, Tier2: next.Tier2})
-		newASes := make([]astopo.ASN, len(g.NewASes))
-		for i, na := range g.NewASes {
-			newASes[i] = na.ASN
-		}
-		var stats core.EvolveStats
-		counts, stats, err = core.EvolveCounts(ctx, m, nm, core.HierarchyFree, counts, core.EvolveDelta{
-			AddedLinks:   g.AddedLinks,
-			RemovedLinks: g.RemovedLinks,
-			NewASes:      newASes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Dirty += stats.Dirty
-		res.Origins += stats.Origins
-		if stats.FullSweep {
-			res.FullSweeps++
-		}
-		in, m = next, nm
-		row, err := cloudRow(year, in, counts)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
 }
 
-// PrintTimelineHeader and PrintTimelineRow render the per-year table;
-// they are shared with `flatnet timeline report`, whose single-snapshot
-// mode must produce byte-identical rows for the CI equivalence gate.
-func PrintTimelineHeader(w io.Writer) {
+// PrintTimeline renders the per-year table. `flatnet run timeline`,
+// `flatnet timeline report` and its single-snapshot mode all print
+// through it, so a frozen year's row is byte-comparable to the series'.
+func PrintTimeline(w io.Writer, rows []TimelineRow) {
 	fmt.Fprintf(w, "%-5s %-13s %7s %8s", "year", "world", "ases", "links")
 	for _, c := range Clouds() {
 		fmt.Fprintf(w, "  %18s", c)
 	}
 	fmt.Fprintln(w)
-}
-
-func PrintTimelineRow(w io.Writer, row TimelineRow) {
-	fmt.Fprintf(w, "%-5d %-13.12s %7d %8d", row.Year, row.World, row.ASes, row.Links)
-	for _, c := range row.Clouds {
-		fmt.Fprintf(w, "  %10d (%4.1f%%)", c.Reach, c.Pct)
+	for _, row := range rows {
+		fmt.Fprintf(w, "%-5d %-13.12s %7d %8d", row.Year, row.World, row.ASes, row.Links)
+		for _, c := range row.Clouds {
+			fmt.Fprintf(w, "  %10d (%4.1f%%)", c.Reach, c.Pct)
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
 }
 
 func runTimeline(env *Env, w io.Writer) error {
-	res, err := Timeline(env)
+	rows, err := TimelineAt(env.Scale)
 	if err != nil {
 		return err
 	}
-	PrintTimelineHeader(w)
-	for _, row := range res.Rows {
-		PrintTimelineRow(w, row)
-	}
-	if res.Origins > 0 {
-		fmt.Fprintf(w, "incremental fold: %d/%d origins re-propagated across %d steps (%d full-sweep fallbacks)\n",
-			res.Dirty, res.Origins, len(res.Rows)-1, res.FullSweeps)
-	}
+	PrintTimeline(w, rows)
 	return nil
 }

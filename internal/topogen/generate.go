@@ -2,6 +2,7 @@ package topogen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -50,6 +51,15 @@ func Generate(spec Spec) (*Internet, error) {
 }
 
 func validate(spec Spec) error {
+	if spec.NumASes <= 0 {
+		return fmt.Errorf("topogen: NumASes=%d is not a positive AS count; the topology scale must be a positive number", spec.NumASes)
+	}
+	// Synthetic ASes are numbered synthBase, synthBase+1, …; they must stay
+	// inside the 32-bit ASN space.
+	if uint64(spec.NumASes) > math.MaxUint32-uint64(synthBase) {
+		return fmt.Errorf("topogen: NumASes=%d overflows the 32-bit ASN space above synthetic base AS%d; lower the topology scale",
+			spec.NumASes, synthBase)
+	}
 	named := len(spec.Tier1) + len(spec.Tier2) + len(spec.Clouds) + len(spec.Hypergiants)
 	if spec.NumASes < named+spec.NumTransit+10 {
 		return fmt.Errorf("topogen: NumASes=%d too small for %d named + %d transit ASes",

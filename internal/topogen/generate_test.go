@@ -1,6 +1,8 @@
 package topogen
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -128,6 +130,53 @@ func TestGenerateValidation(t *testing.T) {
 	spec.Tier1[0].ASN = spec.Tier2[0].ASN
 	if _, err := Generate(spec); err == nil {
 		t.Error("duplicate profile ASN accepted")
+	}
+}
+
+// TestGenerateRejectsHostileScale feeds the generators scales that round
+// to no ASes at all or to more ASes than the 32-bit ASN space numbers:
+// each must fail with an error, never panic.
+func TestGenerateRejectsHostileScale(t *testing.T) {
+	base, err := GenerateYear(2015, 0.012)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		want  string
+	}{
+		{"NaN", math.NaN(), "scale"},
+		{"-1", -1, "scale"},
+		{"0", 0, "scale"},
+		{"1e9", 1e9, "ASN space"},
+	} {
+		for _, gen := range []struct {
+			name string
+			run  func(float64) error
+		}{
+			{"Internet2020", func(s float64) error { _, err := Generate(Internet2020(s)); return err }},
+			{"Internet2015", func(s float64) error { _, err := Generate(Internet2015(s)); return err }},
+			{"GenerateYear", func(s float64) error { _, err := GenerateYear(2017, s); return err }},
+			// timeline delta grows a snapshot at the scale the file records.
+			{"EvolveStep", func(s float64) error { _, err := EvolveStep(base, 2016, s); return err }},
+		} {
+			t.Run(tc.name+"/"+gen.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				err := gen.run(tc.scale)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want an error mentioning %q", err, tc.want)
+				}
+			})
+		}
+	}
+	// The ~1.4M-AS stress preset is far inside the ASN space.
+	if err := validate(Internet2020(20)); err != nil {
+		t.Fatalf("scale-20 preset: %v", err)
 	}
 }
 

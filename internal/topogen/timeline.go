@@ -275,6 +275,9 @@ func EvolveStep(prev *Internet, year int, scale float64) (*GrowthDelta, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := validate(spec); err != nil {
+		return nil, err
+	}
 
 	e := &evolver{
 		prev:     prev,

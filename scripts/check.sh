@@ -58,7 +58,7 @@ echo "==> cluster wire decoder fuzz (5s)"
 go test -run '^$' -fuzz 'FuzzWireDecode' -fuzztime 5s ./internal/cluster/
 
 echo "==> benchmark smoke (1 iteration)"
-go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkPropagateNoAlloc|BenchmarkPropagationWithNextHops|BenchmarkPropagationSingleOrigin|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkEvolveDelta$|BenchmarkTimelineSeries|BenchmarkWireCounts' \
+go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkPropagateNoAlloc|BenchmarkPropagationWithNextHops|BenchmarkPropagationSingleOrigin|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkTimelineSeries|BenchmarkWireCounts' \
     -benchtime 1x -benchmem -run '^$' .
 
 echo "==> snapshot build/load smoke"
@@ -80,5 +80,10 @@ echo "==> timeline delta smoke"
 "$SNAPDIR/flatnet" timeline apply -base "$SNAPDIR/y2016.snap" -delta "$SNAPDIR/step.snapd" -o "$SNAPDIR/y2017.snap" > /dev/null
 "$SNAPDIR/flatnet" timeline build -year 2017 -scale 0.012 -o "$SNAPDIR/y2017-fresh.snap" > /dev/null
 cmp "$SNAPDIR/y2017.snap" "$SNAPDIR/y2017-fresh.snap"
+# The series path (grow year by year) and the single-world path (one frozen
+# year) must print the same 2017 row.
+"$SNAPDIR/flatnet" timeline report -scale 0.012 | grep '^2017 ' > "$SNAPDIR/row-series.txt"
+"$SNAPDIR/flatnet" timeline report -snapshot "$SNAPDIR/y2017-fresh.snap" | grep '^2017 ' > "$SNAPDIR/row-snapshot.txt"
+diff "$SNAPDIR/row-series.txt" "$SNAPDIR/row-snapshot.txt"
 
 echo "==> all checks passed"
