@@ -12,6 +12,7 @@
 package flatnet_bench
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"sync"
@@ -405,6 +406,34 @@ func benchLeakTrialsBatch(b *testing.B, e *experiments.Env) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(leakers)), "ns/leaker")
 }
 
+// BenchmarkLeakTrialsSmall measures a 20-leaker list through the public
+// LeakSweep.Trials routing, which replays a list of any length on the batch
+// engine: one partial BatchLanes block against Google's announce-to-all
+// sweep. ns/leaker is comparable with BenchmarkLeakTrialsBatch's.
+func BenchmarkLeakTrialsSmall(b *testing.B) {
+	e := benchEnv(b)
+	g := e.In2020.Graph
+	google := e.In2020.Clouds["Google"]
+	leakers := bgpsim.SampleLeakers(g, google, 20, 7)
+	sweep, err := bgpsim.NewLeakSweep(g, bgpsim.Config{Origin: google})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	// Warm the pooled engine's settle logs and scratch high-water marks.
+	if _, err := sweep.Trials(ctx, leakers, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sweep.Trials(ctx, leakers, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(leakers)), "ns/leaker")
+}
+
 // BenchmarkPropagateNoAlloc measures one steady-state reachability
 // propagation with buffer reuse. allocs/op should be ~0.
 func BenchmarkPropagateNoAlloc(b *testing.B) {
@@ -444,7 +473,7 @@ func BenchmarkSensitivity(b *testing.B) {
 func BenchmarkHijackVsLeak(b *testing.B) {
 	e := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Hijack(e); err != nil {
+		if _, err := experiments.Hijack(e.Fresh()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,20 +42,19 @@ func cmdLeaks(args []string) error {
 	fmt.Printf("%s exposure of %s (AS%d), %d random misconfigured ASes per scenario:\n\n",
 		kind, in.NameOf(origin), origin, len(leakers))
 	fmt.Printf("%-40s %12s %12s %14s\n", "scenario", "mean detour", "p95 detour", "worst detour")
-	// One explicit LeakSweep per scenario: the leak-free pre-pass runs once
-	// per configuration and all trials replay against it (the batch engines
-	// behind Trials are pooled across scenarios).
+	// One job per scenario, all run by one RunLeakJobs call.
+	var jobs []bgpsim.LeakJob
 	for _, scen := range bgpsim.LeakScenarios() {
 		cfg := bgpsim.ScenarioConfig(in.Graph, origin, in.Tier1, in.Tier2, scen)
 		cfg.Hijack = *hijack
-		sweep, err := bgpsim.NewLeakSweep(in.Graph, cfg)
-		if err != nil {
-			return err
-		}
-		res, err := sweep.Trials(context.Background(), leakers, nil)
-		if err != nil {
-			return err
-		}
+		jobs = append(jobs, bgpsim.LeakJob{Graph: in.Graph, Config: cfg, Leakers: leakers})
+	}
+	runs, err := bgpsim.RunLeakJobs(context.Background(), jobs)
+	if err != nil {
+		return err
+	}
+	for i, scen := range bgpsim.LeakScenarios() {
+		res := runs[i]
 		var mean, worst float64
 		fracs := make([]float64, 0, len(res))
 		for _, tr := range res {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"flatnet/internal/astopo"
@@ -409,6 +410,14 @@ func (bl *BatchLeak) announced(b *sweepBase, nbrs []int32) []int32 {
 
 // relay sends every sender's settled lanes over its edges of one kind and
 // ORs what each receiver still accepts into the receiver's cur words.
+//
+// The loop does not branch per receiver. The OR is unconditional (a refused
+// arrival ORs zero), and every receiver is written to the slot past the end
+// of touched, which grows once per sender to fit them all; the end advances
+// by one exactly when the receiver's cur words go from zero to nonzero.
+// (was-1)&^was has its top bit set iff was is zero, got|-got iff got is
+// not, so a receiver enters touched once per length, and a refused one
+// leaves it as it was.
 func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
 	g, nodes, touched := bl.g, bl.nodes, bl.touched
 	for _, e := range senders {
@@ -424,18 +433,19 @@ func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
 		if e.node == b.origin {
 			nbrs = bl.announced(b, nbrs)
 		}
+		nt := len(touched)
+		touched = slices.Grow(touched, len(nbrs))[:nt+len(nbrs)]
 		for _, p := range nbrs {
 			nd := &nodes[p]
+			was := nd.curLegit | nd.curLeak
 			lg, lk := e.legit&nd.acceptLegit, e.leak&nd.acceptLeak
-			if lg|lk == 0 {
-				continue
-			}
-			if nd.curLegit|nd.curLeak == 0 {
-				touched = append(touched, p)
-			}
 			nd.curLegit |= lg
 			nd.curLeak |= lk
+			got := lg | lk
+			touched[nt] = p
+			nt += int(((was - 1) &^ was & (got | -got)) >> 63)
 		}
+		touched = touched[:nt]
 	}
 	bl.touched = touched
 }

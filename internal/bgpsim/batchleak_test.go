@@ -126,10 +126,10 @@ func padLeakers(leakers []astopo.ASN, min int) []astopo.ASN {
 	return out
 }
 
-// The public Trials batch routing (>= BatchLanes leakers, multi-block,
-// duplicate lanes) must agree with the scalar per-leaker path — both by
-// direct Trial calls and through the same public routing one leaker under
-// BatchLanes, where the input size alone picks the scalar arm.
+// The public Trials batch routing (multi-block, duplicate lanes) must agree
+// with the scalar per-leaker path, and a list one leaker under BatchLanes —
+// one partial block — must give the same trials as those leakers inside the
+// full blocks.
 func TestLeakTrialsBatchRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomTopology(rng)
@@ -168,50 +168,7 @@ func TestLeakTrialsBatchRouting(t *testing.T) {
 	}
 	for i := range small {
 		if small[i] != got[i] {
-			t.Fatalf("leaker %d (AS%d): scalar-routed=%+v batch-routed=%+v", i, big[i], small[i], got[i])
-		}
-	}
-}
-
-// WithHijack shares the pre-pass snapshot; its trials must equal a sweep
-// built from scratch with the Hijack flag set.
-func TestWithHijackMatchesFreshSweep(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomTopology(rng)
-		g.Freeze()
-		all := g.ASes()
-		origin := all[rng.Intn(len(all))]
-		var leakers []astopo.ASN
-		for _, a := range all {
-			if a != origin {
-				leakers = append(leakers, a)
-			}
-		}
-		leakSweep, err := NewLeakSweep(g, Config{Origin: origin})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if leakSweep.WithHijack(false) != leakSweep {
-			t.Fatal("WithHijack(false) on a leak sweep should return the receiver")
-		}
-		hijackSweep, err := NewLeakSweep(g, Config{Origin: origin, Hijack: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared := leakSweep.WithHijack(true)
-		for _, l := range leakers {
-			want, err := hijackSweep.Trial(l, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := shared.Trial(l, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("seed %d leaker AS%d: WithHijack=%+v fresh=%+v", seed, l, got, want)
-			}
+			t.Fatalf("leaker %d (AS%d): partial block=%+v full blocks=%+v", i, big[i], small[i], got[i])
 		}
 	}
 }
@@ -955,12 +912,13 @@ func TestBatchLeakMatchesScalarFullScale(t *testing.T) {
 	bl := NewBatchLeak(g)
 	got := make([]LeakTrial, len(leakers))
 	for _, scen := range LeakScenarios() {
-		base, err := NewLeakSweep(g, ScenarioConfig(g, google, in.Tier1, in.Tier2, scen))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, hijack := range []bool{false, true} {
-			sw := base.WithHijack(hijack)
+			cfg := ScenarioConfig(g, google, in.Tier1, in.Tier2, scen)
+			cfg.Hijack = hijack
+			sw, err := NewLeakSweep(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := bl.Trials(sw, leakers, weights, got); err != nil {
 				t.Fatalf("%v hijack=%v: %v", scen, hijack, err)
 			}
@@ -980,7 +938,7 @@ func TestBatchLeakMatchesScalarFullScale(t *testing.T) {
 			if detours == 0 {
 				t.Errorf("%v hijack=%v: no sampled leaker detours anything", scen, hijack)
 			}
+			sw.Release()
 		}
-		base.Release()
 	}
 }

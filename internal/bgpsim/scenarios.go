@@ -108,10 +108,8 @@ type LeakTrial struct {
 }
 
 // RunLeakTrials simulates cfgBase once per leaker, in parallel, and returns
-// one LeakTrial per leaker in input order. weights may be nil. The leak-free
-// pre-pass is computed once per configuration through a LeakSweep and
-// shared by every worker, so each trial pays only for the per-leaker loop
-// detection and leak propagation.
+// one LeakTrial per leaker in input order. weights may be nil. It is
+// RunLeakJobs with a single job.
 func RunLeakTrials(g *astopo.Graph, cfgBase Config, leakers []astopo.ASN, weights []float64) ([]LeakTrial, error) {
 	return RunLeakTrialsCtx(context.Background(), g, cfgBase, leakers, weights)
 }
@@ -120,14 +118,74 @@ func RunLeakTrials(g *astopo.Graph, cfgBase Config, leakers []astopo.ASN, weight
 // new trials start, in-flight trials abort between distance buckets, and
 // ctx.Err() is returned.
 func RunLeakTrialsCtx(ctx context.Context, g *astopo.Graph, cfgBase Config, leakers []astopo.ASN, weights []float64) ([]LeakTrial, error) {
-	g.Freeze()
-	sweep, err := NewLeakSweep(g, cfgBase)
+	trials, err := RunLeakJobs(ctx, []LeakJob{{Graph: g, Config: cfgBase, Leakers: leakers, Weights: weights}})
 	if err != nil {
 		return nil, err
 	}
-	trials, err := sweep.Trials(ctx, leakers, weights)
-	sweep.Release()
-	return trials, err
+	return trials[0], nil
+}
+
+// LeakJob is one configuration's leak trials: Config (whose Leaker field is
+// ignored) replayed over Graph once per leaker. Weights may be nil;
+// otherwise it holds one entry per dense index of Graph.
+type LeakJob struct {
+	Graph   *astopo.Graph
+	Config  Config
+	Leakers []astopo.ASN
+	Weights []float64
+}
+
+// RunLeakJobs runs every job and returns one trial slice per job, in job
+// order, each with one LeakTrial per leaker in input order. It is the one
+// driver behind every leak experiment; the trials are those of a
+// LeakSweep over the job's configuration, whatever the worker count.
+//
+// A job costs one leak-free pre-pass (NewLeakSweep) and then its blocks of
+// BatchLanes leakers (LeakSweep.TrialsN). With at least as many jobs as
+// workers (GOMAXPROCS), each worker takes whole jobs, pre-pass first, and
+// replays them on a pooled BatchLeak engine of its own: no core waits
+// while another runs a pre-pass. With fewer jobs, they run in turn and
+// each spreads its blocks over the workers. BreakTies jobs replay one
+// leaker at a time on the scalar sweep, either way.
+//
+// Cancellation stops the run between jobs, between blocks and between a
+// block's distance buckets, and returns ctx.Err(); the engines are left
+// reusable. The graphs are frozen by the call.
+func RunLeakJobs(ctx context.Context, jobs []LeakJob) ([][]LeakTrial, error) {
+	for _, j := range jobs {
+		j.Graph.Freeze()
+	}
+	workers, perJob := runtime.GOMAXPROCS(0), 1
+	if len(jobs) < workers {
+		workers, perJob = 1, workers
+	}
+	out := make([][]LeakTrial, len(jobs))
+	err := par.ForCtx(ctx, workers, len(jobs), func(int) func(i int) error {
+		return func(i int) error {
+			j := jobs[i]
+			sw, err := NewLeakSweep(j.Graph, j.Config)
+			if err != nil {
+				return err
+			}
+			out[i], err = sw.TrialsN(ctx, j.Leakers, j.Weights, perJob)
+			sw.Release()
+			return err
+		}
+	})
+	if err != nil {
+		return nil, canceledOr(ctx, err)
+	}
+	return out, nil
+}
+
+// canceledOr returns ctx.Err() once ctx is done, and err otherwise: a run
+// stopped by cancellation reports it as such, however deep the trial that
+// saw it wrapped it.
+func canceledOr(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return err
 }
 
 // SampleLeakers draws n distinct ASes uniformly at random, excluding the
@@ -176,73 +234,36 @@ func CDF(trials []LeakTrial, xs []float64, users bool) []float64 {
 // AverageResilience simulates random (origin, leaker) pairs under
 // announce-to-all and returns the mean detoured fraction — the paper's
 // baseline "average resilience" line. nOrigins origins are sampled, each
-// attacked by nLeakers leakers. Origins run in parallel; each origin's
-// worker builds one LeakSweep (pre-pass computed once) and replays its
-// leakers against it through a worker-local BatchLeak engine, up to
-// BatchLanes per propagation.
-// Sampling is drawn up-front from a single sequential RNG, so results are
-// deterministic in seed regardless of scheduling.
+// attacked by nLeakers leakers, and run as one RunLeakJobs call, a job per
+// origin. Sampling is drawn up-front from a single sequential RNG, so
+// results are deterministic in seed regardless of scheduling.
 func AverageResilience(g *astopo.Graph, nOrigins, nLeakers int, seed int64, weights []float64) (asFrac, userFrac float64, err error) {
 	g.Freeze()
 	rng := rand.New(rand.NewSource(seed))
 	all := g.ASes()
-	type originJob struct {
-		origin  astopo.ASN
-		leakers []astopo.ASN
-	}
-	jobs := make([]originJob, nOrigins)
+	jobs := make([]LeakJob, nOrigins)
 	for i := range jobs {
 		origin := all[rng.Intn(len(all))]
-		jobs[i] = originJob{origin: origin, leakers: SampleLeakers(g, origin, nLeakers, rng.Int63())}
+		jobs[i] = LeakJob{Graph: g, Config: Config{Origin: origin}, Weights: weights,
+			Leakers: SampleLeakers(g, origin, nLeakers, rng.Int63())}
 	}
-	sums := make([]float64, len(jobs))
-	wsums := make([]float64, len(jobs))
-	counts := make([]int, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	engines := make([]*BatchLeak, workers)
-	err = par.For(workers, len(jobs), func(w int) func(i int) error {
-		var trials []LeakTrial
-		return func(i int) error {
-			sweep, err := NewLeakSweep(g, Config{Origin: jobs[i].origin})
-			if err != nil {
-				return err
-			}
-			defer sweep.Release()
-			if engines[w] == nil {
-				engines[w] = getBatchLeak(g)
-			}
-			if cap(trials) < len(jobs[i].leakers) {
-				trials = make([]LeakTrial, len(jobs[i].leakers))
-			}
-			trials = trials[:len(jobs[i].leakers)]
-			if err := engines[w].Trials(sweep, jobs[i].leakers, weights, trials); err != nil {
-				return err
-			}
-			for _, tr := range trials {
-				sums[i] += tr.DetouredFrac
-				wsums[i] += tr.DetouredUserFrac
-				counts[i]++
-			}
-			return nil
-		}
-	})
-	for _, bl := range engines {
-		if bl != nil {
-			putBatchLeak(bl)
-		}
-	}
+	trials, err := RunLeakJobs(context.Background(), jobs)
 	if err != nil {
 		return 0, 0, err
 	}
 	var sum, wsum float64
 	var count int
-	for i := range jobs {
-		sum += sums[i]
-		wsum += wsums[i]
-		count += counts[i]
+	for _, job := range trials {
+		// Per-origin partial sums first: the baseline's float bits depend
+		// on the order of the additions.
+		var s, ws float64
+		for _, tr := range job {
+			s += tr.DetouredFrac
+			ws += tr.DetouredUserFrac
+		}
+		sum += s
+		wsum += ws
+		count += len(job)
 	}
 	if count == 0 {
 		return 0, 0, fmt.Errorf("bgpsim: no resilience trials ran")

@@ -29,8 +29,8 @@ type LeakSweep struct {
 	sim  *Simulator
 
 	// ownsBase marks sweeps created by NewLeakSweep (whose Release
-	// recycles the whole sweep); Clone/WithHijack derivatives share the
-	// base and only recycle their simulator.
+	// recycles the whole sweep); clones share the base and only recycle
+	// their simulator.
 	ownsBase bool
 }
 
@@ -131,10 +131,10 @@ func (sw *LeakSweep) prepass(base Config) error {
 
 // Release returns the sweep's buffers to per-graph pools for reuse by the
 // next NewLeakSweep or Clone over the same graph. Call it only once the
-// sweep AND every Clone/WithHijack derivative is done — the recycled
-// arrays back future sweeps, so any later use corrupts them. Releasing is
-// optional (an unreleased sweep is ordinary garbage) and a derivative's
-// Release recycles only its private simulator.
+// sweep AND every clone is done — the recycled arrays back future sweeps,
+// so any later use corrupts them. Releasing is optional (an unreleased
+// sweep is ordinary garbage) and a clone's Release recycles only its
+// private simulator.
 func (sw *LeakSweep) Release() {
 	if !sw.ownsBase {
 		if sw.sim != nil {
@@ -156,22 +156,6 @@ func (sw *LeakSweep) Clone() *LeakSweep {
 
 // Base returns the sweep's base configuration (Leaker is always zero).
 func (sw *LeakSweep) Base() Config { return sw.base.cfg }
-
-// WithHijack returns a sweep replaying leakers as forged originations
-// (hijack=true) or plain leaks (false), sharing this sweep's pre-pass
-// snapshot: the leak-free propagation is independent of the Hijack flag, so
-// callers comparing leak and hijack exposure of one configuration pay for
-// the pre-pass once. The returned sweep owns fresh mutable buffers (like
-// Clone) when the flag differs, and is the receiver itself when it already
-// matches.
-func (sw *LeakSweep) WithHijack(hijack bool) *LeakSweep {
-	if sw.base.cfg.Hijack == hijack {
-		return sw
-	}
-	nb := *sw.base
-	nb.cfg.Hijack = hijack
-	return &LeakSweep{base: &nb, sim: getSim(nb.g)}
-}
 
 // runLeaker validates the leaker against the cached pre-pass, installs the
 // per-leaker loop-detection mask, and runs the leak propagation into the
@@ -234,12 +218,12 @@ func (sw *LeakSweep) TrialCtx(ctx context.Context, leaker astopo.ASN, weights []
 // weights may be nil. Cancellation stops the sweep between trials (and
 // mid-propagation within a trial).
 //
-// Batches of at least BatchLanes leakers route through the word-parallel
-// BatchLeak engine, BatchLanes leakers per propagation, with the 64-lane
-// blocks spread over the workers; smaller batches and BreakTies configs
-// (whose tie order is inherently per-lane, see BatchLeak) replay leakers
-// one at a time, one sweep clone per extra worker. Both paths produce
-// identical trials.
+// Every list routes through the word-parallel BatchLeak engine, BatchLanes
+// leakers per propagation, with the 64-lane blocks spread over the
+// workers: even one leaker costs less as a partial block than as a scalar
+// trial. Only BreakTies configs (whose tie order is inherently per-lane,
+// see BatchLeak) replay leakers one at a time, one sweep clone per extra
+// worker. Both paths produce identical trials.
 func (sw *LeakSweep) Trials(ctx context.Context, leakers []astopo.ASN, weights []float64) ([]LeakTrial, error) {
 	return sw.TrialsN(ctx, leakers, weights, 0)
 }
@@ -257,7 +241,7 @@ func (sw *LeakSweep) TrialsN(ctx context.Context, leakers []astopo.ASN, weights 
 	out := make([]LeakTrial, len(leakers))
 	b := sw.base
 	var err error
-	if !b.cfg.BreakTies && len(leakers) >= BatchLanes {
+	if !b.cfg.BreakTies {
 		nBlocks := (len(leakers) + BatchLanes - 1) / BatchLanes
 		workers = min(workers, nBlocks)
 		engines := make([]*BatchLeak, workers)

@@ -21,56 +21,46 @@ type HijackRow struct {
 	LockedHijackMean float64
 }
 
-// Hijack runs the comparison for every cloud.
+// Hijack runs the comparison for every cloud, memoized: the text and the
+// CSV of one -outdir pass read the same rows.
 func Hijack(env *Env) ([]HijackRow, error) {
+	return memoize(env, "hijack", func() ([]HijackRow, error) { return hijack(env) })
+}
+
+// hijack submits three jobs per cloud — leaks, hijacks, and hijacks under
+// Tier-1+Tier-2 peer locking, all against one leaker sample — as one
+// RunLeakJobs call.
+func hijack(env *Env) ([]HijackRow, error) {
 	in := env.In2020
-	var rows []HijackRow
-	for _, cloud := range Clouds() {
+	clouds := Clouds()
+	var jobs []bgpsim.LeakJob
+	for _, cloud := range clouds {
 		origin := in.Clouds[cloud]
 		leakers := bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig/2, int64(origin)+7)
-		row := HijackRow{Cloud: cloud}
-		run := func(sweep *bgpsim.LeakSweep) (mean, worst float64, err error) {
-			trials, err := sweep.Trials(context.Background(), leakers, nil)
-			if err != nil {
-				return 0, 0, err
-			}
-			for _, tr := range trials {
-				mean += tr.DetouredFrac
-				if tr.DetouredFrac > worst {
-					worst = tr.DetouredFrac
-				}
-			}
-			return mean / float64(len(trials)), worst, nil
+		locked := bgpsim.ScenarioConfig(in.Graph, origin, in.Tier1, in.Tier2, bgpsim.AnnounceAllLockT1T2)
+		locked.Hijack = true
+		for _, cfg := range []bgpsim.Config{{Origin: origin}, {Origin: origin, Hijack: true}, locked} {
+			jobs = append(jobs, bgpsim.LeakJob{Graph: in.Graph, Config: cfg, Leakers: leakers})
 		}
-		// The leak and hijack runs share one pre-pass snapshot (WithHijack);
-		// only the locked configuration changes the propagation and needs
-		// its own sweep.
-		sweep, err := bgpsim.NewLeakSweep(in.Graph, bgpsim.Config{Origin: origin})
-		if err != nil {
-			return nil, err
+	}
+	trials, err := bgpsim.RunLeakJobs(context.Background(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	meanWorst := func(trials []bgpsim.LeakTrial) (mean, worst float64) {
+		for _, tr := range trials {
+			mean += tr.DetouredFrac
+			worst = max(worst, tr.DetouredFrac)
 		}
-		if row.LeakMean, row.LeakWorst, err = run(sweep); err != nil {
-			return nil, err
-		}
-		hij := sweep.WithHijack(true)
-		row.HijackMean, row.HijackWorst, err = run(hij)
-		hij.Release()
-		sweep.Release()
-		if err != nil {
-			return nil, err
-		}
-		lockCfg := bgpsim.ScenarioConfig(in.Graph, origin, in.Tier1, in.Tier2, bgpsim.AnnounceAllLockT1T2)
-		lockCfg.Hijack = true
-		lockSweep, err := bgpsim.NewLeakSweep(in.Graph, lockCfg)
-		if err != nil {
-			return nil, err
-		}
-		row.LockedHijackMean, _, err = run(lockSweep)
-		lockSweep.Release()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+		return mean / float64(len(trials)), worst
+	}
+	rows := make([]HijackRow, len(clouds))
+	for i, cloud := range clouds {
+		r := &rows[i]
+		r.Cloud = cloud
+		r.LeakMean, r.LeakWorst = meanWorst(trials[3*i])
+		r.HijackMean, r.HijackWorst = meanWorst(trials[3*i+1])
+		r.LockedHijackMean, _ = meanWorst(trials[3*i+2])
 	}
 	return rows, nil
 }

@@ -42,27 +42,26 @@ type LeakFigure struct {
 // Grid exposes the CDF evaluation points.
 func (LeakFigure) Grid() []float64 { return cdfGrid }
 
+// panelJobs are one origin's leak jobs, one per bgpsim.LeakScenarios
+// entry, all replaying the same sampled leakers.
+func panelJobs(in *topogen.Internet, origin astopo.ASN, weights []float64) []bgpsim.LeakJob {
+	leakers := bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig, int64(origin))
+	var jobs []bgpsim.LeakJob
+	for _, scen := range bgpsim.LeakScenarios() {
+		jobs = append(jobs, bgpsim.LeakJob{
+			Graph:   in.Graph,
+			Config:  bgpsim.ScenarioConfig(in.Graph, origin, in.Tier1, in.Tier2, scen),
+			Leakers: leakers,
+			Weights: weights,
+		})
+	}
+	return jobs
+}
+
 // leakPanel replays the sampled leakers against every scenario for one
 // origin and returns the trials, one slice per bgpsim.LeakScenarios entry.
 func leakPanel(in *topogen.Internet, origin astopo.ASN, weights []float64) ([][]bgpsim.LeakTrial, error) {
-	leakers := bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig, int64(origin))
-	// One explicit LeakSweep per scenario: each configuration's leak-free
-	// pre-pass runs once, every trial replays against its snapshot, and the
-	// batch engines behind Trials are pooled across scenarios.
-	var panel [][]bgpsim.LeakTrial
-	for _, scen := range bgpsim.LeakScenarios() {
-		sweep, err := bgpsim.NewLeakSweep(in.Graph, bgpsim.ScenarioConfig(in.Graph, origin, in.Tier1, in.Tier2, scen))
-		if err != nil {
-			return nil, err
-		}
-		trials, err := sweep.Trials(context.Background(), leakers, weights)
-		sweep.Release()
-		if err != nil {
-			return nil, err
-		}
-		panel = append(panel, trials)
-	}
-	return panel, nil
+	return bgpsim.RunLeakJobs(context.Background(), panelJobs(in, origin, weights))
 }
 
 // LeakPanel is the 2020 leak panel for one origin, simulated once with the
@@ -80,11 +79,7 @@ func (e *Env) LeakPanel(origin astopo.ASN) ([][]bgpsim.LeakTrial, error) {
 }
 
 // leakFigure projects one origin's panel onto AS counts or user population.
-func leakFigure(env *Env, originName string, origin astopo.ASN, weighted bool) (*LeakFigure, error) {
-	panel, err := env.LeakPanel(origin)
-	if err != nil {
-		return nil, err
-	}
+func leakFigure(env *Env, originName string, origin astopo.ASN, panel [][]bgpsim.LeakTrial, weighted bool) (*LeakFigure, error) {
 	asFrac, userFrac, err := env.AvgResilience(2020)
 	if err != nil {
 		return nil, err
@@ -108,8 +103,26 @@ func leakFigure(env *Env, originName string, origin astopo.ASN, weighted bool) (
 	return fig, nil
 }
 
-// Fig7 runs the leak panels for Microsoft, Amazon, IBM, and Facebook.
+// googleFigure is Google's panel read by AS count (Fig. 8) or by user
+// population (Fig. 9).
+func googleFigure(env *Env, weighted bool) (*LeakFigure, error) {
+	google := env.In2020.Clouds["Google"]
+	panel, err := env.LeakPanel(google)
+	if err != nil {
+		return nil, err
+	}
+	return leakFigure(env, "Google", google, panel, weighted)
+}
+
+// Fig7 runs the leak panels for Microsoft, Amazon, IBM, and Facebook,
+// memoized: the text and the CSV of one -outdir pass read the same figures.
 func Fig7(env *Env) ([]*LeakFigure, error) {
+	return memoize(env, "fig7", func() ([]*LeakFigure, error) { return fig7(env) })
+}
+
+// fig7 runs the four origins' five scenarios as one unweighted 20-job
+// RunLeakJobs call: the figure reads AS counts only.
+func fig7(env *Env) ([]*LeakFigure, error) {
 	in := env.In2020
 	panels := []struct {
 		name string
@@ -120,9 +133,18 @@ func Fig7(env *Env) ([]*LeakFigure, error) {
 		{"IBM", in.Clouds["IBM"]},
 		{"Facebook", in.Hypergiants["Facebook"]},
 	}
-	var out []*LeakFigure
+	var jobs []bgpsim.LeakJob
 	for _, p := range panels {
-		fig, err := leakFigure(env, p.name, p.asn, false)
+		jobs = append(jobs, panelJobs(in, p.asn, nil)...)
+	}
+	trials, err := bgpsim.RunLeakJobs(context.Background(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	nScen := len(bgpsim.LeakScenarios())
+	var out []*LeakFigure
+	for i, p := range panels {
+		fig, err := leakFigure(env, p.name, p.asn, trials[i*nScen:(i+1)*nScen], false)
 		if err != nil {
 			return nil, err
 		}
@@ -132,14 +154,10 @@ func Fig7(env *Env) ([]*LeakFigure, error) {
 }
 
 // Fig8 runs the Google panel.
-func Fig8(env *Env) (*LeakFigure, error) {
-	return leakFigure(env, "Google", env.In2020.Clouds["Google"], false)
-}
+func Fig8(env *Env) (*LeakFigure, error) { return googleFigure(env, false) }
 
 // Fig9 runs the user-population-weighted Google panel.
-func Fig9(env *Env) (*LeakFigure, error) {
-	return leakFigure(env, "Google", env.In2020.Clouds["Google"], true)
-}
+func Fig9(env *Env) (*LeakFigure, error) { return googleFigure(env, true) }
 
 // Fig10Result compares Google's announce-to-all resilience across years.
 type Fig10Result struct {
@@ -153,33 +171,32 @@ func Fig10(env *Env) (*Fig10Result, error) {
 	return memoize(env, "fig10", func() (*Fig10Result, error) { return fig10(env) })
 }
 
+// fig10 runs both years' announce-to-all trials as one two-job RunLeakJobs
+// call, a job per world.
 func fig10(env *Env) (*Fig10Result, error) {
-	run := func(in *topogen.Internet) ([]float64, float64, error) {
+	var jobs []bgpsim.LeakJob
+	for _, in := range []*topogen.Internet{env.In2015, env.In2020} {
 		origin := in.Clouds["Google"]
-		leakers := bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig, 77)
-		sweep, err := bgpsim.NewLeakSweep(in.Graph, bgpsim.Config{Origin: origin})
-		if err != nil {
-			return nil, 0, err
-		}
-		trials, err := sweep.Trials(context.Background(), leakers, nil)
-		sweep.Release()
-		if err != nil {
-			return nil, 0, err
-		}
+		jobs = append(jobs, bgpsim.LeakJob{
+			Graph:   in.Graph,
+			Config:  bgpsim.Config{Origin: origin},
+			Leakers: bgpsim.SampleLeakers(in.Graph, origin, leakTrialsPerConfig, 77),
+		})
+	}
+	trials, err := bgpsim.RunLeakJobs(context.Background(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	curve := func(trials []bgpsim.LeakTrial) ([]float64, float64) {
 		var mean float64
 		for _, tr := range trials {
 			mean += tr.DetouredFrac
 		}
-		return bgpsim.CDF(trials, cdfGrid, false), mean / float64(len(trials)), nil
+		return bgpsim.CDF(trials, cdfGrid, false), mean / float64(len(trials))
 	}
 	res := &Fig10Result{Grid: cdfGrid}
-	var err error
-	if res.CDF2015, res.Mean2015, err = run(env.In2015); err != nil {
-		return nil, err
-	}
-	if res.CDF2020, res.Mean2020, err = run(env.In2020); err != nil {
-		return nil, err
-	}
+	res.CDF2015, res.Mean2015 = curve(trials[0])
+	res.CDF2020, res.Mean2020 = curve(trials[1])
 	return res, nil
 }
 

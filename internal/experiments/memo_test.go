@@ -96,7 +96,7 @@ func TestMemoizedMatchesFresh(t *testing.T) {
 // exactly once.
 func TestDerivedResultsBuiltOnce(t *testing.T) {
 	env := getEnv(t).Fresh()
-	for _, id := range []string{"fig2", "table1", "fig3", "fig7", "fig8", "fig9", "fig10"} {
+	for _, id := range []string{"fig2", "table1", "fig3", "fig7", "fig8", "fig9", "fig10", "hijack"} {
 		r, _ := ByID(id)
 		render(t, env, r)
 		if _, err := Tables(env, id); err != nil {
@@ -109,8 +109,10 @@ func TestDerivedResultsBuiltOnce(t *testing.T) {
 		"sweep/2020/":                       1, // was 2, plus Fig. 2's per-row propagations
 		"sweep/2015/":                       1,
 		fmt.Sprintf("leakpanel/%d", google): 1, // was 2: Fig. 8 and Fig. 9
-		"leakpanel/":                        5, // Fig. 7's four origins and Google
+		"leakpanel/":                        1, // Google's alone: Fig. 7 runs its own jobs
+		"fig7":                              1, // was 2: text and CSV
 		"fig10":                             1,
+		"hijack":                            1, // was 2: text and CSV
 		"weights/2020":                      1, // was 6: once per panel and once for the baseline
 	} {
 		if got := env.builds(prefix); got != want {

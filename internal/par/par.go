@@ -1,5 +1,7 @@
 // Package par provides the minimal parallel-for primitive behind the
-// whole-Internet sweeps (ReachabilityAll, RunLeakTrials, AverageResilience).
+// whole-Internet sweeps: ReachabilityAll's origin blocks, and the leak
+// driver bgpsim.RunLeakJobs, whose items are either whole leak jobs (one
+// per worker at a time) or one job's 64-leaker blocks (LeakSweep.TrialsN).
 //
 // Work items are claimed through an atomic cursor rather than fed over a
 // channel. The feeder-channel shape has a latent deadlock: when every

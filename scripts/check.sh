@@ -58,7 +58,7 @@ echo "==> cluster wire decoder fuzz (5s)"
 go test -run '^$' -fuzz 'FuzzWireDecode' -fuzztime 5s ./internal/cluster/
 
 echo "==> benchmark smoke (1 iteration)"
-go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkPropagateNoAlloc|BenchmarkPropagationWithNextHops|BenchmarkPropagationSingleOrigin|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkTimelineSeries|BenchmarkWireCounts' \
+go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkLeakTrialsSmall|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkPropagateNoAlloc|BenchmarkPropagationWithNextHops|BenchmarkPropagationSingleOrigin|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkEnvColdStart$|BenchmarkSnapshotLoad|BenchmarkTimelineSeries|BenchmarkWireCounts' \
     -benchtime 1x -benchmem -run '^$' .
 
 echo "==> snapshot build/load smoke"
