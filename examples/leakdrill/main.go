@@ -42,12 +42,12 @@ func main() {
 	// also where peer locking can be deployed for your prefixes)...
 	added := 0
 	for _, a := range in.Tier1.Slice()[:4] {
-		if g.AddPeerIfAbsent(you, a) {
+		if g.AddLinkIfAbsent(you, a, astopo.P2P) {
 			added++
 		}
 	}
 	for _, a := range t2[len(t2)-4:] {
-		if g.AddPeerIfAbsent(you, a) {
+		if g.AddLinkIfAbsent(you, a, astopo.P2P) {
 			added++
 		}
 	}
@@ -58,7 +58,7 @@ func main() {
 		}
 		switch in.ClassOf(a) {
 		case topogen.ClassTransit, topogen.ClassAccess:
-			if g.AddPeerIfAbsent(you, a) {
+			if g.AddLinkIfAbsent(you, a, astopo.P2P) {
 				added++
 			}
 		}

@@ -67,7 +67,7 @@ func main() {
 				continue
 			}
 			trial := current.Clone()
-			trial.AddPeerIfAbsent(origin, c.asn)
+			trial.AddLinkIfAbsent(origin, c.asn, astopo.P2P)
 			gain := hierarchyFree(in, trial, origin) - baseline
 			if gain > bestGain {
 				bestGain, bestIdx = gain, i
@@ -79,7 +79,7 @@ func main() {
 		}
 		chosen := pool[bestIdx]
 		current = current.Clone()
-		current.AddPeerIfAbsent(origin, chosen.asn)
+		current.AddLinkIfAbsent(origin, chosen.asn, astopo.P2P)
 		baseline += bestGain
 		pool[bestIdx].asn = 0 // consumed
 		fmt.Printf("round %d: peer with %-10s (cone %4d)  -> +%d ASes (now %d)\n",

@@ -57,7 +57,7 @@ type Link struct {
 // Graph is an AS-level topology. The zero value is an empty graph ready to
 // use. Graphs are cheap to query but are built incrementally; call Freeze
 // (or any query that requires indexes) after the last mutation to build the
-// adjacency indexes.
+// adjacency rows, from which HasLink also answers.
 //
 // The frozen adjacency state is held in flat arrays (sorted node list,
 // offset-based CSR rows over one shared arena) with no pointer-shaped
@@ -84,8 +84,9 @@ type Graph struct {
 	// 1 bit per AS so the test stays in cache (see HasCustomers).
 	hasCust []uint64
 
-	linkSet map[[2]ASN]Rel  // canonical (min,max) -> rel as stored
-	linkDir map[[2]ASN]bool // canonical pair -> true if stored order was (min,max)
+	// pairs keys every link while the graph is built, for AddLink's
+	// duplicate check; Freeze drops it and the next add rebuilds it.
+	pairs map[uint64]struct{}
 }
 
 // NewGraph returns an empty graph with capacity hints for n ASes and m links.
@@ -95,11 +96,10 @@ func NewGraph(n, m int) *Graph {
 
 // FromLinks returns a graph over a pre-validated link slice, taking
 // ownership of it (the caller must not mutate it while the graph is in
-// use). Construction is O(1): the duplicate-detection pair index is built
-// lazily on the first mutation or HasLink query, so derived graphs that
-// are only frozen and propagated over (e.g. topogen's delta apply) never
-// pay for it. Links must be valid and unique as if
-// added through AddLink.
+// use). Construction is O(1): no pair set is built unless the graph is
+// mutated, so derived graphs that are only frozen and queried (e.g.
+// topogen's delta apply) never pay for one. Links must be valid and
+// unique as if added through AddLink.
 func FromLinks(links []Link) *Graph {
 	return &Graph{links: links}
 }
@@ -191,22 +191,6 @@ func (g *Graph) materializeLinks() {
 	}
 }
 
-// pairIndex returns the duplicate-detection maps, building them from the
-// existing links on first use.
-func (g *Graph) pairIndex() (map[[2]ASN]Rel, map[[2]ASN]bool) {
-	if g.linkSet == nil {
-		g.materializeLinks()
-		g.linkSet = make(map[[2]ASN]Rel, len(g.links))
-		g.linkDir = make(map[[2]ASN]bool, len(g.links))
-		for _, l := range g.links {
-			key := canonPair(l.A, l.B)
-			g.linkSet[key] = l.Rel
-			g.linkDir[key] = key[0] == l.A
-		}
-	}
-	return g.linkSet, g.linkDir
-}
-
 // AddLink records a link. Duplicate pairs are rejected; a pair may appear
 // only once regardless of direction. Self-links are rejected.
 func (g *Graph) AddLink(a, b ASN, rel Rel) error {
@@ -216,17 +200,9 @@ func (g *Graph) AddLink(a, b ASN, rel Rel) error {
 	if rel != P2P && rel != P2C {
 		return fmt.Errorf("astopo: invalid relationship %d for AS%d-AS%d", rel, a, b)
 	}
-	linkSet, linkDir := g.pairIndex()
-	key := canonPair(a, b)
-	if _, dup := linkSet[key]; dup {
+	if !g.AddLinkIfAbsent(a, b, rel) {
 		return fmt.Errorf("astopo: duplicate link AS%d-AS%d", a, b)
 	}
-	linkSet[key] = rel
-	linkDir[key] = key[0] == a
-	g.materializeLinks()
-	g.links = append(g.links, Link{A: a, B: b, Rel: rel})
-	g.rawA, g.rawB, g.rawRel = nil, nil, nil
-	g.frozen = false
 	return nil
 }
 
@@ -238,53 +214,84 @@ func (g *Graph) MustAddLink(a, b ASN, rel Rel) {
 	}
 }
 
-// AddPeerIfAbsent adds a p2p link between a and b unless any link between
-// them already exists. It reports whether a link was added. This is the
-// operation used to augment a BGP-feed topology with traceroute-discovered
-// cloud neighbors: per §4.1 of the paper, a pre-existing link's type is
-// never modified.
-func (g *Graph) AddPeerIfAbsent(a, b ASN) bool {
+// AddLinkIfAbsent adds a link with relationship rel (P2C or P2P) unless
+// a == b or any link between a and b already exists, and reports whether
+// it added one. A pre-existing link's type is never modified, as §4.1 of
+// the paper requires when traceroute-discovered cloud neighbors augment a
+// BGP-feed topology.
+func (g *Graph) AddLinkIfAbsent(a, b ASN, rel Rel) bool {
 	if a == b {
 		return false
 	}
-	linkSet, _ := g.pairIndex()
-	if _, ok := linkSet[canonPair(a, b)]; ok {
+	if rel != P2P && rel != P2C {
+		panic(fmt.Sprintf("astopo: invalid relationship %d for AS%d-AS%d", rel, a, b))
+	}
+	if g.frozen {
+		// Answer from the rows, so a rejected add leaves no set behind.
+		if _, ok := g.HasLink(a, b); ok {
+			return false
+		}
+	}
+	if g.pairs == nil {
+		g.materializeLinks()
+		g.pairs = make(map[uint64]struct{}, cap(g.links))
+		for _, l := range g.links {
+			g.pairs[PairKey(l.A, l.B)] = struct{}{}
+		}
+	}
+	key := PairKey(a, b)
+	if _, dup := g.pairs[key]; dup {
 		return false
 	}
-	g.MustAddLink(a, b, P2P)
+	g.pairs[key] = struct{}{}
+	g.links = append(g.links, Link{A: a, B: b, Rel: rel})
+	g.rawA, g.rawB, g.rawRel = nil, nil, nil
+	g.frozen = false
 	return true
+}
+
+// PairKey is the direction-free key of the pair {a, b}.
+func PairKey(a, b ASN) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
 }
 
 // HasLink reports whether any link exists between a and b, and its
 // relationship from a's perspective: P2C means a is b's provider, C2P means
-// a is b's customer, P2P means they peer.
+// a is b's customer, P2P means they peer. It freezes the graph and scans
+// the rows of the endpoint with fewer neighbors; construction code that
+// skips existing pairs calls AddLinkIfAbsent instead.
 func (g *Graph) HasLink(a, b ASN) (Rel, bool) {
-	if g.NumLinks() == 0 {
+	i, okA := g.Index(a)
+	j, okB := g.Index(b)
+	if !okA || !okB {
 		return 0, false
 	}
-	linkSet, linkDir := g.pairIndex()
-	key := canonPair(a, b)
-	rel, ok := linkSet[key]
-	if !ok {
+	flip := g.degreeAt(j) < g.degreeAt(i)
+	if flip {
+		i, j = j, i
+	}
+	var rel Rel
+	switch n := int32(j); {
+	case slices.Contains(g.CustomersOf(i), n):
+		rel = P2C
+	case slices.Contains(g.ProvidersOf(i), n):
+		rel = C2P
+	case slices.Contains(g.PeersOf(i), n):
+		rel = P2P
+	default:
 		return 0, false
 	}
-	if rel == P2P {
-		return P2P, true
+	if flip {
+		rel = -rel // the rows scanned were b's: P2C and C2P swap
 	}
-	// linkDir true means the stored (provider-first) order was
-	// (key[0], key[1]), so key[0] is the provider.
-	provider := key[1]
-	if linkDir[key] {
-		provider = key[0]
-	}
-	if provider == a {
-		return P2C, true
-	}
-	return C2P, true
+	return rel, true
 }
 
-// Clone returns a deep copy of the graph. The copy is unfrozen; its pair
-// index is rebuilt lazily from the copied links when first needed.
+// Clone returns a deep copy of the graph. The copy is unfrozen; its first
+// mutation builds its pair set from the copied links.
 func (g *Graph) Clone() *Graph {
 	ng := NewGraph(len(g.nodes), g.NumLinks())
 	ng.links = append(ng.links, g.Links()...)
@@ -404,6 +411,7 @@ func (g *Graph) freeze() {
 	}
 	g.hasCust = customerBits(g.custOff)
 	g.frozen = true
+	g.pairs = nil
 }
 
 // NumASes returns the number of ASes appearing in at least one link.
@@ -496,6 +504,10 @@ func (g *Graph) Degree(a ASN) int {
 	if !ok {
 		return 0
 	}
+	return g.degreeAt(i)
+}
+
+func (g *Graph) degreeAt(i int) int {
 	return len(g.ProvidersOf(i)) + len(g.CustomersOf(i)) + len(g.PeersOf(i))
 }
 
@@ -507,11 +519,4 @@ func (g *Graph) TransitDegree(a ASN) int {
 		return 0
 	}
 	return len(g.ProvidersOf(i)) + len(g.CustomersOf(i))
-}
-
-func canonPair(a, b ASN) [2]ASN {
-	if a < b {
-		return [2]ASN{a, b}
-	}
-	return [2]ASN{b, a}
 }

@@ -136,22 +136,45 @@ func TestHasCustomers(t *testing.T) {
 	check("mutated view", view, want)
 }
 
-func TestAddPeerIfAbsent(t *testing.T) {
+// AddLinkIfAbsent adds a P2C or P2P link only to an unlinked pair, in
+// either orientation, and never changes an existing link's type.
+func TestAddLinkIfAbsent(t *testing.T) {
 	g := buildTestGraph(t)
-	if g.AddPeerIfAbsent(1, 11) {
-		t.Error("AddPeerIfAbsent overwrote an existing p2c link")
+	for _, c := range []struct {
+		a, b ASN
+		rel  Rel
+	}{
+		{1, 11, P2P}, {11, 1, P2P}, {1, 11, P2C}, {11, 1, P2C}, // stored 1->11 p2c
+		{1, 2, P2C}, {2, 1, P2C}, {2, 1, P2P}, // stored 1-2 p2p
+	} {
+		if g.AddLinkIfAbsent(c.a, c.b, c.rel) {
+			t.Errorf("AddLinkIfAbsent(%d, %d, %v) added over an existing link", c.a, c.b, c.rel)
+		}
 	}
 	if rel, _ := g.HasLink(1, 11); rel != P2C {
-		t.Errorf("existing link mutated to %v", rel)
+		t.Errorf("existing p2c link became %v", rel)
 	}
-	if !g.AddPeerIfAbsent(101, 103) {
-		t.Error("AddPeerIfAbsent failed to add a new link")
+	if rel, _ := g.HasLink(2, 1); rel != P2P {
+		t.Errorf("existing p2p link became %v", rel)
 	}
-	if rel, ok := g.HasLink(101, 103); !ok || rel != P2P {
+	n := g.NumLinks()
+	if !g.AddLinkIfAbsent(101, 103, P2P) || !g.AddLinkIfAbsent(202, 102, P2C) {
+		t.Fatal("AddLinkIfAbsent refused a new link")
+	}
+	if g.AddLinkIfAbsent(103, 101, P2C) || g.AddLinkIfAbsent(102, 202, P2P) {
+		t.Error("AddLinkIfAbsent accepted a new link again in reversed order")
+	}
+	if g.AddLinkIfAbsent(7, 7, P2P) || g.AddLinkIfAbsent(7, 7, P2C) {
+		t.Error("self link accepted")
+	}
+	if rel, ok := g.HasLink(103, 101); !ok || rel != P2P {
 		t.Errorf("new peer link = %v,%v", rel, ok)
 	}
-	if g.AddPeerIfAbsent(7, 7) {
-		t.Error("self peer accepted")
+	if rel, ok := g.HasLink(102, 202); !ok || rel != C2P {
+		t.Errorf("new customer link seen from the customer = %v,%v", rel, ok)
+	}
+	if got := g.NumLinks(); got != n+2 {
+		t.Errorf("NumLinks = %d, want %d", got, n+2)
 	}
 }
 
@@ -223,7 +246,7 @@ func TestCloneIndependence(t *testing.T) {
 	g := buildTestGraph(t)
 	n := g.NumLinks()
 	c := g.Clone()
-	if !c.AddPeerIfAbsent(102, 103) {
+	if !c.AddLinkIfAbsent(102, 103, P2P) {
 		t.Fatal("clone refused new link")
 	}
 	if g.NumLinks() != n {

@@ -145,16 +145,14 @@ func randomTopology(rng *rand.Rand) *astopo.Graph {
 		nprov := 1 + rng.Intn(2)
 		for k := 0; k < nprov; k++ {
 			p := rng.Intn(i)
-			if _, ok := g.HasLink(asn(p), asn(i)); !ok {
-				g.MustAddLink(asn(p), asn(i), astopo.P2C)
-			}
+			g.AddLinkIfAbsent(asn(p), asn(i), astopo.P2C)
 		}
 	}
 	// random extra peer links
 	for k := 0; k < n; k++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a != b {
-			g.AddPeerIfAbsent(asn(a), asn(b))
+			g.AddLinkIfAbsent(asn(a), asn(b), astopo.P2P)
 		}
 	}
 	return g

@@ -30,15 +30,13 @@ func randomTieredDataset(rng *rand.Rand, n int) Dataset {
 		nprov := 1 + rng.Intn(2)
 		for k := 0; k < nprov; k++ {
 			p := rng.Intn(i)
-			if _, ok := g.HasLink(asn(p), asn(i)); !ok {
-				g.MustAddLink(asn(p), asn(i), astopo.P2C)
-			}
+			g.AddLinkIfAbsent(asn(p), asn(i), astopo.P2C)
 		}
 	}
 	for k := 0; k < n; k++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a != b {
-			g.AddPeerIfAbsent(asn(a), asn(b))
+			g.AddLinkIfAbsent(asn(a), asn(b), astopo.P2P)
 		}
 	}
 	tier1 := make(astopo.ASSet)

@@ -2,6 +2,7 @@ package ipasn
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -144,19 +145,27 @@ func TestWhoisCoversAllocationsNotLans(t *testing.T) {
 func TestChainOrderingMatters(t *testing.T) {
 	f := newFixture(t)
 	lan := f.lanByAnnounced(t, true)
-	var member astopo.ASN
-	var addr netip.Addr
-	for m, a := range lan.MemberAddr {
-		member, addr = m, a
-		break
-	}
 	cymruFirst := NewChain("cymru-first", f.cymru, f.pdb, f.whois)
 	pdbFirst := NewChain("pdb-first", f.pdb, f.cymru, f.whois)
-	if got, _ := cymruFirst.Resolve(addr); got != lan.OperatorASN {
-		t.Errorf("cymru-first chain = AS%d, want operator AS%d", got, lan.OperatorASN)
+	members := make([]astopo.ASN, 0, len(lan.MemberAddr))
+	for m := range lan.MemberAddr {
+		members = append(members, m)
 	}
-	if got, _ := pdbFirst.Resolve(addr); got != member {
-		t.Errorf("pdb-first chain = AS%d, want member AS%d", got, member)
+	slices.Sort(members)
+	for _, member := range members {
+		addr := lan.MemberAddr[member]
+		if got, _ := cymruFirst.Resolve(addr); got != lan.OperatorASN {
+			t.Errorf("cymru-first chain(%v) = AS%d, want operator AS%d", addr, got, lan.OperatorASN)
+		}
+		// PeeringDB answers first: a deliberately stale row wins over the
+		// member that really holds the address.
+		want := member
+		if stale, ok := lan.StaleEntries[addr]; ok {
+			want = stale
+		}
+		if got, _ := pdbFirst.Resolve(addr); got != want {
+			t.Errorf("pdb-first chain(%v) = AS%d, want AS%d", addr, got, want)
+		}
 	}
 	if cymruFirst.Name() != "cymru-first" {
 		t.Error("chain name lost")

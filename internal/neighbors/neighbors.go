@@ -199,7 +199,7 @@ func Validate(inferred astopo.ASSet, truth []astopo.ASN) Validation {
 func Augment(g *astopo.Graph, cloud astopo.ASN, inferred astopo.ASSet) int {
 	added := 0
 	for a := range inferred {
-		if g.AddPeerIfAbsent(cloud, a) {
+		if g.AddLinkIfAbsent(cloud, a, astopo.P2P) {
 			added++
 		}
 	}

@@ -341,8 +341,7 @@ func (b *builder) wireNamedProviders() {
 	for _, group := range groups {
 		for _, p := range group {
 			for _, prov := range b.pickProviders(p) {
-				if _, exists := b.in.Graph.HasLink(prov, p.ASN); !exists {
-					b.in.Graph.MustAddLink(prov, p.ASN, astopo.P2C)
+				if b.in.Graph.AddLinkIfAbsent(prov, p.ASN, astopo.P2C) {
 					b.custCount[prov]++
 				}
 			}
@@ -370,10 +369,9 @@ func (b *builder) wireTransitProviders() {
 				continue
 			}
 			used[prov] = true
-			if _, exists := b.in.Graph.HasLink(prov, a); exists {
+			if !b.in.Graph.AddLinkIfAbsent(prov, a, astopo.P2C) {
 				continue // already related (e.g. a named profile chose this transit as its provider)
 			}
-			b.in.Graph.MustAddLink(prov, a, astopo.P2C)
 			b.custCount[prov]++
 			// Preferential attachment: providers that win customers
 			// become likelier to win more.
@@ -411,10 +409,9 @@ func (b *builder) wireEdgeProviders() {
 				continue
 			}
 			used[prov] = true
-			if _, exists := in.Graph.HasLink(prov, a); exists {
+			if !in.Graph.AddLinkIfAbsent(prov, a, astopo.P2C) {
 				continue
 			}
-			in.Graph.MustAddLink(prov, a, astopo.P2C)
 			b.custCount[prov]++
 			if b.class[prov] == ClassTransit {
 				pc := geo.Cities()[b.home[prov]].Continent

@@ -100,7 +100,7 @@ func (b *builder) buildIXPs() {
 	}
 	for k := range b.in.IXPs {
 		b.meshMembers(b.in.IXPs[k].Members, product, func(x, y astopo.ASN) {
-			b.in.Graph.AddPeerIfAbsent(x, y)
+			b.in.Graph.AddLinkIfAbsent(x, y, astopo.P2P)
 		})
 	}
 }
@@ -220,12 +220,12 @@ func (b *builder) wireNamedPeering() {
 		g := b.in.Graph
 		for _, t := range b.spec.Tier1 {
 			if t.ASN != p.ASN && b.rng.Float64() < p.PeerTier1 {
-				g.AddPeerIfAbsent(p.ASN, t.ASN)
+				g.AddLinkIfAbsent(p.ASN, t.ASN, astopo.P2P)
 			}
 		}
 		for _, t := range b.spec.Tier2 {
 			if t.ASN != p.ASN && b.rng.Float64() < p.PeerTier2 {
-				g.AddPeerIfAbsent(p.ASN, t.ASN)
+				g.AddLinkIfAbsent(p.ASN, t.ASN, astopo.P2P)
 			}
 		}
 		for pos, a := range ranked {
@@ -237,17 +237,17 @@ func (b *builder) wireNamedPeering() {
 				prob = 1
 			}
 			if b.rng.Float64() < prob {
-				g.AddPeerIfAbsent(p.ASN, a)
+				g.AddLinkIfAbsent(p.ASN, a, astopo.P2P)
 			}
 		}
 		// Edge peerings are a constant Bernoulli per AS, so skip-sample
 		// the accepted indexes instead of drawing once per edge AS.
 		b.rowSample(len(b.access), p.PeerAccess, func(i int) {
-			g.AddPeerIfAbsent(p.ASN, b.access[i])
+			g.AddLinkIfAbsent(p.ASN, b.access[i], astopo.P2P)
 		})
 		b.rowSample(len(b.content), p.PeerContent, func(i int) {
 			if a := b.content[i]; a != p.ASN {
-				g.AddPeerIfAbsent(p.ASN, a)
+				g.AddLinkIfAbsent(p.ASN, a, astopo.P2P)
 			}
 		})
 	}

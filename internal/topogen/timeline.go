@@ -203,13 +203,6 @@ func specYear(sp Spec) (int, error) {
 	return y, nil
 }
 
-func pairKey(a, b astopo.ASN) [2]astopo.ASN {
-	if b < a {
-		a, b = b, a
-	}
-	return [2]astopo.ASN{a, b}
-}
-
 // classJoin returns the IXP membership behaviour of a synthetic class:
 // how many home-continent exchanges it joins at most, and the probability
 // of joining each candidate (the same constants buildIXPs uses).
@@ -247,8 +240,8 @@ type evolver struct {
 	spec     Spec
 	d        *GrowthDelta
 
-	pending map[[2]astopo.ASN]bool // links added this step
-	removed map[[2]astopo.ASN]bool // links churned away this step
+	pending map[uint64]bool // links added this step
+	removed map[uint64]bool // links churned away this step
 
 	// class boundaries: indices below these counts in the builder's class
 	// lists are ASes that already existed in the base world.
@@ -284,8 +277,8 @@ func EvolveStep(prev *Internet, year int, scale float64) (*GrowthDelta, error) {
 		prevSpec: prev.Spec,
 		spec:     spec,
 		d:        &GrowthDelta{FromYear: fromYear, ToYear: year, Scale: scale},
-		pending:  make(map[[2]astopo.ASN]bool),
-		removed:  make(map[[2]astopo.ASN]bool),
+		pending:  make(map[uint64]bool),
+		removed:  make(map[uint64]bool),
 	}
 	e.b = &builder{spec: spec, rng: rand.New(rand.NewSource(SeedForYear(year)))}
 	e.b.placeCities()
@@ -375,7 +368,7 @@ func (e *evolver) rebuildState() {
 // world so far: present in the base world (and not churned away) or added
 // earlier in this step.
 func (e *evolver) linked(x, y astopo.ASN) bool {
-	k := pairKey(x, y)
+	k := astopo.PairKey(x, y)
 	if e.pending[k] {
 		return true
 	}
@@ -390,7 +383,7 @@ func (e *evolver) addPeer(x, y astopo.ASN) {
 	if x == y || e.linked(x, y) {
 		return
 	}
-	e.pending[pairKey(x, y)] = true
+	e.pending[astopo.PairKey(x, y)] = true
 	e.d.AddedLinks = append(e.d.AddedLinks, astopo.Link{A: x, B: y, Rel: astopo.P2P})
 }
 
@@ -398,7 +391,7 @@ func (e *evolver) addProvider(prov, cust astopo.ASN) bool {
 	if prov == cust || e.linked(prov, cust) {
 		return false
 	}
-	e.pending[pairKey(prov, cust)] = true
+	e.pending[astopo.PairKey(prov, cust)] = true
 	e.d.AddedLinks = append(e.d.AddedLinks, astopo.Link{A: prov, B: cust, Rel: astopo.P2C})
 	e.b.custCount[prov]++
 	return true
@@ -416,7 +409,7 @@ func (e *evolver) churnLinks() {
 	}
 	e.b.rowSample(len(cands), timelineChurn, func(i int) {
 		l := cands[i]
-		e.removed[pairKey(l.A, l.B)] = true
+		e.removed[astopo.PairKey(l.A, l.B)] = true
 		e.d.RemovedLinks = append(e.d.RemovedLinks, l)
 	})
 }
@@ -837,35 +830,37 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 		return nil, err
 	}
 
-	removed := make(map[astopo.Link]bool, len(d.RemovedLinks))
+	// Removals are keyed by pair so that additions can see which pairs go.
+	removed := make(map[uint64]astopo.Link, len(d.RemovedLinks))
 	for _, l := range d.RemovedLinks {
-		removed[l] = true
+		removed[astopo.PairKey(l.A, l.B)] = l
 	}
 	if len(removed) != len(d.RemovedLinks) {
 		return nil, fmt.Errorf("topogen: delta %d->%d lists a removed link twice", d.FromYear, d.ToYear)
 	}
 	prevLinks := prev.Graph.Links()
 	links := make([]astopo.Link, 0, len(prevLinks)-len(d.RemovedLinks)+len(d.AddedLinks))
-	have := make(map[[2]astopo.ASN]bool, len(prevLinks)+len(d.AddedLinks))
 	dropped := 0
 	for _, l := range prevLinks {
-		if removed[l] {
+		if r, ok := removed[astopo.PairKey(l.A, l.B)]; ok && r == l {
 			dropped++
 			continue
 		}
 		links = append(links, l)
-		have[pairKey(l.A, l.B)] = true
 	}
 	if dropped != len(d.RemovedLinks) {
 		return nil, fmt.Errorf("topogen: delta %d->%d removes %d links but only %d matched the base world",
 			d.FromYear, d.ToYear, len(d.RemovedLinks), dropped)
 	}
+	// An addition repeats a pair the delta already added or the base keeps.
+	added := make(map[uint64]bool, len(d.AddedLinks))
 	for _, l := range d.AddedLinks {
-		k := pairKey(l.A, l.B)
-		if have[k] {
+		k := astopo.PairKey(l.A, l.B)
+		_, inBase := prev.Graph.HasLink(l.A, l.B)
+		if _, gone := removed[k]; added[k] || inBase && !gone {
 			return nil, fmt.Errorf("topogen: delta %d->%d adds link %d-%d that already exists", d.FromYear, d.ToYear, l.A, l.B)
 		}
-		have[k] = true
+		added[k] = true
 		links = append(links, l)
 	}
 	g := astopo.FromLinks(links)

@@ -245,6 +245,40 @@ func TestApplyDeltaFailsClosed(t *testing.T) {
 			t.Fatal("want error for addition that already exists")
 		}
 	})
+	t.Run("reversed base link", func(t *testing.T) {
+		d := copyDelta()
+		for _, l := range base.Graph.Links() {
+			if l.Rel == astopo.P2C {
+				d.AddedLinks = append(d.AddedLinks, astopo.Link{A: l.B, B: l.A, Rel: l.Rel})
+				break
+			}
+		}
+		if _, err := topogen.ApplyDelta(base, d); err == nil {
+			t.Fatal("want error for a base link added in reversed orientation")
+		}
+	})
+	t.Run("pair added twice", func(t *testing.T) {
+		d := copyDelta()
+		d.AddedLinks = append(d.AddedLinks, good.AddedLinks[0])
+		if _, err := topogen.ApplyDelta(base, d); err == nil {
+			t.Fatal("want error for a pair listed twice in AddedLinks")
+		}
+	})
+	t.Run("removed pair re-added", func(t *testing.T) {
+		if len(good.RemovedLinks) == 0 {
+			t.Fatal("delta removes no link")
+		}
+		d := copyDelta()
+		r := good.RemovedLinks[0]
+		d.AddedLinks = append(d.AddedLinks, astopo.Link{A: r.B, B: r.A, Rel: astopo.P2C})
+		next, err := topogen.ApplyDelta(base, d)
+		if err != nil {
+			t.Fatalf("re-adding a pair the delta removes should apply: %v", err)
+		}
+		if rel, ok := next.Graph.HasLink(r.B, r.A); !ok || rel != astopo.P2C {
+			t.Fatalf("re-added pair AS%d-AS%d = %v,%v; want p2c", r.B, r.A, rel, ok)
+		}
+	})
 	t.Run("IXP index out of range", func(t *testing.T) {
 		d := copyDelta()
 		d.IXPJoins = append(d.IXPJoins, topogen.IXPJoin{IXP: int32(len(base.IXPs)), Member: 15169})
