@@ -173,7 +173,7 @@ func cmdRun(args []string) error {
 	scale := fs.Float64("scale", 0.04987, "topology scale (1.0 = the paper's 69,488 ASes)")
 	outdir := fs.String("outdir", "", "also write machine-readable CSV artifacts to this directory")
 	snap := fs.String("snapshot", "", "load the environment from a binary snapshot instead of generating (see 'flatnet snapshot build')")
-	verify := fs.Bool("verify", false, "with -snapshot: checksum every section, including the mmap-served hot arrays, before running")
+	verify := fs.Bool("verify", false, "with -snapshot: checksum every section, including the mmap-served hot arrays, and decode every plan, rDNS and traces section before running")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "experiments run concurrently; output stays in registry order")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -295,8 +295,9 @@ func cmdRun(args []string) error {
 
 // loadSnapshotEnv opens a snapshot on the zero-copy mmap path. The Reader
 // stays open for the life of the process: the environment borrows its
-// memory. verify forces a full checksum pass over every section, including
-// the hot arrays the mmap path otherwise only CRCs via this flag.
+// memory. verify runs Reader.Verify: a checksum pass over every section,
+// including the hot arrays the mmap path otherwise never CRCs, and a decode
+// of every plan, rDNS and traces section.
 func loadSnapshotEnv(path string, verify bool) (*experiments.Env, error) {
 	rd, err := snapshot.Open(path)
 	if err != nil {

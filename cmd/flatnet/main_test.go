@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"flatnet/internal/snapshot"
+	"flatnet/internal/topogen"
 )
 
 // runCLI drives the full CLI in-process and returns the exit code plus
@@ -112,6 +115,37 @@ func TestV1SnapshotExitsOne(t *testing.T) {
 		code, _, stderr := runCLI(args...)
 		if code != 1 || !strings.Contains(stderr, "version 1 is no longer read") {
 			t.Errorf("run(%q) = %d, stderr %q; want exit 1 with the version 1 error", args, code, stderr)
+		}
+	}
+}
+
+// A section table that fails its CRC is refused by `snapshot info`, with or
+// without -verify, instead of listed with the lengths the corrupt table
+// claims.
+func TestSnapshotInfoRefusesCorruptTable(t *testing.T) {
+	in, err := genPreset(0.01425, 2020)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "world.snap")
+	if err := snapshot.WriteFile(path, &snapshot.World{Scale: 0.01425, Internets: map[int]*topogen.Internet{2020: in}}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[24+16] ^= 0x5c // the first section's length, inside the CRC-guarded table
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"snapshot", "info", path},
+		{"snapshot", "info", "-verify", path},
+	} {
+		code, _, stderr := runCLI(args...)
+		if code != 1 || !strings.Contains(stderr, "header checksum mismatch") {
+			t.Errorf("run(%q) = %d, stderr %q; want exit 1 with the header checksum error", args, code, stderr)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -110,7 +109,7 @@ func cmdSnapshotBuild(args []string) error {
 
 func cmdSnapshotInfo(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("snapshot info", flag.ContinueOnError)
-	verify := fs.Bool("verify", false, "fully decode and checksum every section, including the mmap-served hot arrays")
+	verify := fs.Bool("verify", false, "checksum every section, including the mmap-served hot arrays, and decode every plan, rDNS and traces section")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -122,7 +121,7 @@ func cmdSnapshotInfo(args []string, stdout *os.File) error {
 	if err != nil {
 		return err
 	}
-	info, err := snapshot.ReadInfo(bytes.NewReader(raw))
+	info, err := snapshot.ReadInfo(raw)
 	if err != nil {
 		return err
 	}
@@ -148,13 +147,25 @@ func cmdSnapshotInfo(args []string, stdout *os.File) error {
 	}
 	if *verify {
 		if info.Delta != nil {
-			if _, err := snapshot.DecodeDelta(raw); err != nil {
-				return fmt.Errorf("snapshot info: verify: %w", err)
-			}
-		} else if _, err := snapshot.Decode(raw); err != nil {
+			_, err = snapshot.DecodeDelta(raw)
+		} else {
+			err = verifyWorldFile(path)
+		}
+		if err != nil {
 			return fmt.Errorf("snapshot info: verify: %w", err)
 		}
 		fmt.Fprintln(stdout, "verified: every section checksum OK")
 	}
 	return nil
+}
+
+// verifyWorldFile opens a world file as `run -snapshot` does and verifies
+// every section.
+func verifyWorldFile(path string) error {
+	rd, err := snapshot.Open(path)
+	if err != nil {
+		return err
+	}
+	defer rd.Close()
+	return rd.Verify()
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"flatnet/internal/bgpsim"
@@ -130,9 +131,12 @@ func TestTopRelianceAllocsIndependentOfScale(t *testing.T) {
 
 // allocsPerCall is testing.AllocsPerRun that also reports bytes: run warms
 // the pools and scratch first, then the heap counters are read around 50
-// calls on one P.
+// calls on one P. The collector is off from the warm-up on: a GC inside the
+// window would empty the sync.Pools and charge their refill to the calls.
 func allocsPerCall(run func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < 5; i++ {
 		run()
 	}

@@ -26,29 +26,28 @@ func TestSnapshotEnvMatchesFresh(t *testing.T) {
 	if err := snapshot.Write(&buf, fresh.World()); err != nil {
 		t.Fatal(err)
 	}
-	world, err := snapshot.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := NewEnvFromWorld(world)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Second loaded environment: the zero-copy Reader path over an actual
-	// file mapping, exactly as cmd/flatnet -snapshot serves it.
 	path := filepath.Join(t.TempDir(), "world.snap")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := snapshot.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	mapped, err := NewEnvFromSnapshot(rd)
-	if err != nil {
-		t.Fatal(err)
+	// Two loaded environments over the zero-copy Reader, exactly as
+	// cmd/flatnet -snapshot serves it: one decodes its cold sections on
+	// demand, the other after Verify has decoded them all up front.
+	envs := map[string]*Env{}
+	for _, name := range []string{"mmap", "verified"} {
+		rd, err := snapshot.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		if name == "verified" {
+			if err := rd.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if envs[name], err = NewEnvFromSnapshot(rd); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// table1 exercises both presets' metrics; fig7 exercises the leak
@@ -63,7 +62,7 @@ func TestSnapshotEnvMatchesFresh(t *testing.T) {
 		if err := r.Run(fresh, &want); err != nil {
 			t.Fatalf("%s on fresh env: %v", id, err)
 		}
-		for name, env := range map[string]*Env{"decoded": decoded, "mmap": mapped} {
+		for name, env := range envs {
 			var got bytes.Buffer
 			if err := r.Run(env, &got); err != nil {
 				t.Fatalf("%s on %s snapshot env: %v", id, name, err)

@@ -40,69 +40,38 @@ func (e *Env) World() *snapshot.World {
 	return w
 }
 
-// envOver assembles an Env over presets and population models that already
-// exist, checking that both years are there; only the metrics masks are
-// computed (cheap, O(n)).
-func envOver(scale float64, src *snapshot.Reader, internet func(year int) *topogen.Internet, pop func(year int) *population.Model) (*Env, error) {
+// NewEnvFromSnapshot wires an Env directly over an open snapshot Reader,
+// which must hold both years' topologies and population models. The
+// graphs, AS metadata, and population models are zero-copy views of the
+// Reader's (typically mmap'd) memory, so time-to-first-query is
+// O(page-in) rather than O(decode); only the metrics masks are computed
+// (cheap, O(n)). The pointer-shaped artifacts — address plans, rDNS
+// corpora, trace campaigns — stay encoded until an experiment demands
+// them, at which point they are decoded once from the snapshot instead of
+// being rebuilt. Artifacts the snapshot lacks are built lazily as usual.
+// Everything the Env hands out borrows the Reader's memory: do not Close
+// the Reader while the Env (or anything derived from it) is in use.
+func NewEnvFromSnapshot(r *snapshot.Reader) (*Env, error) {
 	for _, year := range []int{2020, 2015} {
-		if internet(year) == nil {
+		if r.Internet(year) == nil {
 			return nil, fmt.Errorf("experiments: snapshot has no %d internet", year)
 		}
-		if pop(year) == nil {
+		if r.Population(year) == nil {
 			return nil, fmt.Errorf("experiments: snapshot has no %d population model", year)
 		}
 	}
-	in2020, in2015 := internet(2020), internet(2015)
+	in2020, in2015 := r.Internet(2020), r.Internet(2015)
 	return &Env{
-		Scale:   scale,
+		Scale:   r.Scale(),
 		In2020:  in2020,
 		In2015:  in2015,
 		M2020:   core.New(core.Dataset{Graph: in2020.Graph, Tier1: in2020.Tier1, Tier2: in2020.Tier2}),
 		M2015:   core.New(core.Dataset{Graph: in2015.Graph, Tier1: in2015.Tier1, Tier2: in2015.Tier2}),
-		Pop2020: pop(2020),
-		Pop2015: pop(2015),
-		src:     src,
+		Pop2020: r.Population(2020),
+		Pop2015: r.Population(2015),
+		src:     r,
 		memo:    newMemo(),
 	}, nil
-}
-
-// NewEnvFromWorld rebuilds a ready Env from a decoded snapshot without any
-// generation: every artifact present in the world seeds the corresponding
-// lazy cache, so experiments that would have triggered a build are served
-// immediately. Artifacts the snapshot lacks are built lazily as usual.
-func NewEnvFromWorld(w *snapshot.World) (*Env, error) {
-	e, err := envOver(w.Scale, nil,
-		func(year int) *topogen.Internet { return w.Internets[year] },
-		func(year int) *population.Model { return w.Pops[year] })
-	if err != nil {
-		return nil, err
-	}
-	for _, year := range []int{2020, 2015} {
-		if p := w.Plans[year]; p != nil {
-			e.memo.vals[planKey(year)] = p
-		}
-	}
-	if c := w.RDNS[2020]; c != nil {
-		e.memo.vals[rdnsKey] = c
-	}
-	for k, tr := range w.Traces {
-		e.memo.traces[traceKey{year: k.Year, cloud: k.Cloud, nVMs: k.VMs}] = tr
-	}
-	return e, nil
-}
-
-// NewEnvFromSnapshot wires an Env directly over an open snapshot Reader.
-// The graphs, AS metadata, and population models are zero-copy views of
-// the Reader's (typically mmap'd) memory, so time-to-first-query is
-// O(page-in) rather than O(decode); the pointer-shaped artifacts — address
-// plans, rDNS corpora, trace campaigns — stay encoded until an experiment
-// demands them, at which point they are decoded once from the snapshot
-// instead of being rebuilt. Artifacts the snapshot lacks are built lazily
-// as usual. Everything the Env hands out borrows the Reader's memory: do
-// not Close the Reader while the Env (or anything derived from it) is in
-// use.
-func NewEnvFromSnapshot(r *snapshot.Reader) (*Env, error) {
-	return envOver(r.Scale(), r, r.Internet, r.Population)
 }
 
 // Mapped reports whether the Env serves its graphs zero-copy from an OS

@@ -4,21 +4,18 @@ package snapshot
 // timeline, adjacent years are stored as one base world plus a chain of
 // growth deltas (topogen.GrowthDelta). A delta file reuses the v2
 // container — magic, version, scale, CRC-guarded section table — with a
-// single sectDelta section, so the existing sniffing, integrity, and
-// info-labelling machinery applies unchanged. Applying the delta is
+// single sectDelta section, written by writeSections and framing-checked
+// by parseTable like any world file. Applying the delta is
 // deterministic (topogen.ApplyDelta), and the recorded base/result world
 // hashes make application fail closed: a delta never silently lands on
 // the wrong world or yields a world other than the one it promised.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"flatnet/internal/astopo"
@@ -28,7 +25,7 @@ import (
 
 // ErrIsDelta marks an attempt to open a delta snapshot as a world
 // snapshot. Callers distinguish it with errors.Is and route the file to
-// ReadDelta instead.
+// DecodeDelta (or ReadDeltaFile) instead.
 var ErrIsDelta = errors.New("snapshot: file is a delta, not a world")
 
 // Delta is a stored growth step between two adjacent worlds.
@@ -54,9 +51,6 @@ type DeltaInfo struct {
 
 // EncodeDelta writes d to w as a single-section v2 snapshot file.
 func EncodeDelta(w io.Writer, d *Delta) error {
-	if !hostLE {
-		return fmt.Errorf("snapshot: v2 format requires a little-endian host")
-	}
 	if d.Growth == nil {
 		return fmt.Errorf("snapshot: delta has no growth payload")
 	}
@@ -101,51 +95,12 @@ func EncodeDelta(w io.Writer, d *Delta) error {
 			e.asn(m)
 		}
 	}
-	payload := e.b.Bytes()
-
-	headerEnd := uint64(v2HeaderLen + v2EntryLen + 4)
-	off := (headerEnd + 7) &^ 7
-	header := make([]byte, off)
-	copy(header, magic[:])
-	binary.LittleEndian.PutUint32(header[8:], Version)
-	binary.LittleEndian.PutUint64(header[12:], math.Float64bits(d.Scale))
-	binary.LittleEndian.PutUint32(header[20:], 1)
-	ent := header[v2HeaderLen:]
-	binary.LittleEndian.PutUint32(ent[0:], uint32(sectDelta))
-	binary.LittleEndian.PutUint32(ent[4:], uint32(d.ToYear))
-	binary.LittleEndian.PutUint64(ent[8:], off)
-	binary.LittleEndian.PutUint64(ent[16:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(ent[24:], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(header[headerEnd-4:], crc32.ChecksumIEEE(header[:headerEnd-4]))
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(header); err != nil {
-		return err
-	}
-	if _, err := bw.Write(payload); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeSections(w, d.Scale, []v2sect{{kind: sectDelta, year: uint32(d.ToYear), chunks: [][]byte{e.b.Bytes()}}})
 }
 
-// WriteDeltaFile writes the delta atomically (tmp + rename), mirroring
-// WriteFile.
+// WriteDeltaFile writes the delta atomically, as WriteFile does a world.
 func WriteDeltaFile(path string, d *Delta) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := EncodeDelta(f, d); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeAtomic(path, func(w io.Writer) error { return EncodeDelta(w, d) })
 }
 
 // ReadDeltaFile reads and decodes the delta snapshot at path.
@@ -161,54 +116,27 @@ func ReadDeltaFile(path string) (*Delta, error) {
 // unexpected: wrong magic or version, a section table that is not exactly
 // one delta section, checksum mismatches, truncation, or trailing bytes.
 func DecodeDelta(raw []byte) (*Delta, error) {
-	if !hostLE {
-		return nil, fmt.Errorf("snapshot: v2 format requires a little-endian host")
-	}
-	if err := checkMagicVersion(raw); err != nil {
+	scale, entries, err := parseTable(raw)
+	if err != nil {
 		return nil, err
 	}
-	headerEnd := v2HeaderLen + v2EntryLen + 4
-	if len(raw) < headerEnd {
-		return nil, fmt.Errorf("snapshot: truncated delta: %d bytes", len(raw))
+	if len(entries) != 1 || entries[0].kind != sectDelta {
+		return nil, fmt.Errorf("snapshot: file is not a delta: want exactly one delta section, have %d sections", len(entries))
 	}
-	if n := binary.LittleEndian.Uint32(raw[20:24]); n != 1 {
-		return nil, fmt.Errorf("snapshot: delta file must hold exactly one section, has %d", n)
-	}
-	if got, want := crc32.ChecksumIEEE(raw[:headerEnd-4]), binary.LittleEndian.Uint32(raw[headerEnd-4:headerEnd]); got != want {
-		return nil, fmt.Errorf("snapshot: header checksum mismatch: computed %#x, stored %#x", got, want)
-	}
-	ent := raw[v2HeaderLen:]
-	kind := sectKind(binary.LittleEndian.Uint32(ent[0:]))
-	year := int(binary.LittleEndian.Uint32(ent[4:]))
-	off := binary.LittleEndian.Uint64(ent[8:])
-	length := binary.LittleEndian.Uint64(ent[16:])
-	crc := binary.LittleEndian.Uint32(ent[24:])
-	if kind != sectDelta {
-		return nil, fmt.Errorf("snapshot: file is a %s snapshot, not a delta", kind)
-	}
-	if off%8 != 0 || off < uint64(headerEnd) || off > uint64(len(raw)) || length > uint64(len(raw))-off {
-		return nil, fmt.Errorf("snapshot: delta section spans [%d,%d) outside file of %d bytes", off, off+length, len(raw))
-	}
-	for _, b := range raw[headerEnd:off] {
-		if b != 0 {
-			return nil, fmt.Errorf("snapshot: nonzero padding before delta section")
-		}
-	}
-	if off+length != uint64(len(raw)) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after delta section", uint64(len(raw))-(off+length))
-	}
-	payload := raw[off : off+length]
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return nil, fmt.Errorf("snapshot: delta section checksum mismatch: computed %#x, stored %#x", got, crc)
+	ent := entries[0]
+	payload := raw[ent.off : ent.off+ent.length]
+	if got := crc32.ChecksumIEEE(payload); got != ent.crc {
+		return nil, fmt.Errorf("snapshot: delta section checksum mismatch: computed %#x, stored %#x", got, ent.crc)
 	}
 
 	d := &dec{buf: payload}
-	out := &Delta{Growth: &topogen.GrowthDelta{}}
-	out.FromYear = int(d.u32())
-	out.ToYear = int(d.u32())
-	out.BaseHash = d.str()
-	out.ResultHash = d.str()
-	out.Scale = d.f64()
+	lin := decodeLineage(d)
+	out := &Delta{
+		FromYear: lin.FromYear, ToYear: lin.ToYear,
+		BaseHash: lin.BaseHash, ResultHash: lin.ResultHash,
+		Scale:  d.f64(),
+		Growth: &topogen.GrowthDelta{},
+	}
 	g := out.Growth
 	g.FromYear, g.ToYear, g.Scale = out.FromYear, out.ToYear, out.Scale
 	if n := d.count(); n > 0 {
@@ -258,14 +186,23 @@ func DecodeDelta(raw []byte) (*Delta, error) {
 	if d.off != len(d.buf) {
 		return nil, fmt.Errorf("snapshot: delta payload: %d trailing bytes", len(d.buf)-d.off)
 	}
-	if year != out.ToYear {
-		return nil, fmt.Errorf("snapshot: delta payload years %d→%d disagree with table year %d", out.FromYear, out.ToYear, year)
+	if ent.year != out.ToYear {
+		return nil, fmt.Errorf("snapshot: delta payload years %d→%d disagree with table year %d", out.FromYear, out.ToYear, ent.year)
 	}
 	if out.FromYear >= out.ToYear {
 		return nil, fmt.Errorf("snapshot: delta years %d→%d are not increasing", out.FromYear, out.ToYear)
 	}
-	if s := math.Float64frombits(binary.LittleEndian.Uint64(raw[12:20])); s != out.Scale {
-		return nil, fmt.Errorf("snapshot: delta payload scale %g disagrees with header scale %g", out.Scale, s)
+	if scale != out.Scale {
+		return nil, fmt.Errorf("snapshot: delta payload scale %g disagrees with header scale %g", out.Scale, scale)
 	}
 	return out, nil
+}
+
+// decodeLineage reads the lineage EncodeDelta writes at the front of a delta
+// payload, which ReadInfo peeks without decoding the rest.
+func decodeLineage(d *dec) DeltaInfo {
+	lin := DeltaInfo{FromYear: int(d.u32()), ToYear: int(d.u32())}
+	lin.BaseHash = d.str()
+	lin.ResultHash = d.str()
+	return lin
 }

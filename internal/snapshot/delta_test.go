@@ -92,7 +92,7 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 func TestDeltaInfoLineage(t *testing.T) {
 	_, d := buildDelta(t)
 	raw := encodeDeltaBytes(t, d)
-	info, err := ReadInfo(bytes.NewReader(raw))
+	info, err := ReadInfo(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +115,8 @@ func TestDeltaFailsClosed(t *testing.T) {
 	raw := encodeDeltaBytes(t, d)
 
 	t.Run("world reader rejects delta", func(t *testing.T) {
-		if _, err := Decode(raw); !errors.Is(err, ErrIsDelta) {
-			t.Fatalf("Decode on delta: %v, want ErrIsDelta", err)
+		if _, err := newReader(raw, nil); !errors.Is(err, ErrIsDelta) {
+			t.Fatalf("newReader on delta: %v, want ErrIsDelta", err)
 		}
 		path := filepath.Join(t.TempDir(), "step.snapd")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -189,7 +189,7 @@ func FuzzDeltaDecode(f *testing.F) {
 		if d, err := DecodeDelta(b); err == nil && d == nil {
 			t.Fatal("DecodeDelta returned neither delta nor error")
 		}
-		if info, err := ReadInfo(bytes.NewReader(b)); err == nil && info == nil {
+		if info, err := ReadInfo(b); err == nil && info == nil {
 			t.Fatal("ReadInfo returned neither info nor error")
 		}
 	})

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzSnapshotDecode throws arbitrary bytes at the decoder and the info
-// reader. The contract under fuzz is purely "never panic, never hang": a
-// valid world decodes, everything else must come back as an error. Seeds
-// cover a valid file, a refused version 1 header, and systematic one-byte
-// corruptions and truncations of the valid file.
+// FuzzSnapshotDecode throws arbitrary bytes at the world reader (newReader,
+// then Verify, which decodes every cold section) and the info reader. The
+// contract under fuzz is purely "never panic, never hang": a valid world
+// loads, everything else must come back as an error. Seeds cover a valid
+// file, a refused version 1 header, and systematic one-byte corruptions
+// and truncations of the valid file.
 func FuzzSnapshotDecode(f *testing.F) {
 	raw := encode(f, buildWorld(f))
 	f.Add(raw)
@@ -22,10 +23,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(raw[:24])
 	f.Add(raw[:len(raw)/3])
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if w, err := Decode(b); err == nil && w == nil {
-			t.Fatal("Decode returned neither world nor error")
+		if r, err := load(b); err == nil && r == nil {
+			t.Fatal("load returned neither reader nor error")
 		}
-		if info, err := ReadInfo(bytes.NewReader(b)); err == nil && info == nil {
+		if info, err := ReadInfo(b); err == nil && info == nil {
 			t.Fatal("ReadInfo returned neither info nor error")
 		}
 	})

@@ -14,11 +14,13 @@
 // The codec fails closed — a wrong magic, an unsupported version, an
 // unknown section kind, a truncated stream, a misaligned or overlapping
 // section table, or a checksum mismatch all abort the load with an error
-// rather than yielding a partly decoded world. Integrity is per section: a
-// header CRC covers the section table eagerly; cold sections are checked
-// when decoded; mmap-served hot sections are checked by Verify (the
-// `-verify` flag), so the zero-copy load path never has to touch every
-// page. The eager Decode/Read/ReadFile entry points verify everything.
+// rather than yielding a partly decoded world. One function, parseTable,
+// checks that framing for world files, delta files and ReadInfo alike.
+// Integrity is per section: a header CRC covers the section table eagerly;
+// cold sections are checked when decoded; mmap-served hot sections are
+// checked by Verify (the `-verify` flag), so the zero-copy load path never
+// has to touch every page. Verify also decodes every cold section, so a
+// verified file is known to load in full.
 //
 // Version 2 layout (all integers little-endian; hot payloads are raw
 // host-endian arrays, so the format is little-endian-host only):
@@ -70,9 +72,9 @@ type TraceKey struct {
 	VMs int
 }
 
-// World is everything a snapshot carries, keyed by preset year. Any map may
-// be partially populated — Write encodes what is present — but consumers
-// (experiments.NewEnvFromWorld) validate that the artifacts they need exist.
+// World is everything a snapshot carries, keyed by preset year: the input
+// to Write. Any map may be partially populated — Write encodes what is
+// present — and a Reader serves back whatever the file holds.
 type World struct {
 	Scale     float64
 	Internets map[int]*topogen.Internet
@@ -109,15 +111,21 @@ func Write(w io.Writer, world *World) error {
 	return writeV2(w, world)
 }
 
-// WriteFile writes the snapshot atomically: encode to path+".tmp", then
-// rename, so a crash never leaves a half-written snapshot in place.
+// WriteFile writes the snapshot to path atomically: a crash never leaves a
+// half-written snapshot in place.
 func WriteFile(path string, world *World) error {
+	return writeAtomic(path, func(w io.Writer) error { return Write(w, world) })
+}
+
+// writeAtomic encodes to path+".tmp", then renames it over path, so a crash
+// never leaves a half-written file in place.
+func writeAtomic(path string, encode func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, world); err != nil {
+	if err := encode(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -129,80 +137,38 @@ func WriteFile(path string, world *World) error {
 	return os.Rename(tmp, path)
 }
 
-// Read decodes a snapshot. The entire stream is read and checksummed before
-// any section is decoded; any structural problem aborts with an error and a
-// nil world. Decoded plans are bound to their year's decoded Internet (a
-// plan whose year has no internet section is an error — it would be
-// unusable).
-func Read(r io.Reader) (*World, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return Decode(raw)
-}
-
-// Decode is Read over bytes already in memory. Every section is
-// CRC-verified and every value decoded eagerly; raw may be reused or freed
-// after Decode returns.
-func Decode(raw []byte) (*World, error) {
-	r, err := newReader(raw, nil)
+// ReadInfo validates a world or delta file's framing (parseTable) and labels
+// its sections without decoding payloads or checking their CRCs; Verify and
+// DecodeDelta check those. Trace and delta labels are read from the front of
+// their payloads.
+func ReadInfo(raw []byte) (*Info, error) {
+	scale, entries, err := parseTable(raw)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Verify(); err != nil {
-		return nil, err
+	info := &Info{Version: Version, Scale: scale, Sections: make([]SectionInfo, len(entries))}
+	for i, e := range entries {
+		si := &info.Sections[i]
+		*si = SectionInfo{Label: e.kind.String(), Length: e.length, Year: e.year}
+		payload := raw[e.off : e.off+e.length]
+		switch e.kind {
+		case sectTraces:
+			key, err := traceLabel(payload)
+			if err != nil {
+				return nil, fmt.Errorf("snapshot: section %d label: %w", i, err)
+			}
+			si.Year, si.Cloud, si.VMs = key.Year, key.Cloud, key.VMs
+		case sectDelta:
+			d := &dec{buf: payload}
+			lin := decodeLineage(d)
+			if d.err != nil {
+				return nil, fmt.Errorf("snapshot: section %d label: %w", i, d.err)
+			}
+			si.Year = lin.ToYear
+			info.Delta = &lin
+		}
 	}
-	return r.World()
-}
-
-// checkMagicVersion validates the magic and the version of a snapshot
-// header. Open, Decode, DecodeDelta and ReadInfo all answer a version 1
-// header with the same explicit error.
-func checkMagicVersion(raw []byte) error {
-	if len(raw) < len(magic)+4 {
-		return fmt.Errorf("snapshot: truncated: %d bytes", len(raw))
-	}
-	if !bytes.Equal(raw[:len(magic)], magic[:]) {
-		return fmt.Errorf("snapshot: bad magic %q", raw[:len(magic)])
-	}
-	switch v := binary.LittleEndian.Uint32(raw[8:12]); v {
-	case Version:
-		return nil
-	case 1:
-		return fmt.Errorf("snapshot version 1 is no longer read; rebuild with `flatnet snapshot build`")
-	default:
-		return fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
-	}
-}
-
-// ReadFile reads and decodes the snapshot at path. The file is read in one
-// pre-sized allocation (os.ReadFile), which is measurably cheaper than
-// streaming growth for multi-megabyte snapshots.
-func ReadFile(path string) (*World, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(raw)
-}
-
-// ReadInfo parses the header and section labels without decoding payloads
-// or verifying checksums — it is meant for cheap inspection (`flatnet
-// snapshot info`), not validation; use Read or Verify to validate.
-func ReadInfo(r io.Reader) (*Info, error) {
-	var hdr [8 + 4 + 8 + 4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: reading header: %w", err)
-	}
-	if err := checkMagicVersion(hdr[:]); err != nil {
-		return nil, err
-	}
-	info := &Info{
-		Version: Version,
-		Scale:   math.Float64frombits(binary.LittleEndian.Uint64(hdr[12:20])),
-	}
-	return readInfoV2(r, info, int(binary.LittleEndian.Uint32(hdr[20:24])))
+	return info, nil
 }
 
 func sortedYears[V any](m map[int]V) []int {

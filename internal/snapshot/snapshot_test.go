@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -65,6 +64,34 @@ func encode(t testing.TB, w *World) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// load reads raw through the one read path — newReader, then Verify, which
+// decodes every cold section into the Reader's caches.
+func load(raw []byte) (*Reader, error) {
+	r, err := newReader(raw, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Verify(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// served gathers everything a verified Reader serves into a World.
+func served(r *Reader) *World {
+	return &World{Scale: r.scale, Internets: r.internets, Pops: r.pops,
+		Plans: r.plans, RDNS: r.rdnsC, Traces: r.traces}
+}
+
+func mustLoad(t *testing.T, raw []byte) *World {
+	t.Helper()
+	r, err := load(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return served(r)
 }
 
 // checkInternetEqual compares two internets through the public surface:
@@ -148,15 +175,10 @@ func checkWorldEqual(t *testing.T, got, w *World) {
 
 func TestRoundTrip(t *testing.T) {
 	w := buildWorld(t)
-	raw := encode(t, w)
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWorldEqual(t, got, w)
+	checkWorldEqual(t, mustLoad(t, encode(t, w)), w)
 }
 
-// The mmap-backed Reader must serve the same world the eager decoder does,
+// The mmap-backed Reader must serve the world it was written from,
 // including the lazily decoded artifacts.
 func TestOpenReader(t *testing.T) {
 	w := buildWorld(t)
@@ -178,11 +200,7 @@ func TestOpenReader(t *testing.T) {
 	if err := r.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.World()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWorldEqual(t, got, w)
+	checkWorldEqual(t, served(r), w)
 	keys := r.TraceKeys()
 	if len(keys) != 1 || keys[0].Cloud != "Google" {
 		t.Fatalf("trace keys = %v", keys)
@@ -205,42 +223,124 @@ func TestDeterministicEncoding(t *testing.T) {
 		t.Fatal("two encodings of the same world differ")
 	}
 	// And an encode of the decode must reproduce the original bytes.
-	got, err := Read(bytes.NewReader(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := encode(t, got)
+	c := encode(t, mustLoad(t, a))
 	if !bytes.Equal(a, c) {
 		t.Fatal("re-encoding a decoded world changed the bytes")
 	}
 }
 
-// Any single-byte corruption must be rejected by the eager decoder: the
-// header CRC covers the section table, per-section CRCs cover payloads, and
-// padding gaps must be zero.
+// reseal recomputes the header CRC after a deliberate patch, so tests
+// exercise the structural checks rather than the checksum.
+func reseal(raw []byte) []byte {
+	out := bytes.Clone(raw)
+	n := int(binary.LittleEndian.Uint32(out[20:24]))
+	end := v2HeaderLen + v2EntryLen*n
+	binary.LittleEndian.PutUint32(out[end:end+4], crc32.ChecksumIEEE(out[:end]))
+	return out
+}
+
+// entry returns section i's table entry, for patching in place.
+func entry(raw []byte, i int) []byte { return raw[v2HeaderLen+i*v2EntryLen:] }
+
+// framingCorruptions breaks a container's framing one way per case; want is
+// a fragment of the error parseTable must answer with. Every case applies
+// to any container, world or delta.
+var framingCorruptions = []struct {
+	name   string
+	want   string
+	mutate func(raw []byte) []byte
+}{
+	{"bad magic", "bad magic", func(raw []byte) []byte { raw[0] = 'X'; return reseal(raw) }},
+	{"v1 header", "version 1 is no longer read", func(raw []byte) []byte {
+		binary.LittleEndian.PutUint32(raw[8:], 1)
+		return reseal(raw)
+	}},
+	{"future version", "unsupported version", func(raw []byte) []byte {
+		binary.LittleEndian.PutUint32(raw[8:], Version+1)
+		return reseal(raw)
+	}},
+	{"header CRC byte", "header checksum", func(raw []byte) []byte {
+		n := int(binary.LittleEndian.Uint32(raw[20:24]))
+		raw[v2HeaderLen+v2EntryLen*n] ^= 0x01
+		return raw
+	}},
+	{"section count past end", "do not fit", func(raw []byte) []byte {
+		binary.LittleEndian.PutUint32(raw[20:], uint32(len(raw)))
+		return raw
+	}},
+	{"section length past end", "outside", func(raw []byte) []byte {
+		binary.LittleEndian.PutUint64(entry(raw, 0)[16:], uint64(len(raw)))
+		return reseal(raw)
+	}},
+	{"unknown kind", "unknown section kind", func(raw []byte) []byte {
+		binary.LittleEndian.PutUint32(entry(raw, 0), 99)
+		return reseal(raw)
+	}},
+	{"misaligned offset", "misaligned", func(raw []byte) []byte {
+		e := entry(raw, 0)
+		binary.LittleEndian.PutUint64(e[8:], binary.LittleEndian.Uint64(e[8:])+4)
+		return reseal(raw)
+	}},
+	{"nonzero padding", "nonzero padding", func(raw []byte) []byte {
+		// Open an 8-byte gap before the first payload, with one nonzero
+		// byte in it, and move every payload to make room.
+		n := int(binary.LittleEndian.Uint32(raw[20:24]))
+		for i := 0; i < n; i++ {
+			e := entry(raw, i)
+			binary.LittleEndian.PutUint64(e[8:], binary.LittleEndian.Uint64(e[8:])+8)
+		}
+		first := int(binary.LittleEndian.Uint64(entry(raw, 0)[8:])) - 8
+		gap := []byte{0, 0, 0, 1, 0, 0, 0, 0}
+		return reseal(slices.Concat(raw[:first], gap, raw[first:]))
+	}},
+	{"trailing byte", "trailing bytes", func(raw []byte) []byte { return append(raw, 0) }},
+	{"truncated header", "truncated", func(raw []byte) []byte { return raw[:v2HeaderLen+3] }},
+	{"truncated payload", "outside", func(raw []byte) []byte { return raw[:len(raw)-1] }},
+}
+
+// Every framing corruption is refused, for the same reason, by every reader
+// of both kinds of container: Open, DecodeDelta and ReadInfo all frame
+// through parseTable.
 func TestCorruptionRejected(t *testing.T) {
-	raw := encode(t, buildWorld(t))
-	stride := len(raw) / 97
-	if stride == 0 {
-		stride = 1
+	_, d := buildDelta(t)
+	files := []struct {
+		name string
+		raw  []byte
+	}{
+		{"world", encode(t, buildWorld(t))},
+		{"delta", encodeDeltaBytes(t, d)},
 	}
-	for off := 0; off < len(raw); off += stride {
-		bad := bytes.Clone(raw)
-		bad[off] ^= 0x40
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("flipping byte %d of %d was not detected", off, len(raw))
+	dir := t.TempDir()
+	for _, f := range files {
+		for _, c := range framingCorruptions {
+			t.Run(f.name+"/"+c.name, func(t *testing.T) {
+				bad := c.mutate(bytes.Clone(f.raw))
+				path := filepath.Join(dir, "bad")
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, openErr := Open(path)
+				_, deltaErr := DecodeDelta(bad)
+				_, infoErr := ReadInfo(bad)
+				for reader, err := range map[string]error{"Open": openErr, "DecodeDelta": deltaErr, "ReadInfo": infoErr} {
+					if err == nil || !strings.Contains(err.Error(), c.want) {
+						t.Errorf("%s: err = %v, want one containing %q", reader, err, c.want)
+					}
+				}
+			})
 		}
 	}
 }
 
-// The zero-copy open path skips hot-section checksums by design; Verify
-// must catch what it skipped.
+// Any single-byte corruption must be caught: the header CRC covers the
+// section table, padding gaps must be zero, and Verify checks the payload
+// CRCs that the zero-copy open path skips.
 func TestVerifyDetectsCorruption(t *testing.T) {
 	w := buildWorld(t)
 	raw := encode(t, w)
 	dir := t.TempDir()
-	stride := len(raw) / 29
-	for off := 24; off < len(raw); off += stride {
+	stride := len(raw) / 97
+	for off := 0; off < len(raw); off += stride {
 		bad := bytes.Clone(raw)
 		bad[off] ^= 0x40
 		path := dir + "/bad.snap"
@@ -262,20 +362,13 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 func TestTruncationRejected(t *testing.T) {
 	raw := encode(t, buildWorld(t))
 	for _, n := range []int{0, 1, 7, 8, 23, 24, len(raw) / 3, len(raw) / 2, len(raw) - 5, len(raw) - 1} {
-		if _, err := Read(bytes.NewReader(raw[:n])); err == nil {
+		if _, err := load(raw[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes was not detected", n, len(raw))
 		}
+		if _, err := ReadInfo(raw[:n]); err == nil {
+			t.Fatalf("ReadInfo accepted a truncation to %d of %d bytes", n, len(raw))
+		}
 	}
-}
-
-// reseal recomputes the header CRC after a deliberate patch, so tests
-// exercise the structural checks rather than the checksum.
-func reseal(raw []byte) []byte {
-	out := bytes.Clone(raw)
-	n := int(binary.LittleEndian.Uint32(out[20:24]))
-	end := v2HeaderLen + v2EntryLen*n
-	binary.LittleEndian.PutUint32(out[end:end+4], crc32.ChecksumIEEE(out[:end]))
-	return out
 }
 
 func TestVersionMismatchRejected(t *testing.T) {
@@ -283,68 +376,26 @@ func TestVersionMismatchRejected(t *testing.T) {
 	bad := bytes.Clone(raw)
 	binary.LittleEndian.PutUint32(bad[8:12], Version+1)
 	bad = reseal(bad)
-	_, err := Read(bytes.NewReader(bad))
+	_, err := load(bad)
 	if err == nil || !strings.Contains(err.Error(), "unsupported version") {
 		t.Fatalf("future version accepted (err=%v)", err)
 	}
-	if _, err := ReadInfo(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadInfo(bad); err == nil {
 		t.Fatal("ReadInfo accepted a future version")
 	}
 }
 
-func TestBadMagicRejected(t *testing.T) {
-	raw := encode(t, buildWorld(t))
-	bad := bytes.Clone(raw)
-	bad[0] = 'X'
-	bad = reseal(bad)
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := ReadInfo(bytes.NewReader(bad)); err == nil {
-		t.Fatal("ReadInfo accepted bad magic")
-	}
-}
-
 func TestUnknownSectionKindRejected(t *testing.T) {
-	// Hand-build a minimal v2 stream with one unknown section.
 	var buf bytes.Buffer
-	var tmp [8]byte
-	buf.Write(magic[:])
-	binary.LittleEndian.PutUint32(tmp[:4], Version)
-	buf.Write(tmp[:4])
-	binary.LittleEndian.PutUint64(tmp[:8], math.Float64bits(1.0))
-	buf.Write(tmp[:8])
-	binary.LittleEndian.PutUint32(tmp[:4], 1) // one section
-	buf.Write(tmp[:4])
-	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	binary.LittleEndian.PutUint32(tmp[:4], 99) // unknown kind
-	buf.Write(tmp[:4])
-	binary.LittleEndian.PutUint32(tmp[:4], 2020)
-	buf.Write(tmp[:4])
-	off := uint64(v2HeaderLen + v2EntryLen + 4)
-	binary.LittleEndian.PutUint64(tmp[:8], off)
-	buf.Write(tmp[:8])
-	binary.LittleEndian.PutUint64(tmp[:8], uint64(len(payload)))
-	buf.Write(tmp[:8])
-	binary.LittleEndian.PutUint32(tmp[:4], crc32.ChecksumIEEE(payload))
-	buf.Write(tmp[:4])
-	buf.Write([]byte{0, 0, 0, 0}) // header CRC placeholder
-	buf.Write(payload)
-	sealed := reseal(buf.Bytes())
-	_, err := Read(bytes.NewReader(sealed))
+	if err := writeSections(&buf, 1.0, []v2sect{{kind: 99, year: 2020, chunks: [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}}}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := load(buf.Bytes())
 	if err == nil || !strings.Contains(err.Error(), "unknown section kind") {
 		t.Fatalf("unknown section kind accepted (err=%v)", err)
 	}
-	if _, err := ReadInfo(bytes.NewReader(sealed)); err == nil {
+	if _, err := ReadInfo(buf.Bytes()); err == nil {
 		t.Fatal("ReadInfo accepted an unknown section kind")
-	}
-}
-
-func TestTrailingGarbageRejected(t *testing.T) {
-	raw := encode(t, buildWorld(t))
-	bad := append(bytes.Clone(raw), 1, 2, 3, 4)
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Fatal("trailing garbage accepted")
 	}
 }
 
@@ -354,8 +405,7 @@ func TestPlanWithoutInternetRejected(t *testing.T) {
 		Scale: w.Scale,
 		Plans: map[int]*netdb.Plan{2020: w.Plans[2020]},
 	}
-	raw := encode(t, orphan)
-	_, err := Read(bytes.NewReader(raw))
+	_, err := load(encode(t, orphan))
 	if err == nil || !strings.Contains(err.Error(), "no internet section") {
 		t.Fatalf("orphan plan accepted (err=%v)", err)
 	}
@@ -364,7 +414,7 @@ func TestPlanWithoutInternetRejected(t *testing.T) {
 func TestReadInfo(t *testing.T) {
 	w := buildWorld(t)
 	raw := encode(t, w)
-	info, err := ReadInfo(bytes.NewReader(raw))
+	info, err := ReadInfo(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,22 +459,23 @@ func TestWriteReadFile(t *testing.T) {
 	if err := WriteFile(path, w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
+	if err := r.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	got := served(r)
 	if !reflect.DeepEqual(got.Traces, w.Traces) {
 		t.Fatal("file round trip lost trace corpora")
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, got); err != nil {
-		t.Fatal(err)
-	}
-	disk, err := io.ReadAll(mustOpen(t, path))
+	disk, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), disk) {
+	if !bytes.Equal(encode(t, got), disk) {
 		t.Fatal("re-encoding the file's world changed the bytes")
 	}
 }
@@ -439,9 +490,9 @@ func v1Header() []byte {
 	return binary.LittleEndian.AppendUint32(hdr, 5)
 }
 
-// Version 1 files are no longer read: Open, Decode and ReadInfo must all
-// refuse one with the same explicit error naming the version and the way
-// out, not a generic "unsupported version" or a truncation complaint.
+// Version 1 files are no longer read: Open, DecodeDelta and ReadInfo must
+// all refuse one with the same explicit error naming the version and the
+// way out, not a generic "unsupported version" or a truncation complaint.
 func TestV1SnapshotRefused(t *testing.T) {
 	hdr := v1Header()
 	path := filepath.Join(t.TempDir(), "v1.snap")
@@ -449,22 +500,12 @@ func TestV1SnapshotRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, openErr := Open(path)
-	_, decodeErr := Decode(hdr)
-	_, infoErr := ReadInfo(bytes.NewReader(hdr))
-	for name, err := range map[string]error{"Open": openErr, "Decode": decodeErr, "ReadInfo": infoErr} {
+	_, deltaErr := DecodeDelta(hdr)
+	_, infoErr := ReadInfo(hdr)
+	for name, err := range map[string]error{"Open": openErr, "DecodeDelta": deltaErr, "ReadInfo": infoErr} {
 		if err == nil || !strings.Contains(err.Error(), "version 1 is no longer read") ||
 			!strings.Contains(err.Error(), "flatnet snapshot build") {
 			t.Errorf("%s on a v1 header: err = %v, want the explicit version 1 error", name, err)
 		}
 	}
-}
-
-func mustOpen(t *testing.T, path string) io.Reader {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.Close() })
-	return f
 }

@@ -7,13 +7,14 @@ package snapshot
 // arrays written with a single cast and served back the same way from an
 // mmap'd file, so loading touches O(pages used) instead of decoding the
 // world. Cold payloads (spec, tier sets, plans, rDNS, traces) use a
-// field-by-field encoding inside their sections and are decoded eagerly
-// (world) or lazily (plan/rdns/traces) by Reader.
+// field-by-field encoding inside their sections; the Reader decodes the
+// world sections at open and plans, rDNS and traces on first use.
 //
-// Integrity: the header CRC and the world sections are checked on every
-// open; plan/rdns/traces sections are checked when first decoded; hot
-// array sections are checked only by Verify, because checksumming them on
-// open would touch every page and forfeit the zero-copy win. Offset
+// Integrity: parseTable checks the framing and the header CRC, and the
+// world sections' CRCs are checked, on every open; plan/rdns/traces
+// sections are checked when first decoded; hot array sections are checked
+// only by Verify, because checksumming them on open would touch every page
+// and forfeit the zero-copy win. Offset
 // arrays inside hot sections are still shape- and monotonicity-validated
 // on open, so a corrupted snapshot without Verify fails closed or returns
 // wrong numbers — it never indexes out of bounds.
@@ -193,9 +194,6 @@ func (s *v2sect) crc() uint32 {
 }
 
 func writeV2(w io.Writer, world *World) error {
-	if !hostLE {
-		return fmt.Errorf("snapshot: v2 format requires a little-endian host")
-	}
 	var sections []v2sect
 	add := func(kind sectKind, year int, chunks ...[]byte) {
 		sections = append(sections, v2sect{kind: kind, year: uint32(year), chunks: chunks})
@@ -287,8 +285,17 @@ func writeV2(w io.Writer, world *World) error {
 		add(sectTraces, k.Year, e.b.Bytes())
 	}
 
-	// Lay out payload offsets: 8-aligned, back to back, zero-padded gaps,
-	// nothing after the last payload.
+	return writeSections(w, world.Scale, sections)
+}
+
+// writeSections lays out one container: the header, the section table with
+// each payload's CRC, the header CRC, then the payloads 8-aligned and back
+// to back with zeroed gaps, and nothing after the last payload. It is the
+// only writer of the framing that parseTable checks.
+func writeSections(w io.Writer, scale float64, sections []v2sect) error {
+	if !hostLE {
+		return fmt.Errorf("snapshot: v2 format requires a little-endian host")
+	}
 	headerEnd := uint64(v2HeaderLen + v2EntryLen*len(sections) + 4)
 	pos := headerEnd
 	offs := make([]uint64, len(sections))
@@ -301,7 +308,7 @@ func writeV2(w io.Writer, world *World) error {
 	header := make([]byte, headerEnd)
 	copy(header, magic[:])
 	binary.LittleEndian.PutUint32(header[8:], Version)
-	binary.LittleEndian.PutUint64(header[12:], math.Float64bits(world.Scale))
+	binary.LittleEndian.PutUint64(header[12:], math.Float64bits(scale))
 	binary.LittleEndian.PutUint32(header[20:], uint32(len(sections)))
 	for i := range sections {
 		ent := header[v2HeaderLen+i*v2EntryLen:]
@@ -388,38 +395,42 @@ func Open(path string) (*Reader, error) {
 	return r, nil
 }
 
-func newReader(raw []byte, m *mmap.Mapping) (*Reader, error) {
+// parseTable validates a container's framing and returns its scale and
+// section table: magic and version, a table that fits the file and matches
+// the header CRC, known kinds, and payloads that are 8-aligned, in bounds,
+// in file order, separated by zero padding, and end the file. It checks no
+// payload CRC; each caller decides which payloads to checksum and when.
+func parseTable(raw []byte) (float64, []v2entry, error) {
 	if !hostLE {
-		return nil, fmt.Errorf("snapshot: v2 format requires a little-endian host")
+		return 0, nil, fmt.Errorf("snapshot: v2 format requires a little-endian host")
 	}
-	if err := checkMagicVersion(raw); err != nil {
-		return nil, err
+	if len(raw) < len(magic)+4 {
+		return 0, nil, fmt.Errorf("snapshot: truncated: %d bytes", len(raw))
+	}
+	if !bytes.Equal(raw[:len(magic)], magic[:]) {
+		return 0, nil, fmt.Errorf("snapshot: bad magic %q", raw[:len(magic)])
+	}
+	switch v := binary.LittleEndian.Uint32(raw[8:12]); v {
+	case Version:
+	case 1:
+		return 0, nil, fmt.Errorf("snapshot version 1 is no longer read; rebuild with `flatnet snapshot build`")
+	default:
+		return 0, nil, fmt.Errorf("snapshot: unsupported version %d (want %d)", v, Version)
 	}
 	if len(raw) < v2HeaderLen+4 {
-		return nil, fmt.Errorf("snapshot: truncated: %d bytes", len(raw))
-	}
-	r := &Reader{
-		m:         m,
-		raw:       raw,
-		scale:     math.Float64frombits(binary.LittleEndian.Uint64(raw[12:20])),
-		internets: make(map[int]*topogen.Internet),
-		pops:      make(map[int]*population.Model),
-		traceIdx:  make(map[TraceKey]int),
-		plans:     make(map[int]*netdb.Plan),
-		rdnsC:     make(map[int]*rdns.Corpus),
-		traces:    make(map[TraceKey][][]tracesim.Traceroute),
+		return 0, nil, fmt.Errorf("snapshot: truncated: %d bytes", len(raw))
 	}
 	nsect := int(binary.LittleEndian.Uint32(raw[20:24]))
 	headerEnd := v2HeaderLen + v2EntryLen*nsect + 4
 	if nsect < 0 || headerEnd > len(raw) {
-		return nil, fmt.Errorf("snapshot: truncated: %d sections do not fit %d bytes", nsect, len(raw))
+		return 0, nil, fmt.Errorf("snapshot: truncated: %d sections do not fit %d bytes", nsect, len(raw))
 	}
 	if got, want := crc32.ChecksumIEEE(raw[:headerEnd-4]), binary.LittleEndian.Uint32(raw[headerEnd-4:headerEnd]); got != want {
-		return nil, fmt.Errorf("snapshot: header checksum mismatch: computed %#x, stored %#x", got, want)
+		return 0, nil, fmt.Errorf("snapshot: header checksum mismatch: computed %#x, stored %#x", got, want)
 	}
-	r.entries = make([]v2entry, nsect)
+	entries := make([]v2entry, nsect)
 	pos := uint64(headerEnd)
-	for i := range r.entries {
+	for i := range entries {
 		ent := raw[v2HeaderLen+i*v2EntryLen:]
 		e := v2entry{
 			kind:   sectKind(binary.LittleEndian.Uint32(ent[0:])),
@@ -429,28 +440,50 @@ func newReader(raw []byte, m *mmap.Mapping) (*Reader, error) {
 			crc:    binary.LittleEndian.Uint32(ent[24:]),
 		}
 		if !knownSectKind(e.kind) {
-			return nil, fmt.Errorf("snapshot: unknown section kind %d", uint32(e.kind))
-		}
-		if e.kind == sectDelta {
-			return nil, fmt.Errorf("%w; apply it to its base snapshot instead of opening it", ErrIsDelta)
+			return 0, nil, fmt.Errorf("snapshot: unknown section kind %d", uint32(e.kind))
 		}
 		if e.off%8 != 0 {
-			return nil, fmt.Errorf("snapshot: section %d (%s) misaligned at offset %d", i, e.kind, e.off)
+			return 0, nil, fmt.Errorf("snapshot: section %d (%s) misaligned at offset %d", i, e.kind, e.off)
 		}
 		if e.off < pos || e.off > uint64(len(raw)) || e.length > uint64(len(raw))-e.off {
-			return nil, fmt.Errorf("snapshot: section %d (%s) spans [%d,%d) outside remaining [%d,%d)",
+			return 0, nil, fmt.Errorf("snapshot: section %d (%s) spans [%d,%d) outside remaining [%d,%d)",
 				i, e.kind, e.off, e.off+e.length, pos, len(raw))
 		}
 		for _, b := range raw[pos:e.off] {
 			if b != 0 {
-				return nil, fmt.Errorf("snapshot: nonzero padding before section %d (%s)", i, e.kind)
+				return 0, nil, fmt.Errorf("snapshot: nonzero padding before section %d (%s)", i, e.kind)
 			}
 		}
 		pos = e.off + e.length
-		r.entries[i] = e
+		entries[i] = e
 	}
 	if pos != uint64(len(raw)) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after last section", uint64(len(raw))-pos)
+		return 0, nil, fmt.Errorf("snapshot: %d trailing bytes after last section", uint64(len(raw))-pos)
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw[12:20])), entries, nil
+}
+
+func newReader(raw []byte, m *mmap.Mapping) (*Reader, error) {
+	scale, entries, err := parseTable(raw)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if e.kind == sectDelta {
+			return nil, fmt.Errorf("%w; apply it to its base snapshot instead of opening it", ErrIsDelta)
+		}
+	}
+	r := &Reader{
+		m:         m,
+		raw:       raw,
+		scale:     scale,
+		entries:   entries,
+		internets: make(map[int]*topogen.Internet),
+		pops:      make(map[int]*population.Model),
+		traceIdx:  make(map[TraceKey]int),
+		plans:     make(map[int]*netdb.Plan),
+		rdnsC:     make(map[int]*rdns.Corpus),
+		traces:    make(map[TraceKey][][]tracesim.Traceroute),
 	}
 
 	// Group per-year sections and wire each year's Internet.
@@ -511,15 +544,21 @@ func (r *Reader) checkedPayload(i int) ([]byte, error) {
 	return p, nil
 }
 
-// traceLabel peeks a traces section's identifying front fields without
+// traceLabel peeks a traces payload's identifying front fields without
 // decoding (or CRC-checking) the corpus.
-func (r *Reader) traceLabel(i int) (TraceKey, error) {
-	d := &dec{buf: r.payload(i)}
+func traceLabel(payload []byte) (TraceKey, error) {
+	d := &dec{buf: payload}
 	key := TraceKey{Year: int(d.u32())}
 	key.Cloud = d.str()
 	key.VMs = int(d.u32())
-	if d.err != nil {
-		return TraceKey{}, fmt.Errorf("snapshot: section %d (traces): %w", i, d.err)
+	return key, d.err
+}
+
+// traceLabel labels traces section i and checks it against its table year.
+func (r *Reader) traceLabel(i int) (TraceKey, error) {
+	key, err := traceLabel(r.payload(i))
+	if err != nil {
+		return TraceKey{}, fmt.Errorf("snapshot: section %d (traces): %w", i, err)
 	}
 	if key.Year != r.entries[i].year {
 		return TraceKey{}, fmt.Errorf("snapshot: traces section %d year %d disagrees with table year %d",
@@ -887,54 +926,30 @@ func coldDecodeErr(d *dec, i int, k sectKind) error {
 }
 
 // Verify checksums every section, including the hot arrays the zero-copy
-// load path deliberately skips. It reads the whole file (faulting every
-// page in when mapped).
+// load path deliberately skips, and decodes every plan, rDNS and traces
+// section (caching them as their accessors do). It reads the whole file
+// (faulting every page in when mapped).
 func (r *Reader) Verify() error {
-	for i := range r.entries {
-		if _, err := r.checkedPayload(i); err != nil {
+	for i, e := range r.entries {
+		var err error
+		switch e.kind {
+		case sectPlan:
+			_, err = r.Plan(e.year)
+		case sectRDNS:
+			_, err = r.RDNS(e.year)
+		case sectTraces:
+			var key TraceKey
+			if key, err = r.traceLabel(i); err == nil {
+				_, err = r.Traces(key)
+			}
+		default:
+			_, err = r.checkedPayload(i)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// World materializes the full eager World: every plan, rDNS corpus, and
-// trace campaign decoded. The world's topologies and populations still
-// borrow the Reader's memory — when the Reader came from Open, do not
-// Close it while the world is in use.
-func (r *Reader) World() (*World, error) {
-	world := &World{
-		Scale:     r.scale,
-		Internets: r.internets,
-		Pops:      r.pops,
-		Plans:     make(map[int]*netdb.Plan),
-		RDNS:      make(map[int]*rdns.Corpus),
-		Traces:    make(map[TraceKey][][]tracesim.Traceroute),
-	}
-	for _, e := range r.entries {
-		switch e.kind {
-		case sectPlan:
-			p, err := r.Plan(e.year)
-			if err != nil {
-				return nil, err
-			}
-			world.Plans[e.year] = p
-		case sectRDNS:
-			c, err := r.RDNS(e.year)
-			if err != nil {
-				return nil, err
-			}
-			world.RDNS[e.year] = c
-		}
-	}
-	for key := range r.traceIdx {
-		tr, err := r.Traces(key)
-		if err != nil {
-			return nil, err
-		}
-		world.Traces[key] = tr
-	}
-	return world, nil
 }
 
 // Close releases the underlying mapping. Every structure handed out by
@@ -945,91 +960,4 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	return r.m.Close()
-}
-
-// readInfoV2 labels the sections of a v2 stream whose fixed header has
-// already been consumed. It streams forward without validating CRCs.
-func readInfoV2(r io.Reader, info *Info, nsect int) (*Info, error) {
-	// The table grows with the bytes that arrive, not with the header's
-	// claim: a corrupt nsect must not size a multi-gigabyte allocation.
-	want := v2EntryLen*nsect + 4
-	table, err := io.ReadAll(io.LimitReader(r, int64(want)))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: reading section table: %w", err)
-	}
-	if len(table) != want {
-		return nil, fmt.Errorf("snapshot: reading section table: %w", io.ErrUnexpectedEOF)
-	}
-	entries := make([]v2entry, nsect)
-	for i := range entries {
-		ent := table[i*v2EntryLen:]
-		entries[i] = v2entry{
-			kind:   sectKind(binary.LittleEndian.Uint32(ent[0:])),
-			year:   int(binary.LittleEndian.Uint32(ent[4:])),
-			off:    binary.LittleEndian.Uint64(ent[8:]),
-			length: binary.LittleEndian.Uint64(ent[16:]),
-		}
-		if !knownSectKind(entries[i].kind) {
-			return nil, fmt.Errorf("snapshot: unknown section kind %d", uint32(entries[i].kind))
-		}
-		info.Sections = append(info.Sections, SectionInfo{
-			Label:  entries[i].kind.String(),
-			Length: entries[i].length,
-			Year:   entries[i].year,
-		})
-	}
-	// Traces labels live at the front of their payloads; stream forward in
-	// offset order peeking just those.
-	order := make([]int, nsect)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return entries[order[a]].off < entries[order[b]].off })
-	pos := uint64(v2HeaderLen + v2EntryLen*nsect + 4)
-	for _, i := range order {
-		e := entries[i]
-		if e.off < pos {
-			return nil, fmt.Errorf("snapshot: section %d (%s) overlaps its predecessor", i, e.kind)
-		}
-		if _, err := io.CopyN(io.Discard, r, int64(e.off-pos)); err != nil {
-			return nil, fmt.Errorf("snapshot: skipping to section %d: %w", i, err)
-		}
-		pos = e.off
-		if e.kind != sectTraces && e.kind != sectDelta {
-			if _, err := io.CopyN(io.Discard, r, int64(e.length)); err != nil {
-				return nil, fmt.Errorf("snapshot: skipping section %d: %w", i, err)
-			}
-			pos += e.length
-			continue
-		}
-		front := make([]byte, min(e.length, 4096))
-		if _, err := io.ReadFull(r, front); err != nil {
-			return nil, fmt.Errorf("snapshot: section %d label: %w", i, err)
-		}
-		pos += uint64(len(front))
-		d := &dec{buf: front}
-		si := &info.Sections[i]
-		if e.kind == sectDelta {
-			di := &DeltaInfo{FromYear: int(d.u32()), ToYear: int(d.u32())}
-			di.BaseHash = d.str()
-			di.ResultHash = d.str()
-			if d.err != nil {
-				return nil, fmt.Errorf("snapshot: section %d label: %w", i, d.err)
-			}
-			si.Year = di.ToYear
-			info.Delta = di
-		} else {
-			si.Year = int(d.u32())
-			si.Cloud = d.str()
-			si.VMs = int(d.u32())
-			if d.err != nil {
-				return nil, fmt.Errorf("snapshot: section %d label: %w", i, d.err)
-			}
-		}
-		if _, err := io.CopyN(io.Discard, r, int64(e.length-uint64(len(front)))); err != nil {
-			return nil, fmt.Errorf("snapshot: skipping section %d: %w", i, err)
-		}
-		pos = e.off + e.length
-	}
-	return info, nil
 }

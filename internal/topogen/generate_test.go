@@ -7,6 +7,7 @@ import (
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/bgpsim"
+	"flatnet/internal/core"
 	"flatnet/internal/geo"
 )
 
@@ -183,18 +184,19 @@ func TestGenerateRejectsHostileScale(t *testing.T) {
 func TestMasks(t *testing.T) {
 	in := gen2020(t, 0.0285)
 	g := in.Graph
+	m := core.New(core.Dataset{Graph: g, Tier1: in.Tier1, Tier2: in.Tier2})
 	google := in.Clouds["Google"]
-	pf := in.ProviderFreeMask(google)
+	pf := m.Mask(google, core.ProviderFree)
 	for _, p := range g.Providers(google) {
 		i, _ := g.Index(p)
 		if !pf[i] {
 			t.Errorf("provider AS%d not masked", p)
 		}
 	}
-	hf := in.HierarchyFreeMask(google)
+	hf := m.Mask(google, core.HierarchyFree)
 	nMasked := 0
-	for _, m := range hf {
-		if m {
+	for _, masked := range hf {
+		if masked {
 			nMasked++
 		}
 	}
@@ -205,9 +207,8 @@ func TestMasks(t *testing.T) {
 	// An origin inside the exclusion set must not be masked out of its
 	// own propagation.
 	he := astopo.ASN(6939)
-	m := in.HierarchyFreeMask(he)
 	i, _ := g.Index(he)
-	if m[i] {
+	if m.Mask(he, core.HierarchyFree)[i] {
 		t.Error("origin masked out of its own hierarchy-free mask")
 	}
 }
@@ -219,9 +220,10 @@ func TestMasks(t *testing.T) {
 func TestGenerateShape(t *testing.T) {
 	in := gen2020(t, 0.04987)
 	sim := bgpsim.New(in.Graph)
+	m := core.New(core.Dataset{Graph: in.Graph, Tier1: in.Tier1, Tier2: in.Tier2})
 	total := in.Graph.NumASes() - 1
 	hfr := func(o astopo.ASN) float64 {
-		n, err := sim.ReachabilityCount(bgpsim.Config{Origin: o, Exclude: in.HierarchyFreeMask(o)})
+		n, err := sim.ReachabilityCount(bgpsim.Config{Origin: o, Exclude: m.Mask(o, core.HierarchyFree)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -261,47 +261,3 @@ func (in *Internet) NameOf(a astopo.ASN) string {
 	}
 	return astopoName(a)
 }
-
-// ProviderFreeMask returns the exclusion mask for reach(o, I \ P_o).
-func (in *Internet) ProviderFreeMask(o astopo.ASN) []bool {
-	return buildMask(in.Graph, in.Graph.Providers(o))
-}
-
-// Tier1FreeMask returns the mask for reach(o, I \ P_o \ T1).
-func (in *Internet) Tier1FreeMask(o astopo.ASN) []bool {
-	mask := in.ProviderFreeMask(o)
-	for a := range in.Tier1 {
-		if a == o {
-			continue
-		}
-		if i, ok := in.Graph.Index(a); ok {
-			mask[i] = true
-		}
-	}
-	return mask
-}
-
-// HierarchyFreeMask returns the mask for reach(o, I \ P_o \ T1 \ T2).
-func (in *Internet) HierarchyFreeMask(o astopo.ASN) []bool {
-	mask := in.Tier1FreeMask(o)
-	for a := range in.Tier2 {
-		if a == o {
-			continue
-		}
-		if i, ok := in.Graph.Index(a); ok {
-			mask[i] = true
-		}
-	}
-	return mask
-}
-
-func buildMask(g *astopo.Graph, asns []astopo.ASN) []bool {
-	g.Freeze()
-	mask := make([]bool, g.NumASes())
-	for _, a := range asns {
-		if i, ok := g.Index(a); ok {
-			mask[i] = true
-		}
-	}
-	return mask
-}

@@ -11,7 +11,7 @@
 # FLATNET_BENCH_REGEX  (default: the sweep benches) -bench selector
 #
 # The regex also matches the FullScale variants (scale 1.0 pinned) and the
-# BenchmarkSnapshotLoad mmap/decode pair, so the baseline always carries
+# BenchmarkSnapshotLoad mmap cold start, so the baseline always carries
 # true-scale numbers and their ns/AS metrics.
 set -eu
 

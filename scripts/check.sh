@@ -68,7 +68,7 @@ SNAPDIR="$(mktemp -d)"
 trap 'rm -rf "$SNAPDIR"' EXIT
 go build -o "$SNAPDIR/flatnet" ./cmd/flatnet
 "$SNAPDIR/flatnet" snapshot build -scale 0.01425 -traces none -o "$SNAPDIR/world.snap"
-"$SNAPDIR/flatnet" snapshot info "$SNAPDIR/world.snap"
+"$SNAPDIR/flatnet" snapshot info -verify "$SNAPDIR/world.snap"
 "$SNAPDIR/flatnet" run -snapshot "$SNAPDIR/world.snap" table1 > /dev/null
 
 echo "==> timeline delta smoke"
