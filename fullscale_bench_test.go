@@ -10,6 +10,7 @@ import (
 	"flatnet/internal/astopo"
 	"flatnet/internal/core"
 	"flatnet/internal/experiments"
+	"flatnet/internal/topogen"
 )
 
 // Full-scale variants of the headline benchmarks, pinned at the paper's
@@ -78,6 +79,22 @@ func BenchmarkFig7LeakCDFsFullScale(b *testing.B) {
 // 1.0 — the kernel a reproduction pass spends most of its time in.
 // ns/leaker is the per-trial cost; allocs/op should be 0.
 func BenchmarkLeakTrialsBatchFullScale(b *testing.B) { benchLeakTrialsBatch(b, fullScaleEnv(b)) }
+
+// BenchmarkGenerateFullScale measures one build of the paper's 2020 world
+// (69,488 ASes): every RNG draw, every duplicate-link check and the final
+// Freeze. It is the larger half of the generation behind `flatnet snapshot
+// build -scale 1.0`.
+func BenchmarkGenerateFullScale(b *testing.B) {
+	var nASes int
+	for i := 0; i < b.N; i++ {
+		in, err := topogen.Generate(topogen.Internet2020(1.0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		nASes = in.Graph.NumASes()
+	}
+	reportNsPerAS(b, nASes)
+}
 
 func BenchmarkReachabilityAllFullScale(b *testing.B) {
 	e := fullScaleEnv(b)

@@ -1,4 +1,4 @@
 package astopo
 
 // HoldsPairSet reports whether g keeps its construction-time pair set.
-func (g *Graph) HoldsPairSet() bool { return g.pairs != nil }
+func (g *Graph) HoldsPairSet() bool { return g.pairs.slots != nil }

@@ -10,6 +10,7 @@ package astopo
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -84,9 +85,10 @@ type Graph struct {
 	// 1 bit per AS so the test stays in cache (see HasCustomers).
 	hasCust []uint64
 
-	// pairs keys every link while the graph is built, for AddLink's
-	// duplicate check; Freeze drops it and the next add rebuilds it.
-	pairs map[uint64]struct{}
+	// pairs holds every link's PairKey while the graph is built, for
+	// AddLink's duplicate check; Freeze drops it and the next add rebuilds
+	// it from the links.
+	pairs pairSet
 }
 
 // NewGraph returns an empty graph with capacity hints for n ASes and m links.
@@ -232,30 +234,76 @@ func (g *Graph) AddLinkIfAbsent(a, b ASN, rel Rel) bool {
 			return false
 		}
 	}
-	if g.pairs == nil {
+	if g.pairs.slots == nil {
 		g.materializeLinks()
-		g.pairs = make(map[uint64]struct{}, cap(g.links))
+		g.pairs = newPairSet(cap(g.links))
 		for _, l := range g.links {
-			g.pairs[PairKey(l.A, l.B)] = struct{}{}
+			g.pairs.insert(PairKey(l.A, l.B))
 		}
 	}
-	key := PairKey(a, b)
-	if _, dup := g.pairs[key]; dup {
+	if !g.pairs.insert(PairKey(a, b)) {
 		return false
 	}
-	g.pairs[key] = struct{}{}
 	g.links = append(g.links, Link{A: a, B: b, Rel: rel})
 	g.rawA, g.rawB, g.rawRel = nil, nil, nil
 	g.frozen = false
 	return true
 }
 
-// PairKey is the direction-free key of the pair {a, b}.
+// PairKey is the direction-free key of the pair {a, b}. The key of two
+// distinct ASes is never 0: the larger one fills the low half.
 func PairKey(a, b ASN) uint64 {
 	if a > b {
 		a, b = b, a
 	}
 	return uint64(a)<<32 | uint64(b)
+}
+
+// pairSet is an open-addressed set of PairKeys with linear probing. Zero
+// marks an empty slot, which no key of a valid link can collide with. The
+// set only grows; the zero value holds no table.
+type pairSet struct {
+	slots []uint64 // power-of-two length
+	shift uint     // 64 - log2(len(slots)): a hash's top bits pick the slot
+	n     int
+}
+
+// newPairSet returns a set that holds n keys before it first grows.
+func newPairSet(n int) pairSet {
+	size, shift := 16, uint(60)
+	for size*5 < n*8 { // keep the load at most 5/8
+		size, shift = size*2, shift-1
+	}
+	return pairSet{slots: make([]uint64, size), shift: shift}
+}
+
+// insert adds k (non-zero) and reports whether it was absent.
+func (s *pairSet) insert(k uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return false
+		case 0:
+			s.slots[i] = k
+			s.n++
+			if s.n*8 > len(s.slots)*5 {
+				s.grow()
+			}
+			return true
+		}
+	}
+}
+
+// grow rehashes the keys into a table twice the size.
+func (s *pairSet) grow() {
+	old := s.slots
+	*s = pairSet{slots: make([]uint64, 2*len(old)), shift: s.shift - 1}
+	for _, k := range old {
+		if k != 0 {
+			s.insert(k)
+		}
+	}
 }
 
 // HasLink reports whether any link exists between a and b, and its
@@ -318,9 +366,11 @@ func (g *Graph) NumLinks() int {
 // automatically by queries that need indexes; exposed so callers can choose
 // when to pay the cost.
 //
-// The adjacency rows are carved out of one shared arena (CSR layout): a
-// counting pass sizes every row up front, so freezing costs a handful of
-// allocations regardless of the node count — per-node append growth would
+// Dense indexes come from a radix sort of the link endpoints by ASN (see
+// numberEndpoints), so index i is the i-th smallest ASN. The adjacency
+// rows are carved out of one shared arena (CSR layout): a counting pass
+// sizes every row up front, so freezing costs a handful of allocations
+// regardless of the node count — per-node append growth would
 // otherwise dominate workloads that rebuild derived graphs in a loop, such
 // as topogen's delta apply. Rows are filled in link order (P2P links
 // contribute both directions at the same step), keeping the exact
@@ -336,26 +386,14 @@ func (g *Graph) Freeze() {
 }
 
 func (g *Graph) freeze() {
-	// Sorted-unique endpoint list via sort+compact rather than a map: no
-	// pointer-shaped index survives freezing (Index is a binary search),
-	// and at millions of links the sort beats map inserts handily.
-	all := make([]ASN, 0, 2*len(g.links))
-	for _, l := range g.links {
-		all = append(all, l.A, l.B)
-	}
-	slices.Sort(all)
-	g.nodes = slices.Compact(all)
+	g.pairs = pairSet{} // the rows answer HasLink from here on
+	var ends []uint64
+	g.nodes, ends = numberEndpoints(g.links)
 	n := len(g.nodes)
-	// One binary search per endpoint: the counting pass caches the dense
-	// indexes for the fill pass.
-	ends := make([]int32, 2*len(g.links))
 	deg := make([]int32, 3*n)
 	provDeg, custDeg, peerDeg := deg[:n], deg[n:2*n], deg[2*n:]
 	for k, l := range g.links {
-		ia, _ := slices.BinarySearch(g.nodes, l.A)
-		ib, _ := slices.BinarySearch(g.nodes, l.B)
-		ai, bi := int32(ia), int32(ib)
-		ends[2*k], ends[2*k+1] = ai, bi
+		ai, bi := int32(ends[2*k]), int32(ends[2*k+1])
 		switch l.Rel {
 		case P2P:
 			peerDeg[ai]++
@@ -395,7 +433,7 @@ func (g *Graph) freeze() {
 	copy(custCur, g.custOff[:n])
 	copy(peerCur, g.peerOff[:n])
 	for k, l := range g.links {
-		ai, bi := ends[2*k], ends[2*k+1]
+		ai, bi := int32(ends[2*k]), int32(ends[2*k+1])
 		switch l.Rel {
 		case P2P:
 			g.arena[peerCur[ai]] = bi
@@ -411,7 +449,71 @@ func (g *Graph) freeze() {
 	}
 	g.hasCust = customerBits(g.custOff)
 	g.frozen = true
-	g.pairs = nil
+}
+
+// numberEndpoints returns the sorted unique ASNs of links and the dense
+// index of every endpoint among them: ends[2k] is links[k].A's and
+// ends[2k+1] is links[k].B's.
+//
+// It sorts the keys (ASN-min)<<32 | endpoint with a stable two-pass LSD
+// radix sort, then numbers the ASNs in one scan of the sorted run. Each
+// pass sorts on half the bits of the ASN span: topogen's worlds span less
+// than 2^20 and sort on 10-bit digits, while any ASN set takes at most
+// two 16-bit passes. The first pass scatters straight from the links, so
+// no unsorted key array is built.
+func numberEndpoints(links []Link) (nodes []ASN, ends []uint64) {
+	if len(links) == 0 {
+		return []ASN{}, nil
+	}
+	lo, hi := links[0].A, links[0].A
+	for _, l := range links {
+		lo, hi = min(lo, l.A, l.B), max(hi, l.A, l.B)
+	}
+	w := uint(bits.Len32(uint32(hi-lo))+1) / 2
+	mask := ASN(1)<<w - 1
+	cnt := make([]int32, 2<<w)
+	low, high := cnt[:1<<w], cnt[1<<w:]
+	for _, l := range links {
+		a, b := l.A-lo, l.B-lo
+		low[a&mask]++
+		high[a>>w]++
+		low[b&mask]++
+		high[b>>w]++
+	}
+	var startLow, startHigh int32
+	for d := range low {
+		low[d], startLow = startLow, startLow+low[d]
+		high[d], startHigh = startHigh, startHigh+high[d]
+	}
+	byLow := make([]uint64, 2*len(links))
+	for k, l := range links {
+		a, b, e := l.A-lo, l.B-lo, uint64(2*k)
+		byLow[low[a&mask]] = uint64(a)<<32 | e
+		low[a&mask]++
+		byLow[low[b&mask]] = uint64(b)<<32 | e | 1
+		low[b&mask]++
+	}
+	keys := make([]uint64, len(byLow))
+	for _, x := range byLow {
+		d := x >> (32 + w)
+		keys[high[d]] = x
+		high[d]++
+	}
+	n := 0
+	for i, x := range keys {
+		if i == 0 || x>>32 != keys[i-1]>>32 {
+			n++
+		}
+	}
+	nodes = make([]ASN, 0, n)
+	ends = byLow // free again after the second pass
+	for _, x := range keys {
+		if a := lo + ASN(x>>32); len(nodes) == 0 || nodes[len(nodes)-1] != a {
+			nodes = append(nodes, a)
+		}
+		ends[uint32(x)] = uint64(len(nodes) - 1)
+	}
+	return nodes, ends
 }
 
 // NumASes returns the number of ASes appearing in at least one link.

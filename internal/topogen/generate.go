@@ -102,6 +102,7 @@ type builder struct {
 	citiesByContinent map[geo.Continent][]geo.CityID
 	cityCum           map[geo.Continent][]float64 // cumulative PopM for weighted draws
 	allCityCum        []float64
+	continentCum      []float64 // cumulative continent PopM, in geo.Continents() order
 
 	// AS populations by class
 	transits   []astopo.ASN
@@ -141,6 +142,13 @@ func (b *builder) placeCities() {
 		s += cities[i].PopM
 		b.allCityCum[i] = s
 	}
+	conts, pops := geo.Continents(), geo.ContinentPopulationM()
+	b.continentCum = make([]float64, len(conts))
+	s = 0
+	for i, c := range conts {
+		s += pops[c]
+		b.continentCum[i] = s
+	}
 }
 
 // randCity draws a city weighted by metro population, optionally restricted
@@ -155,15 +163,7 @@ func (b *builder) randCity(cont geo.Continent, anyContinent bool) geo.CityID {
 
 // randContinent draws a continent weighted by its gazetteer population.
 func (b *builder) randContinent() geo.Continent {
-	conts := geo.Continents()
-	pops := geo.ContinentPopulationM()
-	cum := make([]float64, len(conts))
-	var s float64
-	for i, c := range conts {
-		s += pops[c]
-		cum[i] = s
-	}
-	return conts[weightedIndex(b.rng, cum)]
+	return geo.Continents()[weightedIndex(b.rng, b.continentCum)]
 }
 
 func weightedIndex(rng *rand.Rand, cum []float64) int {

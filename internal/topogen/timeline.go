@@ -248,7 +248,10 @@ type evolver struct {
 	oldTransits, oldAccess, oldContent int
 
 	memberCount map[astopo.ASN]int // IXP memberships per AS (cap bookkeeping)
-	ixpMembers  [][]astopo.ASN     // evolving membership, index = base IXP index
+	// ixpClasses is each base exchange's evolving membership split by
+	// class, in join order: index = base IXP index. A joining member is
+	// appended to its class's bucket.
+	ixpClasses [][ClassCloud + 1][]astopo.ASN
 }
 
 // EvolveStep computes the deterministic growth delta from prev (a world of
@@ -355,11 +358,12 @@ func (e *evolver) rebuildState() {
 	e.oldTransits, e.oldAccess, e.oldContent = len(b.transits), len(b.access), len(b.content)
 
 	e.memberCount = make(map[astopo.ASN]int)
-	e.ixpMembers = make([][]astopo.ASN, len(prev.IXPs))
+	e.ixpClasses = make([][ClassCloud + 1][]astopo.ASN, len(prev.IXPs))
 	for k := range prev.IXPs {
-		e.ixpMembers[k] = prev.IXPs[k].Members // copied on first append
 		for _, a := range prev.IXPs[k].Members {
 			e.memberCount[a]++
+			c := b.class[a]
+			e.ixpClasses[k][c] = append(e.ixpClasses[k][c], a)
 		}
 	}
 }
@@ -577,16 +581,12 @@ func (e *evolver) wireNamedToNewASes() {
 }
 
 // meshAgainst peers one joining member against an exchange's current
-// membership with the new year's openness products.
-func (e *evolver) meshAgainst(a astopo.ASN, members []astopo.ASN) {
+// membership, bucketed by class, with the new year's openness products.
+func (e *evolver) meshAgainst(a astopo.ASN, buckets *[ClassCloud + 1][]astopo.ASN) {
 	b := e.b
 	pa := b.spec.Openness[b.class[a]]
 	if pa <= 0 {
 		return
-	}
-	var buckets [ClassCloud + 1][]astopo.ASN
-	for _, m := range members {
-		buckets[b.class[m]] = append(buckets[b.class[m]], m)
 	}
 	for ci := range buckets {
 		p := pa * b.spec.Openness[ASClass(ci)]
@@ -609,12 +609,9 @@ func (e *evolver) joinExistingIXPs() {
 		ixpByCont[c] = append(ixpByCont[c], k)
 	}
 	join := func(k int, a astopo.ASN) {
-		e.meshAgainst(a, e.ixpMembers[k])
-		// copy-on-append: the base membership slice may borrow read-only
-		// snapshot memory.
-		ms := make([]astopo.ASN, len(e.ixpMembers[k]), len(e.ixpMembers[k])+1)
-		copy(ms, e.ixpMembers[k])
-		e.ixpMembers[k] = append(ms, a)
+		e.meshAgainst(a, &e.ixpClasses[k])
+		c := b.class[a]
+		e.ixpClasses[k][c] = append(e.ixpClasses[k][c], a)
 		e.memberCount[a]++
 		e.d.IXPJoins = append(e.d.IXPJoins, IXPJoin{IXP: int32(k), Member: a})
 	}

@@ -10,7 +10,8 @@
 # FLATNET_BENCH_COUNT  (default 6)     -count repetitions per benchmark
 # FLATNET_BENCH_REGEX  (default: the sweep benches) -bench selector
 #
-# The regex also matches the FullScale variants (scale 1.0 pinned) and the
+# The regex also matches the FullScale variants (scale 1.0 pinned), the
+# scale-1.0 world build BenchmarkGenerateFullScale and the
 # BenchmarkSnapshotLoad mmap cold start, so the baseline always carries
 # true-scale numbers and their ns/AS metrics.
 set -eu
@@ -18,7 +19,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 COUNT="${FLATNET_BENCH_COUNT:-6}"
-REGEX="${FLATNET_BENCH_REGEX:-BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkFig3ReachVsCone|BenchmarkSensitivity|BenchmarkHierarchyFreeReachability|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkLeakTrialsBatch|BenchmarkLeakTrialsSmall|BenchmarkEnvColdStart\$|BenchmarkSnapshotLoad|BenchmarkClusterSweep|BenchmarkWireCounts|BenchmarkTimelineSeries|BenchmarkPropagationWithNextHops}"
+REGEX="${FLATNET_BENCH_REGEX:-BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkFig3ReachVsCone|BenchmarkSensitivity|BenchmarkHierarchyFreeReachability|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkLeakTrialsBatch|BenchmarkLeakTrialsSmall|BenchmarkEnvColdStart\$|BenchmarkGenerateFullScale|BenchmarkSnapshotLoad|BenchmarkClusterSweep|BenchmarkWireCounts|BenchmarkTimelineSeries|BenchmarkPropagationWithNextHops}"
 OUT="${1:-bench-$(git rev-parse --short HEAD 2>/dev/null || echo local).txt}"
 
 go test -run '^$' -bench "$REGEX" -benchmem -count "$COUNT" . | tee "$OUT"
