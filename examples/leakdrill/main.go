@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -71,10 +72,11 @@ func main() {
 	fmt.Printf("%-40s %12s %12s\n", "posture", "mean detour", "worst detour")
 	for _, scen := range bgpsim.LeakScenarios() {
 		cfg := bgpsim.ScenarioConfig(g, you, in.Tier1, in.Tier2, scen)
-		res, err := bgpsim.RunLeakTrials(g, cfg, leakers, nil)
+		runs, err := bgpsim.RunLeakJobs(context.Background(), []bgpsim.LeakJob{{Graph: g, Config: cfg, Leakers: leakers}})
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := runs[0]
 		var mean, worst float64
 		for _, tr := range res {
 			mean += tr.DetouredFrac

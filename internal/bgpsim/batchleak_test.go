@@ -502,8 +502,8 @@ func TestBatchLeakWithdrawalAndLaneMix(t *testing.T) {
 		t.Fatalf("AS4 under AS5's leak: pre-pass length %d, then class %v length %d flags %b; want 2, then a legitimate provider route of length 3",
 			sw.base.dist[i4], res.Class[i4], res.Dist[i4], res.Flags[i4])
 	}
-	if res.Detoured() != 4 {
-		t.Fatalf("AS5's leak detours %d ASes, want AS2, AS3, AS6, AS7", res.Detoured())
+	if detoured(res) != 4 {
+		t.Fatalf("AS5's leak detours %d ASes, want AS2, AS3, AS6, AS7", detoured(res))
 	}
 
 	leakers := []astopo.ASN{5, 10, 11, 9, 6, 7, 2, 3, 8, 4}
@@ -852,8 +852,8 @@ func TestBatchLeakStubTie(t *testing.T) {
 		t.Fatalf("AS50 under AS5's leak: class %v length %d flags %b; want tied legitimate and leaked provider routes of length 3",
 			res.Class[i50], res.Dist[i50], res.Flags[i50])
 	}
-	if res.Detoured() != 2 {
-		t.Fatalf("AS5's leak detours %d ASes, want AS20 and AS50", res.Detoured())
+	if detoured(res) != 2 {
+		t.Fatalf("AS5's leak detours %d ASes, want AS20 and AS50", detoured(res))
 	}
 
 	// Lanes: AS5 0, AS10 1, AS11 2, AS30 3, AS50 4. AS20 holds no route

@@ -69,16 +69,6 @@ func TestTrialCtxCanceled(t *testing.T) {
 	}
 }
 
-func TestRunLeakTrialsCtxCanceled(t *testing.T) {
-	g := ctxFixture(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunLeakTrialsCtx(ctx, g, Config{Origin: 100}, []astopo.ASN{6, 7}, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunLeakTrialsCtx on canceled ctx: err = %v, want context.Canceled", err)
-	}
-}
-
 func TestSweepTrialsMatchesSequential(t *testing.T) {
 	g := ctxFixture(t)
 	sw, err := NewLeakSweep(g, Config{Origin: 100})

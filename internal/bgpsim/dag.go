@@ -91,24 +91,21 @@ func (r *Result) Reliance() ([]float64, error) {
 // the dense reliance slice that can be nonzero — in ascending index order.
 // Both slices alias that scratch and are valid only until the next
 // propagation on this Simulator. Cancellation is as in
-// ReachabilityCountCtx; leak configs are rejected.
+// ReachabilityCountCtx.
 func (s *Simulator) RelianceCtx(ctx context.Context, cfg Config) (reliance []float64, holders []int32, err error) {
-	if cfg.Leaker != 0 {
-		return nil, nil, fmt.Errorf("bgpsim: RelianceCtx does not support leak configs")
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	s.ctx = ctx
 	defer func() { s.ctx = nil }()
-	seeds, _, err := s.prepare(cfg)
+	seeds, err := s.prepare(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !s.propagate(seeds, cfg.Exclude, cfg.Locking, true, cfg.BreakTies) {
 		return nil, nil, s.ctx.Err()
 	}
-	s.ensureLeakScratch()
+	s.ensureRelianceScratch()
 	origin, csr, dist := seeds[0].idx, s.csr(), s.dist
 	counts, visits := s.counts, s.reach
 	// A node's path count reads only nodes one hop closer, so any

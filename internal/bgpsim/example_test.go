@@ -45,22 +45,30 @@ func Example_routeLeak() {
 	g.MustAddLink(21, 40, astopo.P2C) // the leaker multihomes under 21 and 22
 	g.MustAddLink(22, 40, astopo.P2C)
 
-	sim := bgpsim.New(g)
-	leak, err := sim.Run(bgpsim.Config{Origin: 10, Leaker: 40})
-	if err != nil {
-		log.Fatal(err)
+	// detours replays leaker 40 against cfg and counts the ASes left with a
+	// tied-best route toward it.
+	detours := func(cfg bgpsim.Config) int {
+		sweep, err := bgpsim.NewLeakSweep(g, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		leak, err := sweep.Run(40)
+		if err != nil {
+			log.Fatal(err)
+		}
+		n := 0
+		for i, f := range leak.Flags {
+			if f&bgpsim.ViaLeak != 0 && int32(i) != leak.Origin && int32(i) != leak.LeakerIdx {
+				n++
+			}
+		}
+		return n
 	}
-	fmt.Printf("no locking: %d ASes detoured\n", leak.Detoured())
-
-	locked, err := sim.Run(bgpsim.Config{
+	fmt.Printf("no locking: %d ASes detoured\n", detours(bgpsim.Config{Origin: 10}))
+	fmt.Printf("peer locking at 21+22: %d ASes detoured\n", detours(bgpsim.Config{
 		Origin:  10,
-		Leaker:  40,
 		Locking: bgpsim.BuildLocking(g, []astopo.ASN{21, 22}),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("peer locking at 21+22: %d ASes detoured\n", locked.Detoured())
+	}))
 	// Output:
 	// no locking: 2 ASes detoured
 	// peer locking at 21+22: 0 ASes detoured

@@ -30,13 +30,25 @@ func leakTopology(t *testing.T) *astopo.Graph {
 	)
 }
 
-func TestLeakDetoursCustomerPreferringAS(t *testing.T) {
-	g := leakTopology(t)
-	sim := New(g)
-	r, err := sim.Run(Config{Origin: 10, Leaker: 40})
+// leakRun replays leaker against base on a new LeakSweep: the production
+// scalar path to a leak's full Result.
+func leakRun(t *testing.T, g *astopo.Graph, base Config, leaker astopo.ASN) *Result {
+	t.Helper()
+	sw, err := NewLeakSweep(g, base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sw.Release()
+	r, err := sw.Run(leaker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestLeakDetoursCustomerPreferringAS(t *testing.T) {
+	g := leakTopology(t)
+	r := leakRun(t, g, Config{Origin: 10}, 40)
 	iQ, _ := g.Index(21)
 	// l's legitimate route: via its provider Q (peer route at Q),
 	// dist 2. Leak seeds at 2; Q hears it from customer at dist 3 —
@@ -60,24 +72,16 @@ func TestLeakDetoursCustomerPreferringAS(t *testing.T) {
 	if r.Flags[iP]&ViaLeak != 0 || r.Flags[iP]&ViaLegit == 0 {
 		t.Errorf("P flags = %b, want legit only", r.Flags[iP])
 	}
-	if got := r.Detoured(); got < 2 {
+	if got := detoured(r); got < 2 {
 		t.Errorf("Detoured = %d, want >= 2 (Q, v at least)", got)
 	}
 }
 
 func TestLeakPeerLockingStopsLeak(t *testing.T) {
 	g := leakTopology(t)
-	sim := New(g)
 	// Q deploys peer locking for o's prefixes: it accepts them only
 	// directly from o, so the customer-leaked route is discarded.
-	r, err := sim.Run(Config{
-		Origin:  10,
-		Leaker:  40,
-		Locking: BuildLocking(g, []astopo.ASN{21}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := leakRun(t, g, Config{Origin: 10, Locking: BuildLocking(g, []astopo.ASN{21})}, 40)
 	iQ, _ := g.Index(21)
 	if r.Class[iQ] != ClassPeer || r.Flags[iQ]&ViaLeak != 0 {
 		t.Errorf("Q with locking: class=%v flags=%b, want peer/legit-only", r.Class[iQ], r.Flags[iQ])
@@ -94,15 +98,8 @@ func TestLeakPeerLockingStopsLeak(t *testing.T) {
 	}
 	// Locking both of the origin's leaked-side peers kills the leak
 	// entirely.
-	r2, err := sim.Run(Config{
-		Origin:  10,
-		Leaker:  40,
-		Locking: BuildLocking(g, []astopo.ASN{21, 22}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r2.Detoured(); got != 0 {
+	r2 := leakRun(t, g, Config{Origin: 10, Locking: BuildLocking(g, []astopo.ASN{21, 22})}, 40)
+	if got := detoured(r2); got != 0 {
 		t.Errorf("Detoured with Q+R locked = %d, want 0", got)
 	}
 }
@@ -120,11 +117,7 @@ func TestLeakLoopDetectionProtectsUpstream(t *testing.T) {
 		p2c(21, 40),
 		p2c(21, 50),
 	)
-	sim := New(g)
-	r, err := sim.Run(Config{Origin: 10, Leaker: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := leakRun(t, g, Config{Origin: 10}, 40)
 	iQ, _ := g.Index(21)
 	if r.Flags[iQ]&ViaLeak != 0 {
 		t.Errorf("Q detoured despite being on the leaked AS path (flags=%b)", r.Flags[iQ])
@@ -139,7 +132,7 @@ func TestLeakLoopDetectionProtectsUpstream(t *testing.T) {
 	// The leak still poisons ASes not on the path: T (30) hears the
 	// leaked route from its customer Q? No — Q rejected it. In this
 	// topology the leak goes nowhere at all.
-	if got := r.Detoured(); got != 0 {
+	if got := detoured(r); got != 0 {
 		t.Errorf("Detoured = %d, want 0 (fully contained by loop detection)", got)
 	}
 }
@@ -149,12 +142,8 @@ func TestLeakUnreachableLeakerIsNoop(t *testing.T) {
 		p2c(20, 10),
 		p2p(40, 41), // island disconnected from origin
 	)
-	sim := New(g)
-	r, err := sim.Run(Config{Origin: 10, Leaker: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Detoured(); got != 0 {
+	r := leakRun(t, g, Config{Origin: 10}, 40)
+	if got := detoured(r); got != 0 {
 		t.Errorf("Detoured = %d, want 0 (leaker has no route to leak)", got)
 	}
 	i20, _ := g.Index(20)
@@ -188,11 +177,7 @@ func TestLeakTiedRoutesSetBothFlags(t *testing.T) {
 		p2p(10, 40), // leaker peers with origin: legit dist 1
 		p2c(62, 40), // leak chain: w->y->l
 	)
-	sim := New(g)
-	r, err := sim.Run(Config{Origin: 10, Leaker: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := leakRun(t, g, Config{Origin: 10}, 40)
 	iW, _ := g.Index(60)
 	if r.Class[iW] != ClassCustomer || r.Dist[iW] != 3 {
 		t.Fatalf("w: class=%v dist=%d, want customer/3", r.Class[iW], r.Dist[iW])
@@ -200,25 +185,33 @@ func TestLeakTiedRoutesSetBothFlags(t *testing.T) {
 	if r.Flags[iW] != ViaLegit|ViaLeak {
 		t.Errorf("w flags = %b, want both (tied best routes)", r.Flags[iW])
 	}
-	if got := r.Detoured(); got == 0 {
+	if got := detoured(r); got == 0 {
 		t.Error("tied AS not counted as detoured (worst-case rule)")
 	}
 }
 
 func TestDetouredWeight(t *testing.T) {
 	g := leakTopology(t)
-	sim := New(g)
-	r, err := sim.Run(Config{Origin: 10, Leaker: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := leakRun(t, g, Config{Origin: 10}, 40)
 	w := make([]float64, g.NumASes())
 	iQ, _ := g.Index(21)
 	iV, _ := g.Index(50)
 	w[iQ] = 2.5
 	w[iV] = 1.5
-	if got := r.DetouredWeight(w); got != 4.0 {
-		t.Errorf("DetouredWeight = %v, want 4.0", got)
+	if got := detouredWeight(r, w); got != 4.0 {
+		t.Errorf("detoured weight = %v, want 4.0", got)
+	}
+	// Trial reduces the same leak to the same weighted sum.
+	sw, err := NewLeakSweep(g, Config{Origin: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sw.Trial(40, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.DetouredUserFrac != 4.0 {
+		t.Errorf("Trial DetouredUserFrac = %v, want 4.0", tr.DetouredUserFrac)
 	}
 }
 
@@ -226,16 +219,8 @@ func TestDetouredWeight(t *testing.T) {
 // the hierarchy makes peers prefer leaked customer routes.
 func TestLeakWithRestrictedAnnouncement(t *testing.T) {
 	g := leakTopology(t)
-	sim := New(g)
 	// Origin announces only to its provider P (not to peer Q).
-	r, err := sim.Run(Config{
-		Origin: 10,
-		Policy: NewPolicy(g, []astopo.ASN{20}),
-		Leaker: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := leakRun(t, g, Config{Origin: 10, Policy: NewPolicy(g, []astopo.ASN{20})}, 40)
 	// Q now has no direct route; its routes are the leaked customer one.
 	iQ, _ := g.Index(21)
 	if r.Flags[iQ]&ViaLeak == 0 || r.Flags[iQ]&ViaLegit != 0 {
@@ -248,18 +233,10 @@ func TestLeakWithRestrictedAnnouncement(t *testing.T) {
 // and no loop detection protects the leaker's upstream.
 func TestHijackDominatesLeak(t *testing.T) {
 	g := leakTopology(t)
-	sim := New(g)
-	leak, err := sim.Run(Config{Origin: 10, Leaker: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leak = leak.Clone()
-	hijack, err := sim.Run(Config{Origin: 10, Leaker: 40, Hijack: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hijack.Detoured() < leak.Detoured() {
-		t.Errorf("hijack detours %d < leak detours %d", hijack.Detoured(), leak.Detoured())
+	leak := leakRun(t, g, Config{Origin: 10}, 40)
+	hijack := leakRun(t, g, Config{Origin: 10, Hijack: true}, 40)
+	if detoured(hijack) < detoured(leak) {
+		t.Errorf("hijack detours %d < leak detours %d", detoured(hijack), detoured(leak))
 	}
 	// The hijacker's providers prefer the forged customer route at
 	// length 1 over longer legitimate routes.
@@ -269,11 +246,7 @@ func TestHijackDominatesLeak(t *testing.T) {
 	}
 	// An unreachable "leaker" can still hijack (it forges origination).
 	g2 := mustGraph(t, p2c(20, 10), p2p(40, 41))
-	sim2 := New(g2)
-	h2, err := sim2.Run(Config{Origin: 10, Leaker: 40, Hijack: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2 := leakRun(t, g2, Config{Origin: 10, Hijack: true}, 40)
 	i41, _ := g2.Index(41)
 	if h2.Flags[i41]&ViaLeak == 0 {
 		t.Error("island hijack did not capture the hijacker's peer")

@@ -3,6 +3,7 @@ package bgpsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,12 +24,12 @@ type refState struct {
 }
 
 // refPropagateFull is an exhaustive fixed-point engine that tracks complete
-// path sets (not just next hops), supports a leaker re-announcing the
-// origin's prefix to everyone, peer-locking filters, and announcement
-// policies. It is O(paths) and only usable on tiny graphs; it exists to
-// cross-validate the production engine's leak semantics and reliance
-// computation.
-func refPropagateFull(g *astopo.Graph, cfg Config) ([]refState, error) {
+// path sets (not just next hops), supports a leaker (nonzero) re-announcing
+// the origin's prefix to everyone — or, with cfg.Hijack, forging its
+// origination — peer-locking filters, and announcement policies. It is
+// O(paths) and only usable on tiny graphs; it exists to cross-validate the
+// production engine's leak and hijack semantics and reliance computation.
+func refPropagateFull(g *astopo.Graph, cfg Config, leaker astopo.ASN) ([]refState, error) {
 	g.Freeze()
 	n := g.NumASes()
 	oi, ok := g.Index(cfg.Origin)
@@ -36,8 +37,8 @@ func refPropagateFull(g *astopo.Graph, cfg Config) ([]refState, error) {
 		return nil, errNotFound
 	}
 	li := -1
-	if cfg.Leaker != 0 {
-		x, ok := g.Index(cfg.Leaker)
+	if leaker != 0 {
+		x, ok := g.Index(leaker)
 		if !ok {
 			return nil, errNotFound
 		}
@@ -160,12 +161,13 @@ func refPropagateFull(g *astopo.Graph, cfg Config) ([]refState, error) {
 				for _, u := range g.CustomersOf(int(v)) {
 					consider(u)
 				}
-				if best.class != next[v].class || best.dist != next[v].dist || len(best.paths) != len(next[v].paths) {
-					next[v] = best
+				// A round that changes only which paths an AS holds
+				// (same class, length and count) is not yet the fixed
+				// point: its neighbors read the new paths next round.
+				if best.class != next[v].class || best.dist != next[v].dist || !samePaths(best.paths, next[v].paths) {
 					changed = true
-				} else {
-					next[v] = best // refresh paths even if counts equal
 				}
+				next[v] = best
 			}
 			state = next
 			if !changed && round > 0 {
@@ -177,6 +179,13 @@ func refPropagateFull(g *astopo.Graph, cfg Config) ([]refState, error) {
 
 	if li < 0 {
 		return run(-1, nil), nil
+	}
+	if cfg.Hijack {
+		// A forged origination: length zero, an empty hop set (no
+		// upstream path for loop detection to reject), no pre-pass.
+		// The announcement policy still binds only the origin, and peer
+		// locking still discards the leaker's copies.
+		return run(0, []refPath{{leak: true}}), nil
 	}
 	// Pre-pass: the leaker's legitimate routes; the leak re-announces
 	// them (marked leaked) to everyone.
@@ -208,15 +217,30 @@ func refPropagateFull(g *astopo.Graph, cfg Config) ([]refState, error) {
 	return run(pre[li].dist, []refPath{{hops: hops, leak: true}}), nil
 }
 
+// samePaths reports whether two path lists hold the same paths in the same
+// order.
+func samePaths(a, b []refPath) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].leak != b[i].leak || !slices.Equal(a[i].hops, b[i].hops) {
+			return false
+		}
+	}
+	return true
+}
+
 var errNotFound = &notFoundError{}
 
 type notFoundError struct{}
 
 func (*notFoundError) Error() string { return "bgpsim: AS not in graph" }
 
-// TestLeakMatchesReference cross-validates leak detour flags against the
-// exhaustive engine on random small graphs with random locking sets and
-// policies.
+// TestLeakMatchesReference cross-validates LeakSweep.Run's classes, lengths
+// and detour flags against the exhaustive engine on random small graphs
+// with random locking sets and policies; about a third of the seeds
+// simulate a hijack instead of a leak.
 func TestLeakMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -231,7 +255,7 @@ func TestLeakMatchesReference(t *testing.T) {
 				break
 			}
 		}
-		cfg := Config{Origin: origin, Leaker: leaker}
+		cfg := Config{Origin: origin, Hijack: rng.Intn(3) == 0}
 		// Random locking among origin's neighbors.
 		if rng.Intn(2) == 1 {
 			var locked []astopo.ASN
@@ -253,13 +277,18 @@ func TestLeakMatchesReference(t *testing.T) {
 			cfg.Policy = NewPolicy(g, allowed)
 		}
 
-		sim := New(g)
-		res, err := sim.Run(cfg)
+		sweep, err := NewLeakSweep(g, cfg)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		ref, err := refPropagateFull(g, cfg)
+		res, err := sweep.Run(leaker)
+		sweep.Release()
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		ref, err := refPropagateFull(g, cfg, leaker)
 		if err != nil {
 			return false
 		}
@@ -270,8 +299,8 @@ func TestLeakMatchesReference(t *testing.T) {
 				continue
 			}
 			if ref[i].class != res.Class[i] || ref[i].dist != res.Dist[i] {
-				t.Logf("seed %d AS%d: ref %v/%d sim %v/%d",
-					seed, g.ASNAt(i), ref[i].class, ref[i].dist, res.Class[i], res.Dist[i])
+				t.Logf("seed %d (hijack %v) AS%d: ref %v/%d sim %v/%d",
+					seed, cfg.Hijack, g.ASNAt(i), ref[i].class, ref[i].dist, res.Class[i], res.Dist[i])
 				return false
 			}
 			if ref[i].class == ClassNone {
@@ -288,8 +317,8 @@ func TestLeakMatchesReference(t *testing.T) {
 			simLeak := res.Flags[i]&ViaLeak != 0
 			simLegit := res.Flags[i]&ViaLegit != 0
 			if refLeak != simLeak || refLegit != simLegit {
-				t.Logf("seed %d AS%d: ref leak=%v legit=%v, sim leak=%v legit=%v (class %v dist %d)",
-					seed, g.ASNAt(i), refLeak, refLegit, simLeak, simLegit, res.Class[i], res.Dist[i])
+				t.Logf("seed %d (hijack %v) AS%d: ref leak=%v legit=%v, sim leak=%v legit=%v (class %v dist %d)",
+					seed, cfg.Hijack, g.ASNAt(i), refLeak, refLegit, simLeak, simLegit, res.Class[i], res.Dist[i])
 				return false
 			}
 		}
@@ -319,7 +348,7 @@ func TestRelianceMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref, err := refPropagateFull(g, Config{Origin: origin})
+		ref, err := refPropagateFull(g, Config{Origin: origin}, 0)
 		if err != nil {
 			return false
 		}

@@ -19,7 +19,8 @@ import (
 // reused simulator (also serving as a LeakSweep's) runs a seeded random
 // sequence of configs over the 110-topology corpus and the preset-0.02
 // world; every answer must equal a fresh simulator's for the same config,
-// and plain configs must equal the reference engine's fixed point.
+// and plain configs must equal the reference engine's fixed point. Leaks
+// run through the from-scratch reference (refLeakRun) and the sweep.
 func TestReusedSimulatorMatchesFresh(t *testing.T) {
 	for seed := int64(0); seed < 110; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -41,8 +42,8 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 	reused := New(g)
 	sw := &LeakSweep{base: &sweepBase{g: g}, sim: reused, ownsBase: true}
 	swept := false
-	oracle := func(res *Result, cfg Config, at string) {
-		if cfg.Leaker != 0 || cfg.Policy != nil || cfg.Locking != nil || cfg.BreakTies || oracleRuns == 0 {
+	oracle := func(res *Result, cfg Config, leaker astopo.ASN, at string) {
+		if leaker != 0 || cfg.Policy != nil || cfg.Locking != nil || cfg.BreakTies || oracleRuns == 0 {
 			return
 		}
 		oracleRuns--
@@ -57,24 +58,24 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 	}
 	rng.Shuffle(steps, func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
 	for step, op := range ops {
-		cfg := randomConfig(g, tier1, tier2, rng)
+		cfg, leaker := randomConfig(g, tier1, tier2, rng)
 		at := fmt.Sprintf("%s step %d (origin AS%d, leaker AS%d, hijack %v, track %v, ties %v, exclude %v, locking %v, policy %v)",
-			label, step, cfg.Origin, cfg.Leaker, cfg.Hijack, cfg.TrackNextHops, cfg.BreakTies,
+			label, step, cfg.Origin, leaker, cfg.Hijack, cfg.TrackNextHops, cfg.BreakTies,
 			cfg.Exclude != nil, cfg.Locking != nil, cfg.Policy != nil)
-		want, wantErr := New(g).Run(cfg)
+		want, wantErr := refLeakRun(New(g), cfg, leaker)
 		switch {
 		case op == 0: // canceled at a random stage or bucket boundary
 			ctx := &countdownCtx{Context: context.Background(), after: 1 + rng.Intn(6)}
 			var err error
-			if cfg.Leaker == 0 && rng.Intn(2) == 0 {
+			if leaker == 0 && rng.Intn(2) == 0 {
 				_, _, err = reused.RelianceCtx(ctx, cfg)
 			} else {
 				// Cancel through the hook LeakSweep.TrialCtx sets, after
-				// the same up-front check: Run aborts between distance
+				// the same up-front check: a run aborts between distance
 				// buckets once ctx is done.
 				if err = ctx.Err(); err == nil {
 					reused.ctx = ctx
-					_, err = reused.Run(cfg)
+					_, err = refLeakRun(reused, cfg, leaker)
 					reused.ctx = nil
 				}
 			}
@@ -84,7 +85,7 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 		case op == 1 && wantErr == nil:
 			// A Clone owns its state: another run on the simulator that
 			// lent the view must leave it as the fresh result.
-			got, err := reused.Run(cfg)
+			got, err := refLeakRun(reused, cfg, leaker)
 			if err != nil {
 				t.Fatalf("%s: Run: %v", at, err)
 			}
@@ -95,39 +96,37 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 			if msg := diffResults(held, want); msg != "" {
 				t.Fatalf("%s: Clone after another run %s", at, msg)
 			}
-			oracle(held, cfg, at)
-		case op == 2 && cfg.Leaker == 0 && wantErr == nil:
+			oracle(held, cfg, leaker, at)
+		case op == 2 && leaker == 0 && wantErr == nil:
 			got, err := reused.ReachabilityCount(cfg)
 			if err != nil || got != want.Reachable() {
 				t.Fatalf("%s: ReachabilityCount = %d, %v; fresh Run reaches %d", at, got, err, want.Reachable())
 			}
-		case op == 3 && cfg.Leaker == 0 && wantErr == nil:
+		case op == 3 && leaker == 0 && wantErr == nil:
 			checkRelianceMatches(t, reused, cfg, at)
 		case op == 4 && wantErr == nil:
 			// The sweep's pre-pass swaps the simulator's arrays for the
 			// previous snapshot's; then replay the leaker on the swapped-in ones.
-			base := cfg
-			base.Leaker = 0
-			if err := sw.prepass(base); err != nil {
+			if err := sw.prepass(cfg); err != nil {
 				t.Fatalf("%s: pre-pass: %v", at, err)
 			}
 			swept = true
-			if cfg.Leaker == 0 {
+			if leaker == 0 {
 				break
 			}
-			got, err := sw.Run(cfg.Leaker)
+			got, err := sw.Run(leaker)
 			if err != nil {
 				t.Fatalf("%s: sweep Run: %v", at, err)
 			}
 			if msg := diffResults(got, want); msg != "" {
 				t.Fatalf("%s: sweep Run %s", at, msg)
 			}
-			tr, err := sw.Trial(cfg.Leaker, nil)
-			if wantFrac := float64(want.Detoured()) / float64(n-2); err != nil || tr.DetouredFrac != wantFrac {
+			tr, err := sw.Trial(leaker, nil)
+			if wantFrac := float64(detoured(want)) / float64(n-2); err != nil || tr.DetouredFrac != wantFrac {
 				t.Fatalf("%s: sweep Trial = %v, %v; fresh Run detours %v", at, tr.DetouredFrac, err, wantFrac)
 			}
 		default:
-			got, err := reused.Run(cfg)
+			got, err := refLeakRun(reused, cfg, leaker)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("%s: Run err = %v, fresh err = %v", at, err, wantErr)
 			}
@@ -137,7 +136,7 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 			if msg := diffResults(got, want); msg != "" {
 				t.Fatalf("%s: Run %s", at, msg)
 			}
-			oracle(got, cfg, at)
+			oracle(got, cfg, leaker, at)
 		}
 	}
 	if !swept {
@@ -147,13 +146,13 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 
 // randomConfig draws an origin and every Config dimension: one of the four
 // reachability kinds' masks (none, providers, +Tier-1, +Tier-2), a §8.2
-// scenario's policy or locking, tracking, tie-breaking, and a leak or hijack
-// by a leaker outside the mask.
-func randomConfig(g *astopo.Graph, tier1, tier2 astopo.ASSet, rng *rand.Rand) Config {
+// scenario's policy or locking, tracking, tie-breaking, and — one time in
+// four — a leak or hijack by a leaker outside the mask (0 otherwise).
+func randomConfig(g *astopo.Graph, tier1, tier2 astopo.ASSet, rng *rand.Rand) (cfg Config, leaker astopo.ASN) {
 	n := g.NumASes()
 	oi := rng.Intn(n)
 	origin := g.ASNAt(oi)
-	cfg := Config{Origin: origin}
+	cfg = Config{Origin: origin}
 	if scens := LeakScenarios(); rng.Intn(2) == 0 {
 		cfg = ScenarioConfig(g, origin, tier1, tier2, scens[rng.Intn(len(scens))])
 	}
@@ -178,13 +177,13 @@ func randomConfig(g *astopo.Graph, tier1, tier2 astopo.ASSet, rng *rand.Rand) Co
 		for try := 0; try < 8; try++ {
 			li := rng.Intn(n)
 			if li != oi && (cfg.Exclude == nil || !cfg.Exclude[li]) {
-				cfg.Leaker = g.ASNAt(li)
+				leaker = g.ASNAt(li)
 				cfg.Hijack = rng.Intn(3) == 0
 				break
 			}
 		}
 	}
-	return cfg
+	return cfg, leaker
 }
 
 // diffResults describes the first difference between two Results' Class,

@@ -58,8 +58,8 @@ func LeakScenarios() []LeakScenario {
 	}
 }
 
-// ScenarioConfig builds the propagation Config (minus the leaker) for a
-// scenario: the announcement policy and the peer-locking mask, derived from
+// ScenarioConfig builds the leak-free base Config of a scenario (what a
+// LeakJob or LeakSweep replays leakers against): the announcement policy and the peer-locking mask, derived from
 // the origin's neighbors and the Tier-1/Tier-2 sets.
 func ScenarioConfig(g *astopo.Graph, origin astopo.ASN, tier1, tier2 astopo.ASSet, scen LeakScenario) Config {
 	cfg := Config{Origin: origin}
@@ -107,26 +107,8 @@ type LeakTrial struct {
 	DetouredUserFrac float64
 }
 
-// RunLeakTrials simulates cfgBase once per leaker, in parallel, and returns
-// one LeakTrial per leaker in input order. weights may be nil. It is
-// RunLeakJobs with a single job.
-func RunLeakTrials(g *astopo.Graph, cfgBase Config, leakers []astopo.ASN, weights []float64) ([]LeakTrial, error) {
-	return RunLeakTrialsCtx(context.Background(), g, cfgBase, leakers, weights)
-}
-
-// RunLeakTrialsCtx is RunLeakTrials with cancellation: once ctx is done no
-// new trials start, in-flight trials abort between distance buckets, and
-// ctx.Err() is returned.
-func RunLeakTrialsCtx(ctx context.Context, g *astopo.Graph, cfgBase Config, leakers []astopo.ASN, weights []float64) ([]LeakTrial, error) {
-	trials, err := RunLeakJobs(ctx, []LeakJob{{Graph: g, Config: cfgBase, Leakers: leakers, Weights: weights}})
-	if err != nil {
-		return nil, err
-	}
-	return trials[0], nil
-}
-
-// LeakJob is one configuration's leak trials: Config (whose Leaker field is
-// ignored) replayed over Graph once per leaker. Weights may be nil;
+// LeakJob is one configuration's leak trials: Config replayed over Graph
+// once per leaker. Weights may be nil;
 // otherwise it holds one entry per dense index of Graph.
 type LeakJob struct {
 	Graph   *astopo.Graph

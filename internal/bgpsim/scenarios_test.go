@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -91,10 +92,11 @@ func TestLeakScenarioOrdering(t *testing.T) {
 
 	mean := func(scen LeakScenario) float64 {
 		cfg := ScenarioConfig(g, google, in.Tier1, in.Tier2, scen)
-		trials, err := RunLeakTrials(g, cfg, leakers, nil)
+		jobs, err := RunLeakJobs(context.Background(), []LeakJob{{Graph: g, Config: cfg, Leakers: leakers}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		trials := jobs[0]
 		var s float64
 		for _, tr := range trials {
 			s += tr.DetouredFrac

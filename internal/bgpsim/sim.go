@@ -20,10 +20,12 @@
 // edges in best-length order. A Simulator remembers which ASes a
 // propagation touched (one bit each) and resets and scans only those.
 //
-// Simulator.Run is the one entry point that returns a Result, and the Result
-// it returns is borrowed: its arrays and next-hop spans are the Simulator's
-// own buffers, valid until the next run on that Simulator. Result.Clone is
-// the owned copy for callers that keep a Result past that point.
+// Simulator.Run returns a leak-free Result, and the Result it returns is
+// borrowed: its arrays and next-hop spans are the Simulator's own buffers,
+// valid until the next run on that Simulator. Result.Clone is the owned
+// copy for callers that keep a Result past that point. Leaks run through a
+// LeakSweep (one leaker's full Result from LeakSweep.Run, reduced trials
+// from Trial and Trials) or the batched RunLeakJobs driver.
 package bgpsim
 
 import (
@@ -120,15 +122,13 @@ type Config struct {
 	// reliance analysis; costs memory proportional to the DAG.
 	TrackNextHops bool
 
-	// Leaker, if nonzero, designates a misconfigured AS that re-announces
-	// the origin's prefix to all its neighbors (a route leak, §8.1). The
-	// leaked announcement carries the leaker's legitimate best path, so
-	// it competes with the true routes at the leaker's best length.
-	Leaker astopo.ASN
-	// Hijack turns the leak into a forged origination (§8.1's "prefix
-	// hijacks, which are intentional malicious route leaks"): the leaker
-	// announces the prefix as its own, competing at AS-path length zero
-	// with no upstream path for loop detection to reject.
+	// Hijack applies to a LeakSweep's base config (and so to a LeakJob's):
+	// it turns each leak into a forged origination (§8.1's "prefix
+	// hijacks, which are intentional malicious route leaks"), where the
+	// leaker announces the prefix as its own, competing at AS-path length
+	// zero with no upstream path for loop detection to reject. Without it
+	// the leaked announcement carries the leaker's legitimate best path
+	// and competes at the leaker's best length. Simulator.Run ignores it.
 	Hijack bool
 	// Locking marks ASes (by dense index) deploying peer locking for the
 	// origin's prefixes: they accept the prefix only directly from the
@@ -160,7 +160,8 @@ type Result struct {
 	Class []Class
 	Dist  []int32
 
-	// Flags carries ViaLegit/ViaLeak bits (only for leak simulations).
+	// Flags carries ViaLegit/ViaLeak bits (only in a leak's Result, from
+	// LeakSweep.Run).
 	Flags []uint8
 
 	// LeakerIdx is the dense index of the leaker, or -1.
@@ -210,42 +211,6 @@ func (r *Result) Reachable() int {
 	return n
 }
 
-// Detoured counts ASes with at least one tied-best route via the leak,
-// excluding the origin and the leaker themselves.
-func (r *Result) Detoured() int {
-	if r.Flags == nil {
-		return 0
-	}
-	n := 0
-	for i, f := range r.Flags {
-		if int32(i) == r.Origin || int32(i) == r.LeakerIdx {
-			continue
-		}
-		if f&ViaLeak != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// DetouredWeight sums w[i] over detoured ASes; used for the user-population
-// weighting of Fig. 9.
-func (r *Result) DetouredWeight(w []float64) float64 {
-	if r.Flags == nil {
-		return 0
-	}
-	var s float64
-	for i, f := range r.Flags {
-		if int32(i) == r.Origin || int32(i) == r.LeakerIdx {
-			continue
-		}
-		if f&ViaLeak != 0 {
-			s += w[i]
-		}
-	}
-	return s
-}
-
 // Simulator runs propagations over one graph, reusing internal buffers
 // across runs. It is not safe for concurrent use; create one Simulator per
 // goroutine (they share the frozen graph safely).
@@ -273,7 +238,8 @@ type Simulator struct {
 	touched []uint64
 
 	// leakBlocked marks ASes whose BGP loop detection rejects every
-	// leaked copy (set by prepare for leak runs, nil otherwise).
+	// leaked copy (set by blockLeakLoops for a LeakSweep's leak runs;
+	// prepare clears it).
 	leakBlocked []bool
 
 	buckets [][]int32 // dial queue, indexed by distance
@@ -287,9 +253,10 @@ type Simulator struct {
 	nhLen   []int32
 	nhArena []int32
 
-	// Scratch reused by prepare and the leak pre-pass. blocked carries
-	// exactly the marks of walk's latest result. reach is RelianceCtx's
-	// visit mass, zero outside holders (its latest route holders).
+	// Scratch reused by prepare, the LeakSweep pre-pass and RelianceCtx.
+	// blocked carries exactly the marks of walk's latest result. counts
+	// and reach are RelianceCtx's path counts and visit mass, reach zero
+	// outside holders (its latest route holders).
 	seeds   []seed
 	order   []int32
 	distCnt []int32
@@ -351,38 +318,26 @@ func (s *Simulator) ReachabilityCountCtx(ctx context.Context, cfg Config) (int, 
 // (see Result); Clone it to keep it longer. A steady-state Run allocates
 // nothing, with or without TrackNextHops.
 func (s *Simulator) Run(cfg Config) (*Result, error) {
-	seeds, leakerIdx, err := s.prepare(cfg)
+	seeds, err := s.prepare(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if seeds == nil {
-		// Leak configured but the leaker holds no route: the leak-free
-		// state is the outcome, and its propagation leaves ViaLegit on
-		// every routed AS.
-		base := cfg
-		base.Leaker, base.Hijack = 0, false
-		res, err := s.Run(base)
-		if err != nil {
-			return nil, err
-		}
-		res.LeakerIdx, res.Flags = leakerIdx, s.flags
-		return res, nil
 	}
 	if !s.propagate(seeds, cfg.Exclude, cfg.Locking, cfg.TrackNextHops, cfg.BreakTies) {
 		return nil, s.ctx.Err()
 	}
-	return s.view(seeds[0].idx, leakerIdx, cfg), nil
+	return s.view(seeds[0].idx, -1, cfg.TrackNextHops), nil
 }
 
 // view points the Simulator's reusable Result at the buffers the latest
-// propagation of cfg filled.
-func (s *Simulator) view(origin, leakerIdx int32, cfg Config) *Result {
+// propagation filled. A leak's view (leakerIdx >= 0) carries the route
+// flags; track says whether the propagation recorded next hops.
+func (s *Simulator) view(origin, leakerIdx int32, track bool) *Result {
 	r := &s.res
 	*r = Result{Graph: s.g, Origin: origin, Class: s.class, Dist: s.dist, LeakerIdx: leakerIdx}
-	if cfg.TrackNextHops {
+	if track {
 		r.nh = s.csr()
 	}
-	if cfg.Leaker != 0 {
+	if leakerIdx >= 0 {
 		r.Flags = s.flags
 	}
 	return r
@@ -392,12 +347,9 @@ func (s *Simulator) view(origin, leakerIdx int32, cfg Config) *Result {
 // the origin, that receive a route. It counts over the ASes the propagation
 // touched instead of scanning a whole Result.
 func (s *Simulator) ReachabilityCount(cfg Config) (int, error) {
-	seeds, _, err := s.prepare(cfg)
+	seeds, err := s.prepare(cfg)
 	if err != nil {
 		return 0, err
-	}
-	if seeds == nil {
-		return 0, fmt.Errorf("bgpsim: ReachabilityCount does not support leak configs")
 	}
 	if !s.propagate(seeds, cfg.Exclude, cfg.Locking, false, cfg.BreakTies) {
 		return 0, s.ctx.Err()
@@ -414,81 +366,31 @@ func (s *Simulator) ReachabilityCount(cfg Config) (int, error) {
 	return n, nil
 }
 
-// prepare validates cfg and builds the propagation seeds (in the
-// Simulator's reusable seed buffer, valid until the next prepare). For leak
-// configs whose leaker holds no legitimate route it returns
-// (nil, leakerIdx, nil).
-func (s *Simulator) prepare(cfg Config) ([]seed, int32, error) {
+// prepare validates cfg and builds the propagation's one seed, the
+// origin's announcement (in the Simulator's reusable seed buffer, valid
+// until the next prepare). It clears the loop-detection mask a leak run
+// installed.
+func (s *Simulator) prepare(cfg Config) ([]seed, error) {
 	s.leakBlocked = nil
 	oi, ok := s.g.Index(cfg.Origin)
 	if !ok {
-		return nil, -1, fmt.Errorf("bgpsim: origin AS%d not in graph", cfg.Origin)
+		return nil, fmt.Errorf("bgpsim: origin AS%d not in graph", cfg.Origin)
 	}
 	if cfg.Exclude != nil && len(cfg.Exclude) != s.n {
-		return nil, -1, fmt.Errorf("bgpsim: Exclude mask has %d entries, graph has %d ASes", len(cfg.Exclude), s.n)
+		return nil, fmt.Errorf("bgpsim: Exclude mask has %d entries, graph has %d ASes", len(cfg.Exclude), s.n)
 	}
 	if cfg.Locking != nil && len(cfg.Locking) != s.n {
-		return nil, -1, fmt.Errorf("bgpsim: Locking mask has %d entries, graph has %d ASes", len(cfg.Locking), s.n)
+		return nil, fmt.Errorf("bgpsim: Locking mask has %d entries, graph has %d ASes", len(cfg.Locking), s.n)
 	}
 	if cfg.Exclude != nil && cfg.Exclude[oi] {
-		return nil, -1, fmt.Errorf("bgpsim: origin AS%d is excluded by the mask", cfg.Origin)
+		return nil, fmt.Errorf("bgpsim: origin AS%d is excluded by the mask", cfg.Origin)
 	}
-
-	seeds := append(s.seeds[:0], seed{idx: int32(oi), dist0: 0, flag: ViaLegit, policy: cfg.Policy})
-	s.seeds = seeds
-	leakerIdx := int32(-1)
-	if cfg.Leaker != 0 {
-		li, ok := s.g.Index(cfg.Leaker)
-		if !ok {
-			return nil, -1, fmt.Errorf("bgpsim: leaker AS%d not in graph", cfg.Leaker)
-		}
-		if cfg.Leaker == cfg.Origin {
-			return nil, -1, fmt.Errorf("bgpsim: leaker equals origin AS%d", cfg.Origin)
-		}
-		if cfg.Exclude != nil && cfg.Exclude[li] {
-			return nil, -1, fmt.Errorf("bgpsim: leaker AS%d is excluded by the mask", cfg.Leaker)
-		}
-		leakerIdx = int32(li)
-		if cfg.Hijack {
-			// Forged origination: length zero, no upstream path.
-			s.seeds = append(seeds, seed{
-				idx:       leakerIdx,
-				dist0:     0,
-				flag:      ViaLeak,
-				exportAll: true,
-			})
-			return s.seeds, leakerIdx, nil
-		}
-		// The leaked announcement carries the leaker's legitimate best
-		// path; find its length with a leak-free pre-pass, tracking
-		// next hops so that loop detection (below) can be computed.
-		if !s.propagate(seeds, cfg.Exclude, cfg.Locking, true, cfg.BreakTies) {
-			return nil, -1, s.ctx.Err()
-		}
-		if s.class[li] == ClassNone {
-			return nil, leakerIdx, nil // nothing to leak
-		}
-		// BGP loop detection: every copy of the leaked announcement
-		// carries the leaker's AS path toward the origin, so any AS
-		// that appears on *all* of the leaker's tied-best paths will
-		// reject every leaked copy. Mark those ASes so propagation
-		// strips the leak flag at them.
-		s.ensureLeakScratch()
-		pathCountsCSR(s.csr(), s.class, s.dist, s.orderByDistance(), s.counts)
-		s.blockLeakLoops(s.csr(), s.counts, leakerIdx)
-		s.seeds = append(seeds, seed{
-			idx:       leakerIdx,
-			dist0:     s.dist[li],
-			flag:      ViaLeak,
-			exportAll: true,
-		})
-	}
-	return s.seeds, leakerIdx, nil
+	s.seeds = append(s.seeds[:0], seed{idx: int32(oi), dist0: 0, flag: ViaLegit, policy: cfg.Policy})
+	return s.seeds, nil
 }
 
-// ensureLeakScratch sizes the path-count scratch the leak pre-pass and
-// RelianceCtx share, and RelianceCtx's visit masses.
-func (s *Simulator) ensureLeakScratch() {
+// ensureRelianceScratch sizes RelianceCtx's path counts and visit masses.
+func (s *Simulator) ensureRelianceScratch() {
 	if s.counts == nil {
 		s.counts = make([]float64, s.n)
 		s.reach = make([]float64, s.n)

@@ -233,12 +233,6 @@ func TestRunErrors(t *testing.T) {
 	if _, err := sim.Run(Config{Origin: 10, Locking: make([]bool, 1)}); err == nil {
 		t.Error("wrong-size locking mask accepted")
 	}
-	if _, err := sim.Run(Config{Origin: 10, Leaker: 10}); err == nil {
-		t.Error("leaker == origin accepted")
-	}
-	if _, err := sim.Run(Config{Origin: 10, Leaker: 98}); err == nil {
-		t.Error("unknown leaker accepted")
-	}
 }
 
 // Simulator buffer reuse: a Clone of the first run is independent of the

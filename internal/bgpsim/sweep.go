@@ -13,10 +13,10 @@ import (
 
 // LeakSweep replays many leakers against one base configuration — the inner
 // loop of the paper's §8.1 experiments (thousands of trials per
-// origin×scenario). A plain Simulator.Run re-derives the leak-free state
-// for every trial: the pre-pass propagation, the tied-best next-hop DAG,
-// and its path counts are all invariant in the leaker, yet cost as much as
-// the leak propagation itself. A sweep computes them once per
+// origin×scenario). Every leak needs the leak-free state: the pre-pass
+// propagation, the tied-best next-hop DAG, and its path counts are all
+// invariant in the leaker, yet cost as much as the leak propagation
+// itself. A sweep computes them once per
 // (origin, policy, exclude, locking) configuration and keeps them in an
 // immutable snapshot, so each trial pays only for the per-leaker loop
 // detection (one backward pass over the cached DAG) and the leak
@@ -39,7 +39,7 @@ type LeakSweep struct {
 // construction and shared by all clones of a sweep.
 type sweepBase struct {
 	g      *astopo.Graph
-	cfg    Config // base config; Leaker always zero
+	cfg    Config // base config
 	origin int32
 	class  []Class
 	dist   []int32
@@ -75,12 +75,11 @@ func putSim(s *Simulator) {
 // and loop-detection scratch — returned by LeakSweep.Release.
 var sweepPool sync.Pool
 
-// NewLeakSweep validates base (whose Leaker field is ignored), runs the
-// leak-free pre-pass once, and returns a sweep ready to replay leakers
-// against it. The graph is frozen by the call. Release the sweep when
-// done to recycle its buffers for the next configuration.
+// NewLeakSweep validates base, runs the leak-free pre-pass once, and
+// returns a sweep ready to replay leakers against it. The graph is frozen
+// by the call. Release the sweep when done to recycle its buffers for the
+// next configuration.
 func NewLeakSweep(g *astopo.Graph, base Config) (*LeakSweep, error) {
-	base.Leaker = 0
 	g.Freeze()
 	var sw *LeakSweep
 	if v := sweepPool.Get(); v != nil && v.(*LeakSweep).base.g == g {
@@ -99,7 +98,7 @@ func NewLeakSweep(g *astopo.Graph, base Config) (*LeakSweep, error) {
 // installs it as the sweep's snapshot.
 func (sw *LeakSweep) prepass(base Config) error {
 	sim := sw.sim
-	seeds, _, err := sim.prepare(base)
+	seeds, err := sim.prepare(base)
 	if err != nil {
 		return err
 	}
@@ -153,9 +152,6 @@ func (sw *LeakSweep) Release() {
 func (sw *LeakSweep) Clone() *LeakSweep {
 	return &LeakSweep{base: sw.base, sim: getSim(sw.base.g)}
 }
-
-// Base returns the sweep's base configuration (Leaker is always zero).
-func (sw *LeakSweep) Base() Config { return sw.base.cfg }
 
 // runLeaker validates the leaker against the cached pre-pass, installs the
 // per-leaker loop-detection mask, and runs the leak propagation into the
@@ -290,7 +286,7 @@ func (sw *LeakSweep) TrialsN(ctx context.Context, leakers []astopo.ASN, weights 
 
 // Trial replays one leaker and reduces the outcome straight to a LeakTrial
 // without building a Result. The detoured fraction's denominator is
-// every AS other than the origin and the leaker, matching RunLeakTrials.
+// every AS other than the origin and the leaker, as in every leak driver.
 func (sw *LeakSweep) Trial(leaker astopo.ASN, weights []float64) (LeakTrial, error) {
 	li, propagated, err := sw.runLeaker(leaker, false)
 	if err != nil {
@@ -325,11 +321,13 @@ func (sw *LeakSweep) Trial(leaker astopo.ASN, weights []float64) (LeakTrial, err
 	return tr, nil
 }
 
-// Run replays one leaker and returns an owned copy of the full Result,
-// exactly as Simulator.Run would give for the base config plus this leaker
-// (including the leak-free outcome, every routed AS ViaLegit, when the
-// leaker holds no route). Next hops are tracked iff the base config asks
-// for them.
+// Run replays one leaker and returns an owned copy of the full Result:
+// classes, lengths and ViaLegit/ViaLeak flags of the base config's
+// propagation with this leaker's announcement added. A leaker holding no
+// legitimate route leaks nothing, and the Result is the leak-free outcome
+// with every routed AS ViaLegit (a hijacker always announces). Next hops
+// are tracked iff the base config asks for them. Run is the one scalar
+// path to a leak's full Result.
 func (sw *LeakSweep) Run(leaker astopo.ASN) (*Result, error) {
 	b := sw.base
 	li, propagated, err := sw.runLeaker(leaker, b.cfg.TrackNextHops)
@@ -338,13 +336,11 @@ func (sw *LeakSweep) Run(leaker astopo.ASN) (*Result, error) {
 	}
 	sim := sw.sim
 	if !propagated {
-		// The leaker holds no route: Simulator.Run's leak-free re-run
+		// The leaker holds no route: propagate the leak-free state
 		// (runLeaker left the origin alone in sim.seeds).
 		if !sim.propagate(sim.seeds, b.cfg.Exclude, b.cfg.Locking, b.cfg.TrackNextHops, b.cfg.BreakTies) {
 			return nil, sim.ctx.Err()
 		}
 	}
-	cfg := b.cfg
-	cfg.Leaker = leaker
-	return sim.view(b.origin, li, cfg).Clone(), nil
+	return sim.view(b.origin, li, b.cfg.TrackNextHops).Clone(), nil
 }

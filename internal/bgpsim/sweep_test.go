@@ -1,6 +1,7 @@
 package bgpsim
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -42,13 +43,13 @@ func requireResultsIdentical(t *testing.T, label string, want, got *Result) {
 			}
 		}
 	}
-	if want.Detoured() != got.Detoured() {
-		t.Fatalf("%s: Detoured = %d, want %d", label, got.Detoured(), want.Detoured())
+	if detoured(want) != detoured(got) {
+		t.Fatalf("%s: detoured = %d, want %d", label, detoured(got), detoured(want))
 	}
 }
 
-// The cached-pre-pass sweep must reproduce the per-trial Simulator.Run
-// outcome bit-for-bit across every scenario configuration of §8.2,
+// The cached-pre-pass sweep must reproduce the from-scratch reference
+// (refLeakRun) bit-for-bit across every scenario configuration of §8.2,
 // including restricted announcement policies and peer locking.
 func TestLeakSweepMatchesRunAcrossScenarios(t *testing.T) {
 	in := genInternet(t, 0.01425)
@@ -68,38 +69,36 @@ func TestLeakSweepMatchesRunAcrossScenarios(t *testing.T) {
 		}
 		sim := New(g)
 		for _, l := range leakers {
-			runCfg := cfg
-			runCfg.Leaker = l
-			want, err := sim.Run(runCfg)
+			want, err := refLeakRun(sim, cfg, l)
 			if err != nil {
-				t.Fatalf("%v leaker AS%d: Run: %v", scen, l, err)
+				t.Fatalf("%v leaker AS%d: reference: %v", scen, l, err)
 			}
 			got, err := sweep.Run(l)
 			if err != nil {
 				t.Fatalf("%v leaker AS%d: sweep: %v", scen, l, err)
 			}
 			requireResultsIdentical(t, scen.String(), want, got)
-			if ww, gw := want.DetouredWeight(weights), got.DetouredWeight(weights); ww != gw {
-				t.Fatalf("%v leaker AS%d: DetouredWeight = %v, want %v", scen, l, gw, ww)
+			if ww, gw := detouredWeight(want, weights), detouredWeight(got, weights); ww != gw {
+				t.Fatalf("%v leaker AS%d: detoured weight = %v, want %v", scen, l, gw, ww)
 			}
 			tr, err := sweep.Trial(l, weights)
 			if err != nil {
 				t.Fatalf("%v leaker AS%d: Trial: %v", scen, l, err)
 			}
 			denom := float64(g.NumASes() - 2)
-			if wantFrac := float64(want.Detoured()) / denom; tr.DetouredFrac != wantFrac {
+			if wantFrac := float64(detoured(want)) / denom; tr.DetouredFrac != wantFrac {
 				t.Fatalf("%v leaker AS%d: Trial frac = %v, want %v", scen, l, tr.DetouredFrac, wantFrac)
 			}
-			if tr.DetouredUserFrac != want.DetouredWeight(weights) {
+			if tr.DetouredUserFrac != detouredWeight(want, weights) {
 				t.Fatalf("%v leaker AS%d: Trial user frac = %v, want %v",
-					scen, l, tr.DetouredUserFrac, want.DetouredWeight(weights))
+					scen, l, tr.DetouredUserFrac, detouredWeight(want, weights))
 			}
 		}
 	}
 }
 
 // Hijacks compete at length zero with no loop detection; the sweep must
-// take the same path as Simulator.Run for them.
+// take the same path as the reference for them.
 func TestLeakSweepMatchesRunHijack(t *testing.T) {
 	in := genInternet(t, 0.01425)
 	g := in.Graph
@@ -112,9 +111,7 @@ func TestLeakSweepMatchesRunHijack(t *testing.T) {
 	}
 	sim := New(g)
 	for _, l := range leakers {
-		runCfg := cfg
-		runCfg.Leaker = l
-		want, err := sim.Run(runCfg)
+		want, err := refLeakRun(sim, cfg, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,9 +136,7 @@ func TestLeakSweepNoRouteLeaker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runCfg := cfg
-		runCfg.Leaker = 40
-		want, err := New(g).Run(runCfg)
+		want, err := refLeakRun(New(g), cfg, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,6 +200,9 @@ func TestLeakSweepErrors(t *testing.T) {
 	if _, err := sweep.Run(9999); err == nil {
 		t.Error("Run with unknown leaker accepted")
 	}
+	if _, err := sweep.Run(10); err == nil {
+		t.Error("Run with leaker == origin accepted")
+	}
 }
 
 // Steady-state sweep iterations must not allocate: the pre-pass is cached
@@ -267,8 +265,9 @@ func TestReachabilityCountAllocationFree(t *testing.T) {
 
 // Regression for the worker-pool deadlock: with the old unbuffered feeder
 // channel, a failing config made every worker exit early and the feeder
-// block forever. The call must return the error instead of hanging.
-func TestRunLeakTrialsErrorReturnsInsteadOfHanging(t *testing.T) {
+// block forever. A one-job RunLeakJobs call must return the error instead
+// of hanging.
+func TestRunLeakJobsErrorReturnsInsteadOfHanging(t *testing.T) {
 	g := mustGraph(t, p2c(20, 10), p2c(30, 20))
 	// More bad leakers than workers, so the old feeder would have had
 	// unclaimed items left after every worker died.
@@ -278,40 +277,40 @@ func TestRunLeakTrialsErrorReturnsInsteadOfHanging(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunLeakTrials(g, Config{Origin: 10}, bad, nil)
+		_, err := RunLeakJobs(context.Background(), []LeakJob{{Graph: g, Config: Config{Origin: 10}, Leakers: bad}})
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("RunLeakTrials with failing configs returned no error")
+			t.Fatal("RunLeakJobs with failing configs returned no error")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunLeakTrials deadlocked on a failing config")
+		t.Fatal("RunLeakJobs deadlocked on a failing config")
 	}
 }
 
-// The sweep-backed RunLeakTrials must agree with per-trial simulation.
-func TestRunLeakTrialsMatchesPerTrialRuns(t *testing.T) {
+// A one-job RunLeakJobs call (the batched engine) must agree with the
+// from-scratch reference, leaker by leaker and in input order.
+func TestRunLeakJobsOneJobMatchesPerTrialRuns(t *testing.T) {
 	in := genInternet(t, 0.01425)
 	g := in.Graph
 	origin := in.Clouds["Google"]
 	leakers := SampleLeakers(g, origin, 30, 11)
 	cfg := ScenarioConfig(g, origin, in.Tier1, in.Tier2, AnnounceAllLockT1)
-	trials, err := RunLeakTrials(g, cfg, leakers, nil)
+	jobs, err := RunLeakJobs(context.Background(), []LeakJob{{Graph: g, Config: cfg, Leakers: leakers}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	trials := jobs[0]
 	sim := New(g)
 	denom := float64(g.NumASes() - 2)
 	for i, l := range leakers {
-		runCfg := cfg
-		runCfg.Leaker = l
-		res, err := sim.Run(runCfg)
+		res, err := refLeakRun(sim, cfg, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := float64(res.Detoured()) / denom
+		want := float64(detoured(res)) / denom
 		if trials[i].DetouredFrac != want {
 			t.Fatalf("leaker AS%d: trial frac %v, want %v", l, trials[i].DetouredFrac, want)
 		}

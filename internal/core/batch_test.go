@@ -108,8 +108,8 @@ func TestRangeSweepMatchesScalar(t *testing.T) {
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo)
 		for _, kind := range allKinds {
-			got, err := m.ReachabilityRangeCtx(ctx, kind, lo, hi, 0)
-			if err != nil {
+			got := make([]int, hi-lo)
+			if err := m.ReachabilityRangeIntoCtx(ctx, kind, lo, hi, 0, got); err != nil {
 				t.Fatalf("seed %d kind %v range [%d, %d): %v", seed, kind, lo, hi, err)
 			}
 			want, err := m.reachabilityRangeScalar(ctx, kind, lo, hi, 0)

@@ -79,9 +79,9 @@ type Metrics struct {
 	maskPool  sync.Pool // []bool scratch for per-call (o, kind) masks
 	// baseMask holds, per kind, the origin-independent part of the
 	// exclusion mask (the Tier-1/Tier-2 sets), computed once. Per-origin
-	// masks overlay the origin's transit providers on a copy — or, on
-	// whole-graph sweeps, on a reusable per-worker scratch that undoes
-	// the overlay between origins (originScratch).
+	// masks overlay the origin's transit providers on a copy; the batch
+	// engine takes the base mask itself and applies each lane's providers
+	// as overrides.
 	baseMask [HierarchyFree + 1][]bool
 }
 
@@ -114,9 +114,6 @@ func New(ds Dataset) *Metrics {
 	}
 	return m
 }
-
-// Dataset returns the dataset the metrics operate on.
-func (m *Metrics) Dataset() Dataset { return m.ds }
 
 // SweepClasses builds the dataset's origin equivalence-class index, a
 // topology statistic (see bgpsim.ClassIndex). No metric reads it: every
@@ -172,77 +169,10 @@ func (m *Metrics) releaseMask(mask []bool) {
 	m.maskPool.Put(mask) //nolint:staticcheck // slice-header boxing is far cheaper than the O(V) copy it saves
 }
 
-// originScratch is a reusable (o, kind) exclusion mask for whole-graph
-// sweeps: one base-mask copy per worker, with the per-origin overlay undone
-// after each use. A sweep over V origins costs O(V + Σ providers) mask work
-// instead of the O(V²) of building every mask from scratch.
-type originScratch struct {
-	m    *Metrics
-	kind Kind
-	mask []bool
-	set  []int32 // provider indexes masked for the current origin
-	red  int32   // origin index temporarily un-masked, or -1
-}
-
-func (m *Metrics) scratch(kind Kind) *originScratch {
-	return &originScratch{
-		m:    m,
-		kind: kind,
-		mask: append([]bool(nil), m.baseMask[kind]...),
-		red:  -1,
-	}
-}
-
-// acquire overlays origin oi (dense index) and returns the mask; release
-// must be called before the next acquire.
-func (sc *originScratch) acquire(oi int) []bool {
-	if sc.kind == Full {
-		return sc.mask
-	}
-	if sc.mask[oi] {
-		sc.mask[oi] = false
-		sc.red = int32(oi)
-	}
-	for _, p := range sc.m.ds.Graph.ProvidersOf(oi) {
-		if !sc.mask[p] {
-			sc.mask[p] = true
-			sc.set = append(sc.set, p)
-		}
-	}
-	return sc.mask
-}
-
-// release undoes the overlay applied by the last acquire.
-func (sc *originScratch) release() {
-	for _, p := range sc.set {
-		sc.mask[p] = false
-	}
-	sc.set = sc.set[:0]
-	if sc.red >= 0 {
-		sc.mask[sc.red] = true
-		sc.red = -1
-	}
-}
-
 // Reachability returns reach(o, kind): the number of ASes receiving o's
 // announcement over the subgraph.
 func (m *Metrics) Reachability(o astopo.ASN, kind Kind) (int, error) {
 	return m.ReachabilityCtx(context.Background(), o, kind)
-}
-
-// Propagate runs a full propagation for (o, kind), exposing classes and
-// lengths. The Result is an owned copy: its simulator goes back to the pool
-// before the caller reads it.
-func (m *Metrics) Propagate(o astopo.ASN, kind Kind) (*bgpsim.Result, error) {
-	sim := m.pool.Get().(*bgpsim.Simulator)
-	defer m.pool.Put(sim)
-	mask := m.acquireMask(o, kind)
-	defer m.releaseMask(mask)
-	res, err := sim.Run(bgpsim.Config{Origin: o, Exclude: mask})
-	if err != nil {
-		return nil, err
-	}
-	return res.Clone(), nil
 }
 
 // ReachabilityAll computes reach(o, kind) for every AS in the graph,
@@ -253,35 +183,27 @@ func (m *Metrics) Propagate(o astopo.ASN, kind Kind) (*bgpsim.Result, error) {
 // origin's providers become sparse per-lane overrides, so one block costs
 // about one propagation instead of 64. The batch engine covers exactly the
 // plain-reachability configuration this sweep needs;
-// policies/leaks/locking/tie-breaking stay on the scalar Simulator, and
-// reachabilityRangeScalar is the per-origin reference the equivalence
-// tests compare this sweep against.
+// policies/leaks/locking/tie-breaking stay on the scalar Simulator. The
+// per-origin scalar sweep the equivalence tests compare it against lives
+// with those tests.
 func (m *Metrics) ReachabilityAll(kind Kind) ([]int, error) {
-	return m.ReachabilityRangeCtx(context.Background(), kind, 0, m.ds.Graph.NumASes(), 0)
-}
-
-// ReachabilityRangeCtx computes reach(o, kind) for the dense graph indexes
-// [lo, hi), using at most `workers` goroutines (0 means GOMAXPROCS; 1 runs
-// on the calling goroutine). It is the shard primitive behind both
-// ReachabilityAll and the cluster sweep endpoints: a partition of [0, n)
-// into ranges concatenates to exactly ReachabilityAll's output, regardless
-// of the cut points, so a coordinator can merge worker partials without any
-// reconciliation. 64-aligned cut points keep every propagation word full.
-func (m *Metrics) ReachabilityRangeCtx(ctx context.Context, kind Kind, lo, hi, workers int) ([]int, error) {
-	if lo < 0 || hi > m.ds.Graph.NumASes() || lo > hi {
-		return nil, fmt.Errorf("core: range [%d, %d) outside the %d-AS graph", lo, hi, m.ds.Graph.NumASes())
-	}
-	out := make([]int, hi-lo)
-	if err := m.ReachabilityRangeIntoCtx(ctx, kind, lo, hi, workers, out); err != nil {
+	out := make([]int, m.ds.Graph.NumASes())
+	if err := m.ReachabilityRangeIntoCtx(context.Background(), kind, 0, len(out), 0, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ReachabilityRangeIntoCtx is ReachabilityRangeCtx writing into out (len
-// hi-lo), for callers that recycle result buffers — cluster shard handlers
-// encode the counts to the wire and discard them, so a pooled out keeps the
-// whole shard round-trip allocation-free at steady state.
+// ReachabilityRangeIntoCtx computes reach(o, kind) for the dense graph
+// indexes [lo, hi) into out (len hi-lo), using at most `workers` goroutines
+// (0 means GOMAXPROCS; 1 runs on the calling goroutine). It is the shard
+// primitive behind both ReachabilityAll and the cluster sweep endpoints: a
+// partition of [0, n) into ranges concatenates to exactly ReachabilityAll's
+// output, regardless of the cut points, so a coordinator can merge worker
+// partials without any reconciliation. 64-aligned cut points keep every
+// propagation word full. The caller owns out: cluster shard handlers
+// encode the counts to the wire and recycle the buffer, so the whole shard
+// round-trip is allocation-free at steady state.
 func (m *Metrics) ReachabilityRangeIntoCtx(ctx context.Context, kind Kind, lo, hi, workers int, out []int) error {
 	n := m.ds.Graph.NumASes()
 	if lo < 0 || hi > n || lo > hi {
@@ -338,42 +260,6 @@ func (m *Metrics) batchCountsIdxCtx(ctx context.Context, kind Kind, idx []int32,
 	return err
 }
 
-// reachabilityRangeScalar is the per-origin sweep over [lo, hi): one scalar
-// propagation per AS. Each worker keeps one pooled simulator and one
-// scratch exclusion mask for the whole sweep.
-func (m *Metrics) reachabilityRangeScalar(ctx context.Context, kind Kind, lo, hi, workers int) ([]int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	g := m.ds.Graph
-	out := make([]int, hi-lo)
-	sims := make([]*bgpsim.Simulator, workers)
-	err := par.ForCtx(ctx, workers, hi-lo, func(w int) func(i int) error {
-		sim := m.pool.Get().(*bgpsim.Simulator)
-		sims[w] = sim
-		sc := m.scratch(kind)
-		return func(i int) error {
-			mask := sc.acquire(lo + i)
-			cnt, err := sim.ReachabilityCountCtx(ctx, bgpsim.Config{Origin: g.ASNAt(lo + i), Exclude: mask})
-			sc.release()
-			if err != nil {
-				return err
-			}
-			out[i] = cnt
-			return nil
-		}
-	})
-	for _, sim := range sims {
-		if sim != nil {
-			m.pool.Put(sim)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RelianceEntry pairs an AS with its reliance value.
 type RelianceEntry struct {
 	AS    astopo.ASN
@@ -421,8 +307,7 @@ func topReliance(entries []RelianceEntry, o astopo.ASN, k int) []RelianceEntry {
 func (m *Metrics) Unreachable(o astopo.ASN, kind Kind) ([]astopo.ASN, error) {
 	sim := m.pool.Get().(*bgpsim.Simulator)
 	defer m.pool.Put(sim)
-	// One mask serves both the propagation and the filtering below —
-	// Propagate would rebuild the same (o, kind) mask internally.
+	// One mask serves both the propagation and the filtering below.
 	mask := m.acquireMask(o, kind)
 	defer m.releaseMask(mask)
 	res, err := sim.Run(bgpsim.Config{Origin: o, Exclude: mask})

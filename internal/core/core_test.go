@@ -86,45 +86,6 @@ func TestUnreachable(t *testing.T) {
 	}
 }
 
-// Propagate puts its simulator back in the pool before returning, so the
-// next Unreachable and Propagate calls on the same Metrics run on it: the
-// Result it returned must be an owned copy that still equals a fresh
-// simulator's afterwards.
-func TestPropagateSurvivesPoolReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
-	in, err := topogen.Generate(topogen.Internet2020(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(Dataset{Graph: in.Graph, Tier1: in.Tier1, Tier2: in.Tier2})
-	google := in.Clouds["Google"]
-	held, err := m.Propagate(google, HierarchyFree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cloud := range []string{"Microsoft", "Amazon"} {
-		o := in.Clouds[cloud]
-		if _, err := m.Unreachable(o, Full); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Propagate(o, ProviderFree); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := bgpsim.New(in.Graph).Run(bgpsim.Config{Origin: google, Exclude: m.Mask(google, HierarchyFree)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Class {
-		if held.Class[i] != want.Class[i] || held.Dist[i] != want.Dist[i] {
-			t.Fatalf("AS%d: held Propagate result %v/%d, fresh simulator %v/%d",
-				in.Graph.ASNAt(i), held.Class[i], held.Dist[i], want.Class[i], want.Dist[i])
-		}
-	}
-}
-
 func TestReachabilityAllMatchesSingle(t *testing.T) {
 	in, err := topogen.Generate(topogen.Internet2020(0.0171))
 	if err != nil {

@@ -109,8 +109,8 @@ func TestSweepBlocksMatchScalarFullScale(t *testing.T) {
 	for _, kind := range allKinds {
 		for b := 0; b < 4; b++ {
 			lo := b * (n / 4) / bgpsim.BatchLanes * bgpsim.BatchLanes
-			got, err := m.ReachabilityRangeCtx(context.Background(), kind, lo, lo+bgpsim.BatchLanes, 1)
-			if err != nil {
+			got := make([]int, bgpsim.BatchLanes)
+			if err := m.ReachabilityRangeIntoCtx(context.Background(), kind, lo, lo+bgpsim.BatchLanes, 1, got); err != nil {
 				t.Fatalf("%v block at %d: %v", kind, lo, err)
 			}
 			for k, cnt := range got {

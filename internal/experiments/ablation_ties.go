@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -31,10 +32,11 @@ func TiesAblation(env *Env) ([]TiesAblationRow, error) {
 		row := TiesAblationRow{Cloud: cloud}
 		for _, broken := range []bool{false, true} {
 			cfg := bgpsim.Config{Origin: origin, BreakTies: broken}
-			trials, err := bgpsim.RunLeakTrials(in.Graph, cfg, leakers, nil)
+			runs, err := bgpsim.RunLeakJobs(context.Background(), []bgpsim.LeakJob{{Graph: in.Graph, Config: cfg, Leakers: leakers}})
 			if err != nil {
 				return nil, err
 			}
+			trials := runs[0]
 			var mean, worst float64
 			for _, tr := range trials {
 				mean += tr.DetouredFrac

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"flatnet/internal/bgpsim"
-	"flatnet/internal/core"
 	"flatnet/internal/population"
 	"flatnet/internal/topogen"
 )
@@ -51,16 +50,18 @@ func Fig13(env *Env) ([]Fig13Cell, error) {
 	years := []struct {
 		year int
 		in   *topogen.Internet
-		m    *core.Metrics
 		pop  *population.Model
 	}{
-		{2015, env.In2015, env.M2015, env.Pop2015},
-		{2020, env.In2020, env.M2020, env.Pop2020},
+		{2015, env.In2015, env.Pop2015},
+		{2020, env.In2020, env.Pop2020},
 	}
 	for _, y := range years {
+		// Full reachability excludes nothing; each run's Result is a
+		// view of sim's buffers, read before the next run.
+		sim := bgpsim.New(y.in.Graph)
 		for _, cloud := range Clouds() {
 			asn := y.in.Clouds[cloud]
-			res, err := y.m.Propagate(asn, core.Full)
+			res, err := sim.Run(bgpsim.Config{Origin: asn})
 			if err != nil {
 				return nil, err
 			}

@@ -312,10 +312,10 @@ func (s *Server) handleClusterLeak(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Bounds first, before the O(V+E) pre-pass: trials sizes the sample, so
-	// one outside [1, MaxTrials] would buy a full-graph batch (or, negative,
+	// one outside [1, maxTrials] would buy a full-graph batch (or, negative,
 	// fail the sampler), exactly as on /v1/leak.
-	if req.Trials < 1 || req.Trials > s.cfg.MaxTrials {
-		s.writeError(w, badRequestf("trials %d outside [1, %d]", req.Trials, s.cfg.MaxTrials))
+	if req.Trials < 1 || req.Trials > maxTrials {
+		s.writeError(w, badRequestf("trials %d outside [1, %d]", req.Trials, maxTrials))
 		return
 	}
 	if _, ok := scenarioNames[req.Scenario]; !ok {
@@ -380,7 +380,11 @@ func (s *Server) localSweep(ctx context.Context, kind string, lo, hi int) ([]int
 	if err != nil {
 		return nil, err
 	}
-	return s.w().metrics.ReachabilityRangeCtx(ctx, k, lo, hi, 0)
+	out := make([]int, max(hi-lo, 0))
+	if err := s.w().metrics.ReachabilityRangeIntoCtx(ctx, k, lo, hi, 0, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func (s *Server) localBatch(ctx context.Context, kind string, origins []uint32) ([]int, error) {
@@ -392,7 +396,7 @@ func (s *Server) localBatch(ctx context.Context, kind string, origins []uint32) 
 	for i, o := range origins {
 		asns[i] = astopo.ASN(o)
 	}
-	return s.w().metrics.ReachabilityManyN(ctx, asns, k, 0)
+	return s.w().metrics.ReachabilityMany(ctx, asns, k)
 }
 
 func (s *Server) localLeak(ctx context.Context, q cluster.LeakQuery, lo, hi int) ([]float64, error) {
@@ -429,7 +433,11 @@ func (s *Server) sweepAllCounts(ctx context.Context, ws *worldState, kind core.K
 		}
 		return counts, nil
 	}
-	return ws.metrics.ReachabilityRangeCtx(ctx, kind, 0, n, 0)
+	counts := make([]int, n)
+	if err := ws.metrics.ReachabilityRangeIntoCtx(ctx, kind, 0, n, 0, counts); err != nil {
+		return nil, err
+	}
+	return counts, nil
 }
 
 // handleSweep answers GET /v1/sweep: reachability of every AS in the
@@ -446,7 +454,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	top, err := parseIntParam(q, "top", 20, s.cfg.MaxTop)
+	top, err := parseIntParam(q, "top", 20, maxTop)
 	if err != nil {
 		s.writeError(w, err)
 		return

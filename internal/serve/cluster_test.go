@@ -363,7 +363,7 @@ func TestClusterMixedWireVersions(t *testing.T) {
 
 // TestClusterWorkerRejectsHostileInput: the shard endpoints refuse
 // malformed requests with a 400 before computing anything — a trials
-// count outside [1, MaxTrials] (which would otherwise buy a full-graph
+// count outside [1, maxTrials] (which would otherwise buy a full-graph
 // batch, or panic the sampler), an unknown scenario, and sweep requests
 // that mix the origin-list and range forms — and the join endpoint refuses
 // a slot count outside [1, MaxSlots], which would otherwise start that
@@ -380,7 +380,8 @@ func TestClusterWorkerRejectsHostileInput(t *testing.T) {
 	for _, c := range []struct{ name, path, body string }{
 		{"negative trials", cluster.PathLeak, leak(-1, "announce-all")},
 		{"zero trials", cluster.PathLeak, leak(0, "announce-all")},
-		{"trials above MaxTrials", cluster.PathLeak, leak(1<<30, "announce-all")},
+		{"trials above maxTrials", cluster.PathLeak, leak(1<<30, "announce-all")},
+		{"trials one above maxTrials", cluster.PathLeak, leak(maxTrials+1, "announce-all")},
 		{"unknown scenario", cluster.PathLeak, leak(4, "nope")},
 		{"origins and lo/hi", cluster.PathSweep, `{"kind":"full","origins":[100],"lo":0,"hi":2}`},
 		{"origins and ranges", cluster.PathSweep, `{"kind":"full","origins":[100],"ranges":[{"lo":0,"hi":2}]}`},

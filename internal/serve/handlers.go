@@ -304,7 +304,7 @@ func (s *Server) handleReliance(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	top, err := parseIntParam(q, "top", 10, s.cfg.MaxTop)
+	top, err := parseIntParam(q, "top", 10, maxTop)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -349,7 +349,7 @@ func (s *Server) handleLeak(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	trials, err := parseIntParam(q, "trials", 200, s.cfg.MaxTrials)
+	trials, err := parseIntParam(q, "trials", 200, maxTrials)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -498,8 +498,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("empty origin list"))
 		return
 	}
-	if len(origins) > s.cfg.MaxBatch {
-		s.writeError(w, badRequestf("%d origins exceed the per-request limit of %d", len(origins), s.cfg.MaxBatch))
+	if len(origins) > maxBatch {
+		s.writeError(w, badRequestf("%d origins exceed the per-request limit of %d", len(origins), maxBatch))
 		return
 	}
 	g := ws.ds.Graph

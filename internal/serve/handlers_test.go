@@ -279,9 +279,9 @@ func TestBatchPostValidation(t *testing.T) {
 }
 
 func TestBatchCapEnforced(t *testing.T) {
-	h := testServer(t, func(c *Config) { c.MaxBatch = 2 }).Handler()
-	rec := get(t, h, "/v1/batch?as=100,1,2")
-	if rec.Code != http.StatusBadRequest {
+	h := testServer(t, nil).Handler()
+	rec := get(t, h, "/v1/batch?as="+strings.Repeat("100,", maxBatch)+"100")
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceed the per-request limit") {
 		t.Errorf("over-cap batch: status = %d, want 400 (body %s)", rec.Code, rec.Body)
 	}
 }

@@ -60,9 +60,6 @@ type Config struct {
 
 	// CacheSize bounds the result cache, in entries (default 4096).
 	CacheSize int
-	// SweepCacheSize bounds the per-config LeakSweep pre-pass cache
-	// (default 64; each entry holds O(V) snapshot state).
-	SweepCacheSize int
 	// DefaultTimeout is the per-request deadline when the query does not
 	// set one (default 5s); MaxTimeout clamps client-requested deadlines
 	// (default 60s).
@@ -71,12 +68,6 @@ type Config struct {
 	// GOMAXPROCS); excess requests queue until a worker or their deadline
 	// frees them.
 	MaxConcurrent int
-	// MaxTrials caps the trials parameter of /v1/leak (default 2000).
-	MaxTrials int
-	// MaxBatch caps the origins of one /v1/batch request (default 4096).
-	MaxBatch int
-	// MaxTop caps the top parameter of /v1/reliance (default 1000).
-	MaxTop int
 
 	// Year is the preset year this server's world represents; workers that
 	// fetch the snapshot open it at this section (default 2020, the
@@ -96,12 +87,22 @@ type Config struct {
 	Cluster cluster.PoolConfig
 }
 
+// Request limits and the sweep cache's bound.
+const (
+	// sweepCacheSize bounds the per-config LeakSweep pre-pass cache, in
+	// entries; each holds O(V) snapshot state.
+	sweepCacheSize = 64
+	// maxTrials caps the trials parameter of /v1/leak and of a leak shard.
+	maxTrials = 2000
+	// maxBatch caps the origins of one /v1/batch request.
+	maxBatch = 4096
+	// maxTop caps the top parameter of /v1/reliance and /v1/sweep.
+	maxTop = 1000
+)
+
 func (c *Config) fillDefaults() {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
-	}
-	if c.SweepCacheSize <= 0 {
-		c.SweepCacheSize = 64
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 5 * time.Second
@@ -111,15 +112,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxTrials <= 0 {
-		c.MaxTrials = 2000
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxTop <= 0 {
-		c.MaxTop = 1000
 	}
 	if c.Year <= 0 {
 		c.Year = 2020
@@ -246,7 +238,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cache:   newLRU(cfg.CacheSize),
-		sweeps:  newLRU(cfg.SweepCacheSize),
+		sweeps:  newLRU(sweepCacheSize),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		started: time.Now(),
 	}

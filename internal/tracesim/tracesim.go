@@ -19,9 +19,8 @@
 // The per-destination propagation depends only on the destination, never on
 // the vantage point, so TraceAllMulti shares one tracked propagation per
 // destination across every cloud's VM set — the paper's four campaigns cost
-// one propagation sweep instead of four. TraceAllSerial keeps the
-// one-cloud-at-a-time implementation as the reference the equivalence
-// tests compare TraceAllMulti against.
+// one propagation sweep instead of four. The equivalence tests compare it
+// against a one-cloud-at-a-time serial reference kept beside them.
 package tracesim
 
 import (
@@ -208,30 +207,6 @@ func (e *Engine) TraceAllMulti(vmSets [][]VM) ([][][]Traceroute, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// TraceAllSerial is the reference implementation TraceAllMulti is measured
-// against: one propagation per destination per call, single-threaded, no
-// distance caching. Its output is identical to TraceAll's.
-func (e *Engine) TraceAllSerial(vms []VM) ([][]Traceroute, error) {
-	g := e.in.Graph
-	g.Freeze()
-	dests := g.ASes()
-	out := make([][]Traceroute, len(vms))
-	for i := range out {
-		out[i] = make([]Traceroute, len(dests))
-	}
-	sim := bgpsim.New(g)
-	for di, d := range dests {
-		res, err := sim.Run(bgpsim.Config{Origin: d, TrackNextHops: true})
-		if err != nil {
-			return nil, err
-		}
-		for vi, vm := range vms {
-			out[vi][di] = e.trace(vm, d, res)
-		}
 	}
 	return out, nil
 }

@@ -9,6 +9,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "==> Go line counts (informational; never fails)"
+# The size the roadmap's line target is measured in: non-test Go outside
+# bench/ and .bench_build/, examples included, with the test lines beside it.
+go_lines() {
+    find . -name '*.go' "$@" -not -path './bench/*' -not -path './.bench_build/*' -exec cat {} + | wc -l
+}
+echo "non-test: $(go_lines -not -name '*_test.go')  test: $(go_lines -name '*_test.go')"
+
 echo "==> gofmt"
 UNFORMATTED="$(gofmt -l .)"
 if [ -n "$UNFORMATTED" ]; then
