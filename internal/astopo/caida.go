@@ -20,13 +20,7 @@ import (
 //	<as0>|<as1>|<relationship>|<source>
 //
 // where source is typically "bgp" or "mlp" (multilateral peering). The
-// reader accepts both; the source column, when present, is preserved.
-
-// SourcedLink is a link together with its serial-2 source annotation.
-type SourcedLink struct {
-	Link
-	Source string
-}
+// reader accepts both and ignores the source column.
 
 // ReadRelationships parses a CAIDA serial-1 or serial-2 AS-relationship
 // stream into a Graph. Lines beginning with '#' are comments. Malformed
@@ -42,7 +36,7 @@ func ReadRelationships(r io.Reader) (*Graph, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		link, _, err := parseRelLine(line)
+		link, err := parseRelLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("astopo: line %d: %w", lineno, err)
 		}
@@ -56,47 +50,22 @@ func ReadRelationships(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// ReadSourcedRelationships parses a serial-2 stream keeping the per-link
-// source column ("bgp", "mlp", ...). Serial-1 lines get an empty source.
-func ReadSourcedRelationships(r io.Reader) ([]SourcedLink, error) {
-	var out []SourcedLink
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		link, src, err := parseRelLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("astopo: line %d: %w", lineno, err)
-		}
-		out = append(out, SourcedLink{Link: link, Source: src})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("astopo: reading relationships: %w", err)
-	}
-	return out, nil
-}
-
-func parseRelLine(line string) (Link, string, error) {
+func parseRelLine(line string) (Link, error) {
 	fields := strings.Split(line, "|")
 	if len(fields) != 3 && len(fields) != 4 {
-		return Link{}, "", fmt.Errorf("expected 3 or 4 |-separated fields, got %d", len(fields))
+		return Link{}, fmt.Errorf("expected 3 or 4 |-separated fields, got %d", len(fields))
 	}
 	a, err := parseASN(fields[0])
 	if err != nil {
-		return Link{}, "", err
+		return Link{}, err
 	}
 	b, err := parseASN(fields[1])
 	if err != nil {
-		return Link{}, "", err
+		return Link{}, err
 	}
 	relv, err := strconv.Atoi(strings.TrimSpace(fields[2]))
 	if err != nil {
-		return Link{}, "", fmt.Errorf("bad relationship %q: %v", fields[2], err)
+		return Link{}, fmt.Errorf("bad relationship %q: %v", fields[2], err)
 	}
 	var rel Rel
 	switch relv {
@@ -105,13 +74,9 @@ func parseRelLine(line string) (Link, string, error) {
 	case 0:
 		rel = P2P
 	default:
-		return Link{}, "", fmt.Errorf("unknown relationship code %d", relv)
+		return Link{}, fmt.Errorf("unknown relationship code %d", relv)
 	}
-	src := ""
-	if len(fields) == 4 {
-		src = strings.TrimSpace(fields[3])
-	}
-	return Link{A: a, B: b, Rel: rel}, src, nil
+	return Link{A: a, B: b, Rel: rel}, nil
 }
 
 func parseASN(s string) (ASN, error) {
@@ -131,24 +96,6 @@ func WriteRelationships(w io.Writer, g *Graph) error {
 	}
 	for _, l := range g.Links() {
 		if _, err := fmt.Fprintf(bw, "%d|%d|%d\n", l.A, l.B, int8(l.Rel)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteSourcedRelationships writes links in CAIDA serial-2 format.
-func WriteSourcedRelationships(w io.Writer, links []SourcedLink) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "# flatnet AS-relationship export (CAIDA serial-2 format)"); err != nil {
-		return err
-	}
-	for _, l := range links {
-		src := l.Source
-		if src == "" {
-			src = "bgp"
-		}
-		if _, err := fmt.Fprintf(bw, "%d|%d|%d|%s\n", l.A, l.B, int8(l.Rel), src); err != nil {
 			return err
 		}
 	}

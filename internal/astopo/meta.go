@@ -115,32 +115,6 @@ type OrgDB struct {
 	ByAS map[ASN]ASOrg
 }
 
-// OrgOf returns the organization owning an AS, or false.
-func (db *OrgDB) OrgOf(a ASN) (Org, bool) {
-	rec, ok := db.ByAS[a]
-	if !ok {
-		return Org{}, false
-	}
-	org, ok := db.Orgs[rec.OrgID]
-	return org, ok
-}
-
-// Siblings returns the other ASes registered to the same organization.
-func (db *OrgDB) Siblings(a ASN) []ASN {
-	rec, ok := db.ByAS[a]
-	if !ok {
-		return nil
-	}
-	var out []ASN
-	for asn, r := range db.ByAS {
-		if asn != a && r.OrgID == rec.OrgID {
-			out = append(out, asn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ReadASOrg parses a CAIDA as-org2info stream. Section membership is
 // determined by the most recent "# format:" header, as in the real files.
 func ReadASOrg(r io.Reader) (*OrgDB, error) {

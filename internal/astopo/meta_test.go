@@ -73,19 +73,24 @@ func TestReadASOrg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	org, ok := db.OrgOf(64496)
-	if !ok || org.Name != "Example Org" || org.Country != "US" {
-		t.Errorf("OrgOf(64496) = %+v, %v", org, ok)
+	rec, ok := db.ByAS[64496]
+	if !ok || rec.OrgID != "ORG-1" || rec.Name != "EXAMPLE-AS" {
+		t.Errorf("ByAS[64496] = %+v, %v", rec, ok)
 	}
-	if _, ok := db.OrgOf(1); ok {
+	if org := db.Orgs[rec.OrgID]; org.Name != "Example Org" || org.Country != "US" {
+		t.Errorf("Orgs[%q] = %+v", rec.OrgID, org)
+	}
+	if _, ok := db.ByAS[1]; ok {
 		t.Error("unknown AS resolved")
 	}
-	sibs := db.Siblings(64496)
-	if !reflect.DeepEqual(sibs, []ASN{64497}) {
-		t.Errorf("Siblings = %v", sibs)
+	var sibs []ASN
+	for asn, r := range db.ByAS {
+		if asn != 64496 && r.OrgID == rec.OrgID {
+			sibs = append(sibs, asn)
+		}
 	}
-	if db.Siblings(1) != nil {
-		t.Error("siblings of unknown AS")
+	if !reflect.DeepEqual(sibs, []ASN{64497}) {
+		t.Errorf("siblings of 64496 = %v", sibs)
 	}
 }
 

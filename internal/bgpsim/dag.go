@@ -172,115 +172,6 @@ func (r *Result) byDistance(desc bool) []int32 {
 	return order
 }
 
-// ContainsPath reports whether the given AS-level path (destination first,
-// origin last) is one of the tied-best paths of its first element. Used to
-// validate simulated paths against traceroute-observed paths (Appendix A).
-func (r *Result) ContainsPath(path []astopo.ASN) (bool, error) {
-	if !r.tracked() {
-		return false, fmt.Errorf("bgpsim: ContainsPath requires TrackNextHops")
-	}
-	if len(path) < 2 {
-		return false, fmt.Errorf("bgpsim: path must have at least two ASes")
-	}
-	last, ok := r.Graph.Index(path[len(path)-1])
-	if !ok || int32(last) != r.Origin {
-		return false, nil
-	}
-	cur, ok := r.Graph.Index(path[0])
-	if !ok {
-		return false, nil
-	}
-	for _, next := range path[1:] {
-		ni, ok := r.Graph.Index(next)
-		if !ok {
-			return false, nil
-		}
-		found := false
-		for _, u := range r.NextHops(int32(cur)) {
-			if u == int32(ni) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false, nil
-		}
-		cur = ni
-	}
-	return true, nil
-}
-
-// AllBestPaths enumerates the tied-best paths from t to the origin
-// (destination first, origin last), in lexicographic next-hop order,
-// stopping after limit paths (limit must be positive; tied-path counts can
-// grow exponentially on dense graphs — check PathCounts first).
-func (r *Result) AllBestPaths(t astopo.ASN, limit int) ([][]astopo.ASN, error) {
-	if !r.tracked() {
-		return nil, fmt.Errorf("bgpsim: AllBestPaths requires TrackNextHops")
-	}
-	if limit <= 0 {
-		return nil, fmt.Errorf("bgpsim: AllBestPaths limit must be positive")
-	}
-	ti, ok := r.Graph.Index(t)
-	if !ok || r.Class[ti] == ClassNone {
-		return nil, nil
-	}
-	var out [][]astopo.ASN
-	var walk func(cur int32, prefix []astopo.ASN)
-	walk = func(cur int32, prefix []astopo.ASN) {
-		if len(out) >= limit {
-			return
-		}
-		prefix = append(prefix, r.Graph.ASNAt(int(cur)))
-		if cur == r.Origin {
-			out = append(out, append([]astopo.ASN(nil), prefix...))
-			return
-		}
-		hops := append([]int32(nil), r.NextHops(cur)...)
-		sort.Slice(hops, func(i, j int) bool {
-			return r.Graph.ASNAt(int(hops[i])) < r.Graph.ASNAt(int(hops[j]))
-		})
-		for _, h := range hops {
-			walk(h, prefix)
-		}
-	}
-	if int32(ti) == r.Origin {
-		return [][]astopo.ASN{{t}}, nil
-	}
-	walk(int32(ti), nil)
-	return out, nil
-}
-
-// SampleBestPath returns one tied-best path from t to the origin, choosing
-// the lexicographically smallest next hop at every step (deterministic).
-// Returns nil if t holds no route.
-func (r *Result) SampleBestPath(t astopo.ASN) []astopo.ASN {
-	if !r.tracked() {
-		return nil
-	}
-	ti, ok := r.Graph.Index(t)
-	if !ok || r.Class[ti] == ClassNone {
-		return nil
-	}
-	path := []astopo.ASN{t}
-	cur := int32(ti)
-	for cur != r.Origin {
-		hops := r.NextHops(cur)
-		if len(hops) == 0 {
-			return nil
-		}
-		best := hops[0]
-		for _, h := range hops[1:] {
-			if r.Graph.ASNAt(int(h)) < r.Graph.ASNAt(int(best)) {
-				best = h
-			}
-		}
-		cur = best
-		path = append(path, r.Graph.ASNAt(int(cur)))
-	}
-	return path
-}
-
 // BuildExclude returns a dense exclusion mask covering the union of the
 // given AS sets, for use as Config.Exclude.
 func BuildExclude(g *astopo.Graph, sets ...astopo.ASSet) []bool {

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -126,10 +129,48 @@ func TestRelianceMassConservation(t *testing.T) {
 	}
 }
 
-func TestContainsPath(t *testing.T) {
+func TestDAGRequiresTracking(t *testing.T) {
 	g := fig5Graph(t)
 	sim := New(g)
-	r, err := sim.Run(Config{Origin: 1, TrackNextHops: true})
+	r, err := sim.Run(Config{Origin: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.PathCounts(); err == nil {
+		t.Error("PathCounts without tracking succeeded")
+	}
+	if _, err := r.Reliance(); err == nil {
+		t.Error("Reliance without tracking succeeded")
+	}
+}
+
+// containsPath reports whether path (destination first, origin last) is one
+// of the tied-best paths of its first element: every consecutive pair must
+// be an edge of the next-hop DAG and the last element must be the origin.
+func containsPath(r *Result, path []astopo.ASN) (bool, error) {
+	if len(path) < 2 {
+		return false, errors.New("path must have at least two ASes")
+	}
+	if last, ok := r.Graph.Index(path[len(path)-1]); !ok || int32(last) != r.Origin {
+		return false, nil
+	}
+	cur, ok := r.Graph.Index(path[0])
+	if !ok {
+		return false, nil
+	}
+	for _, next := range path[1:] {
+		ni, ok := r.Graph.Index(next)
+		if !ok || !slices.Contains(r.NextHops(int32(cur)), int32(ni)) {
+			return false, nil
+		}
+		cur = ni
+	}
+	return true, nil
+}
+
+func TestContainsPath(t *testing.T) {
+	g := fig5Graph(t)
+	r, err := New(g).Run(Config{Origin: 1, TrackNextHops: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,76 +187,69 @@ func TestContainsPath(t *testing.T) {
 		{[]astopo.ASN{7, 5, 2, 99}, false}, // wrong origin
 	}
 	for _, c := range cases {
-		got, err := r.ContainsPath(c.path)
+		got, err := containsPath(r, c.path)
 		if err != nil {
-			t.Fatalf("ContainsPath(%v): %v", c.path, err)
+			t.Fatalf("containsPath(%v): %v", c.path, err)
 		}
 		if got != c.want {
-			t.Errorf("ContainsPath(%v) = %v, want %v", c.path, got, c.want)
+			t.Errorf("containsPath(%v) = %v, want %v", c.path, got, c.want)
 		}
 	}
-	if _, err := r.ContainsPath([]astopo.ASN{7}); err == nil {
+	if _, err := containsPath(r, []astopo.ASN{7}); err == nil {
 		t.Error("single-element path accepted")
 	}
-}
-
-func TestSampleBestPath(t *testing.T) {
-	g := fig5Graph(t)
-	sim := New(g)
-	r, err := sim.Run(Config{Origin: 1, TrackNextHops: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := r.SampleBestPath(7)
-	if len(p) != 4 || p[0] != 7 || p[3] != 1 {
-		t.Fatalf("SampleBestPath(7) = %v", p)
-	}
-	ok, err := r.ContainsPath(p)
-	if err != nil || !ok {
-		t.Errorf("sampled path %v not contained: %v %v", p, ok, err)
-	}
-	if r.SampleBestPath(999) != nil {
-		t.Error("path for unknown AS")
+	// Every enumerated best path is contained.
+	ti, _ := g.Index(7)
+	for _, p := range bestPaths(r, int32(ti)) {
+		if ok, err := containsPath(r, p); err != nil || !ok {
+			t.Errorf("enumerated path %v not contained (%v)", p, err)
+		}
 	}
 }
 
-func TestDAGRequiresTracking(t *testing.T) {
-	g := fig5Graph(t)
-	sim := New(g)
-	r, err := sim.Run(Config{Origin: 1})
-	if err != nil {
-		t.Fatal(err)
+// bestPaths enumerates the tied-best paths from dense index t to the origin
+// (destination first, origin last), depth first over the next-hop DAG in
+// ascending-ASN order of next hops.
+func bestPaths(r *Result, t int32) [][]astopo.ASN {
+	if r.Class[t] == ClassNone {
+		return nil
 	}
-	if _, err := r.PathCounts(); err == nil {
-		t.Error("PathCounts without tracking succeeded")
+	var out [][]astopo.ASN
+	var walk func(cur int32, prefix []astopo.ASN)
+	walk = func(cur int32, prefix []astopo.ASN) {
+		prefix = append(prefix, r.Graph.ASNAt(int(cur)))
+		if cur == r.Origin {
+			out = append(out, append([]astopo.ASN(nil), prefix...))
+			return
+		}
+		hops := append([]int32(nil), r.NextHops(cur)...)
+		sort.Slice(hops, func(i, j int) bool {
+			return r.Graph.ASNAt(int(hops[i])) < r.Graph.ASNAt(int(hops[j]))
+		})
+		for _, h := range hops {
+			walk(h, prefix)
+		}
 	}
-	if _, err := r.Reliance(); err == nil {
-		t.Error("Reliance without tracking succeeded")
-	}
-	if _, err := r.ContainsPath([]astopo.ASN{7, 5, 2, 1}); err == nil {
-		t.Error("ContainsPath without tracking succeeded")
-	}
+	walk(t, nil)
+	return out
 }
 
 func TestAllBestPathsFig5(t *testing.T) {
 	g := fig5Graph(t)
-	sim := New(g)
-	r, err := sim.Run(Config{Origin: 1, TrackNextHops: true})
+	r, err := New(g).Run(Config{Origin: 1, TrackNextHops: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := r.AllBestPaths(7, 100)
-	if err != nil {
-		t.Fatal(err)
+	// t's three tied-best paths and no others: x→w and y→u are not DAG
+	// edges, and no path skips a hop or ends off the origin.
+	ti, _ := g.Index(7)
+	want := [][]astopo.ASN{{7, 5, 2, 1}, {7, 5, 3, 1}, {7, 6, 4, 1}}
+	if got := bestPaths(r, int32(ti)); !reflect.DeepEqual(got, want) {
+		t.Errorf("best paths of 7 = %v, want %v", got, want)
 	}
-	if len(paths) != 3 {
-		t.Fatalf("got %d paths, want 3: %v", len(paths), paths)
-	}
-	for _, p := range paths {
-		ok, err := r.ContainsPath(p)
-		if err != nil || !ok {
-			t.Errorf("enumerated path %v not contained (%v)", p, err)
-		}
+	oi, _ := g.Index(1)
+	if got := bestPaths(r, int32(oi)); !reflect.DeepEqual(got, [][]astopo.ASN{{1}}) {
+		t.Errorf("origin path = %v", got)
 	}
 	// Counts agree with PathCounts for every AS.
 	counts, err := r.PathCounts()
@@ -226,34 +260,9 @@ func TestAllBestPathsFig5(t *testing.T) {
 		if r.Class[i] == ClassNone || int32(i) == r.Origin {
 			continue
 		}
-		ps, err := r.AllBestPaths(a, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if float64(len(ps)) != counts[i] {
+		if ps := bestPaths(r, int32(i)); float64(len(ps)) != counts[i] {
 			t.Errorf("AS%d: %d enumerated paths, PathCounts says %v", a, len(ps), counts[i])
 		}
-	}
-	// Limit is respected.
-	two, err := r.AllBestPaths(7, 2)
-	if err != nil || len(two) != 2 {
-		t.Errorf("limit ignored: %d paths, %v", len(two), err)
-	}
-	// Origin itself.
-	self, err := r.AllBestPaths(1, 5)
-	if err != nil || len(self) != 1 || len(self[0]) != 1 {
-		t.Errorf("origin path = %v, %v", self, err)
-	}
-	// Validation.
-	if _, err := r.AllBestPaths(7, 0); err == nil {
-		t.Error("zero limit accepted")
-	}
-	bare, err := sim.Run(Config{Origin: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bare.AllBestPaths(7, 5); err == nil {
-		t.Error("untracked result accepted")
 	}
 }
 

@@ -226,16 +226,26 @@ func TestSampledPathsValleyFree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, tASN := range all {
-			p := res.SampleBestPath(tASN)
-			if p == nil {
+		for ti, tASN := range all {
+			if res.Class[ti] == ClassNone {
 				continue
 			}
-			// Walking t -> origin: the route at t was announced along
-			// origin -> ... -> t. Reverse to announcement order.
-			rev := make([]astopo.ASN, len(p))
-			for i := range p {
-				rev[i] = p[len(p)-1-i]
+			// Sample one best path: the smallest-ASN next hop at each step.
+			p := []astopo.ASN{tASN}
+			for cur := int32(ti); cur != res.Origin; {
+				hops := res.NextHops(cur)
+				if len(hops) == 0 {
+					t.Logf("seed %d: AS%d holds a route but no next hop", seed, g.ASNAt(int(cur)))
+					return false
+				}
+				best := hops[0]
+				for _, h := range hops[1:] {
+					if g.ASNAt(int(h)) < g.ASNAt(int(best)) {
+						best = h
+					}
+				}
+				cur = best
+				p = append(p, g.ASNAt(int(cur)))
 			}
 			// Announcement travels origin->t. Valley-free as seen by
 			// the traffic direction t->origin (p itself): uphill

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/bgpsim"
+	"flatnet/internal/par"
 	"flatnet/internal/topogen"
 )
 
@@ -23,22 +25,46 @@ func checkPointMatchesOracle(t *testing.T, ds Dataset, stride int, label string)
 	t.Helper()
 	m := New(ds)
 	g := ds.Graph
-	sim := bgpsim.New(g)
-	for i := 0; i < g.NumASes(); i += stride {
-		o := g.ASNAt(i)
+	forOrigins(t, g, stride, func(sim *bgpsim.Simulator, o astopo.ASN) error {
 		for _, kind := range allKinds {
 			got, err := m.Reachability(o, kind)
 			if err != nil {
-				t.Fatalf("%s %v AS%d: %v", label, kind, o, err)
+				return fmt.Errorf("%s %v AS%d: %v", label, kind, o, err)
 			}
 			want, err := sim.ReachabilityCount(bgpsim.Config{Origin: o, Exclude: m.Mask(o, kind)})
 			if err != nil {
-				t.Fatalf("%s %v AS%d: oracle: %v", label, kind, o, err)
+				return fmt.Errorf("%s %v AS%d: oracle: %v", label, kind, o, err)
 			}
 			if got != want {
-				t.Fatalf("%s %v origin AS%d (tier1=%v tier2=%v, %d providers): point=%d scalar=%d",
+				i, _ := g.Index(o)
+				return fmt.Errorf("%s %v origin AS%d (tier1=%v tier2=%v, %d providers): point=%d scalar=%d",
 					label, kind, o, ds.Tier1.Has(o), ds.Tier2.Has(o), len(g.ProvidersOf(i)), got, want)
 			}
+		}
+		return nil
+	})
+}
+
+// forOrigins runs check on every stride-th origin of g over par.For, each
+// worker with its own simulator (the checks share the caller's Metrics),
+// and fails t with the error of the lowest failing origin: the one a
+// serial loop would have stopped at, since every lower origin was claimed,
+// and finishes, before it.
+func forOrigins(t *testing.T, g *astopo.Graph, stride int, check func(sim *bgpsim.Simulator, o astopo.ASN) error) {
+	t.Helper()
+	errs := make([]error, (g.NumASes()+stride-1)/stride)
+	// par.For's own error is the first to happen, not the lowest; errs
+	// holds every one.
+	_ = par.For(runtime.GOMAXPROCS(0), len(errs), func(int) func(k int) error {
+		sim := bgpsim.New(g)
+		return func(k int) error {
+			errs[k] = check(sim, g.ASNAt(k*stride))
+			return errs[k]
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -69,9 +95,10 @@ var (
 )
 
 // fullScaleDataset generates the paper-size 2020 world once per test
-// process for the full-scale oracle tests (CI's fullscale job). Each is one
-// goroutine comparing two engines, so the race detector would add minutes
-// and find nothing: they skip under -race, and with -short.
+// process for the full-scale oracle tests (CI's fullscale job). Under the
+// race detector they would add minutes, and the small-corpus variants
+// already race the same workers over one shared Metrics: they skip under
+// -race, and with -short.
 func fullScaleDataset(t *testing.T) Dataset {
 	t.Helper()
 	if testing.Short() || raceEnabled {

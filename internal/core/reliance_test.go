@@ -9,12 +9,13 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"flatnet/internal/astopo"
 	"flatnet/internal/bgpsim"
 	"flatnet/internal/topogen"
 )
 
 // checkRelianceMatchesResult asserts, for every stride-th origin and all
-// four kinds on one shared Metrics (so its pooled simulator serves every
+// four kinds on one shared Metrics (so its pooled simulators serve every
 // kind in turn), that Metrics.Reliance lists exactly the positive entries
 // of Result.Reliance over a Run of the same (o, kind) mask, in index order,
 // with bit-identical values.
@@ -22,21 +23,19 @@ func checkRelianceMatchesResult(t *testing.T, ds Dataset, stride int, label stri
 	t.Helper()
 	m := New(ds)
 	g := ds.Graph
-	sim := bgpsim.New(g)
-	for i := 0; i < g.NumASes(); i += stride {
-		o := g.ASNAt(i)
+	forOrigins(t, g, stride, func(sim *bgpsim.Simulator, o astopo.ASN) error {
 		for _, kind := range allKinds {
 			got, err := m.Reliance(o, kind)
 			if err != nil {
-				t.Fatalf("%s %v AS%d: %v", label, kind, o, err)
+				return fmt.Errorf("%s %v AS%d: %v", label, kind, o, err)
 			}
 			res, err := sim.Run(bgpsim.Config{Origin: o, Exclude: m.Mask(o, kind), TrackNextHops: true})
 			if err != nil {
-				t.Fatalf("%s %v AS%d: oracle: %v", label, kind, o, err)
+				return fmt.Errorf("%s %v AS%d: oracle: %v", label, kind, o, err)
 			}
 			want, err := res.Reliance()
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
 			k := 0
 			for a, v := range want {
@@ -44,15 +43,16 @@ func checkRelianceMatchesResult(t *testing.T, ds Dataset, stride int, label stri
 					continue
 				}
 				if k >= len(got) || got[k].AS != g.ASNAt(a) || math.Float64bits(got[k].Value) != math.Float64bits(v) {
-					t.Fatalf("%s %v origin AS%d: entry %d of %d is %+v, want AS%d = %v", label, kind, o, k, len(got), entryAt(got, k), g.ASNAt(a), v)
+					return fmt.Errorf("%s %v origin AS%d: entry %d of %d is %+v, want AS%d = %v", label, kind, o, k, len(got), entryAt(got, k), g.ASNAt(a), v)
 				}
 				k++
 			}
 			if k != len(got) {
-				t.Fatalf("%s %v origin AS%d: %d entries, want %d", label, kind, o, len(got), k)
+				return fmt.Errorf("%s %v origin AS%d: %d entries, want %d", label, kind, o, len(got), k)
 			}
 		}
-	}
+		return nil
+	})
 }
 
 func entryAt(entries []RelianceEntry, k int) any {
@@ -77,7 +77,7 @@ func TestRelianceMatchesResult(t *testing.T) {
 
 // The full-scale variant samples every 64th origin of the paper-size world
 // (CI's fullscale job); like TestPointReachMatchesScalarOracleFullScale it
-// is one goroutine comparing two paths, so -race would only add minutes.
+// skips under -race.
 func TestRelianceMatchesResultFullScale(t *testing.T) {
 	checkRelianceMatchesResult(t, fullScaleDataset(t), 64, "scale 1.0")
 }

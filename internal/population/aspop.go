@@ -134,8 +134,7 @@ func (m *Model) Export(cc func(astopo.ASN) string) []ASPopRecord {
 
 // ModelFromASPop builds a user-population model from parsed aspop records
 // (for running the user-weighted analyses on real APNIC data). AS types are
-// access for every listed AS and enterprise otherwise; callers needing full
-// typing should combine with a CAIDA as2type file via TypeOverrides.
+// access for every listed AS and enterprise otherwise.
 func ModelFromASPop(records []ASPopRecord) *Model {
 	sorted := append([]ASPopRecord(nil), records...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].AS < sorted[j].AS })
@@ -159,47 +158,4 @@ func ModelFromASPop(records []ASPopRecord) *Model {
 		m.total += r.Users
 	}
 	return m
-}
-
-// TypeOverrides applies CAIDA as2type labels on top of the model's types.
-// Labeled ASes absent from the model are inserted with zero users. The
-// model's columns are re-allocated, never written in place, so overrides
-// are safe even on a model backed by read-only snapshot memory.
-func (m *Model) TypeOverrides(labels map[astopo.ASN]astopo.AS2TypeRecord) {
-	var missing []astopo.ASN
-	for a := range labels {
-		if _, ok := m.index(a); !ok {
-			missing = append(missing, a)
-		}
-	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	na := make([]astopo.ASN, 0, len(m.asns)+len(missing))
-	nt := make([]ASType, 0, cap(na))
-	nu := make([]float64, 0, cap(na))
-	i, j := 0, 0
-	for i < len(m.asns) || j < len(missing) {
-		if j >= len(missing) || (i < len(m.asns) && m.asns[i] < missing[j]) {
-			na, nt, nu = append(na, m.asns[i]), append(nt, m.types[i]), append(nu, m.users[i])
-			i++
-		} else {
-			na, nt, nu = append(na, missing[j]), append(nt, TypeEnterprise), append(nu, 0)
-			j++
-		}
-	}
-	m.asns, m.types, m.users = na, nt, nu
-	for a, rec := range labels {
-		k, _ := m.index(a)
-		switch rec.Type {
-		case astopo.TypeLabelContent:
-			m.types[k] = TypeContent
-		case astopo.TypeLabelEnterprise:
-			m.types[k] = TypeEnterprise
-		case astopo.TypeLabelTransitAccess:
-			if m.users[k] > 0 {
-				m.types[k] = TypeAccess // the paper's §4.3 refinement
-			} else {
-				m.types[k] = TypeTransit
-			}
-		}
-	}
 }

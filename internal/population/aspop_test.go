@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"flatnet/internal/astopo"
 	"flatnet/internal/topogen"
 )
 
@@ -94,27 +93,5 @@ func TestASPopRoundTripAndExport(t *testing.T) {
 		if math.Abs(want-got) > 1e-6 {
 			t.Errorf("AS%d share %v after round trip, want %v", r.AS, got, want)
 		}
-	}
-}
-
-func TestTypeOverrides(t *testing.T) {
-	m := ModelFromASPop([]ASPopRecord{{AS: 10, Users: 100}, {AS: 20, Users: 50}})
-	m.TypeOverrides(map[astopo.ASN]astopo.AS2TypeRecord{
-		10: {AS: 10, Type: astopo.TypeLabelTransitAccess}, // has users -> access
-		20: {AS: 20, Type: astopo.TypeLabelContent},
-		30: {AS: 30, Type: astopo.TypeLabelTransitAccess}, // no users -> transit
-		40: {AS: 40, Type: astopo.TypeLabelEnterprise},
-	})
-	if m.Type(10) != TypeAccess {
-		t.Errorf("AS10 = %v", m.Type(10))
-	}
-	if m.Type(20) != TypeContent {
-		t.Errorf("AS20 = %v", m.Type(20))
-	}
-	if m.Type(30) != TypeTransit {
-		t.Errorf("AS30 = %v", m.Type(30))
-	}
-	if m.Type(40) != TypeEnterprise {
-		t.Errorf("AS40 = %v", m.Type(40))
 	}
 }

@@ -174,15 +174,12 @@ func (m *Model) Share(a astopo.ASN) float64 {
 	return m.Users(a) / m.total
 }
 
-// TotalUsers returns the summed user mass.
-func (m *Model) TotalUsers() float64 { return m.total }
-
 // IsEyeball reports whether the AS hosts end users.
 func (m *Model) IsEyeball(a astopo.ASN) bool { return m.Users(a) > 0 }
 
 // WeightsDense returns per-AS user weights indexed by the graph's dense
-// index, normalized to sum to 1 — the form bgpsim.Result.DetouredWeight
-// consumes.
+// index, normalized to sum to 1 — the form a bgpsim.LeakJob's Weights
+// takes.
 func (m *Model) WeightsDense(g *astopo.Graph) []float64 {
 	g.Freeze()
 	w := make([]float64, g.NumASes())

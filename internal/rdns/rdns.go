@@ -9,9 +9,9 @@
 //     cities, at the per-network rDNS coverage levels of Table 3 (Amazon
 //     publishes no rDNS at all; NTT covers ~100%);
 //   - extracts locations with hand-written convention regexes (the paper's
-//     first method);
-//   - learns conventions from alias groups (the sc_hoiho-style second
-//     method) and verifies both methods agree.
+//     first method). The paper's second method, learning conventions from
+//     MIDAR alias groups with sc_hoiho, is not implemented: the two agreed
+//     in the paper, and Table 3 runs on the hand-written conventions.
 package rdns
 
 import (
@@ -39,8 +39,7 @@ type Convention struct {
 	Regexp *regexp.Regexp
 }
 
-// conventions gives each named network a distinct hostname structure, so
-// that the learner has real work to do.
+// conventions gives each named network a distinct hostname structure.
 var conventions = []Convention{
 	{
 		Suffix:  "gin.%s.net",
@@ -90,7 +89,8 @@ type Corpus struct {
 	// ByAS groups records per network.
 	ByAS map[astopo.ASN][]Record
 	// Aliases groups interface addresses belonging to the same router
-	// (MIDAR-style alias-resolution ground truth), per AS.
+	// (MIDAR-style alias-resolution ground truth), per AS. Snapshots carry
+	// it; no analysis reads it.
 	Aliases map[astopo.ASN][][]netip.Addr
 	// CoveredPoPs records which PoP cities actually received records.
 	CoveredPoPs map[astopo.ASN]map[geo.CityID]bool

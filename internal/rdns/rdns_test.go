@@ -1,7 +1,6 @@
 package rdns
 
 import (
-	"sort"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -64,118 +63,5 @@ func TestManualExtraction(t *testing.T) {
 		if total != len(in.PoPsOf(asn)) {
 			t.Errorf("%s: total = %d, want %d", name, total, len(in.PoPsOf(asn)))
 		}
-	}
-}
-
-// The learned convention must agree with the manual regex (§4.2: "we had
-// identical results for the two methods").
-func TestLearnedMatchesManual(t *testing.T) {
-	in, _, corpus := buildCorpus(t)
-	checked := 0
-	for asn, aliasGroups := range corpus.Aliases {
-		if len(aliasGroups) < 4 {
-			continue
-		}
-		byAddr := make(map[string]string)
-		for _, rec := range corpus.ByAS[asn] {
-			byAddr[rec.Addr.String()] = rec.Hostname
-		}
-		hostGroups := make([][]string, 0, len(aliasGroups))
-		for _, g := range aliasGroups {
-			var hg []string
-			for _, addr := range g {
-				if h, ok := byAddr[addr.String()]; ok {
-					hg = append(hg, h)
-				}
-			}
-			if len(hg) > 0 {
-				hostGroups = append(hostGroups, hg)
-			}
-		}
-		re, err := LearnConvention(hostGroups)
-		if err != nil {
-			t.Fatalf("%s: learn failed: %v", in.NameOf(asn), err)
-		}
-		manual := ConventionFor(asn, in.NameOf(asn)).Regexp
-		c1, _, _ := ConfirmedPoPs(in, corpus, asn, re)
-		c2, _, _ := ConfirmedPoPs(in, corpus, asn, manual)
-		if c1 != c2 {
-			t.Errorf("%s: learned regex confirms %d PoPs, manual %d", in.NameOf(asn), c1, c2)
-		}
-		checked++
-		if checked >= 8 {
-			break
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no networks checked")
-	}
-}
-
-func TestLearnConventionFailsWithFewGroups(t *testing.T) {
-	if _, err := LearnConvention([][]string{{"a-1.r01.jfk01.gin.x.net"}}); err == nil {
-		t.Error("single group accepted")
-	}
-	if _, err := LearnConvention(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-func TestLearnConventionSynthetic(t *testing.T) {
-	groups := [][]string{
-		{"ae-1.r01.jfk01.gin.ex.net", "ae-2.r01.jfk01.gin.ex.net"},
-		{"ae-1.r02.lhr01.gin.ex.net", "ae-9.r02.lhr01.gin.ex.net"},
-		{"ae-3.r01.sin02.gin.ex.net", "ae-4.r01.sin02.gin.ex.net"},
-	}
-	re, err := LearnConvention(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := ExtractIATA(re, "ae-7.r05.fra03.gin.ex.net")
-	if !ok || got != "fra" {
-		t.Errorf("extracted %q,%v, want fra", got, ok)
-	}
-	// The learned regex must not match a different convention.
-	if _, ok := ExtractIATA(re, "100ge3.ams1.core.other.net"); ok {
-		t.Error("learned regex matched a foreign convention")
-	}
-}
-
-// The full §4.2 second method: MIDAR-style alias resolution over simulated
-// probe targets, then convention learning — must agree with the manual
-// regex, as the paper reports ("identical results for the two methods").
-func TestMidarPipelineMatchesManual(t *testing.T) {
-	in, _, corpus := buildCorpus(t)
-	checked := 0
-	asns := make([]astopo.ASN, 0, len(corpus.Aliases))
-	for asn := range corpus.Aliases {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, asn := range asns {
-		if len(corpus.Aliases[asn]) < 4 {
-			continue
-		}
-		re, err := ResolveAliasesAndLearn(corpus, asn, 99)
-		if err != nil {
-			t.Fatalf("%s: %v", in.NameOf(asn), err)
-		}
-		manual := ConventionFor(asn, in.NameOf(asn)).Regexp
-		c1, _, _ := ConfirmedPoPs(in, corpus, asn, re)
-		c2, _, _ := ConfirmedPoPs(in, corpus, asn, manual)
-		if c1 != c2 {
-			t.Errorf("%s: midar+hoiho confirms %d PoPs, manual %d", in.NameOf(asn), c1, c2)
-		}
-		checked++
-		if checked >= 12 {
-			break
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no networks checked")
-	}
-	// Amazon publishes no rDNS: the pipeline must fail cleanly.
-	if _, err := ResolveAliasesAndLearn(corpus, in.Clouds["Amazon"], 99); err == nil {
-		t.Error("pipeline succeeded for a network with no rDNS")
 	}
 }

@@ -545,35 +545,6 @@ func (e *Engine) hopDistance(city geo.CityID, hop int32) float64 {
 	return geo.CityDistanceKm(city, e.in.HomeCityAt(int(hop)))
 }
 
-// onBestPath reports whether every step of the forwarding path follows a
-// tied-best next hop of the destination's propagation. forwardPath computes
-// the same verdict incrementally; this is the reference form kept for the
-// equivalence test.
-func (e *Engine) onBestPath(path []astopo.ASN, res *bgpsim.Result) bool {
-	g := e.in.Graph
-	for k := 1; k < len(path); k++ {
-		ci, ok := g.Index(path[k-1])
-		if !ok {
-			return false
-		}
-		ni, ok := g.Index(path[k])
-		if !ok {
-			return false
-		}
-		found := false
-		for _, h := range res.NextHops(int32(ci)) {
-			if h == int32(ni) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 // pathHasher seeds the per-(VM, destination) deterministic noise stream: an
 // FNV-64a hash over "<cloud>/<city>/<dst>" (plus "/<index>" for Amazon,
 // whose early exit makes same-site VMs vary). Hand-rolled over the

@@ -33,6 +33,14 @@ if grep -rn 'Getenv("FLATNET_' --include='*.go' cmd internal | grep -v _test.go;
     exit 1
 fi
 
+echo "==> no package only its own tests import"
+# A package under internal/ that nothing outside it imports from non-test
+# code is dead; it comes back together with its first caller.
+for d in internal/*/; do
+    grep -rl --include='*.go' --exclude='*_test.go' "\"flatnet/${d%/}\"" cmd internal examples bench | grep -qv "^$d" ||
+        { echo "flatnet/${d%/} has no non-test importer outside itself" >&2; exit 1; }
+done
+
 echo "==> go vet ./..."
 go vet ./...
 
