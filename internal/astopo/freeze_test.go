@@ -88,11 +88,13 @@ func randomLinks(rng *rand.Rand, m int, asn func() ASN) []Link {
 	return links
 }
 
-// Freeze numbers the nodes with a radix sort and one scan; its Frozen form
-// must equal the sort + binary-search reference on any link list,
-// including the ASN extremes, ASN spans of odd and even bit width, a hub
-// holding most links, P2P links written in both endpoint orders, one link
-// and no links at all.
+// Freeze numbers the nodes through a bitmap rank over narrow ASN spans and
+// a radix sort over wide ones; its Frozen form must equal the sort +
+// binary-search reference on any link list, including the ASN extremes,
+// ASN spans of odd and even bit width, a generated world's shape (a few
+// small named ASNs below a dense block), a hub holding most links, P2P
+// links written in both endpoint orders, one link and no links at all.
+// Both numbering paths must run.
 func TestFreezeMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	hub := ASN(64512)
@@ -121,12 +123,127 @@ func TestFreezeMatchesSortReference(t *testing.T) {
 			}
 			return ASN(rng.Intn(1 << 20))
 		}),
+		"narrow odd span": randomLinks(rng, 3000, func() ASN { return 200001 + ASN(rng.Intn(4999)) }),
+		"named below a block": randomLinks(rng, 6000, func() ASN {
+			if rng.Intn(8) == 0 {
+				return ASN(174 + 97*rng.Intn(600))
+			}
+			return 200000 + ASN(rng.Intn(3000))
+		}),
 	}
+	paths := map[bool]int{}
 	for name, links := range cases {
+		if len(links) > 0 {
+			lo, hi := links[0].A, links[0].A
+			for _, l := range links {
+				lo, hi = min(lo, l.A, l.B), max(hi, l.A, l.B)
+			}
+			paths[rankSpan(hi-lo, len(links))]++
+		}
 		want := referenceFrozen(links)
 		got := FromLinks(slices.Clone(links)).Frozen()
 		if !frozenEqual(got, want) {
 			t.Errorf("%s: %d links: Frozen differs from the sort + binary-search reference", name, len(links))
+		}
+	}
+	if paths[true] == 0 || paths[false] == 0 {
+		t.Errorf("cases numbered %d times by rank and %d times by sort; both paths must run", paths[true], paths[false])
+	}
+}
+
+// AddLinksIfAbsent must leave the graph exactly as AddLinkIfAbsent called
+// on each link in turn: same added count, same Frozen arrays, and a
+// duplicate check that still holds for the next single add. The batches
+// repeat pairs in both endpoint orders, hold self pairs and pairs the
+// graph already links as P2C, and run on empty, unfrozen and frozen
+// graphs; the full uint32 range leaves no room for a sort key and takes
+// the per-link path, which keeps a pair set, while narrow spans are sorted
+// and drop it.
+func TestAddLinksIfAbsentMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	narrow := func() ASN { return 200000 + ASN(rng.Intn(400)) }
+	span13 := func() ASN { return 200000 + ASN(rng.Intn(1<<13)) } // partition, then three passes
+	span19 := func() ASN { return 200000 + ASN(rng.Intn(1<<19)) } // partition, then four passes
+	wide := func() ASN { return ASN(rng.Uint32()) }
+	p2c := []Link{{A: 7, B: 9, Rel: P2C}, {A: 9, B: 11, Rel: P2C}, {A: 3, B: 7, Rel: P2P}}
+	// stream draws n candidate links; about a third repeat an earlier
+	// candidate or a base link, in either order.
+	stream := func(n int, asn func() ASN, base []Link) []Link {
+		out := make([]Link, 0, n)
+		for len(out) < n {
+			var l Link
+			switch r := rng.Intn(6); {
+			case r == 0 && len(out) > 0:
+				l = out[rng.Intn(len(out))]
+			case r == 1 && len(out) > 0:
+				l = out[rng.Intn(len(out))]
+				l.A, l.B = l.B, l.A
+			case r == 2 && len(base) > 0:
+				l = base[rng.Intn(len(base))]
+				if rng.Intn(2) == 0 {
+					l.A, l.B = l.B, l.A
+				}
+			default:
+				l = Link{A: asn(), B: asn()}
+			}
+			l.Rel = Rel(-rng.Intn(2)) // P2C or P2P, whatever the repeat was
+			out = append(out, l)
+		}
+		return out
+	}
+	narrowBase := randomLinks(rng, 300, narrow)
+	wideBase := randomLinks(rng, 300, wide)
+	cases := []struct {
+		name     string
+		base     []Link
+		batch    []Link
+		freeze   bool
+		pairsSet bool // the per-link path ran
+	}{
+		{name: "empty batch", base: p2c},
+		{name: "empty graph", batch: stream(2000, narrow, nil)},
+		{name: "repeats in both orders", base: p2c, batch: []Link{
+			{A: 5, B: 6, Rel: P2P}, {A: 6, B: 5, Rel: P2P}, {A: 5, B: 6, Rel: P2C},
+			{A: 8, B: 5, Rel: P2C}, {A: 5, B: 8, Rel: P2P}, {A: 6, B: 5, Rel: P2C},
+		}},
+		{name: "self pairs", base: p2c, batch: []Link{
+			{A: 4, B: 4, Rel: P2P}, {A: 4, B: 12, Rel: P2P}, {A: 12, B: 12, Rel: P2C}, {A: 12, B: 4, Rel: P2P},
+		}},
+		{name: "present as P2C", base: p2c, batch: []Link{
+			{A: 9, B: 7, Rel: P2P}, {A: 7, B: 9, Rel: P2P}, {A: 11, B: 9, Rel: P2P},
+			{A: 7, B: 3, Rel: P2C}, {A: 7, B: 13, Rel: P2P},
+		}},
+		{name: "random stream", base: narrowBase, batch: stream(20000, narrow, narrowBase)},
+		{name: "random stream, frozen", base: narrowBase, batch: stream(5000, narrow, narrowBase), freeze: true},
+		{name: "random stream, 13-bit span", base: narrowBase, batch: stream(6000, span13, narrowBase)},
+		{name: "random stream, 19-bit span", base: narrowBase, batch: stream(5000, span19, narrowBase)},
+		{name: "full uint32 range", base: wideBase, batch: stream(3000, wide, wideBase), pairsSet: true},
+	}
+	for _, tc := range cases {
+		batch, seq := FromLinks(slices.Clone(tc.base)), FromLinks(slices.Clone(tc.base))
+		if tc.freeze {
+			batch.Freeze()
+			seq.Freeze()
+		}
+		want := 0
+		for _, l := range tc.batch {
+			if seq.AddLinkIfAbsent(l.A, l.B, l.Rel) {
+				want++
+			}
+		}
+		if got := batch.AddLinksIfAbsent(slices.Clone(tc.batch)); got != want {
+			t.Errorf("%s: AddLinksIfAbsent added %d links, AddLinkIfAbsent in turn %d", tc.name, got, want)
+		}
+		if want > 0 && batch.HoldsPairSet() != tc.pairsSet {
+			t.Errorf("%s: batch left a pair set: %v, want %v", tc.name, batch.HoldsPairSet(), tc.pairsSet)
+		}
+		if !frozenEqual(batch.Frozen(), seq.Frozen()) {
+			t.Errorf("%s: Frozen after the batch differs from sequential adds", tc.name)
+		}
+		for _, l := range tc.batch {
+			if batch.AddLinkIfAbsent(l.B, l.A, P2P) {
+				t.Fatalf("%s: AS%d-AS%d added again after the batch", tc.name, l.A, l.B)
+			}
 		}
 	}
 }

@@ -85,13 +85,18 @@ type Graph struct {
 	// 1 bit per AS so the test stays in cache (see HasCustomers).
 	hasCust []uint64
 
-	// pairs holds every link's PairKey while the graph is built, for
-	// AddLink's duplicate check; Freeze drops it and the next add rebuilds
-	// it from the links.
+	// pairs holds every link's PairKey while the graph is built link by
+	// link, for AddLinkIfAbsent's duplicate check. It is sized from the
+	// link slice's capacity when first built; Freeze and AddLinksIfAbsent
+	// drop it, and the next single add rebuilds it from the links.
 	pairs pairSet
 }
 
-// NewGraph returns an empty graph with capacity hints for n ASes and m links.
+// NewGraph returns an empty graph with capacity hints for n ASes and m
+// links. The m hint also sizes the pair set of the first AddLinkIfAbsent,
+// so it should count the links that will be added one at a time: a graph
+// whose bulk arrives through AddLinksIfAbsent is hinted with the links
+// added before that batch, and the batch sizes the slice for itself.
 func NewGraph(n, m int) *Graph {
 	return &Graph{links: make([]Link, 0, m)}
 }
@@ -220,14 +225,14 @@ func (g *Graph) MustAddLink(a, b ASN, rel Rel) {
 // a == b or any link between a and b already exists, and reports whether
 // it added one. A pre-existing link's type is never modified, as §4.1 of
 // the paper requires when traceroute-discovered cloud neighbors augment a
-// BGP-feed topology.
+// BGP-feed topology. On an unfrozen graph the answer is one probe of the
+// pair set; construction code that does not need the answer of each add
+// passes its links to AddLinksIfAbsent instead.
 func (g *Graph) AddLinkIfAbsent(a, b ASN, rel Rel) bool {
 	if a == b {
 		return false
 	}
-	if rel != P2P && rel != P2C {
-		panic(fmt.Sprintf("astopo: invalid relationship %d for AS%d-AS%d", rel, a, b))
-	}
+	checkRel(a, b, rel)
 	if g.frozen {
 		// Answer from the rows, so a rejected add leaves no set behind.
 		if _, ok := g.HasLink(a, b); ok {
@@ -248,6 +253,175 @@ func (g *Graph) AddLinkIfAbsent(a, b ASN, rel Rel) bool {
 	g.rawA, g.rawB, g.rawRel = nil, nil, nil
 	g.frozen = false
 	return true
+}
+
+func checkRel(a, b ASN, rel Rel) {
+	if rel != P2P && rel != P2C {
+		panic(fmt.Sprintf("astopo: invalid relationship %d for AS%d-AS%d", rel, a, b))
+	}
+}
+
+// AddLinksIfAbsent adds links in order, each unless it is a self pair or
+// its pair is already linked, by the graph or by an earlier link of the
+// batch, and returns how many it added. The graph ends exactly as if
+// AddLinkIfAbsent had been called on each link in turn, but the batch is
+// deduplicated by one stable radix sort of pair keys rather than one
+// pair-set probe per link: a million random probes into a table of
+// millions of slots miss cache on nearly every probe, while the sort
+// streams. The survivors are appended in batch order, and the link slice
+// grows at most once. The pair set is dropped; the next single add
+// rebuilds it.
+//
+// A sort key packs the pair's two endpoint offsets from the smallest ASN
+// above the position of its link, so the sort needs the ASN span and the
+// link count to fit 64 bits together. Graphs past that (a 32-bit ASN span
+// leaves no room, nor does the -scale 20 stress world's 21M links) take
+// the one-probe-per-link path.
+func (g *Graph) AddLinksIfAbsent(links []Link) int {
+	if len(links) == 0 {
+		return 0
+	}
+	g.materializeLinks()
+	old := g.links
+	lo, hi := links[0].A, links[0].A
+	for _, l := range links {
+		checkRel(l.A, l.B, l.Rel)
+		lo, hi = min(lo, l.A, l.B), max(hi, l.A, l.B)
+	}
+	for _, l := range old {
+		lo, hi = min(lo, l.A, l.B), max(hi, l.A, l.B)
+	}
+	w := uint(bits.Len32(uint32(hi - lo)))
+	posBits := uint(bits.Len(uint(len(old) + len(links))))
+	if 2*w+posBits > 64 {
+		// Size the slice for the batch, and the pair set with it when
+		// the first add rebuilds it, so neither grows link by link.
+		g.links = slices.Grow(g.links, len(links))
+		g.pairs = pairSet{}
+		added := 0
+		for _, l := range links {
+			if g.AddLinkIfAbsent(l.A, l.B, l.Rel) {
+				added++
+			}
+		}
+		return added
+	}
+
+	// One key per existing link and per batch link that is not a self
+	// pair, in position order: existing links first, then the batch.
+	keys := make([]uint64, 0, len(old)+len(links))
+	key := func(a, b ASN) uint64 {
+		a, b = a-lo, b-lo
+		if a > b {
+			a, b = b, a
+		}
+		return (uint64(a)<<w | uint64(b)) << posBits
+	}
+	for i, l := range old {
+		keys = append(keys, key(l.A, l.B)|uint64(i))
+	}
+	for j, l := range links {
+		if l.A != l.B {
+			keys = append(keys, key(l.A, l.B)|uint64(len(old)+j))
+		}
+	}
+	keys = radixSortAbove(keys, posBits, 2*w)
+
+	// The first position of each run of equal pairs holds the link that
+	// AddLinkIfAbsent would have kept; it is new when it is in the batch.
+	keep := make([]uint64, (len(links)+63)/64)
+	added := 0
+	for i, x := range keys {
+		if i > 0 && x>>posBits == keys[i-1]>>posBits {
+			continue
+		}
+		if j := int(x&(1<<posBits-1)) - len(old); j >= 0 {
+			keep[j>>6] |= 1 << (j & 63)
+			added++
+		}
+	}
+	if added == 0 {
+		return 0
+	}
+	// Appending the whole batch grows the slice by copying rather than
+	// zeroing; the survivors are then compacted over the copy.
+	kept := append(g.links, links...)[:len(g.links)]
+	for j, l := range links {
+		if keep[j>>6]&(1<<(j&63)) != 0 {
+			kept = append(kept, l)
+		}
+	}
+	g.links = kept
+	g.rawA, g.rawB, g.rawRel = nil, nil, nil
+	g.pairs = pairSet{}
+	g.frozen = false
+	return added
+}
+
+// radixSortAbove sorts keys by their bits [shift, shift+width), which
+// must be the highest bits set, and returns the sorted keys in a new slice.
+// Keys that tie on those bits keep their input order. One pass partitions
+// the keys by their top digit into buckets of a few thousand keys; each
+// bucket is then sorted on the remaining bits by LSD passes while it sits
+// in cache, so only the partition scatters keys across memory. Digits are
+// at most 11 bits, so a pass's histogram stays in L1.
+func radixSortAbove(keys []uint64, shift, width uint) []uint64 {
+	const maxDigit, bucketKeys = 11, 12 // bucketKeys: log2 of a bucket's mean size
+	if len(keys) < 2 {
+		return slices.Clone(keys)
+	}
+	top := min(width, maxDigit, uint(bits.Len(uint(len(keys))>>bucketKeys)))
+	rest := width - top
+	start := make([]int32, 1<<top+1)
+	for _, x := range keys {
+		start[x>>(shift+rest)+1]++
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	out := make([]uint64, len(keys))
+	next := slices.Clone(start[:1<<top])
+	for _, x := range keys {
+		d := x >> (shift + rest)
+		out[next[d]] = x
+		next[d]++
+	}
+	if rest == 0 {
+		return out
+	}
+	passes := (rest + maxDigit - 1) / maxDigit
+	dw := (rest + passes - 1) / passes
+	mask := uint64(1)<<dw - 1
+	c := make([]int32, 1<<dw)
+	var buf []uint64
+	for d := 0; d < 1<<top; d++ {
+		bucket := out[start[d]:start[d+1]]
+		if len(bucket) < 2 {
+			continue
+		}
+		buf = slices.Grow(buf[:0], len(bucket))[:len(bucket)]
+		src, dst := bucket, buf
+		for s := shift; s < shift+rest; s += dw {
+			clear(c)
+			for _, x := range src {
+				c[x>>s&mask]++
+			}
+			var at int32
+			for i := range c {
+				c[i], at = at, at+c[i]
+			}
+			for _, x := range src {
+				dg := x >> s & mask
+				dst[c[dg]] = x
+				c[dg]++
+			}
+			src, dst = dst, src
+		}
+		if &src[0] != &bucket[0] {
+			copy(bucket, src)
+		}
+	}
+	return out
 }
 
 // PairKey is the direction-free key of the pair {a, b}. The key of two
@@ -366,7 +540,7 @@ func (g *Graph) NumLinks() int {
 // automatically by queries that need indexes; exposed so callers can choose
 // when to pay the cost.
 //
-// Dense indexes come from a radix sort of the link endpoints by ASN (see
+// Dense indexes come from numbering the link endpoints by ASN (see
 // numberEndpoints), so index i is the i-th smallest ASN. The adjacency
 // rows are carved out of one shared arena (CSR layout): a counting pass
 // sizes every row up front, so freezing costs a handful of allocations
@@ -387,13 +561,13 @@ func (g *Graph) Freeze() {
 
 func (g *Graph) freeze() {
 	g.pairs = pairSet{} // the rows answer HasLink from here on
-	var ends []uint64
+	var ends []int32
 	g.nodes, ends = numberEndpoints(g.links)
 	n := len(g.nodes)
 	deg := make([]int32, 3*n)
 	provDeg, custDeg, peerDeg := deg[:n], deg[n:2*n], deg[2*n:]
 	for k, l := range g.links {
-		ai, bi := int32(ends[2*k]), int32(ends[2*k+1])
+		ai, bi := ends[2*k], ends[2*k+1]
 		switch l.Rel {
 		case P2P:
 			peerDeg[ai]++
@@ -427,13 +601,13 @@ func (g *Graph) freeze() {
 	}
 	g.peerOff[n] = off
 	g.arena = make([]int32, 2*len(g.links))
-	cur := make([]int32, 3*n)
-	provCur, custCur, peerCur := cur[:n], cur[n:2*n], cur[2*n:]
+	// The degrees are spent: their memory holds the row cursors.
+	provCur, custCur, peerCur := provDeg, custDeg, peerDeg
 	copy(provCur, g.provOff[:n])
 	copy(custCur, g.custOff[:n])
 	copy(peerCur, g.peerOff[:n])
 	for k, l := range g.links {
-		ai, bi := int32(ends[2*k]), int32(ends[2*k+1])
+		ai, bi := ends[2*k], ends[2*k+1]
 		switch l.Rel {
 		case P2P:
 			g.arena[peerCur[ai]] = bi
@@ -455,13 +629,14 @@ func (g *Graph) freeze() {
 // index of every endpoint among them: ends[2k] is links[k].A's and
 // ends[2k+1] is links[k].B's.
 //
-// It sorts the keys (ASN-min)<<32 | endpoint with a stable two-pass LSD
-// radix sort, then numbers the ASNs in one scan of the sorted run. Each
-// pass sorts on half the bits of the ASN span: topogen's worlds span less
-// than 2^20 and sort on 10-bit digits, while any ASN set takes at most
-// two 16-bit passes. The first pass scatters straight from the links, so
-// no unsorted key array is built.
-func numberEndpoints(links []Link) (nodes []ASN, ends []uint64) {
+// The path follows the ASN span. When a bitmap of the span holds no more
+// words than there are endpoints, as for every generated world (about
+// 270k ASNs over a million links), rankEndpoints numbers the endpoints
+// from the bitmap in two passes over the links, its tables in cache.
+// Wider spans, such as the 32-bit ASNs of a CAIDA file, would need a
+// bitmap larger than the links themselves and are radix-sorted by
+// sortEndpoints.
+func numberEndpoints(links []Link) (nodes []ASN, ends []int32) {
 	if len(links) == 0 {
 		return []ASN{}, nil
 	}
@@ -469,6 +644,57 @@ func numberEndpoints(links []Link) (nodes []ASN, ends []uint64) {
 	for _, l := range links {
 		lo, hi = min(lo, l.A, l.B), max(hi, l.A, l.B)
 	}
+	if rankSpan(hi-lo, len(links)) {
+		return rankEndpoints(links, lo, hi)
+	}
+	return sortEndpoints(links, lo, hi)
+}
+
+// rankSpan reports whether numberEndpoints ranks an ASN span over m links
+// through a bitmap: the bitmap may hold at most one word per endpoint.
+func rankSpan(span ASN, m int) bool {
+	return uint64(span)>>6 < 2*uint64(m)
+}
+
+// rankEndpoints sets one bit per present ASN in a bitmap of the span
+// [lo, hi], counts the bits of each word into a prefix rank, and reads
+// every endpoint's index as its word's rank plus the set bits below it.
+func rankEndpoints(links []Link, lo, hi ASN) (nodes []ASN, ends []int32) {
+	words := make([]uint64, (hi-lo)>>6+1)
+	for _, l := range links {
+		a, b := l.A-lo, l.B-lo
+		words[a>>6] |= 1 << (a & 63)
+		words[b>>6] |= 1 << (b & 63)
+	}
+	rank := make([]int32, len(words))
+	var n int32
+	for i, w := range words {
+		rank[i] = n
+		n += int32(bits.OnesCount64(w))
+	}
+	nodes = make([]ASN, 0, n)
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			nodes = append(nodes, lo+ASN(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	index := func(a ASN) int32 {
+		a -= lo
+		return rank[a>>6] + int32(bits.OnesCount64(words[a>>6]&(1<<(a&63)-1)))
+	}
+	ends = make([]int32, 2*len(links))
+	for k, l := range links {
+		ends[2*k], ends[2*k+1] = index(l.A), index(l.B)
+	}
+	return nodes, ends
+}
+
+// sortEndpoints sorts the keys (ASN-lo)<<32 | endpoint with a stable
+// two-pass LSD radix sort, then numbers the ASNs in one scan of the sorted
+// run. Each pass sorts on half the bits of the ASN span, so any ASN set
+// takes at most two 16-bit passes. The first pass scatters straight from
+// the links, so no unsorted key array is built.
+func sortEndpoints(links []Link, lo, hi ASN) (nodes []ASN, ends []int32) {
 	w := uint(bits.Len32(uint32(hi-lo))+1) / 2
 	mask := ASN(1)<<w - 1
 	cnt := make([]int32, 2<<w)
@@ -506,12 +732,12 @@ func numberEndpoints(links []Link) (nodes []ASN, ends []uint64) {
 		}
 	}
 	nodes = make([]ASN, 0, n)
-	ends = byLow // free again after the second pass
+	ends = make([]int32, len(keys))
 	for _, x := range keys {
 		if a := lo + ASN(x>>32); len(nodes) == 0 || nodes[len(nodes)-1] != a {
 			nodes = append(nodes, a)
 		}
-		ends[uint32(x)] = uint64(len(nodes) - 1)
+		ends[uint32(x)] = int32(len(nodes) - 1)
 	}
 	return nodes, ends
 }

@@ -280,9 +280,10 @@ func (m *Metrics) TopReliance(o astopo.ASN, kind Kind, k int) ([]RelianceEntry, 
 	return m.TopRelianceCtx(context.Background(), o, kind, k)
 }
 
-// topReliance filters the origin out of entries and returns the k largest
-// by value (ties broken by ASN), reusing entries' backing array.
-func topReliance(entries []RelianceEntry, o astopo.ASN, k int) []RelianceEntry {
+// RankReliance filters the origin out of entries and returns the k largest
+// by value (ties broken by ASN): TopReliance's ranking of Reliance's
+// entries. It reorders entries, and the result shares their backing array.
+func RankReliance(entries []RelianceEntry, o astopo.ASN, k int) []RelianceEntry {
 	filtered := entries[:0]
 	for _, e := range entries {
 		if e.AS != o {

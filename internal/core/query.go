@@ -78,7 +78,7 @@ func (m *Metrics) TopRelianceCtx(ctx context.Context, o astopo.ASN, kind Kind, k
 	if err != nil {
 		return nil, err
 	}
-	return topReliance(entries, o, k), nil
+	return RankReliance(entries, o, k), nil
 }
 
 // ReachabilityMany computes reach(o, kind) for each origin in input order.

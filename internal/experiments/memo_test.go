@@ -121,6 +121,51 @@ func TestDerivedResultsBuiltOnce(t *testing.T) {
 	}
 }
 
+// Fig. 6 and Table 2 read the same four reliance vectors through the
+// scope: each alone computes every cloud's once, their text and CSV run on
+// one scope compute it once in all, and the shared summaries stay as
+// built.
+func TestRelianceBuiltOncePerCloud(t *testing.T) {
+	run := func(env *Env, ids ...string) {
+		for _, id := range ids {
+			r, _ := ByID(id)
+			render(t, env, r)
+			if _, err := Tables(env, id); err != nil {
+				t.Fatalf("%s CSV: %v", id, err)
+			}
+		}
+		if got, want := env.builds("reliance/"), len(Clouds()); got != want {
+			t.Errorf("%v computed %d reliance vectors, want %d", ids, got, want)
+		}
+	}
+	run(getEnv(t).Fresh(), "fig6")
+	run(getEnv(t).Fresh(), "table2")
+	env := getEnv(t).Fresh()
+	run(env, "fig6", "table2")
+	for _, c := range Clouds() {
+		asn := env.In2020.Clouds[c]
+		if got := env.builds(fmt.Sprintf("reliance/%d", asn)); got != 1 {
+			t.Errorf("%s: %d reliance builds, want 1", c, got)
+		}
+		memo, err := env.reliance(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := env.M2020.Reliance(asn, core.HierarchyFree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := fig6Result(c, asn, entries)
+		top, err := env.M2020.TopReliance(asn, core.HierarchyFree, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(memo, relianceSummary{hist: hist, top: top}) {
+			t.Errorf("%s: reliance summary was modified after it was memoized", c)
+		}
+	}
+}
+
 // §4.1 and the ablation read one feed view: run on one scope, they collect
 // it once.
 func TestFeedViewCollectedOnce(t *testing.T) {

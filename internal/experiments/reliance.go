@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,29 +34,33 @@ const fig6BinWidth = 25
 func Fig6(env *Env) ([]Fig6Result, error) {
 	var out []Fig6Result
 	for _, c := range Clouds() {
-		asn := env.In2020.Clouds[c]
-		entries, err := env.M2020.Reliance(asn, core.HierarchyFree)
+		r, err := env.reliance(c)
 		if err != nil {
 			return nil, err
 		}
-		res := Fig6Result{Cloud: c, Bins: make(map[int]int)}
-		for _, e := range entries {
-			if e.AS == asn {
-				continue
-			}
-			bin := int(e.Value) / fig6BinWidth * fig6BinWidth
-			res.Bins[bin]++
-			if e.Value > res.MaxReliance {
-				res.MaxReliance = e.Value
-				res.MaxAS = e.AS
-			}
-			if e.Value >= 1 && e.Value < 2 {
-				res.RelyOne++
-			}
-		}
-		out = append(out, res)
+		out = append(out, r.hist)
 	}
 	return out, nil
+}
+
+// fig6Result bins a cloud's reliance entries, skipping the cloud itself.
+func fig6Result(cloud string, asn astopo.ASN, entries []core.RelianceEntry) Fig6Result {
+	res := Fig6Result{Cloud: cloud, Bins: make(map[int]int)}
+	for _, e := range entries {
+		if e.AS == asn {
+			continue
+		}
+		bin := int(e.Value) / fig6BinWidth * fig6BinWidth
+		res.Bins[bin]++
+		if e.Value > res.MaxReliance {
+			res.MaxReliance = e.Value
+			res.MaxAS = e.AS
+		}
+		if e.Value >= 1 && e.Value < 2 {
+			res.RelyOne++
+		}
+	}
+	return res
 }
 
 // binStarts lists the occupied bins in ascending order.
@@ -97,13 +102,40 @@ type Table2Row struct {
 func Table2(env *Env) ([]Table2Row, error) {
 	var out []Table2Row
 	for _, c := range Clouds() {
-		top, err := env.M2020.TopReliance(env.In2020.Clouds[c], core.HierarchyFree, 3)
+		r, err := env.reliance(c)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Table2Row{Cloud: c, Top: top})
+		out = append(out, Table2Row{Cloud: c, Top: r.top})
 	}
 	return out, nil
+}
+
+// relianceSummary is what Fig. 6 and Table 2 read of one cloud's
+// hierarchy-free reliance in 2020.
+type relianceSummary struct {
+	hist Fig6Result
+	top  []core.RelianceEntry
+}
+
+// reliance computes a cloud's reliance vector once per Env scope and keeps
+// the two figures' summaries of it, not the vector: four vectors of up to
+// one entry per AS would stay live through a pass for a histogram and a
+// top three. The summary is shared: callers must not modify it.
+func (e *Env) reliance(cloud string) (relianceSummary, error) {
+	asn := e.In2020.Clouds[cloud]
+	return memoize(e, fmt.Sprintf("reliance/%d", asn), func() (relianceSummary, error) {
+		entries, err := e.M2020.Reliance(asn, core.HierarchyFree)
+		if err != nil {
+			return relianceSummary{}, err
+		}
+		// The histogram reads the entries in propagation order (MaxAS is
+		// the first maximum); ranking them reorders them, so it comes
+		// second, and the top three are copied out of the vector.
+		hist := fig6Result(cloud, asn, entries)
+		top := slices.Clone(core.RankReliance(entries, asn, 3))
+		return relianceSummary{hist: hist, top: top}, nil
+	})
 }
 
 func runTable2(env *Env, w io.Writer) error {

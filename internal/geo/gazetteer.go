@@ -20,7 +20,9 @@ const (
 	NorthAmerica
 	Oceania
 	SouthAmerica
-	numContinents
+	// NumContinents counts the continents: a Continent indexes an array
+	// of this length.
+	NumContinents
 )
 
 func (c Continent) String() string {
@@ -90,7 +92,7 @@ func TotalPopulationM() float64 {
 // ContinentPopulationM returns the summed metro population (millions) per
 // continent.
 func ContinentPopulationM() map[Continent]float64 {
-	out := make(map[Continent]float64, int(numContinents))
+	out := make(map[Continent]float64, int(NumContinents))
 	for _, c := range gazetteer {
 		out[c.Continent] += c.PopM
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -41,9 +42,40 @@ func frozenHash(g *astopo.Graph) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// metaHash hashes a world's dense annotation table in a fixed order, each
+// element little-endian: classes, home cities, the PoP offsets and arena,
+// the name offsets and the name bytes.
+func metaHash(m *ASMeta) string {
+	h := sha256.New()
+	var buf [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, c := range m.Class {
+		h.Write([]byte{byte(c)})
+	}
+	for _, c := range m.Home {
+		put(uint32(c))
+	}
+	for _, v := range m.PoPOff {
+		put(uint32(v))
+	}
+	for _, c := range m.PoPArena {
+		put(uint32(c))
+	}
+	for _, v := range m.NameOff {
+		put(uint32(v))
+	}
+	h.Write(m.NameBlob)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestGeneratedBytesMatchGolden pins the generator's output at the CLI's
-// default scale: the frozen arrays of both presets must hash to the values
-// in testdata/frozen.sha256. A change to the generator's RNG draw order,
+// default scale and at the paper's scale 1.0: the frozen arrays and the
+// annotation table of both presets must hash to the values in
+// testdata/frozen.sha256, keyed "<preset>@<scale>" and
+// "<preset>@<scale>/meta". A change to the generator's RNG draw order,
 // its duplicate-link check or Freeze's node numbering and row order moves
 // these bytes; a change that moves them on purpose updates the golden in
 // the same commit.
@@ -52,19 +84,24 @@ func TestGeneratedBytesMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make(map[string]string) // preset name -> hash, as sha256sum prints them
+	want := make(map[string]string) // row name -> hash, as sha256sum prints them
 	fields := strings.Fields(string(raw))
 	for i := 0; i+1 < len(fields); i += 2 {
 		want[fields[i+1]] = fields[i]
 	}
-	const scale = 0.04987
-	for _, spec := range []Spec{Internet2020(scale), Internet2015(scale)} {
-		in, err := Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := frozenHash(in.Graph); got != want[spec.Name] {
-			t.Errorf("Internet%s(%g): frozen graph hashes to %s, golden %q", spec.Name, scale, got, want[spec.Name])
+	for _, scale := range []float64{0.04987, 1.0} {
+		for _, spec := range []Spec{Internet2020(scale), Internet2015(scale)} {
+			in, err := Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := fmt.Sprintf("%s@%g", spec.Name, scale)
+			if got := frozenHash(in.Graph); got != want[row] {
+				t.Errorf("%s: frozen graph hashes to %s, golden %q", row, got, want[row])
+			}
+			if got := metaHash(in.Meta); got != want[row+"/meta"] {
+				t.Errorf("%s: annotation table hashes to %s, golden %q", row, got, want[row+"/meta"])
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"flatnet/internal/astopo"
@@ -23,7 +24,7 @@ func Generate(spec Spec) (*Internet, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	in := &Internet{
 		Spec:        spec,
-		Graph:       astopo.NewGraph(spec.NumASes, spec.NumASes*6),
+		Graph:       astopo.NewGraph(spec.NumASes, providerLinks(spec)),
 		Tier1:       make(astopo.ASSet),
 		Tier2:       make(astopo.ASSet),
 		Clouds:      make(map[string]astopo.ASN),
@@ -31,11 +32,10 @@ func Generate(spec Spec) (*Internet, error) {
 	}
 	b := &builder{
 		spec: spec, rng: rng, in: in,
-		class: make(map[astopo.ASN]ASClass, spec.NumASes),
-		name:  make(map[astopo.ASN]string),
-		home:  make(map[astopo.ASN]geo.CityID, spec.NumASes),
-		pops:  make(map[astopo.ASN][]geo.CityID),
+		name: make(map[astopo.ASN]string),
+		pops: make(map[astopo.ASN][]geo.CityID),
 	}
+	b.sizeTables(spec.NumASes)
 	b.placeCities()
 	b.createNamed()
 	b.createSynthetic()
@@ -45,9 +45,29 @@ func Generate(spec Spec) (*Internet, error) {
 	b.wireEdgeProviders()
 	b.buildIXPs()
 	b.wireNamedPeering()
+	in.Graph.AddLinksIfAbsent(b.peers)
 	in.Graph.Freeze()
-	in.Meta = NewASMeta(in.Graph, b.class, b.name, b.home, b.pops)
+	in.Meta = NewASMeta(in.Graph, b.annotation, b.name, b.pops)
 	return in, nil
+}
+
+// providerLinks bounds the links the provider phases add one at a time:
+// the Tier-1 clique, the named networks' providers, two per regional
+// transit and the edge ASes' mean provider count (1.7, one more for
+// content; see wireEdgeProviders), plus four standard deviations of the
+// draw. It is the graph's link hint, which sizes the link slice and the
+// pair set only these phases probe; the peering phases' links arrive in
+// one batch that grows the slice once, to its exact size.
+func providerLinks(spec Spec) int {
+	t1 := len(spec.Tier1)
+	n := t1*(t1-1)/2 + 2*spec.NumTransit
+	for _, group := range [][]Profile{spec.Tier2, spec.Clouds, spec.Hypergiants} {
+		for _, p := range group {
+			n += p.ProviderCount
+		}
+	}
+	mean := float64(n) + float64(spec.NumASes-spec.NumTransit)*(1.7+spec.FracContent)
+	return int(mean+4*math.Sqrt(mean)) + 64
 }
 
 func validate(spec Spec) error {
@@ -91,16 +111,20 @@ type builder struct {
 	rng  *rand.Rand
 	in   *Internet
 
-	// per-AS annotations, map-shaped while the graph is still growing;
-	// converted to the dense Internet.Meta table after Freeze.
-	class map[astopo.ASN]ASClass
+	// per-AS annotations while the graph is still growing; converted to
+	// the dense Internet.Meta table after Freeze. Generated ASes are
+	// numbered densely from synthBase, so their rows sit in a slice
+	// indexed by ASN-synthBase; the few named networks, numbered below
+	// it, sit in a map (see as). Only the named networks have a name and
+	// PoPs.
+	synth []asRow
+	named map[astopo.ASN]*asRow
 	name  map[astopo.ASN]string
-	home  map[astopo.ASN]geo.CityID
 	pops  map[astopo.ASN][]geo.CityID
 
 	// city machinery
-	citiesByContinent map[geo.Continent][]geo.CityID
-	cityCum           map[geo.Continent][]float64 // cumulative PopM for weighted draws
+	citiesByContinent [geo.NumContinents][]geo.CityID
+	cityCum           [geo.NumContinents][]float64 // cumulative PopM for weighted draws
 	allCityCum        []float64
 	continentCum      []float64 // cumulative continent PopM, in geo.Continents() order
 
@@ -111,17 +135,57 @@ type builder struct {
 	enterprise []astopo.ASN
 
 	// preferential-attachment urns
-	transitUrn map[geo.Continent][]astopo.ASN
+	transitUrn [geo.NumContinents][]astopo.ASN
 	anyTransit []astopo.ASN
 	tier2Urn   []astopo.ASN
 	tier1Urn   []astopo.ASN
 
-	custCount map[astopo.ASN]int
+	// peers holds the peering phases' candidate links in emission order.
+	// Their draws never depend on which links exist, so the candidates
+	// are deduplicated once, against each other and the provider links,
+	// when they are added to the graph.
+	peers []astopo.Link
+}
+
+// asRow is one AS's annotations while the world is built.
+type asRow struct {
+	class ASClass
+	home  geo.CityID
+	custs int // customers won, which weight preferential attachment
+}
+
+// sizeTables makes room for n generated ASes, numbered from synthBase.
+func (b *builder) sizeTables(n int) {
+	b.synth = make([]asRow, n)
+	b.named = make(map[astopo.ASN]*asRow)
+}
+
+// as returns a's row. A generated AS's row is an index away; a named
+// network's row is made on first use, zero like a map's missing value.
+func (b *builder) as(a astopo.ASN) *asRow {
+	if a >= synthBase {
+		return &b.synth[a-synthBase]
+	}
+	r := b.named[a]
+	if r == nil {
+		r = new(asRow)
+		b.named[a] = r
+	}
+	return r
+}
+
+// annotation returns a's class and home city.
+func (b *builder) annotation(a astopo.ASN) (ASClass, geo.CityID) {
+	r := b.as(a)
+	return r.class, r.home
+}
+
+// peer records a candidate peering link between x and y.
+func (b *builder) peer(x, y astopo.ASN) {
+	b.peers = append(b.peers, astopo.Link{A: x, B: y, Rel: astopo.P2P})
 }
 
 func (b *builder) placeCities() {
-	b.citiesByContinent = make(map[geo.Continent][]geo.CityID)
-	b.cityCum = make(map[geo.Continent][]float64)
 	cities := geo.Cities()
 	for i := range cities {
 		c := cities[i].Continent
@@ -178,11 +242,11 @@ func weightedIndex(rng *rand.Rand, cum []float64) int {
 func (b *builder) createNamed() {
 	in := b.in
 	register := func(p Profile, class ASClass) {
-		b.class[p.ASN] = class
+		b.as(p.ASN).class = class
 		b.name[p.ASN] = p.Name
 		b.pops[p.ASN] = b.pickPoPs(p)
 		if len(b.pops[p.ASN]) > 0 {
-			b.home[p.ASN] = b.pops[p.ASN][0]
+			b.as(p.ASN).home = b.pops[p.ASN][0]
 		}
 	}
 	for _, p := range b.spec.Tier1 {
@@ -241,21 +305,20 @@ func (b *builder) pickPoPs(p Profile) []geo.CityID {
 }
 
 func (b *builder) createSynthetic() {
-	named := len(b.class)
+	named := len(b.name)
 	nEdge := b.spec.NumASes - named - b.spec.NumTransit
 	nAccess := int(float64(nEdge) * b.spec.FracAccess)
 	nContent := int(float64(nEdge) * b.spec.FracContent)
 	nEnterprise := nEdge - nAccess - nContent
 
-	b.transitUrn = make(map[geo.Continent][]astopo.ASN)
 	next := synthBase
 	add := func(class ASClass) astopo.ASN {
 		a := next
 		next++
-		b.class[a] = class
+		b.as(a).class = class
 		cont := b.randContinent()
 		city := b.randCity(cont, false)
-		b.home[a] = city
+		b.as(a).home = city
 		return a
 	}
 	for i := 0; i < b.spec.NumTransit; i++ {
@@ -273,9 +336,8 @@ func (b *builder) createSynthetic() {
 	}
 
 	// Seed the attachment urns.
-	b.custCount = make(map[astopo.ASN]int)
 	for _, a := range b.transits {
-		cont := geo.Cities()[b.home[a]].Continent
+		cont := geo.Cities()[b.as(a).home].Continent
 		b.transitUrn[cont] = append(b.transitUrn[cont], a)
 		b.anyTransit = append(b.anyTransit, a)
 	}
@@ -342,7 +404,7 @@ func (b *builder) wireNamedProviders() {
 		for _, p := range group {
 			for _, prov := range b.pickProviders(p) {
 				if b.in.Graph.AddLinkIfAbsent(prov, p.ASN, astopo.P2C) {
-					b.custCount[prov]++
+					b.as(prov).custs++
 				}
 			}
 		}
@@ -352,12 +414,13 @@ func (b *builder) wireNamedProviders() {
 // wireTransitProviders gives each regional transit 1–3 providers drawn from
 // the Tier-1s and Tier-2s (Tier-2-heavy, mirroring the hierarchy).
 func (b *builder) wireTransitProviders() {
+	var usedBuf [4]astopo.ASN // the transit and its at most three providers
 	for _, a := range b.transits {
 		if _, named := b.name[a]; named {
 			continue // hypergiant transit profiles picked their own
 		}
 		n := 1 + b.rng.Intn(3)
-		used := map[astopo.ASN]bool{a: true}
+		used := append(usedBuf[:0], a)
 		for len(used)-1 < n {
 			var prov astopo.ASN
 			if b.rng.Float64() < 0.35 {
@@ -365,14 +428,14 @@ func (b *builder) wireTransitProviders() {
 			} else {
 				prov = b.tier2Urn[b.rng.Intn(len(b.tier2Urn))]
 			}
-			if used[prov] {
+			if slices.Contains(used, prov) {
 				continue
 			}
-			used[prov] = true
+			used = append(used, prov)
 			if !b.in.Graph.AddLinkIfAbsent(prov, a, astopo.P2C) {
 				continue // already related (e.g. a named profile chose this transit as its provider)
 			}
-			b.custCount[prov]++
+			b.as(prov).custs++
 			// Preferential attachment: providers that win customers
 			// become likelier to win more.
 			if b.in.Tier1.Has(prov) {
@@ -389,9 +452,10 @@ func (b *builder) wireTransitProviders() {
 // attachment), sometimes Tier-2s or Tier-1s directly.
 func (b *builder) wireEdgeProviders() {
 	in := b.in
+	var usedBuf [5]astopo.ASN // the edge AS and its at most four providers
 	attach := func(a astopo.ASN, nProv int) {
-		cont := geo.Cities()[b.home[a]].Continent
-		used := map[astopo.ASN]bool{a: true}
+		cont := geo.Cities()[b.as(a).home].Continent
+		used := append(usedBuf[:0], a)
 		for len(used)-1 < nProv {
 			var prov astopo.ASN
 			switch r := b.rng.Float64(); {
@@ -405,16 +469,16 @@ func (b *builder) wireEdgeProviders() {
 			default:
 				prov = b.tier1Urn[b.rng.Intn(len(b.tier1Urn))]
 			}
-			if used[prov] {
+			if slices.Contains(used, prov) {
 				continue
 			}
-			used[prov] = true
+			used = append(used, prov)
 			if !in.Graph.AddLinkIfAbsent(prov, a, astopo.P2C) {
 				continue
 			}
-			b.custCount[prov]++
-			if b.class[prov] == ClassTransit {
-				pc := geo.Cities()[b.home[prov]].Continent
+			b.as(prov).custs++
+			if b.as(prov).class == ClassTransit {
+				pc := geo.Cities()[b.as(prov).home].Continent
 				b.transitUrn[pc] = append(b.transitUrn[pc], prov)
 				b.anyTransit = append(b.anyTransit, prov)
 			}

@@ -24,7 +24,7 @@ func (b *builder) buildIXPs() {
 	if nIXP > len(order) {
 		nIXP = len(order)
 	}
-	ixpByContinent := make(map[geo.Continent][]int) // index into in.IXPs
+	var ixpByContinent [geo.NumContinents][]int // index into in.IXPs
 	for k := 0; k < nIXP; k++ {
 		city := geo.CityID(order[k])
 		b.in.IXPs = append(b.in.IXPs, IXP{City: city})
@@ -34,7 +34,7 @@ func (b *builder) buildIXPs() {
 	// Membership: how many home-continent IXPs each class typically
 	// joins, and the probability of joining each candidate.
 	join := func(a astopo.ASN, maxJoin int, prob float64, global bool) {
-		cont := cities[b.home[a]].Continent
+		cont := cities[b.as(a).home].Continent
 		cands := ixpByContinent[cont]
 		joined := 0
 		for _, k := range cands {
@@ -98,11 +98,41 @@ func (b *builder) buildIXPs() {
 	product := func(ci, cj ASClass) float64 {
 		return b.spec.Openness[ci] * b.spec.Openness[cj]
 	}
+	b.peers = make([]astopo.Link, 0, b.peeringCapacity(product))
 	for k := range b.in.IXPs {
-		b.meshMembers(b.in.IXPs[k].Members, product, func(x, y astopo.ASN) {
-			b.in.Graph.AddLinkIfAbsent(x, y, astopo.P2P)
-		})
+		b.meshMembers(b.in.IXPs[k].Members, product, b.peer)
 	}
+}
+
+// peeringCapacity sizes b.peers for the candidates of buildIXPs' meshes and
+// wireNamedPeering: their expected count, bounded from above, plus four
+// standard deviations, so the slice is allocated once. An exchange offers
+// each pair of members with its class product, and a named profile offers
+// each Tier-1, Tier-2, transit and edge AS its share (transits at a rank
+// boost of 1, above the boosts' mean of 0.95). Each candidate is an
+// independent draw, so the count's variance is below its mean.
+func (b *builder) peeringCapacity(prob func(ci, cj ASClass) float64) int {
+	var mean float64
+	for _, x := range b.in.IXPs {
+		var n [ClassCloud + 1]float64
+		for _, m := range x.Members {
+			n[b.as(m).class]++
+		}
+		for ci := range n {
+			mean += n[ci] * (n[ci] - 1) / 2 * prob(ASClass(ci), ASClass(ci))
+			for cj := ci + 1; cj < len(n); cj++ {
+				mean += n[ci] * n[cj] * prob(ASClass(ci), ASClass(cj))
+			}
+		}
+	}
+	for _, group := range [][]Profile{b.spec.Tier1, b.spec.Tier2, b.spec.Clouds, b.spec.Hypergiants} {
+		for _, p := range group {
+			mean += p.PeerTier1*float64(len(b.spec.Tier1)) + p.PeerTier2*float64(len(b.spec.Tier2)) +
+				p.PeerTransit*float64(len(b.transits)) +
+				p.PeerAccess*float64(len(b.access)) + p.PeerContent*float64(len(b.content))
+		}
+	}
+	return int(mean+4*math.Sqrt(mean)) + 64
 }
 
 // meshMembers draws a public peering mesh over one exchange's member list:
@@ -120,7 +150,7 @@ func (b *builder) buildIXPs() {
 func (b *builder) meshMembers(members []astopo.ASN, prob func(ci, cj ASClass) float64, emit func(x, y astopo.ASN)) {
 	var buckets [ClassCloud + 1][]astopo.ASN
 	for _, m := range members {
-		c := b.class[m]
+		c := b.as(m).class
 		buckets[c] = append(buckets[c], m)
 	}
 	for ci := range buckets {
@@ -182,10 +212,6 @@ func (b *builder) rowSample(n int, p float64, emit func(int)) {
 	}
 }
 
-func (b *builder) openness(a astopo.ASN) float64 {
-	return b.spec.Openness[b.class[a]]
-}
-
 // wireNamedPeering applies each named profile's peering fractions: shares
 // of the Tier-1 and Tier-2 sets, probability-scaled peering with regional
 // transits (largest first — footprints are built out toward big peers, as
@@ -196,7 +222,7 @@ func (b *builder) wireNamedPeering() {
 	// named networks' transit peerings on the top of that ranking.
 	ranked := append([]astopo.ASN(nil), b.transits...)
 	sort.Slice(ranked, func(i, j int) bool {
-		ci, cj := b.custCount[ranked[i]], b.custCount[ranked[j]]
+		ci, cj := b.as(ranked[i]).custs, b.as(ranked[j]).custs
 		if ci != cj {
 			return ci > cj
 		}
@@ -217,15 +243,14 @@ func (b *builder) wireNamedPeering() {
 	}
 
 	apply := func(p Profile) {
-		g := b.in.Graph
 		for _, t := range b.spec.Tier1 {
 			if t.ASN != p.ASN && b.rng.Float64() < p.PeerTier1 {
-				g.AddLinkIfAbsent(p.ASN, t.ASN, astopo.P2P)
+				b.peer(p.ASN, t.ASN)
 			}
 		}
 		for _, t := range b.spec.Tier2 {
 			if t.ASN != p.ASN && b.rng.Float64() < p.PeerTier2 {
-				g.AddLinkIfAbsent(p.ASN, t.ASN, astopo.P2P)
+				b.peer(p.ASN, t.ASN)
 			}
 		}
 		for pos, a := range ranked {
@@ -237,17 +262,17 @@ func (b *builder) wireNamedPeering() {
 				prob = 1
 			}
 			if b.rng.Float64() < prob {
-				g.AddLinkIfAbsent(p.ASN, a, astopo.P2P)
+				b.peer(p.ASN, a)
 			}
 		}
 		// Edge peerings are a constant Bernoulli per AS, so skip-sample
 		// the accepted indexes instead of drawing once per edge AS.
 		b.rowSample(len(b.access), p.PeerAccess, func(i int) {
-			g.AddLinkIfAbsent(p.ASN, b.access[i], astopo.P2P)
+			b.peer(p.ASN, b.access[i])
 		})
 		b.rowSample(len(b.content), p.PeerContent, func(i int) {
 			if a := b.content[i]; a != p.ASN {
-				g.AddLinkIfAbsent(p.ASN, a, astopo.P2P)
+				b.peer(p.ASN, a)
 			}
 		})
 	}

@@ -161,10 +161,11 @@ type ASMeta struct {
 	NameBlob []byte
 }
 
-// NewASMeta builds the dense annotation table for a frozen graph from
-// map-form annotations (the shape the generator produces).
-func NewASMeta(g *astopo.Graph, class map[astopo.ASN]ASClass, name map[astopo.ASN]string,
-	home map[astopo.ASN]geo.CityID, pops map[astopo.ASN][]geo.CityID) *ASMeta {
+// NewASMeta builds the dense annotation table for a frozen graph: of
+// returns an AS's class and home city, and name and pops hold the display
+// names and PoP lists of the named networks.
+func NewASMeta(g *astopo.Graph, of func(astopo.ASN) (ASClass, geo.CityID),
+	name map[astopo.ASN]string, pops map[astopo.ASN][]geo.CityID) *ASMeta {
 	nodes := g.ASes()
 	n := len(nodes)
 	m := &ASMeta{
@@ -173,16 +174,8 @@ func NewASMeta(g *astopo.Graph, class map[astopo.ASN]ASClass, name map[astopo.AS
 		PoPOff:  make([]int32, n+1),
 		NameOff: make([]int32, n+1),
 	}
-	var nPops, nameBytes int
-	for _, a := range nodes {
-		nPops += len(pops[a])
-		nameBytes += len(name[a])
-	}
-	m.PoPArena = make([]geo.CityID, 0, nPops)
-	m.NameBlob = make([]byte, 0, nameBytes)
 	for i, a := range nodes {
-		m.Class[i] = class[a]
-		m.Home[i] = home[a]
+		m.Class[i], m.Home[i] = of(a)
 		m.PoPArena = append(m.PoPArena, pops[a]...)
 		m.PoPOff[i+1] = int32(len(m.PoPArena))
 		m.NameBlob = append(m.NameBlob, name[a]...)

@@ -15,6 +15,7 @@ package topogen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -285,7 +286,9 @@ func EvolveStep(prev *Internet, year int, scale float64) (*GrowthDelta, error) {
 	}
 	e.b = &builder{spec: spec, rng: rand.New(rand.NewSource(SeedForYear(year)))}
 	e.b.placeCities()
-	e.rebuildState()
+	if err := e.rebuildState(); err != nil {
+		return nil, err
+	}
 
 	e.churnLinks()
 	e.growASes()
@@ -303,22 +306,30 @@ func EvolveStep(prev *Internet, year int, scale float64) (*GrowthDelta, error) {
 // dense (sorted-ASN) order, customer counts from the CSR rows, and the
 // preferential-attachment urns with multiplicity 1 + customer count (an
 // AS that won customers is proportionally likelier to win more).
-func (e *evolver) rebuildState() {
+func (e *evolver) rebuildState() error {
 	b, prev := e.b, e.prev
 	g := prev.Graph
 	n := g.NumASes()
-	b.class = make(map[astopo.ASN]ASClass, n)
+	// The builder holds a row for every generated AS up to the last one
+	// this step creates (see growASes). A generated world numbers its
+	// ASes below synthBase plus its AS count; a base world past that is
+	// refused rather than given rows up to its largest ASN.
+	next := synthBase
+	if n > 0 && g.ASNAt(n-1) >= synthBase {
+		next = g.ASNAt(n-1) + 1
+	}
+	if uint64(next) > uint64(synthBase)+uint64(n) {
+		return fmt.Errorf("topogen: base world numbers AS%d among %d ASes; it is not a generated world", next-1, n)
+	}
+	b.sizeTables(int(next-synthBase) + max(0, e.spec.NumASes-n))
 	b.name = make(map[astopo.ASN]string, len(e.spec.Tier1)+len(e.spec.Tier2)+len(e.spec.Clouds)+len(e.spec.Hypergiants))
-	b.home = make(map[astopo.ASN]geo.CityID, n)
 	b.pops = make(map[astopo.ASN][]geo.CityID)
-	b.custCount = make(map[astopo.ASN]int, n)
-	b.transitUrn = make(map[geo.Continent][]astopo.ASN)
 
 	cities := geo.Cities()
 	m := prev.Meta
 	for i, a := range g.ASes() {
-		b.class[a] = m.Class[i]
-		b.home[a] = m.Home[i]
+		b.as(a).class = m.Class[i]
+		b.as(a).home = m.Home[i]
 		if m.NameOff[i] != m.NameOff[i+1] {
 			b.name[a] = string(m.NameBlob[m.NameOff[i]:m.NameOff[i+1]])
 		}
@@ -326,9 +337,7 @@ func (e *evolver) rebuildState() {
 			b.pops[a] = pops
 		}
 		custs := len(g.CustomersOf(i))
-		if custs > 0 {
-			b.custCount[a] = custs
-		}
+		b.as(a).custs = custs
 		switch m.Class[i] {
 		case ClassTransit:
 			b.transits = append(b.transits, a)
@@ -346,12 +355,12 @@ func (e *evolver) rebuildState() {
 		}
 	}
 	for _, p := range e.spec.Tier2 {
-		for k := 0; k < 1+b.custCount[p.ASN]; k++ {
+		for k := 0; k < 1+b.as(p.ASN).custs; k++ {
 			b.tier2Urn = append(b.tier2Urn, p.ASN)
 		}
 	}
 	for _, p := range e.spec.Tier1 {
-		for k := 0; k < 1+b.custCount[p.ASN]; k++ {
+		for k := 0; k < 1+b.as(p.ASN).custs; k++ {
 			b.tier1Urn = append(b.tier1Urn, p.ASN)
 		}
 	}
@@ -361,11 +370,15 @@ func (e *evolver) rebuildState() {
 	e.ixpClasses = make([][ClassCloud + 1][]astopo.ASN, len(prev.IXPs))
 	for k := range prev.IXPs {
 		for _, a := range prev.IXPs[k].Members {
+			if a >= next {
+				return fmt.Errorf("topogen: IXP %d lists AS%d, which the base world does not number", k, a)
+			}
 			e.memberCount[a]++
-			c := b.class[a]
+			c := b.as(a).class
 			e.ixpClasses[k][c] = append(e.ixpClasses[k][c], a)
 		}
 	}
+	return nil
 }
 
 // linked reports whether a link between x and y exists in the evolved
@@ -397,7 +410,7 @@ func (e *evolver) addProvider(prov, cust astopo.ASN) bool {
 	}
 	e.pending[astopo.PairKey(prov, cust)] = true
 	e.d.AddedLinks = append(e.d.AddedLinks, astopo.Link{A: prov, B: cust, Rel: astopo.P2C})
-	e.b.custCount[prov]++
+	e.b.as(prov).custs++
 	return true
 }
 
@@ -451,8 +464,8 @@ func (e *evolver) growASes() {
 		next++
 		cont := b.randContinent()
 		city := b.randCity(cont, false)
-		b.class[a] = class
-		b.home[a] = city
+		b.as(a).class = class
+		b.as(a).home = city
 		e.d.NewASes = append(e.d.NewASes, NewAS{ASN: a, Class: class, Home: city})
 		return a
 	}
@@ -461,7 +474,7 @@ func (e *evolver) growASes() {
 		a := create(ClassTransit)
 		b.transits = append(b.transits, a)
 		newTransits = append(newTransits, a)
-		cont := cities[b.home[a]].Continent
+		cont := cities[b.as(a).home].Continent
 		b.transitUrn[cont] = append(b.transitUrn[cont], a)
 		b.anyTransit = append(b.anyTransit, a)
 	}
@@ -485,9 +498,10 @@ func (e *evolver) growASes() {
 	// Providers: new transits buy from the Tier-1/Tier-2 urns, new edges
 	// attach mostly to same-continent transits — the same ladder and urn
 	// growth as wireTransitProviders / wireEdgeProviders.
+	var usedBuf [5]astopo.ASN // the new AS and its at most four providers
 	for _, a := range newTransits {
 		n := 1 + b.rng.Intn(3)
-		used := map[astopo.ASN]bool{a: true}
+		used := append(usedBuf[:0], a)
 		for len(used)-1 < n {
 			var prov astopo.ASN
 			if b.rng.Float64() < 0.35 {
@@ -495,10 +509,10 @@ func (e *evolver) growASes() {
 			} else {
 				prov = b.tier2Urn[b.rng.Intn(len(b.tier2Urn))]
 			}
-			if used[prov] {
+			if slices.Contains(used, prov) {
 				continue
 			}
-			used[prov] = true
+			used = append(used, prov)
 			if !e.addProvider(prov, a) {
 				continue
 			}
@@ -521,11 +535,11 @@ func (e *evolver) growASes() {
 	}
 	for _, a := range newEdges {
 		nProv := nProviders()
-		if b.class[a] == ClassContent {
+		if b.as(a).class == ClassContent {
 			nProv++ // content multihomes more
 		}
-		cont := cities[b.home[a]].Continent
-		used := map[astopo.ASN]bool{a: true}
+		cont := cities[b.as(a).home].Continent
+		used := append(usedBuf[:0], a)
 		for len(used)-1 < nProv {
 			var prov astopo.ASN
 			switch r := b.rng.Float64(); {
@@ -539,15 +553,15 @@ func (e *evolver) growASes() {
 			default:
 				prov = b.tier1Urn[b.rng.Intn(len(b.tier1Urn))]
 			}
-			if used[prov] {
+			if slices.Contains(used, prov) {
 				continue
 			}
-			used[prov] = true
+			used = append(used, prov)
 			if !e.addProvider(prov, a) {
 				continue
 			}
-			if b.class[prov] == ClassTransit {
-				pc := cities[b.home[prov]].Continent
+			if b.as(prov).class == ClassTransit {
+				pc := cities[b.as(prov).home].Continent
 				b.transitUrn[pc] = append(b.transitUrn[pc], prov)
 				b.anyTransit = append(b.anyTransit, prov)
 			}
@@ -584,7 +598,7 @@ func (e *evolver) wireNamedToNewASes() {
 // membership, bucketed by class, with the new year's openness products.
 func (e *evolver) meshAgainst(a astopo.ASN, buckets *[ClassCloud + 1][]astopo.ASN) {
 	b := e.b
-	pa := b.spec.Openness[b.class[a]]
+	pa := b.spec.Openness[b.as(a).class]
 	if pa <= 0 {
 		return
 	}
@@ -603,14 +617,14 @@ func (e *evolver) meshAgainst(a astopo.ASN, buckets *[ClassCloud + 1][]astopo.AS
 func (e *evolver) joinExistingIXPs() {
 	b := e.b
 	cities := geo.Cities()
-	ixpByCont := make(map[geo.Continent][]int)
+	var ixpByCont [geo.NumContinents][]int
 	for k := range e.prev.IXPs {
 		c := cities[e.prev.IXPs[k].City].Continent
 		ixpByCont[c] = append(ixpByCont[c], k)
 	}
 	join := func(k int, a astopo.ASN) {
 		e.meshAgainst(a, &e.ixpClasses[k])
-		c := b.class[a]
+		c := b.as(a).class
 		e.ixpClasses[k][c] = append(e.ixpClasses[k][c], a)
 		e.memberCount[a]++
 		e.d.IXPJoins = append(e.d.IXPJoins, IXPJoin{IXP: int32(k), Member: a})
@@ -665,7 +679,7 @@ func (e *evolver) openIXPs() {
 			maxJoin, prob := classJoin(class)
 			cands := make([]astopo.ASN, 0, len(classList))
 			for _, a := range classList {
-				if cities[b.home[a]].Continent == cont && e.memberCount[a] < maxJoin {
+				if cities[b.as(a).home].Continent == cont && e.memberCount[a] < maxJoin {
 					cands = append(cands, a)
 				}
 			}
@@ -754,7 +768,7 @@ func (e *evolver) growCloudPeering() {
 	b := e.b
 	ranked := append([]astopo.ASN(nil), b.transits[:e.oldTransits]...)
 	sort.Slice(ranked, func(i, j int) bool {
-		ci, cj := b.custCount[ranked[i]], b.custCount[ranked[j]]
+		ci, cj := b.as(ranked[i]).custs, b.as(ranked[j]).custs
 		if ci != cj {
 			return ci > cj
 		}
@@ -865,23 +879,28 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 
 	// Annotations: the base world's, extended with the new ASes.
 	pm := prev.Meta
-	class := make(map[astopo.ASN]ASClass, g.NumASes())
+	newAS := make(map[astopo.ASN]NewAS, len(d.NewASes))
+	for _, na := range d.NewASes {
+		newAS[na.ASN] = na
+	}
+	of := func(a astopo.ASN) (ASClass, geo.CityID) {
+		if na, ok := newAS[a]; ok {
+			return na.Class, na.Home
+		}
+		if i, ok := prev.Graph.Index(a); ok {
+			return pm.Class[i], pm.Home[i]
+		}
+		return 0, 0
+	}
 	name := make(map[astopo.ASN]string)
-	home := make(map[astopo.ASN]geo.CityID, g.NumASes())
 	pops := make(map[astopo.ASN][]geo.CityID)
 	for i, a := range prev.Graph.ASes() {
-		class[a] = pm.Class[i]
-		home[a] = pm.Home[i]
 		if pm.NameOff[i] != pm.NameOff[i+1] {
 			name[a] = string(pm.NameBlob[pm.NameOff[i]:pm.NameOff[i+1]])
 		}
 		if ps := pm.PoPArena[pm.PoPOff[i]:pm.PoPOff[i+1]]; len(ps) > 0 {
 			pops[a] = ps
 		}
-	}
-	for _, na := range d.NewASes {
-		class[na.ASN] = na.Class
-		home[na.ASN] = na.Home
 	}
 
 	ixps := make([]IXP, len(prev.IXPs), len(prev.IXPs)+len(d.NewIXPs))
@@ -921,7 +940,7 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 	for n, a := range prev.Hypergiants {
 		in.Hypergiants[n] = a
 	}
-	in.Meta = NewASMeta(g, class, name, home, pops)
+	in.Meta = NewASMeta(g, of, name, pops)
 	return in, nil
 }
 

@@ -2,6 +2,7 @@ package topogen_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -289,6 +290,36 @@ func TestApplyDeltaFailsClosed(t *testing.T) {
 	t.Run("good delta still applies", func(t *testing.T) {
 		if _, err := topogen.ApplyDelta(base, good); err != nil {
 			t.Fatalf("unmodified delta should apply: %v", err)
+		}
+	})
+}
+
+// EvolveStep keeps a row for every generated AS up to the base world's
+// last, so a base world that numbers an AS far past its AS count, or an
+// exchange member past its last AS, is refused with an error rather than
+// sized into rows up to that ASN or read out of range.
+func TestEvolveStepRefusesForeignNumbering(t *testing.T) {
+	t.Run("AS past the count", func(t *testing.T) {
+		base, err := topogen.GenerateYear(2016, timelineTestScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links := append([]astopo.Link(nil), base.Graph.Links()...)
+		links = append(links, astopo.Link{A: 3356, B: 4_000_000_000, Rel: astopo.P2C})
+		base.Graph = astopo.FromLinks(links)
+		if _, err := topogen.EvolveStep(base, 2017, timelineTestScale); err == nil || !strings.Contains(err.Error(), "not a generated world") {
+			t.Fatalf("err = %v, want a refusal of the base world", err)
+		}
+	})
+	t.Run("IXP member past the last AS", func(t *testing.T) {
+		base, err := topogen.GenerateYear(2016, timelineTestScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := base.Graph.ASes()
+		base.IXPs[0].Members = append(base.IXPs[0].Members, nodes[len(nodes)-1]+1)
+		if _, err := topogen.EvolveStep(base, 2017, timelineTestScale); err == nil || !strings.Contains(err.Error(), "does not number") {
+			t.Fatalf("err = %v, want a refusal of the member", err)
 		}
 	})
 }
