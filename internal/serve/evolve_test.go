@@ -183,6 +183,38 @@ func TestEvolveResultMismatchFailsClosed(t *testing.T) {
 	}
 }
 
+// A delta whose author also wrote its result hash passes the hash gate, so
+// ApplyDelta's own checks are what keep a world the next growth step
+// cannot read from being served: a new AS of a class no growth step
+// creates is refused with 422 apply_failed, and the world stays put.
+func TestEvolveBadClassFailsClosed(t *testing.T) {
+	base, next, _ := evolveFixture(t)
+	g, err := topogen.EvolveStep(base, 2017, evolveTestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.NewASes[0].Class = topogen.ClassCloud + 1
+	d := &snapshot.Delta{
+		FromYear: g.FromYear, ToYear: g.ToYear, Scale: g.Scale,
+		BaseHash:   cluster.DatasetHash(base.Graph, base.Tier1, base.Tier2),
+		ResultHash: cluster.DatasetHash(next.Graph, next.Tier1, next.Tier2),
+		Growth:     g,
+	}
+	var buf bytes.Buffer
+	if err := snapshot.EncodeDelta(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	s := evolveServer(t)
+	before := s.WorldID()
+	rec := postEvolve(t, s.Handler(), buf.Bytes())
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "apply_failed") {
+		t.Fatalf("bad-class delta: status %d, body %s, want 422 apply_failed", rec.Code, rec.Body)
+	}
+	if s.WorldID() != before {
+		t.Fatal("failed evolve mutated the served world")
+	}
+}
+
 // TestEvolveNoStaleCacheHits hammers /v1/reach while the world evolves
 // underneath it. Every response must be internally consistent — exactly
 // the base world's answer or the evolved world's answer, never a blend or

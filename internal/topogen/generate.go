@@ -32,6 +32,7 @@ func Generate(spec Spec) (*Internet, error) {
 	}
 	b := &builder{
 		spec: spec, rng: rng, in: in,
+		link: in.Graph.AddLinkIfAbsent,
 		name: make(map[astopo.ASN]string),
 		pops: make(map[astopo.ASN][]geo.CityID),
 	}
@@ -41,8 +42,8 @@ func Generate(spec Spec) (*Internet, error) {
 	b.createSynthetic()
 	b.wireTier1Clique()
 	b.wireNamedProviders()
-	b.wireTransitProviders()
-	b.wireEdgeProviders()
+	b.wireTransitProviders(b.transits)
+	b.wireEdgeProviders(b.access, b.content, b.enterprise)
 	b.buildIXPs()
 	b.wireNamedPeering()
 	in.Graph.AddLinksIfAbsent(b.peers)
@@ -106,10 +107,19 @@ func validate(spec Spec) error {
 	return nil
 }
 
+// builder holds the state the growth rules draw from and update. Generate
+// runs every rule once over a new world; a timeline step (EvolveStep)
+// rebuilds the state from its base world and runs the creation, provider,
+// peering and exchange rules again over the year's new ASes.
 type builder struct {
 	spec Spec
 	rng  *rand.Rand
-	in   *Internet
+	in   *Internet // the world Generate builds; nil in a timeline step
+
+	// link adds a link unless its two ASes are equal or already linked,
+	// and reports whether it did: the graph's AddLinkIfAbsent in
+	// Generate, the delta-recording add in a timeline step.
+	link func(a, b astopo.ASN, rel astopo.Rel) bool
 
 	// per-AS annotations while the graph is still growing; converted to
 	// the dense Internet.Meta table after Freeze. Generated ASes are
@@ -151,7 +161,8 @@ type builder struct {
 type asRow struct {
 	class ASClass
 	home  geo.CityID
-	custs int // customers won, which weight preferential attachment
+	custs int32 // customers won, which weight preferential attachment
+	ixps  int32 // exchanges joined; a timeline step caps recruits by it
 }
 
 // sizeTables makes room for n generated ASes, numbered from synthBase.
@@ -304,49 +315,67 @@ func (b *builder) pickPoPs(p Profile) []geo.CityID {
 	return pops
 }
 
+// createSynthetic creates the spec's unnamed ASes and seeds the
+// attachment urns: every transit, the hypergiants classed as transit
+// first, and every Tier-2 and Tier-1 once.
 func (b *builder) createSynthetic() {
 	named := len(b.name)
 	nEdge := b.spec.NumASes - named - b.spec.NumTransit
 	nAccess := int(float64(nEdge) * b.spec.FracAccess)
 	nContent := int(float64(nEdge) * b.spec.FracContent)
-	nEnterprise := nEdge - nAccess - nContent
-
-	next := synthBase
-	add := func(class ASClass) astopo.ASN {
-		a := next
-		next++
-		b.as(a).class = class
-		cont := b.randContinent()
-		city := b.randCity(cont, false)
-		b.as(a).home = city
-		return a
-	}
-	for i := 0; i < b.spec.NumTransit; i++ {
-		a := add(ClassTransit)
-		b.transits = append(b.transits, a)
-	}
-	for i := 0; i < nAccess; i++ {
-		b.access = append(b.access, add(ClassAccess))
-	}
-	for i := 0; i < nContent; i++ {
-		b.content = append(b.content, add(ClassContent))
-	}
-	for i := 0; i < nEnterprise; i++ {
-		b.enterprise = append(b.enterprise, add(ClassEnterprise))
-	}
-
-	// Seed the attachment urns.
 	for _, a := range b.transits {
-		cont := geo.Cities()[b.as(a).home].Continent
-		b.transitUrn[cont] = append(b.transitUrn[cont], a)
-		b.anyTransit = append(b.anyTransit, a)
+		b.urnTransit(a)
 	}
+	b.createASes(synthBase, b.spec.NumTransit, nAccess, nContent, nEdge-nAccess-nContent)
 	for _, p := range b.spec.Tier2 {
 		b.tier2Urn = append(b.tier2Urn, p.ASN)
 	}
 	for _, p := range b.spec.Tier1 {
 		b.tier1Urn = append(b.tier1Urn, p.ASN)
 	}
+}
+
+// createASes creates nTransit transit ASes, then nAccess access, nContent
+// content and nEnterprise enterprise ones, numbered on from first. Each
+// draws a continent by population, then a city on it, for its home. They
+// join the builder's class lists, and each new transit goes into the
+// transit urns once.
+func (b *builder) createASes(first astopo.ASN, nTransit, nAccess, nContent, nEnterprise int) {
+	next := first
+	create := func(class ASClass, n int, list *[]astopo.ASN) {
+		for i := 0; i < n; i++ {
+			r := b.as(next)
+			r.class = class
+			r.home = b.randCity(b.randContinent(), false)
+			*list = append(*list, next)
+			next++
+		}
+	}
+	create(ClassTransit, nTransit, &b.transits)
+	for _, a := range b.transits[len(b.transits)-nTransit:] {
+		b.urnTransit(a)
+	}
+	create(ClassAccess, nAccess, &b.access)
+	create(ClassContent, nContent, &b.content)
+	create(ClassEnterprise, nEnterprise, &b.enterprise)
+}
+
+// urnTransit puts one more ball for transit a into its home continent's
+// urn and into the worldwide one.
+func (b *builder) urnTransit(a astopo.ASN) {
+	cont := geo.Cities()[b.as(a).home].Continent
+	b.transitUrn[cont] = append(b.transitUrn[cont], a)
+	b.anyTransit = append(b.anyTransit, a)
+}
+
+// addProvider links prov above cust through b.link and, when the link is
+// new, counts the customer toward prov's attachment weight.
+func (b *builder) addProvider(prov, cust astopo.ASN) bool {
+	if !b.link(prov, cust, astopo.P2C) {
+		return false
+	}
+	b.as(prov).custs++
+	return true
 }
 
 func (b *builder) wireTier1Clique() {
@@ -358,9 +387,9 @@ func (b *builder) wireTier1Clique() {
 	}
 }
 
-// pickProviders selects a profile's transit providers: Tier1Provs members
-// of the clique first (honoring PreferredProviders), then Tier-2s and large
-// transits for the remainder.
+// pickProviders selects a profile's transit providers: its
+// PreferredProviders, then Tier-1s until Tier1Provs of the choice are in
+// the clique, then Tier-2s and large transits for the remainder.
 func (b *builder) pickProviders(p Profile) []astopo.ASN {
 	var provs []astopo.ASN
 	used := map[astopo.ASN]bool{p.ASN: true}
@@ -373,29 +402,43 @@ func (b *builder) pickProviders(p Profile) []astopo.ASN {
 	for _, a := range p.PreferredProviders {
 		take(a)
 	}
-	t1 := b.rng.Perm(len(b.spec.Tier1))
-	for _, i := range t1 {
-		nT1 := 0
-		for _, a := range provs {
-			if b.in.Tier1.Has(a) {
-				nT1++
+	b.drawProviders(
+		func() bool {
+			nT1 := 0
+			for _, a := range provs {
+				if b.as(a).class == ClassTier1 {
+					nT1++
+				}
 			}
-		}
-		if nT1 >= p.Tier1Provs {
-			break
-		}
-		take(b.spec.Tier1[i].ASN)
-	}
-	pool := append(append([]astopo.ASN(nil), b.tier2Urn...), b.anyTransit...)
-	for len(provs) < p.ProviderCount && len(pool) > 0 {
-		i := b.rng.Intn(len(pool))
-		take(pool[i])
-		pool = append(pool[:i], pool[i+1:]...)
-	}
+			return nT1 < p.Tier1Provs
+		},
+		func() bool { return len(provs) < p.ProviderCount },
+		take)
 	if len(provs) > p.ProviderCount && p.ProviderCount > 0 {
 		provs = provs[:p.ProviderCount]
 	}
 	return provs
+}
+
+// drawProviders offers take the Tier-1s in a random order while moreT1
+// reports that another is wanted, then draws from the Tier-2 and transit
+// urns, without replacement, while more does.
+func (b *builder) drawProviders(moreT1, more func() bool, take func(a astopo.ASN)) {
+	for _, i := range b.rng.Perm(len(b.spec.Tier1)) {
+		if !moreT1() {
+			break
+		}
+		take(b.spec.Tier1[i].ASN)
+	}
+	if !more() {
+		return
+	}
+	pool := append(append([]astopo.ASN(nil), b.tier2Urn...), b.anyTransit...)
+	for more() && len(pool) > 0 {
+		i := b.rng.Intn(len(pool))
+		take(pool[i])
+		pool = append(pool[:i], pool[i+1:]...)
+	}
 }
 
 func (b *builder) wireNamedProviders() {
@@ -403,19 +446,18 @@ func (b *builder) wireNamedProviders() {
 	for _, group := range groups {
 		for _, p := range group {
 			for _, prov := range b.pickProviders(p) {
-				if b.in.Graph.AddLinkIfAbsent(prov, p.ASN, astopo.P2C) {
-					b.as(prov).custs++
-				}
+				b.addProvider(prov, p.ASN)
 			}
 		}
 	}
 }
 
-// wireTransitProviders gives each regional transit 1–3 providers drawn from
-// the Tier-1s and Tier-2s (Tier-2-heavy, mirroring the hierarchy).
-func (b *builder) wireTransitProviders() {
+// wireTransitProviders gives each regional transit of ts 1–3 providers
+// drawn from the Tier-1s and Tier-2s (Tier-2-heavy, mirroring the
+// hierarchy).
+func (b *builder) wireTransitProviders(ts []astopo.ASN) {
 	var usedBuf [4]astopo.ASN // the transit and its at most three providers
-	for _, a := range b.transits {
+	for _, a := range ts {
 		if _, named := b.name[a]; named {
 			continue // hypergiant transit profiles picked their own
 		}
@@ -432,13 +474,12 @@ func (b *builder) wireTransitProviders() {
 				continue
 			}
 			used = append(used, prov)
-			if !b.in.Graph.AddLinkIfAbsent(prov, a, astopo.P2C) {
+			if !b.addProvider(prov, a) {
 				continue // already related (e.g. a named profile chose this transit as its provider)
 			}
-			b.as(prov).custs++
 			// Preferential attachment: providers that win customers
 			// become likelier to win more.
-			if b.in.Tier1.Has(prov) {
+			if b.as(prov).class == ClassTier1 {
 				b.tier1Urn = append(b.tier1Urn, prov)
 			} else {
 				b.tier2Urn = append(b.tier2Urn, prov)
@@ -447,11 +488,11 @@ func (b *builder) wireTransitProviders() {
 	}
 }
 
-// wireEdgeProviders attaches access, content, and enterprise ASes to the
-// hierarchy: mostly same-continent regional transits (with preferential
-// attachment), sometimes Tier-2s or Tier-1s directly.
-func (b *builder) wireEdgeProviders() {
-	in := b.in
+// wireEdgeProviders attaches the access, content, and enterprise ASes of
+// lists, in order, to the hierarchy: mostly same-continent regional
+// transits (with preferential attachment), sometimes Tier-2s or Tier-1s
+// directly.
+func (b *builder) wireEdgeProviders(lists ...[]astopo.ASN) {
 	var usedBuf [5]astopo.ASN // the edge AS and its at most four providers
 	attach := func(a astopo.ASN, nProv int) {
 		cont := geo.Cities()[b.as(a).home].Continent
@@ -473,14 +514,8 @@ func (b *builder) wireEdgeProviders() {
 				continue
 			}
 			used = append(used, prov)
-			if !in.Graph.AddLinkIfAbsent(prov, a, astopo.P2C) {
-				continue
-			}
-			b.as(prov).custs++
-			if b.as(prov).class == ClassTransit {
-				pc := geo.Cities()[b.as(prov).home].Continent
-				b.transitUrn[pc] = append(b.transitUrn[pc], prov)
-				b.anyTransit = append(b.anyTransit, prov)
+			if b.addProvider(prov, a) && b.as(prov).class == ClassTransit {
+				b.urnTransit(prov)
 			}
 		}
 	}
@@ -494,13 +529,13 @@ func (b *builder) wireEdgeProviders() {
 			return 3
 		}
 	}
-	for _, a := range b.access {
-		attach(a, nProviders())
-	}
-	for _, a := range b.content {
-		attach(a, 1+nProviders()) // content multihomes more
-	}
-	for _, a := range b.enterprise {
-		attach(a, nProviders())
+	for _, list := range lists {
+		for _, a := range list {
+			n := nProviders()
+			if b.as(a).class == ClassContent {
+				n++ // content multihomes more
+			}
+			attach(a, n)
+		}
 	}
 }

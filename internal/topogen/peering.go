@@ -15,93 +15,117 @@ import (
 // mechanism §2.2 describes.
 func (b *builder) buildIXPs() {
 	cities := geo.Cities()
-	order := make([]int, len(cities))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return cities[order[i]].PopM > cities[order[j]].PopM })
-	nIXP := b.spec.NumIXPs
-	if nIXP > len(order) {
-		nIXP = len(order)
-	}
 	var ixpByContinent [geo.NumContinents][]int // index into in.IXPs
-	for k := 0; k < nIXP; k++ {
-		city := geo.CityID(order[k])
+	for k, city := range ixpCities()[:min(b.spec.NumIXPs, len(cities))] {
 		b.in.IXPs = append(b.in.IXPs, IXP{City: city})
 		ixpByContinent[cities[city].Continent] = append(ixpByContinent[cities[city].Continent], k)
 	}
 
-	// Membership: how many home-continent IXPs each class typically
-	// joins, and the probability of joining each candidate.
-	join := func(a astopo.ASN, maxJoin int, prob float64, global bool) {
-		cont := cities[b.as(a).home].Continent
-		cands := ixpByContinent[cont]
-		joined := 0
-		for _, k := range cands {
-			if joined >= maxJoin {
-				break
-			}
-			if b.rng.Float64() < prob {
-				b.in.IXPs[k].Members = append(b.in.IXPs[k].Members, a)
-				joined++
-			}
-		}
-		if global && joined < maxJoin {
-			for tries := 0; tries < 4 && joined < maxJoin; tries++ {
+	// Membership: each synthetic class joins home-continent exchanges by
+	// classJoin; transits and content try a few abroad after that.
+	for _, list := range [][]astopo.ASN{b.transits, b.access, b.content, b.enterprise} {
+		for _, a := range list {
+			join := func(k int) { b.in.IXPs[k].Members = append(b.in.IXPs[k].Members, a) }
+			r := b.as(a)
+			maxJoin, prob, abroad := classJoin(r.class)
+			joined := b.joinHome(ixpByContinent[cities[r.home].Continent], maxJoin, prob, join)
+			for tries := 0; abroad && tries < 4 && joined < maxJoin; tries++ {
 				k := b.rng.Intn(len(b.in.IXPs))
 				if b.rng.Float64() < prob {
-					b.in.IXPs[k].Members = append(b.in.IXPs[k].Members, a)
+					join(k)
 					joined++
 				}
 			}
 		}
 	}
-	for _, a := range b.transits {
-		join(a, 5, 0.55, true)
-	}
-	for _, a := range b.access {
-		join(a, 3, 0.30, false)
-	}
-	for _, a := range b.content {
-		join(a, 4, 0.45, true)
-	}
-	for _, a := range b.enterprise {
-		join(a, 1, 0.04, false)
-	}
-	// Named networks deploy at exchanges worldwide: clouds at most of
-	// them (their PoPs sit in IXP/colo facilities, §2.2), Tier-1s and
-	// Tier-2s at a smaller share. Their peering links are created later
-	// by wireNamedPeering; membership here determines which of those
-	// links get numbered from IXP LANs by package netdb.
-	joinGlobal := func(a astopo.ASN, prob float64) {
-		for k := range b.in.IXPs {
-			if b.rng.Float64() < prob {
-				b.in.IXPs[k].Members = append(b.in.IXPs[k].Members, a)
+	// Named networks join each exchange at their group's share. Their
+	// peering links are created later by wireNamedPeering; membership
+	// here determines which of those links get numbered from IXP LANs by
+	// package netdb.
+	for _, g := range namedShares(b.spec) {
+		for _, p := range g.group {
+			for k := range b.in.IXPs {
+				if b.rng.Float64() < g.share {
+					b.in.IXPs[k].Members = append(b.in.IXPs[k].Members, p.ASN)
+				}
 			}
 		}
-	}
-	for _, p := range b.spec.Clouds {
-		joinGlobal(p.ASN, 0.70)
-	}
-	for _, p := range b.spec.Hypergiants {
-		joinGlobal(p.ASN, 0.50)
-	}
-	for _, p := range b.spec.Tier2 {
-		joinGlobal(p.ASN, 0.35)
-	}
-	for _, p := range b.spec.Tier1 {
-		joinGlobal(p.ASN, 0.20)
 	}
 
 	// Peering mesh: each co-located pair peers with the product of the
 	// two members' class openness factors (see meshMembers).
-	product := func(ci, cj ASClass) float64 {
-		return b.spec.Openness[ci] * b.spec.Openness[cj]
-	}
-	b.peers = make([]astopo.Link, 0, b.peeringCapacity(product))
+	b.peers = make([]astopo.Link, 0, b.peeringCapacity(b.openness))
 	for k := range b.in.IXPs {
-		b.meshMembers(b.in.IXPs[k].Members, product, b.peer)
+		b.meshMembers(b.in.IXPs[k].Members, b.openness, b.peer)
 	}
+}
+
+// ixpCities returns the gazetteer's cities by metro population, most
+// populous first: the order exchanges open in, at generation and as the
+// timeline adds them.
+func ixpCities() []geo.CityID {
+	cities := geo.Cities()
+	order := make([]geo.CityID, len(cities))
+	for i := range order {
+		order[i] = geo.CityID(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return cities[order[i]].PopM > cities[order[j]].PopM })
+	return order
+}
+
+// classJoin returns a synthetic class's IXP membership behaviour: how many
+// home-continent exchanges it joins at most, the probability of joining
+// each candidate, and whether a generated AS of the class then tries
+// exchanges abroad.
+func classJoin(c ASClass) (maxJoin int, prob float64, abroad bool) {
+	switch c {
+	case ClassTransit:
+		return 5, 0.55, true
+	case ClassAccess:
+		return 3, 0.30, false
+	case ClassContent:
+		return 4, 0.45, true
+	case ClassEnterprise:
+		return 1, 0.04, false
+	}
+	return 0, 0, false
+}
+
+// joinHome offers a joiner the exchanges cands in order, each with
+// probability prob, until it has joined maxJoin; join is called with each
+// exchange it joins. It returns how many it joined.
+func (b *builder) joinHome(cands []int, maxJoin int, prob float64, join func(k int)) int {
+	joined := 0
+	for _, k := range cands {
+		if joined >= maxJoin {
+			break
+		}
+		if b.rng.Float64() < prob {
+			join(k)
+			joined++
+		}
+	}
+	return joined
+}
+
+// namedShare is the share of exchanges each network of a named group joins.
+type namedShare struct {
+	group []Profile
+	share float64
+}
+
+// namedShares lists the named groups in the order they sign up at an
+// exchange, with their shares: clouds join most exchanges (their PoPs sit
+// in IXP/colo facilities, §2.2), hypergiants half, Tier-2s and Tier-1s a
+// smaller share.
+func namedShares(sp Spec) []namedShare {
+	return []namedShare{{sp.Clouds, 0.70}, {sp.Hypergiants, 0.50}, {sp.Tier2, 0.35}, {sp.Tier1, 0.20}}
+}
+
+// openness is the probability that two co-located members of classes ci
+// and cj peer: the product of their classes' openness factors.
+func (b *builder) openness(ci, cj ASClass) float64 {
+	return b.spec.Openness[ci] * b.spec.Openness[cj]
 }
 
 // peeringCapacity sizes b.peers for the candidates of buildIXPs' meshes and
@@ -146,7 +170,7 @@ func (b *builder) peeringCapacity(prob func(ci, cj ASClass) float64) int {
 // the random join above); self pairs are skipped here and emit callers
 // de-duplicate links. The RNG consumption for a given member list depends
 // only on the probabilities, which keeps generation and the timeline's
-// growth steps (which reuse this with marginal probabilities) replayable.
+// growth steps (which call this with marginal probabilities) replayable.
 func (b *builder) meshMembers(members []astopo.ASN, prob func(ci, cj ASClass) float64, emit func(x, y astopo.ASN)) {
 	var buckets [ClassCloud + 1][]astopo.ASN
 	for _, m := range members {
@@ -216,11 +240,22 @@ func (b *builder) rowSample(n int, p float64, emit func(int)) {
 // of the Tier-1 and Tier-2 sets, probability-scaled peering with regional
 // transits (largest first — footprints are built out toward big peers, as
 // Microsoft's traffic-volume validation in §5 implies), and Bernoulli
-// peering with access and content edges.
+// peering with access and content edges. Each network grows from the zero
+// profile, which peers with no one.
 func (b *builder) wireNamedPeering() {
-	// Rank transits by customer count, descending; rankBoost concentrates
-	// named networks' transit peerings on the top of that ranking.
-	ranked := append([]astopo.ASN(nil), b.transits...)
+	ranked := b.rankTransits(b.transits)
+	for _, group := range [][]Profile{b.spec.Tier1, b.spec.Tier2, b.spec.Clouds, b.spec.Hypergiants} {
+		for _, p := range group {
+			b.peerProfile(Profile{}, p, ranked, b.access, b.content, b.peer)
+		}
+	}
+}
+
+// rankTransits returns ts by customer count, descending, ties by ASN;
+// rankBoost concentrates named networks' transit peerings on the top of
+// that ranking.
+func (b *builder) rankTransits(ts []astopo.ASN) []astopo.ASN {
+	ranked := append([]astopo.ASN(nil), ts...)
 	sort.Slice(ranked, func(i, j int) bool {
 		ci, cj := b.as(ranked[i]).custs, b.as(ranked[j]).custs
 		if ci != cj {
@@ -228,57 +263,72 @@ func (b *builder) wireNamedPeering() {
 		}
 		return ranked[i] < ranked[j]
 	})
-	rankBoost := func(pos int) float64 {
-		frac := float64(pos) / float64(len(ranked))
-		switch {
-		case frac < 0.25:
-			return 1.6
-		case frac < 0.5:
-			return 1.1
-		case frac < 0.75:
-			return 0.7
-		default:
-			return 0.4
-		}
-	}
+	return ranked
+}
 
-	apply := func(p Profile) {
-		for _, t := range b.spec.Tier1 {
-			if t.ASN != p.ASN && b.rng.Float64() < p.PeerTier1 {
-				b.peer(p.ASN, t.ASN)
-			}
-		}
-		for _, t := range b.spec.Tier2 {
-			if t.ASN != p.ASN && b.rng.Float64() < p.PeerTier2 {
-				b.peer(p.ASN, t.ASN)
-			}
-		}
-		for pos, a := range ranked {
-			if a == p.ASN {
-				continue
-			}
-			prob := p.PeerTransit * rankBoost(pos)
-			if prob > 1 {
-				prob = 1
-			}
-			if b.rng.Float64() < prob {
-				b.peer(p.ASN, a)
-			}
-		}
-		// Edge peerings are a constant Bernoulli per AS, so skip-sample
-		// the accepted indexes instead of drawing once per edge AS.
-		b.rowSample(len(b.access), p.PeerAccess, func(i int) {
-			b.peer(p.ASN, b.access[i])
-		})
-		b.rowSample(len(b.content), p.PeerContent, func(i int) {
-			if a := b.content[i]; a != p.ASN {
-				b.peer(p.ASN, a)
-			}
-		})
+// rankBoost scales a named network's transit peering share by where the
+// transit sits in rankTransits' order, as the fraction of the ranking
+// above it: 1.6 in the top quartile down to 0.4 in the bottom one.
+func rankBoost(frac float64) float64 {
+	switch {
+	case frac < 0.25:
+		return 1.6
+	case frac < 0.5:
+		return 1.1
+	case frac < 0.75:
+		return 0.7
+	default:
+		return 0.4
 	}
-	for _, group := range [][]Profile{b.spec.Tier1, b.spec.Tier2, b.spec.Clouds, b.spec.Hypergiants} {
-		for _, p := range group {
-			apply(p)
+}
+
+// peerProfile offers a named network to's peerings as it grows from the
+// profile from: each Tier-1, Tier-2, ranked transit, access and content
+// AS is accepted with the marginal probability that lifts from's share of
+// that group to to's (a transit's shares scaled by its rankBoost), and
+// accepted pairs are handed to emit.
+func (b *builder) peerProfile(from, to Profile, ranked, access, content []astopo.ASN, emit func(x, y astopo.ASN)) {
+	a := to.ASN
+	for _, t := range b.spec.Tier1 {
+		if t.ASN != a && b.rng.Float64() < marginalProb(from.PeerTier1, to.PeerTier1) {
+			emit(a, t.ASN)
 		}
 	}
+	for _, t := range b.spec.Tier2 {
+		if t.ASN != a && b.rng.Float64() < marginalProb(from.PeerTier2, to.PeerTier2) {
+			emit(a, t.ASN)
+		}
+	}
+	for pos, x := range ranked {
+		if x == a {
+			continue
+		}
+		boost := rankBoost(float64(pos) / float64(len(ranked)))
+		if b.rng.Float64() < marginalProb(from.PeerTransit*boost, to.PeerTransit*boost) {
+			emit(a, x)
+		}
+	}
+	// Edge peerings are a constant Bernoulli per AS, so skip-sample the
+	// accepted indexes instead of drawing once per edge AS.
+	b.rowSample(len(access), marginalProb(from.PeerAccess, to.PeerAccess), func(i int) {
+		emit(a, access[i])
+	})
+	b.rowSample(len(content), marginalProb(from.PeerContent, to.PeerContent), func(i int) {
+		if x := content[i]; x != a {
+			emit(a, x)
+		}
+	})
+}
+
+// marginalProb converts "linked with probability po in the old world" and
+// "linked with probability pn in the new world" into the conditional
+// probability of adding the link given it is absent, so the grown world
+// matches the new link distribution: po + (1-po)*q = pn. From po = 0 it
+// is pn itself, clamped to [0, 1].
+func marginalProb(po, pn float64) float64 {
+	po, pn = clamp01(po), clamp01(pn)
+	if po >= 1 {
+		return 0
+	}
+	return clamp01((pn - po) / (1 - po))
 }

@@ -15,8 +15,6 @@ package topogen
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
 	"strconv"
 
 	"flatnet/internal/astopo"
@@ -204,38 +202,9 @@ func specYear(sp Spec) (int, error) {
 	return y, nil
 }
 
-// classJoin returns the IXP membership behaviour of a synthetic class:
-// how many home-continent exchanges it joins at most, and the probability
-// of joining each candidate (the same constants buildIXPs uses).
-func classJoin(c ASClass) (maxJoin int, prob float64) {
-	switch c {
-	case ClassTransit:
-		return 5, 0.55
-	case ClassAccess:
-		return 3, 0.30
-	case ClassContent:
-		return 4, 0.45
-	case ClassEnterprise:
-		return 1, 0.04
-	}
-	return 0, 0
-}
-
-// marginalProb converts "linked with probability po in the old world" and
-// "linked with probability pn in the new world" into the conditional
-// probability of adding the link given it is absent, so the evolved world
-// matches the new year's link distribution: po + (1-po)*q = pn.
-func marginalProb(po, pn float64) float64 {
-	po, pn = clamp01(po), clamp01(pn)
-	if po >= 1 {
-		return 0
-	}
-	return clamp01((pn - po) / (1 - po))
-}
-
 // evolver holds one growth step's working state.
 type evolver struct {
-	b        *builder // rng, city machinery, class/home maps, urns
+	b        *builder // rng, city machinery, per-AS rows, class lists, urns
 	prev     *Internet
 	prevSpec Spec
 	spec     Spec
@@ -244,11 +213,11 @@ type evolver struct {
 	pending map[uint64]bool // links added this step
 	removed map[uint64]bool // links churned away this step
 
+	next astopo.ASN // the first new AS's number
 	// class boundaries: indices below these counts in the builder's class
 	// lists are ASes that already existed in the base world.
-	oldTransits, oldAccess, oldContent int
+	oldTransits, oldAccess, oldContent, oldEnterprise int
 
-	memberCount map[astopo.ASN]int // IXP memberships per AS (cap bookkeeping)
 	// ixpClasses is each base exchange's evolving membership split by
 	// class, in join order: index = base IXP index. A joining member is
 	// appended to its class's bucket.
@@ -284,7 +253,7 @@ func EvolveStep(prev *Internet, year int, scale float64) (*GrowthDelta, error) {
 		pending:  make(map[uint64]bool),
 		removed:  make(map[uint64]bool),
 	}
-	e.b = &builder{spec: spec, rng: rand.New(rand.NewSource(SeedForYear(year)))}
+	e.b = &builder{spec: spec, rng: rand.New(rand.NewSource(SeedForYear(year))), link: e.addLink}
 	e.b.placeCities()
 	if err := e.rebuildState(); err != nil {
 		return nil, err
@@ -303,9 +272,10 @@ func EvolveStep(prev *Internet, year int, scale float64) (*GrowthDelta, error) {
 
 // rebuildState reconstructs the builder's sampling state from the base
 // world: per-AS class/home from the dense meta table, class lists in
-// dense (sorted-ASN) order, customer counts from the CSR rows, and the
-// preferential-attachment urns with multiplicity 1 + customer count (an
-// AS that won customers is proportionally likelier to win more).
+// dense (sorted-ASN) order, customer counts from the CSR rows, exchange
+// counts from the IXP lists, and the preferential-attachment urns with
+// multiplicity 1 + customer count (an AS that won customers is
+// proportionally likelier to win more).
 func (e *evolver) rebuildState() error {
 	b, prev := e.b, e.prev
 	g := prev.Graph
@@ -325,26 +295,22 @@ func (e *evolver) rebuildState() error {
 	b.name = make(map[astopo.ASN]string, len(e.spec.Tier1)+len(e.spec.Tier2)+len(e.spec.Clouds)+len(e.spec.Hypergiants))
 	b.pops = make(map[astopo.ASN][]geo.CityID)
 
-	cities := geo.Cities()
 	m := prev.Meta
 	for i, a := range g.ASes() {
-		b.as(a).class = m.Class[i]
-		b.as(a).home = m.Home[i]
+		custs := len(g.CustomersOf(i))
+		r := b.as(a)
+		r.class, r.home, r.custs = m.Class[i], m.Home[i], int32(custs)
 		if m.NameOff[i] != m.NameOff[i+1] {
 			b.name[a] = string(m.NameBlob[m.NameOff[i]:m.NameOff[i+1]])
 		}
 		if pops := m.PoPArena[m.PoPOff[i]:m.PoPOff[i+1]]; len(pops) > 0 {
 			b.pops[a] = pops
 		}
-		custs := len(g.CustomersOf(i))
-		b.as(a).custs = custs
 		switch m.Class[i] {
 		case ClassTransit:
 			b.transits = append(b.transits, a)
-			cont := cities[m.Home[i]].Continent
 			for k := 0; k < 1+custs; k++ {
-				b.transitUrn[cont] = append(b.transitUrn[cont], a)
-				b.anyTransit = append(b.anyTransit, a)
+				b.urnTransit(a)
 			}
 		case ClassAccess:
 			b.access = append(b.access, a)
@@ -355,27 +321,27 @@ func (e *evolver) rebuildState() error {
 		}
 	}
 	for _, p := range e.spec.Tier2 {
-		for k := 0; k < 1+b.as(p.ASN).custs; k++ {
+		for k := int32(0); k < 1+b.as(p.ASN).custs; k++ {
 			b.tier2Urn = append(b.tier2Urn, p.ASN)
 		}
 	}
 	for _, p := range e.spec.Tier1 {
-		for k := 0; k < 1+b.as(p.ASN).custs; k++ {
+		for k := int32(0); k < 1+b.as(p.ASN).custs; k++ {
 			b.tier1Urn = append(b.tier1Urn, p.ASN)
 		}
 	}
-	e.oldTransits, e.oldAccess, e.oldContent = len(b.transits), len(b.access), len(b.content)
+	e.next = next
+	e.oldTransits, e.oldAccess, e.oldContent, e.oldEnterprise = len(b.transits), len(b.access), len(b.content), len(b.enterprise)
 
-	e.memberCount = make(map[astopo.ASN]int)
 	e.ixpClasses = make([][ClassCloud + 1][]astopo.ASN, len(prev.IXPs))
 	for k := range prev.IXPs {
 		for _, a := range prev.IXPs[k].Members {
 			if a >= next {
 				return fmt.Errorf("topogen: IXP %d lists AS%d, which the base world does not number", k, a)
 			}
-			e.memberCount[a]++
-			c := b.as(a).class
-			e.ixpClasses[k][c] = append(e.ixpClasses[k][c], a)
+			r := b.as(a)
+			r.ixps++
+			e.ixpClasses[k][r.class] = append(e.ixpClasses[k][r.class], a)
 		}
 	}
 	return nil
@@ -396,23 +362,18 @@ func (e *evolver) linked(x, y astopo.ASN) bool {
 	return ok
 }
 
-func (e *evolver) addPeer(x, y astopo.ASN) {
+// addLink is the step's builder.link: it records a link between x and y
+// as added unless x == y or the two are already linked.
+func (e *evolver) addLink(x, y astopo.ASN, rel astopo.Rel) bool {
 	if x == y || e.linked(x, y) {
-		return
-	}
-	e.pending[astopo.PairKey(x, y)] = true
-	e.d.AddedLinks = append(e.d.AddedLinks, astopo.Link{A: x, B: y, Rel: astopo.P2P})
-}
-
-func (e *evolver) addProvider(prov, cust astopo.ASN) bool {
-	if prov == cust || e.linked(prov, cust) {
 		return false
 	}
-	e.pending[astopo.PairKey(prov, cust)] = true
-	e.d.AddedLinks = append(e.d.AddedLinks, astopo.Link{A: prov, B: cust, Rel: astopo.P2C})
-	e.b.as(prov).custs++
+	e.pending[astopo.PairKey(x, y)] = true
+	e.d.AddedLinks = append(e.d.AddedLinks, astopo.Link{A: x, B: y, Rel: rel})
 	return true
 }
+
+func (e *evolver) addPeer(x, y astopo.ASN) { e.addLink(x, y, astopo.P2P) }
 
 // churnLinks removes a small fraction of the synthetic-synthetic public
 // peerings, in link-storage order. Provider links never churn.
@@ -432,147 +393,34 @@ func (e *evolver) churnLinks() {
 }
 
 // growASes creates the year's new ASes — the AS-count curve's increment,
-// split into transits and edge classes by the new year's fractions — and
-// attaches them to the hierarchy exactly the way the generator attaches
-// their peers at birth (same urns, same probability ladder).
+// split into transits and edge classes by the new year's fractions — with
+// the generator's createASes, and attaches them to the hierarchy with its
+// provider ladders.
 func (e *evolver) growASes() {
 	b := e.b
-	dn := e.spec.NumASes - e.prev.Graph.NumASes()
-	if dn < 0 {
-		dn = 0
-	}
-	dTransit := e.spec.NumTransit - e.prevSpec.NumTransit
-	if dTransit < 0 {
-		dTransit = 0
-	}
-	if dTransit > dn {
-		dTransit = dn
-	}
+	dn := max(0, e.spec.NumASes-e.prev.Graph.NumASes())
+	dTransit := min(max(0, e.spec.NumTransit-e.prevSpec.NumTransit), dn)
 	rest := dn - dTransit
 	nAccess := int(float64(rest) * e.spec.FracAccess)
 	nContent := int(float64(rest) * e.spec.FracContent)
-	nEnterprise := rest - nAccess - nContent
+	b.createASes(e.next, dTransit, nAccess, nContent, rest-nAccess-nContent)
 
-	nodes := e.prev.Graph.ASes()
-	next := synthBase
-	if len(nodes) > 0 && nodes[len(nodes)-1] >= synthBase {
-		next = nodes[len(nodes)-1] + 1
-	}
-	cities := geo.Cities()
-	create := func(class ASClass) astopo.ASN {
-		a := next
-		next++
-		cont := b.randContinent()
-		city := b.randCity(cont, false)
-		b.as(a).class = class
-		b.as(a).home = city
-		e.d.NewASes = append(e.d.NewASes, NewAS{ASN: a, Class: class, Home: city})
-		return a
-	}
-	newTransits := make([]astopo.ASN, 0, dTransit)
-	for i := 0; i < dTransit; i++ {
-		a := create(ClassTransit)
-		b.transits = append(b.transits, a)
-		newTransits = append(newTransits, a)
-		cont := cities[b.as(a).home].Continent
-		b.transitUrn[cont] = append(b.transitUrn[cont], a)
-		b.anyTransit = append(b.anyTransit, a)
-	}
-	newEdges := make([]astopo.ASN, 0, rest)
-	for i := 0; i < nAccess; i++ {
-		a := create(ClassAccess)
-		b.access = append(b.access, a)
-		newEdges = append(newEdges, a)
-	}
-	for i := 0; i < nContent; i++ {
-		a := create(ClassContent)
-		b.content = append(b.content, a)
-		newEdges = append(newEdges, a)
-	}
-	for i := 0; i < nEnterprise; i++ {
-		a := create(ClassEnterprise)
-		b.enterprise = append(b.enterprise, a)
-		newEdges = append(newEdges, a)
-	}
-
-	// Providers: new transits buy from the Tier-1/Tier-2 urns, new edges
-	// attach mostly to same-continent transits — the same ladder and urn
-	// growth as wireTransitProviders / wireEdgeProviders.
-	var usedBuf [5]astopo.ASN // the new AS and its at most four providers
-	for _, a := range newTransits {
-		n := 1 + b.rng.Intn(3)
-		used := append(usedBuf[:0], a)
-		for len(used)-1 < n {
-			var prov astopo.ASN
-			if b.rng.Float64() < 0.35 {
-				prov = b.tier1Urn[b.rng.Intn(len(b.tier1Urn))]
-			} else {
-				prov = b.tier2Urn[b.rng.Intn(len(b.tier2Urn))]
-			}
-			if slices.Contains(used, prov) {
-				continue
-			}
-			used = append(used, prov)
-			if !e.addProvider(prov, a) {
-				continue
-			}
-			if e.prev.Tier1.Has(prov) {
-				b.tier1Urn = append(b.tier1Urn, prov)
-			} else {
-				b.tier2Urn = append(b.tier2Urn, prov)
-			}
+	newTransits := b.transits[e.oldTransits:]
+	newAccess, newContent, newEnterprise := b.access[e.oldAccess:], b.content[e.oldContent:], b.enterprise[e.oldEnterprise:]
+	for _, list := range [][]astopo.ASN{newTransits, newAccess, newContent, newEnterprise} {
+		for _, a := range list {
+			r := b.as(a)
+			e.d.NewASes = append(e.d.NewASes, NewAS{ASN: a, Class: r.class, Home: r.home})
 		}
 	}
-	nProviders := func() int {
-		switch r := b.rng.Float64(); {
-		case r < 0.45:
-			return 1
-		case r < 0.85:
-			return 2
-		default:
-			return 3
-		}
-	}
-	for _, a := range newEdges {
-		nProv := nProviders()
-		if b.as(a).class == ClassContent {
-			nProv++ // content multihomes more
-		}
-		cont := cities[b.as(a).home].Continent
-		used := append(usedBuf[:0], a)
-		for len(used)-1 < nProv {
-			var prov astopo.ASN
-			switch r := b.rng.Float64(); {
-			case r < 0.72 && len(b.transitUrn[cont]) > 0:
-				urn := b.transitUrn[cont]
-				prov = urn[b.rng.Intn(len(urn))]
-			case r < 0.86:
-				prov = b.anyTransit[b.rng.Intn(len(b.anyTransit))]
-			case r < 0.95:
-				prov = b.tier2Urn[b.rng.Intn(len(b.tier2Urn))]
-			default:
-				prov = b.tier1Urn[b.rng.Intn(len(b.tier1Urn))]
-			}
-			if slices.Contains(used, prov) {
-				continue
-			}
-			used = append(used, prov)
-			if !e.addProvider(prov, a) {
-				continue
-			}
-			if b.as(prov).class == ClassTransit {
-				pc := cities[b.as(prov).home].Continent
-				b.transitUrn[pc] = append(b.transitUrn[pc], prov)
-				b.anyTransit = append(b.anyTransit, prov)
-			}
-		}
-	}
+	b.wireTransitProviders(newTransits)
+	b.wireEdgeProviders(newAccess, newContent, newEnterprise)
 }
 
 // wireNamedToNewASes gives every named network its calibrated peering
 // chance with the ASes born this year (in a fresh build those edges would
 // have faced the full Bernoulli). New transits enter at the bottom of the
-// size ranking, so they get the bottom-quartile rank boost.
+// size ranking, so they get the bottom-quartile rank boost, rankBoost(1).
 func (e *evolver) wireNamedToNewASes() {
 	b := e.b
 	newTransits := b.transits[e.oldTransits:]
@@ -581,7 +429,7 @@ func (e *evolver) wireNamedToNewASes() {
 	groups := [][]Profile{e.spec.Tier1, e.spec.Tier2, e.spec.Clouds, e.spec.Hypergiants}
 	for _, group := range groups {
 		for _, p := range group {
-			b.rowSample(len(newTransits), clamp01(p.PeerTransit*0.4), func(i int) {
+			b.rowSample(len(newTransits), p.PeerTransit*rankBoost(1), func(i int) {
 				e.addPeer(p.ASN, newTransits[i])
 			})
 			b.rowSample(len(newAccess), p.PeerAccess, func(i int) {
@@ -598,22 +446,19 @@ func (e *evolver) wireNamedToNewASes() {
 // membership, bucketed by class, with the new year's openness products.
 func (e *evolver) meshAgainst(a astopo.ASN, buckets *[ClassCloud + 1][]astopo.ASN) {
 	b := e.b
-	pa := b.spec.Openness[b.as(a).class]
-	if pa <= 0 {
-		return
-	}
+	ca := b.as(a).class
 	for ci := range buckets {
-		p := pa * b.spec.Openness[ASClass(ci)]
 		B := buckets[ci]
-		b.rowSample(len(B), p, func(j int) {
+		b.rowSample(len(B), b.openness(ca, ASClass(ci)), func(j int) {
 			e.addPeer(a, B[j])
 		})
 	}
 }
 
-// joinExistingIXPs signs the year's new ASes up at exchanges that already
-// exist, with the same per-class membership behaviour the generator uses,
-// and draws their public peerings against the members already there.
+// joinExistingIXPs signs the year's new ASes up at home-continent
+// exchanges that already exist, by their class's classJoin (a new AS
+// tries none abroad), and draws their public peerings against the members
+// already there.
 func (e *evolver) joinExistingIXPs() {
 	b := e.b
 	cities := geo.Cities()
@@ -622,88 +467,54 @@ func (e *evolver) joinExistingIXPs() {
 		c := cities[e.prev.IXPs[k].City].Continent
 		ixpByCont[c] = append(ixpByCont[c], k)
 	}
-	join := func(k int, a astopo.ASN) {
-		e.meshAgainst(a, &e.ixpClasses[k])
-		c := b.as(a).class
-		e.ixpClasses[k][c] = append(e.ixpClasses[k][c], a)
-		e.memberCount[a]++
-		e.d.IXPJoins = append(e.d.IXPJoins, IXPJoin{IXP: int32(k), Member: a})
-	}
 	for _, na := range e.d.NewASes {
-		maxJoin, prob := classJoin(na.Class)
-		if maxJoin == 0 {
-			continue
-		}
-		joined := 0
-		for _, k := range ixpByCont[cities[na.Home].Continent] {
-			if joined >= maxJoin {
-				break
-			}
-			if b.rng.Float64() < prob {
-				join(k, na.ASN)
-				joined++
-			}
-		}
+		maxJoin, prob, _ := classJoin(na.Class)
+		b.joinHome(ixpByCont[cities[na.Home].Continent], maxJoin, prob, func(k int) {
+			e.meshAgainst(na.ASN, &e.ixpClasses[k])
+			e.ixpClasses[k][na.Class] = append(e.ixpClasses[k][na.Class], na.ASN)
+			b.as(na.ASN).ixps++
+			e.d.IXPJoins = append(e.d.IXPJoins, IXPJoin{IXP: int32(k), Member: na.ASN})
+		})
 	}
 }
 
-// openIXPs places the year's new exchanges in the next most populous
-// cities, recruits members (synthetic classes from the exchange's home
-// continent, capped by their per-class membership budgets; named networks
-// with their global join shares), and draws the full public mesh among
-// the initial membership.
+// openIXPs places the year's new exchanges in the next cities of
+// ixpCities, recruits members (synthetic classes from the exchange's home
+// continent, capped by their classJoin budgets; named networks at their
+// groups' shares), and draws the full public mesh among the initial
+// membership.
 func (e *evolver) openIXPs() {
 	b := e.b
-	dIXP := e.spec.NumIXPs - len(e.prev.IXPs)
-	if dIXP <= 0 {
-		return
-	}
 	cities := geo.Cities()
-	order := make([]int, len(cities))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return cities[order[i]].PopM > cities[order[j]].PopM })
-	start := len(e.prev.IXPs)
-	if start+dIXP > len(order) {
-		dIXP = len(order) - start
-	}
-	product := func(ci, cj ASClass) float64 {
-		return b.spec.Openness[ci] * b.spec.Openness[cj]
-	}
-	for k := 0; k < dIXP; k++ {
-		city := geo.CityID(order[start+k])
+	order := ixpCities()
+	end := min(e.spec.NumIXPs, len(order))
+	for _, city := range order[min(len(e.prev.IXPs), end):end] {
 		cont := cities[city].Continent
 		var members []astopo.ASN
-		recruit := func(classList []astopo.ASN, class ASClass) {
-			maxJoin, prob := classJoin(class)
-			cands := make([]astopo.ASN, 0, len(classList))
-			for _, a := range classList {
-				if cities[b.as(a).home].Continent == cont && e.memberCount[a] < maxJoin {
+		for _, list := range [][]astopo.ASN{b.transits, b.access, b.content, b.enterprise} {
+			if len(list) == 0 {
+				continue
+			}
+			maxJoin, prob, _ := classJoin(b.as(list[0]).class) // each list holds one class
+			cands := make([]astopo.ASN, 0, len(list))
+			for _, a := range list {
+				if r := b.as(a); cities[r.home].Continent == cont && int(r.ixps) < maxJoin {
 					cands = append(cands, a)
 				}
 			}
 			b.rowSample(len(cands), prob, func(i int) {
 				members = append(members, cands[i])
-				e.memberCount[cands[i]]++
+				b.as(cands[i]).ixps++
 			})
 		}
-		recruit(b.transits, ClassTransit)
-		recruit(b.access, ClassAccess)
-		recruit(b.content, ClassContent)
-		recruit(b.enterprise, ClassEnterprise)
-		joinNamed := func(ps []Profile, prob float64) {
-			for _, p := range ps {
-				if b.rng.Float64() < prob {
+		for _, g := range namedShares(e.spec) {
+			for _, p := range g.group {
+				if b.rng.Float64() < g.share {
 					members = append(members, p.ASN)
 				}
 			}
 		}
-		joinNamed(e.spec.Clouds, 0.70)
-		joinNamed(e.spec.Hypergiants, 0.50)
-		joinNamed(e.spec.Tier2, 0.35)
-		joinNamed(e.spec.Tier1, 0.20)
-		b.meshMembers(members, product, e.addPeer)
+		b.meshMembers(members, b.openness, e.addPeer)
 		e.d.NewIXPs = append(e.d.NewIXPs, NewIXP{City: city, Members: members})
 	}
 }
@@ -726,94 +537,34 @@ func (e *evolver) growOpenness() {
 }
 
 // growCloudProviders adds the transit relationships the clouds' growing
-// ProviderCount calls for: Tier-1 slots first, then the Tier-2/large-
-// transit pool, skipping networks the cloud already has any relationship
-// with.
+// Tier1Provs and ProviderCount call for, drawn like a new profile's
+// providers; a candidate the cloud is already related to does not count.
 func (e *evolver) growCloudProviders() {
 	b := e.b
-	for i, pNew := range e.spec.Clouds {
-		pOld := e.prevSpec.Clouds[i]
-		added := 0
-		dT1 := pNew.Tier1Provs - pOld.Tier1Provs
-		for _, t := range b.rng.Perm(len(e.spec.Tier1)) {
-			if added >= dT1 {
-				break
-			}
-			if e.addProvider(e.spec.Tier1[t].ASN, pNew.ASN) {
-				added++
-			}
-		}
-		want := pNew.ProviderCount - pOld.ProviderCount
-		if want <= added {
-			continue
-		}
-		pool := append(append([]astopo.ASN(nil), b.tier2Urn...), b.anyTransit...)
-		for added < want && len(pool) > 0 {
-			i := b.rng.Intn(len(pool))
-			cand := pool[i]
-			pool = append(pool[:i], pool[i+1:]...)
-			if e.addProvider(cand, pNew.ASN) {
-				added++
-			}
-		}
+	for i, p := range e.spec.Clouds {
+		prev, added := e.prevSpec.Clouds[i], 0
+		b.drawProviders(
+			func() bool { return added < p.Tier1Provs-prev.Tier1Provs },
+			func() bool { return added < p.ProviderCount-prev.ProviderCount },
+			func(a astopo.ASN) {
+				if b.addProvider(a, p.ASN) {
+					added++
+				}
+			})
 	}
 }
 
-// growCloudPeering applies the clouds' footprint build-out: for every
-// peering knob that grew since last year, each not-yet-peered candidate
-// gets the marginal probability that lifts last year's link distribution
-// to this year's. Transit candidates keep the size-rank boost (largest
-// customer cones are peered first, how clouds actually build out).
+// growCloudPeering applies the clouds' footprint build-out: every cloud
+// grows from last year's profile to this year's over the ASes that
+// already existed, each not-yet-peered candidate at the marginal
+// probability that lifts last year's link distribution to this year's.
+// Transit candidates keep the size-rank boost (largest customer cones are
+// peered first, how clouds actually build out).
 func (e *evolver) growCloudPeering() {
 	b := e.b
-	ranked := append([]astopo.ASN(nil), b.transits[:e.oldTransits]...)
-	sort.Slice(ranked, func(i, j int) bool {
-		ci, cj := b.as(ranked[i]).custs, b.as(ranked[j]).custs
-		if ci != cj {
-			return ci > cj
-		}
-		return ranked[i] < ranked[j]
-	})
-	rankBoost := func(pos int) float64 {
-		frac := float64(pos) / float64(len(ranked))
-		switch {
-		case frac < 0.25:
-			return 1.6
-		case frac < 0.5:
-			return 1.1
-		case frac < 0.75:
-			return 0.7
-		default:
-			return 0.4
-		}
-	}
-	oldAccess := b.access[:e.oldAccess]
-	oldContent := b.content[:e.oldContent]
-	for i, pNew := range e.spec.Clouds {
-		pOld := e.prevSpec.Clouds[i]
-		for _, t := range e.spec.Tier1 {
-			if t.ASN != pNew.ASN && b.rng.Float64() < marginalProb(pOld.PeerTier1, pNew.PeerTier1) {
-				e.addPeer(pNew.ASN, t.ASN)
-			}
-		}
-		for _, t := range e.spec.Tier2 {
-			if t.ASN != pNew.ASN && b.rng.Float64() < marginalProb(pOld.PeerTier2, pNew.PeerTier2) {
-				e.addPeer(pNew.ASN, t.ASN)
-			}
-		}
-		for pos, a := range ranked {
-			boost := rankBoost(pos)
-			q := marginalProb(pOld.PeerTransit*boost, pNew.PeerTransit*boost)
-			if b.rng.Float64() < q {
-				e.addPeer(pNew.ASN, a)
-			}
-		}
-		b.rowSample(len(oldAccess), marginalProb(pOld.PeerAccess, pNew.PeerAccess), func(i int) {
-			e.addPeer(pNew.ASN, oldAccess[i])
-		})
-		b.rowSample(len(oldContent), marginalProb(pOld.PeerContent, pNew.PeerContent), func(i int) {
-			e.addPeer(pNew.ASN, oldContent[i])
-		})
+	ranked := b.rankTransits(b.transits[:e.oldTransits])
+	for i, p := range e.spec.Clouds {
+		b.peerProfile(e.prevSpec.Clouds[i], p, ranked, b.access[:e.oldAccess], b.content[:e.oldContent], e.addPeer)
 	}
 }
 
@@ -821,10 +572,20 @@ func (e *evolver) growCloudPeering() {
 // year's world. The application is purely structural (no randomness): the
 // base link list minus the removals, plus the additions, refrozen; the
 // annotation table extended with the new ASes; the IXP memberships
-// extended. It fails closed — a removal that does not match a base link,
-// an addition that already exists, or an out-of-range IXP index is an
-// error, not a silent skip — so a corrupted or mispaired delta can never
-// produce a silently wrong world.
+// extended. It fails closed, so a corrupted or mispaired delta can never
+// produce a silently wrong world, nor one the next growth step cannot
+// read. It refuses a delta that does not step its base world's year by
+// one, and one that lists
+//   - a removal that matches no base link, or the same removal twice;
+//   - an addition that links an AS to itself, has a relationship other
+//     than p2p or p2c, links a pair the base keeps or the delta already
+//     added, or links an AS that neither the base world nor the delta's
+//     new ASes have;
+//   - a new AS whose class is not transit, access, content or enterprise,
+//     whose home is not a gazetteer city, or whose ASN the delta lists
+//     twice or the base world already numbers;
+//   - a join of an exchange the base world does not have, or a new
+//     exchange outside the gazetteer's cities.
 func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 	fromYear, err := specYear(prev.Spec)
 	if err != nil {
@@ -839,6 +600,31 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 	spec, err := SpecForYear(d.ToYear, d.Scale)
 	if err != nil {
 		return nil, err
+	}
+	nCities := len(geo.Cities())
+	newAS := make(map[astopo.ASN]NewAS, len(d.NewASes))
+	for _, na := range d.NewASes {
+		switch na.Class {
+		case ClassTransit, ClassAccess, ClassContent, ClassEnterprise:
+		default:
+			return nil, fmt.Errorf("topogen: delta %d->%d creates AS%d of class %v; a growth step creates transit, access, content or enterprise ASes",
+				d.FromYear, d.ToYear, na.ASN, na.Class)
+		}
+		if na.Home < 0 || int(na.Home) >= nCities {
+			return nil, fmt.Errorf("topogen: delta %d->%d homes AS%d in city %d of %d", d.FromYear, d.ToYear, na.ASN, na.Home, nCities)
+		}
+		if _, dup := newAS[na.ASN]; dup {
+			return nil, fmt.Errorf("topogen: delta %d->%d creates AS%d twice", d.FromYear, d.ToYear, na.ASN)
+		}
+		if _, ok := prev.Graph.Index(na.ASN); ok {
+			return nil, fmt.Errorf("topogen: delta %d->%d creates AS%d, which the base world already has", d.FromYear, d.ToYear, na.ASN)
+		}
+		newAS[na.ASN] = na
+	}
+	for _, nx := range d.NewIXPs {
+		if nx.City < 0 || int(nx.City) >= nCities {
+			return nil, fmt.Errorf("topogen: delta %d->%d opens an exchange in city %d of %d", d.FromYear, d.ToYear, nx.City, nCities)
+		}
 	}
 
 	// Removals are keyed by pair so that additions can see which pairs go.
@@ -866,6 +652,10 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 	// An addition repeats a pair the delta already added or the base keeps.
 	added := make(map[uint64]bool, len(d.AddedLinks))
 	for _, l := range d.AddedLinks {
+		if l.A == l.B || l.Rel != astopo.P2P && l.Rel != astopo.P2C {
+			return nil, fmt.Errorf("topogen: delta %d->%d adds %v link %d-%d; an added link joins two ASes as p2p or p2c",
+				d.FromYear, d.ToYear, l.Rel, l.A, l.B)
+		}
 		k := astopo.PairKey(l.A, l.B)
 		_, inBase := prev.Graph.HasLink(l.A, l.B)
 		if _, gone := removed[k]; added[k] || inBase && !gone {
@@ -879,10 +669,7 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 
 	// Annotations: the base world's, extended with the new ASes.
 	pm := prev.Meta
-	newAS := make(map[astopo.ASN]NewAS, len(d.NewASes))
-	for _, na := range d.NewASes {
-		newAS[na.ASN] = na
-	}
+	stray, strays := astopo.ASN(0), 0 // linked ASes neither world numbers
 	of := func(a astopo.ASN) (ASClass, geo.CityID) {
 		if na, ok := newAS[a]; ok {
 			return na.Class, na.Home
@@ -890,6 +677,7 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 		if i, ok := prev.Graph.Index(a); ok {
 			return pm.Class[i], pm.Home[i]
 		}
+		stray, strays = a, strays+1
 		return 0, 0
 	}
 	name := make(map[astopo.ASN]string)
@@ -941,6 +729,10 @@ func ApplyDelta(prev *Internet, d *GrowthDelta) (*Internet, error) {
 		in.Hypergiants[n] = a
 	}
 	in.Meta = NewASMeta(g, of, name, pops)
+	if strays > 0 {
+		return nil, fmt.Errorf("topogen: delta %d->%d links %d ASes, AS%d among them, that neither the base world nor its new ASes have",
+			d.FromYear, d.ToYear, strays, stray)
+	}
 	return in, nil
 }
 

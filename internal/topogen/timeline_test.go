@@ -1,12 +1,14 @@
 package topogen_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/cluster"
+	"flatnet/internal/geo"
 	"flatnet/internal/topogen"
 )
 
@@ -219,11 +221,27 @@ func TestApplyDeltaFailsClosed(t *testing.T) {
 
 	copyDelta := func() *topogen.GrowthDelta {
 		d := *good
+		d.NewASes = append([]topogen.NewAS(nil), good.NewASes...)
 		d.RemovedLinks = append([]astopo.Link(nil), good.RemovedLinks...)
 		d.AddedLinks = append([]astopo.Link(nil), good.AddedLinks...)
 		d.IXPJoins = append([]topogen.IXPJoin(nil), good.IXPJoins...)
+		d.NewIXPs = append([]topogen.NewIXP(nil), good.NewIXPs...)
 		return &d
 	}
+	if len(good.NewASes) == 0 || len(good.NewIXPs) == 0 {
+		t.Fatal("delta creates no AS or no exchange")
+	}
+	// refused applies a delta that copyDelta's copy was edited into and
+	// wants an error naming what is wrong with it.
+	refused := func(t *testing.T, edit func(d *topogen.GrowthDelta), want string) {
+		t.Helper()
+		d := copyDelta()
+		edit(d)
+		if _, err := topogen.ApplyDelta(base, d); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want one containing %q", err, want)
+		}
+	}
+	nCities := geo.CityID(len(geo.Cities()))
 
 	t.Run("wrong base year", func(t *testing.T) {
 		d := copyDelta()
@@ -280,6 +298,43 @@ func TestApplyDeltaFailsClosed(t *testing.T) {
 			t.Fatalf("re-added pair AS%d-AS%d = %v,%v; want p2c", r.B, r.A, rel, ok)
 		}
 	})
+	t.Run("self link", func(t *testing.T) {
+		refused(t, func(d *topogen.GrowthDelta) {
+			d.AddedLinks = append(d.AddedLinks, astopo.Link{A: 15169, B: 15169, Rel: astopo.P2P})
+		}, "p2p or p2c")
+	})
+	t.Run("c2p link", func(t *testing.T) {
+		refused(t, func(d *topogen.GrowthDelta) {
+			l := good.AddedLinks[0]
+			d.AddedLinks[0] = astopo.Link{A: l.B, B: l.A, Rel: astopo.C2P}
+		}, "p2p or p2c")
+	})
+	t.Run("link to an undeclared AS", func(t *testing.T) {
+		refused(t, func(d *topogen.GrowthDelta) {
+			d.AddedLinks = append(d.AddedLinks, astopo.Link{A: 3356, B: 64512, Rel: astopo.P2C})
+		}, "neither the base world nor its new ASes")
+	})
+	for _, c := range []topogen.ASClass{topogen.ClassTier1, topogen.ClassCloud, topogen.ClassCloud + 1} {
+		t.Run("new AS of class "+c.String(), func(t *testing.T) {
+			refused(t, func(d *topogen.GrowthDelta) { d.NewASes[0].Class = c }, "of class")
+		})
+	}
+	for _, home := range []geo.CityID{-1, nCities} {
+		t.Run(fmt.Sprintf("new AS homed in city %d", home), func(t *testing.T) {
+			refused(t, func(d *topogen.GrowthDelta) { d.NewASes[0].Home = home }, "homes AS")
+		})
+	}
+	t.Run("new AS listed twice", func(t *testing.T) {
+		refused(t, func(d *topogen.GrowthDelta) { d.NewASes = append(d.NewASes, d.NewASes[0]) }, "twice")
+	})
+	t.Run("new AS the base has", func(t *testing.T) {
+		refused(t, func(d *topogen.GrowthDelta) { d.NewASes[0].ASN = base.Graph.ASes()[0] }, "already has")
+	})
+	for _, city := range []geo.CityID{-1, nCities} {
+		t.Run(fmt.Sprintf("new exchange in city %d", city), func(t *testing.T) {
+			refused(t, func(d *topogen.GrowthDelta) { d.NewIXPs[0].City = city }, "opens an exchange")
+		})
+	}
 	t.Run("IXP index out of range", func(t *testing.T) {
 		d := copyDelta()
 		d.IXPJoins = append(d.IXPJoins, topogen.IXPJoin{IXP: int32(len(base.IXPs)), Member: 15169})
