@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/bgpsim"
 	"flatnet/internal/core"
 	"flatnet/internal/experiments"
 	"flatnet/internal/topogen"
@@ -79,6 +80,44 @@ func BenchmarkFig7LeakCDFsFullScale(b *testing.B) {
 // 1.0 — the kernel a reproduction pass spends most of its time in.
 // ns/leaker is the per-trial cost; allocs/op should be 0.
 func BenchmarkLeakTrialsBatchFullScale(b *testing.B) { benchLeakTrialsBatch(b, fullScaleEnv(b)) }
+
+// BenchmarkLeakSweepPrepassFullScale measures the leak pre-pass at scale
+// 1.0: one op builds and releases (NewLeakSweep, Release) the sweeps of
+// Fig. 7's 20 configurations — Microsoft, Amazon, IBM and Facebook under
+// the five scenarios — and of 20 random announce-to-all origins, the
+// average-resilience baseline's kind of job. ns/prepass is the cost of
+// one; allocs/op should be 0, the pooled sweep's buffers warm.
+func BenchmarkLeakSweepPrepassFullScale(b *testing.B) {
+	in := fullScaleEnv(b).In2020
+	g := in.Graph
+	var cfgs []bgpsim.Config
+	for _, o := range []astopo.ASN{in.Clouds["Microsoft"], in.Clouds["Amazon"], in.Clouds["IBM"], in.Hypergiants["Facebook"]} {
+		for _, scen := range bgpsim.LeakScenarios() {
+			cfgs = append(cfgs, bgpsim.ScenarioConfig(g, o, in.Tier1, in.Tier2, scen))
+		}
+	}
+	rng := rand.New(rand.NewSource(0xA0E5))
+	all := g.ASes()
+	for i := 0; i < 20; i++ {
+		cfgs = append(cfgs, bgpsim.Config{Origin: all[rng.Intn(len(all))]})
+	}
+	run := func() {
+		for _, cfg := range cfgs {
+			sw, err := bgpsim.NewLeakSweep(g, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sw.Release()
+		}
+	}
+	run() // warm the pooled sweep's arrays, arenas and dial queue
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cfgs)), "ns/prepass")
+}
 
 // BenchmarkGenerateFullScale measures one build of the paper's 2020 world
 // (69,488 ASes): every RNG draw, every duplicate-link check and the final

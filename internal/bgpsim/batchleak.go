@@ -49,7 +49,7 @@ import (
 // the scalar dial queue's schedule read from the sender's side: the
 // arrivals of bucket d+1 are exactly what the senders of length d relay,
 // and they are masked by the lanes settled before the bucket either way.
-// The origin (length 0, policy filtered) and leaker k (its cached leak-free
+// The origin (length 0, policy filtered) and leaker k (its pre-pass row's
 // length, or 0 for a hijack) are simply the first senders of stage A's log.
 //
 // Stubs are sinks. Stages B and C deliver only to customers, so an AS
@@ -100,12 +100,11 @@ type BatchLeak struct {
 	logs    [3]settleLog
 	allowed []int32 // the origin's policy-allowed neighbors of one kind
 
-	walk loopWalk // loop-detection scratch
+	walk loopWalk     // loop-detection scratch
+	live []liveLeaker // Trials' lane list
 
-	lanes   [BatchLanes]int32 // leaker dense index per active lane
-	laneOut [BatchLanes]int   // output slot per active lane
-	counts  [BatchLanes]int
-	wsums   [BatchLanes]float64
+	counts [BatchLanes]int
+	wsums  [BatchLanes]float64
 }
 
 // Edge kinds a stage relays over.
@@ -181,8 +180,9 @@ func putBatchLeak(bl *BatchLeak) { batchLeakPool.Put(bl) }
 // propagation, and writes one LeakTrial per leaker to out[0:len(leakers)]
 // in input order. weights may be nil; otherwise it must have one entry
 // per dense graph index. Results are identical to calling LeakSweep.Trial
-// per leaker. Configurations with BreakTies set are rejected (see the
-// type comment); callers route those through the scalar path.
+// per leaker; the blocks carry only the leakers that can leak (see
+// sweepBase.liveLeakers). Configurations with BreakTies set are rejected
+// (see the type comment); callers route those through the scalar path.
 func (bl *BatchLeak) Trials(sw *LeakSweep, leakers []astopo.ASN, weights []float64, out []LeakTrial) error {
 	b := sw.base
 	if b.g != bl.g {
@@ -194,15 +194,15 @@ func (bl *BatchLeak) Trials(sw *LeakSweep, leakers []astopo.ASN, weights []float
 	if len(out) < len(leakers) {
 		return fmt.Errorf("bgpsim: out has %d entries for %d leakers", len(out), len(leakers))
 	}
-	if weights != nil && len(weights) != bl.n {
-		return fmt.Errorf("bgpsim: weights have %d entries, graph has %d ASes", len(weights), bl.n)
+	if err := b.checkWeights(weights); err != nil {
+		return err
 	}
-	for lo := 0; lo < len(leakers); lo += BatchLanes {
-		hi := lo + BatchLanes
-		if hi > len(leakers) {
-			hi = len(leakers)
-		}
-		if err := bl.block(b, leakers[lo:hi], weights, out[lo:hi]); err != nil {
+	var err error
+	if bl.live, err = b.liveLeakers(leakers, out, &bl.walk, bl.live[:0]); err != nil {
+		return err
+	}
+	for lo := 0; lo < len(bl.live); lo += BatchLanes {
+		if err := bl.block(b, bl.live[lo:min(lo+BatchLanes, len(bl.live))], weights, out); err != nil {
 			return err
 		}
 	}
@@ -220,44 +220,18 @@ func (bl *BatchLeak) TrialsCtx(ctx context.Context, sw *LeakSweep, leakers []ast
 	return bl.Trials(sw, leakers, weights, out)
 }
 
-// block runs one ≤BatchLanes batch: validation, lane assignment, the
-// three-stage word-wise propagation, and the per-lane detour reduction.
-func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64, out []LeakTrial) error {
+// block runs one batch of 1 to BatchLanes live leakers, lane k for
+// lanes[k]: the three-stage word-wise propagation, and the per-lane detour
+// reduction into out[lanes[k].pos].
+func (bl *BatchLeak) block(b *sweepBase, lanes []liveLeaker, weights []float64, out []LeakTrial) error {
 	cfg := &b.cfg
 	g := bl.g
-
-	// ---- Lane assignment ----
-	// Leakers holding no legitimate route have nothing to leak (their
-	// trial is all-zero, matching the scalar path) and get no lane;
-	// hijacks forge an origination and always propagate.
-	nlanes := 0
-	for i, leaker := range leakers {
-		li, ok := g.Index(leaker)
-		if !ok {
-			return fmt.Errorf("bgpsim: leaker AS%d not in graph", leaker)
-		}
-		if leaker == cfg.Origin {
-			return fmt.Errorf("bgpsim: leaker equals origin AS%d", cfg.Origin)
-		}
-		if cfg.Exclude != nil && cfg.Exclude[li] {
-			return fmt.Errorf("bgpsim: leaker AS%d is excluded by the mask", leaker)
-		}
-		out[i] = LeakTrial{Leaker: leaker}
-		if !cfg.Hijack && b.class[li] == ClassNone {
-			continue // nothing to leak
-		}
-		bl.lanes[nlanes] = int32(li)
-		bl.laneOut[nlanes] = i
-		nlanes++
-	}
-	if nlanes == 0 {
-		return nil
-	}
+	nlanes := len(lanes)
 	allLanes := ^uint64(0) >> (BatchLanes - nlanes)
 
 	// ---- Per-node words and first senders from the cached snapshot ----
 	// The origin announces in every lane at length 0; leaker k re-announces
-	// in its own lane at its cached leak-free length (zero for hijacks,
+	// in its own lane at its pre-pass row's length (zero for hijacks,
 	// which forge an origination). Neither ever takes a route.
 	nodes := bl.nodes
 	for i := range nodes {
@@ -272,15 +246,16 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 	}
 	nodes[b.origin] = laneNode{}
 	bl.logs[toProviders].add(0, settleT{node: b.origin, legit: allLanes})
-	for k := 0; k < nlanes; k++ {
-		li := bl.lanes[k]
+	for k, l := range lanes {
+		li := l.idx
 		bit := uint64(1) << k
 		nodes[li].acceptLegit &^= bit
 		nodes[li].acceptLeak &^= bit
 		d0 := 0
 		if !cfg.Hijack {
-			d0 = int(b.dist[li])
-			for _, v := range bl.walk.onAllPaths(b.csr, b.counts, li) {
+			r := b.row(li, &bl.walk)
+			d0 = int(r.dist)
+			for _, v := range bl.walk.onAllPaths(b.csr, b.counts, li, r) {
 				nodes[v].acceptLeak &^= bit
 			}
 		}
@@ -364,8 +339,8 @@ func (bl *BatchLeak) block(b *sweepBase, leakers []astopo.ASN, weights []float64
 		}
 	}
 	denom := float64(g.NumASes() - 2)
-	for k := 0; k < nlanes; k++ {
-		tr := &out[bl.laneOut[k]]
+	for k, l := range lanes {
+		tr := &out[l.pos]
 		tr.DetouredFrac = float64(bl.counts[k]) / denom
 		if weights != nil {
 			tr.DetouredUserFrac = bl.wsums[k]

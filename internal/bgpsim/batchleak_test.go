@@ -341,11 +341,29 @@ func refBlockedOnAllPaths(csr nextHopCSR, order []int32, counts []float64, leake
 	return reach, blocked
 }
 
-// The ancestors-only walk must visit exactly the nodes the full-order scan
-// gives nonzero reach, sum every reach in the scan's order (bit-for-bit),
-// mark the same set, and leave its scratch zeroed — for every routed leaker
-// of the corpus, many of which have three or more tied-best paths, so the
-// order within a length matters.
+// fullPrepass is a leak-free pre-pass that settles every AS, on a fresh
+// simulator: the tracked run whose rows a relay-only sweep's snapshot and
+// derived stub rows must reproduce. It returns the simulator holding the
+// run, the classed ASes in ascending best-length order and the path counts.
+func fullPrepass(t testing.TB, g *astopo.Graph, cfg Config) (sim *Simulator, order []int32, counts []float64) {
+	t.Helper()
+	sim = New(g)
+	cfg.TrackNextHops, cfg.Hijack = true, false
+	if _, err := sim.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	order = sim.orderByDistance()
+	counts = make([]float64, g.NumASes())
+	pathCountsCSR(sim.csr(), sim.class, sim.dist, order, counts)
+	return sim, order, counts
+}
+
+// The ancestors-only walk over a relay-only sweep must visit exactly the
+// nodes the full-order scan of a pre-pass that settles every AS gives
+// nonzero reach, sum every reach in the scan's order (bit-for-bit), mark
+// the same set, and leave its scratch zeroed — for every routed leaker of
+// the corpus, stubs among them, many of which have three or more tied-best
+// paths, so the order within a length matters.
 func TestLoopWalkMatchesFullScan(t *testing.T) {
 	manyPaths := 0
 	for seed := int64(0); seed < 110; seed++ {
@@ -353,21 +371,24 @@ func TestLoopWalkMatchesFullScan(t *testing.T) {
 		g := randomTopology(rng)
 		g.Freeze()
 		all := g.ASes()
-		sw, err := NewLeakSweep(g, Config{Origin: all[rng.Intn(len(all))]})
+		cfg := Config{Origin: all[rng.Intn(len(all))]}
+		sw, err := NewLeakSweep(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b := sw.base
+		full, order, counts := fullPrepass(t, g, cfg)
 		var w loopWalk
 		for li := int32(0); li < int32(len(all)); li++ {
-			if li == b.origin || b.class[li] == ClassNone {
+			if li == b.origin || full.class[li] == ClassNone {
 				continue
 			}
-			if b.counts[li] >= 3 {
+			if counts[li] >= 3 {
 				manyPaths++
 			}
-			wantReach, wantBlocked := refBlockedOnAllPaths(b.csr, b.order, b.counts, li)
-			seen := w.ancestors(b.csr, len(all), li)
+			r := b.row(li, &w)
+			wantReach, wantBlocked := refBlockedOnAllPaths(full.csr(), order, counts, li)
+			seen := w.ancestors(b.csr, len(all), li, r.hops)
 			if seen[0] != li {
 				t.Fatalf("seed %d leaker %d: walk starts at %d", seed, li, seen[0])
 			}
@@ -383,7 +404,7 @@ func TestLoopWalkMatchesFullScan(t *testing.T) {
 				w.reach[v] = 0
 			}
 			got := make([]bool, len(all))
-			for _, v := range w.onAllPaths(b.csr, b.counts, li) {
+			for _, v := range w.onAllPaths(b.csr, b.counts, li, r) {
 				if got[v] {
 					t.Fatalf("seed %d leaker %d: node %d marked twice", seed, li, v)
 				}
@@ -440,18 +461,23 @@ func TestLoopWalkSumsInScanOrder(t *testing.T) {
 	b := sw.base
 	li, _ := g.Index(1000)
 	i2, _ := g.Index(2)
-	wantReach, wantBlocked := refBlockedOnAllPaths(b.csr, b.order, b.counts, int32(li))
+	full, order, counts := fullPrepass(t, g, Config{Origin: 1})
+	wantReach, wantBlocked := refBlockedOnAllPaths(full.csr(), order, counts, int32(li))
 	if wantReach[i2] != 1<<53 {
 		t.Fatalf("full scan sums A(AS2) = %v, want 2^53: the topology no longer rounds", wantReach[i2])
 	}
 	var w loopWalk
-	for _, v := range w.ancestors(b.csr, g.NumASes(), int32(li)) {
+	r := b.row(int32(li), &w)
+	if math.Float64bits(r.paths) != math.Float64bits(counts[li]) {
+		t.Fatalf("stub AS1000's derived path count %v, full pre-pass %v", r.paths, counts[li])
+	}
+	for _, v := range w.ancestors(b.csr, g.NumASes(), int32(li), r.hops) {
 		if math.Float64bits(w.reach[v]) != math.Float64bits(wantReach[v]) {
 			t.Errorf("AS%d: reach %v, full scan %v", g.ASNAt(int(v)), w.reach[v], wantReach[v])
 		}
 		w.reach[v] = 0
 	}
-	blocked := w.onAllPaths(b.csr, b.counts, int32(li))
+	blocked := w.onAllPaths(b.csr, b.counts, int32(li), r)
 	if !wantBlocked[i2] || !slices.Contains(blocked, int32(i2)) {
 		t.Errorf("AS2 on every path: full scan %v, walk %v", wantBlocked[i2], blocked)
 	}
@@ -530,7 +556,9 @@ func TestBatchLeakWithdrawalAndLaneMix(t *testing.T) {
 	// (stage A); AS5's lane, and AS7's (whose leak lengthens what AS2 and
 	// AS3 relay), as the provider route of length 3 via AS9; and every other
 	// lane at its leak-free length 2 (stage C) — three sender entries.
-	const lane5, lane11, lane7, lane4 = 1 << 0, 1 << 2, 1 << 5, 1 << 9
+	// AS10, whose one neighbor is its provider AS4, can leak nothing past
+	// it and takes no lane, so the nine others hold lanes 0-8 in order.
+	const lane5, lane11, lane7, lane4 = 1 << 0, 1 << 1, 1 << 4, 1 << 8
 	type entry struct {
 		log   string
 		d     int
@@ -547,7 +575,7 @@ func TestBatchLeakWithdrawalAndLaneMix(t *testing.T) {
 		}
 	}
 	slices.SortFunc(at4, func(a, b entry) int { return a.d - b.d })
-	want := []entry{{"C", 2, 0x3ff &^ (lane5 | lane11 | lane7 | lane4)}, {"C", 3, lane5 | lane7}, {"A", 4, lane11}}
+	want := []entry{{"C", 2, 0x1ff &^ (lane5 | lane11 | lane7 | lane4)}, {"C", 3, lane5 | lane7}, {"A", 4, lane11}}
 	if !slices.Equal(at4, want) {
 		t.Errorf("AS4 settles %+v, want %+v", at4, want)
 	}
@@ -779,7 +807,7 @@ func TestBatchLeakLogsHoldOnlyRelayers(t *testing.T) {
 			if got[0] != want {
 				t.Fatalf("seed %d leaker AS%d: batch=%+v scalar=%+v", seed, l, got[0], want)
 			}
-			if !cfg.Hijack && sw.base.class[li] == ClassNone {
+			if live, _ := sw.base.liveLeakers([]astopo.ASN{l}, make([]LeakTrial, 1), &sw.sim.walk, nil); len(live) == 0 {
 				continue // no lane, no block: the logs are the last block's
 			}
 			if !g.HasCustomers(li) {

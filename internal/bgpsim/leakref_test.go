@@ -55,7 +55,7 @@ func refLeakRun(sim *Simulator, cfg Config, leaker astopo.ASN) (*Result, error) 
 		}
 		counts := make([]float64, sim.n)
 		pathCountsCSR(sim.csr(), sim.class, sim.dist, sim.orderByDistance(), counts)
-		sim.blockLeakLoops(sim.csr(), counts, leakerIdx)
+		sim.blockLeakLoops(sim.csr(), counts, leakerIdx, prepassRow{hops: sim.csr().at(leakerIdx), paths: counts[li]})
 		leak.dist0 = sim.dist[li]
 	}
 	seeds = append(seeds, leak)

@@ -275,7 +275,7 @@ type Simulator struct {
 func New(g *astopo.Graph) *Simulator {
 	g.Freeze()
 	n := g.NumASes()
-	s := &Simulator{
+	return &Simulator{
 		g:       g,
 		n:       n,
 		class:   make([]Class, n),
@@ -283,22 +283,22 @@ func New(g *astopo.Graph) *Simulator {
 		flags:   make([]uint8, n),
 		tent:    make([]int32, n),
 		tflags:  make([]uint8, n),
-		touched: make([]uint64, (n+63)/64),
+		touched: allMarked(n),
 	}
-	s.markAll()
-	return s
 }
 
-// markAll marks every AS touched, so the next propagation resets the whole
-// graph: the state of a fresh Simulator, and of one whose arrays a LeakSweep
-// has just swapped for others.
-func (s *Simulator) markAll() {
-	for w := range s.touched {
-		s.touched[w] = ^uint64(0)
+// allMarked returns a touched bitset with all n ASes marked: the state of
+// arrays none of whose entries is known to hold the reset state, so the
+// next propagation resets them all.
+func allMarked(n int) []uint64 {
+	marks := make([]uint64, (n+63)/64)
+	for w := range marks {
+		marks[w] = ^uint64(0)
 	}
-	if r := s.n % 64; r != 0 {
-		s.touched[len(s.touched)-1] = 1<<r - 1
+	if r := n % 64; r != 0 {
+		marks[len(marks)-1] = 1<<r - 1
 	}
+	return marks
 }
 
 // ReachabilityCountCtx is ReachabilityCount with cancellation: the
@@ -398,17 +398,17 @@ func (s *Simulator) ensureRelianceScratch() {
 }
 
 // blockLeakLoops installs the loop-detection mask of a leak by leaker over
-// a leak-free pre-pass (its next-hop DAG and path counts): the previous
-// leak's marks are cleared from the list that set them, so a trial pays for
-// the leaker's ancestry, not for the graph.
-func (s *Simulator) blockLeakLoops(csr nextHopCSR, counts []float64, leaker int32) {
+// a leak-free pre-pass (its next-hop DAG and path counts, and the leaker's
+// own row r): the previous leak's marks are cleared from the list that set
+// them, so a trial pays for the leaker's ancestry, not for the graph.
+func (s *Simulator) blockLeakLoops(csr nextHopCSR, counts []float64, leaker int32, r prepassRow) {
 	if s.blocked == nil {
 		s.blocked = make([]bool, s.n)
 	}
 	for _, v := range s.walk.blocked {
 		s.blocked[v] = false
 	}
-	for _, v := range s.walk.onAllPaths(csr, counts, leaker) {
+	for _, v := range s.walk.onAllPaths(csr, counts, leaker, r) {
 		s.blocked[v] = true
 	}
 	s.leakBlocked = s.blocked

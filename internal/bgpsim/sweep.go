@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"flatnet/internal/astopo"
@@ -22,6 +23,12 @@ import (
 // detection (one backward pass over the cached DAG) and the leak
 // propagation proper. Steady-state Trial calls are allocation-free.
 //
+// The pre-pass relays: it settles only the origin and the ASes with
+// customers, since a stub never exports what it learns and so shapes no
+// other AS's route. The one stub row a trial reads, its leaker's, is
+// derived from the leaker's neighbors (sweepBase.row). A hijack reads
+// nothing of the pre-pass, so a hijack sweep runs none.
+//
 // A LeakSweep is not safe for concurrent use; Clone shares the snapshot
 // with a fresh set of mutable buffers for use from another goroutine.
 type LeakSweep struct {
@@ -32,10 +39,20 @@ type LeakSweep struct {
 	// recycles the whole sweep); clones share the base and only recycle
 	// their simulator.
 	ownsBase bool
+
+	live []liveLeaker // TrialsN's lane list, reused across calls
+
+	// sinks is the pre-pass's exclusion mask: the base config's excluded
+	// ASes and every stub. stubsOnly marks it as built for a config
+	// without an Exclude mask, so the next such pre-pass reuses it.
+	sinks     []bool
+	stubsOnly bool
 }
 
-// sweepBase is the leaker-invariant snapshot: the leak-free propagation
-// outcome and the path counts over its next-hop DAG. It is immutable after
+// sweepBase is the leaker-invariant snapshot: the relay-only leak-free
+// propagation outcome and the path counts over its next-hop DAG. Entries
+// of the ASes the pre-pass left out (stubs, and every AS of a hijack
+// sweep) are not rows: read an AS's row with row. It is immutable after
 // construction and shared by all clones of a sweep.
 type sweepBase struct {
 	g      *astopo.Graph
@@ -46,6 +63,11 @@ type sweepBase struct {
 	csr    nextHopCSR
 	order  []int32   // classed nodes in ascending best-length order
 	counts []float64 // N(w): tied-best DAG paths w -> origin
+
+	// touched marks the entries of class, dist and csr.num the pre-pass
+	// wrote; every other entry holds the reset state. The marks travel
+	// with the arrays when the next pre-pass takes them back.
+	touched []uint64
 }
 
 // simPool recycles Simulators across sweeps and clones of the same graph.
@@ -94,28 +116,34 @@ func NewLeakSweep(g *astopo.Graph, base Config) (*LeakSweep, error) {
 	return sw, nil
 }
 
-// prepass runs base's leak-free propagation on the sweep's simulator and
-// installs it as the sweep's snapshot.
+// prepass validates base and, unless it is a hijack, runs its relay-only
+// leak-free propagation on the sweep's simulator and installs it as the
+// sweep's snapshot.
 func (sw *LeakSweep) prepass(base Config) error {
 	sim := sw.sim
 	seeds, err := sim.prepare(base)
 	if err != nil {
 		return err
 	}
-	sim.propagate(seeds, base.Exclude, base.Locking, true, base.BreakTies)
 	b := sw.base
 	b.cfg = base
 	b.origin = seeds[0].idx
+	if base.Hijack {
+		return nil // a forged origination has no path for a trial to read
+	}
+	sim.propagate(seeds, sw.sinkMask(base.Exclude), base.Locking, true, base.BreakTies)
 	// The snapshot takes the simulator's pre-pass arrays (sim.order among
-	// them, once filled) and hands back its own — the previous
-	// configuration's, or fresh ones. None of them matches the simulator's
-	// touched marks, so all are marked: the next propagation resets every
-	// entry before it is read.
+	// them, once filled) and their touched marks, and hands back its own —
+	// the previous configuration's, or fresh ones with every entry marked.
+	// The simulator then holds the union of both mark sets: the entries of
+	// the arrays it took back, and those of the tent and flags arrays it
+	// kept. The next propagation resets all of them before it reads one.
 	sim.orderByDistance()
 	if b.class == nil {
 		b.class, b.dist = make([]Class, sim.n), make([]int32, sim.n)
 		b.csr.off, b.csr.num = make([]int32, sim.n), make([]int32, sim.n)
 		b.counts = make([]float64, sim.n)
+		b.touched = allMarked(sim.n)
 	}
 	b.class, sim.class = sim.class, b.class
 	b.dist, sim.dist = sim.dist, b.dist
@@ -123,8 +151,179 @@ func (sw *LeakSweep) prepass(base Config) error {
 	b.csr.num, sim.nhLen = sim.nhLen, b.csr.num
 	b.csr.arena, sim.nhArena = sim.nhArena, b.csr.arena
 	b.order, sim.order = sim.order, b.order
-	sim.markAll()
+	b.touched, sim.touched = sim.touched, b.touched
+	for w, marks := range b.touched {
+		sim.touched[w] |= marks
+	}
 	pathCountsCSR(b.csr, b.class, b.dist, b.order, b.counts)
+	return nil
+}
+
+// sinkMask returns the exclusion mask of a relay-only pre-pass: exclude's
+// ASes and every stub. A stub other than the origin never exports the
+// routes it learns, so keeping it from taking one changes no other AS's
+// class, length, next hops or settle order; the origin is a seed and takes
+// no route either way. The mask, rather than a stub test in propagate's
+// accept, keeps every other propagation's edge loop as it was: the test
+// there made plain tracked runs 10-15 % slower.
+func (sw *LeakSweep) sinkMask(exclude []bool) []bool {
+	if exclude == nil && sw.stubsOnly {
+		return sw.sinks
+	}
+	g := sw.base.g
+	if sw.sinks == nil {
+		sw.sinks = make([]bool, g.NumASes())
+	}
+	for i := range sw.sinks {
+		sw.sinks[i] = !g.HasCustomers(i) || exclude != nil && exclude[i]
+	}
+	sw.stubsOnly = exclude == nil
+	return sw.sinks
+}
+
+// prepassRow is one AS's outcome in a sweep's leak-free pre-pass: the
+// class and length of its best routes, its tied-best next hops, and its
+// number of tied-best paths to the origin (N in the loop-detection
+// derivation). An AS without a route has class ClassNone and length -1.
+type prepassRow struct {
+	class Class
+	dist  int32
+	hops  []int32
+	paths float64
+}
+
+// row returns AS v's pre-pass row in a leak (not hijack) sweep. The
+// origin's and a relaying AS's rows are the snapshot's; a stub's, which the
+// relay-only pre-pass leaves out, is derived from its neighbors. The hops
+// alias the snapshot or w's scratch, valid until the next row on w.
+func (b *sweepBase) row(v int32, w *loopWalk) prepassRow {
+	if v != b.origin && !b.g.HasCustomers(int(v)) {
+		if b.cfg.Exclude != nil && b.cfg.Exclude[v] {
+			return prepassRow{dist: -1}
+		}
+		if r := b.stubRow(v, b.g.PeersOf(int(v)), ClassPeer, w); r.class != ClassNone {
+			return r
+		}
+		return b.stubRow(v, b.g.ProvidersOf(int(v)), ClassProvider, w)
+	}
+	if b.class[v] == ClassNone {
+		return prepassRow{dist: -1}
+	}
+	return prepassRow{class: b.class[v], dist: b.dist[v], hops: b.csr.at(v), paths: b.counts[v]}
+}
+
+// stubRow settles stub c, as propagate would, on the offers of nbrs in the
+// stage that grants class cls: ClassPeer over c's peers, where the origin
+// (if its policy announces to c) and every customer-route holder offer;
+// then, if none did, ClassProvider over c's providers, where the origin and
+// every routed AS offer. A peer-locking stub takes the origin's offer
+// alone. The shortest offers tie, in propagate's push order — the
+// origin's, then those of customer- and peer-route holders by index, then
+// those of provider-route holders in settle order, which their next-hop
+// spans' offsets record — and under BreakTies only the first is kept. The
+// path count sums the next hops' counts in that order, as pathCountsCSR
+// does.
+func (b *sweepBase) stubRow(c int32, nbrs []int32, cls Class, w *loopWalk) prepassRow {
+	locked := b.cfg.Locking != nil && b.cfg.Locking[c]
+	best := int32(-1)
+	keys := w.keys[:0] // push rank << 32 | next hop
+	for _, u := range nbrs {
+		var d int32
+		var rank uint64
+		switch uc := b.class[u]; {
+		case u == b.origin:
+			if !b.cfg.Policy.allows(c) {
+				continue
+			}
+			d, rank = 1, 0
+		case locked:
+			continue
+		case uc == ClassCustomer || uc == ClassPeer && cls == ClassProvider:
+			d, rank = b.dist[u]+1, 1+uint64(u)
+		case uc == ClassProvider && cls == ClassProvider:
+			d, rank = b.dist[u]+1, 1+uint64(len(b.class))+uint64(b.csr.off[u])
+		default:
+			continue
+		}
+		switch {
+		case best == -1 || d < best:
+			best = d
+			keys = append(keys[:0], rank<<32|uint64(u))
+		case d == best:
+			keys = append(keys, rank<<32|uint64(u))
+		}
+	}
+	w.keys = keys
+	if best == -1 {
+		return prepassRow{dist: -1}
+	}
+	if len(keys) > 1 {
+		if b.cfg.BreakTies {
+			keys[0] = slices.Min(keys)
+			keys = keys[:1]
+		} else {
+			slices.Sort(keys)
+		}
+	}
+	r := prepassRow{class: cls, dist: best, hops: w.hops[:0]}
+	for _, k := range keys {
+		u := int32(uint32(k))
+		r.hops = append(r.hops, u)
+		r.paths += b.counts[u]
+	}
+	w.hops = r.hops
+	return r
+}
+
+// liveLeaker is a leaker the batch engine gives a lane: its position in
+// the leaker list and its dense index.
+type liveLeaker struct{ pos, idx int32 }
+
+// leakerIndex validates leaker against the sweep and returns its dense
+// index.
+func (b *sweepBase) leakerIndex(leaker astopo.ASN) (int32, error) {
+	i, ok := b.g.Index(leaker)
+	if !ok {
+		return -1, fmt.Errorf("bgpsim: leaker AS%d not in graph", leaker)
+	}
+	if leaker == b.cfg.Origin {
+		return -1, fmt.Errorf("bgpsim: leaker equals origin AS%d", b.cfg.Origin)
+	}
+	if b.cfg.Exclude != nil && b.cfg.Exclude[i] {
+		return -1, fmt.Errorf("bgpsim: leaker AS%d is excluded by the mask", leaker)
+	}
+	return int32(i), nil
+}
+
+// liveLeakers validates every leaker, sets out[i] to leaker i's all-zero
+// trial, and appends to live the leakers that can detour anyone, in input
+// order. A hijacker always can. A leaker without a route has nothing to
+// leak, and a stub whose one neighbor is its provider holds every route
+// through that provider, whose loop detection then drops the one leaked
+// copy: neither gets a lane, and the zero trial stands.
+func (b *sweepBase) liveLeakers(leakers []astopo.ASN, out []LeakTrial, w *loopWalk, live []liveLeaker) ([]liveLeaker, error) {
+	g := b.g
+	for i, leaker := range leakers {
+		li, err := b.leakerIndex(leaker)
+		if err != nil {
+			return live, err
+		}
+		out[i] = LeakTrial{Leaker: leaker}
+		v := int(li)
+		singleHomed := !g.HasCustomers(v) && len(g.PeersOf(v)) == 0 && len(g.ProvidersOf(v)) == 1
+		if !b.cfg.Hijack && (singleHomed || b.row(li, w).class == ClassNone) {
+			continue
+		}
+		live = append(live, liveLeaker{pos: int32(i), idx: li})
+	}
+	return live, nil
+}
+
+// checkWeights rejects a user-weight vector that is not one entry per AS.
+func (b *sweepBase) checkWeights(weights []float64) error {
+	if weights != nil && len(weights) != b.g.NumASes() {
+		return fmt.Errorf("bgpsim: weights have %d entries, graph has %d ASes", len(weights), b.g.NumASes())
+	}
 	return nil
 }
 
@@ -161,17 +360,9 @@ func (sw *LeakSweep) Clone() *LeakSweep {
 func (sw *LeakSweep) runLeaker(leaker astopo.ASN, track bool) (li int32, propagated bool, err error) {
 	b := sw.base
 	cfg := b.cfg
-	i, ok := b.g.Index(leaker)
-	if !ok {
-		return -1, false, fmt.Errorf("bgpsim: leaker AS%d not in graph", leaker)
+	if li, err = b.leakerIndex(leaker); err != nil {
+		return -1, false, err
 	}
-	if leaker == cfg.Origin {
-		return -1, false, fmt.Errorf("bgpsim: leaker equals origin AS%d", cfg.Origin)
-	}
-	if cfg.Exclude != nil && cfg.Exclude[i] {
-		return -1, false, fmt.Errorf("bgpsim: leaker AS%d is excluded by the mask", leaker)
-	}
-	li = int32(i)
 	sim := sw.sim
 	sim.leakBlocked = nil
 	seeds := append(sim.seeds[:0], seed{idx: b.origin, dist0: 0, flag: ViaLegit, policy: cfg.Policy})
@@ -185,12 +376,13 @@ func (sw *LeakSweep) runLeaker(leaker astopo.ASN, track bool) (li int32, propaga
 		}
 		return li, true, nil
 	}
-	if b.class[li] == ClassNone {
+	r := b.row(li, &sim.walk)
+	if r.class == ClassNone {
 		sim.seeds = seeds
 		return li, false, nil // nothing to leak
 	}
-	sim.blockLeakLoops(b.csr, b.counts, li)
-	seeds = append(seeds, seed{idx: li, dist0: b.dist[li], flag: ViaLeak, exportAll: true})
+	sim.blockLeakLoops(b.csr, b.counts, li, r)
+	seeds = append(seeds, seed{idx: li, dist0: r.dist, flag: ViaLeak, exportAll: true})
 	sim.seeds = seeds
 	if !sim.propagate(seeds, cfg.Exclude, cfg.Locking, track, cfg.BreakTies) {
 		return li, false, sim.ctx.Err()
@@ -217,9 +409,11 @@ func (sw *LeakSweep) TrialCtx(ctx context.Context, leaker astopo.ASN, weights []
 // Every list routes through the word-parallel BatchLeak engine, BatchLanes
 // leakers per propagation, with the 64-lane blocks spread over the
 // workers: even one leaker costs less as a partial block than as a scalar
-// trial. Only BreakTies configs (whose tie order is inherently per-lane,
-// see BatchLeak) replay leakers one at a time, one sweep clone per extra
-// worker. Both paths produce identical trials.
+// trial. The blocks are cut over the leakers that can leak (see
+// liveLeakers); the rest keep their all-zero trial. Only BreakTies configs
+// (whose tie order is inherently per-lane, see BatchLeak) replay leakers
+// one at a time, one sweep clone per extra worker. Both paths produce
+// identical trials.
 func (sw *LeakSweep) Trials(ctx context.Context, leakers []astopo.ASN, weights []float64) ([]LeakTrial, error) {
 	return sw.TrialsN(ctx, leakers, weights, 0)
 }
@@ -238,20 +432,29 @@ func (sw *LeakSweep) TrialsN(ctx context.Context, leakers []astopo.ASN, weights 
 	b := sw.base
 	var err error
 	if !b.cfg.BreakTies {
-		nBlocks := (len(leakers) + BatchLanes - 1) / BatchLanes
+		if err := b.checkWeights(weights); err != nil {
+			return nil, err
+		}
+		sw.live, err = b.liveLeakers(leakers, out, &sw.sim.walk, sw.live[:0])
+		if err != nil {
+			return nil, err
+		}
+		live := sw.live
+		nBlocks := (len(live) + BatchLanes - 1) / BatchLanes
 		workers = min(workers, nBlocks)
 		engines := make([]*BatchLeak, workers)
 		err = par.ForCtx(ctx, workers, nBlocks, func(w int) func(i int) error {
 			bl := getBatchLeak(b.g)
+			bl.ctx = ctx
 			engines[w] = bl
 			return func(i int) error {
 				lo := i * BatchLanes
-				hi := min(lo+BatchLanes, len(leakers))
-				return bl.TrialsCtx(ctx, sw, leakers[lo:hi], weights, out[lo:hi])
+				return bl.block(b, live[lo:min(lo+BatchLanes, len(live))], weights, out)
 			}
 		})
 		for _, bl := range engines {
 			if bl != nil {
+				bl.ctx = nil
 				putBatchLeak(bl)
 			}
 		}

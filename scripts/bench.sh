@@ -19,7 +19,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 COUNT="${FLATNET_BENCH_COUNT:-6}"
-REGEX="${FLATNET_BENCH_REGEX:-BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkFig3ReachVsCone|BenchmarkSensitivity|BenchmarkHierarchyFreeReachability|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkLeakTrialsBatch|BenchmarkLeakTrialsSmall|BenchmarkEnvColdStart\$|BenchmarkGenerateFullScale|BenchmarkSnapshotLoad|BenchmarkClusterSweep|BenchmarkWireCounts|BenchmarkTimelineSeries|BenchmarkPropagationWithNextHops}"
+REGEX="${FLATNET_BENCH_REGEX:-BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkFig3ReachVsCone|BenchmarkSensitivity|BenchmarkHierarchyFreeReachability|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkLeakTrialsBatch|BenchmarkLeakTrialsSmall|BenchmarkLeakSweepPrepassFullScale|BenchmarkEnvColdStart\$|BenchmarkGenerateFullScale|BenchmarkSnapshotLoad|BenchmarkClusterSweep|BenchmarkWireCounts|BenchmarkTimelineSeries|BenchmarkPropagationWithNextHops}"
 OUT="${1:-bench-$(git rev-parse --short HEAD 2>/dev/null || echo local).txt}"
 
 go test -run '^$' -bench "$REGEX" -benchmem -count "$COUNT" . | tee "$OUT"
