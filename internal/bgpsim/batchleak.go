@@ -23,8 +23,8 @@ import (
 // on its class and length, never on which leaker produced it. So the
 // engine runs one synchronized bucket sweep over lane words.
 //
-// All of an AS's propagation state is one 32-byte laneNode, so an edge
-// touches one cache line at its receiver:
+// An AS with customers keeps its propagation state in one 32-byte
+// laneNode, so an edge to it touches one cache line at its receiver:
 //
 //	acceptLegit  lanes that may still install a legitimate route here;
 //	acceptLeak   lanes that may still install a leaked route here;
@@ -52,11 +52,21 @@ import (
 // The origin (length 0, policy filtered) and leaker k (its pre-pass row's
 // length, or 0 for a hijack) are simply the first senders of stage A's log.
 //
-// Stubs are sinks. Stages B and C deliver only to customers, so an AS
-// without customers settles and is counted there but never relays, and
-// its settles stay out of the logs; stage A's receivers are providers and
-// always have customers. At scale 1.0, 95 % of ASes are stubs, and the
-// logs of a 64-lane block shrink from 71k–214k entries to 3.5k–7.7k.
+// Stubs are sinks, and they keep one word each. Stages B and C deliver
+// only to customers, so an AS without customers settles and is counted
+// there but never relays, and its settles stay out of the logs; stage A's
+// receivers are providers and always have customers. A stub's two accept
+// words would always be equal: onAllPaths returns only the origin and ASes
+// with customers, since the pre-pass's next-hop DAG holds no stub, so
+// loop detection never closes a leak lane at a stub alone. Its state is
+// therefore one accept word, which the relay loop only reads: an arrival
+// it accepts in any lane is appended to an 8-byte {stub, sender} list, and
+// settle applies the list after the length's relays — leak lanes first,
+// read against the accept words relay saw, so tied routes OR, then the
+// clears. At scale 1.0, 95 % of ASes are stubs: the laneNodes shrink from
+// 2.2 MB to 109 kB, a stub costs 8 bytes, and most edges land on stubs
+// (over Fig. 7's blocks, 74 % of peer-edge and 92 % of customer-edge
+// relays).
 //
 // Peer locking never reaches the relay loop. A locking AS accepts the
 // prefix only from the origin, so both its accept words are zero from the
@@ -66,10 +76,9 @@ import (
 // the origin there.
 //
 // leak[v] collects the lanes settled at v with a tied-best route through
-// the leak; it is the only per-node state outside the laneNode, written
-// when a settle carries leak lanes. The leaked bitset marks the nodes with
-// a nonzero leak word, so the reduction visits those alone, in index
-// order, and zeroes both as it reads them.
+// the leak, written when a settle carries leak lanes. The leaked bitset
+// marks the nodes with a nonzero leak word, so the reduction visits those
+// alone, in index order, and zeroes both as it reads them.
 //
 // Trial results are bit-for-bit identical to LeakSweep.Trial for every
 // configuration except BreakTies: breaking ties keeps the first tied
@@ -82,18 +91,30 @@ import (
 // are high-water-reused, so steady-state calls allocate nothing.
 type BatchLeak struct {
 	g *astopo.Graph
-	n int
 
 	// ctx, when non-nil, aborts an in-flight batch at a length boundary
 	// (set by TrialsCtx, nil otherwise). The cur words are zero and touched
-	// is empty there, and the abort zeroes the leak words, so an aborted
-	// engine is reusable as it stands.
+	// and arrivals are empty there, and the abort zeroes the leak words, so
+	// an aborted engine is reusable as it stands.
 	ctx context.Context
 
-	nodes   []laneNode
-	leak    []uint64 // settled lanes with a leaked tied-best route
-	leaked  []uint64 // bitset: nodes with a nonzero leak word
-	touched []int32  // receivers with nonzero cur words
+	// dense[v] is relaying AS v's laneNode index, -1 for a stub; relayers
+	// lists those ASes in index order, one per laneNode.
+	dense    []int32
+	relayers []int32
+
+	nodes   []laneNode // one per AS with customers
+	leak    []uint64   // settled lanes with a leaked tied-best route
+	leaked  []uint64   // bitset: nodes with a nonzero leak word
+	touched []int32    // relaying receivers with nonzero cur words
+
+	// accept[v] holds the lanes stub v may still install a route in (at an
+	// AS with customers, only the block's starting base). arrivals are the
+	// stub arrivals of the length being relayed, each naming its sender's
+	// words in sent.
+	accept   []uint64
+	arrivals []arrival
+	sent     []sentWords
 
 	// logs[kind] is the log of the stage that settles what arrives over
 	// that edge kind: stage A (toProviders), B (toPeers), C (toCustomers).
@@ -118,6 +139,13 @@ type laneNode struct {
 	acceptLegit, acceptLeak uint64
 	curLegit, curLeak       uint64
 }
+
+// arrival is a route the sender at sent[sender] brought to a stub, in at
+// least one lane the stub accepted when it was relayed.
+type arrival struct{ stub, sender int32 }
+
+// sentWords are one sender's settled lanes (legit|leak) and its leak lanes.
+type sentWords struct{ lanes, leak uint64 }
 
 // settleT is one settle: the lanes in legit|leak took a best route at node
 // with the corresponding route-source flags.
@@ -155,7 +183,40 @@ func (l settleLog) reset() {
 func NewBatchLeak(g *astopo.Graph) *BatchLeak {
 	g.Freeze()
 	n := g.NumASes()
-	return &BatchLeak{g: g, n: n, nodes: make([]laneNode, n), leak: make([]uint64, n), leaked: make([]uint64, (n+63)/64)}
+	bl := &BatchLeak{
+		g:      g,
+		dense:  make([]int32, n),
+		accept: make([]uint64, n),
+		leak:   make([]uint64, n),
+		leaked: make([]uint64, (n+63)/64),
+	}
+	for v := range n {
+		bl.dense[v] = -1
+		if g.HasCustomers(v) {
+			bl.dense[v] = int32(len(bl.relayers))
+			bl.relayers = append(bl.relayers, int32(v))
+		}
+	}
+	bl.nodes = make([]laneNode, len(bl.relayers))
+	return bl
+}
+
+// node returns AS v's laneNode, or nil when v has no customers.
+func (bl *BatchLeak) node(v int32) *laneNode {
+	if r := bl.dense[v]; r >= 0 {
+		return &bl.nodes[r]
+	}
+	return nil
+}
+
+// refuse closes lanes at v for routes of both kinds.
+func (bl *BatchLeak) refuse(v int32, lanes uint64) {
+	if nd := bl.node(v); nd != nil {
+		nd.acceptLegit &^= lanes
+		nd.acceptLeak &^= lanes
+	} else {
+		bl.accept[v] &^= lanes
+	}
 }
 
 // batchLeakPool recycles engines across sweeps of the same graph: the
@@ -233,30 +294,36 @@ func (bl *BatchLeak) block(b *sweepBase, lanes []liveLeaker, weights []float64, 
 	// The origin announces in every lane at length 0; leaker k re-announces
 	// in its own lane at its pre-pass row's length (zero for hijacks,
 	// which forge an origination). Neither ever takes a route.
-	nodes := bl.nodes
-	for i := range nodes {
+	for i := range bl.accept {
 		a := allLanes
 		if cfg.Exclude != nil && cfg.Exclude[i] {
 			a = 0
 		}
-		nodes[i] = laneNode{acceptLegit: a, acceptLeak: a}
+		bl.accept[i] = a
+	}
+	for r, v := range bl.relayers {
+		a := bl.accept[v]
+		bl.nodes[r] = laneNode{acceptLegit: a, acceptLeak: a}
 	}
 	for kind := range bl.logs {
 		bl.logs[kind].reset()
 	}
-	nodes[b.origin] = laneNode{}
+	bl.refuse(b.origin, allLanes)
 	bl.logs[toProviders].add(0, settleT{node: b.origin, legit: allLanes})
 	for k, l := range lanes {
 		li := l.idx
 		bit := uint64(1) << k
-		nodes[li].acceptLegit &^= bit
-		nodes[li].acceptLeak &^= bit
+		bl.refuse(li, bit)
 		d0 := 0
 		if !cfg.Hijack {
 			r := b.row(li, &bl.walk)
 			d0 = int(r.dist)
+			// The walk returns the origin, which accepts nothing, and ASes
+			// with customers: the pre-pass's next-hop DAG holds no stub.
 			for _, v := range bl.walk.onAllPaths(b.csr, b.counts, li, r) {
-				nodes[v].acceptLeak &^= bit
+				if nd := bl.node(v); nd != nil {
+					nd.acceptLeak &^= bit
+				}
 			}
 		}
 		bl.logs[toProviders].add(d0, settleT{node: li, leak: bit})
@@ -269,14 +336,14 @@ func (bl *BatchLeak) block(b *sweepBase, lanes []liveLeaker, weights []float64, 
 		o := int(b.origin)
 		for kind, nbrs := range [...][]int32{g.ProvidersOf(o), g.PeersOf(o), g.CustomersOf(o)} {
 			for _, p := range bl.announced(b, nbrs) {
-				if lanes := nodes[p].acceptLegit; cfg.Locking[p] && lanes != 0 && g.HasCustomers(int(p)) {
-					bl.logs[kind].add(1, settleT{node: p, legit: lanes})
+				if nd := bl.node(p); cfg.Locking[p] && nd != nil && nd.acceptLegit != 0 {
+					bl.logs[kind].add(1, settleT{node: p, legit: nd.acceptLegit})
 				}
 			}
 		}
 		for i, locked := range cfg.Locking {
 			if locked {
-				nodes[i] = laneNode{}
+				bl.refuse(int32(i), allLanes)
 			}
 		}
 	}
@@ -383,18 +450,23 @@ func (bl *BatchLeak) announced(b *sweepBase, nbrs []int32) []int32 {
 	return bl.allowed
 }
 
-// relay sends every sender's settled lanes over its edges of one kind and
-// ORs what each receiver still accepts into the receiver's cur words.
+// relay sends every sender's settled lanes over its edges of one kind. A
+// receiver with customers ORs what it still accepts into its cur words; a
+// stub only reads its accept word, and an arrival it accepts in any lane
+// is appended to arrivals, naming the stub and the sender's words in sent.
 //
-// The loop does not branch per receiver. The OR is unconditional (a refused
-// arrival ORs zero), and every receiver is written to the slot past the end
-// of touched, which grows once per sender to fit them all; the end advances
-// by one exactly when the receiver's cur words go from zero to nonzero.
-// (was-1)&^was has its top bit set iff was is zero, got|-got iff got is
-// not, so a receiver enters touched once per length, and a refused one
-// leaves it as it was.
+// Neither path branches on what the receiver accepts. The OR is
+// unconditional (a refused arrival ORs zero), and every receiver is written
+// to the slot past the end of touched or arrivals, which grow once per
+// sender to fit them all; the end advances by one exactly when the write
+// counts. For touched, that is when the receiver's cur words go from zero
+// to nonzero: (was-1)&^was has its top bit set iff was is zero, got|-got
+// iff got is not, so a receiver enters touched once per length, and a
+// refused one leaves it as it was. For arrivals, it is when the stub
+// accepts a lane of the route.
 func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
-	g, nodes, touched := bl.g, bl.nodes, bl.touched
+	g, nodes, accept, dense := bl.g, bl.nodes, bl.accept, bl.dense
+	touched, arrivals := bl.touched, bl.arrivals
 	for _, e := range senders {
 		var nbrs []int32
 		switch kind {
@@ -408,10 +480,20 @@ func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
 		if e.node == b.origin {
 			nbrs = bl.announced(b, nbrs)
 		}
-		nt := len(touched)
+		sender, lanes := int32(len(bl.sent)), e.legit|e.leak
+		bl.sent = append(bl.sent, sentWords{lanes: lanes, leak: e.leak})
+		nt, na := len(touched), len(arrivals)
 		touched = slices.Grow(touched, len(nbrs))[:nt+len(nbrs)]
+		arrivals = slices.Grow(arrivals, len(nbrs))[:na+len(nbrs)]
 		for _, p := range nbrs {
-			nd := &nodes[p]
+			r := dense[p]
+			if r < 0 {
+				got := lanes & accept[p]
+				arrivals[na] = arrival{stub: p, sender: sender}
+				na += int((got | -got) >> 63)
+				continue
+			}
+			nd := &nodes[r]
 			was := nd.curLegit | nd.curLeak
 			lg, lk := e.legit&nd.acceptLegit, e.leak&nd.acceptLeak
 			nd.curLegit |= lg
@@ -420,17 +502,20 @@ func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
 			touched[nt] = p
 			nt += int(((was - 1) &^ was & (got | -got)) >> 63)
 		}
-		touched = touched[:nt]
+		touched, arrivals = touched[:nt], arrivals[:na]
 	}
-	bl.touched = touched
+	bl.touched, bl.arrivals = touched, arrivals
 }
 
-// settle decides the touched receivers at length d of a stage: the arrived
-// lanes leave both accept words, the cur words return to zero, and one log
-// entry makes a node with customers a sender of length d.
+// settle decides the receivers of length d of a stage. A touched receiver's
+// arrived lanes leave both accept words, its cur words return to zero, and
+// one log entry makes it a sender of length d. A stub settles from the
+// arrivals in two passes: every arrival first adds the leak lanes its stub
+// accepts, all read against the accept word as relay saw it, so routes tied
+// at d OR together; only then does each clear its lanes from the word.
 func (bl *BatchLeak) settle(stage, d int) {
 	for _, v := range bl.touched {
-		nd := &bl.nodes[v]
+		nd := bl.node(v)
 		e := settleT{node: v, legit: nd.curLegit, leak: nd.curLeak}
 		nd.acceptLegit &^= e.legit | e.leak
 		nd.acceptLeak &^= e.legit | e.leak
@@ -439,9 +524,17 @@ func (bl *BatchLeak) settle(stage, d int) {
 			bl.leaked[v>>6] |= 1 << (v & 63)
 			bl.leak[v] |= e.leak
 		}
-		if bl.g.HasCustomers(int(v)) {
-			bl.logs[stage].add(d, e)
-		}
+		bl.logs[stage].add(d, e)
 	}
 	bl.touched = bl.touched[:0]
+	for _, a := range bl.arrivals {
+		if lk := bl.sent[a.sender].leak & bl.accept[a.stub]; lk != 0 {
+			bl.leaked[a.stub>>6] |= 1 << (a.stub & 63)
+			bl.leak[a.stub] |= lk
+		}
+	}
+	for _, a := range bl.arrivals {
+		bl.accept[a.stub] &^= bl.sent[a.sender].lanes
+	}
+	bl.arrivals, bl.sent = bl.arrivals[:0], bl.sent[:0]
 }

@@ -737,6 +737,74 @@ func TestBatchLeakCancelAtEveryLengthThenReuse(t *testing.T) {
 	}
 }
 
+// BatchLeak keeps one accept word per stub because loop detection never
+// closes a leak lane at a stub alone: every AS onAllPaths returns is the
+// origin or has customers, since the relay-only pre-pass's next-hop DAG
+// holds no stub. Checked for every routed leaker over the corpus, under
+// every scenario and a config with an announcement policy, an exclusion
+// mask and peer locking, ties kept and broken, with stub origins on half
+// the seeds.
+func TestOnAllPathsHoldsOnlyRelayers(t *testing.T) {
+	stubOrigins, stubLeakers, relayers, stubOriginBlocked := 0, 0, 0, 0
+	for seed := int64(0); seed < 110; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		n := g.NumASes()
+		all := g.ASes()
+		origin := all[rng.Intn(n)]
+		if seed%2 == 1 {
+			for _, i := range rng.Perm(n) {
+				if !g.HasCustomers(i) {
+					origin = all[i]
+					stubOrigins++
+					break
+				}
+			}
+		}
+		tier1, tier2 := randomTiers(g, rng)
+		for ci, cfg := range prepassConfigs(g, origin, tier1, tier2, rng) {
+			sw, err := NewLeakSweep(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := sw.base
+			var w loopWalk
+			for v := int32(0); v < int32(n); v++ {
+				if v == b.origin || cfg.Exclude != nil && cfg.Exclude[v] {
+					continue
+				}
+				r := b.row(v, &w)
+				if r.class == ClassNone {
+					continue
+				}
+				if !g.HasCustomers(int(v)) {
+					stubLeakers++
+				}
+				for _, u := range w.onAllPaths(b.csr, b.counts, v, r) {
+					switch {
+					case u == b.origin:
+						if !g.HasCustomers(int(u)) {
+							stubOriginBlocked++
+						}
+					case g.HasCustomers(int(u)):
+						relayers++
+					default:
+						t.Fatalf("seed %d config %d: leaker AS%d's loop detection holds stub AS%d",
+							seed, ci, g.ASNAt(int(v)), g.ASNAt(int(u)))
+					}
+				}
+			}
+			sw.Release()
+		}
+	}
+	if stubOrigins < 40 || stubLeakers < 5000 || relayers < 10000 || stubOriginBlocked < 1000 {
+		t.Fatalf("corpus covers %d stub origins, %d routed stub leakers, %d blocked relayers, %d blocked stub origins",
+			stubOrigins, stubLeakers, relayers, stubOriginBlocked)
+	}
+	t.Logf("%d stub origins, %d routed stub leakers, %d blocked relayers, %d blocked stub origins", stubOrigins, stubLeakers, relayers, stubOriginBlocked)
+}
+
 // Stubs are sinks: after a block, every stage-B and stage-C log entry is an
 // AS with customers, and every stage-A entry is one too or is a first
 // sender (the origin in every lane, a leaker in its own). The length-1

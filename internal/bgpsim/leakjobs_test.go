@@ -202,26 +202,49 @@ func TestRunLeakJobsCanceledThenReuse(t *testing.T) {
 	}
 }
 
-// relay, white-box: a receiver that several senders reach at one length
-// enters touched once, with the OR of what each sender brought; a sender
-// whose lanes a receiver refuses leaves touched and the receiver's cur
-// words as they were.
+// relay and settle, white-box, for both kinds of receiver. A receiver with
+// customers that several senders reach at one length enters touched once,
+// with the OR of what each sender brought; a sender whose lanes it refuses
+// leaves touched and its cur words as they were. A stub enters no touched
+// list and keeps its accept word until settle: each sender's route it
+// accepts in any lane is one arrival, a route refused in every lane is
+// none, and settle keeps a leaked route tied with a legitimate one at the
+// same length.
 func TestRelayTouchesOncePerLength(t *testing.T) {
-	g := astopo.NewGraph(5, 5)
-	// AS1 and AS2 both provide transit to AS3 and AS4; AS5 is AS1's alone.
-	for _, l := range [][2]astopo.ASN{{1, 3}, {1, 4}, {2, 3}, {2, 4}, {1, 5}} {
+	g := astopo.NewGraph(9, 11)
+	// AS1 and AS2 both provide transit to AS3, AS4 and AS8; AS5 and AS9 are
+	// AS1's alone. AS3, AS4 and AS5 relay to the stubs AS6 and AS7; AS8 and
+	// AS9 are stubs too.
+	for _, l := range [][2]astopo.ASN{{1, 3}, {1, 4}, {2, 3}, {2, 4}, {1, 5}, {1, 8}, {2, 8}, {1, 9}, {3, 6}, {4, 6}, {5, 7}} {
 		g.MustAddLink(l[0], l[1], astopo.P2C)
 	}
 	g.Freeze()
 	idx := func(a astopo.ASN) int32 { i, _ := g.Index(a); return int32(i) }
 	bl := NewBatchLeak(g)
+	if len(bl.nodes) != 5 {
+		t.Fatalf("%d laneNodes, want one for each of AS1-AS5", len(bl.nodes))
+	}
 	b := &sweepBase{g: g, origin: -1}
 	open := laneNode{acceptLegit: 0b0111, acceptLeak: 0b0110}
+	const stubOpen = 0b0111
 	reset := func() {
 		for i := range bl.nodes {
 			bl.nodes[i] = open
 		}
-		bl.touched = bl.touched[:0]
+		for i := range bl.accept {
+			bl.accept[i] = stubOpen
+		}
+		clear(bl.leak)
+		clear(bl.leaked)
+		bl.logs[toCustomers].reset()
+	}
+	stubWords := func(when string, want map[astopo.ASN]uint64) {
+		t.Helper()
+		for a, w := range want {
+			if got := bl.accept[idx(a)]; got != w {
+				t.Fatalf("%s: AS%d accept word %04b, want %04b", when, a, got, w)
+			}
+		}
 	}
 
 	reset()
@@ -231,31 +254,74 @@ func TestRelayTouchesOncePerLength(t *testing.T) {
 	wantTouched := []int32{idx(3), idx(4), idx(5)}
 	slices.Sort(wantTouched)
 	if got := sortedCopy(bl.touched); !slices.Equal(got, wantTouched) {
-		t.Fatalf("touched = %v, want AS3, AS4 and AS5 once each (%v)", bl.touched, wantTouched)
+		t.Fatalf("touched = %v, want AS3, AS4 and AS5 once each and no stub (%v)", bl.touched, wantTouched)
 	}
 	for _, a := range []astopo.ASN{3, 4} {
-		if nd := bl.nodes[idx(a)]; nd.curLegit != 0b0011 || nd.curLeak != 0b0100 {
+		if nd := bl.node(idx(a)); nd.curLegit != 0b0011 || nd.curLeak != 0b0100 {
 			t.Errorf("AS%d cur words %04b/%04b, want 0011/0100", a, nd.curLegit, nd.curLeak)
 		}
 	}
+	if len(bl.arrivals) != 3 {
+		t.Fatalf("arrivals %v, want AS8 from AS1 and AS2 and AS9 from AS1", bl.arrivals)
+	}
+	bl.settle(toCustomers, 1)
 
-	// Every lane refused: nothing enters touched, nothing is written.
+	// Every lane refused: nothing enters touched or arrivals, nothing is
+	// written.
 	reset()
 	bl.relay(b, []settleT{{node: idx(2), leak: 0b1000}, {node: idx(1), legit: 0b1000}}, toCustomers)
-	if len(bl.touched) != 0 {
-		t.Fatalf("refused senders touched %v", bl.touched)
+	if len(bl.touched) != 0 || len(bl.arrivals) != 0 {
+		t.Fatalf("refused senders touched %v, arrived %v", bl.touched, bl.arrivals)
 	}
-	for v, nd := range bl.nodes {
+	for r, nd := range bl.nodes {
 		if nd != open {
-			t.Fatalf("refused senders changed node %d to %+v", v, nd)
+			t.Fatalf("refused senders changed laneNode %d to %+v", r, nd)
 		}
 	}
+	stubWords("refused senders", map[astopo.ASN]uint64{8: stubOpen, 9: stubOpen})
+	bl.settle(toCustomers, 1)
 
 	// A refused sender after an accepted one leaves touched as it was.
 	reset()
 	bl.relay(b, []settleT{s1, {node: idx(2), leak: 0b1000}}, toCustomers)
 	if got := sortedCopy(bl.touched); !slices.Equal(got, wantTouched) {
 		t.Fatalf("touched = %v after a refused sender, want %v", bl.touched, wantTouched)
+	}
+	if len(bl.arrivals) != 2 {
+		t.Fatalf("arrivals %v after a refused sender, want AS8's and AS9's from AS1", bl.arrivals)
+	}
+	bl.settle(toCustomers, 1)
+
+	// Stubs: AS1's legitimate route and AS2's leaked one reach AS8 at one
+	// length, tied in lane 2. Both land, the accept words hold until
+	// settle, and the tie keeps lane 2's leak.
+	reset()
+	bl.relay(b, []settleT{{node: idx(1), legit: 0b0101}, {node: idx(2), leak: 0b0100}}, toCustomers)
+	at8 := 0
+	for _, a := range bl.arrivals {
+		if a.stub == idx(8) {
+			at8++
+		}
+	}
+	if at8 != 2 || len(bl.arrivals) != 3 {
+		t.Fatalf("arrivals %v, want two at AS8 and one at AS9", bl.arrivals)
+	}
+	stubWords("before settle", map[astopo.ASN]uint64{8: stubOpen, 9: stubOpen})
+	bl.settle(toCustomers, 1)
+	stubWords("after settle", map[astopo.ASN]uint64{8: 0b0010, 9: 0b0010})
+	if bl.leak[idx(8)] != 0b0100 || bl.leak[idx(9)] != 0 {
+		t.Fatalf("leak words AS8 %04b, AS9 %04b, want 0100 and 0000", bl.leak[idx(8)], bl.leak[idx(9)])
+	}
+	if want := uint64(1)<<idx(3) | 1<<idx(4) | 1<<idx(8); bl.leaked[0] != want {
+		t.Fatalf("leaked bitset %b, want AS3's, AS4's and AS8's bits (%b)", bl.leaked[0], want)
+	}
+	if len(bl.touched) != 0 || len(bl.arrivals) != 0 || len(bl.sent) != 0 {
+		t.Fatalf("settle left touched %v, arrivals %v, sent %v", bl.touched, bl.arrivals, bl.sent)
+	}
+	for _, e := range bl.logs[toCustomers].at(1) {
+		if !g.HasCustomers(int(e.node)) {
+			t.Fatalf("stub AS%d entered the settle log", g.ASNAt(int(e.node)))
+		}
 	}
 }
 

@@ -10,6 +10,10 @@
 # FLATNET_BENCH_COUNT  (default 6)     -count repetitions per benchmark
 # FLATNET_BENCH_REGEX  (default: the sweep benches) -bench selector
 #
+# Every benchmark runs at one P (-cpu 1), the GOMAXPROCS every
+# bench-baseline.txt row was recorded at; benchguard.sh compares rows at
+# the same P count only.
+#
 # The regex also matches the FullScale variants (scale 1.0 pinned), the
 # scale-1.0 world build BenchmarkGenerateFullScale and the
 # BenchmarkSnapshotLoad mmap cold start, so the baseline always carries
@@ -22,5 +26,5 @@ COUNT="${FLATNET_BENCH_COUNT:-6}"
 REGEX="${FLATNET_BENCH_REGEX:-BenchmarkReachabilityAll|BenchmarkTable1TopReachability|BenchmarkFig3ReachVsCone|BenchmarkSensitivity|BenchmarkHierarchyFreeReachability|BenchmarkPointReachFullScale|BenchmarkPointRelianceFullScale|BenchmarkFig7LeakCDFs|BenchmarkHijackVsLeak|BenchmarkLeakTrialsBatch|BenchmarkLeakTrialsSmall|BenchmarkLeakSweepPrepassFullScale|BenchmarkEnvColdStart\$|BenchmarkGenerateFullScale|BenchmarkSnapshotLoad|BenchmarkClusterSweep|BenchmarkWireCounts|BenchmarkTimelineSeries|BenchmarkPropagationWithNextHops}"
 OUT="${1:-bench-$(git rev-parse --short HEAD 2>/dev/null || echo local).txt}"
 
-go test -run '^$' -bench "$REGEX" -benchmem -count "$COUNT" . | tee "$OUT"
+go test -run '^$' -bench "$REGEX" -benchmem -cpu 1 -count "$COUNT" . | tee "$OUT"
 echo "wrote $OUT"

@@ -8,9 +8,12 @@
 #
 # FLATNET_BENCH_TOLERANCE  (default 30)  allowed regression, percent
 #
-# Medians (not means) absorb the odd slow repetition on noisy CI runners;
-# the -<GOMAXPROCS> name suffix is stripped so baselines recorded on one
-# machine compare against runs on another.
+# Medians (not means) absorb the odd slow repetition on noisy CI runners.
+# Rows compare only at the same GOMAXPROCS: the -<N> name suffix the test
+# runner adds for N > 1 is kept, so a run at another P count than the
+# baseline's (bench.sh passes -cpu 1, the P count of bench-baseline.txt)
+# fails, naming each row it cannot compare, instead of comparing a one-P
+# baseline with a multi-P run.
 set -eu
 
 BASE="${1:?usage: benchguard.sh baseline.txt new.txt}"
@@ -33,7 +36,6 @@ function median(v, name, n,    i, j, t, a) {
 }
 $1 ~ /^Benchmark/ && $4 == "ns/op" {
     name = $1
-    sub(/-[0-9]+$/, "", name)
     if (NR == FNR) { bn[name]++; bv[name "," bn[name]] = $3 }
     else           { nn[name]++; nv[name "," nn[name]] = $3 }
     # The headline benchmarks also report a scale-normalized ns/AS metric;
@@ -61,7 +63,13 @@ END {
     compared = 0
     for (name in nn) {
         if (!(name in bn)) {
-            printf "%-55s (new benchmark, no baseline)\n", name
+            base = name
+            if (sub(/-[0-9]+$/, "", base) && base in bn) {
+                printf "FAIL: %s ran at another GOMAXPROCS than baseline row %s\n", name, base
+                fail = 1
+            } else {
+                printf "%-55s (new benchmark, no baseline)\n", name
+            }
             continue
         }
         bm = median(bv, name, bn[name])
