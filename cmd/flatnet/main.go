@@ -9,7 +9,7 @@
 //	flatnet gen [-scale 0.04987] [-year 2020] [-o topology.txt]
 //	flatnet stats [-scale 0.04987] [-year 2020]
 //	flatnet reach [-scale 0.04987] [-year 2020] -as 15169 [-kind hierarchy-free]
-//	flatnet snapshot build [-scale 0.04987] [-traces all|none] [-o flatnet.snap]
+//	flatnet snapshot build [-scale 0.04987] [-o flatnet.snap]
 //	flatnet snapshot info <flatnet.snap>
 //	flatnet timeline report [-scale 0.04987] [-snapshot file]
 //	flatnet timeline build -year 2016 [-scale 0.04987] [-o y2016.snap]
@@ -143,7 +143,7 @@ func usage(w io.Writer) {
   flatnet audit [-f file | -scale f -year y]    structural topology checks
   flatnet collect [-vps n] [-o rib.mrt]         simulate collectors, write MRT
   flatnet trace [-cloud C] [-o traces.json]     cloud traceroute campaign
-  flatnet snapshot build [-scale f] [-o file]   freeze a prebuilt world to a binary snapshot
+  flatnet snapshot build [-scale f] [-o file]   freeze a generated world to a binary snapshot
   flatnet snapshot info <file>                  list a snapshot's sections
   flatnet timeline report [-scale f]            per-cloud reachability, 2015-2025
   flatnet timeline build -year y [-o file]      freeze one timeline year to a snapshot
@@ -173,7 +173,7 @@ func cmdRun(args []string) error {
 	scale := fs.Float64("scale", 0.04987, "topology scale (1.0 = the paper's 69,488 ASes)")
 	outdir := fs.String("outdir", "", "also write machine-readable CSV artifacts to this directory")
 	snap := fs.String("snapshot", "", "load the environment from a binary snapshot instead of generating (see 'flatnet snapshot build')")
-	verify := fs.Bool("verify", false, "with -snapshot: checksum every section, including the mmap-served hot arrays, and decode every plan, rDNS and traces section before running")
+	verify := fs.Bool("verify", false, "with -snapshot: checksum every section, including the mmap-served hot arrays, before running")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "experiments run concurrently; output stays in registry order")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -296,8 +296,7 @@ func cmdRun(args []string) error {
 // loadSnapshotEnv opens a snapshot on the zero-copy mmap path. The Reader
 // stays open for the life of the process: the environment borrows its
 // memory. verify runs Reader.Verify: a checksum pass over every section,
-// including the hot arrays the mmap path otherwise never CRCs, and a decode
-// of every plan, rDNS and traces section.
+// including the hot arrays the mmap path otherwise never CRCs.
 func loadSnapshotEnv(path string, verify bool) (*experiments.Env, error) {
 	rd, err := snapshot.Open(path)
 	if err != nil {

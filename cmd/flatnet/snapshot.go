@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flatnet/internal/experiments"
-	"flatnet/internal/par"
 	"flatnet/internal/snapshot"
 )
 
@@ -29,9 +28,10 @@ func fileSHA256(path string) (string, error) {
 	return fmt.Sprintf("%x", h.Sum(nil)), nil
 }
 
-// cmdSnapshot dispatches the snapshot subcommands: `build` freezes a fully
-// prewarmed environment into a binary snapshot, `info` lists a snapshot's
-// sections without decoding payloads.
+// cmdSnapshot dispatches the snapshot subcommands: `build` freezes a
+// generated world (both presets' topologies and population models) into a
+// binary snapshot, `info` lists a snapshot's sections without decoding
+// payloads.
 func cmdSnapshot(args []string, stdout *os.File) error {
 	if len(args) == 0 {
 		return usagef("snapshot: missing subcommand (build or info)")
@@ -49,43 +49,22 @@ func cmdSnapshotBuild(args []string) error {
 	fs := flag.NewFlagSet("snapshot build", flag.ContinueOnError)
 	scale := fs.Float64("scale", 0.04987, "topology scale (1.0 = the paper's 69,488 ASes)")
 	out := fs.String("o", "flatnet.snap", "output snapshot file")
-	traces := fs.String("traces", "all", "trace corpora to include: all (every paper cloud, 2020) or none")
-	bare := fs.Bool("bare", false, "topologies and population only — no plans, rDNS, or traces (required for stress scales past the address plan's /18 capacity, e.g. -scale 20)")
+	// Every snapshot holds the world alone; plans, rDNS and traces are
+	// rebuilt from it on demand. These two flags still parse, and change
+	// nothing, so older build commands keep working.
+	fs.Bool("bare", false, "accepted and ignored: every snapshot holds only the topologies and population models")
+	traces := fs.String("traces", "none", "accepted only as none: trace campaigns are not stored, they are rebuilt from the world on demand")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return usagef("snapshot build: unexpected argument %q", fs.Arg(0))
 	}
-	switch *traces {
-	case "all", "none":
-	default:
-		return usagef("snapshot build: -traces must be all or none, got %q", *traces)
-	}
-	if *bare && *traces == "all" {
-		return usagef("snapshot build: -bare requires -traces none")
+	if *traces != "none" {
+		return usagef("snapshot build: -traces %s: traces are not stored in a snapshot (they are rebuilt from its world on demand); only -traces none is accepted", *traces)
 	}
 	start := time.Now()
 	env, err := experiments.NewEnv(*scale)
-	if err != nil {
-		return err
-	}
-	switch {
-	case *bare:
-		// Nothing beyond what NewEnv built: topologies and population.
-	case *traces == "all":
-		err = env.Prewarm()
-	default:
-		// Plans and rDNS only: still useful for the daemon and the
-		// metric experiments, and much faster to build.
-		tasks := []func() error{
-			func() error { _, err := env.RDNS2020(); return err },
-			func() error { _, err := env.Plan2015(); return err },
-		}
-		err = par.For(len(tasks), len(tasks), func(w int) func(i int) error {
-			return func(i int) error { return tasks[i]() }
-		})
-	}
 	if err != nil {
 		return err
 	}
@@ -109,7 +88,7 @@ func cmdSnapshotBuild(args []string) error {
 
 func cmdSnapshotInfo(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("snapshot info", flag.ContinueOnError)
-	verify := fs.Bool("verify", false, "checksum every section, including the mmap-served hot arrays, and decode every plan, rDNS and traces section")
+	verify := fs.Bool("verify", false, "checksum every section, including the mmap-served hot arrays")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -129,13 +108,7 @@ func cmdSnapshotInfo(args []string, stdout *os.File) error {
 		path, info.Version, info.Scale, len(info.Sections))
 	fmt.Fprintf(stdout, "sha256 %x\n", sha256.Sum256(raw))
 	for _, s := range info.Sections {
-		if s.Cloud != "" {
-			fmt.Fprintf(stdout, "  %-12s %4d  %-10s %2d VM groups  %12d B\n",
-				s.Label, s.Year, s.Cloud, s.VMs, s.Length)
-		} else {
-			fmt.Fprintf(stdout, "  %-12s %4d  %24s  %12d B\n",
-				s.Label, s.Year, "", s.Length)
-		}
+		fmt.Fprintf(stdout, "  %-16s %4d  %12d B\n", s.Label, s.Year, s.Length)
 	}
 	if info.Delta != nil {
 		// Delta files carry lineage instead of worlds: print the base→result

@@ -34,22 +34,8 @@ func BenchmarkEnvColdStart(b *testing.B) {
 // (snapshot.Open + NewEnvFromSnapshot), whose topology arenas are served
 // straight from the mapping, and answers one hierarchy-free reachability
 // query.
-//
-// The snapshot carries both years' peering plans and the 2020 rDNS corpus
-// alongside the topologies, as a production `flatnet snapshot build` file
-// does. The Reader leaves those pointer-shaped cold sections untouched in
-// the mapping, since a reachability query never needs them.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	e := fullScaleEnv(b)
-	if _, err := e.Plan2020(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.Plan2015(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := e.RDNS2020(); err != nil {
-		b.Fatal(err)
-	}
 	path := b.TempDir() + "/world.snap"
 	if err := snapshot.WriteFile(path, e.World()); err != nil {
 		b.Fatal(err)

@@ -138,9 +138,9 @@ func (c *sharedCountdownCtx) Err() error {
 }
 
 // A run canceled at any point returns ctx.Err() itself, in the job arm and
-// in the block arm, and leaves the pooled engines reusable: the next run
-// matches the scalar trials, and an engine taken from the pool holds no cur
-// word, touched receiver, leak word or leaked bit.
+// in the block arm, and leaves the pooled engines reusable: every engine it
+// returned to the pool holds no cur word, touched receiver, leak word or
+// leaked bit, and the next run matches the scalar trials.
 func TestRunLeakJobsCanceledThenReuse(t *testing.T) {
 	withGOMAXPROCS(t, 2)
 	jobs := leakJobCorpus(t)
@@ -179,6 +179,29 @@ func TestRunLeakJobsCanceledThenReuse(t *testing.T) {
 			if err != ctx.Err() || got != nil {
 				t.Fatalf("%d jobs canceled after %d checks: (%v, %v), want (nil, ctx.Err())", len(set), after, got, err)
 			}
+			// Every engine the canceled run left in the pool is clean. Lane
+			// nodes are dense over the ASes with customers; leak words are
+			// per AS, stubs included.
+			var pooled []*BatchLeak
+			for v := batchLeakPool.Get(); v != nil; v = batchLeakPool.Get() {
+				pooled = append(pooled, v.(*BatchLeak))
+			}
+			for _, bl := range pooled {
+				for i, nd := range bl.nodes {
+					if nd.curLegit|nd.curLeak != 0 {
+						t.Fatalf("after %d checks: pooled engine keeps lane node %d's words %+v", after, i, nd)
+					}
+				}
+				for v, w := range bl.leak {
+					if w != 0 {
+						t.Fatalf("after %d checks: pooled engine keeps AS index %d's leak word %x", after, v, w)
+					}
+				}
+				if len(bl.touched) != 0 || slices.ContainsFunc(bl.leaked, func(w uint64) bool { return w != 0 }) {
+					t.Fatalf("after %d checks: pooled engine keeps %d touched receivers, leaked %x", after, len(bl.touched), bl.leaked)
+				}
+				putBatchLeak(bl)
+			}
 			again, err := RunLeakJobs(context.Background(), set)
 			if err != nil {
 				t.Fatal(err)
@@ -188,16 +211,6 @@ func TestRunLeakJobsCanceledThenReuse(t *testing.T) {
 					t.Fatalf("%d jobs canceled after %d checks, then rerun: job %d %+v, scalar %+v", len(set), after, i, again[i], want[i])
 				}
 			}
-			bl := getBatchLeak(set[0].Graph)
-			for v, nd := range bl.nodes {
-				if nd.curLegit|nd.curLeak != 0 || bl.leak[v] != 0 {
-					t.Fatalf("after %d checks: pooled engine keeps node %d's words %+v, leak %x", after, v, nd, bl.leak[v])
-				}
-			}
-			if len(bl.touched) != 0 || slices.ContainsFunc(bl.leaked, func(w uint64) bool { return w != 0 }) {
-				t.Fatalf("after %d checks: pooled engine keeps %d touched receivers, leaked %x", after, len(bl.touched), bl.leaked)
-			}
-			putBatchLeak(bl)
 		}
 	}
 }

@@ -46,9 +46,8 @@ type Env struct {
 	M2020, M2015     *core.Metrics
 	Pop2020, Pop2015 *population.Model
 
-	// src, when non-nil, is the snapshot Reader backing this Env
-	// (NewEnvFromSnapshot): lazy artifacts present in the snapshot are
-	// decoded from it on first demand instead of being rebuilt.
+	// src, when non-nil, is the snapshot Reader whose memory this Env's
+	// graphs, metadata and population models borrow (NewEnvFromSnapshot).
 	src *snapshot.Reader
 
 	memo *memo
@@ -197,22 +196,15 @@ func (e *Env) Plan2020() (*netdb.Plan, error) { return e.plan(2020) }
 // Plan2015 lazily builds the 2015 address plan.
 func (e *Env) Plan2015() (*netdb.Plan, error) { return e.plan(2015) }
 
-func planKey(year int) string { return fmt.Sprintf("plan/%d", year) }
-
 func (e *Env) plan(year int) (*netdb.Plan, error) {
 	in, _, _, err := e.preset(year)
 	if err != nil {
 		return nil, err
 	}
-	return memoize(e, planKey(year), func() (*netdb.Plan, error) {
-		if e.src != nil && e.src.HasPlan(year) {
-			return e.src.Plan(year)
-		}
+	return memoize(e, fmt.Sprintf("plan/%d", year), func() (*netdb.Plan, error) {
 		return netdb.Build(in)
 	})
 }
-
-const rdnsKey = "rdns/2020"
 
 // RDNS2020 lazily synthesizes the 2020 rDNS corpus.
 func (e *Env) RDNS2020() (*rdns.Corpus, error) {
@@ -220,10 +212,7 @@ func (e *Env) RDNS2020() (*rdns.Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return memoize(e, rdnsKey, func() (*rdns.Corpus, error) {
-		if e.src != nil && e.src.HasRDNS(2020) {
-			return e.src.RDNS(2020)
-		}
+	return memoize(e, "rdns/2020", func() (*rdns.Corpus, error) {
 		return rdns.Synthesize(plan, 20200901), nil
 	})
 }
@@ -331,16 +320,6 @@ func (e *Env) Traces(year int, cloud string, nVMs int) ([][]tracesim.Traceroute,
 	n := len(vms)
 	if tr, ok := e.lookupTraces(year, cloud, n); ok {
 		return tr, nil
-	}
-	if e.src != nil {
-		tr, ok, err := e.tracesFromSnapshot(year, cloud, n)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			e.storeTraces(traceKey{year, cloud, n}, tr)
-			return tr, nil
-		}
 	}
 
 	key := fmt.Sprintf("traces/%d/%s/%d", year, cloud, n)

@@ -13,15 +13,13 @@ import (
 
 // A snapshot-loaded environment must be indistinguishable from the fresh one
 // it was captured from: the experiments' rendered output — including the
-// traceroute-derived figures — must match byte for byte.
+// figures whose plans, rDNS, feed and traces the snapshot env re-derives
+// from its world — must match byte for byte.
 func TestSnapshotEnvMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("snapshot golden test builds trace corpora")
 	}
 	fresh := getEnv(t)
-	if err := fresh.Prewarm(); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if err := snapshot.Write(&buf, fresh.World()); err != nil {
 		t.Fatal(err)
@@ -31,8 +29,8 @@ func TestSnapshotEnvMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two loaded environments over the zero-copy Reader, exactly as
-	// cmd/flatnet -snapshot serves it: one decodes its cold sections on
-	// demand, the other after Verify has decoded them all up front.
+	// cmd/flatnet -snapshot serves it: one straight off the mapping, the
+	// other after Verify has checksummed every section.
 	envs := map[string]*Env{}
 	for _, name := range []string{"mmap", "verified"} {
 		rd, err := snapshot.Open(path)
@@ -52,8 +50,9 @@ func TestSnapshotEnvMatchesFresh(t *testing.T) {
 
 	// table1 exercises both presets' metrics; fig7 exercises the leak
 	// simulator over the restored graphs; appA reads the trace corpora;
-	// table3 reads the plans and the rDNS corpus.
-	for _, id := range []string{"table1", "fig7", "appA", "table3"} {
+	// table3 reads the plans and the rDNS corpus; sec41 reads the BGP feed
+	// and the trace corpora.
+	for _, id := range []string{"table1", "fig7", "appA", "table3", "sec41"} {
 		r, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %s not registered", id)

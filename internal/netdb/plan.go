@@ -323,11 +323,6 @@ func Build(in *topogen.Internet) (*Plan, error) {
 // Internet returns the topology the plan was built for.
 func (p *Plan) Internet() *topogen.Internet { return p.in }
 
-// Bind attaches the plan to a topology. Snapshot decoding reconstructs the
-// Internet and the Plan's address maps separately; Bind stitches them back
-// together so the plan's accessors see the live topology again.
-func (p *Plan) Bind(in *topogen.Internet) { p.in = in }
-
 // LinkAddr returns the interface address of the `side` end of the link
 // between a and b, where side refers to the (a, b) ordering as passed (the
 // first return is a's interface, the second is b's).

@@ -88,10 +88,6 @@ type Record struct {
 type Corpus struct {
 	// ByAS groups records per network.
 	ByAS map[astopo.ASN][]Record
-	// Aliases groups interface addresses belonging to the same router
-	// (MIDAR-style alias-resolution ground truth), per AS. Snapshots carry
-	// it; no analysis reads it.
-	Aliases map[astopo.ASN][][]netip.Addr
 	// CoveredPoPs records which PoP cities actually received records.
 	CoveredPoPs map[astopo.ASN]map[geo.CityID]bool
 }
@@ -115,7 +111,6 @@ func Synthesize(plan *netdb.Plan, seed int64) *Corpus {
 	rng := rand.New(rand.NewSource(seed))
 	corpus := &Corpus{
 		ByAS:        make(map[astopo.ASN][]Record),
-		Aliases:     make(map[astopo.ASN][][]netip.Addr),
 		CoveredPoPs: make(map[astopo.ASN]map[geo.CityID]bool),
 	}
 	cities := geo.Cities()
@@ -147,7 +142,6 @@ func Synthesize(plan *netdb.Plan, seed int64) *Corpus {
 			iata := cities[pop].IATA
 			routers := 1 + rng.Intn(3)
 			for r := 1; r <= routers; r++ {
-				var group []netip.Addr
 				ifaces := 2 + rng.Intn(3)
 				for i := 0; i < ifaces; i++ {
 					addr, ok := plan.InternalAddr(asn, addrIdx)
@@ -157,10 +151,6 @@ func Synthesize(plan *netdb.Plan, seed int64) *Corpus {
 					}
 					host := conv.Pattern(iata, r, i) + "." + conv.Suffix
 					corpus.ByAS[asn] = append(corpus.ByAS[asn], Record{Addr: addr, Hostname: host})
-					group = append(group, addr)
-				}
-				if len(group) > 1 {
-					corpus.Aliases[asn] = append(corpus.Aliases[asn], group)
 				}
 			}
 		}

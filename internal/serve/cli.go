@@ -49,7 +49,7 @@ func RunCLI(args []string, stdout, stderr io.Writer) error {
 	year := fs.Int("year", 2020, "preset year (when generating; 2015 or 2020)")
 	topo := fs.String("topo", "", "CAIDA serial-1/serial-2 relationship file (default: generated preset)")
 	snap := fs.String("snapshot", "", "binary snapshot file (see 'flatnet snapshot build'; skips generation)")
-	verify := fs.Bool("verify", false, "with -snapshot: checksum every section, including the mmap-served hot arrays, and decode every plan, rDNS and traces section before serving")
+	verify := fs.Bool("verify", false, "with -snapshot: checksum every section, including the mmap-served hot arrays, before serving")
 	cacheSize := fs.Int("cache", 0, "result cache entries (default 4096)")
 	timeout := fs.Duration("timeout", 0, "default per-request deadline (default 5s)")
 	maxTimeout := fs.Duration("max-timeout", 0, "upper bound on client-requested deadlines (default 60s)")

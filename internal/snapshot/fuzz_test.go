@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzSnapshotDecode throws arbitrary bytes at the world reader (newReader,
-// then Verify, which decodes every cold section) and the info reader. The
+// then Verify, which checksums every section) and the info reader. The
 // contract under fuzz is purely "never panic, never hang": a valid world
 // loads, everything else must come back as an error. Seeds cover a valid
 // file, a refused version 1 header, and systematic one-byte corruptions

@@ -12,15 +12,12 @@ import (
 	"strings"
 	"testing"
 
-	"flatnet/internal/netdb"
 	"flatnet/internal/population"
-	"flatnet/internal/rdns"
 	"flatnet/internal/topogen"
-	"flatnet/internal/tracesim"
 )
 
-// buildWorld assembles a small but fully populated world: one internet with
-// a plan, rDNS corpus, population model, and a traceroute campaign.
+// buildWorld assembles a small world: two internets, one of them with a
+// population model.
 func buildWorld(t testing.TB) *World {
 	t.Helper()
 	const scale = 0.00855 // ≈600 ASes under true-scale presets (1.0 = 69,488)
@@ -28,20 +25,7 @@ func buildWorld(t testing.TB) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := netdb.Build(in)
-	if err != nil {
-		t.Fatal(err)
-	}
 	in15, err := topogen.Generate(topogen.Internet2015(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := tracesim.New(plan, tracesim.DefaultOptions(2020))
-	vms, err := eng.VMs("Google", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := eng.TraceAll(vms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +33,6 @@ func buildWorld(t testing.TB) *World {
 		Scale:     scale,
 		Internets: map[int]*topogen.Internet{2020: in, 2015: in15},
 		Pops:      map[int]*population.Model{2020: population.Build(in, 1.1)},
-		Plans:     map[int]*netdb.Plan{2020: plan},
-		RDNS:      map[int]*rdns.Corpus{2020: rdns.Synthesize(plan, 20200901)},
-		Traces: map[TraceKey][][]tracesim.Traceroute{
-			{Year: 2020, Cloud: "Google", VMs: len(vms)}: traces,
-		},
 	}
 }
 
@@ -67,7 +46,7 @@ func encode(t testing.TB, w *World) []byte {
 }
 
 // load reads raw through the one read path — newReader, then Verify, which
-// decodes every cold section into the Reader's caches.
+// checksums every section.
 func load(raw []byte) (*Reader, error) {
 	r, err := newReader(raw, nil)
 	if err != nil {
@@ -81,8 +60,7 @@ func load(raw []byte) (*Reader, error) {
 
 // served gathers everything a verified Reader serves into a World.
 func served(r *Reader) *World {
-	return &World{Scale: r.scale, Internets: r.internets, Pops: r.pops,
-		Plans: r.plans, RDNS: r.rdnsC, Traces: r.traces}
+	return &World{Scale: r.scale, Internets: r.internets, Pops: r.pops}
 }
 
 func mustLoad(t *testing.T, raw []byte) *World {
@@ -151,26 +129,6 @@ func checkWorldEqual(t *testing.T, got, w *World) {
 		t.Fatalf("population total %x differs from %x (must be bit-exact)",
 			math.Float64bits(gotTotal), math.Float64bits(wantTotal))
 	}
-	// Plan: all maps equal, and the decoded plan is bound to the decoded
-	// internet.
-	gp, wp := got.Plans[2020], w.Plans[2020]
-	if gp == nil {
-		t.Fatal("no 2020 plan after round trip")
-	}
-	if gp.Internet() != got.Internets[2020] {
-		t.Fatal("decoded plan not bound to decoded internet")
-	}
-	if !reflect.DeepEqual(gp.ASPrefix, wp.ASPrefix) || !reflect.DeepEqual(gp.Extra, wp.Extra) ||
-		!reflect.DeepEqual(gp.Infra, wp.Infra) || !reflect.DeepEqual(gp.Lans, wp.Lans) ||
-		!reflect.DeepEqual(gp.Links, wp.Links) {
-		t.Fatal("plan differs after round trip")
-	}
-	if !reflect.DeepEqual(got.RDNS[2020], w.RDNS[2020]) {
-		t.Fatal("rdns corpus differs after round trip")
-	}
-	if !reflect.DeepEqual(got.Traces, w.Traces) {
-		t.Fatal("trace corpora differ after round trip")
-	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -178,8 +136,7 @@ func TestRoundTrip(t *testing.T) {
 	checkWorldEqual(t, mustLoad(t, encode(t, w)), w)
 }
 
-// The mmap-backed Reader must serve the world it was written from,
-// including the lazily decoded artifacts.
+// The mmap-backed Reader must serve the world it was written from.
 func TestOpenReader(t *testing.T) {
 	w := buildWorld(t)
 	path := t.TempDir() + "/world.snap"
@@ -201,16 +158,6 @@ func TestOpenReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkWorldEqual(t, served(r), w)
-	keys := r.TraceKeys()
-	if len(keys) != 1 || keys[0].Cloud != "Google" {
-		t.Fatalf("trace keys = %v", keys)
-	}
-	if _, err := r.Plan(2015); err == nil {
-		t.Fatal("plan for a year without one did not error")
-	}
-	if _, err := r.Traces(TraceKey{Year: 1999, Cloud: "x"}); err == nil {
-		t.Fatal("unknown trace key did not error")
-	}
 }
 
 // Equal worlds must produce identical bytes: nothing about map iteration
@@ -385,29 +332,32 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 }
 
+// A kind no build ever wrote, and the three retired kinds an older build
+// wrote (plan, rdns, traces), are refused by every reader before any
+// section is read: an old file is never half-read.
 func TestUnknownSectionKindRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeSections(&buf, 1.0, []v2sect{{kind: 99, year: 2020, chunks: [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}}}}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := load(buf.Bytes())
-	if err == nil || !strings.Contains(err.Error(), "unknown section kind") {
-		t.Fatalf("unknown section kind accepted (err=%v)", err)
-	}
-	if _, err := ReadInfo(buf.Bytes()); err == nil {
-		t.Fatal("ReadInfo accepted an unknown section kind")
-	}
-}
-
-func TestPlanWithoutInternetRejected(t *testing.T) {
-	w := buildWorld(t)
-	orphan := &World{
-		Scale: w.Scale,
-		Plans: map[int]*netdb.Plan{2020: w.Plans[2020]},
-	}
-	_, err := load(encode(t, orphan))
-	if err == nil || !strings.Contains(err.Error(), "no internet section") {
-		t.Fatalf("orphan plan accepted (err=%v)", err)
+	for _, c := range []struct {
+		kind sectKind
+		want []string
+	}{
+		{99, []string{"unknown section kind 99"}},
+		{17, []string{"retired plan section (kind 17)", "rebuild the snapshot"}},
+		{18, []string{"retired rdns section (kind 18)", "rebuild the snapshot"}},
+		{19, []string{"retired traces section (kind 19)", "rebuild the snapshot"}},
+	} {
+		var buf bytes.Buffer
+		if err := writeSections(&buf, 1.0, []v2sect{{kind: c.kind, year: 2020, chunks: [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}}}}); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := load(buf.Bytes())
+		_, infoErr := ReadInfo(buf.Bytes())
+		for reader, err := range map[string]error{"load": loadErr, "ReadInfo": infoErr} {
+			for _, want := range c.want {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("kind %d: %s err = %v, want one containing %q", c.kind, reader, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -421,25 +371,19 @@ func TestReadInfo(t *testing.T) {
 	if info.Version != Version || info.Scale != w.Scale {
 		t.Fatalf("info header = %+v", info)
 	}
-	// 14 topology sections per internet + 2 population columns + plan +
-	// rdns + traces.
-	if len(info.Sections) != 14*2+2+3 {
-		t.Fatalf("got %d sections, want %d", len(info.Sections), 14*2+2+3)
+	// 14 topology sections per internet + 2 population columns.
+	if len(info.Sections) != 14*2+2 {
+		t.Fatalf("got %d sections, want %d", len(info.Sections), 14*2+2)
 	}
 	counts := map[string]int{}
 	var total uint64
 	for _, s := range info.Sections {
 		counts[s.Label]++
 		total += s.Length
-		if s.Label == "traces" {
-			if s.Year != 2020 || s.Cloud != "Google" || s.VMs != 3 {
-				t.Fatalf("traces section label = %+v", s)
-			}
-		}
 	}
 	for label, want := range map[string]int{
 		"world": 2, "nodes": 2, "adjacency-arena": 2, "link-ends": 2,
-		"pop-types": 1, "pop-users": 1, "plan": 1, "rdns": 1, "traces": 1,
+		"pop-types": 1, "pop-users": 1,
 	} {
 		if counts[label] != want {
 			t.Fatalf("%d %s sections, want %d (all: %v)", counts[label], label, want, counts)
@@ -468,9 +412,7 @@ func TestWriteReadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := served(r)
-	if !reflect.DeepEqual(got.Traces, w.Traces) {
-		t.Fatal("file round trip lost trace corpora")
-	}
+	checkWorldEqual(t, got, w)
 	disk, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

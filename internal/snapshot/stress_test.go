@@ -14,8 +14,8 @@ import (
 )
 
 // TestStressScale20 builds the ~1.39M-AS stress world (scale 20), round-
-// trips it through a bare snapshot (topology only — the address plan tops
-// out at 86,016 ASes), and answers a reachability query from the mapping.
+// trips it through a snapshot (topology only), and answers a reachability
+// query from the mapping.
 // This is the capacity envelope the README's scale table quotes. It takes
 // minutes and several GB of RSS, so it only runs when FLATNET_STRESS=1.
 func TestStressScale20(t *testing.T) {

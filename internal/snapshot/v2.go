@@ -6,18 +6,16 @@ package snapshot
 // columns, dense per-AS metadata, population columns — are raw host-endian
 // arrays written with a single cast and served back the same way from an
 // mmap'd file, so loading touches O(pages used) instead of decoding the
-// world. Cold payloads (spec, tier sets, plans, rDNS, traces) use a
-// field-by-field encoding inside their sections; the Reader decodes the
-// world sections at open and plans, rDNS and traces on first use.
+// world. The one cold payload per year, the world section (spec, tier sets,
+// named networks), uses a field-by-field encoding and is decoded at open.
 //
 // Integrity: parseTable checks the framing and the header CRC, and the
-// world sections' CRCs are checked, on every open; plan/rdns/traces
-// sections are checked when first decoded; hot array sections are checked
-// only by Verify, because checksumming them on open would touch every page
-// and forfeit the zero-copy win. Offset
-// arrays inside hot sections are still shape- and monotonicity-validated
-// on open, so a corrupted snapshot without Verify fails closed or returns
-// wrong numbers — it never indexes out of bounds.
+// world sections' CRCs are checked, on every open; hot array sections are
+// checked only by Verify, because checksumming them on open would touch
+// every page and forfeit the zero-copy win. Offset arrays inside hot
+// sections are still shape- and monotonicity-validated on open, so a
+// corrupted snapshot without Verify fails closed or returns wrong numbers —
+// it never indexes out of bounds.
 
 import (
 	"bufio"
@@ -29,17 +27,13 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"unsafe"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/geo"
 	"flatnet/internal/mmap"
-	"flatnet/internal/netdb"
 	"flatnet/internal/population"
-	"flatnet/internal/rdns"
 	"flatnet/internal/topogen"
-	"flatnet/internal/tracesim"
 )
 
 // sectKind identifies a v2 section's payload. The zero value is invalid so
@@ -68,7 +62,9 @@ const (
 	// Hot population columns, parallel to sectNodes.
 	sectPopTypes sectKind = 15 // n ASType bytes
 	sectPopUsers sectKind = 16 // total float64, then n float64
-	// Cold lazily-decoded artifacts, encoded field by field.
+	// Retired: address plans, rDNS corpora and trace campaigns, which are
+	// derived from a world and no longer stored. The kinds stay reserved,
+	// never reused, and parseTable refuses a file that carries one.
 	sectPlan   sectKind = 17
 	sectRDNS   sectKind = 18
 	sectTraces sectKind = 19
@@ -125,6 +121,8 @@ func (k sectKind) String() string {
 }
 
 func knownSectKind(k sectKind) bool { return k >= sectWorld && k <= sectDelta }
+
+func retiredSectKind(k sectKind) bool { return k >= sectPlan && k <= sectTraces }
 
 const (
 	v2HeaderLen = 8 + 4 + 8 + 4     // magic, version, scale, nsect
@@ -255,36 +253,6 @@ func writeV2(w io.Writer, world *World) error {
 			add(sectPopUsers, year, head, rawBytes(users))
 		}
 	}
-	for _, year := range sortedYears(world.Plans) {
-		e := &enc{b: new(bytes.Buffer)}
-		encodePlan(e, year, world.Plans[year])
-		add(sectPlan, year, e.b.Bytes())
-	}
-	for _, year := range sortedYears(world.RDNS) {
-		e := &enc{b: new(bytes.Buffer)}
-		encodeRDNS(e, year, world.RDNS[year])
-		add(sectRDNS, year, e.b.Bytes())
-	}
-	keys := make([]TraceKey, 0, len(world.Traces))
-	for k := range world.Traces {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Year != b.Year {
-			return a.Year < b.Year
-		}
-		if a.Cloud != b.Cloud {
-			return a.Cloud < b.Cloud
-		}
-		return a.VMs < b.VMs
-	})
-	for _, k := range keys {
-		e := &enc{b: new(bytes.Buffer)}
-		encodeTraces(e, k, world.Traces[k])
-		add(sectTraces, k.Year, e.b.Bytes())
-	}
-
 	return writeSections(w, world.Scale, sections)
 }
 
@@ -354,11 +322,10 @@ type v2entry struct {
 }
 
 // Reader serves a v2 snapshot from its raw bytes — normally an mmap'd
-// file, so construction touches only the header, the cold world sections,
-// and the offset arrays it validates, not the bulk payloads. Topology,
+// file, so construction touches only the header, the world sections, and
+// the offset arrays it validates, not the bulk payloads. Topology,
 // metadata, and population columns are wired directly over the underlying
-// memory with zero copies; plans, rDNS corpora, and trace corpora are
-// decoded (and CRC-checked) on first use.
+// memory with zero copies.
 //
 // The returned structures borrow the Reader's memory: they are valid until
 // Close and must be treated as read-only. Reader methods are safe for
@@ -371,16 +338,10 @@ type Reader struct {
 	entries   []v2entry
 	internets map[int]*topogen.Internet
 	pops      map[int]*population.Model
-	traceIdx  map[TraceKey]int // entry index per campaign
-
-	mu     sync.Mutex
-	plans  map[int]*netdb.Plan
-	rdnsC  map[int]*rdns.Corpus
-	traces map[TraceKey][][]tracesim.Traceroute
 }
 
 // Open maps the snapshot at path and wires a Reader over it. Time to
-// first query is O(header + cold sections); the bulk arrays fault in on
+// first query is O(header + world sections); the bulk arrays fault in on
 // demand.
 func Open(path string) (*Reader, error) {
 	m, err := mmap.Open(path)
@@ -439,6 +400,10 @@ func parseTable(raw []byte) (float64, []v2entry, error) {
 			length: binary.LittleEndian.Uint64(ent[16:]),
 			crc:    binary.LittleEndian.Uint32(ent[24:]),
 		}
+		if retiredSectKind(e.kind) {
+			return 0, nil, fmt.Errorf("snapshot: section %d is a retired %s section (kind %d): plans, rDNS and traces are no longer stored; rebuild the snapshot with `flatnet snapshot build`",
+				i, e.kind, uint32(e.kind))
+		}
 		if !knownSectKind(e.kind) {
 			return 0, nil, fmt.Errorf("snapshot: unknown section kind %d", uint32(e.kind))
 		}
@@ -480,44 +445,20 @@ func newReader(raw []byte, m *mmap.Mapping) (*Reader, error) {
 		entries:   entries,
 		internets: make(map[int]*topogen.Internet),
 		pops:      make(map[int]*population.Model),
-		traceIdx:  make(map[TraceKey]int),
-		plans:     make(map[int]*netdb.Plan),
-		rdnsC:     make(map[int]*rdns.Corpus),
-		traces:    make(map[TraceKey][][]tracesim.Traceroute),
 	}
 
 	// Group per-year sections and wire each year's Internet.
 	byYear := make(map[int]map[sectKind]int)
 	for i, e := range r.entries {
-		switch e.kind {
-		case sectPlan, sectRDNS:
-			// Lazily decoded; located by linear scan at use time. Reject
-			// duplicates now so lookup is unambiguous.
-			for j := 0; j < i; j++ {
-				if r.entries[j].kind == e.kind && r.entries[j].year == e.year {
-					return nil, fmt.Errorf("snapshot: duplicate %s section for year %d", e.kind, e.year)
-				}
-			}
-		case sectTraces:
-			key, err := r.traceLabel(i)
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := r.traceIdx[key]; dup {
-				return nil, fmt.Errorf("snapshot: duplicate traces section for %+v", key)
-			}
-			r.traceIdx[key] = i
-		default:
-			m := byYear[e.year]
-			if m == nil {
-				m = make(map[sectKind]int)
-				byYear[e.year] = m
-			}
-			if _, dup := m[e.kind]; dup {
-				return nil, fmt.Errorf("snapshot: duplicate %s section for year %d", e.kind, e.year)
-			}
-			m[e.kind] = i
+		m := byYear[e.year]
+		if m == nil {
+			m = make(map[sectKind]int)
+			byYear[e.year] = m
 		}
+		if _, dup := m[e.kind]; dup {
+			return nil, fmt.Errorf("snapshot: duplicate %s section for year %d", e.kind, e.year)
+		}
+		m[e.kind] = i
 	}
 	for year, sects := range byYear {
 		if err := r.wireYear(year, sects); err != nil {
@@ -533,7 +474,8 @@ func (r *Reader) payload(i int) []byte {
 }
 
 // checkedPayload returns section i's bytes after verifying its CRC — used
-// for cold sections, where decode cost dwarfs the checksum.
+// for the world sections, where decode cost dwarfs the checksum, and by
+// Verify.
 func (r *Reader) checkedPayload(i int) ([]byte, error) {
 	e := r.entries[i]
 	p := r.payload(i)
@@ -542,29 +484,6 @@ func (r *Reader) checkedPayload(i int) ([]byte, error) {
 			i, e.kind, got, e.crc)
 	}
 	return p, nil
-}
-
-// traceLabel peeks a traces payload's identifying front fields without
-// decoding (or CRC-checking) the corpus.
-func traceLabel(payload []byte) (TraceKey, error) {
-	d := &dec{buf: payload}
-	key := TraceKey{Year: int(d.u32())}
-	key.Cloud = d.str()
-	key.VMs = int(d.u32())
-	return key, d.err
-}
-
-// traceLabel labels traces section i and checks it against its table year.
-func (r *Reader) traceLabel(i int) (TraceKey, error) {
-	key, err := traceLabel(r.payload(i))
-	if err != nil {
-		return TraceKey{}, fmt.Errorf("snapshot: section %d (traces): %w", i, err)
-	}
-	if key.Year != r.entries[i].year {
-		return TraceKey{}, fmt.Errorf("snapshot: traces section %d year %d disagrees with table year %d",
-			i, key.Year, r.entries[i].year)
-	}
-	return key, nil
 }
 
 // need returns the payload of a required section for a year.
@@ -784,168 +703,12 @@ func (r *Reader) Internet(year int) *topogen.Internet { return r.internets[year]
 // borrows the snapshot's memory.
 func (r *Reader) Population(year int) *population.Model { return r.pops[year] }
 
-func (r *Reader) findCold(kind sectKind, year int) (int, bool) {
-	for i, e := range r.entries {
-		if e.kind == kind && e.year == year {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// HasPlan reports whether the snapshot carries an address plan for the
-// year, without decoding it.
-func (r *Reader) HasPlan(year int) bool {
-	_, ok := r.findCold(sectPlan, year)
-	return ok
-}
-
-// HasRDNS reports whether the snapshot carries an rDNS corpus for the
-// year, without decoding it.
-func (r *Reader) HasRDNS(year int) bool {
-	_, ok := r.findCold(sectRDNS, year)
-	return ok
-}
-
-// Plan decodes (once) and returns the year's address plan, bound to the
-// year's topology. It errors if the snapshot has no such plan.
-func (r *Reader) Plan(year int) (*netdb.Plan, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.plans[year]; ok {
-		return p, nil
-	}
-	i, ok := r.findCold(sectPlan, year)
-	if !ok {
-		return nil, fmt.Errorf("snapshot: no plan section for year %d", year)
-	}
-	in := r.internets[year]
-	if in == nil {
-		return nil, fmt.Errorf("snapshot: plan for year %d has no internet section", year)
-	}
-	p, err := r.checkedPayload(i)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{buf: p}
-	py, plan := decodePlan(d)
-	if err := coldDecodeErr(d, i, sectPlan); err != nil {
-		return nil, err
-	}
-	if py != year {
-		return nil, fmt.Errorf("snapshot: plan section %d year %d disagrees with table year %d", i, py, year)
-	}
-	plan.Bind(in)
-	r.plans[year] = plan
-	return plan, nil
-}
-
-// RDNS decodes (once) and returns the year's rDNS corpus. It errors if
-// the snapshot has no such corpus.
-func (r *Reader) RDNS(year int) (*rdns.Corpus, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.rdnsC[year]; ok {
-		return c, nil
-	}
-	i, ok := r.findCold(sectRDNS, year)
-	if !ok {
-		return nil, fmt.Errorf("snapshot: no rdns section for year %d", year)
-	}
-	p, err := r.checkedPayload(i)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{buf: p}
-	cy, c := decodeRDNS(d)
-	if err := coldDecodeErr(d, i, sectRDNS); err != nil {
-		return nil, err
-	}
-	if cy != year {
-		return nil, fmt.Errorf("snapshot: rdns section %d year %d disagrees with table year %d", i, cy, year)
-	}
-	r.rdnsC[year] = c
-	return c, nil
-}
-
-// TraceKeys lists the traceroute campaigns in the snapshot, sorted.
-func (r *Reader) TraceKeys() []TraceKey {
-	keys := make([]TraceKey, 0, len(r.traceIdx))
-	for k := range r.traceIdx {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Year != b.Year {
-			return a.Year < b.Year
-		}
-		if a.Cloud != b.Cloud {
-			return a.Cloud < b.Cloud
-		}
-		return a.VMs < b.VMs
-	})
-	return keys
-}
-
-// Traces decodes (once) and returns one campaign's traceroutes. It errors
-// if the snapshot has no such campaign.
-func (r *Reader) Traces(key TraceKey) ([][]tracesim.Traceroute, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if tr, ok := r.traces[key]; ok {
-		return tr, nil
-	}
-	i, ok := r.traceIdx[key]
-	if !ok {
-		return nil, fmt.Errorf("snapshot: no traces section for %d/%s/%d VMs", key.Year, key.Cloud, key.VMs)
-	}
-	p, err := r.checkedPayload(i)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{buf: p}
-	gotKey, tr := decodeTraces(d)
-	if err := coldDecodeErr(d, i, sectTraces); err != nil {
-		return nil, err
-	}
-	if gotKey != key {
-		return nil, fmt.Errorf("snapshot: traces section %d decoded as %+v, want %+v", i, gotKey, key)
-	}
-	r.traces[key] = tr
-	return tr, nil
-}
-
-func coldDecodeErr(d *dec, i int, k sectKind) error {
-	if d.err != nil {
-		return fmt.Errorf("snapshot: section %d (%s): %w", i, k, d.err)
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("snapshot: section %d (%s): %d trailing bytes", i, k, len(d.buf)-d.off)
-	}
-	return nil
-}
-
 // Verify checksums every section, including the hot arrays the zero-copy
-// load path deliberately skips, and decodes every plan, rDNS and traces
-// section (caching them as their accessors do). It reads the whole file
-// (faulting every page in when mapped).
+// load path deliberately skips. It reads the whole file (faulting every
+// page in when mapped).
 func (r *Reader) Verify() error {
-	for i, e := range r.entries {
-		var err error
-		switch e.kind {
-		case sectPlan:
-			_, err = r.Plan(e.year)
-		case sectRDNS:
-			_, err = r.RDNS(e.year)
-		case sectTraces:
-			var key TraceKey
-			if key, err = r.traceLabel(i); err == nil {
-				_, err = r.Traces(key)
-			}
-		default:
-			_, err = r.checkedPayload(i)
-		}
-		if err != nil {
+	for i := range r.entries {
+		if _, err := r.checkedPayload(i); err != nil {
 			return err
 		}
 	}
@@ -953,7 +716,7 @@ func (r *Reader) Verify() error {
 }
 
 // Close releases the underlying mapping. Every structure handed out by
-// the Reader — graphs, metadata, populations, plans decoded from it —
+// the Reader — graphs, metadata, populations —
 // borrows that memory and must not be used afterwards.
 func (r *Reader) Close() error {
 	if r.m == nil {

@@ -78,12 +78,12 @@ go test -bench 'BenchmarkLeakSweep|BenchmarkLeakTrialsBatch|BenchmarkLeakTrialsS
     -benchtime 1x -benchmem -run '^$' .
 
 echo "==> snapshot build/load smoke"
-# Freeze a small world (plans + rDNS, no trace corpora for speed), inspect
-# it, and run an experiment from it — the fast cold-start path end to end.
+# Freeze a small world (topologies and population models), inspect it, and
+# run an experiment from it — the fast cold-start path end to end.
 SNAPDIR="$(mktemp -d)"
 trap 'rm -rf "$SNAPDIR"' EXIT
 go build -o "$SNAPDIR/flatnet" ./cmd/flatnet
-"$SNAPDIR/flatnet" snapshot build -scale 0.01425 -traces none -o "$SNAPDIR/world.snap"
+"$SNAPDIR/flatnet" snapshot build -scale 0.01425 -o "$SNAPDIR/world.snap"
 "$SNAPDIR/flatnet" snapshot info -verify "$SNAPDIR/world.snap"
 "$SNAPDIR/flatnet" run -snapshot "$SNAPDIR/world.snap" table1 > /dev/null
 
