@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "trace":
 		err = cmdTrace(args[1:])
 	case "snapshot":
-		err = cmdSnapshot(args[1:], os.Stdout)
+		err = cmdSnapshot(args[1:], stdout)
 	case "timeline":
 		err = cmdTimeline(args[1:], stdout)
 	case "serve":

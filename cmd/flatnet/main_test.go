@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -147,6 +149,24 @@ func TestSnapshotInfoRefusesCorruptTable(t *testing.T) {
 		if code != 1 || !strings.Contains(stderr, "header checksum mismatch") {
 			t.Errorf("run(%q) = %d, stderr %q; want exit 1 with the header checksum error", args, code, stderr)
 		}
+	}
+}
+
+// `snapshot build` prints the sha256 it took from the bytes as it wrote
+// them; that must be the digest of the file on disk.
+func TestSnapshotBuildPrintsFileSHA256(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "world.snap")
+	code, stdout, stderr := runCLI("snapshot", "build", "-scale", "0.01425", "-o", path)
+	if code != 0 {
+		t.Fatalf("snapshot build = %d, stderr %q", code, stderr)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("sha256 %x\n", sha256.Sum256(raw))
+	if !strings.HasSuffix(stdout, want) {
+		t.Fatalf("snapshot build printed %q; want it to end with the file's %q", stdout, want)
 	}
 }
 

@@ -12,40 +12,24 @@ import (
 	"flatnet/internal/snapshot"
 )
 
-// fileSHA256 streams one file through sha256; the hex digest is the
-// snapshot's content address (what a sharded cluster will key worker sync
-// on).
-func fileSHA256(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
 // cmdSnapshot dispatches the snapshot subcommands: `build` freezes a
 // generated world (both presets' topologies and population models) into a
 // binary snapshot, `info` lists a snapshot's sections without decoding
 // payloads.
-func cmdSnapshot(args []string, stdout *os.File) error {
+func cmdSnapshot(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
 		return usagef("snapshot: missing subcommand (build or info)")
 	}
 	switch args[0] {
 	case "build":
-		return cmdSnapshotBuild(args[1:])
+		return cmdSnapshotBuild(args[1:], stdout)
 	case "info":
 		return cmdSnapshotInfo(args[1:], stdout)
 	}
 	return usagef("snapshot: unknown subcommand %q (want build or info)", args[0])
 }
 
-func cmdSnapshotBuild(args []string) error {
+func cmdSnapshotBuild(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("snapshot build", flag.ContinueOnError)
 	scale := fs.Float64("scale", 0.04987, "topology scale (1.0 = the paper's 69,488 ASes)")
 	out := fs.String("o", "flatnet.snap", "output snapshot file")
@@ -69,24 +53,23 @@ func cmdSnapshotBuild(args []string) error {
 		return err
 	}
 	built := time.Since(start)
-	if err := snapshot.WriteFile(*out, env.World()); err != nil {
+	// The file's sha256 is its content address (what a cluster worker
+	// syncs by); it is taken from the bytes as they are written.
+	sum := sha256.New()
+	if err := snapshot.WriteFile(*out, env.World(), sum); err != nil {
 		return err
 	}
 	st, err := os.Stat(*out)
 	if err != nil {
 		return err
 	}
-	sum, err := fileSHA256(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %.1f MiB, scale %g, built in %v\n",
+	fmt.Fprintf(stdout, "wrote %s: %.1f MiB, scale %g, built in %v\n",
 		*out, float64(st.Size())/(1<<20), *scale, built.Round(time.Millisecond))
-	fmt.Printf("sha256 %s\n", sum)
+	fmt.Fprintf(stdout, "sha256 %x\n", sum.Sum(nil))
 	return nil
 }
 
-func cmdSnapshotInfo(args []string, stdout *os.File) error {
+func cmdSnapshotInfo(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("snapshot info", flag.ContinueOnError)
 	verify := fs.Bool("verify", false, "checksum every section, including the mmap-served hot arrays")
 	if err := parseFlags(fs, args); err != nil {

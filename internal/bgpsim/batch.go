@@ -13,7 +13,8 @@ import (
 const BatchLanes = 64
 
 // BatchReach propagates up to BatchLanes origins at once and returns their
-// reachability counts. It exploits the fact that reachability *membership*
+// reachability counts (Counts) or the ASes each leaves without a route
+// (UnreachedCtx). It exploits the fact that reachability *membership*
 // under the Gao–Rexford model does not depend on path lengths, only on the
 // route-holding sets of the three propagation stages:
 //
@@ -124,15 +125,57 @@ func NewBatchReach(g *astopo.Graph) *BatchReach {
 // The result for each lane is bit-for-bit identical to the scalar
 // Simulator.ReachabilityCount over the equivalent per-origin mask.
 func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, out []int) error {
+	if len(out) < len(origins) {
+		return fmt.Errorf("bgpsim: out has %d entries for %d origins", len(out), len(origins))
+	}
+	if err := b.propagate(origins, base, maskProviders); err != nil {
+		return err
+	}
+	b.count(len(origins), out)
+	return nil
+}
+
+// UnreachedCtx propagates origins as Counts does, then appends to
+// out[lane], for each origin's lane, the dense index of every AS the lane
+// allows that receives no route, in index order. The origin always holds
+// its own route, so it is never listed. The propagation is aborted between
+// stages once ctx is done, returning ctx.Err().
+func (b *BatchReach) UnreachedCtx(ctx context.Context, origins []int32, base []bool, maskProviders bool, out [][]int32) error {
+	if len(out) < len(origins) {
+		return fmt.Errorf("bgpsim: out has %d lists for %d origins", len(out), len(origins))
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	b.ctx = ctx
+	err := b.propagate(origins, base, maskProviders)
+	b.ctx = nil
+	if err != nil || len(origins) == 0 {
+		return err
+	}
+	lanes := ^uint64(0) >> (BatchLanes - len(origins))
+	for v := range b.nodes {
+		nd := &b.nodes[v]
+		for miss := nd.allowed &^ (nd.up | nd.peer | nd.down) & lanes; miss != 0; miss &= miss - 1 {
+			lane := bits.TrailingZeros64(miss)
+			out[lane] = append(out[lane], int32(v))
+		}
+	}
+	b.clear(b.touched)
+	return nil
+}
+
+// propagate runs the three stages for origins and leaves every AS's route
+// words set, with the ASes holding a route on b.touched; count or clear
+// reads them and zeroes them again. A call that fails or is canceled
+// leaves the words zeroed.
+func (b *BatchReach) propagate(origins []int32, base []bool, maskProviders bool) error {
 	g, n := b.g, b.n
 	if len(origins) == 0 {
 		return nil
 	}
 	if len(origins) > BatchLanes {
 		return fmt.Errorf("bgpsim: %d origins exceed the %d-lane batch width", len(origins), BatchLanes)
-	}
-	if len(out) < len(origins) {
-		return fmt.Errorf("bgpsim: out has %d entries for %d origins", len(out), len(origins))
 	}
 	if base != nil && len(base) != n {
 		return fmt.Errorf("bgpsim: base mask has %d entries, graph has %d ASes", len(base), n)
@@ -295,17 +338,23 @@ func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, ou
 		}
 	}
 	b.queue = queue // keep the high-water backing arrays
-	b.touched = touched[:0]
+	b.touched = touched
+	return nil
+}
 
-	// ---- Count ----
-	// A bit-sliced vertical counter: each touched node's route word is
-	// added to every lane's count at once, as a binary increment rippling
-	// through the planes, instead of one increment per set bit. Every
-	// lane's origin bit is set in up[origin]; subtract it at the end rather
-	// than carrying a separate origin word. Only touched nodes hold bits,
-	// and each is cleared as it is counted, leaving the engine zeroed for
-	// the next call.
-	for i := range origins {
+// count writes each of the first lanes lanes' route holders, the origin
+// excepted, to out, and zeroes the route words propagate left.
+//
+// A bit-sliced vertical counter: each touched node's route word is added
+// to every lane's count at once, as a binary increment rippling through
+// the planes, instead of one increment per set bit. Every lane's origin
+// bit is set in up[origin]; subtract it at the end rather than carrying a
+// separate origin word. Only touched nodes hold bits, and each is cleared
+// as it is counted, leaving the engine zeroed for the next call.
+func (b *BatchReach) count(lanes int, out []int) {
+	nodes, touched := b.nodes, b.touched
+	b.touched = touched[:0]
+	for i := range out[:lanes] {
 		out[i] = 0
 	}
 	const chunk = 1<<countPlanes - 1
@@ -328,10 +377,9 @@ func (b *BatchReach) Counts(origins []int32, base []bool, maskProviders bool, ou
 			}
 		}
 	}
-	for i := range origins {
+	for i := range out[:lanes] {
 		out[i]--
 	}
-	return nil
 }
 
 // clear zeroes the route words of the touched nodes, for a call that

@@ -297,3 +297,129 @@ func TestCountsCtxCanceledMidStageThenReuse(t *testing.T) {
 		}
 	}
 }
+
+// scalarUnreached is the oracle for one lane of UnreachedCtx: the ASes a
+// scalar run over the lane's mask leaves without a route, the masked ASes
+// and the origin excepted, in index order.
+func scalarUnreached(t *testing.T, sim *Simulator, g *astopo.Graph, base []bool, o int, maskProviders bool) []int32 {
+	t.Helper()
+	mask := scalarMask(g, base, o, maskProviders)
+	res, err := sim.Run(Config{Origin: g.ASNAt(o), Exclude: mask})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []int32
+	for i, c := range res.Class {
+		if c == ClassNone && (mask == nil || !mask[i]) && i != o {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// Every lane's unreached list is the scalar Simulator's, for every origin
+// and mask shape, over full and partial blocks with repeated origins.
+func TestBatchUnreachedMatchesScalar(t *testing.T) {
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		n := g.NumASes()
+		var base []bool
+		if rng.Intn(3) > 0 {
+			base = make([]bool, n)
+			for i := range base {
+				base[i] = rng.Intn(5) == 0
+			}
+		}
+		maskProviders := rng.Intn(2) == 1
+		br := NewBatchReach(g)
+		sim := New(g)
+		out := make([][]int32, BatchLanes)
+		for round := 0; round < 3; round++ {
+			origins := make([]int32, 1+rng.Intn(BatchLanes))
+			for k := range origins {
+				origins[k] = int32(rng.Intn(n))
+			}
+			for k := range out {
+				out[k] = out[k][:0]
+			}
+			if err := br.UnreachedCtx(context.Background(), origins, base, maskProviders, out); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			for k, o := range origins {
+				if want := scalarUnreached(t, sim, g, base, int(o), maskProviders); !slices.Equal(out[k], want) {
+					t.Fatalf("seed %d round %d lane %d origin AS%d (maskProviders=%v, base=%v): batch %v, scalar %v",
+						seed, round, k, g.ASNAt(int(o)), maskProviders, base != nil, out[k], want)
+				}
+			}
+			for k := len(origins); k < BatchLanes; k++ {
+				if len(out[k]) != 0 {
+					t.Fatalf("seed %d: lane %d holds no origin but lists %v", seed, k, out[k])
+				}
+			}
+		}
+	}
+}
+
+// An UnreachedCtx canceled at each stage boundary leaves the engine clean:
+// the next count and the next unreached lists are a fresh engine's.
+func TestUnreachedCtxCanceledMidStageThenReuse(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		n := g.NumASes()
+		base := make([]bool, n)
+		for i := range base {
+			base[i] = rng.Intn(6) == 0
+		}
+		origins := make([]int32, min(n, BatchLanes))
+		for i := range origins {
+			origins[i] = int32(i)
+		}
+		wantCounts := make([]int, len(origins))
+		wantUn := make([][]int32, BatchLanes)
+		fresh := NewBatchReach(g)
+		if err := fresh.Counts(origins, base, true, wantCounts); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.UnreachedCtx(context.Background(), origins, base, true, wantUn); err != nil {
+			t.Fatal(err)
+		}
+		br := NewBatchReach(g)
+		canceled := 0
+		for after := 1; ; after++ {
+			// Err call 1 is UnreachedCtx's entry check; calls 2, 3 and 4
+			// open stages A, B and C.
+			got := make([][]int32, BatchLanes)
+			err := br.UnreachedCtx(&countdownCtx{Context: context.Background(), after: after}, origins, base, true, got)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("seed %d after %d checks: err = %v, want context.Canceled", seed, after, err)
+			}
+			canceled++
+			counts := make([]int, len(origins))
+			if err := br.Counts(origins, base, true, counts); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(counts, wantCounts) {
+				t.Fatalf("seed %d canceled after %d checks: reused engine counts %v, fresh %v", seed, after, counts, wantCounts)
+			}
+			got = make([][]int32, BatchLanes)
+			if err := br.UnreachedCtx(context.Background(), origins, base, true, got); err != nil {
+				t.Fatal(err)
+			}
+			for k := range origins {
+				if !slices.Equal(got[k], wantUn[k]) {
+					t.Fatalf("seed %d canceled after %d checks, lane %d: reused engine %v, fresh %v", seed, after, k, got[k], wantUn[k])
+				}
+			}
+		}
+		if canceled != 3 {
+			t.Fatalf("seed %d: canceled at %d stage boundaries, want 3", seed, canceled)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -21,45 +22,66 @@ import (
 // PR 5 is what makes that guarantee hold).
 //
 // The hash is defined over explicit little-endian bytes, not in-memory
-// representation, so it is stable across architectures.
+// representation, so it is stable across architectures. Those bytes are
+// encoded into a buffer, whole arrays and interleaved link triples alike,
+// and the hash takes one Write per full buffer: a daemon hashes its whole
+// world before it serves, and a Write per word would cost several times
+// the SHA-256 work itself. bufio's default 4 KiB hashes the scale-1.0
+// world as fast as 64 KiB does (2-vCPU host), and a 64 KiB buffer made at
+// a daemon's start raised its peak RSS under load by about 0.6 MiB.
 func DatasetHash(g *astopo.Graph, tier1, tier2 astopo.ASSet) string {
 	f := g.Frozen()
 	h := sha256.New()
-	var scratch [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		h.Write(scratch[:4])
-	}
+	w := bufio.NewWriter(h)
 	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		h.Write(scratch[:8])
+		w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v))
 	}
-	h.Write([]byte("flatnet-world-v1"))
+	w.WriteString("flatnet-world-v1")
 	u64(uint64(len(f.Nodes)))
 	u64(uint64(len(f.LinkA)))
-	for _, a := range f.Nodes {
-		u32(uint32(a))
-	}
-	for _, off := range [][]int32{f.ProvOff, f.CustOff, f.PeerOff} {
-		for _, v := range off {
-			u32(uint32(v))
+	hashWords(w, f.Nodes)
+	hashWords(w, f.ProvOff)
+	hashWords(w, f.CustOff)
+	hashWords(w, f.PeerOff)
+	hashWords(w, f.Arena)
+	// Each link is one (A, B, Rel) triple of words; Rel is sign-extended.
+	for i := 0; i < len(f.LinkA); {
+		if w.Available() < 12 {
+			w.Flush()
 		}
-	}
-	for _, v := range f.Arena {
-		u32(uint32(v))
-	}
-	for i := range f.LinkA {
-		u32(uint32(f.LinkA[i]))
-		u32(uint32(f.LinkB[i]))
-		u32(uint32(int32(f.LinkRel[i])))
+		k := min(len(f.LinkA)-i, w.Available()/12)
+		b := w.AvailableBuffer()
+		for j := i; j < i+k; j++ {
+			b = binary.LittleEndian.AppendUint32(b, uint32(f.LinkA[j]))
+			b = binary.LittleEndian.AppendUint32(b, uint32(f.LinkB[j]))
+			b = binary.LittleEndian.AppendUint32(b, uint32(int32(f.LinkRel[j])))
+		}
+		w.Write(b)
+		i += k
 	}
 	for _, set := range []astopo.ASSet{tier1, tier2} {
 		asns := set.Slice()
 		slices.Sort(asns)
 		u64(uint64(len(asns)))
-		for _, a := range asns {
-			u32(uint32(a))
-		}
+		hashWords(w, asns)
 	}
+	w.Flush() // a hash's Write never fails
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// hashWords encodes a whole array into w as 32-bit little-endian words, as
+// many as the buffer has room for at a time.
+func hashWords[T ~uint32 | ~int32](w *bufio.Writer, s []T) {
+	for len(s) > 0 {
+		if w.Available() < 4 {
+			w.Flush()
+		}
+		k := min(len(s), w.Available()/4)
+		b := w.AvailableBuffer()
+		for _, v := range s[:k] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+		w.Write(b)
+		s = s[k:]
+	}
 }

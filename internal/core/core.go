@@ -302,27 +302,25 @@ func RankReliance(entries []RelianceEntry, o astopo.ASN, k int) []RelianceEntry 
 	return filtered[:k]
 }
 
-// Unreachable returns the ASes that receive no route from o under the
-// kind's subgraph, excluding o itself and the masked ASes (they are not in
-// the subgraph at all) — the Fig. 4 population.
-func (m *Metrics) Unreachable(o astopo.ASN, kind Kind) ([]astopo.ASN, error) {
-	sim := m.pool.Get().(*bgpsim.Simulator)
-	defer m.pool.Put(sim)
-	// One mask serves both the propagation and the filtering below.
-	mask := m.acquireMask(o, kind)
-	defer m.releaseMask(mask)
-	res, err := sim.Run(bgpsim.Config{Origin: o, Exclude: mask})
+// Unreachable returns, for each origin in input order, the dense indexes
+// of the ASes that receive no route from it under the kind's subgraph,
+// excluding the origin itself and the masked ASes (they are not in the
+// subgraph at all), ascending (dense order is ASN order) — the Fig. 4
+// population. The origins ride the batch engine, up to 64 per
+// propagation, one block after another. Every origin must be present in
+// the graph.
+func (m *Metrics) Unreachable(ctx context.Context, origins []astopo.ASN, kind Kind) ([][]int32, error) {
+	idx, err := m.indexes(origins)
 	if err != nil {
 		return nil, err
 	}
-	g := m.ds.Graph
-	var out []astopo.ASN
-	for i, c := range res.Class {
-		if c != bgpsim.ClassNone || mask[i] {
-			continue
-		}
-		if a := g.ASNAt(i); a != o {
-			out = append(out, a)
+	eng := m.batchPool[kind].Get().(*bgpsim.BatchReach)
+	defer m.batchPool[kind].Put(eng)
+	out := make([][]int32, len(origins))
+	for lo := 0; lo < len(idx); lo += bgpsim.BatchLanes {
+		block := idx[lo:min(len(idx), lo+bgpsim.BatchLanes)]
+		if err := eng.UnreachedCtx(ctx, block, m.baseMask[kind], kind != Full, out[lo:]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

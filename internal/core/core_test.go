@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -70,17 +71,18 @@ func TestOriginInExclusionSetNotMasked(t *testing.T) {
 
 func TestUnreachable(t *testing.T) {
 	m := New(fixtureDataset(t))
-	un, err := m.Unreachable(100, HierarchyFree)
+	uns, err := m.Unreachable(context.Background(), []astopo.ASN{100}, HierarchyFree)
 	if err != nil {
 		t.Fatal(err)
 	}
+	un := uns[0]
 	// Subgraph removes 1, 2, 3; reachable are 4, 5; unreachable: 6, 7.
 	want := map[astopo.ASN]bool{6: true, 7: true}
 	if len(un) != len(want) {
 		t.Fatalf("Unreachable = %v, want {6,7}", un)
 	}
-	for _, a := range un {
-		if !want[a] {
+	for _, v := range un {
+		if a := m.ds.Graph.ASNAt(int(v)); !want[a] {
 			t.Errorf("unexpected unreachable AS%d", a)
 		}
 	}

@@ -96,6 +96,20 @@ func (m *Metrics) ReachabilityMany(ctx context.Context, origins []astopo.ASN, ki
 // one shard request occupies exactly one serving slot and backpressure
 // stays accurate.
 func (m *Metrics) ReachabilityManyN(ctx context.Context, origins []astopo.ASN, kind Kind, workers int) ([]int, error) {
+	idx, err := m.indexes(origins)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(origins))
+	if err := m.batchCountsIdxCtx(ctx, kind, idx, 0, out, workers); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// indexes resolves origins to dense graph indexes; every origin must be
+// present in the graph.
+func (m *Metrics) indexes(origins []astopo.ASN) ([]int32, error) {
 	g := m.ds.Graph
 	idx := make([]int32, len(origins))
 	for i, o := range origins {
@@ -105,9 +119,5 @@ func (m *Metrics) ReachabilityManyN(ctx context.Context, origins []astopo.ASN, k
 		}
 		idx[i] = int32(oi)
 	}
-	out := make([]int, len(origins))
-	if err := m.batchCountsIdxCtx(ctx, kind, idx, 0, out, workers); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return idx, nil
 }

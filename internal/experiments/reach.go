@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"flatnet/internal/astopo"
@@ -105,83 +106,93 @@ type Table1Result struct {
 	CloudRanks2020   map[string]Table1Row
 }
 
-// Table1 ranks every AS by hierarchy-free reachability in both presets.
+// Table1 ranks every AS by hierarchy-free reachability in both presets, in
+// (reach descending, ASN ascending) order: the top k rows of each year, and
+// the clouds' rows wherever they rank. Nothing else of the order is kept,
+// so no year's ASes are sorted: the top k are selected, and a cloud's rank
+// is one more than the number of ASes ahead of it.
 func Table1(env *Env, topK int) (*Table1Result, error) {
-	rank := func(year int, in *topogen.Internet) ([]Table1Row, map[string]Table1Row, error) {
-		all, err := env.SweepAll(year, core.HierarchyFree)
-		if err != nil {
-			return nil, nil, err
-		}
-		g := in.Graph
-		total := float64(g.NumASes() - 1)
-		// Names are filled only for the rows the result exposes (the top
-		// k and the cloud annotations): NameOf formats "AS<n>" for the
-		// long tail, and doing that for every AS in both years used to
-		// account for nearly all of Table 1's allocations.
-		rows := make([]Table1Row, g.NumASes())
-		for i, n := range all {
-			rows[i] = Table1Row{AS: g.ASNAt(i), Reach: n, Pct: 100 * float64(n) / total}
-		}
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].Reach != rows[j].Reach {
-				return rows[i].Reach > rows[j].Reach
-			}
-			return rows[i].AS < rows[j].AS
-		})
-		cloudOf := make(map[astopo.ASN]string, len(in.Clouds))
-		for _, c := range Clouds() {
-			cloudOf[in.Clouds[c]] = c
-		}
-		clouds := make(map[string]Table1Row)
-		for i := range rows {
-			rows[i].Rank = i + 1
-			if c, ok := cloudOf[rows[i].AS]; ok {
-				row := rows[i]
-				row.Name = in.NameOf(row.AS)
-				clouds[c] = row
-			}
-		}
-		return rows, clouds, nil
-	}
-	r15, c15, err := rank(2015, env.In2015)
+	all15, err := env.SweepAll(2015, core.HierarchyFree)
 	if err != nil {
 		return nil, err
 	}
-	r20, c20, err := rank(2020, env.In2020)
+	all20, err := env.SweepAll(2020, core.HierarchyFree)
 	if err != nil {
 		return nil, err
 	}
-	// Percentage change for the 2020 rows relative to the same AS' 2015
-	// percentage.
-	pct15 := make(map[astopo.ASN]float64, len(r15))
-	for _, r := range r15 {
-		pct15[r.AS] = r.Pct
-	}
-	for i := range r20 {
-		if p, ok := pct15[r20[i].AS]; ok {
-			r20[i].PctChange = r20[i].Pct - p
+	topK = min(topK, len(all15), len(all20))
+	top15, c15 := table1Rank(env.In2015, all15, topK)
+	top20, c20 := table1Rank(env.In2020, all20, topK)
+	// The percentage-point change of each printed 2020 row against the
+	// same AS's 2015 percentage.
+	g15 := env.In2015.Graph
+	total15 := float64(g15.NumASes() - 1)
+	for i := range top20 {
+		if j, ok := g15.Index(top20[i].AS); ok {
+			top20[i].PctChange = top20[i].Pct - 100*float64(all15[j])/total15
 		} else {
-			r20[i].PctChange = math.NaN()
+			top20[i].PctChange = math.NaN()
 		}
-	}
-	if topK > len(r15) {
-		topK = len(r15)
-	}
-	if topK > len(r20) {
-		topK = len(r20)
-	}
-	for i := range r15[:topK] {
-		r15[i].Name = env.In2015.NameOf(r15[i].AS)
-	}
-	for i := range r20[:topK] {
-		r20[i].Name = env.In2020.NameOf(r20[i].AS)
 	}
 	return &Table1Result{
-		Top2015:        r15[:topK],
-		Top2020:        r20[:topK],
+		Top2015:        top15,
+		Top2020:        top20,
 		CloudRanks2015: c15,
 		CloudRanks2020: c20,
 	}, nil
+}
+
+// table1Rank selects one year's top k rows from its sweep (reach by dense
+// index; dense order is ASN order, so an index breaks a reach tie as the
+// ASN does) and ranks the clouds present in the graph.
+func table1Rank(in *topogen.Internet, reach []int, k int) ([]Table1Row, map[string]Table1Row) {
+	g := in.Graph
+	total := float64(g.NumASes() - 1)
+	row := func(i, rank int) Table1Row {
+		a := g.ASNAt(i)
+		return Table1Row{Rank: rank, Name: in.NameOf(a), AS: a, Reach: reach[i], Pct: 100 * float64(reach[i]) / total}
+	}
+	// top holds the best indexes seen so far, best first. A later index
+	// ranks behind an earlier one of equal reach, so it enters only with
+	// strictly more reach than top's last.
+	top := make([]int, 0, k+1)
+	for i, r := range reach {
+		if len(top) == k && (k == 0 || r <= reach[top[k-1]]) {
+			continue
+		}
+		at := sort.Search(len(top), func(j int) bool { return reach[top[j]] < r })
+		top = slices.Insert(top, at, i)
+		if len(top) > k {
+			top = top[:k]
+		}
+	}
+	rows := make([]Table1Row, len(top))
+	for r, i := range top {
+		rows[r] = row(i, r+1)
+	}
+	type cloud struct {
+		name  string
+		i     int
+		ahead int
+	}
+	var cs []cloud
+	for _, c := range Clouds() {
+		if i, ok := g.Index(in.Clouds[c]); ok {
+			cs = append(cs, cloud{name: c, i: i})
+		}
+	}
+	for j, r := range reach {
+		for c := range cs {
+			if rc := reach[cs[c].i]; r > rc || r == rc && j < cs[c].i {
+				cs[c].ahead++
+			}
+		}
+	}
+	clouds := make(map[string]Table1Row, len(cs))
+	for _, c := range cs {
+		clouds[c.name] = row(c.i, c.ahead+1)
+	}
+	return rows, clouds
 }
 
 func runTable1(env *Env, w io.Writer) error {
@@ -240,9 +251,10 @@ func Fig3(env *Env) (*Fig3Result, error) {
 	if res.Threshold < 1 {
 		res.Threshold = 1
 	}
+	// The population's columns are the graph's dense order.
+	_, types, _, _ := env.Pop2020.Dense()
 	for i := range res.Points {
-		a := g.ASNAt(i)
-		res.Points[i] = Fig3Point{AS: a, Cone: cones[i], Reach: reach[i], Type: env.Pop2020.Type(a), Class: in.ClassAt(i)}
+		res.Points[i] = Fig3Point{AS: g.ASNAt(i), Cone: cones[i], Reach: reach[i], Type: types[i], Class: in.ClassAt(i)}
 		if reach[i] >= res.Threshold {
 			res.HighReach++
 		}
@@ -342,23 +354,27 @@ func spearman(xs, ys []int) float64 {
 	return num / math.Sqrt(dx*dy)
 }
 
+// ranks gives each value its 1-based rank in ascending order, ties taking
+// the mean of the ranks they span. The values are counts (reach, cone
+// sizes), so one counting pass over their span places every value without
+// a sort.
 func ranks(xs []int) []float64 {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return xs[idx[i]] < xs[idx[j]] })
 	out := make([]float64, len(xs))
-	for i := 0; i < len(idx); {
-		j := i
-		for j < len(idx) && xs[idx[j]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j-1)/2 + 1
-		for k := i; k < j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j
+	if len(xs) == 0 {
+		return out
+	}
+	lo, hi := slices.Min(xs), slices.Max(xs)
+	// below[v-lo] becomes the number of values less than v.
+	below := make([]int, hi-lo+2)
+	for _, x := range xs {
+		below[x-lo+1]++
+	}
+	for v := 1; v < len(below); v++ {
+		below[v] += below[v-1]
+	}
+	for k, x := range xs {
+		i, j := below[x-lo], below[x-lo+1]
+		out[k] = float64(i+j-1)/2 + 1
 	}
 	return out
 }
@@ -381,21 +397,23 @@ func Fig4Networks(in *topogen.Internet) []astopo.ASN {
 	}
 }
 
-// Fig4 tallies unreachable-AS types per provider.
+// Fig4 tallies unreachable-AS types per provider. The twelve networks'
+// unreachable sets come from one batch propagation, as dense indexes.
 func Fig4(env *Env) ([]Fig4Row, error) {
-	in, m := env.In2020, env.M2020
-	var rows []Fig4Row
-	for _, a := range Fig4Networks(in) {
-		un, err := m.Unreachable(a, core.HierarchyFree)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig4Row{
+	in := env.In2020
+	nets := Fig4Networks(in)
+	uns, err := env.M2020.Unreachable(context.Background(), nets, core.HierarchyFree)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig4Row, len(nets))
+	for i, a := range nets {
+		rows[i] = Fig4Row{
 			Name:        in.NameOf(a),
 			AS:          a,
-			Unreachable: len(un),
-			ByType:      env.Pop2020.CountByType(un),
-		})
+			Unreachable: len(uns[i]),
+			ByType:      env.Pop2020.CountByType(uns[i]),
+		}
 	}
 	return rows, nil
 }

@@ -197,11 +197,14 @@ func (m *Model) WeightsDense(g *astopo.Graph) []float64 {
 	return w
 }
 
-// CountByType tallies the ASes of each type among the given set.
-func (m *Model) CountByType(asns []astopo.ASN) map[ASType]int {
+// CountByType tallies the types at the given positions of the model's
+// columns. A model built for a graph (Build, or a snapshot's) holds its
+// columns in the graph's dense order, so these are the graph's dense
+// indexes.
+func (m *Model) CountByType(idx []int32) map[ASType]int {
 	out := make(map[ASType]int, 4)
-	for _, a := range asns {
-		out[m.Type(a)]++
+	for _, i := range idx {
+		out[m.types[i]]++
 	}
 	return out
 }

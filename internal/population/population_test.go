@@ -113,7 +113,11 @@ func TestDeterministic(t *testing.T) {
 
 func TestCountByType(t *testing.T) {
 	in, m := buildModel(t)
-	counts := m.CountByType(in.Graph.ASes())
+	all := make([]int32, in.Graph.NumASes())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	counts := m.CountByType(all)
 	var total int
 	for _, n := range counts {
 		total += n

@@ -94,9 +94,16 @@ func Write(w io.Writer, world *World) error {
 }
 
 // WriteFile writes the snapshot to path atomically: a crash never leaves a
-// half-written snapshot in place.
-func WriteFile(path string, world *World) error {
-	return writeAtomic(path, func(w io.Writer) error { return Write(w, world) })
+// half-written snapshot in place. Every byte written to the file is also
+// written to each tee writer, in order: a hash there digests the file
+// without reading it back.
+func WriteFile(path string, world *World, tee ...io.Writer) error {
+	return writeAtomic(path, func(w io.Writer) error {
+		if len(tee) > 0 {
+			w = io.MultiWriter(append([]io.Writer{w}, tee...)...)
+		}
+		return Write(w, world)
+	})
 }
 
 // writeAtomic encodes to path+".tmp", then renames it over path, so a crash

@@ -60,12 +60,16 @@ echo "==> snapshot decoder fuzz (10s)"
 # Short coverage-guided pass over the snapshot decoder; the seed corpus
 # carries a valid snapshot plus known corruption shapes, so even a
 # brief run exercises every section parser against hostile input.
-go test -run '^$' -fuzz 'FuzzSnapshotDecode' -fuzztime 10s ./internal/snapshot/
+# -fuzzminimizetime bounds the minimization of each new input: with the
+# default 60 s budget, minimizing one input grown from the large valid
+# seed took the rest of the pass (about 3,000 executions, all in the first
+# 3 s); bounded, the same 10 s runs tens of thousands.
+go test -run '^$' -fuzz 'FuzzSnapshotDecode' -fuzztime 10s -fuzzminimizetime 100x ./internal/snapshot/
 
 echo "==> delta decoder fuzz (5s)"
 # The delta codec is fed over the network (POST /v1/evolve), so its
 # fail-closed decoder gets its own hostile-input pass.
-go test -run '^$' -fuzz 'FuzzDeltaDecode' -fuzztime 5s ./internal/snapshot/
+go test -run '^$' -fuzz 'FuzzDeltaDecode' -fuzztime 5s -fuzzminimizetime 100x ./internal/snapshot/
 
 echo "==> cluster wire decoder fuzz (5s)"
 # The binary sweep/leak frames cross the network on every cluster shard;
