@@ -254,18 +254,13 @@ func cmdRun(args []string) error {
 			defer func() { <-sem }()
 			r, res := runners[i], &results[i]
 			t0 := time.Now()
-			if err := r.Run(env, &res.out); err != nil {
+			tables, err := r.Run(env, &res.out)
+			if err != nil {
 				res.err = fmt.Errorf("%s: %w", r.ID, err)
 				return
 			}
-			if *outdir != "" && experiments.HasTables(r.ID) {
-				tables, err := experiments.Tables(env, r.ID)
-				if err != nil {
-					res.err = fmt.Errorf("%s: CSV: %w", r.ID, err)
-					return
-				}
-				for _, tbl := range tables {
-					tbl := tbl
+			if *outdir != "" && tables != nil {
+				for _, tbl := range tables() {
 					path := fmt.Sprintf("%s/%s.csv", *outdir, tbl.Name)
 					if err := writeToFile(path, func(f *os.File) error { return tbl.WriteCSV(f) }); err != nil {
 						res.err = err

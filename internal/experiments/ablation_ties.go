@@ -65,11 +65,7 @@ func TiesAblation(env *Env) ([]TiesAblationRow, error) {
 	return rows, nil
 }
 
-func runTiesAblation(env *Env, w io.Writer) error {
-	rows, err := TiesAblation(env)
-	if err != nil {
-		return err
-	}
+func printTiesAblation(w io.Writer, _ *Env, rows []TiesAblationRow) error {
 	fmt.Fprintln(w, "leak detours: all-ties (paper's worst case) vs single-route tie-break")
 	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %12s\n",
 		"cloud", "mean(ties)", "mean(broken)", "worst(ties)", "worst(broken)", "reach equal")

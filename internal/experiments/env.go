@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation over the synthetic Internet presets. Each experiment has a
 // typed runner returning the same rows/series the paper reports, a text
-// renderer, and an entry in the Registry used by cmd/flatnet and the
-// benchmark harness.
+// renderer and a CSV builder over that result, and an entry in the Registry
+// used by cmd/flatnet and the benchmark harness.
 //
 // Absolute values differ from the paper's — the substrate is a synthetic
 // topology (true-scale at 1.0: 69,488 ASes for 2020, matching the paper's
@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -53,7 +54,7 @@ type Env struct {
 	memo *memo
 
 	// traceBuildHook, when set, is called at the start of every
-	// trace-corpus build with the build's flight key; the concurrency
+	// trace-campaign build with the build's flight key; the concurrency
 	// tests use it to hold two distinct builds open at once.
 	traceBuildHook func(key string)
 }
@@ -65,14 +66,12 @@ type memo struct {
 	mu     sync.Mutex // guards the maps below, never held while building
 	vals   map[string]any
 	builds map[string]int // successful builds per key
-	traces map[traceKey][][]tracesim.Traceroute
 }
 
 func newMemo() *memo {
 	return &memo{
 		vals:   make(map[string]any),
 		builds: make(map[string]int),
-		traces: make(map[traceKey][][]tracesim.Traceroute),
 	}
 }
 
@@ -125,14 +124,6 @@ func (e *Env) Fresh() *Env {
 	c := *e
 	c.memo = newMemo()
 	return &c
-}
-
-// traceKey identifies one cached corpus; nVMs is the resolved VM count
-// (requests with nVMs <= 0 are normalized to the paper's §4.1 counts).
-type traceKey struct {
-	year  int
-	cloud string
-	nVMs  int
 }
 
 // NewEnv generates both presets at the given scale (1.0 = 69,488 ASes for
@@ -277,149 +268,109 @@ func (e *Env) SweepAll(year int, kind core.Kind) ([]int, error) {
 	})
 }
 
-// lookupTraces serves a cached corpus. A request for n VM groups can be
-// served as a prefix of a larger cached corpus of the same (year, cloud):
-// VMs are selected per PoP in deployment order and each group's traces
-// depend only on its own VM and the destination, so group i is identical
-// in every corpus that includes it.
-func (e *Env) lookupTraces(year int, cloud string, n int) ([][]tracesim.Traceroute, bool) {
-	e.memo.mu.Lock()
-	defer e.memo.mu.Unlock()
-	if tr, ok := e.memo.traces[traceKey{year, cloud, n}]; ok {
-		return tr, true
-	}
-	for k, tr := range e.memo.traces {
-		if k.year == year && k.cloud == cloud && k.nVMs > n {
-			return tr[:n:n], true
-		}
-	}
-	return nil, false
-}
-
-func (e *Env) storeTraces(key traceKey, tr [][]tracesim.Traceroute) {
-	e.memo.mu.Lock()
-	e.memo.traces[key] = tr
-	e.memo.mu.Unlock()
-}
-
-// Traces returns the cached traceroute corpus for one cloud (nVMs <= 0 uses
-// the paper's §4.1 VM counts). A default-count request triggers one shared
-// build of every paper cloud's corpus for that year — the per-destination
+// Traces returns one cloud's traceroute corpus for a year: the first nVMs
+// VM groups of the cloud's default campaign, or all of it for nVMs <= 0
+// (the paper's §4.1 VM counts). The first demand of a year builds every
+// paper cloud's default campaign in one shared pass — the per-destination
 // propagation is cloud-independent, so the four campaigns cost a single
-// sweep — while concurrent callers for other keys build in parallel and
-// callers for the same key coalesce. Errors are returned but never cached.
+// sweep — and every later demand of that year reads it. A smaller count is
+// a prefix: VMs are selected per PoP in deployment order and each group's
+// traces depend only on its own VM and the destination, so group i is the
+// same in every campaign that includes it. A count above the default is
+// refused; `flatnet trace -vms` runs a larger campaign. Builds of distinct
+// years run concurrently, and errors are returned but never cached.
 func (e *Env) Traces(year int, cloud string, nVMs int) ([][]tracesim.Traceroute, error) {
-	engine, err := e.engine(year)
-	if err != nil {
-		return nil, err
+	k := slices.Index(Clouds(), cloud)
+	if k < 0 {
+		return nil, fmt.Errorf("experiments: no trace campaign for cloud %q", cloud)
 	}
-	vms, err := engine.VMs(cloud, nVMs)
-	if err != nil {
-		return nil, err
-	}
-	n := len(vms)
-	if tr, ok := e.lookupTraces(year, cloud, n); ok {
-		return tr, nil
-	}
-
-	key := fmt.Sprintf("traces/%d/%s/%d", year, cloud, n)
-	clouds, sets := []string{cloud}, [][]tracesim.VM{vms}
-	defVMs, err := engine.VMs(cloud, 0)
-	if err != nil {
-		return nil, err
-	}
-	if n == len(defVMs) {
-		// Default-count request: build all paper clouds of this year
-		// in one shared pass and populate every cloud's cache entry.
-		key = fmt.Sprintf("traces/%d", year)
-		clouds, sets = Clouds(), nil
-		for _, c := range clouds {
+	key := fmt.Sprintf("traces/%d", year)
+	all, err := memoize(e, key, func() ([][][]tracesim.Traceroute, error) {
+		engine, err := e.engine(year)
+		if err != nil {
+			return nil, err
+		}
+		var sets [][]tracesim.VM
+		for _, c := range Clouds() {
 			set, err := engine.VMs(c, 0)
 			if err != nil {
 				return nil, err
 			}
 			sets = append(sets, set)
 		}
-	}
-	// The build stores into the cache and memoizes nothing but its own
-	// completion: a joiner on the shared per-year flight wants its own
-	// cloud's entry, not whichever cloud the flight's leader asked for, so
-	// every caller re-reads the cache after the flight completes.
-	if _, err := memoize(e, key, func() (struct{}, error) {
 		if e.traceBuildHook != nil {
 			e.traceBuildHook(key)
 		}
-		all, err := engine.TraceAllMulti(sets)
-		if err != nil {
-			return struct{}{}, err
-		}
-		for i, c := range clouds {
-			e.storeTraces(traceKey{year, c, len(sets[i])}, all[i])
-		}
-		return struct{}{}, nil
-	}); err != nil {
+		return engine.TraceAllMulti(sets)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if tr, ok := e.lookupTraces(year, cloud, n); ok {
+	tr := all[k]
+	switch {
+	case nVMs <= 0:
 		return tr, nil
+	case nVMs > len(tr):
+		return nil, fmt.Errorf("experiments: %s's %d campaign has %d VM groups, %d requested", cloud, year, len(tr), nVMs)
 	}
-	return nil, fmt.Errorf("experiments: trace build for %s/%d left no corpus", cloud, year)
-}
-
-// Prewarm builds every lazy artifact the experiment registry consumes: both
-// address plans, the rDNS corpus, and the default traceroute corpora of all
-// paper clouds for 2020 (no registered experiment reads 2015 traces). The
-// builds overlap — the trace sweep (the four clouds' demands coalesce onto
-// one), the rDNS synthesis, and the 2015 plan proceed concurrently,
-// coalescing on the shared 2020 plan. This is the cold-start path
-// BenchmarkEnvColdStart measures.
-func (e *Env) Prewarm() error {
-	tasks := []func() error{
-		func() error { _, err := e.RDNS2020(); return err },
-		func() error { _, err := e.Plan2015(); return err },
-	}
-	for _, c := range Clouds() {
-		tasks = append(tasks, func() error { _, err := e.Traces(2020, c, 0); return err })
-	}
-	return par.For(len(tasks), len(tasks), func(w int) func(i int) error {
-		return func(i int) error { return tasks[i]() }
-	})
+	return tr[:nVMs:nVMs], nil
 }
 
 // Clouds lists the four providers in the paper's usual order.
 func Clouds() []string { return []string{"Google", "Microsoft", "IBM", "Amazon"} }
 
-// Runner is one registered experiment.
+// Runner is one registered experiment. Run computes it once, writes its
+// text to w, and returns what builds its CSV tables from that same result:
+// `flatnet run -outdir` calls it, a plain run does not. tables is nil for
+// an experiment without CSV output (fig11's map, appB, the timeline).
 type Runner struct {
 	ID, Title string
-	Run       func(*Env, io.Writer) error
+	Run       func(env *Env, w io.Writer) (tables func() []Table, err error)
+}
+
+// experiment makes a Run from an experiment's typed computation, its text
+// renderer and its CSV builder (nil for none).
+func experiment[T any](compute func(*Env) (T, error), text func(io.Writer, *Env, T) error, tables func(T) []Table) func(*Env, io.Writer) (func() []Table, error) {
+	return func(env *Env, w io.Writer) (func() []Table, error) {
+		res, err := compute(env)
+		if err != nil {
+			return nil, err
+		}
+		if err := text(w, env, res); err != nil {
+			return nil, err
+		}
+		if tables == nil {
+			return nil, nil
+		}
+		return func() []Table { return tables(res) }, nil
+	}
 }
 
 // Registry lists all experiments in paper order.
 var Registry = []Runner{
-	{"fig2", "Fig. 2: reachability under provider-free / Tier-1-free / hierarchy-free constraints", runFig2},
-	{"table1", "Table 1: top-20 hierarchy-free reachability, 2015 vs 2020", runTable1},
-	{"fig3", "Fig. 3: hierarchy-free reachability vs customer cone, all ASes", runFig3},
-	{"fig4", "Fig. 4: unreachable ASes by type under hierarchy-free constraints", runFig4},
-	{"fig6", "Fig. 6: reliance histogram per cloud", runFig6},
-	{"table2", "Table 2: top-3 reliance per cloud", runTable2},
-	{"fig7", "Fig. 7: route-leak detour CDFs (Microsoft, Amazon, IBM, Facebook)", runFig7},
-	{"fig8", "Fig. 8: route-leak detour CDFs (Google)", runLeakFigure(Fig8)},
-	{"fig9", "Fig. 9: user-weighted route-leak detour CDFs (Google)", runLeakFigure(Fig9)},
-	{"fig10", "Fig. 10: Google leak resilience, 2015 vs 2020", runFig10},
-	{"fig11", "Fig. 11: cloud vs transit PoP deployments", runFig11},
-	{"fig12", "Fig. 12: population coverage within 500/700/1000 km of PoPs", runFig12},
-	{"fig13", "Fig. 13 (App. E): path lengths over time, three weightings", runFig13},
-	{"table3", "Table 3 (App. C): PoPs and rDNS confirmation per network", runTable3},
-	{"appA", "Appendix A: simulated paths vs traced paths", runAppA},
-	{"appB", "Appendix B: Sprint and Deutsche Telekom reliance on Tier-2s", runAppB},
-	{"sec41", "§4.1: BGP-feed-visible vs combined cloud neighbor counts", runSec41},
-	{"sec5", "§5: neighbor-inference FDR/FNR per methodology stage", runSec5},
-	{"ablation", "Ablation: metrics on feed-only vs augmented vs ground-truth graphs", runAblation},
-	{"ablation-ties", "Ablation: worst-case (all ties) vs tie-broken leak exposure", runTiesAblation},
-	{"sensitivity", "Sensitivity: hierarchy-free reachability vs fraction of peerings missed", runSensitivity},
-	{"hijack", "Extension: accidental leaks vs forged originations (prefix hijacks)", runHijack},
-	{"timeline", "Extension: hierarchy-free cloud reachability along the 2015–2025 timeline", runTimeline},
+	{"fig2", "Fig. 2: reachability under provider-free / Tier-1-free / hierarchy-free constraints", experiment(Fig2, printFig2, fig2Tables)},
+	{"table1", "Table 1: top-20 hierarchy-free reachability, 2015 vs 2020", experiment(table1Top20, printTable1, table1Tables)},
+	{"fig3", "Fig. 3: hierarchy-free reachability vs customer cone, all ASes", experiment(Fig3, printFig3, fig3Tables)},
+	{"fig4", "Fig. 4: unreachable ASes by type under hierarchy-free constraints", experiment(Fig4, printFig4, fig4Tables)},
+	{"fig6", "Fig. 6: reliance histogram per cloud", experiment(Fig6, printFig6, fig6Tables)},
+	{"table2", "Table 2: top-3 reliance per cloud", experiment(Table2, printTable2, table2Tables)},
+	{"fig7", "Fig. 7: route-leak detour CDFs (Microsoft, Amazon, IBM, Facebook)", experiment(Fig7, printLeakFigures, leakTables("fig7"))},
+	{"fig8", "Fig. 8: route-leak detour CDFs (Google)", experiment(panels(Fig8), printLeakFigures, leakTables("fig8"))},
+	{"fig9", "Fig. 9: user-weighted route-leak detour CDFs (Google)", experiment(panels(Fig9), printLeakFigures, leakTables("fig9"))},
+	{"fig10", "Fig. 10: Google leak resilience, 2015 vs 2020", experiment(Fig10, printFig10, fig10Tables)},
+	{"fig11", "Fig. 11: cloud vs transit PoP deployments", experiment(Fig11, printFig11, nil)},
+	{"fig12", "Fig. 12: population coverage within 500/700/1000 km of PoPs", experiment(Fig12, printFig12, fig12Tables)},
+	{"fig13", "Fig. 13 (App. E): path lengths over time, three weightings", experiment(Fig13, printFig13, fig13Tables)},
+	{"table3", "Table 3 (App. C): PoPs and rDNS confirmation per network", experiment(Table3, printTable3, table3Tables)},
+	{"appA", "Appendix A: simulated paths vs traced paths", experiment(AppA, printAppA, appATables)},
+	{"appB", "Appendix B: Sprint and Deutsche Telekom reliance on Tier-2s", experiment(AppB, printAppB, nil)},
+	{"sec41", "§4.1: BGP-feed-visible vs combined cloud neighbor counts", experiment(Sec41, printSec41, sec41Tables)},
+	{"sec5", "§5: neighbor-inference FDR/FNR per methodology stage", experiment(Sec5, printSec5, sec5Tables)},
+	{"ablation", "Ablation: metrics on feed-only vs augmented vs ground-truth graphs", experiment(Ablation, printAblation, ablationTables)},
+	{"ablation-ties", "Ablation: worst-case (all ties) vs tie-broken leak exposure", experiment(TiesAblation, printTiesAblation, tiesAblationTables)},
+	{"sensitivity", "Sensitivity: hierarchy-free reachability vs fraction of peerings missed", experiment(Sensitivity, printSensitivity, sensitivityTables)},
+	{"hijack", "Extension: accidental leaks vs forged originations (prefix hijacks)", experiment(Hijack, printHijack, hijackTables)},
+	{"timeline", "Extension: hierarchy-free cloud reachability along the 2015–2025 timeline", experiment(timelineRows, printTimeline, nil)},
 }
 
 // ByID finds a registered experiment.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -40,7 +41,7 @@ func TestRegistryRunsAll(t *testing.T) {
 		}
 		seen[r.ID] = true
 		var buf bytes.Buffer
-		if err := r.Run(env, &buf); err != nil {
+		if _, err := r.Run(env, &buf); err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
 		if buf.Len() == 0 {
@@ -513,14 +514,15 @@ func TestTablesForAllCSVers(t *testing.T) {
 	env := getEnv(t)
 	n := 0
 	for _, r := range Registry {
-		if !HasTables(r.ID) {
-			continue
-		}
-		n++
-		tables, err := Tables(env, r.ID)
+		build, err := r.Run(env, io.Discard)
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
+		if build == nil {
+			continue
+		}
+		n++
+		tables := build()
 		if len(tables) == 0 {
 			t.Errorf("%s: no tables", r.ID)
 		}
@@ -544,8 +546,9 @@ func TestTablesForAllCSVers(t *testing.T) {
 	if n < 16 {
 		t.Errorf("only %d experiments have CSV output", n)
 	}
-	if _, err := Tables(env, "fig11"); err == nil {
-		t.Error("fig11 (map-only) should have no CSV output")
+	fig11, _ := ByID("fig11")
+	if build, err := fig11.Run(env, io.Discard); err != nil || build != nil {
+		t.Errorf("fig11 (map-only) should have no CSV output (err %v)", err)
 	}
 }
 

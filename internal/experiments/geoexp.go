@@ -64,11 +64,7 @@ func Fig11(env *Env) (*Fig11Result, error) {
 	return res, nil
 }
 
-func runFig11(env *Env, w io.Writer) error {
-	res, err := Fig11(env)
-	if err != nil {
-		return err
-	}
+func printFig11(w io.Writer, _ *Env, res *Fig11Result) error {
 	// Terminal rendering of the deployment map: B = both cohorts,
 	// T = transit only, C = cloud only, dots = other gazetteer cities.
 	markers := map[geo.CityID]rune{}
@@ -158,11 +154,7 @@ func Fig12(env *Env) (*Fig12Result, error) {
 	return res, nil
 }
 
-func runFig12(env *Env, w io.Writer) error {
-	res, err := Fig12(env)
-	if err != nil {
-		return err
-	}
+func printFig12(w io.Writer, _ *Env, res *Fig12Result) error {
 	printRows := func(title string, rows []Fig12Row) {
 		fmt.Fprintf(w, "%s\n%-16s %8s %8s %8s\n", title, "", "500km", "700km", "1000km")
 		for _, r := range rows {
@@ -209,11 +201,7 @@ func Table3(env *Env) ([]Table3Row, error) {
 	return rows, nil
 }
 
-func runTable3(env *Env, w io.Writer) error {
-	rows, err := Table3(env)
-	if err != nil {
-		return err
-	}
+func printTable3(w io.Writer, _ *Env, rows []Table3Row) error {
 	fmt.Fprintf(w, "%-18s %8s %12s %8s\n", "network", "PoPs", "hostnames", "% rDNS")
 	var confirmedSum, totalSum float64
 	for _, r := range rows {

@@ -21,16 +21,10 @@ type HijackRow struct {
 	LockedHijackMean float64
 }
 
-// Hijack runs the comparison for every cloud, memoized: the text and the
-// CSV of one -outdir pass read the same rows.
+// Hijack runs the comparison for every cloud: three jobs per cloud — leaks,
+// hijacks, and hijacks under Tier-1+Tier-2 peer locking, all against one
+// leaker sample — as one RunLeakJobs call.
 func Hijack(env *Env) ([]HijackRow, error) {
-	return memoize(env, "hijack", func() ([]HijackRow, error) { return hijack(env) })
-}
-
-// hijack submits three jobs per cloud — leaks, hijacks, and hijacks under
-// Tier-1+Tier-2 peer locking, all against one leaker sample — as one
-// RunLeakJobs call.
-func hijack(env *Env) ([]HijackRow, error) {
 	in := env.In2020
 	clouds := Clouds()
 	var jobs []bgpsim.LeakJob
@@ -65,11 +59,7 @@ func hijack(env *Env) ([]HijackRow, error) {
 	return rows, nil
 }
 
-func runHijack(env *Env, w io.Writer) error {
-	rows, err := Hijack(env)
-	if err != nil {
-		return err
-	}
+func printHijack(w io.Writer, _ *Env, rows []HijackRow) error {
 	fmt.Fprintln(w, "accidental leaks vs forged originations (prefix hijacks), announce-to-all")
 	fmt.Fprintf(w, "%-10s %11s %13s %12s %14s %18s\n",
 		"cloud", "leak mean", "hijack mean", "leak worst", "hijack worst", "hijack+T1T2 lock")

@@ -114,15 +114,10 @@ func googleFigure(env *Env, weighted bool) (*LeakFigure, error) {
 	return leakFigure(env, "Google", google, panel, weighted)
 }
 
-// Fig7 runs the leak panels for Microsoft, Amazon, IBM, and Facebook,
-// memoized: the text and the CSV of one -outdir pass read the same figures.
+// Fig7 runs the leak panels for Microsoft, Amazon, IBM, and Facebook: the
+// four origins' five scenarios as one unweighted 20-job RunLeakJobs call,
+// since the figure reads AS counts only.
 func Fig7(env *Env) ([]*LeakFigure, error) {
-	return memoize(env, "fig7", func() ([]*LeakFigure, error) { return fig7(env) })
-}
-
-// fig7 runs the four origins' five scenarios as one unweighted 20-job
-// RunLeakJobs call: the figure reads AS counts only.
-func fig7(env *Env) ([]*LeakFigure, error) {
 	in := env.In2020
 	panels := []struct {
 		name string
@@ -166,14 +161,9 @@ type Fig10Result struct {
 	Mean2015, Mean2020 float64
 }
 
-// Fig10 runs the 2015-vs-2020 comparison.
+// Fig10 runs the 2015-vs-2020 comparison: both years' announce-to-all
+// trials as one two-job RunLeakJobs call, a job per world.
 func Fig10(env *Env) (*Fig10Result, error) {
-	return memoize(env, "fig10", func() (*Fig10Result, error) { return fig10(env) })
-}
-
-// fig10 runs both years' announce-to-all trials as one two-job RunLeakJobs
-// call, a job per world.
-func fig10(env *Env) (*Fig10Result, error) {
 	var jobs []bgpsim.LeakJob
 	for _, in := range []*topogen.Internet{env.In2015, env.In2020} {
 		origin := in.Clouds["Google"]
@@ -220,34 +210,27 @@ func renderLeakFigure(w io.Writer, fig *LeakFigure) {
 	}
 }
 
-func runFig7(env *Env, w io.Writer) error {
-	figs, err := Fig7(env)
-	if err != nil {
-		return err
-	}
+// printLeakFigures renders the panels of a leak experiment (Figs. 7–9).
+func printLeakFigures(w io.Writer, _ *Env, figs []*LeakFigure) error {
 	for _, f := range figs {
 		renderLeakFigure(w, f)
 	}
 	return nil
 }
 
-// runLeakFigure renders a one-panel leak experiment (Figs. 8 and 9).
-func runLeakFigure(fig func(*Env) (*LeakFigure, error)) func(*Env, io.Writer) error {
-	return func(env *Env, w io.Writer) error {
+// panels lifts a one-panel leak experiment (Figs. 8 and 9) to the panel
+// list Fig. 7's text and CSV take.
+func panels(fig func(*Env) (*LeakFigure, error)) func(*Env) ([]*LeakFigure, error) {
+	return func(env *Env) ([]*LeakFigure, error) {
 		f, err := fig(env)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		renderLeakFigure(w, f)
-		return nil
+		return []*LeakFigure{f}, nil
 	}
 }
 
-func runFig10(env *Env, w io.Writer) error {
-	res, err := Fig10(env)
-	if err != nil {
-		return err
-	}
+func printFig10(w io.Writer, _ *Env, res *Fig10Result) error {
 	fmt.Fprintf(w, "Google announce-to-all, mean detoured: 2015=%.4f 2020=%.4f\n", res.Mean2015, res.Mean2020)
 	fmt.Fprintf(w, "%-10s", "detoured<=")
 	for _, x := range res.Grid {

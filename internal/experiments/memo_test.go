@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,10 +16,25 @@ import (
 func render(t *testing.T, env *Env, r Runner) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := r.Run(env, &buf); err != nil {
+	if _, err := r.Run(env, &buf); err != nil {
 		t.Errorf("%s: %v", r.ID, err)
 	}
 	return buf.Bytes()
+}
+
+// runOutdir runs one experiment the way `flatnet run -outdir` does: its
+// text, then its CSV tables from the same result.
+func runOutdir(t *testing.T, env *Env, id string) {
+	t.Helper()
+	r, _ := ByID(id)
+	tables, err := r.Run(env, io.Discard)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	if tables == nil {
+		t.Fatalf("%s has no CSV output", id)
+	}
+	tables()
 }
 
 // Every experiment must print the same bytes whether it finds the scope's
@@ -97,11 +113,7 @@ func TestMemoizedMatchesFresh(t *testing.T) {
 func TestDerivedResultsBuiltOnce(t *testing.T) {
 	env := getEnv(t).Fresh()
 	for _, id := range []string{"fig2", "table1", "fig3", "fig7", "fig8", "fig9", "fig10", "hijack"} {
-		r, _ := ByID(id)
-		render(t, env, r)
-		if _, err := Tables(env, id); err != nil {
-			t.Fatalf("%s CSV: %v", id, err)
-		}
+		runOutdir(t, env, id)
 	}
 	google := env.In2020.Clouds["Google"]
 	for prefix, want := range map[string]int{
@@ -110,9 +122,6 @@ func TestDerivedResultsBuiltOnce(t *testing.T) {
 		"sweep/2015/":                       1,
 		fmt.Sprintf("leakpanel/%d", google): 1, // was 2: Fig. 8 and Fig. 9
 		"leakpanel/":                        1, // Google's alone: Fig. 7 runs its own jobs
-		"fig7":                              1, // was 2: text and CSV
-		"fig10":                             1,
-		"hijack":                            1, // was 2: text and CSV
 		"weights/2020":                      1, // was 6: once per panel and once for the baseline
 	} {
 		if got := env.builds(prefix); got != want {
@@ -128,11 +137,7 @@ func TestDerivedResultsBuiltOnce(t *testing.T) {
 func TestRelianceBuiltOncePerCloud(t *testing.T) {
 	run := func(env *Env, ids ...string) {
 		for _, id := range ids {
-			r, _ := ByID(id)
-			render(t, env, r)
-			if _, err := Tables(env, id); err != nil {
-				t.Fatalf("%s CSV: %v", id, err)
-			}
+			runOutdir(t, env, id)
 		}
 		if got, want := env.builds("reliance/"), len(Clouds()); got != want {
 			t.Errorf("%v computed %d reliance vectors, want %d", ids, got, want)

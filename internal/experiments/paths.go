@@ -111,11 +111,7 @@ func Fig13(env *Env) ([]Fig13Cell, error) {
 	return out, nil
 }
 
-func runFig13(env *Env, w io.Writer) error {
-	cells, err := Fig13(env)
-	if err != nil {
-		return err
-	}
+func printFig13(w io.Writer, _ *Env, cells []Fig13Cell) error {
 	fmt.Fprintf(w, "%-10s %-5s %-14s %8s %8s %8s\n", "cloud", "year", "weighting", "1 hop", "2 hops", "3+ hops")
 	for _, c := range cells {
 		fmt.Fprintf(w, "%-10s %-5d %-14s %7.1f%% %7.1f%% %7.1f%%\n",
@@ -164,11 +160,7 @@ func AppA(env *Env) ([]AppARow, error) {
 	return out, nil
 }
 
-func runAppA(env *Env, w io.Writer) error {
-	rows, err := AppA(env)
-	if err != nil {
-		return err
-	}
+func printAppA(w io.Writer, _ *Env, rows []AppARow) error {
 	fmt.Fprintf(w, "%-10s %10s %12s\n", "cloud", "traces", "contained")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %10d %11.1f%%\n", r.Cloud, r.Traces, 100*r.Contained)

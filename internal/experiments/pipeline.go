@@ -81,11 +81,7 @@ func Sec41(env *Env) ([]Sec41Row, error) {
 	return rows, nil
 }
 
-func runSec41(env *Env, w io.Writer) error {
-	rows, err := Sec41(env)
-	if err != nil {
-		return err
-	}
+func printSec41(w io.Writer, _ *Env, rows []Sec41Row) error {
 	fmt.Fprintf(w, "%-10s %10s %10s %12s %18s\n", "cloud", "feed-only", "combined", "ground truth", "feed misses")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %10d %10d %12d %17.0f%%\n",
@@ -137,11 +133,7 @@ func Sec5(env *Env) ([]Sec5Row, error) {
 	return rows, nil
 }
 
-func runSec5(env *Env, w io.Writer) error {
-	rows, err := Sec5(env)
-	if err != nil {
-		return err
-	}
+func printSec5(w io.Writer, _ *Env, rows []Sec5Row) error {
 	fmt.Fprintf(w, "%-10s %-22s %4s %6s %6s %6s %8s %8s\n", "cloud", "stage", "VMs", "TP", "FP", "FN", "FDR", "FNR")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %-22s %4d %6d %6d %6d %7.1f%% %7.1f%%\n",
@@ -221,11 +213,7 @@ func Ablation(env *Env) ([]AblationRow, error) {
 	return rows, nil
 }
 
-func runAblation(env *Env, w io.Writer) error {
-	rows, err := Ablation(env)
-	if err != nil {
-		return err
-	}
+func printAblation(w io.Writer, _ *Env, rows []AblationRow) error {
 	fmt.Fprintf(w, "hierarchy-free reachability on three graphs:\n")
 	fmt.Fprintf(w, "%-10s %18s %18s %18s\n", "cloud", "feed-only", "feed+traceroute", "ground truth")
 	for _, r := range rows {

@@ -68,11 +68,7 @@ func Fig2(env *Env) ([]Fig2Row, error) {
 	return rows, nil
 }
 
-func runFig2(env *Env, w io.Writer) error {
-	rows, err := Fig2(env)
-	if err != nil {
-		return err
-	}
+func printFig2(w io.Writer, env *Env, rows []Fig2Row) error {
 	total := env.In2020.Graph.NumASes() - 1
 	fmt.Fprintf(w, "%-18s %-6s %12s %12s %15s\n", "network", "group", "provider-free", "tier1-free", "hierarchy-free")
 	for _, r := range rows {
@@ -195,11 +191,10 @@ func table1Rank(in *topogen.Internet, reach []int, k int) ([]Table1Row, map[stri
 	return rows, clouds
 }
 
-func runTable1(env *Env, w io.Writer) error {
-	res, err := Table1(env, 20)
-	if err != nil {
-		return err
-	}
+// table1Top20 is Table 1 as the paper prints it, the top 20 of each year.
+func table1Top20(env *Env) (*Table1Result, error) { return Table1(env, 20) }
+
+func printTable1(w io.Writer, _ *Env, res *Table1Result) error {
 	fmt.Fprintf(w, "%-4s %-20s %10s %8s   |   %-20s %10s %8s %8s\n",
 		"#", "2015 network", "reach", "%", "2020 network", "reach", "%", "Δ%")
 	for i := range res.Top2020 {
@@ -266,11 +261,7 @@ func Fig3(env *Env) (*Fig3Result, error) {
 	return res, nil
 }
 
-func runFig3(env *Env, w io.Writer) error {
-	res, err := Fig3(env)
-	if err != nil {
-		return err
-	}
+func printFig3(w io.Writer, _ *Env, res *Fig3Result) error {
 	fmt.Fprintf(w, "ASes: %d; threshold (scaled from paper's 1000): %d\n", len(res.Points), res.Threshold)
 	fmt.Fprintf(w, "ASes with hierarchy-free reach >= threshold: %d\n", res.HighReach)
 	fmt.Fprintf(w, "ASes with customer cone >= threshold:        %d\n", res.HighCone)
@@ -418,11 +409,7 @@ func Fig4(env *Env) ([]Fig4Row, error) {
 	return rows, nil
 }
 
-func runFig4(env *Env, w io.Writer) error {
-	rows, err := Fig4(env)
-	if err != nil {
-		return err
-	}
+func printFig4(w io.Writer, _ *Env, rows []Fig4Row) error {
 	types := []population.ASType{population.TypeContent, population.TypeTransit, population.TypeAccess, population.TypeEnterprise}
 	fmt.Fprintf(w, "%-18s %12s %9s %9s %9s %10s\n", "network", "unreachable", "content", "transit", "access", "enterprise")
 	for _, r := range rows {

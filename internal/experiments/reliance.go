@@ -73,11 +73,7 @@ func (r Fig6Result) binStarts() []int {
 	return bins
 }
 
-func runFig6(env *Env, w io.Writer) error {
-	results, err := Fig6(env)
-	if err != nil {
-		return err
-	}
+func printFig6(w io.Writer, env *Env, results []Fig6Result) error {
 	for _, r := range results {
 		fmt.Fprintf(w, "%s: max reliance %.1f on %s; ASes with reliance in [1,2): %d\n",
 			r.Cloud, r.MaxReliance, env.In2020.NameOf(r.MaxAS), r.RelyOne)
@@ -138,11 +134,7 @@ func (e *Env) reliance(cloud string) (relianceSummary, error) {
 	})
 }
 
-func runTable2(env *Env, w io.Writer) error {
-	rows, err := Table2(env)
-	if err != nil {
-		return err
-	}
+func printTable2(w io.Writer, env *Env, rows []Table2Row) error {
 	fmt.Fprintf(w, "%-10s %-28s %-28s %-28s\n", "cloud", "#1 (AS, rely)", "#2", "#3")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s", r.Cloud)
@@ -213,11 +205,7 @@ func AppB(env *Env) ([]AppBResult, error) {
 	return out, nil
 }
 
-func runAppB(env *Env, w io.Writer) error {
-	results, err := AppB(env)
-	if err != nil {
-		return err
-	}
+func printAppB(w io.Writer, env *Env, results []AppBResult) error {
 	for _, r := range results {
 		fmt.Fprintf(w, "%s (AS%d): Tier-1-free reach %d -> hierarchy-free %d\n",
 			r.Name, r.AS, r.Tier1FreeReach, r.HierarchyFreeReach)

@@ -78,11 +78,7 @@ func Sensitivity(env *Env) ([]SensitivityRow, error) {
 	return rows, nil
 }
 
-func runSensitivity(env *Env, w io.Writer) error {
-	rows, err := Sensitivity(env)
-	if err != nil {
-		return err
-	}
+func printSensitivity(w io.Writer, _ *Env, rows []SensitivityRow) error {
 	fmt.Fprintln(w, "hierarchy-free reachability when a fraction of each cloud's peerings is invisible")
 	fmt.Fprintln(w, "(the paper's final methodology missed ~21% of neighbors; §4.4's underestimation caveat)")
 	fmt.Fprintf(w, "%-10s", "cloud \\ miss")

@@ -2,13 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"flatnet/internal/snapshot"
+	"flatnet/internal/tracesim"
 )
 
 // A snapshot-loaded environment must be indistinguishable from the fresh one
@@ -58,12 +62,12 @@ func TestSnapshotEnvMatchesFresh(t *testing.T) {
 			t.Fatalf("experiment %s not registered", id)
 		}
 		var want bytes.Buffer
-		if err := r.Run(fresh, &want); err != nil {
+		if _, err := r.Run(fresh, &want); err != nil {
 			t.Fatalf("%s on fresh env: %v", id, err)
 		}
 		for name, env := range envs {
 			var got bytes.Buffer
-			if err := r.Run(env, &got); err != nil {
+			if _, err := r.Run(env, &got); err != nil {
 				t.Fatalf("%s on %s snapshot env: %v", id, name, err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
@@ -173,5 +177,70 @@ func TestTraceBuildErrorRetried(t *testing.T) {
 	}
 	if got := e.builds("traces/"); got != 1 {
 		t.Fatalf("ran %d successful builds, want 1", got)
+	}
+}
+
+// One build per year serves every VM count: for each paper cloud, every
+// count from 1 to its default is a prefix of the default campaign, taken
+// without a new build, and equals a campaign traced from just those VMs. A
+// count above the default is refused with an error naming the default.
+func TestTracesArePrefixesOfOneBuild(t *testing.T) {
+	e := getEnv(t).Fresh()
+	engine, err := e.engine(2020)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firstFour [][]tracesim.VM
+	for _, c := range Clouds() {
+		def, err := e.Traces(2020, c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= len(def); n++ {
+			tr, err := e.Traces(2020, c, n)
+			if err != nil {
+				t.Fatalf("%s, %d VMs: %v", c, n, err)
+			}
+			if len(tr) != n || &tr[0] != &def[0] {
+				t.Fatalf("%s, %d VMs: %d groups, not a prefix of the %d-VM default", c, n, len(tr), len(def))
+			}
+		}
+		_, err = e.Traces(2020, c, len(def)+1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" %d VM groups", len(def))) {
+			t.Errorf("%s, %d VMs (default %d): err %v, want a refusal naming the default", c, len(def)+1, len(def), err)
+		}
+		vms, err := engine.VMs(c, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstFour = append(firstFour, vms)
+	}
+	if got := e.builds("traces/"); got != 1 {
+		t.Errorf("%d trace builds, want 1 for the year", got)
+	}
+	direct, err := engine.TraceAllMulti(firstFour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range Clouds() {
+		tr, err := e.Traces(2020, c, len(firstFour[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tr, direct[i]) {
+			t.Errorf("%s: the default campaign's first %d groups differ from a campaign of those VMs alone", c, len(tr))
+		}
+	}
+}
+
+// §5 reads a 4-VM and a default campaign of two clouds: one build serves
+// them all.
+func TestSec5BuildsOneTraceCampaign(t *testing.T) {
+	e := getEnv(t).Fresh()
+	if _, err := Sec5(e); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.builds("traces/"); got != 1 {
+		t.Errorf("Sec5 ran %d trace builds, want 1", got)
 	}
 }

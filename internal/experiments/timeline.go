@@ -109,11 +109,11 @@ func PrintTimeline(w io.Writer, rows []TimelineRow) {
 	}
 }
 
-func runTimeline(env *Env, w io.Writer) error {
-	rows, err := TimelineAt(env.Scale)
-	if err != nil {
-		return err
-	}
+// timelineRows is the series at the Env's scale; it reads nothing else of
+// the Env.
+func timelineRows(env *Env) ([]TimelineRow, error) { return TimelineAt(env.Scale) }
+
+func printTimeline(w io.Writer, _ *Env, rows []TimelineRow) error {
 	PrintTimeline(w, rows)
 	return nil
 }
