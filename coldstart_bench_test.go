@@ -13,10 +13,11 @@ import (
 // BenchmarkEnvColdStart measures the full cold-start path of the default
 // environment: generate both presets and build every lazy artifact the
 // experiment registry consumes (plans, rDNS, the four clouds' 2020 trace
-// campaigns; no registered experiment reads 2015 traces). The builds
-// overlap — the trace campaigns, the rDNS synthesis and the 2015 plan run
-// concurrently, coalescing on the shared 2020 plan. The trace campaigns
-// dominate; all four clouds share one propagation sweep.
+// campaigns, folded to their facts; no registered experiment reads 2015
+// traces). The builds overlap — the trace campaigns, the rDNS synthesis and
+// the 2015 plan run concurrently, coalescing on the shared 2020 plan. The
+// trace campaigns dominate: all four clouds share one propagation sweep, and
+// the fold resolves every traceroute's border under the three §5 stages.
 func BenchmarkEnvColdStart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e, err := experiments.NewEnv(benchScale)

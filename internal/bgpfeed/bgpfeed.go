@@ -17,10 +17,10 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/bgpsim"
+	"flatnet/internal/par"
 )
 
 // View is what the collectors see.
@@ -50,42 +50,25 @@ func Collect(g *astopo.Graph, vps []astopo.ASN) (*View, error) {
 
 	origins := g.ASes()
 	perOrigin := make([][][]astopo.ASN, len(origins))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	var firstErr error
-	var errMu sync.Mutex
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sim := bgpsim.New(g)
-			for oi := range work {
-				res, err := sim.Run(bgpsim.Config{Origin: origins[oi], TrackNextHops: true})
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				var paths [][]astopo.ASN
-				for k, vi := range vpIdx {
-					if p := walkPath(g, res, vi, uint64(k)); p != nil {
-						paths = append(paths, p)
-					}
-				}
-				perOrigin[oi] = paths
+	err := par.For(runtime.GOMAXPROCS(0), len(origins), func(int) func(int) error {
+		sim := bgpsim.New(g)
+		return func(oi int) error {
+			res, err := sim.Run(bgpsim.Config{Origin: origins[oi], TrackNextHops: true})
+			if err != nil {
+				return err
 			}
-		}()
-	}
-	for oi := range origins {
-		work <- oi
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			var paths [][]astopo.ASN
+			for k, vi := range vpIdx {
+				if p := walkPath(g, res, vi, uint64(k)); p != nil {
+					paths = append(paths, p)
+				}
+			}
+			perOrigin[oi] = paths
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	view := &View{VPs: vps}

@@ -20,8 +20,11 @@ import (
 	"strings"
 	"sync"
 
+	"flatnet/internal/astopo"
 	"flatnet/internal/bgpsim"
 	"flatnet/internal/core"
+	"flatnet/internal/ipasn"
+	"flatnet/internal/neighbors"
 	"flatnet/internal/netdb"
 	"flatnet/internal/par"
 	"flatnet/internal/population"
@@ -33,13 +36,14 @@ import (
 )
 
 // Env bundles the datasets experiments run over. Heavy artifacts (address
-// plans, traceroute corpora) and results derived by propagation (all-AS
-// sweeps, leak panels, the average-resilience baseline, the BGP feed view)
-// are built on first demand and memoized: builds for distinct keys run
-// concurrently, concurrent demands for the same key coalesce onto one build
-// (per-key singleflight, no coarse lock), and only successful builds are
-// kept — a transient failure is retried by the next caller. Everything an Env hands out is
-// shared between its callers and must be treated as read-only.
+// plans, the rDNS corpus, folded trace campaigns) and results derived by
+// propagation (all-AS sweeps, leak panels, the average-resilience baseline,
+// the BGP feed view) are built on first demand and memoized: builds for
+// distinct keys run concurrently, concurrent demands for the same key
+// coalesce onto one build (per-key singleflight, no coarse lock), and only
+// successful builds are kept — a transient failure is retried by the next
+// caller. Everything an Env hands out is shared between its callers and must
+// be treated as read-only.
 type Env struct {
 	Scale float64
 
@@ -208,18 +212,6 @@ func (e *Env) RDNS2020() (*rdns.Corpus, error) {
 	})
 }
 
-// engine returns the year's shared trace engine (one per year so the
-// per-city distance cache is shared across every corpus of that year).
-func (e *Env) engine(year int) (*tracesim.Engine, error) {
-	plan, err := e.plan(year)
-	if err != nil {
-		return nil, err
-	}
-	return memoize(e, fmt.Sprintf("engine/%d", year), func() (*tracesim.Engine, error) {
-		return tracesim.New(plan, tracesim.DefaultOptions(int64(year))), nil
-	})
-}
-
 // userWeights is one preset's per-AS user population by dense graph index:
 // every leak panel of a year and its average-resilience line weight by the
 // same vector.
@@ -268,9 +260,80 @@ func (e *Env) SweepAll(year int, kind core.Kind) ([]int, error) {
 	})
 }
 
-// Traces returns one cloud's traceroute corpus for a year: the first nVMs
-// VM groups of the cloud's default campaign, or all of it for nVMs <= 0
-// (the paper's §4.1 VM counts). The first demand of a year builds every
+// traceFact is what the experiments read of one traceroute: the neighbor
+// each §5 methodology stage infers from it where the stage keeps it (§4.1,
+// §5, the ablation), and the two Appendix A bits — whether it reached the
+// destination AS, and whether its AS path is one of the tied-best
+// simulated paths.
+type traceFact struct {
+	neighbor        [neighbors.StageFinal + 1]astopo.ASN // by stage
+	kept            [neighbors.StageFinal + 1]bool
+	reached, onBest bool
+}
+
+// Campaign is one cloud's trace campaign folded to its facts: one per VM
+// group and destination AS. No traceroute outlives the fold.
+type Campaign struct {
+	VMs   int
+	dests int
+	facts []traceFact // VM-major: facts[vm*dests+dst]
+}
+
+// Neighbors is the cloud's neighbor set as stage infers it: the union over
+// the campaign's retained traceroutes.
+func (c Campaign) Neighbors(stage neighbors.Stage) astopo.ASSet {
+	out := make(astopo.ASSet)
+	for i := range c.facts {
+		if f := &c.facts[i]; f.kept[stage] {
+			out.Add(f.neighbor[stage])
+		}
+	}
+	return out
+}
+
+// foldCampaigns synthesizes a year's campaign for every paper cloud, nVMs
+// VMs each (<= 0: the §4.1 counts), in one TraceAllMulti pass, and keeps of
+// each traceroute only its facts. The resolvers and the stage chains are
+// built once for the pass, and each fact is written once, by index, on the
+// worker that traced it.
+func foldCampaigns(plan *netdb.Plan, year, nVMs int) ([]Campaign, error) {
+	engine := tracesim.New(plan, tracesim.DefaultOptions(int64(year)))
+	res, err := neighbors.NewResolvers(plan)
+	if err != nil {
+		return nil, err
+	}
+	stages := neighbors.Stages()
+	chains := make([]ipasn.Resolver, len(stages))
+	for i, s := range stages {
+		chains[i] = res.Chain(s)
+	}
+	dests := plan.Internet().Graph.NumASes()
+	var sets [][]tracesim.VM
+	out := make([]Campaign, len(Clouds()))
+	for i, c := range Clouds() {
+		set, err := engine.VMs(c, nVMs)
+		if err != nil {
+			return nil, err
+		}
+		sets = append(sets, set)
+		out[i] = Campaign{VMs: len(set), dests: dests, facts: make([]traceFact, len(set)*dests)}
+	}
+	err = engine.TraceAllMulti(sets, func(si, vi, di int, tr tracesim.Traceroute) {
+		f := &out[si].facts[vi*dests+di]
+		for i, s := range stages {
+			f.neighbor[s], f.kept[s] = neighbors.Neighbor(&tr, tr.VM.CloudASN, chains[i], s)
+		}
+		f.reached, f.onBest = tr.Reached, tr.OnBestPath
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Traces returns one cloud's folded trace campaign for a year: the first
+// nVMs VM groups of the cloud's default campaign, or all of it for nVMs <= 0
+// (the paper's §4.1 VM counts). The first demand of a year folds every
 // paper cloud's default campaign in one shared pass — the per-destination
 // propagation is cloud-independent, so the four campaigns cost a single
 // sweep — and every later demand of that year reads it. A smaller count is
@@ -279,41 +342,34 @@ func (e *Env) SweepAll(year int, kind core.Kind) ([]int, error) {
 // same in every campaign that includes it. A count above the default is
 // refused; `flatnet trace -vms` runs a larger campaign. Builds of distinct
 // years run concurrently, and errors are returned but never cached.
-func (e *Env) Traces(year int, cloud string, nVMs int) ([][]tracesim.Traceroute, error) {
+func (e *Env) Traces(year int, cloud string, nVMs int) (Campaign, error) {
 	k := slices.Index(Clouds(), cloud)
 	if k < 0 {
-		return nil, fmt.Errorf("experiments: no trace campaign for cloud %q", cloud)
+		return Campaign{}, fmt.Errorf("experiments: no trace campaign for cloud %q", cloud)
 	}
 	key := fmt.Sprintf("traces/%d", year)
-	all, err := memoize(e, key, func() ([][][]tracesim.Traceroute, error) {
-		engine, err := e.engine(year)
+	all, err := memoize(e, key, func() ([]Campaign, error) {
+		plan, err := e.plan(year)
 		if err != nil {
 			return nil, err
-		}
-		var sets [][]tracesim.VM
-		for _, c := range Clouds() {
-			set, err := engine.VMs(c, 0)
-			if err != nil {
-				return nil, err
-			}
-			sets = append(sets, set)
 		}
 		if e.traceBuildHook != nil {
 			e.traceBuildHook(key)
 		}
-		return engine.TraceAllMulti(sets)
+		return foldCampaigns(plan, year, 0)
 	})
 	if err != nil {
-		return nil, err
+		return Campaign{}, err
 	}
-	tr := all[k]
+	c := all[k]
 	switch {
 	case nVMs <= 0:
-		return tr, nil
-	case nVMs > len(tr):
-		return nil, fmt.Errorf("experiments: %s's %d campaign has %d VM groups, %d requested", cloud, year, len(tr), nVMs)
+		return c, nil
+	case nVMs > c.VMs:
+		return Campaign{}, fmt.Errorf("experiments: %s's %d campaign has %d VM groups, %d requested", cloud, year, c.VMs, nVMs)
 	}
-	return tr[:nVMs:nVMs], nil
+	n := nVMs * c.dests
+	return Campaign{VMs: nVMs, dests: c.dests, facts: c.facts[:n:n]}, nil
 }
 
 // Clouds lists the four providers in the paper's usual order.

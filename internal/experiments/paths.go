@@ -134,20 +134,16 @@ type AppARow struct {
 func AppA(env *Env) ([]AppARow, error) {
 	var out []AppARow
 	for _, cloud := range Clouds() {
-		groups, err := env.Traces(2020, cloud, 0)
+		traces, err := env.Traces(2020, cloud, 0)
 		if err != nil {
 			return nil, err
 		}
 		row := AppARow{Cloud: cloud}
 		contained := 0
-		for _, group := range groups {
-			for i := range group {
-				tr := &group[i]
-				if !tr.Reached {
-					continue // the paper discards traces that miss the dest AS
-				}
+		for i := range traces.facts {
+			if f := &traces.facts[i]; f.reached { // the paper discards traces that miss the dest AS
 				row.Traces++
-				if tr.OnBestPath {
+				if f.onBest {
 					contained++
 				}
 			}

@@ -51,14 +51,6 @@ func Sec41(env *Env) ([]Sec41Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := env.Plan2020()
-	if err != nil {
-		return nil, err
-	}
-	res, err := neighbors.NewResolvers(plan)
-	if err != nil {
-		return nil, err
-	}
 	var rows []Sec41Row
 	for _, cloud := range Clouds() {
 		asn := in.Clouds[cloud]
@@ -67,8 +59,7 @@ func Sec41(env *Env) ([]Sec41Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		inf := neighbors.Infer(traces, asn, res, neighbors.StageFinal)
-		combined := feedSet.Union(inf.Neighbors)
+		combined := feedSet.Union(traces.Neighbors(neighbors.StageFinal))
 		truth := len(in.Graph.Providers(asn)) + len(in.Graph.Peers(asn)) + len(in.Graph.Customers(asn))
 		rows = append(rows, Sec41Row{
 			Cloud:       cloud,
@@ -101,14 +92,6 @@ type Sec5Row struct {
 // Sec5 reproduces the §5 iterative-accuracy table: per stage and per VM
 // count for Google and Microsoft (the two operators that validated).
 func Sec5(env *Env) ([]Sec5Row, error) {
-	plan, err := env.Plan2020()
-	if err != nil {
-		return nil, err
-	}
-	res, err := neighbors.NewResolvers(plan)
-	if err != nil {
-		return nil, err
-	}
 	in := env.In2020
 	var rows []Sec5Row
 	for _, cloud := range []string{"Google", "Microsoft"} {
@@ -120,12 +103,11 @@ func Sec5(env *Env) ([]Sec5Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				inf := neighbors.Infer(traces, asn, res, stage)
 				rows = append(rows, Sec5Row{
 					Cloud:      cloud,
 					Stage:      stage,
-					VMs:        len(traces),
-					Validation: neighbors.Validate(inf.Neighbors, truth),
+					VMs:        traces.VMs,
+					Validation: neighbors.Validate(traces.Neighbors(stage), truth),
 				})
 			}
 		}
@@ -165,22 +147,12 @@ func Ablation(env *Env) ([]AblationRow, error) {
 		return nil, err
 	}
 	augGraph := feedGraph.Clone()
-	plan, err := env.Plan2020()
-	if err != nil {
-		return nil, err
-	}
-	res, err := neighbors.NewResolvers(plan)
-	if err != nil {
-		return nil, err
-	}
 	for _, cloud := range Clouds() {
-		asn := in.Clouds[cloud]
 		traces, err := env.Traces(2020, cloud, 0)
 		if err != nil {
 			return nil, err
 		}
-		inf := neighbors.Infer(traces, asn, res, neighbors.StageFinal)
-		neighbors.Augment(augGraph, asn, inf.Neighbors)
+		neighbors.Augment(augGraph, in.Clouds[cloud], traces.Neighbors(neighbors.StageFinal))
 	}
 
 	reach := func(g *astopo.Graph, origin astopo.ASN) (int, float64, error) {

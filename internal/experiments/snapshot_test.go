@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"flatnet/internal/snapshot"
-	"flatnet/internal/tracesim"
 )
 
 // A snapshot-loaded environment must be indistinguishable from the fresh one
@@ -78,7 +78,7 @@ func TestSnapshotEnvMatchesFresh(t *testing.T) {
 	}
 }
 
-// Trace-corpus builds for distinct keys must run concurrently (no coarse
+// Trace-campaign builds for distinct keys must run concurrently (no coarse
 // env lock), while every caller of the same year coalesces onto a single
 // build. The hook holds both builds open until each has started; under a
 // coarse lock the second build could never start and the test would time
@@ -172,8 +172,8 @@ func TestTraceBuildErrorRetried(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after failed build: %v", err)
 	}
-	if len(tr) != 2 {
-		t.Fatalf("retry returned %d VM groups, want 2", len(tr))
+	if want := 2 * e.In2020.Graph.NumASes(); tr.VMs != 2 || len(tr.facts) != want {
+		t.Fatalf("retry returned %d VM groups and %d facts, want 2 and %d", tr.VMs, len(tr.facts), want)
 	}
 	if got := e.builds("traces/"); got != 1 {
 		t.Fatalf("ran %d successful builds, want 1", got)
@@ -181,66 +181,65 @@ func TestTraceBuildErrorRetried(t *testing.T) {
 }
 
 // One build per year serves every VM count: for each paper cloud, every
-// count from 1 to its default is a prefix of the default campaign, taken
-// without a new build, and equals a campaign traced from just those VMs. A
-// count above the default is refused with an error naming the default.
+// count from 1 to its default is a prefix of the default campaign's facts,
+// taken without a new build, and the first 4 groups' facts equal those of a
+// campaign folded from just those VMs. A count above the default is refused
+// with an error naming the default.
 func TestTracesArePrefixesOfOneBuild(t *testing.T) {
 	e := getEnv(t).Fresh()
-	engine, err := e.engine(2020)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var firstFour [][]tracesim.VM
 	for _, c := range Clouds() {
 		def, err := e.Traces(2020, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for n := 1; n <= len(def); n++ {
+		perVM := len(def.facts) / def.VMs
+		for n := 1; n <= def.VMs; n++ {
 			tr, err := e.Traces(2020, c, n)
 			if err != nil {
 				t.Fatalf("%s, %d VMs: %v", c, n, err)
 			}
-			if len(tr) != n || &tr[0] != &def[0] {
-				t.Fatalf("%s, %d VMs: %d groups, not a prefix of the %d-VM default", c, n, len(tr), len(def))
+			if tr.VMs != n || len(tr.facts) != n*perVM || &tr.facts[0] != &def.facts[0] {
+				t.Fatalf("%s, %d VMs: %d groups, not a prefix of the %d-VM default", c, n, tr.VMs, def.VMs)
 			}
 		}
-		_, err = e.Traces(2020, c, len(def)+1)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" %d VM groups", len(def))) {
-			t.Errorf("%s, %d VMs (default %d): err %v, want a refusal naming the default", c, len(def)+1, len(def), err)
+		_, err = e.Traces(2020, c, def.VMs+1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" %d VM groups", def.VMs)) {
+			t.Errorf("%s, %d VMs (default %d): err %v, want a refusal naming the default", c, def.VMs+1, def.VMs, err)
 		}
-		vms, err := engine.VMs(c, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		firstFour = append(firstFour, vms)
 	}
 	if got := e.builds("traces/"); got != 1 {
 		t.Errorf("%d trace builds, want 1 for the year", got)
 	}
-	direct, err := engine.TraceAllMulti(firstFour)
+	plan, err := e.Plan2020()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := foldCampaigns(plan, 2020, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range Clouds() {
-		tr, err := e.Traces(2020, c, len(firstFour[i]))
+		tr, err := e.Traces(2020, c, direct[i].VMs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(tr, direct[i]) {
-			t.Errorf("%s: the default campaign's first %d groups differ from a campaign of those VMs alone", c, len(tr))
+			t.Errorf("%s: the default campaign's first %d groups differ from a campaign of those VMs alone", c, tr.VMs)
 		}
 	}
 }
 
-// §5 reads a 4-VM and a default campaign of two clouds: one build serves
-// them all.
+// §4.1, §5 (a 4-VM and a default campaign of two clouds), the ablation and
+// Appendix A all read the year's campaign: one build serves them all.
 func TestSec5BuildsOneTraceCampaign(t *testing.T) {
 	e := getEnv(t).Fresh()
-	if _, err := Sec5(e); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"sec41", "sec5", "ablation", "appA"} {
+		r, _ := ByID(id)
+		if _, err := r.Run(e, io.Discard); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
 	}
 	if got := e.builds("traces/"); got != 1 {
-		t.Errorf("Sec5 ran %d trace builds, want 1", got)
+		t.Errorf("sec41, sec5, ablation and appA ran %d trace builds, want 1", got)
 	}
 }

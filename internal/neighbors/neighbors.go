@@ -75,8 +75,9 @@ func NewResolvers(plan *netdb.Plan) (Resolvers, error) {
 	return Resolvers{Cymru: cymru, PDB: ipasn.NewPeeringDB(plan.Lans), Whois: whois}, nil
 }
 
-// chain returns the stage's resolver ordering.
-func (r Resolvers) chain(stage Stage) ipasn.Resolver {
+// Chain returns the stage's resolver ordering. A chain only reads its
+// sources, so one serves any number of concurrent Neighbor calls.
+func (r Resolvers) Chain(stage Stage) ipasn.Resolver {
 	switch stage {
 	case StageNaive:
 		return ipasn.NewChain("naive", r.Cymru)
@@ -87,78 +88,48 @@ func (r Resolvers) chain(stage Stage) ipasn.Resolver {
 	}
 }
 
-// Inference is the result of running the pipeline over a traceroute corpus.
-type Inference struct {
-	Cloud     astopo.ASN
-	Stage     Stage
-	Neighbors astopo.ASSet
-	// Retained counts traceroutes that contributed a neighbor; Discarded
-	// counts those rejected by the sanitization rules.
-	Retained, Discarded int
-}
-
-// Infer runs the pipeline for one cloud over per-VM traceroute groups.
-func Infer(groups [][]tracesim.Traceroute, cloud astopo.ASN, res Resolvers, stage Stage) Inference {
-	out := Inference{Cloud: cloud, Stage: stage, Neighbors: make(astopo.ASSet)}
-	chain := res.chain(stage)
-	for _, group := range groups {
-		for i := range group {
-			n, ok := extractNeighbor(&group[i], cloud, chain, stage)
-			if !ok {
-				out.Discarded++
-				continue
-			}
-			out.Retained++
-			out.Neighbors.Add(n)
+// Neighbor applies the paper's border rule to one traceroute: find the last
+// hop resolving to the cloud, then identify the first subsequent hop
+// resolving to a different AS, subject to the stage's skip/discard rules
+// for unresponsive and unresolved hops in between. chain must be
+// Chain(stage). ok=false means the stage's sanitization discards the
+// traceroute; a cloud's inferred neighbor set is the union over its
+// retained traceroutes.
+func Neighbor(tr *tracesim.Traceroute, cloud astopo.ASN, chain ipasn.Resolver, stage Stage) (astopo.ASN, bool) {
+	resolve := func(h tracesim.Hop) (astopo.ASN, bool) {
+		if !h.Responded() {
+			return 0, false
 		}
+		return chain.Resolve(h.Addr)
 	}
-	return out
-}
-
-// extractNeighbor applies the paper's border rule to one traceroute: find
-// the last hop resolving to the cloud, then identify the first subsequent
-// hop resolving to a different AS, subject to the stage's skip/discard
-// rules for unresponsive and unresolved hops in between.
-func extractNeighbor(tr *tracesim.Traceroute, cloud astopo.ASN, chain ipasn.Resolver, stage Stage) (astopo.ASN, bool) {
-	type hopRes struct {
-		asn      astopo.ASN
-		resolved bool
-		replied  bool
-	}
-	hops := make([]hopRes, len(tr.Hops))
+	hops := tr.Hops
 	lastCloud := -1
-	for i, h := range tr.Hops {
-		hops[i].replied = h.Responded()
-		if h.Responded() {
-			if asn, ok := chain.Resolve(h.Addr); ok {
-				hops[i].asn = asn
-				hops[i].resolved = true
-				if asn == cloud {
-					lastCloud = i
-				}
-			}
+	for i := len(hops) - 1; i >= 0; i-- {
+		if asn, ok := resolve(hops[i]); ok && asn == cloud {
+			lastCloud = i
+			break
 		}
 	}
 	if lastCloud < 0 || lastCloud == len(hops)-1 {
 		return 0, false
 	}
 	j := lastCloud + 1
+	asn, resolved := resolve(hops[j])
 	if stage == StageNaive {
 		// The initial assumption: one unknown or unresponsive hop
 		// between the last cloud hop and the first resolved hop is
 		// "unlikely to be an intermediate AS" — skip it.
-		if !hops[j].resolved && j+1 < len(hops) {
+		if !resolved && j+1 < len(hops) {
 			j++
+			asn, resolved = resolve(hops[j])
 		}
-	} else {
-		if !hops[j].replied {
-			return 0, false // discard the whole traceroute
-		}
+	} else if !hops[j].Responded() {
+		return 0, false // discard the whole traceroute
 	}
-	if !hops[j].resolved || hops[j].asn == cloud {
+	if !resolved || asn == cloud {
 		return 0, false
 	}
-	return hops[j].asn, true
+	return asn, true
 }
 
 // Validation quantifies an inference against ground truth.

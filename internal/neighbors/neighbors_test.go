@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/ipasn"
 	"flatnet/internal/netdb"
 	"flatnet/internal/topogen"
 	"flatnet/internal/tracesim"
@@ -39,7 +40,32 @@ func newFixture(t testing.TB, scale float64) *fixture {
 	}
 }
 
-func (f *fixture) infer(t testing.TB, cloud string, nVMs int, stage Stage) (Inference, Validation) {
+// inference is a campaign folded through Neighbor, as the experiments fold
+// theirs: the union of the retained traceroutes' neighbors, and how many
+// traceroutes each side of the stage's sanitization kept.
+type inference struct {
+	neighbors           astopo.ASSet
+	retained, discarded int
+}
+
+func infer(groups [][]tracesim.Traceroute, cloud astopo.ASN, res Resolvers, stage Stage) inference {
+	out := inference{neighbors: make(astopo.ASSet)}
+	chain := res.Chain(stage)
+	for _, group := range groups {
+		for i := range group {
+			n, ok := Neighbor(&group[i], cloud, chain, stage)
+			if !ok {
+				out.discarded++
+				continue
+			}
+			out.retained++
+			out.neighbors.Add(n)
+		}
+	}
+	return out
+}
+
+func (f *fixture) infer(t testing.TB, cloud string, nVMs int, stage Stage) (inference, Validation) {
 	t.Helper()
 	vms, err := f.engine.VMs(cloud, nVMs)
 	if err != nil {
@@ -50,9 +76,9 @@ func (f *fixture) infer(t testing.TB, cloud string, nVMs int, stage Stage) (Infe
 		t.Fatal(err)
 	}
 	asn := f.in.Clouds[cloud]
-	inf := Infer(traces, asn, f.res, stage)
+	inf := infer(traces, asn, f.res, stage)
 	truth := append(append(f.in.Graph.Peers(asn), f.in.Graph.Providers(asn)...), f.in.Graph.Customers(asn)...)
-	return inf, Validate(inf.Neighbors, truth)
+	return inf, Validate(inf.neighbors, truth)
 }
 
 // The §5 story: the naive stage has a much higher FDR than the final
@@ -93,11 +119,11 @@ func TestMoreVMsLowerFNR(t *testing.T) {
 func TestInferredNeighborsMostlyReal(t *testing.T) {
 	f := newFixture(t, 0.02138)
 	inf, v := f.infer(t, "Microsoft", 0, StageFinal)
-	if len(inf.Neighbors) == 0 {
+	if len(inf.neighbors) == 0 {
 		t.Fatal("no neighbors inferred")
 	}
-	if inf.Retained == 0 || inf.Discarded == 0 {
-		t.Errorf("retained=%d discarded=%d; expected both nonzero", inf.Retained, inf.Discarded)
+	if inf.retained == 0 || inf.discarded == 0 {
+		t.Errorf("retained=%d discarded=%d; expected both nonzero", inf.retained, inf.discarded)
 	}
 	if v.TP < 50 {
 		t.Errorf("only %d true positives", v.TP)
@@ -155,7 +181,7 @@ func TestInferWorksFromWireFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	asn := f.in.Clouds["Google"]
-	direct := Infer(traces, asn, f.res, StageFinal)
+	direct := infer(traces, asn, f.res, StageFinal)
 
 	var stripped [][]tracesim.Traceroute
 	for _, group := range traces {
@@ -169,14 +195,89 @@ func TestInferWorksFromWireFormat(t *testing.T) {
 		}
 		stripped = append(stripped, back)
 	}
-	fromWire := Infer(stripped, asn, f.res, StageFinal)
-	if len(fromWire.Neighbors) != len(direct.Neighbors) {
+	fromWire := infer(stripped, asn, f.res, StageFinal)
+	if len(fromWire.neighbors) != len(direct.neighbors) {
 		t.Fatalf("wire-format inference found %d neighbors, direct %d",
-			len(fromWire.Neighbors), len(direct.Neighbors))
+			len(fromWire.neighbors), len(direct.neighbors))
 	}
-	for a := range direct.Neighbors {
-		if !fromWire.Neighbors.Has(a) {
+	for a := range direct.neighbors {
+		if !fromWire.neighbors.Has(a) {
 			t.Errorf("AS%d missing from wire-format inference", a)
+		}
+	}
+}
+
+// refNeighbor is the border rule in its first form: resolve every hop
+// forward, remember the last cloud hop, then apply the stage's skip or
+// discard to the hop after it. Neighbor scans back from the end and
+// resolves only what it reads; the answer must not change.
+func refNeighbor(tr *tracesim.Traceroute, cloud astopo.ASN, chain ipasn.Resolver, stage Stage) (astopo.ASN, bool) {
+	type hopRes struct {
+		asn               astopo.ASN
+		resolved, replied bool
+	}
+	hops := make([]hopRes, len(tr.Hops))
+	lastCloud := -1
+	for i, h := range tr.Hops {
+		hops[i].replied = h.Responded()
+		if h.Responded() {
+			if asn, ok := chain.Resolve(h.Addr); ok {
+				hops[i].asn, hops[i].resolved = asn, true
+				if asn == cloud {
+					lastCloud = i
+				}
+			}
+		}
+	}
+	if lastCloud < 0 || lastCloud == len(hops)-1 {
+		return 0, false
+	}
+	j := lastCloud + 1
+	if stage == StageNaive {
+		if !hops[j].resolved && j+1 < len(hops) {
+			j++
+		}
+	} else if !hops[j].replied {
+		return 0, false
+	}
+	if !hops[j].resolved || hops[j].asn == cloud {
+		return 0, false
+	}
+	return hops[j].asn, true
+}
+
+func TestNeighborMatchesForwardScan(t *testing.T) {
+	f := newFixture(t, 0.01425)
+	for _, cloud := range []string{"Google", "Amazon"} {
+		vms, err := f.engine.VMs(cloud, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := f.engine.TraceAll(vms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asn := f.in.Clouds[cloud]
+		for _, stage := range Stages() {
+			chain := f.res.Chain(stage)
+			kept := 0
+			for _, group := range traces {
+				for i := range group {
+					tr := &group[i]
+					got, gotOK := Neighbor(tr, asn, chain, stage)
+					want, wantOK := refNeighbor(tr, asn, chain, stage)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("%s %v, VM %d to AS%d: Neighbor = AS%d %v, reference AS%d %v",
+							cloud, stage, tr.VM.Index, tr.DstASN, got, gotOK, want, wantOK)
+					}
+					if gotOK {
+						kept++
+					}
+				}
+			}
+			if kept == 0 {
+				t.Errorf("%s %v: no traceroute kept a neighbor", cloud, stage)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -35,23 +36,41 @@ func traceAllSerial(e *Engine, vms []VM) ([][]Traceroute, error) {
 }
 
 // TraceAllMulti shares one propagation per destination across every VM set;
-// its output must be identical to the serial reference, trace for trace.
+// what it hands its caller must be the serial reference, trace for trace,
+// each (set, VM, destination) exactly once.
 func TestTraceAllMultiMatchesSerial(t *testing.T) {
 	e := newEngine(t, 0.01425)
 	clouds := []string{"Google", "Amazon", "Microsoft", "IBM"}
 	sets := make([][]VM, len(clouds))
+	multi := make([][][]Traceroute, len(clouds))
+	visits := make([][][]int32, len(clouds))
+	n := e.in.Graph.NumASes()
 	for i, c := range clouds {
 		vms, err := e.VMs(c, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sets[i] = vms
+		for range vms {
+			multi[i] = append(multi[i], make([]Traceroute, n))
+			visits[i] = append(visits[i], make([]int32, n))
+		}
 	}
-	multi, err := e.TraceAllMulti(sets)
+	err := e.TraceAllMulti(sets, func(si, vi, di int, tr Traceroute) {
+		multi[si][vi][di] = tr
+		atomic.AddInt32(&visits[si][vi][di], 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range clouds {
+		for vi := range visits[i] {
+			for di, k := range visits[i][vi] {
+				if k != 1 {
+					t.Fatalf("cloud %s VM %d destination %d: visited %d times, want once", c, vi, di, k)
+				}
+			}
+		}
 		serial, err := traceAllSerial(e, sets[i])
 		if err != nil {
 			t.Fatal(err)
@@ -62,8 +81,8 @@ func TestTraceAllMultiMatchesSerial(t *testing.T) {
 	}
 }
 
-// TraceAll is now a one-set TraceAllMulti; it must still equal the serial
-// reference byte for byte.
+// TraceAll fills its table from a one-set TraceAllMulti; it must still
+// equal the serial reference byte for byte.
 func TestTraceAllMatchesSerial(t *testing.T) {
 	e := newEngine(t, 0.01425)
 	vms, err := e.VMs("Amazon", 4)

@@ -19,8 +19,10 @@
 // The per-destination propagation depends only on the destination, never on
 // the vantage point, so TraceAllMulti shares one tracked propagation per
 // destination across every cloud's VM set — the paper's four campaigns cost
-// one propagation sweep instead of four. The equivalence tests compare it
-// against a one-cloud-at-a-time serial reference kept beside them.
+// one propagation sweep instead of four — and hands each traceroute to its
+// caller as it is made, keeping none: a consumer folds what it reads, and
+// TraceAll, which wants the table, fills it. The equivalence tests compare
+// it against a one-cloud-at-a-time serial reference kept beside them.
 package tracesim
 
 import (
@@ -157,31 +159,34 @@ func (e *Engine) VMs(cloud string, n int) ([]VM, error) {
 
 // TraceAll issues one traceroute from every VM to one address in every AS's
 // announced space (the paper's "every routable prefix", §4.1). The result
-// is grouped per VM in input order.
+// is grouped per VM in input order, then by destination in the graph's
+// ASes() order.
 func (e *Engine) TraceAll(vms []VM) ([][]Traceroute, error) {
-	all, err := e.TraceAllMulti([][]VM{vms})
+	n := e.in.Graph.NumASes()
+	out := make([][]Traceroute, len(vms))
+	for i := range out {
+		out[i] = make([]Traceroute, n)
+	}
+	err := e.TraceAllMulti([][]VM{vms}, func(_, vi, di int, tr Traceroute) {
+		out[vi][di] = tr
+	})
 	if err != nil {
 		return nil, err
 	}
-	return all[0], nil
+	return out, nil
 }
 
-// TraceAllMulti runs TraceAll for several VM sets at once, sharing one
-// tracked propagation per destination across all of them: the propagation
-// depends only on the destination, so synthesizing four clouds' campaigns
-// together costs one sweep instead of four. Results are indexed
-// [set][vm][destination] and are identical to per-set TraceAll calls.
-func (e *Engine) TraceAllMulti(vmSets [][]VM) ([][][]Traceroute, error) {
+// TraceAllMulti synthesizes the campaigns of several VM sets at once,
+// sharing one tracked propagation per destination across all of them: the
+// propagation depends only on the destination, so four clouds' campaigns
+// cost one sweep instead of four. Nothing is kept: each traceroute is
+// handed to visit on the worker that made it, with its set, VM and
+// destination index (destinations in the graph's ASes() order). visit runs
+// once per triple, concurrently across destinations, and may keep tr:
+// nothing else holds its Hops or TruePath.
+func (e *Engine) TraceAllMulti(vmSets [][]VM, visit func(set, vm, dst int, tr Traceroute)) error {
 	g := e.in.Graph
-	g.Freeze()
 	dests := g.ASes()
-	out := make([][][]Traceroute, len(vmSets))
-	for si, vms := range vmSets {
-		out[si] = make([][]Traceroute, len(vms))
-		for vi := range vms {
-			out[si][vi] = make([]Traceroute, len(dests))
-		}
-	}
 	// Build the per-city distance rows up front so the parallel section
 	// reads them lock-free.
 	for _, vms := range vmSets {
@@ -189,7 +194,7 @@ func (e *Engine) TraceAllMulti(vmSets [][]VM) ([][][]Traceroute, error) {
 			e.cityRow(vm.City)
 		}
 	}
-	err := par.For(runtime.GOMAXPROCS(0), len(dests), func(w int) func(i int) error {
+	return par.For(runtime.GOMAXPROCS(0), len(dests), func(w int) func(i int) error {
 		sim := bgpsim.New(g)
 		return func(di int) error {
 			d := dests[di]
@@ -199,16 +204,12 @@ func (e *Engine) TraceAllMulti(vmSets [][]VM) ([][][]Traceroute, error) {
 			}
 			for si, vms := range vmSets {
 				for vi, vm := range vms {
-					out[si][vi][di] = e.trace(vm, d, res)
+					visit(si, vi, di, e.trace(vm, d, res))
 				}
 			}
 			return nil
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // cityRow returns the cached distance row for a VM city, building and
