@@ -11,7 +11,6 @@ import (
 	"flatnet/internal/geo"
 	"flatnet/internal/netdb"
 	"flatnet/internal/population"
-	"flatnet/internal/topogen"
 	"flatnet/internal/tracesim"
 )
 
@@ -22,7 +21,7 @@ func cmdCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ContinueOnError)
 	scale := fs.Float64("scale", 0.04987, "topology scale (1.0 = the paper's 69,488 ASes)")
 	year := fs.Int("year", 2020, "preset year")
-	vps := fs.Int("vps", 40, "number of vantage points")
+	nvps := fs.Int("vps", 40, "number of vantage points")
 	out := fs.String("o", "rib.mrt", "output MRT file")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -31,31 +30,24 @@ func cmdCollect(args []string) error {
 	if err != nil {
 		return err
 	}
-	var cands []astopo.ASN
-	for i, a := range in.Graph.ASes() {
-		switch in.ClassAt(i) {
-		case topogen.ClassTransit, topogen.ClassTier2, topogen.ClassTier1:
-			cands = append(cands, a)
-		}
-	}
-	view, err := bgpfeed.Collect(in.Graph, bgpfeed.SampleVPs(cands, *vps, 11))
-	if err != nil {
-		return err
-	}
+	vps := bgpfeed.VantagePoints(in, *nvps)
 	plan, err := netdb.Build(in)
 	if err != nil {
 		return err
 	}
+	var paths int
 	if err := writeToFile(*out, func(f *os.File) error {
-		return bgpfeed.WriteMRT(f, view, func(o astopo.ASN) (netip.Prefix, bool) {
+		var err error
+		paths, err = bgpfeed.WriteMRT(f, in.Graph, vps, func(o astopo.ASN) (netip.Prefix, bool) {
 			p, ok := plan.ASPrefix[o]
 			return p, ok
 		}, uint32(in.Spec.Seed))
+		return err
 	}); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d paths from %d vantage points to %s (MRT TABLE_DUMP_V2)\n",
-		len(view.Paths), len(view.VPs), *out)
+		paths, len(vps), *out)
 	return nil
 }
 

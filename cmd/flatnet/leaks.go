@@ -24,7 +24,10 @@ func cmdLeaks(args []string) error {
 	}
 	v, err := strconv.ParseUint(*asn, 10, 32)
 	if err != nil {
-		return fmt.Errorf("leaks: bad ASN %q", *asn)
+		return usagef("leaks: bad ASN %q", *asn)
+	}
+	if *trials < 1 {
+		return usagef("leaks: -trials must be at least 1, got %d", *trials)
 	}
 	origin := astopo.ASN(v)
 	in, err := genPreset(*scale, *year)
@@ -54,34 +57,9 @@ func cmdLeaks(args []string) error {
 		return err
 	}
 	for i, scen := range bgpsim.LeakScenarios() {
-		res := runs[i]
-		var mean, worst float64
-		fracs := make([]float64, 0, len(res))
-		for _, tr := range res {
-			mean += tr.DetouredFrac
-			fracs = append(fracs, tr.DetouredFrac)
-			if tr.DetouredFrac > worst {
-				worst = tr.DetouredFrac
-			}
-		}
-		mean /= float64(len(res))
-		p95 := percentile(fracs, 0.95)
-		fmt.Printf("%-40s %11.2f%% %11.2f%% %13.2f%%\n", scen, 100*mean, 100*p95, 100*worst)
+		st := bgpsim.SummarizeDetours(bgpsim.DetourFracs(runs[i], false))
+		fmt.Printf("%-40s %11.2f%% %11.2f%% %13.2f%%\n", scen, 100*st.Mean, 100*st.P95, 100*st.Worst)
 	}
 	fmt.Fprintln(os.Stdout, "\n(detour = fraction of ASes with a tied-best route toward the leaker; erratum semantics)")
 	return nil
-}
-
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }

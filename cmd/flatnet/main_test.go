@@ -36,6 +36,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"run unknown flag", []string{"run", "-no-such-flag"}, 2},
 		{"reach missing as", []string{"reach"}, 2},
 		{"reach bad asn", []string{"reach", "-as", "nope"}, 2},
+		{"leaks bad asn", []string{"leaks", "-as", "nope"}, 2},
+		{"leaks zero trials", []string{"leaks", "-trials", "0"}, 2},
+		{"leaks negative trials", []string{"leaks", "-trials", "-5"}, 2},
 		{"serve unknown flag", []string{"serve", "-no-such-flag"}, 2},
 		{"serve extra arg", []string{"serve", "surprise"}, 2},
 	}
@@ -182,29 +185,5 @@ func TestGenPreset(t *testing.T) {
 	}
 	if _, err := genPreset(0.01425, 1999); err == nil {
 		t.Error("unknown year accepted")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{0.5, 0.1, 0.9, 0.3, 0.7}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 0.1},
-		{0.5, 0.5},
-		{1, 0.9},
-	}
-	for _, c := range cases {
-		if got := percentile(xs, c.p); got != c.want {
-			t.Errorf("percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Errorf("percentile(nil) = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 0.5 {
-		t.Error("percentile sorted its input in place")
 	}
 }

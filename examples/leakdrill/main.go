@@ -25,6 +25,9 @@ func main() {
 	providers := flag.Int("providers", 2, "number of transit providers")
 	trials := flag.Int("trials", 300, "random leakers to simulate per scenario")
 	flag.Parse()
+	if *trials < 1 {
+		log.Fatalf("-trials must be at least 1, got %d", *trials)
+	}
 
 	in, err := topogen.Generate(topogen.Internet2020(0.0285))
 	if err != nil {
@@ -76,16 +79,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := runs[0]
-		var mean, worst float64
-		for _, tr := range res {
-			mean += tr.DetouredFrac
-			if tr.DetouredFrac > worst {
-				worst = tr.DetouredFrac
-			}
-		}
-		mean /= float64(len(res))
-		fmt.Printf("%-40s %11.2f%% %11.2f%%\n", scen, 100*mean, 100*worst)
+		st := bgpsim.SummarizeDetours(bgpsim.DetourFracs(runs[0], false))
+		fmt.Printf("%-40s %11.2f%% %11.2f%%\n", scen, 100*st.Mean, 100*st.Worst)
 	}
 	fmt.Println("\ninterpretation: 'announce to all' beats announcing only into the")
 	fmt.Println("hierarchy because every extra peer shortens your legitimate routes;")

@@ -1,19 +1,22 @@
 package bgpfeed
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/topogen"
 )
 
-func collectView(t testing.TB, scale float64, nVPs int) (*topogen.Internet, *View) {
+// testWorld generates a 2020 preset and samples nVPs of its transit and
+// Tier-2 ASes as vantage points, as with real collectors.
+func testWorld(t testing.TB, scale float64, nVPs int) (*topogen.Internet, []astopo.ASN) {
 	t.Helper()
 	in, err := topogen.Generate(topogen.Internet2020(scale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// VPs: transit-class ASes, as with real collectors.
 	var cands []astopo.ASN
 	for i, a := range in.Graph.ASes() {
 		switch in.ClassAt(i) {
@@ -21,32 +24,40 @@ func collectView(t testing.TB, scale float64, nVPs int) (*topogen.Internet, *Vie
 			cands = append(cands, a)
 		}
 	}
-	vps := SampleVPs(cands, nVPs, 1)
-	view, err := Collect(in.Graph, vps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in, view
+	return in, SampleVPs(cands, nVPs, 1)
 }
 
 func TestCollectPathsValid(t *testing.T) {
-	in, view := collectView(t, 0.01425, 10)
-	if len(view.Paths) == 0 {
-		t.Fatal("no paths")
-	}
-	vpSet := astopo.NewASSet(view.VPs...)
-	for _, p := range view.Paths[:500] {
-		if len(p) < 2 {
-			t.Fatalf("degenerate path %v", p)
-		}
-		if !vpSet.Has(p[0]) {
-			t.Fatalf("path %v does not start at a VP", p)
-		}
-		for i := 1; i < len(p); i++ {
-			if _, ok := in.Graph.HasLink(p[i-1], p[i]); !ok {
-				t.Fatalf("path %v uses nonexistent link", p)
+	in, vps := testWorld(t, 0.01425, 10)
+	origins := in.Graph.ASes()
+	var checked atomic.Int64
+	err := walk(in.Graph, vps, func(int) func(int, [][]astopo.ASN) error {
+		return func(oi int, paths [][]astopo.ASN) error {
+			if len(paths) != len(vps) {
+				return fmt.Errorf("origin AS%d: %d paths for %d VPs", origins[oi], len(paths), len(vps))
 			}
+			for k, p := range paths {
+				if p == nil {
+					continue
+				}
+				if len(p) < 2 || p[0] != vps[k] || p[len(p)-1] != origins[oi] {
+					return fmt.Errorf("VP AS%d, origin AS%d: path %v", vps[k], origins[oi], p)
+				}
+				for i := 1; i < len(p); i++ {
+					if _, ok := in.Graph.HasLink(p[i-1], p[i]); !ok {
+						return fmt.Errorf("path %v uses nonexistent link", p)
+					}
+				}
+			}
+			checked.Add(1)
+			return nil
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := int(checked.Load()); n != len(origins) {
+		t.Errorf("visited %d origins, want %d", n, len(origins))
 	}
 }
 
@@ -54,17 +65,14 @@ func TestCollectPathsValid(t *testing.T) {
 // small fraction of the clouds' peerings (§4.1 reports ~10-90% missed
 // depending on the cloud).
 func TestFeedMissesCloudPeering(t *testing.T) {
-	in, view := collectView(t, 0.02138, 30)
-	feed, err := view.BuildGraph()
+	in, vps := testWorld(t, 0.02138, 30)
+	feed, err := Collect(in.Graph, vps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	google := in.Clouds["Google"]
 	truthN := len(in.Graph.Peers(google)) + len(in.Graph.Providers(google))
-	feedN := 0
-	if _, ok := feed.Index(google); ok {
-		feedN = feed.Degree(google)
-	}
+	feedN := feed.Degree(google)
 	frac := float64(feedN) / float64(truthN)
 	t.Logf("Google: feed sees %d of %d neighbors (%.2f)", feedN, truthN, frac)
 	if frac > 0.45 {
@@ -73,10 +81,7 @@ func TestFeedMissesCloudPeering(t *testing.T) {
 	// But the hierarchy is well covered: Tier-1 to Tier-2 links.
 	t1 := astopo.ASN(3356)
 	truthT1 := in.Graph.Degree(t1)
-	feedT1 := 0
-	if _, ok := feed.Index(t1); ok {
-		feedT1 = feed.Degree(t1)
-	}
+	feedT1 := feed.Degree(t1)
 	fracT1 := float64(feedT1) / float64(truthT1)
 	t.Logf("Level 3: feed sees %d of %d neighbors (%.2f)", feedT1, truthT1, fracT1)
 	if fracT1 < frac {
@@ -107,23 +112,55 @@ func TestFeedMissesCloudPeering(t *testing.T) {
 }
 
 func TestCollectErrors(t *testing.T) {
-	in, _ := collectView(t, 0.01425, 2)
+	in, _ := testWorld(t, 0.01425, 2)
 	if _, err := Collect(in.Graph, []astopo.ASN{999999999}); err == nil {
 		t.Error("unknown VP accepted")
 	}
 }
 
+// A VP sees its own neighbors toward the origins it routes through them,
+// and every link of the feed graph carries the ground-truth relationship.
 func TestVisibleNeighbors(t *testing.T) {
-	_, view := collectView(t, 0.01425, 5)
-	vp := view.VPs[0]
-	ns := view.VisibleNeighbors(vp)
-	if len(ns) == 0 {
+	in, vps := testWorld(t, 0.01425, 5)
+	feed, err := Collect(in.Graph, vps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feed.Degree(vps[0]) == 0 {
 		t.Error("VP has no visible neighbors")
 	}
-	for i := 1; i < len(ns); i++ {
-		if ns[i] < ns[i-1] {
-			t.Error("neighbors not sorted")
+	for _, l := range feed.Links() {
+		if rel, ok := in.Graph.HasLink(l.A, l.B); !ok || rel != l.Rel {
+			t.Fatalf("feed link %v: ground truth has %v (present %v)", l, rel, ok)
 		}
+	}
+	links := feed.Links()
+	for i := 1; i < len(links); i++ {
+		if a, b := links[i-1], links[i]; a.A > b.A || a.A == b.A && a.B >= b.B {
+			t.Fatalf("feed links out of (A, B) order at %d: %v then %v", i, a, b)
+		}
+	}
+}
+
+// The walk's allocations are per worker, not per VP or per path: with a
+// no-op visitor, 40 VPs cost what 10 do.
+func TestWalkAllocsIndependentOfVPs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates")
+	}
+	in, vps := testWorld(t, 0.01425, 40)
+	noop := func(int) func(int, [][]astopo.ASN) error {
+		return func(int, [][]astopo.ASN) error { return nil }
+	}
+	allocs := func(vps []astopo.ASN) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := walk(in.Graph, vps, noop); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(vps[:10]), allocs(vps); few != many {
+		t.Errorf("walk allocates %.1f times for 10 VPs, %.1f for 40", few, many)
 	}
 }
 

@@ -6,16 +6,17 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"sync/atomic"
 
 	"flatnet/internal/astopo"
 )
 
 // This file implements the subset of the MRT format (RFC 6396) that real
 // route collectors publish RIB snapshots in: TABLE_DUMP_V2 with a
-// PEER_INDEX_TABLE record followed by RIB_IPV4_UNICAST records. A View can
-// be exported as an MRT RIB and read back — or real RouteViews .bz2 dumps
-// (decompressed) can be read directly, giving the rest of the pipeline a
-// path onto real data.
+// PEER_INDEX_TABLE record followed by RIB_IPV4_UNICAST records. A table
+// transfer can be exported as an MRT RIB and read back — or real
+// RouteViews .bz2 dumps (decompressed) can be read directly, giving the
+// rest of the pipeline a path onto real data.
 //
 // Layout (all fields big-endian):
 //
@@ -59,91 +60,108 @@ type MRTRib struct {
 	Entries []RIBEntry
 }
 
-// WriteMRT exports the view as a TABLE_DUMP_V2 RIB snapshot. prefixOf maps
-// each origin AS to the prefix it announces (one prefix per origin, as our
-// synthetic plan allocates); timestamp stamps every record.
-func WriteMRT(w io.Writer, v *View, prefixOf func(astopo.ASN) (netip.Prefix, bool), timestamp uint32) error {
-	bw := bufio.NewWriter(w)
-
-	peerIdx := make(map[astopo.ASN]int, len(v.VPs))
-	for i, vp := range v.VPs {
-		peerIdx[vp] = i
+// WriteMRT runs one table transfer over g from vps and writes it as a
+// TABLE_DUMP_V2 RIB snapshot: the PEER_INDEX_TABLE of the VPs, then one
+// RIB_IPV4_UNICAST record per origin that has a path and a prefix, in
+// origin order. Each record is encoded on the worker that walked its
+// paths. prefixOf maps each origin AS to the prefix it announces (one
+// prefix per origin, as the synthetic plan allocates) and is called from
+// several goroutines; timestamp stamps every record. It returns the number
+// of paths written.
+func WriteMRT(w io.Writer, g *astopo.Graph, vps []astopo.ASN, prefixOf func(astopo.ASN) (netip.Prefix, bool), timestamp uint32) (int, error) {
+	origins := g.ASes()
+	recs := make([][]byte, len(origins))
+	var paths atomic.Int64
+	err := walk(g, vps, func(int) func(int, [][]astopo.ASN) error {
+		return func(oi int, ps [][]astopo.ASN) error {
+			pfx, ok := prefixOf(origins[oi])
+			if !ok {
+				return nil
+			}
+			rec, n, err := ribRecord(origins[oi], pfx, ps, timestamp)
+			recs[oi] = rec
+			paths.Add(int64(n))
+			return err
+		}
+	})
+	if err != nil {
+		return 0, err
 	}
 
+	bw := bufio.NewWriter(w)
 	// PEER_INDEX_TABLE.
 	var pt []byte
 	pt = be32(pt, 0x0A000001) // collector BGP ID
 	pt = be16(pt, 0)          // empty view name
-	pt = be16(pt, uint16(len(v.VPs)))
-	for i, vp := range v.VPs {
+	pt = be16(pt, uint16(len(vps)))
+	for i, vp := range vps {
 		pt = append(pt, peerTypeAS4)        // IPv4 peer, 4-byte ASN
 		pt = be32(pt, 0x0A000100+uint32(i)) // peer BGP ID
 		pt = be32(pt, 0x0A000100+uint32(i)) // peer IPv4 address
 		pt = be32(pt, uint32(vp))
 	}
 	if err := writeMRTRecord(bw, timestamp, mrtSubtypePeerIndex, pt); err != nil {
-		return err
+		return 0, err
 	}
-
-	// Group paths by origin; one RIB_IPV4_UNICAST record per prefix.
-	byOrigin := make(map[astopo.ASN][][]astopo.ASN)
-	var originOrder []astopo.ASN
-	for _, p := range v.Paths {
-		o := p[len(p)-1]
-		if _, seen := byOrigin[o]; !seen {
-			originOrder = append(originOrder, o)
-		}
-		byOrigin[o] = append(byOrigin[o], p)
-	}
+	// Sequence numbers count the records written.
 	seq := uint32(0)
-	for _, o := range originOrder {
-		pfx, ok := prefixOf(o)
-		if !ok {
+	for _, rec := range recs {
+		if rec == nil {
 			continue
 		}
-		if !pfx.Addr().Is4() {
-			return fmt.Errorf("bgpfeed: prefix %v for AS%d is not IPv4", pfx, o)
-		}
-		var rec []byte
-		rec = be32(rec, seq)
+		binary.BigEndian.PutUint32(rec, seq)
 		seq++
-		rec = append(rec, byte(pfx.Bits()))
-		a4 := pfx.Addr().As4()
-		rec = append(rec, a4[:(pfx.Bits()+7)/8]...)
-		paths := byOrigin[o]
-		rec = be16(rec, uint16(len(paths)))
-		for _, p := range paths {
-			idx, ok := peerIdx[p[0]]
-			if !ok {
-				return fmt.Errorf("bgpfeed: path starts at non-VP AS%d", p[0])
-			}
-			rec = be16(rec, uint16(idx))
-			rec = be32(rec, timestamp) // originated time
-			attrs := encodeAttributes(p)
-			rec = be16(rec, uint16(len(attrs)))
-			rec = append(rec, attrs...)
-		}
 		if err := writeMRTRecord(bw, timestamp, mrtSubtypeRIBIPv4, rec); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return bw.Flush()
+	return int(paths.Load()), bw.Flush()
 }
 
-func encodeAttributes(path []astopo.ASN) []byte {
-	var out []byte
-	// ORIGIN: IGP.
-	out = append(out, attrFlagTransitive, bgpAttrOrigin, 1, 0)
-	// AS_PATH: single AS_SEQUENCE of 4-byte ASNs.
-	body := []byte{bgpASPathSeqSegment, byte(len(path))}
-	for _, a := range path {
-		body = be32(body, uint32(a))
+// ribRecord encodes origin o's RIB_IPV4_UNICAST body, a zero sequence
+// number first, with an entry for each VP that has a path, and returns it
+// with the number of entries; it returns nil where no VP has a path.
+func ribRecord(o astopo.ASN, pfx netip.Prefix, paths [][]astopo.ASN, timestamp uint32) ([]byte, int, error) {
+	n := 0
+	for _, p := range paths {
+		if p != nil {
+			n++
+		}
 	}
-	out = append(out, attrFlagTransitive, bgpAttrASPath, byte(len(body)))
-	out = append(out, body...)
-	// NEXT_HOP placeholder.
-	out = append(out, attrFlagTransitive, bgpAttrNextHop, 4, 0, 0, 0, 0)
-	return out
+	if n == 0 {
+		return nil, 0, nil
+	}
+	if !pfx.Addr().Is4() {
+		return nil, 0, fmt.Errorf("bgpfeed: prefix %v for AS%d is not IPv4", pfx, o)
+	}
+	rec := make([]byte, 4) // sequence, numbered at write time
+	rec = append(rec, byte(pfx.Bits()))
+	a4 := pfx.Addr().As4()
+	rec = append(rec, a4[:(pfx.Bits()+7)/8]...)
+	rec = be16(rec, uint16(n))
+	for k, p := range paths {
+		if p == nil {
+			continue
+		}
+		rec = be16(rec, uint16(k))
+		rec = be32(rec, timestamp) // originated time
+		rec = appendAttributes(rec, p)
+	}
+	return rec, n, nil
+}
+
+// appendAttributes appends a path's attribute block, its 2-byte length
+// first: ORIGIN (IGP), AS_PATH (one AS_SEQUENCE of 4-byte ASNs) and the
+// NEXT_HOP placeholder, 4+(3+2+4n)+7 bytes for n ASes.
+func appendAttributes(b []byte, path []astopo.ASN) []byte {
+	n := len(path)
+	b = be16(b, uint16(16+4*n))
+	b = append(b, attrFlagTransitive, bgpAttrOrigin, 1, 0)
+	b = append(b, attrFlagTransitive, bgpAttrASPath, byte(2+4*n), bgpASPathSeqSegment, byte(n))
+	for _, a := range path {
+		b = be32(b, uint32(a))
+	}
+	return append(b, attrFlagTransitive, bgpAttrNextHop, 4, 0, 0, 0, 0)
 }
 
 func writeMRTRecord(w io.Writer, ts uint32, subtype uint16, body []byte) error {

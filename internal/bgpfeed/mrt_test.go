@@ -2,24 +2,29 @@ package bgpfeed
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/netdb"
+	"flatnet/internal/topogen"
 )
 
-func tinyView() *View {
-	return &View{
-		VPs: []astopo.ASN{100, 200},
-		Paths: [][]astopo.ASN{
-			{100, 10, 1},
-			{200, 20, 1},
-			{100, 10, 2},
-		},
-	}
+// tinyGraph is a two-branch hierarchy: VP 100 reaches origins 1 and 2
+// through its customer 10, VP 200 reaches only origin 1, through 20.
+func tinyGraph() (*astopo.Graph, []astopo.ASN) {
+	g := astopo.NewGraph(0, 5)
+	g.MustAddLink(10, 1, astopo.P2C)
+	g.MustAddLink(10, 2, astopo.P2C)
+	g.MustAddLink(20, 1, astopo.P2C)
+	g.MustAddLink(100, 10, astopo.P2C)
+	g.MustAddLink(200, 20, astopo.P2C)
+	return g, []astopo.ASN{100, 200}
 }
 
 func tinyPrefixOf(o astopo.ASN) (netip.Prefix, bool) {
@@ -33,17 +38,17 @@ func tinyPrefixOf(o astopo.ASN) (netip.Prefix, bool) {
 }
 
 func TestMRTRoundTrip(t *testing.T) {
-	v := tinyView()
+	g, vps := tinyGraph()
 	var buf bytes.Buffer
-	if err := WriteMRT(&buf, v, tinyPrefixOf, 1600000000); err != nil {
-		t.Fatal(err)
+	if n, err := WriteMRT(&buf, g, vps, tinyPrefixOf, 1600000000); err != nil || n != 3 {
+		t.Fatalf("WriteMRT = %d paths, %v; want 3", n, err)
 	}
 	rib, err := ReadMRT(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rib.Peers, v.VPs) {
-		t.Errorf("peers = %v, want %v", rib.Peers, v.VPs)
+	if !reflect.DeepEqual(rib.Peers, vps) {
+		t.Errorf("peers = %v, want %v", rib.Peers, vps)
 	}
 	if len(rib.Entries) != 3 {
 		t.Fatalf("got %d entries, want 3", len(rib.Entries))
@@ -67,9 +72,10 @@ func TestMRTRoundTrip(t *testing.T) {
 // Golden bytes for the common header and peer table of a minimal dump, so
 // the wire format stays RFC-6396-compatible.
 func TestMRTGoldenHeader(t *testing.T) {
-	v := &View{VPs: []astopo.ASN{65000}, Paths: [][]astopo.ASN{{65000, 7}}}
+	g := astopo.NewGraph(0, 1)
+	g.MustAddLink(65000, 7, astopo.P2C)
 	var buf bytes.Buffer
-	if err := WriteMRT(&buf, v, func(astopo.ASN) (netip.Prefix, bool) {
+	if _, err := WriteMRT(&buf, g, []astopo.ASN{65000}, func(astopo.ASN) (netip.Prefix, bool) {
 		return netip.MustParsePrefix("10.0.0.0/8"), true
 	}, 0x5F000000); err != nil {
 		t.Fatal(err)
@@ -121,19 +127,65 @@ func TestMRTRejectsMalformed(t *testing.T) {
 	}
 }
 
-// End to end: a collector view over a generated Internet survives the MRT
-// round trip with every path intact.
-func TestMRTOnGeneratedView(t *testing.T) {
-	in, view := collectView(t, 0.01425, 6)
+// planPrefixOf maps each origin to the prefix the generated plan gives it.
+func planPrefixOf(t testing.TB, in *topogen.Internet) func(astopo.ASN) (netip.Prefix, bool) {
+	t.Helper()
 	plan, err := netdb.Build(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	err = WriteMRT(&buf, view, func(o astopo.ASN) (netip.Prefix, bool) {
+	return func(o astopo.ASN) (netip.Prefix, bool) {
 		p, ok := plan.ASPrefix[o]
 		return p, ok
-	}, 1700000000)
+	}
+}
+
+// The RIB of the bgpfeed test world with `flatnet collect`'s vantage-point
+// rule: its bytes are pinned, so neither the walk nor the record encoding
+// can move a byte of a collector's file.
+func TestWriteMRTGolden(t *testing.T) {
+	in, err := topogen.Generate(topogen.Internet2020(0.01425))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	n, err := WriteMRT(&buf, in.Graph, VantagePoints(in, 6), planPrefixOf(t, in), 1700000000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "f2bda8d0d4c2392c4d98f120b9b7297e7e87f4f9b5ff63bf569a67a771070de6"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want || buf.Len() != 247312 || n != 5934 {
+		t.Errorf("RIB sha256 %s, %d B, %d paths; want %s, 247312 B, 5934 paths", got, buf.Len(), n, want)
+	}
+}
+
+// Both folds against one walk: the RIB that WriteMRT writes reads back
+// with one entry per walked path, and the links those AS paths cross are
+// exactly the links of Collect's graph.
+func TestMRTOnGeneratedView(t *testing.T) {
+	in, vps := testWorld(t, 0.01425, 6)
+	key := func(p []astopo.ASN) string { return fmt.Sprint(p) }
+	var (
+		mu     sync.Mutex
+		walked = map[string]int{}
+	)
+	err := walk(in.Graph, vps, func(int) func(int, [][]astopo.ASN) error {
+		return func(_ int, paths [][]astopo.ASN) error {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, p := range paths {
+				if p != nil {
+					walked[key(p)]++
+				}
+			}
+			return nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	n, err := WriteMRT(&buf, in.Graph, vps, planPrefixOf(t, in), 1700000000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,41 +193,31 @@ func TestMRTOnGeneratedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rib.Entries) != len(view.Paths) {
-		t.Fatalf("entries = %d, want %d", len(rib.Entries), len(view.Paths))
+	if len(rib.Entries) != n {
+		t.Fatalf("entries = %d, WriteMRT reported %d", len(rib.Entries), n)
 	}
-	// Path multiset must match.
-	key := func(p []astopo.ASN) string {
-		s := ""
-		for _, a := range p {
-			s += astopoItoa(a) + " "
-		}
-		return s
-	}
-	want := map[string]int{}
-	for _, p := range view.Paths {
-		want[key(p)]++
-	}
+	crossed := map[uint64]bool{}
 	for _, e := range rib.Entries {
-		want[key(e.ASPath)]--
-	}
-	for k, n := range want {
-		if n != 0 {
-			t.Fatalf("path multiset mismatch at %q (%+d)", k, n)
+		walked[key(e.ASPath)]--
+		for i := 1; i < len(e.ASPath); i++ {
+			crossed[astopo.PairKey(e.ASPath[i-1], e.ASPath[i])] = true
 		}
 	}
-}
-
-func astopoItoa(a astopo.ASN) string {
-	if a == 0 {
-		return "0"
+	for k, c := range walked {
+		if c != 0 {
+			t.Fatalf("path multiset mismatch at %s (%+d)", k, c)
+		}
 	}
-	var buf [12]byte
-	i := len(buf)
-	for a > 0 {
-		i--
-		buf[i] = byte('0' + a%10)
-		a /= 10
+	feed, err := Collect(in.Graph, vps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return string(buf[i:])
+	if len(crossed) != feed.NumLinks() {
+		t.Errorf("RIB paths cross %d links, feed graph has %d", len(crossed), feed.NumLinks())
+	}
+	for _, l := range feed.Links() {
+		if !crossed[astopo.PairKey(l.A, l.B)] {
+			t.Errorf("feed link %v crossed by no RIB path", l)
+		}
+	}
 }

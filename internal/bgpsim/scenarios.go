@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 
 	"flatnet/internal/astopo"
@@ -171,8 +172,11 @@ func canceledOr(ctx context.Context, err error) error {
 }
 
 // SampleLeakers draws n distinct ASes uniformly at random, excluding the
-// given origin, deterministically from seed.
+// given origin, deterministically from seed. n <= 0 draws none.
 func SampleLeakers(g *astopo.Graph, origin astopo.ASN, n int, seed int64) []astopo.ASN {
+	if n <= 0 {
+		return nil
+	}
 	g.Freeze()
 	rng := rand.New(rand.NewSource(seed))
 	all := g.ASes()
@@ -197,20 +201,51 @@ func SampleLeakers(g *astopo.Graph, origin astopo.ASN, n int, seed int64) []asto
 // given fractions in [0,1]: the i-th output is the fraction of trials with
 // DetouredFrac <= xs[i]. Used to print the paper's Figs. 7–10 curves.
 func CDF(trials []LeakTrial, xs []float64, users bool) []float64 {
-	vals := make([]float64, len(trials))
-	for i, tr := range trials {
-		if users {
-			vals[i] = tr.DetouredUserFrac
-		} else {
-			vals[i] = tr.DetouredFrac
-		}
-	}
+	vals := DetourFracs(trials, users)
 	sort.Float64s(vals)
 	out := make([]float64, len(xs))
 	for i, x := range xs {
 		out[i] = float64(sort.SearchFloat64s(vals, x+1e-12)) / float64(len(vals))
 	}
 	return out
+}
+
+// DetourFracs returns each trial's detoured fraction in trial order: of
+// the users when users is set, else of the ASes.
+func DetourFracs(trials []LeakTrial, users bool) []float64 {
+	fracs := make([]float64, len(trials))
+	for i, tr := range trials {
+		if users {
+			fracs[i] = tr.DetouredUserFrac
+		} else {
+			fracs[i] = tr.DetouredFrac
+		}
+	}
+	return fracs
+}
+
+// DetourStats is the reduction of a leak sample that every report prints.
+type DetourStats struct {
+	Mean, P95, Worst float64
+}
+
+// SummarizeDetours reduces a sample of detoured fractions: the mean,
+// summed in sample order; the 95th percentile, element int(0.95*(n-1)) of
+// a sorted copy; and the worst. An empty sample gives zeros.
+func SummarizeDetours(fracs []float64) DetourStats {
+	var st DetourStats
+	if len(fracs) == 0 {
+		return st
+	}
+	for _, f := range fracs {
+		st.Mean += f
+		st.Worst = max(st.Worst, f)
+	}
+	st.Mean /= float64(len(fracs))
+	sorted := slices.Clone(fracs)
+	sort.Float64s(sorted)
+	st.P95 = sorted[int(0.95*float64(len(sorted)-1))]
+	return st
 }
 
 // AverageResilience simulates random (origin, leaker) pairs under

@@ -147,6 +147,49 @@ func TestSampleLeakersProperties(t *testing.T) {
 	}
 }
 
+// A sample of no leakers, or a negative count, draws none: a zero count
+// once drew every AS, a negative one panicked.
+func TestSampleLeakersNonPositive(t *testing.T) {
+	in := genInternet(t, 0.01425)
+	origin := in.Clouds["Google"]
+	for _, n := range []int{0, -5} {
+		if ls := SampleLeakers(in.Graph, origin, n, 7); len(ls) != 0 {
+			t.Errorf("SampleLeakers(n=%d) drew %d leakers, want none", n, len(ls))
+		}
+	}
+}
+
+func TestSummarizeDetours(t *testing.T) {
+	xs := []float64{0.5, 0.1, 0.9, 0.3, 0.7}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	got := SummarizeDetours(xs)
+	// p95 is element int(0.95*4) = 3 of the sorted sample.
+	if want := (DetourStats{Mean: sum / 5, P95: 0.7, Worst: 0.9}); got != want {
+		t.Errorf("SummarizeDetours(%v) = %+v, want %+v", xs, got, want)
+	}
+	if xs[0] != 0.5 {
+		t.Error("SummarizeDetours sorted its input in place")
+	}
+	var twenty []float64
+	for i := 20; i > 0; i-- {
+		twenty = append(twenty, float64(i)/20)
+	}
+	// int(0.95*19) = 18: the second largest of twenty.
+	if got := SummarizeDetours(twenty).P95; got != 19.0/20 {
+		t.Errorf("p95 of 1/20..20/20 = %v, want 0.95", got)
+	}
+	if got := SummarizeDetours(nil); got != (DetourStats{}) {
+		t.Errorf("SummarizeDetours(nil) = %+v, want zeros", got)
+	}
+	trials := []LeakTrial{{DetouredFrac: 0.2, DetouredUserFrac: 0.4}, {DetouredFrac: 0.6, DetouredUserFrac: 0.8}}
+	if as, users := DetourFracs(trials, false), DetourFracs(trials, true); as[1] != 0.6 || users[1] != 0.8 {
+		t.Errorf("DetourFracs = %v (ASes), %v (users)", as, users)
+	}
+}
+
 func TestCDF(t *testing.T) {
 	trials := []LeakTrial{
 		{DetouredFrac: 0.1}, {DetouredFrac: 0.2}, {DetouredFrac: 0.2}, {DetouredFrac: 0.9},

@@ -36,15 +36,7 @@ func TiesAblation(env *Env) ([]TiesAblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			trials := runs[0]
-			var mean, worst float64
-			for _, tr := range trials {
-				mean += tr.DetouredFrac
-				if tr.DetouredFrac > worst {
-					worst = tr.DetouredFrac
-				}
-			}
-			mean /= float64(len(trials))
+			st := bgpsim.SummarizeDetours(bgpsim.DetourFracs(runs[0], false))
 			sim := bgpsim.New(in.Graph)
 			reach, err := sim.ReachabilityCount(bgpsim.Config{
 				Origin:    origin,
@@ -55,9 +47,9 @@ func TiesAblation(env *Env) ([]TiesAblationRow, error) {
 				return nil, err
 			}
 			if broken {
-				row.MeanBroken, row.WorstBroken, row.ReachBroken = mean, worst, reach
+				row.MeanBroken, row.WorstBroken, row.ReachBroken = st.Mean, st.Worst, reach
 			} else {
-				row.MeanTies, row.WorstTies, row.ReachTies = mean, worst, reach
+				row.MeanTies, row.WorstTies, row.ReachTies = st.Mean, st.Worst, reach
 			}
 		}
 		rows = append(rows, row)

@@ -42,11 +42,8 @@ func Hijack(env *Env) ([]HijackRow, error) {
 		return nil, err
 	}
 	meanWorst := func(trials []bgpsim.LeakTrial) (mean, worst float64) {
-		for _, tr := range trials {
-			mean += tr.DetouredFrac
-			worst = max(worst, tr.DetouredFrac)
-		}
-		return mean / float64(len(trials)), worst
+		st := bgpsim.SummarizeDetours(bgpsim.DetourFracs(trials, false))
+		return st.Mean, st.Worst
 	}
 	rows := make([]HijackRow, len(clouds))
 	for i, cloud := range clouds {

@@ -89,16 +89,11 @@ func leakFigure(env *Env, originName string, origin astopo.ASN, panel [][]bgpsim
 		fig.AvgResilience = userFrac
 	}
 	for i, scen := range bgpsim.LeakScenarios() {
-		curve := LeakCurve{Scenario: scen, CDF: bgpsim.CDF(panel[i], cdfGrid, weighted)}
-		for _, tr := range panel[i] {
-			if weighted {
-				curve.MeanDetoured += tr.DetouredUserFrac
-			} else {
-				curve.MeanDetoured += tr.DetouredFrac
-			}
-		}
-		curve.MeanDetoured /= float64(len(panel[i]))
-		fig.Curves = append(fig.Curves, curve)
+		fig.Curves = append(fig.Curves, LeakCurve{
+			Scenario:     scen,
+			CDF:          bgpsim.CDF(panel[i], cdfGrid, weighted),
+			MeanDetoured: bgpsim.SummarizeDetours(bgpsim.DetourFracs(panel[i], weighted)).Mean,
+		})
 	}
 	return fig, nil
 }
@@ -178,11 +173,7 @@ func Fig10(env *Env) (*Fig10Result, error) {
 		return nil, err
 	}
 	curve := func(trials []bgpsim.LeakTrial) ([]float64, float64) {
-		var mean float64
-		for _, tr := range trials {
-			mean += tr.DetouredFrac
-		}
-		return bgpsim.CDF(trials, cdfGrid, false), mean / float64(len(trials))
+		return bgpsim.CDF(trials, cdfGrid, false), bgpsim.SummarizeDetours(bgpsim.DetourFracs(trials, false)).Mean
 	}
 	res := &Fig10Result{Grid: cdfGrid}
 	res.CDF2015, res.Mean2015 = curve(trials[0])

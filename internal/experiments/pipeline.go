@@ -8,28 +8,20 @@ import (
 	"flatnet/internal/bgpfeed"
 	"flatnet/internal/core"
 	"flatnet/internal/neighbors"
-	"flatnet/internal/topogen"
 )
 
 // feedVPCount is the number of simulated route-collector vantage points.
 const feedVPCount = 40
 
-// feedView is one preset's BGP-feed-visible topology, collected once per
-// Env scope: §4.1 and the ablation read the same view.
-func (e *Env) feedView(year int) (*bgpfeed.View, error) {
+// feedGraph is one preset's BGP-feed-visible topology, collected once per
+// Env scope: §4.1 and the ablation read the same graph.
+func (e *Env) feedGraph(year int) (*astopo.Graph, error) {
 	in, _, _, err := e.preset(year)
 	if err != nil {
 		return nil, err
 	}
-	return memoize(e, fmt.Sprintf("feed/%d", year), func() (*bgpfeed.View, error) {
-		var cands []astopo.ASN
-		for i, a := range in.Graph.ASes() {
-			switch in.ClassAt(i) {
-			case topogen.ClassTransit, topogen.ClassTier2, topogen.ClassTier1:
-				cands = append(cands, a)
-			}
-		}
-		return bgpfeed.Collect(in.Graph, bgpfeed.SampleVPs(cands, feedVPCount, 11))
+	return memoize(e, fmt.Sprintf("feed/%d", year), func() (*astopo.Graph, error) {
+		return bgpfeed.Collect(in.Graph, bgpfeed.VantagePoints(in, feedVPCount))
 	})
 }
 
@@ -47,14 +39,14 @@ type Sec41Row struct {
 // Sec41 runs the visibility comparison.
 func Sec41(env *Env) ([]Sec41Row, error) {
 	in := env.In2020
-	view, err := env.feedView(2020)
+	feed, err := env.feedGraph(2020)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Sec41Row
 	for _, cloud := range Clouds() {
 		asn := in.Clouds[cloud]
-		feedSet := astopo.NewASSet(view.VisibleNeighbors(asn)...)
+		feedSet := astopo.NewASSet(append(append(feed.Providers(asn), feed.Peers(asn)...), feed.Customers(asn)...)...)
 		traces, err := env.Traces(2020, cloud, 0)
 		if err != nil {
 			return nil, err
@@ -63,10 +55,10 @@ func Sec41(env *Env) ([]Sec41Row, error) {
 		truth := len(in.Graph.Providers(asn)) + len(in.Graph.Peers(asn)) + len(in.Graph.Customers(asn))
 		rows = append(rows, Sec41Row{
 			Cloud:       cloud,
-			FeedOnly:    len(feedSet),
+			FeedOnly:    feed.Degree(asn),
 			Combined:    len(combined),
 			GroundTruth: truth,
-			MissedFrac:  1 - float64(len(feedSet))/float64(truth),
+			MissedFrac:  1 - float64(feed.Degree(asn))/float64(truth),
 		})
 	}
 	return rows, nil
@@ -138,15 +130,11 @@ type AblationRow struct {
 // paper's core methodological claim.
 func Ablation(env *Env) ([]AblationRow, error) {
 	in := env.In2020
-	view, err := env.feedView(2020)
+	feed, err := env.feedGraph(2020)
 	if err != nil {
 		return nil, err
 	}
-	feedGraph, err := view.BuildGraph()
-	if err != nil {
-		return nil, err
-	}
-	augGraph := feedGraph.Clone()
+	augGraph := feed.Clone()
 	for _, cloud := range Clouds() {
 		traces, err := env.Traces(2020, cloud, 0)
 		if err != nil {
@@ -171,7 +159,7 @@ func Ablation(env *Env) ([]AblationRow, error) {
 		asn := in.Clouds[cloud]
 		row := AblationRow{Cloud: cloud}
 		var err error
-		if row.FeedOnly, row.FeedOnlyPct, err = reach(feedGraph, asn); err != nil {
+		if row.FeedOnly, row.FeedOnlyPct, err = reach(feed, asn); err != nil {
 			return nil, err
 		}
 		if row.Augmented, row.AugmentedPct, err = reach(augGraph, asn); err != nil {

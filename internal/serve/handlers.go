@@ -385,25 +385,10 @@ func (s *Server) handleLeak(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		var mean, worst float64
-		for _, f := range fracs {
-			mean += f
-			if f > worst {
-				worst = f
-			}
-		}
-		if len(fracs) > 0 {
-			mean /= float64(len(fracs))
-		}
-		n := len(fracs)
-		sort.Float64s(fracs)
-		var p95 float64
-		if len(fracs) > 0 {
-			p95 = fracs[int(0.95*float64(len(fracs)-1))]
-		}
+		st := bgpsim.SummarizeDetours(fracs)
 		return leakResponse{
 			AS: origin, Name: ws.nameOf(origin), Scenario: scenName, Hijack: hijack,
-			Trials: n, Seed: seed, MeanDetour: mean, P95Detour: p95, WorstDetour: worst,
+			Trials: len(fracs), Seed: seed, MeanDetour: st.Mean, P95Detour: st.P95, WorstDetour: st.Worst,
 		}, nil
 	})
 }
