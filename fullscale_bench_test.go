@@ -82,11 +82,12 @@ func BenchmarkFig7LeakCDFsFullScale(b *testing.B) {
 func BenchmarkLeakTrialsBatchFullScale(b *testing.B) { benchLeakTrialsBatch(b, fullScaleEnv(b)) }
 
 // BenchmarkLeakSweepPrepassFullScale measures the leak pre-pass at scale
-// 1.0: one op builds and releases (NewLeakSweep, Release) the sweeps of
-// Fig. 7's 20 configurations — Microsoft, Amazon, IBM and Facebook under
-// the five scenarios — and of 20 random announce-to-all origins, the
+// 1.0: one op builds (NewLeakSweep) the sweeps of Fig. 7's 20
+// configurations — Microsoft, Amazon, IBM and Facebook under the five
+// scenarios — and of 20 random announce-to-all origins, the
 // average-resilience baseline's kind of job. ns/prepass is the cost of
-// one; allocs/op should be 0, the pooled sweep's buffers warm.
+// one; allocs/op counts only the sweeps' own rows and index lists, the
+// pooled simulator's buffers warm.
 func BenchmarkLeakSweepPrepassFullScale(b *testing.B) {
 	in := fullScaleEnv(b).In2020
 	g := in.Graph
@@ -103,14 +104,12 @@ func BenchmarkLeakSweepPrepassFullScale(b *testing.B) {
 	}
 	run := func() {
 		for _, cfg := range cfgs {
-			sw, err := bgpsim.NewLeakSweep(g, cfg)
-			if err != nil {
+			if _, err := bgpsim.NewLeakSweep(g, cfg); err != nil {
 				b.Fatal(err)
 			}
-			sw.Release()
 		}
 	}
-	run() // warm the pooled sweep's arrays, arenas and dial queue
+	run() // warm the pooled simulator's arrays, arenas and dial queue
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // ASN is an autonomous system number.
@@ -84,6 +85,10 @@ type Graph struct {
 	// adjacency fact the propagation engines test per settle, kept as
 	// 1 bit per AS so the test stays in cache (see HasCustomers).
 	hasCust []uint64
+	// relay is the relayer index (see RelayerIndex), built on first use:
+	// each freeze starts a fresh one, and a borrowed graph pays for it only
+	// if a leak engine asks.
+	relay *relayIndex
 
 	// pairs holds every link's PairKey while the graph is built link by
 	// link, for AddLinkIfAbsent's duplicate check. It is sized from the
@@ -172,6 +177,7 @@ func FromFrozen(f Frozen) (*Graph, error) {
 		provOff: f.ProvOff, custOff: f.CustOff, peerOff: f.PeerOff,
 		arena:   f.Arena,
 		hasCust: customerBits(f.CustOff),
+		relay:   new(relayIndex),
 	}, nil
 }
 
@@ -622,6 +628,7 @@ func (g *Graph) freeze() {
 		}
 	}
 	g.hasCust = customerBits(g.custOff)
+	g.relay = new(relayIndex)
 	g.frozen = true
 }
 
@@ -791,6 +798,53 @@ func (g *Graph) HasCustomers(i int) bool {
 	g.Freeze()
 	return g.hasCust[i>>6]&(1<<(i&63)) != 0
 }
+
+// relayIndex is a frozen graph's split of its ASes into relayers, the ASes
+// with customers, and stubs.
+type relayIndex struct {
+	once     sync.Once
+	dense    []int32 // AS -> relayer slot, -1 for a stub
+	relayers []int32 // relayer slot -> AS, in index order
+	stubs    []bool  // AS -> no customers
+}
+
+// relayers builds the relayer index once per frozen graph.
+func (g *Graph) relayers() *relayIndex {
+	g.Freeze()
+	x := g.relay
+	x.once.Do(func() {
+		n := len(g.nodes)
+		x.dense = make([]int32, n)
+		x.stubs = make([]bool, n)
+		for i := range n {
+			x.dense[i] = -1
+			if g.HasCustomers(i) {
+				x.dense[i] = int32(len(x.relayers))
+				x.relayers = append(x.relayers, int32(i))
+			} else {
+				x.stubs[i] = true
+			}
+		}
+	})
+	return x
+}
+
+// RelayerIndex returns the dense relayer index: entry i is AS i's slot
+// among the ASes with customers (numbered in index order), or -1 for a
+// stub. The leak engines keep per-relayer state in arrays of those slots,
+// since only an AS with customers (or the origin) ever relays a route.
+// The slice is shared; callers must not modify it.
+func (g *Graph) RelayerIndex() []int32 { return g.relayers().dense }
+
+// Relayers returns the ASes with customers in index order: slot r of
+// RelayerIndex holds Relayers()[r]. The slice is shared; callers must not
+// modify it.
+func (g *Graph) Relayers() []int32 { return g.relayers().relayers }
+
+// Stubs returns the mask of the ASes without customers, the sinks of a
+// propagation that only relays. The slice is shared; callers must not
+// modify it.
+func (g *Graph) Stubs() []bool { return g.relayers().stubs }
 
 // PeersOf returns the dense indexes of i's settlement-free peers.
 func (g *Graph) PeersOf(i int) []int32 {

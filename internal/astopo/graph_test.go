@@ -136,6 +136,50 @@ func TestHasCustomers(t *testing.T) {
 	check("mutated view", view, want)
 }
 
+// The relayer index numbers the ASes with customers in index order and
+// marks the rest as stubs, on a frozen graph, on its FromFrozen view (built
+// on first use there), and afresh after a mutation turns a stub into a
+// provider.
+func TestRelayerIndex(t *testing.T) {
+	check := func(name string, g *Graph) {
+		t.Helper()
+		slot, relayers, stubs := g.RelayerIndex(), g.Relayers(), g.Stubs()
+		if len(slot) != g.NumASes() || len(stubs) != g.NumASes() {
+			t.Fatalf("%s: index of %d slots and %d stub marks for %d ASes", name, len(slot), len(stubs), g.NumASes())
+		}
+		next := int32(0)
+		for i := range g.NumASes() {
+			want := int32(-1)
+			if g.HasCustomers(i) {
+				want, next = next, next+1
+			}
+			if slot[i] != want || stubs[i] != (want < 0) {
+				t.Errorf("%s: AS%d slot %d stub %v, want slot %d", name, g.ASNAt(i), slot[i], stubs[i], want)
+			}
+			if want >= 0 && (int(want) >= len(relayers) || relayers[want] != int32(i)) {
+				t.Errorf("%s: relayer slot %d does not hold AS%d", name, want, g.ASNAt(i))
+			}
+		}
+		if len(relayers) != int(next) {
+			t.Errorf("%s: %d relayers listed, %d ASes with customers", name, len(relayers), next)
+		}
+	}
+	g := buildTestGraph(t)
+	check("frozen", g)
+	view, err := FromFrozen(g.Frozen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("FromFrozen", view)
+	if err := view.AddLink(202, 301, P2C); err != nil {
+		t.Fatal(err)
+	}
+	check("mutated view", view)
+	if i, _ := view.Index(202); view.RelayerIndex()[i] < 0 {
+		t.Error("mutated view: AS202 gained a customer but has no relayer slot")
+	}
+}
+
 // AddLinkIfAbsent adds a P2C or P2P link only to an unlinked pair, in
 // either orientation, and never changes an existing link's type.
 func TestAddLinkIfAbsent(t *testing.T) {

@@ -98,18 +98,17 @@ type BatchLeak struct {
 	// an aborted engine is reusable as it stands.
 	ctx context.Context
 
-	// dense[v] is relaying AS v's laneNode index, -1 for a stub; relayers
-	// lists those ASes in index order, one per laneNode.
-	dense    []int32
-	relayers []int32
+	// slot is the graph's relayer index (astopo.Graph.RelayerIndex):
+	// relaying AS v's laneNode is nodes[slot[v]], and a stub's slot is -1.
+	slot []int32
 
-	nodes   []laneNode // one per AS with customers
+	nodes   []laneNode // one per AS with customers, by relayer slot
 	leak    []uint64   // settled lanes with a leaked tied-best route
 	leaked  []uint64   // bitset: nodes with a nonzero leak word
 	touched []int32    // relaying receivers with nonzero cur words
 
 	// accept[v] holds the lanes stub v may still install a route in (at an
-	// AS with customers, only the block's starting base). arrivals are the
+	// AS with customers it is unread). arrivals are the
 	// stub arrivals of the length being relayed, each naming its sender's
 	// words in sent.
 	accept   []uint64
@@ -183,27 +182,19 @@ func (l settleLog) reset() {
 func NewBatchLeak(g *astopo.Graph) *BatchLeak {
 	g.Freeze()
 	n := g.NumASes()
-	bl := &BatchLeak{
+	return &BatchLeak{
 		g:      g,
-		dense:  make([]int32, n),
+		slot:   g.RelayerIndex(),
+		nodes:  make([]laneNode, len(g.Relayers())),
 		accept: make([]uint64, n),
 		leak:   make([]uint64, n),
 		leaked: make([]uint64, (n+63)/64),
 	}
-	for v := range n {
-		bl.dense[v] = -1
-		if g.HasCustomers(v) {
-			bl.dense[v] = int32(len(bl.relayers))
-			bl.relayers = append(bl.relayers, int32(v))
-		}
-	}
-	bl.nodes = make([]laneNode, len(bl.relayers))
-	return bl
 }
 
 // node returns AS v's laneNode, or nil when v has no customers.
 func (bl *BatchLeak) node(v int32) *laneNode {
-	if r := bl.dense[v]; r >= 0 {
+	if r := bl.slot[v]; r >= 0 {
 		return &bl.nodes[r]
 	}
 	return nil
@@ -242,28 +233,27 @@ func putBatchLeak(bl *BatchLeak) { batchLeakPool.Put(bl) }
 // in input order. weights may be nil; otherwise it must have one entry
 // per dense graph index. Results are identical to calling LeakSweep.Trial
 // per leaker; the blocks carry only the leakers that can leak (see
-// sweepBase.liveLeakers). Configurations with BreakTies set are rejected
+// LeakSweep.liveLeakers). Configurations with BreakTies set are rejected
 // (see the type comment); callers route those through the scalar path.
 func (bl *BatchLeak) Trials(sw *LeakSweep, leakers []astopo.ASN, weights []float64, out []LeakTrial) error {
-	b := sw.base
-	if b.g != bl.g {
+	if sw.g != bl.g {
 		return fmt.Errorf("bgpsim: BatchLeak built for a different graph than the sweep")
 	}
-	if b.cfg.BreakTies {
+	if sw.cfg.BreakTies {
 		return fmt.Errorf("bgpsim: BatchLeak does not support BreakTies configs (scalar tie order is per-lane)")
 	}
 	if len(out) < len(leakers) {
 		return fmt.Errorf("bgpsim: out has %d entries for %d leakers", len(out), len(leakers))
 	}
-	if err := b.checkWeights(weights); err != nil {
+	if err := sw.checkWeights(weights); err != nil {
 		return err
 	}
 	var err error
-	if bl.live, err = b.liveLeakers(leakers, out, &bl.walk, bl.live[:0]); err != nil {
+	if bl.live, err = sw.liveLeakers(leakers, out, &bl.walk, bl.live[:0]); err != nil {
 		return err
 	}
 	for lo := 0; lo < len(bl.live); lo += BatchLanes {
-		if err := bl.block(b, bl.live[lo:min(lo+BatchLanes, len(bl.live))], weights, out); err != nil {
+		if err := bl.block(sw, bl.live[lo:min(lo+BatchLanes, len(bl.live))], weights, out); err != nil {
 			return err
 		}
 	}
@@ -284,43 +274,40 @@ func (bl *BatchLeak) TrialsCtx(ctx context.Context, sw *LeakSweep, leakers []ast
 // block runs one batch of 1 to BatchLanes live leakers, lane k for
 // lanes[k]: the three-stage word-wise propagation, and the per-lane detour
 // reduction into out[lanes[k].pos].
-func (bl *BatchLeak) block(b *sweepBase, lanes []liveLeaker, weights []float64, out []LeakTrial) error {
-	cfg := &b.cfg
+func (bl *BatchLeak) block(sw *LeakSweep, lanes []liveLeaker, weights []float64, out []LeakTrial) error {
+	cfg := &sw.cfg
 	g := bl.g
 	nlanes := len(lanes)
 	allLanes := ^uint64(0) >> (BatchLanes - nlanes)
 
 	// ---- Per-node words and first senders from the cached snapshot ----
-	// The origin announces in every lane at length 0; leaker k re-announces
-	// in its own lane at its pre-pass row's length (zero for hijacks,
-	// which forge an origination). Neither ever takes a route.
-	for i := range bl.accept {
-		a := allLanes
-		if cfg.Exclude != nil && cfg.Exclude[i] {
-			a = 0
-		}
-		bl.accept[i] = a
+	// Every AS starts open in every lane, the excluded ones closed. The
+	// origin announces in every lane at length 0; leaker k re-announces in
+	// its own lane at its pre-pass row's length (zero for hijacks, which
+	// forge an origination). Neither ever takes a route.
+	fillWords(bl.accept, allLanes)
+	for r := range bl.nodes {
+		bl.nodes[r] = laneNode{acceptLegit: allLanes, acceptLeak: allLanes}
 	}
-	for r, v := range bl.relayers {
-		a := bl.accept[v]
-		bl.nodes[r] = laneNode{acceptLegit: a, acceptLeak: a}
+	for _, v := range sw.excluded {
+		bl.refuse(v, allLanes)
 	}
 	for kind := range bl.logs {
 		bl.logs[kind].reset()
 	}
-	bl.refuse(b.origin, allLanes)
-	bl.logs[toProviders].add(0, settleT{node: b.origin, legit: allLanes})
+	bl.refuse(sw.origin, allLanes)
+	bl.logs[toProviders].add(0, settleT{node: sw.origin, legit: allLanes})
 	for k, l := range lanes {
 		li := l.idx
 		bit := uint64(1) << k
 		bl.refuse(li, bit)
 		d0 := 0
 		if !cfg.Hijack {
-			r := b.row(li, &bl.walk)
+			r := sw.row(li, &bl.walk)
 			d0 = int(r.dist)
 			// The walk returns the origin, which accepts nothing, and ASes
 			// with customers: the pre-pass's next-hop DAG holds no stub.
-			for _, v := range bl.walk.onAllPaths(b.csr, b.counts, li, r) {
+			for _, v := range bl.walk.onAllPaths(&sw.leakDAG, li, r) {
 				if nd := bl.node(v); nd != nil {
 					nd.acceptLeak &^= bit
 				}
@@ -332,19 +319,17 @@ func (bl *BatchLeak) block(b *sweepBase, lanes []liveLeaker, weights []float64, 
 	// origin announces to settle here, at length 1 of their stage (logged
 	// only if they have customers, like every settle), and every locking AS
 	// is then closed to the relay loop.
-	if cfg.Locking != nil {
-		o := int(b.origin)
+	if len(sw.locked) > 0 {
+		o := int(sw.origin)
 		for kind, nbrs := range [...][]int32{g.ProvidersOf(o), g.PeersOf(o), g.CustomersOf(o)} {
-			for _, p := range bl.announced(b, nbrs) {
+			for _, p := range bl.announced(sw, nbrs) {
 				if nd := bl.node(p); cfg.Locking[p] && nd != nil && nd.acceptLegit != 0 {
 					bl.logs[kind].add(1, settleT{node: p, legit: nd.acceptLegit})
 				}
 			}
 		}
-		for i, locked := range cfg.Locking {
-			if locked {
-				bl.refuse(int32(i), allLanes)
-			}
+		for _, v := range sw.locked {
+			bl.refuse(v, allLanes)
 		}
 	}
 
@@ -359,7 +344,7 @@ func (bl *BatchLeak) block(b *sweepBase, lanes []liveLeaker, weights []float64, 
 			if err := bl.canceled(); err != nil {
 				return err
 			}
-			bl.relay(b, bl.logs[toProviders][d], kind)
+			bl.relay(sw, bl.logs[toProviders][d], kind)
 			bl.settle(kind, d+1)
 		}
 	}
@@ -371,7 +356,7 @@ func (bl *BatchLeak) block(b *sweepBase, lanes []liveLeaker, weights []float64, 
 			return err
 		}
 		for kind := range bl.logs {
-			bl.relay(b, bl.logs[kind].at(d), toCustomers)
+			bl.relay(sw, bl.logs[kind].at(d), toCustomers)
 		}
 		bl.settle(toCustomers, d+1)
 	}
@@ -416,6 +401,17 @@ func (bl *BatchLeak) block(b *sweepBase, lanes []liveLeaker, weights []float64, 
 	return nil
 }
 
+// fillWords sets every word of s to v, by doubling copies.
+func fillWords(s []uint64, v uint64) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for i := 1; i < len(s); i *= 2 {
+		copy(s[i:], s[:i])
+	}
+}
+
 // canceled returns the in-flight context's error, zeroing the leak words
 // the aborted block set, or nil when no context is attached or it is
 // still live.
@@ -437,13 +433,13 @@ func (bl *BatchLeak) canceled() error {
 
 // announced returns those of the origin's neighbors nbrs its announcement
 // policy allows (in bl.allowed, valid until the next call).
-func (bl *BatchLeak) announced(b *sweepBase, nbrs []int32) []int32 {
-	if b.cfg.Policy == nil {
+func (bl *BatchLeak) announced(sw *LeakSweep, nbrs []int32) []int32 {
+	if sw.cfg.Policy == nil {
 		return nbrs
 	}
 	bl.allowed = bl.allowed[:0]
 	for _, p := range nbrs {
-		if b.cfg.Policy.allows(p) {
+		if sw.cfg.Policy.allows(p) {
 			bl.allowed = append(bl.allowed, p)
 		}
 	}
@@ -464,8 +460,8 @@ func (bl *BatchLeak) announced(b *sweepBase, nbrs []int32) []int32 {
 // iff got is not, so a receiver enters touched once per length, and a
 // refused one leaves it as it was. For arrivals, it is when the stub
 // accepts a lane of the route.
-func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
-	g, nodes, accept, dense := bl.g, bl.nodes, bl.accept, bl.dense
+func (bl *BatchLeak) relay(sw *LeakSweep, senders []settleT, kind int) {
+	g, nodes, accept, slot := bl.g, bl.nodes, bl.accept, bl.slot
 	touched, arrivals := bl.touched, bl.arrivals
 	for _, e := range senders {
 		var nbrs []int32
@@ -477,8 +473,8 @@ func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
 		default:
 			nbrs = g.CustomersOf(int(e.node))
 		}
-		if e.node == b.origin {
-			nbrs = bl.announced(b, nbrs)
+		if e.node == sw.origin {
+			nbrs = bl.announced(sw, nbrs)
 		}
 		sender, lanes := int32(len(bl.sent)), e.legit|e.leak
 		bl.sent = append(bl.sent, sentWords{lanes: lanes, leak: e.leak})
@@ -486,7 +482,7 @@ func (bl *BatchLeak) relay(b *sweepBase, senders []settleT, kind int) {
 		touched = slices.Grow(touched, len(nbrs))[:nt+len(nbrs)]
 		arrivals = slices.Grow(arrivals, len(nbrs))[:na+len(nbrs)]
 		for _, p := range nbrs {
-			r := dense[p]
+			r := slot[p]
 			if r < 0 {
 				got := lanes & accept[p]
 				arrivals[na] = arrival{stub: p, sender: sender}

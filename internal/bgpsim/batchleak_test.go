@@ -100,9 +100,8 @@ func TestBatchLeakMatchesScalar(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d scenario %v: tie Trials: %v", seed, scen, err)
 				}
-				ref := tieSweep.Clone()
 				for i, l := range big {
-					want, err := ref.Trial(l, weights)
+					want, err := tieSweep.Trial(l, weights)
 					if err != nil {
 						t.Fatalf("seed %d scenario %v leaker AS%d: %v", seed, scen, l, err)
 					}
@@ -152,9 +151,8 @@ func TestLeakTrialsBatchRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := sweep.Clone()
 	for i, l := range big {
-		want, err := ref.Trial(l, nil)
+		want, err := sweep.Trial(l, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,19 +374,18 @@ func TestLoopWalkMatchesFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := sw.base
 		full, order, counts := fullPrepass(t, g, cfg)
 		var w loopWalk
 		for li := int32(0); li < int32(len(all)); li++ {
-			if li == b.origin || full.class[li] == ClassNone {
+			if li == sw.origin || full.class[li] == ClassNone {
 				continue
 			}
 			if counts[li] >= 3 {
 				manyPaths++
 			}
-			r := b.row(li, &w)
+			r := sw.row(li, &w)
 			wantReach, wantBlocked := refBlockedOnAllPaths(full.csr(), order, counts, li)
-			seen := w.ancestors(b.csr, len(all), li, r.hops)
+			seen := w.ancestors(&sw.leakDAG, li, r.hops)
 			if seen[0] != li {
 				t.Fatalf("seed %d leaker %d: walk starts at %d", seed, li, seen[0])
 			}
@@ -404,7 +401,7 @@ func TestLoopWalkMatchesFullScan(t *testing.T) {
 				w.reach[v] = 0
 			}
 			got := make([]bool, len(all))
-			for _, v := range w.onAllPaths(b.csr, b.counts, li, r) {
+			for _, v := range w.onAllPaths(&sw.leakDAG, li, r) {
 				if got[v] {
 					t.Fatalf("seed %d leaker %d: node %d marked twice", seed, li, v)
 				}
@@ -458,7 +455,6 @@ func TestLoopWalkSumsInScanOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := sw.base
 	li, _ := g.Index(1000)
 	i2, _ := g.Index(2)
 	full, order, counts := fullPrepass(t, g, Config{Origin: 1})
@@ -467,17 +463,17 @@ func TestLoopWalkSumsInScanOrder(t *testing.T) {
 		t.Fatalf("full scan sums A(AS2) = %v, want 2^53: the topology no longer rounds", wantReach[i2])
 	}
 	var w loopWalk
-	r := b.row(int32(li), &w)
+	r := sw.row(int32(li), &w)
 	if math.Float64bits(r.paths) != math.Float64bits(counts[li]) {
 		t.Fatalf("stub AS1000's derived path count %v, full pre-pass %v", r.paths, counts[li])
 	}
-	for _, v := range w.ancestors(b.csr, g.NumASes(), int32(li), r.hops) {
+	for _, v := range w.ancestors(&sw.leakDAG, int32(li), r.hops) {
 		if math.Float64bits(w.reach[v]) != math.Float64bits(wantReach[v]) {
 			t.Errorf("AS%d: reach %v, full scan %v", g.ASNAt(int(v)), w.reach[v], wantReach[v])
 		}
 		w.reach[v] = 0
 	}
-	blocked := w.onAllPaths(b.csr, b.counts, int32(li), r)
+	blocked := w.onAllPaths(&sw.leakDAG, int32(li), r)
 	if !wantBlocked[i2] || !slices.Contains(blocked, int32(i2)) {
 		t.Errorf("AS2 on every path: full scan %v, walk %v", wantBlocked[i2], blocked)
 	}
@@ -524,9 +520,9 @@ func TestBatchLeakWithdrawalAndLaneMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.base.dist[i4] != 2 || res.Dist[i4] != 3 || res.Class[i4] != ClassProvider || res.Flags[i4] != ViaLegit {
+	if d4 := sw.row(int32(i4), new(loopWalk)).dist; d4 != 2 || res.Dist[i4] != 3 || res.Class[i4] != ClassProvider || res.Flags[i4] != ViaLegit {
 		t.Fatalf("AS4 under AS5's leak: pre-pass length %d, then class %v length %d flags %b; want 2, then a legitimate provider route of length 3",
-			sw.base.dist[i4], res.Class[i4], res.Dist[i4], res.Flags[i4])
+			d4, res.Class[i4], res.Dist[i4], res.Flags[i4])
 	}
 	if detoured(res) != 4 {
 		t.Fatalf("AS5's leak detours %d ASes, want AS2, AS3, AS6, AS7", detoured(res))
@@ -768,22 +764,21 @@ func TestOnAllPathsHoldsOnlyRelayers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := sw.base
 			var w loopWalk
 			for v := int32(0); v < int32(n); v++ {
-				if v == b.origin || cfg.Exclude != nil && cfg.Exclude[v] {
+				if v == sw.origin || cfg.Exclude != nil && cfg.Exclude[v] {
 					continue
 				}
-				r := b.row(v, &w)
+				r := sw.row(v, &w)
 				if r.class == ClassNone {
 					continue
 				}
 				if !g.HasCustomers(int(v)) {
 					stubLeakers++
 				}
-				for _, u := range w.onAllPaths(b.csr, b.counts, v, r) {
+				for _, u := range w.onAllPaths(&sw.leakDAG, v, r) {
 					switch {
-					case u == b.origin:
+					case u == sw.origin:
 						if !g.HasCustomers(int(u)) {
 							stubOriginBlocked++
 						}
@@ -795,7 +790,6 @@ func TestOnAllPathsHoldsOnlyRelayers(t *testing.T) {
 					}
 				}
 			}
-			sw.Release()
 		}
 	}
 	if stubOrigins < 40 || stubLeakers < 5000 || relayers < 10000 || stubOriginBlocked < 1000 {
@@ -875,7 +869,7 @@ func TestBatchLeakLogsHoldOnlyRelayers(t *testing.T) {
 			if got[0] != want {
 				t.Fatalf("seed %d leaker AS%d: batch=%+v scalar=%+v", seed, l, got[0], want)
 			}
-			if live, _ := sw.base.liveLeakers([]astopo.ASN{l}, make([]LeakTrial, 1), &sw.sim.walk, nil); len(live) == 0 {
+			if live, _ := sw.liveLeakers([]astopo.ASN{l}, make([]LeakTrial, 1), new(loopWalk), nil); len(live) == 0 {
 				continue // no lane, no block: the logs are the last block's
 			}
 			if !g.HasCustomers(li) {
@@ -1034,7 +1028,6 @@ func TestBatchLeakMatchesScalarFullScale(t *testing.T) {
 			if detours == 0 {
 				t.Errorf("%v hijack=%v: no sampled leaker detours anything", scen, hijack)
 			}
-			sw.Release()
 		}
 	}
 }

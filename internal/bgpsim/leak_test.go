@@ -38,7 +38,6 @@ func leakRun(t *testing.T, g *astopo.Graph, base Config, leaker astopo.ASN) *Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Release()
 	r, err := sw.Run(leaker)
 	if err != nil {
 		t.Fatal(err)

@@ -237,7 +237,7 @@ func TestRelayTouchesOncePerLength(t *testing.T) {
 	if len(bl.nodes) != 5 {
 		t.Fatalf("%d laneNodes, want one for each of AS1-AS5", len(bl.nodes))
 	}
-	b := &sweepBase{g: g, origin: -1}
+	b := &LeakSweep{g: g, origin: -1}
 	open := laneNode{acceptLegit: 0b0111, acceptLeak: 0b0110}
 	const stubOpen = 0b0111
 	reset := func() {

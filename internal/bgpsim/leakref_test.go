@@ -55,7 +55,13 @@ func refLeakRun(sim *Simulator, cfg Config, leaker astopo.ASN) (*Result, error) 
 		}
 		counts := make([]float64, sim.n)
 		pathCountsCSR(sim.csr(), sim.class, sim.dist, sim.orderByDistance(), counts)
-		sim.blockLeakLoops(sim.csr(), counts, leakerIdx, prepassRow{hops: sim.csr().at(leakerIdx), paths: counts[li]})
+		// Every AS settled, so the DAG's rows are the AS indexes.
+		rows := make([]int32, sim.n)
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		dag := &leakDAG{slot: rows, csr: sim.csr(), counts: counts}
+		sim.blockLeakLoops(dag, leakerIdx, prepassRow{hops: sim.csr().at(leakerIdx), paths: counts[li]})
 		leak.dist0 = sim.dist[li]
 	}
 	seeds = append(seeds, leak)

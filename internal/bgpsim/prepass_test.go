@@ -59,20 +59,18 @@ func checkPrepassRows(t *testing.T, g *astopo.Graph, cfg Config, label string, t
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	defer sw.Release()
-	b := sw.base
 	full, _, counts := fullPrepass(t, g, cfg)
 	csr := full.csr()
 	var w loopWalk
 	for v := int32(0); v < int32(g.NumASes()); v++ {
-		r := b.row(v, &w)
+		r := sw.row(v, &w)
 		wantHops := csr.at(v)
 		if r.class != full.class[v] || r.dist != full.dist[v] || !slices.Equal(r.hops, wantHops) ||
 			r.class != ClassNone && math.Float64bits(r.paths) != math.Float64bits(counts[v]) {
 			t.Fatalf("%s: AS%d (stub %v) row {%v %d %v %v}, full run {%v %d %v %v}", label, g.ASNAt(int(v)),
 				!g.HasCustomers(int(v)), r.class, r.dist, r.hops, r.paths, full.class[v], full.dist[v], wantHops, counts[v])
 		}
-		if v == b.origin || g.HasCustomers(int(v)) || r.class == ClassNone {
+		if v == sw.origin || g.HasCustomers(int(v)) || r.class == ClassNone {
 			continue
 		}
 		tally.stubs++
@@ -121,7 +119,6 @@ func checkStubTrials(t *testing.T, g *astopo.Graph, cfg Config, leakers []astopo
 				t.Fatalf("%s stub leaker AS%d: Trials %+v, Trial %+v, reference %+v", at, l, got[i], scalar, want)
 			}
 		}
-		sw.Release()
 	}
 }
 
@@ -138,7 +135,7 @@ func stubsOf(g *astopo.Graph, cfg Config) []astopo.ASN {
 }
 
 // The relay-only pre-pass settles only the origin and the ASes with
-// customers, and sweepBase.row derives every stub's row from its
+// customers, and LeakSweep.row derives every stub's row from its
 // neighbors. Every AS's row must equal the tracked run that settles every
 // AS — under every scenario, an announcement policy, an exclusion mask and
 // peer locking, ties kept and broken, with origins that are stubs on half
@@ -214,12 +211,11 @@ func TestSingleHomedStubLeaksDetourNobody(t *testing.T) {
 				if d := detoured(res); d != 0 {
 					t.Fatalf("seed %d %v: single-homed stub AS%d's leak detours %d ASes", seed, scen, l, d)
 				}
-				if live, err := sw.base.liveLeakers([]astopo.ASN{l}, make([]LeakTrial, 1), &sw.sim.walk, nil); err != nil || len(live) != 0 {
+				if live, err := sw.liveLeakers([]astopo.ASN{l}, make([]LeakTrial, 1), new(loopWalk), nil); err != nil || len(live) != 0 {
 					t.Fatalf("seed %d %v: single-homed stub AS%d gets a lane (%v, %v)", seed, scen, l, live, err)
 				}
 				checked++
 			}
-			sw.Release()
 		}
 	}
 	if checked < 200 {

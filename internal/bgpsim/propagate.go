@@ -400,7 +400,7 @@ func pathCountsCSR(csr nextHopCSR, class []Class, dist []int32, order []int32, c
 // loopWalk is the scratch of the leak loop-detection walk, shared by the
 // scalar and batch leak engines. reach is all-zero between walks; blocked
 // holds the latest onAllPaths result; hops and keys hold the latest stub
-// row (sweepBase.row).
+// row (LeakSweep.row).
 type loopWalk struct {
 	reach   []float64
 	seen    []int32
@@ -412,19 +412,18 @@ type loopWalk struct {
 // ancestors returns the ASes on any tied-best path from the leaker toward
 // the origin, leaker first, leaving in w.reach[v] the number of DAG paths
 // from the leaker to each (A(v) in the loop-detection derivation) for the
-// caller to read and zero. n is the graph's AS count. hops are the
-// leaker's own tied-best next hops, which csr need not hold (a relay-only
-// pre-pass leaves a stub's row out); every other ancestor relays, so its
-// next hops are read from csr.
+// caller to read and zero. hops are the leaker's own tied-best next hops,
+// which d need not hold (a relay-only pre-pass leaves a stub's row out);
+// every other ancestor relays, so its next hops are read from d.
 //
 // Every next-hop edge drops the best length by exactly one, so the ancestry
 // is walked a length at a time, each length in descending index — the order
 // in which a backward scan of the pre-pass distance order (ascending
 // length, index within a length) meets the nodes holding nonzero A. Every
 // A(v) is therefore summed in exactly that scan's order.
-func (w *loopWalk) ancestors(csr nextHopCSR, n int, leaker int32, hops []int32) []int32 {
-	if len(w.reach) < n {
-		w.reach = make([]float64, n)
+func (w *loopWalk) ancestors(d *leakDAG, leaker int32, hops []int32) []int32 {
+	if len(w.reach) < len(d.slot) {
+		w.reach = make([]float64, len(d.slot))
 	}
 	reach := w.reach
 	reach[leaker] = 1
@@ -438,7 +437,7 @@ func (w *loopWalk) ancestors(csr nextHopCSR, n int, leaker int32, hops []int32) 
 			rv := reach[v]
 			nh := hops
 			if v != leaker {
-				nh = csr.at(v)
+				nh = d.hops(v)
 			}
 			for _, u := range nh {
 				if reach[u] == 0 {
@@ -455,18 +454,18 @@ func (w *loopWalk) ancestors(csr nextHopCSR, n int, leaker int32, hops []int32) 
 // onAllPaths returns the ASes appearing on every tied-best path from the
 // leaker toward the origin — the set whose BGP loop detection rejects every
 // leaked copy. Uses path-count products: with N(w) DAG paths from w to the
-// origin (counts, from pathCountsCSR) and A(w) DAG paths from the leaker to
-// w, node w lies on all leaker paths iff A(w)·N(w) equals the leaker's
-// total path count. Only the leaker's ancestors are visited; the leaker's
-// own next hops and path count come from its pre-pass row r. The result
-// aliases w.blocked and is valid until the next call; csr and counts are
-// only read, so callers may share them.
-func (w *loopWalk) onAllPaths(csr nextHopCSR, counts []float64, leaker int32, r prepassRow) []int32 {
-	seen := w.ancestors(csr, len(counts), leaker, r.hops)
+// origin (d's counts, from pathCountsCSR) and A(w) DAG paths from the
+// leaker to w, node w lies on all leaker paths iff A(w)·N(w) equals the
+// leaker's total path count. Only the leaker's ancestors are visited; the
+// leaker's own next hops and path count come from its pre-pass row r. The
+// result aliases w.blocked and is valid until the next call; d is only
+// read, so callers may share it.
+func (w *loopWalk) onAllPaths(d *leakDAG, leaker int32, r prepassRow) []int32 {
+	seen := w.ancestors(d, leaker, r.hops)
 	w.blocked = w.blocked[:0]
 	total := r.paths
 	for _, v := range seen[1:] {
-		if p := w.reach[v] * counts[v]; total != 0 && p > 0 && p >= total*(1-1e-9) {
+		if p := w.reach[v] * d.paths(v); total != 0 && p > 0 && p >= total*(1-1e-9) {
 			w.blocked = append(w.blocked, v)
 		}
 		w.reach[v] = 0

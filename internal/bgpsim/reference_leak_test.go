@@ -283,7 +283,6 @@ func TestLeakMatchesReference(t *testing.T) {
 			return false
 		}
 		res, err := sweep.Run(leaker)
-		sweep.Release()
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

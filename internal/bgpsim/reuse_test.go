@@ -14,9 +14,9 @@ import (
 
 // A Simulator resets and scans only the ASes its latest propagation
 // touched, so whatever a run leaves behind — an untracked run before a
-// tracked one, a leak pre-pass, a run canceled between stages, the arrays
-// a LeakSweep pre-pass swaps in — must be invisible to the next run. One
-// reused simulator (also serving as a LeakSweep's) runs a seeded random
+// tracked one, a leak pre-pass, a run canceled between stages, a
+// LeakSweep's pre-pass and trials — must be invisible to the next run. One
+// reused simulator (also running LeakSweeps' pre-passes and trials) runs a seeded random
 // sequence of configs over the 110-topology corpus and the preset-0.02
 // world; every answer must equal a fresh simulator's for the same config,
 // and plain configs must equal the reference engine's fixed point. Leaks
@@ -40,7 +40,6 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 	t.Helper()
 	n := g.NumASes()
 	reused := New(g)
-	sw := &LeakSweep{base: &sweepBase{g: g}, sim: reused, ownsBase: true}
 	swept := false
 	oracle := func(res *Result, cfg Config, leaker astopo.ASN, at string) {
 		if leaker != 0 || cfg.Policy != nil || cfg.Locking != nil || cfg.BreakTies || oracleRuns == 0 {
@@ -105,23 +104,24 @@ func checkReusedMatchesFresh(t *testing.T, g *astopo.Graph, tier1, tier2 astopo.
 		case op == 3 && leaker == 0 && wantErr == nil:
 			checkRelianceMatches(t, reused, cfg, at)
 		case op == 4 && wantErr == nil:
-			// The sweep's pre-pass swaps the simulator's arrays for the
-			// previous snapshot's; then replay the leaker on the swapped-in ones.
-			if err := sw.prepass(cfg); err != nil {
+			// The sweep's pre-pass runs on the simulator and copies its
+			// rows out; then replay the leaker on the same simulator.
+			sw, err := newLeakSweep(reused, cfg)
+			if err != nil {
 				t.Fatalf("%s: pre-pass: %v", at, err)
 			}
 			swept = true
 			if leaker == 0 {
 				break
 			}
-			got, err := sw.Run(leaker)
+			got, err := sw.run(reused, leaker)
 			if err != nil {
 				t.Fatalf("%s: sweep Run: %v", at, err)
 			}
 			if msg := diffResults(got, want); msg != "" {
 				t.Fatalf("%s: sweep Run %s", at, msg)
 			}
-			tr, err := sw.Trial(leaker, nil)
+			tr, err := sw.trial(reused, leaker, nil)
 			if wantFrac := float64(detoured(want)) / float64(n-2); err != nil || tr.DetouredFrac != wantFrac {
 				t.Fatalf("%s: sweep Trial = %v, %v; fresh Run detours %v", at, tr.DetouredFrac, err, wantFrac)
 			}

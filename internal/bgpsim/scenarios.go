@@ -151,7 +151,6 @@ func RunLeakJobs(ctx context.Context, jobs []LeakJob) ([][]LeakTrial, error) {
 				return err
 			}
 			out[i], err = sw.TrialsN(ctx, j.Leakers, j.Weights, perJob)
-			sw.Release()
 			return err
 		}
 	})
@@ -173,19 +172,20 @@ func canceledOr(ctx context.Context, err error) error {
 
 // SampleLeakers draws n distinct ASes uniformly at random, excluding the
 // given origin, deterministically from seed. n <= 0 draws none.
+//
+// The draw is the prefix of rand.Perm over the dense indexes, skipping the
+// origin: Perm's draws for every position, but only the first n+1
+// positions kept (permPrefix), so a call costs n+1 entries, not one per
+// AS.
 func SampleLeakers(g *astopo.Graph, origin astopo.ASN, n int, seed int64) []astopo.ASN {
 	if n <= 0 {
 		return nil
 	}
 	g.Freeze()
-	rng := rand.New(rand.NewSource(seed))
 	all := g.ASes()
-	if n > len(all)-1 {
-		n = len(all) - 1
-	}
-	perm := rng.Perm(len(all))
+	n = min(n, len(all)-1)
 	out := make([]astopo.ASN, 0, n)
-	for _, i := range perm {
+	for _, i := range permPrefix(rand.New(rand.NewSource(seed)), len(all), n+1) {
 		if all[i] == origin {
 			continue
 		}
@@ -195,6 +195,25 @@ func SampleLeakers(g *astopo.Graph, origin astopo.ASN, n int, seed int64) []asto
 		}
 	}
 	return out
+}
+
+// permPrefix returns the first k entries of rng.Perm(size), drawing from
+// rng exactly what Perm draws. Perm sets m[i] = m[j]; m[j] = i for each i
+// with j = Intn(i+1), and an entry at k or beyond is never read back into
+// the prefix: so for i >= k only a j below k is written.
+func permPrefix(rng *rand.Rand, size, k int) []int {
+	k = max(0, min(k, size))
+	t := make([]int, k)
+	for i := range size {
+		j := rng.Intn(i + 1)
+		if i < k {
+			t[i] = t[j]
+			t[j] = i
+		} else if j < k {
+			t[j] = i
+		}
+	}
+	return t
 }
 
 // CDF reduces trial detour fractions to an empirical CDF evaluated at the
@@ -252,18 +271,25 @@ func SummarizeDetours(fracs []float64) DetourStats {
 // announce-to-all and returns the mean detoured fraction — the paper's
 // baseline "average resilience" line. nOrigins origins are sampled, each
 // attacked by nLeakers leakers, and run as one RunLeakJobs call, a job per
-// origin. Sampling is drawn up-front from a single sequential RNG, so
-// results are deterministic in seed regardless of scheduling.
+// origin. Each origin and its leaker sample's seed are drawn up-front from
+// a single sequential RNG, so results are deterministic in seed regardless
+// of scheduling; the samples themselves are then drawn in parallel.
 func AverageResilience(g *astopo.Graph, nOrigins, nLeakers int, seed int64, weights []float64) (asFrac, userFrac float64, err error) {
 	g.Freeze()
 	rng := rand.New(rand.NewSource(seed))
 	all := g.ASes()
 	jobs := make([]LeakJob, nOrigins)
+	seeds := make([]int64, nOrigins)
 	for i := range jobs {
-		origin := all[rng.Intn(len(all))]
-		jobs[i] = LeakJob{Graph: g, Config: Config{Origin: origin}, Weights: weights,
-			Leakers: SampleLeakers(g, origin, nLeakers, rng.Int63())}
+		jobs[i] = LeakJob{Graph: g, Config: Config{Origin: all[rng.Intn(len(all))]}, Weights: weights}
+		seeds[i] = rng.Int63()
 	}
+	par.For(runtime.GOMAXPROCS(0), nOrigins, func(int) func(i int) error {
+		return func(i int) error {
+			jobs[i].Leakers = SampleLeakers(g, jobs[i].Config.Origin, nLeakers, seeds[i])
+			return nil
+		}
+	})
 	trials, err := RunLeakJobs(context.Background(), jobs)
 	if err != nil {
 		return 0, 0, err

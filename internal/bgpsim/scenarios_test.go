@@ -3,6 +3,8 @@ package bgpsim
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -155,6 +157,56 @@ func TestSampleLeakersNonPositive(t *testing.T) {
 	for _, n := range []int{0, -5} {
 		if ls := SampleLeakers(in.Graph, origin, n, 7); len(ls) != 0 {
 			t.Errorf("SampleLeakers(n=%d) drew %d leakers, want none", n, len(ls))
+		}
+	}
+}
+
+// permPrefix keeps rand.Perm's draws and its prefix: for every size, every
+// prefix length (past the end and non-positive ones too) and many seeds,
+// it must equal that prefix of Perm, and leave the RNG where Perm does.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	for size := 0; size <= 70; size++ {
+		for _, k := range []int{-3, 0, 1, 2, size / 3, size - 2, size - 1, size, size + 1, size + 5} {
+			for seed := int64(0); seed < 12; seed++ {
+				want := rand.New(rand.NewSource(seed))
+				got := rand.New(rand.NewSource(seed))
+				perm := want.Perm(size)
+				prefix := permPrefix(got, size, k)
+				if wk := max(0, min(k, size)); !slices.Equal(prefix, perm[:wk]) {
+					t.Fatalf("size %d k %d seed %d: prefix %v, Perm %v", size, k, seed, prefix, perm[:wk])
+				}
+				if a, b := want.Int63(), got.Int63(); a != b {
+					t.Fatalf("size %d k %d seed %d: RNG state differs after the draw", size, k, seed)
+				}
+			}
+		}
+	}
+}
+
+// SampleLeakers draws the prefix of the whole permutation it once drew,
+// skipping the origin: over origins at either end and inside the index
+// range, samples from none to more than the graph holds, and many seeds.
+func TestSampleLeakersMatchesPermPrefix(t *testing.T) {
+	g := randomTopology(rand.New(rand.NewSource(3)))
+	g.Freeze()
+	all := g.ASes()
+	size := len(all)
+	for _, oi := range []int{0, size / 2, size - 1} {
+		origin := all[oi]
+		for _, n := range []int{-1, 0, 1, 7, size - 2, size - 1, size, size + 3} {
+			for seed := int64(0); seed < 20; seed++ {
+				var want []astopo.ASN
+				if n > 0 {
+					for _, i := range rand.New(rand.NewSource(seed)).Perm(size) {
+						if all[i] != origin && len(want) < min(n, size-1) {
+							want = append(want, all[i])
+						}
+					}
+				}
+				if got := SampleLeakers(g, origin, n, seed); !slices.Equal(got, want) {
+					t.Fatalf("origin AS%d n %d seed %d: %v, want %v", origin, n, seed, got, want)
+				}
+			}
 		}
 	}
 }

@@ -254,17 +254,18 @@ type Simulator struct {
 	nhArena []int32
 
 	// Scratch reused by prepare, the LeakSweep pre-pass and RelianceCtx.
-	// blocked carries exactly the marks of walk's latest result. counts
-	// and reach are RelianceCtx's path counts and visit mass, reach zero
-	// outside holders (its latest route holders).
-	seeds   []seed
-	order   []int32
-	distCnt []int32
-	counts  []float64
-	reach   []float64
-	holders []int32
-	blocked []bool
-	walk    loopWalk
+	// blocked marks exactly the ASes of blockedAt. counts and reach are
+	// RelianceCtx's path counts and visit mass (counts also the pre-pass's),
+	// reach zero outside holders (its latest route holders).
+	seeds     []seed
+	order     []int32
+	distCnt   []int32
+	counts    []float64
+	reach     []float64
+	holders   []int32
+	blocked   []bool
+	blockedAt []int32
+	walk      loopWalk
 
 	// res is the view Run returns, repointed at the buffers on every run.
 	res Result
@@ -391,24 +392,33 @@ func (s *Simulator) prepare(cfg Config) ([]seed, error) {
 
 // ensureRelianceScratch sizes RelianceCtx's path counts and visit masses.
 func (s *Simulator) ensureRelianceScratch() {
-	if s.counts == nil {
-		s.counts = make([]float64, s.n)
+	s.ensureCounts()
+	if s.reach == nil {
 		s.reach = make([]float64, s.n)
 	}
 }
 
+// ensureCounts sizes the path counts of RelianceCtx and the leak pre-pass.
+func (s *Simulator) ensureCounts() {
+	if s.counts == nil {
+		s.counts = make([]float64, s.n)
+	}
+}
+
 // blockLeakLoops installs the loop-detection mask of a leak by leaker over
-// a leak-free pre-pass (its next-hop DAG and path counts, and the leaker's
-// own row r): the previous leak's marks are cleared from the list that set
-// them, so a trial pays for the leaker's ancestry, not for the graph.
-func (s *Simulator) blockLeakLoops(csr nextHopCSR, counts []float64, leaker int32, r prepassRow) {
+// a leak-free pre-pass (its DAG d, and the leaker's own row r). The mask
+// keeps its own list of marks, so the previous leak's are cleared from the
+// list that set them — a trial pays for the leaker's ancestry, not for the
+// graph — whatever else walked s.walk in between.
+func (s *Simulator) blockLeakLoops(d *leakDAG, leaker int32, r prepassRow) {
 	if s.blocked == nil {
 		s.blocked = make([]bool, s.n)
 	}
-	for _, v := range s.walk.blocked {
+	for _, v := range s.blockedAt {
 		s.blocked[v] = false
 	}
-	for _, v := range s.walk.onAllPaths(csr, counts, leaker, r) {
+	s.blockedAt = append(s.blockedAt[:0], s.walk.onAllPaths(d, leaker, r)...)
+	for _, v := range s.blockedAt {
 		s.blocked[v] = true
 	}
 	s.leakBlocked = s.blocked

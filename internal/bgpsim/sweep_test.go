@@ -2,11 +2,16 @@ package bgpsim
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/topogen"
 )
 
 // requireResultsIdentical asserts two leak Results are bit-identical in
@@ -155,31 +160,134 @@ func TestLeakSweepNoRouteLeaker(t *testing.T) {
 	}
 }
 
-// Clones share the cached pre-pass but not mutable state: concurrent use
-// must agree with the sequential primary.
-func TestLeakSweepCloneMatchesPrimary(t *testing.T) {
+// A sweep is shared, not cloned: TrialsN, Trial and Run called from
+// several goroutines on one sweep — plain, peer-locking, tie-breaking and
+// hijack configs — must each equal the serial answers (and race-free under
+// -race).
+func TestLeakSweepSharedMatchesSerial(t *testing.T) {
 	in := genInternet(t, 0.01425)
 	g := in.Graph
 	origin := in.Clouds["Google"]
-	leakers := SampleLeakers(g, origin, 10, 5)
-	sweep, err := NewLeakSweep(g, Config{Origin: origin})
-	if err != nil {
-		t.Fatal(err)
+	leakers := SampleLeakers(g, origin, 24, 5)
+	cfgs := []Config{
+		{Origin: origin},
+		ScenarioConfig(g, origin, in.Tier1, in.Tier2, AnnounceAllLockAll),
+		{Origin: origin, BreakTies: true},
+		{Origin: origin, Hijack: true},
 	}
-	clone := sweep.Clone()
-	for _, l := range leakers {
-		a, err := sweep.Trial(l, nil)
+	ctx := context.Background()
+	for ci, cfg := range cfgs {
+		sweep, err := NewLeakSweep(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := clone.Trial(l, nil)
+		wantTrials, err := sweep.TrialsN(ctx, leakers, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
-			t.Fatalf("leaker AS%d: clone trial %+v != primary %+v", l, b, a)
+		wantRuns := make([]*Result, 3)
+		for i := range wantRuns {
+			if wantRuns[i], err = sweep.Run(leakers[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 16)
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := sweep.TrialsN(ctx, leakers, nil, 2)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, l := range leakers {
+					tr, err := sweep.Trial(l, nil)
+					if err != nil || tr != wantTrials[i] || got[i] != wantTrials[i] {
+						errs <- fmt.Errorf("config %d leaker AS%d: TrialsN %+v, Trial %+v (%v), serial %+v", ci, l, got[i], tr, err, wantTrials[i])
+						return
+					}
+				}
+				for i, want := range wantRuns {
+					res, err := sweep.Run(leakers[i])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if msg := diffResults(res, want); msg != "" {
+						errs <- fmt.Errorf("config %d leaker AS%d: shared Run %s", ci, leakers[i], msg)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
 		}
 	}
+}
+
+// A simulator's loop-detection marks are its own: neither a batch sweep's
+// live-leaker walk between two scalar trials on one sweep, nor another
+// walk over the simulator's own scratch, may leave a mark the next trial
+// reads. Over the corpus and every scenario, TrialsN and then Trial on one
+// sweep must equal Trial on a fresh sweep and simulator, and so must a
+// trial on one simulator after its walk served another leaker.
+func TestLeakSweepTrialAfterOtherWalksMatchesFresh(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTopology(rng)
+		g.Freeze()
+		all := g.ASes()
+		origin := all[rng.Intn(len(all))]
+		tier1, tier2 := randomTiers(g, rng)
+		leakers := slices.DeleteFunc(slices.Clone(all), func(a astopo.ASN) bool { return a == origin })
+		for _, scen := range LeakScenarios() {
+			cfg := ScenarioConfig(g, origin, tier1, tier2, scen)
+			sweep, err := NewLeakSweep(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sweep.TrialsN(context.Background(), leakers, nil, 1); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewLeakSweep(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := New(g)
+			for _, l := range leakers {
+				want, err := fresh.trial(New(g), l, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sweep.Trial(l, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Walk another leaker's ancestry on sim's own scratch
+				// between two trials on sim.
+				oi, _ := g.Index(leakers[rng.Intn(len(leakers))])
+				if r := sweep.row(int32(oi), &sim.walk); r.class != ClassNone {
+					sim.walk.onAllPaths(&sweep.leakDAG, int32(oi), r)
+				}
+				onSim, err := sweep.trial(sim, l, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || onSim != want {
+					t.Fatalf("seed %d %v leaker AS%d: after TrialsN %+v, after another walk %+v, fresh %+v",
+						seed, scen, l, got, onSim, want)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d trials", checked)
 }
 
 func TestLeakSweepErrors(t *testing.T) {
@@ -335,4 +443,70 @@ func TestAverageResilienceDeterministic(t *testing.T) {
 	if a1 != a2 || u1 != u2 {
 		t.Fatalf("AverageResilience not deterministic: (%v,%v) vs (%v,%v)", a1, u1, a2, u2)
 	}
+}
+
+// sweepRetainedBytes builds cfg's sweep on g and returns the heap it
+// retains: HeapAlloc after two collections around the build (the second
+// empties the pools' victim caches, so the simulator the pre-pass borrowed
+// is not counted). The graph's relayer index and cfg itself are built
+// before the first reading.
+func sweepRetainedBytes(t *testing.T, g *astopo.Graph, cfg Config) int64 {
+	t.Helper()
+	g.RelayerIndex()
+	g.Stubs()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sw, err := NewLeakSweep(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sw)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// checkSweepsRetain holds the sweeps a daemon caches for Google — a plain
+// leak, every neighbor peer-locking, a hierarchy announcement policy, and
+// a hijack — each to budget bytes.
+func checkSweepsRetain(t *testing.T, in *topogen.Internet, budget int64) {
+	t.Helper()
+	g, origin := in.Graph, in.Clouds["Google"]
+	for _, cfg := range []Config{
+		{Origin: origin},
+		ScenarioConfig(g, origin, in.Tier1, in.Tier2, AnnounceAllLockAll),
+		ScenarioConfig(g, origin, in.Tier1, in.Tier2, AnnounceHierarchy),
+		{Origin: origin, Hijack: true},
+	} {
+		got := sweepRetainedBytes(t, g, cfg)
+		t.Logf("locking %v, policy %v, hijack %v: %d B (%.3f MiB), budget %d B",
+			cfg.Locking != nil, cfg.Policy != nil, cfg.Hijack, got, float64(got)/(1<<20), budget)
+		if got > budget {
+			t.Errorf("locking %v, policy %v, hijack %v: the sweep retains %d B, budget %d B",
+				cfg.Locking != nil, cfg.Policy != nil, cfg.Hijack, got, budget)
+		}
+	}
+}
+
+// A sweep keeps rows for the origin and the relayers (the ASes with
+// customers), never one per AS: at the default scale (3,465 ASes, 210
+// relayers) a sweep retains at most 64 bytes per row, 13,504 B. Measured:
+// about 6.1 KB plain, 8.1 KB locking, 6.3 KB policy and 0.3 KB hijack —
+// the largest 1.67x under the budget.
+func TestLeakSweepRetainsRelayerRows(t *testing.T) {
+	in := genInternet(t, 0.04987)
+	checkSweepsRetain(t, in, 64*int64(len(in.Graph.Relayers())+1))
+}
+
+// At scale 1.0 a sweep retains at most 0.5 MiB; a sweep that owned its
+// simulator and O(V) arrays retained 4.42 MiB. Measured: 0.125 MiB at
+// most (peer locking).
+func TestLeakSweepRetainsRelayerRowsFullScale(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full-scale topology: skipped with -short and under -race")
+	}
+	checkSweepsRetain(t, genInternet(t, 1.0), 1<<19)
 }

@@ -175,6 +175,16 @@ func (m *Metrics) Reachability(o astopo.ASN, kind Kind) (int, error) {
 	return m.ReachabilityCtx(context.Background(), o, kind)
 }
 
+// ReachabilityExcluding returns the number of ASes receiving o's
+// announcement when the ASes exclude marks take no route: a counterfactual
+// mask of the caller's (App. B bypasses a handful of Tier-2s), counted on a
+// pooled simulator.
+func (m *Metrics) ReachabilityExcluding(o astopo.ASN, exclude []bool) (int, error) {
+	sim := m.pool.Get().(*bgpsim.Simulator)
+	defer m.pool.Put(sim)
+	return sim.ReachabilityCount(bgpsim.Config{Origin: o, Exclude: exclude})
+}
+
 // ReachabilityAll computes reach(o, kind) for every AS in the graph,
 // in parallel. Results are indexed by dense graph index.
 //

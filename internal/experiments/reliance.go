@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"flatnet/internal/astopo"
-	"flatnet/internal/bgpsim"
 	"flatnet/internal/core"
 )
 
@@ -196,8 +195,7 @@ func AppB(env *Env) ([]AppBResult, error) {
 				mask[i] = true
 			}
 		}
-		sim := bgpsim.New(in.Graph)
-		if r.BypassTopTier2Reach, err = sim.ReachabilityCount(bgpsim.Config{Origin: a, Exclude: mask}); err != nil {
+		if r.BypassTopTier2Reach, err = m.ReachabilityExcluding(a, mask); err != nil {
 			return nil, err
 		}
 		out = append(out, r)

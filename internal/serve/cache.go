@@ -7,7 +7,7 @@ import (
 
 // lru is a fixed-capacity, mutex-guarded LRU map. Values are whatever the
 // caller stores (the result cache stores marshaled response bodies, the
-// sweep cache stores *bgpsim.LeakSweep prototypes); eviction is strictly
+// sweep cache stores *bgpsim.LeakSweep values); eviction is strictly
 // least-recently-used on Get/Put order.
 type lru struct {
 	mu  sync.Mutex

@@ -347,7 +347,7 @@ func (s *Server) leakFracsRange(ctx context.Context, ws *worldState, q cluster.L
 	if !ok {
 		return nil, badRequestf("unknown scenario %q", q.Scenario)
 	}
-	proto, err := s.leakSweep(ws, origin, q.Scenario, scen, q.Hijack)
+	sw, err := s.leakSweep(ws, origin, q.Scenario, scen, q.Hijack)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +355,7 @@ func (s *Server) leakFracsRange(ctx context.Context, ws *worldState, q cluster.L
 	if lo < 0 || hi > len(leakers) || lo > hi {
 		return nil, badRequestf("leak shard [%d, %d) outside the %d-leaker sample", lo, hi, len(leakers))
 	}
-	res, err := proto.Clone().TrialsN(ctx, leakers[lo:hi], nil, workers)
+	res, err := sw.TrialsN(ctx, leakers[lo:hi], nil, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -393,12 +393,14 @@ func (s *Server) handleLeak(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// leakSweep returns the cached leak-free pre-pass prototype for one
-// (world, origin, scenario, hijack) configuration, building it on first
-// use. The key is world-prefixed like the result cache: a sweep holds O(V)
-// state tied to one topology and must never outlive an evolve. A racing
-// build for the same key is benign — both sweeps are equivalent and the
-// later Put wins — so no lock is held across the O(V+E) pre-pass.
+// leakSweep returns the cached leak-free pre-pass of one (world, origin,
+// scenario, hijack) configuration, building it on first use. A sweep is
+// immutable and safe for concurrent use, so every request replays its
+// leakers on the cached value itself. The key is world-prefixed like the
+// result cache: a sweep is tied to one topology and must never outlive an
+// evolve. A racing build for the same key is benign — both sweeps are
+// equivalent and the later Put wins — so no lock is held across the
+// O(V+E) pre-pass.
 func (s *Server) leakSweep(ws *worldState, origin astopo.ASN, scenName string, scen bgpsim.LeakScenario, hijack bool) (*bgpsim.LeakSweep, error) {
 	key := fmt.Sprintf("%s%d|%s|%v", ws.key, origin, scenName, hijack)
 	if v, ok := s.sweeps.Get(key); ok {

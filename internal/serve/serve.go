@@ -90,7 +90,10 @@ type Config struct {
 // Request limits and the sweep cache's bound.
 const (
 	// sweepCacheSize bounds the per-config LeakSweep pre-pass cache, in
-	// entries; each holds O(V) snapshot state.
+	// entries. An entry holds the pre-pass rows of the origin and the ASes
+	// with customers and borrows its scratch per request: at scale 1.0
+	// (3,404 of 69,488 ASes relay) 0.09-0.13 MiB, plus a peer-locking
+	// config's one-byte-per-AS mask, so a full cache pins under 13 MiB.
 	sweepCacheSize = 64
 	// maxTrials caps the trials parameter of /v1/leak and of a leak shard.
 	maxTrials = 2000
@@ -183,7 +186,7 @@ func newWorldState(ds core.Dataset, names func(astopo.ASN) string, in *topogen.I
 type Server struct {
 	cfg     Config
 	cache   *lru // world-prefixed query key -> marshaled response body ([]byte)
-	sweeps  *lru // world-prefixed leak config key -> *bgpsim.LeakSweep prototype
+	sweeps  *lru // world-prefixed leak config key -> *bgpsim.LeakSweep
 	flights flightGroup
 	sem     chan struct{} // worker-pool slots
 	httpSrv *http.Server
