@@ -26,6 +26,9 @@ func cmdCollect(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if *nvps < 1 {
+		return usagef("collect: -vps must be at least 1, got %d", *nvps)
+	}
 	in, err := genPreset(*scale, *year)
 	if err != nil {
 		return err
@@ -63,6 +66,9 @@ func cmdTrace(args []string) error {
 	aspop := fs.String("aspop", "", "also write APNIC-style population estimates to this file")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	if *vms < 0 {
+		return usagef("trace: -vms must not be negative, got %d", *vms)
 	}
 	in, err := genPreset(*scale, *year)
 	if err != nil {

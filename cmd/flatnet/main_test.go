@@ -39,6 +39,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"leaks bad asn", []string{"leaks", "-as", "nope"}, 2},
 		{"leaks zero trials", []string{"leaks", "-trials", "0"}, 2},
 		{"leaks negative trials", []string{"leaks", "-trials", "-5"}, 2},
+		{"collect zero vps", []string{"collect", "-vps", "0"}, 2},
+		{"collect negative vps", []string{"collect", "-vps", "-1"}, 2},
+		{"trace negative vms", []string{"trace", "-vms", "-3"}, 2},
 		{"serve unknown flag", []string{"serve", "-no-such-flag"}, 2},
 		{"serve extra arg", []string{"serve", "surprise"}, 2},
 	}

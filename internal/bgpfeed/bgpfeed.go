@@ -10,23 +10,25 @@
 // cloud-provider peerings, which is why the paper augments the CAIDA graph
 // with traceroutes from cloud VMs.
 //
-// A table transfer is walked, never kept: Collect folds its paths into the
-// feed-visible graph and WriteMRT encodes them into RIB records, each path
-// living only as long as its origin's visit.
+// A table transfer is walked, never kept. Every AS originates a prefix,
+// and the VPs' paths toward each origin are read off that origin's tracked
+// propagation on bgpsim.ForEachOrigin, the one destination sweep: Collector
+// folds them into the feed-visible graph and WriteMRT streams them out as
+// RIB records, each path living only as long as its origin's visit. The
+// collector is a visitor, so it can share the sweep with other products of
+// the same world (the trace campaigns of package tracesim).
 package bgpfeed
 
 import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/bgpsim"
-	"flatnet/internal/par"
 	"flatnet/internal/topogen"
 )
 
@@ -34,58 +36,46 @@ import (
 // past it.
 const maxPathLen = 64
 
-// walk runs one full table transfer: every AS originates a prefix, one
-// tracked propagation per origin over par.For, and each VP's best path
-// (ties broken deterministically) is walked into its worker's buffer.
-// visit(w) makes worker w's visitor, which is called with each origin's
-// index in g.ASes() and its paths in VP order: paths[k] is vps[k]'s path,
-// VP first and origin last, or nil where that VP has none. The paths are
-// valid only during the call. Each worker visits its origins in
-// increasing index order (par.For's cursor only moves forward).
-func walk(g *astopo.Graph, vps []astopo.ASN, visit func(w int) func(oi int, paths [][]astopo.ASN) error) error {
+// walker returns the visitor that walks each VP's exported best path out
+// of every origin's tracked Result (ties broken deterministically) into its
+// worker's buffer. visit(w) makes worker w's function, which is called with
+// the origin's index in g.ASes() and its paths in VP order: paths[k] is
+// vps[k]'s path, VP first and origin last, or nil where that VP has none.
+// The paths are valid only during the call. The visitor must run on a
+// sweep over g.
+func walker(g *astopo.Graph, vps []astopo.ASN, visit func(w int) func(oi int, paths [][]astopo.ASN) error) (bgpsim.Visitor, error) {
 	g.Freeze()
 	vpIdx := make([]int32, len(vps))
 	for k, v := range vps {
 		i, ok := g.Index(v)
 		if !ok {
-			return fmt.Errorf("bgpfeed: VP AS%d not in graph", v)
+			return nil, fmt.Errorf("bgpfeed: VP AS%d not in graph", v)
 		}
 		vpIdx[k] = int32(i)
 	}
-	origins := g.ASes()
-	return par.For(runtime.GOMAXPROCS(0), len(origins), func(w int) func(int) error {
-		sim := bgpsim.New(g)
+	return func(w int) func(int, *bgpsim.Result) error {
 		// One fixed slot per VP: a path never outgrows maxPathLen+1 ASes,
 		// so the walks never reallocate.
 		const slot = maxPathLen + 1
 		buf := make([]astopo.ASN, len(vps)*slot)
 		paths := make([][]astopo.ASN, len(vps))
 		fn := visit(w)
-		return func(oi int) error {
-			res, err := sim.Run(bgpsim.Config{Origin: origins[oi], TrackNextHops: true})
-			if err != nil {
-				return err
-			}
+		return func(oi int, res *bgpsim.Result) error {
 			for k, vi := range vpIdx {
 				paths[k] = walkPath(g, res, vi, uint64(k), buf[k*slot:k*slot:(k+1)*slot])
 			}
 			return fn(oi, paths)
 		}
-	})
+	}, nil
 }
 
 // walkPath appends the VP's exported best path (VP..origin) to path and
 // returns it, breaking next-hop ties with a per-VP hash; it returns nil
 // where the VP has no route.
 func walkPath(g *astopo.Graph, res *bgpsim.Result, vp int32, salt uint64, path []astopo.ASN) []astopo.ASN {
-	if res.Class[vp] == bgpsim.ClassNone {
+	if res.Class[vp] == bgpsim.ClassNone || vp == res.Origin {
 		return nil
 	}
-	if vp == res.Origin {
-		return nil
-	}
-	path = append(path, g.ASNAt(int(vp)))
-	cur := vp
 	// FNV-1a of "<vp>/<origin>" seeds the tie-breaking sequence.
 	var b [24]byte
 	s := strconv.AppendInt(b[:0], int64(vp), 10)
@@ -95,27 +85,29 @@ func walkPath(g *astopo.Graph, res *bgpsim.Result, vp int32, salt uint64, path [
 	for _, c := range s {
 		x = (x ^ uint64(c)) * 1099511628211
 	}
-	x += salt
-	for cur != res.Origin {
-		hops := res.NextHops(cur)
-		if len(hops) == 0 {
-			return nil
-		}
-		x = x*6364136223846793005 + 1442695040888963407
-		cur = hops[(x>>33)%uint64(len(hops))]
-		path = append(path, g.ASNAt(int(cur)))
-		if len(path) > maxPathLen {
-			return nil
-		}
-	}
-	return path
+	return res.WalkTies(vp, x+salt, append(path, g.ASNAt(int(vp))), maxPathLen)
 }
 
 // Collect runs one table transfer and returns the feed-visible topology
-// ("the CAIDA dataset"), frozen: the distinct links the VPs' paths cross,
-// with their ground-truth relationship labels — the paper consumes
-// CAIDA's labels the same way.
+// (see Collector).
 func Collect(g *astopo.Graph, vps []astopo.ASN) (*astopo.Graph, error) {
+	visit, graph, err := Collector(g, vps)
+	if err != nil {
+		return nil, err
+	}
+	if err := bgpsim.ForEachOrigin(g, visit); err != nil {
+		return nil, err
+	}
+	return graph(), nil
+}
+
+// Collector returns the visitor that folds a table transfer from vps into
+// the feed-visible topology ("the CAIDA dataset"), for a destination sweep
+// over g, and graph, which returns that topology, frozen, once the sweep
+// has finished without error: the distinct links the VPs' paths cross,
+// with their ground-truth relationship labels — the paper consumes CAIDA's
+// labels the same way.
+func Collector(g *astopo.Graph, vps []astopo.ASN) (visit bgpsim.Visitor, graph func() *astopo.Graph, err error) {
 	// A peering link is oriented as the first path in (origin, VP, hop)
 	// order crosses it. A worker visits its origins in increasing order,
 	// so its first sighting of a link is its earliest, and across workers
@@ -128,7 +120,7 @@ func Collect(g *astopo.Graph, vps []astopo.ASN) (*astopo.Graph, error) {
 		mu   sync.Mutex
 		seen []map[uint64]sighting
 	)
-	err := walk(g, vps, func(int) func(int, [][]astopo.ASN) error {
+	visit, err = walker(g, vps, func(int) func(int, [][]astopo.ASN) error {
 		mine := make(map[uint64]sighting)
 		mu.Lock()
 		seen = append(seen, mine)
@@ -155,28 +147,31 @@ func Collect(g *astopo.Graph, vps []astopo.ASN) (*astopo.Graph, error) {
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	first := make(map[uint64]sighting)
-	for _, m := range seen {
-		for key, s := range m {
-			if f, ok := first[key]; !ok || s.origin < f.origin {
-				first[key] = s
+	graph = func() *astopo.Graph {
+		first := make(map[uint64]sighting)
+		for _, m := range seen {
+			for key, s := range m {
+				if f, ok := first[key]; !ok || s.origin < f.origin {
+					first[key] = s
+				}
 			}
 		}
+		links := make([]astopo.Link, 0, len(first))
+		for _, s := range first {
+			links = append(links, s.link)
+		}
+		// Freeze fills rows in link order, and propagation over the feed
+		// graph depends on that order: the links go in sorted by (A, B).
+		slices.SortFunc(links, func(x, y astopo.Link) int {
+			return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+		})
+		feed := astopo.FromLinks(links)
+		feed.Freeze()
+		return feed
 	}
-	links := make([]astopo.Link, 0, len(first))
-	for _, s := range first {
-		links = append(links, s.link)
-	}
-	// Freeze fills rows in link order, and propagation over the feed graph
-	// depends on that order: the links go in sorted by (A, B).
-	slices.SortFunc(links, func(x, y astopo.Link) int {
-		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
-	})
-	feed := astopo.FromLinks(links)
-	feed.Freeze()
-	return feed, nil
+	return visit, graph, nil
 }
 
 // VantagePoints picks n route-collector vantage points from in's transit,
@@ -194,8 +189,12 @@ func VantagePoints(in *topogen.Internet, n int) []astopo.ASN {
 }
 
 // SampleVPs picks n vantage points deterministically from the candidate
-// list.
+// list (none for n <= 0). The picks for n are a prefix of those for any
+// larger n: one permutation of the candidates, cut at n.
 func SampleVPs(candidates []astopo.ASN, n int, seed int64) []astopo.ASN {
+	if n <= 0 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	if n > len(candidates) {
 		n = len(candidates)

@@ -2,12 +2,24 @@ package bgpfeed
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/bgpsim"
 	"flatnet/internal/topogen"
 )
+
+// walk runs the VP path walker on a destination sweep of its own.
+func walk(g *astopo.Graph, vps []astopo.ASN, visit func(w int) func(oi int, paths [][]astopo.ASN) error) error {
+	v, err := walker(g, vps, visit)
+	if err != nil {
+		return err
+	}
+	return bgpsim.ForEachOrigin(g, v)
+}
 
 // testWorld generates a 2020 preset and samples nVPs of its transit and
 // Tier-2 ASes as vantage points, as with real collectors.
@@ -164,6 +176,75 @@ func TestWalkAllocsIndependentOfVPs(t *testing.T) {
 	}
 }
 
+// The feed graph does not depend on how many workers share the sweep or on
+// the visitors beside it: Collect alone, and Collector next to the
+// WriteMRT walk, fold the same links with the same orientation under 1, 2
+// and 8 workers.
+func TestCollectIndependentOfWorkers(t *testing.T) {
+	in, vps := testWorld(t, 0.01425, 10)
+	var want []astopo.Link
+	for _, procs := range []int{1, 2, 8} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		alone, err := Collect(in.Graph, vps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		collect, graph, err := Collector(in.Graph, vps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := walker(in.Graph, vps[:3], func(int) func(int, [][]astopo.ASN) error {
+			return func(int, [][]astopo.ASN) error { return nil }
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bgpsim.ForEachOrigin(in.Graph, other, collect); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = alone.Links()
+		}
+		for how, g := range map[string]*astopo.Graph{"alone": alone, "beside another visitor": graph()} {
+			if got := g.Links(); !slices.Equal(got, want) {
+				t.Errorf("GOMAXPROCS=%d, %s: %d feed links differ from Collect's %d under one worker", procs, how, len(got), len(want))
+			}
+		}
+	}
+}
+
+// Metamorphic: adding VPs only adds sightings. VantagePoints(in, n) is a
+// prefix of one permutation and each VP's tie-breaking salt is its
+// position, so 10 VPs walk exactly the paths the first 10 of 40 walk: the
+// 10-VP feed's links, with their relationships, are a subset of the
+// 40-VP feed's.
+func TestFeedGrowsWithVPs(t *testing.T) {
+	in, err := topogen.Generate(topogen.Internet2020(0.01425))
+	if err != nil {
+		t.Fatal(err)
+	}
+	few, many := VantagePoints(in, 10), VantagePoints(in, 40)
+	if !slices.Equal(few, many[:len(few)]) {
+		t.Fatalf("10 VPs %v are not a prefix of 40 VPs %v", few, many)
+	}
+	small, err := Collect(in.Graph, few)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := Collect(in.Graph, many)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range small.Links() {
+		if rel, ok := large.HasLink(l.A, l.B); !ok || rel != l.Rel {
+			t.Errorf("10-VP feed link %v: 40-VP feed has %v (present %v)", l, rel, ok)
+		}
+	}
+	if small.NumLinks() >= large.NumLinks() {
+		t.Errorf("10 VPs see %d links, 40 see %d: no growth", small.NumLinks(), large.NumLinks())
+	}
+}
+
 func TestSampleVPsDeterministic(t *testing.T) {
 	c := []astopo.ASN{1, 2, 3, 4, 5, 6}
 	a := SampleVPs(c, 3, 9)
@@ -175,5 +256,10 @@ func TestSampleVPsDeterministic(t *testing.T) {
 	}
 	if got := SampleVPs(c, 100, 9); len(got) != len(c) {
 		t.Errorf("oversample returned %d", len(got))
+	}
+	for _, n := range []int{0, -1} {
+		if got := SampleVPs(c, n, 9); len(got) != 0 {
+			t.Errorf("SampleVPs(n=%d) returned %v, want none", n, got)
+		}
 	}
 }

@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sync/atomic"
+	"sync"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/bgpsim"
 )
 
 // This file implements the subset of the MRT format (RFC 6396) that real
@@ -63,32 +64,55 @@ type MRTRib struct {
 // WriteMRT runs one table transfer over g from vps and writes it as a
 // TABLE_DUMP_V2 RIB snapshot: the PEER_INDEX_TABLE of the VPs, then one
 // RIB_IPV4_UNICAST record per origin that has a path and a prefix, in
-// origin order. Each record is encoded on the worker that walked its
-// paths. prefixOf maps each origin AS to the prefix it announces (one
-// prefix per origin, as the synthetic plan allocates) and is called from
-// several goroutines; timestamp stamps every record. It returns the number
-// of paths written.
+// origin order. prefixOf maps each origin AS to the prefix it announces
+// (one prefix per origin, as the synthetic plan allocates) and is called
+// from several goroutines; timestamp stamps every record. It returns the
+// number of paths written.
+//
+// The file streams: a record is encoded on the worker that walked its
+// paths and written once every earlier origin's has been; until then it
+// waits in a small pending map. No worker waits for another, since an
+// origin whose propagation failed is never visited.
 func WriteMRT(w io.Writer, g *astopo.Graph, vps []astopo.ASN, prefixOf func(astopo.ASN) (netip.Prefix, bool), timestamp uint32) (int, error) {
 	origins := g.ASes()
-	recs := make([][]byte, len(origins))
-	var paths atomic.Int64
-	err := walk(g, vps, func(int) func(int, [][]astopo.ASN) error {
+	bw := bufio.NewWriter(w)
+	var (
+		mu      sync.Mutex
+		next    int                // the least origin not yet written
+		pending = map[int][]byte{} // finished records past next, nil for none
+		seq     uint32             // sequence numbers count the records written
+		paths   int
+		werr    error
+	)
+	visit, err := walker(g, vps, func(int) func(int, [][]astopo.ASN) error {
 		return func(oi int, ps [][]astopo.ASN) error {
-			pfx, ok := prefixOf(origins[oi])
-			if !ok {
-				return nil
+			rec, n, err := ribRecord(origins[oi], prefixOf, ps, timestamp)
+			if err != nil {
+				return err
 			}
-			rec, n, err := ribRecord(origins[oi], pfx, ps, timestamp)
-			recs[oi] = rec
-			paths.Add(int64(n))
-			return err
+			mu.Lock()
+			defer mu.Unlock()
+			pending[oi] = rec
+			paths += n
+			for ; werr == nil; next++ {
+				rec, ok := pending[next]
+				if !ok {
+					break
+				}
+				delete(pending, next)
+				if rec != nil {
+					binary.BigEndian.PutUint32(rec, seq)
+					seq++
+					werr = writeMRTRecord(bw, timestamp, mrtSubtypeRIBIPv4, rec)
+				}
+			}
+			return werr
 		}
 	})
 	if err != nil {
 		return 0, err
 	}
 
-	bw := bufio.NewWriter(w)
 	// PEER_INDEX_TABLE.
 	var pt []byte
 	pt = be32(pt, 0x0A000001) // collector BGP ID
@@ -103,32 +127,25 @@ func WriteMRT(w io.Writer, g *astopo.Graph, vps []astopo.ASN, prefixOf func(asto
 	if err := writeMRTRecord(bw, timestamp, mrtSubtypePeerIndex, pt); err != nil {
 		return 0, err
 	}
-	// Sequence numbers count the records written.
-	seq := uint32(0)
-	for _, rec := range recs {
-		if rec == nil {
-			continue
-		}
-		binary.BigEndian.PutUint32(rec, seq)
-		seq++
-		if err := writeMRTRecord(bw, timestamp, mrtSubtypeRIBIPv4, rec); err != nil {
-			return 0, err
-		}
+	if err := bgpsim.ForEachOrigin(g, visit); err != nil {
+		return 0, err
 	}
-	return int(paths.Load()), bw.Flush()
+	return paths, bw.Flush()
 }
 
 // ribRecord encodes origin o's RIB_IPV4_UNICAST body, a zero sequence
 // number first, with an entry for each VP that has a path, and returns it
-// with the number of entries; it returns nil where no VP has a path.
-func ribRecord(o astopo.ASN, pfx netip.Prefix, paths [][]astopo.ASN, timestamp uint32) ([]byte, int, error) {
+// with the number of entries; it returns nil where o has no prefix or no
+// VP has a path.
+func ribRecord(o astopo.ASN, prefixOf func(astopo.ASN) (netip.Prefix, bool), paths [][]astopo.ASN, timestamp uint32) ([]byte, int, error) {
 	n := 0
 	for _, p := range paths {
 		if p != nil {
 			n++
 		}
 	}
-	if n == 0 {
+	pfx, ok := prefixOf(o)
+	if n == 0 || !ok {
 		return nil, 0, nil
 	}
 	if !pfx.Addr().Is4() {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/netdb"
@@ -142,20 +145,66 @@ func planPrefixOf(t testing.TB, in *topogen.Internet) func(astopo.ASN) (netip.Pr
 
 // The RIB of the bgpfeed test world with `flatnet collect`'s vantage-point
 // rule: its bytes are pinned, so neither the walk nor the record encoding
-// can move a byte of a collector's file.
+// can move a byte of a collector's file, whatever the number of workers
+// that finish records out of origin order.
 func TestWriteMRTGolden(t *testing.T) {
 	in, err := topogen.Generate(topogen.Internet2020(0.01425))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := WriteMRT(&buf, in.Graph, VantagePoints(in, 6), planPrefixOf(t, in), 1700000000)
-	if err != nil {
-		t.Fatal(err)
+	prefixOf := planPrefixOf(t, in)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var buf bytes.Buffer
+			n, err := WriteMRT(&buf, in.Graph, VantagePoints(in, 6), prefixOf, 1700000000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const want = "f2bda8d0d4c2392c4d98f120b9b7297e7e87f4f9b5ff63bf569a67a771070de6"
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want || buf.Len() != 247312 || n != 5934 {
+				t.Errorf("RIB sha256 %s, %d B, %d paths; want %s, 247312 B, 5934 paths", got, buf.Len(), n, want)
+			}
+		})
 	}
-	const want = "f2bda8d0d4c2392c4d98f120b9b7297e7e87f4f9b5ff63bf569a67a771070de6"
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want || buf.Len() != 247312 || n != 5934 {
-		t.Errorf("RIB sha256 %s, %d B, %d paths; want %s, 247312 B, 5934 paths", got, buf.Len(), n, want)
+}
+
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct{ limit int }
+
+var errWriteFailed = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errWriteFailed
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// A writer that fails partway through the records stops the sweep: WriteMRT
+// returns the writer's error, and no worker is left waiting for a record
+// that will never be written.
+func TestWriteMRTReturnsWriteError(t *testing.T) {
+	in, vps := testWorld(t, 0.01425, 6)
+	prefixOf := planPrefixOf(t, in)
+	for _, procs := range []int{1, 2, 8} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		done := make(chan error, 1)
+		go func() {
+			_, err := WriteMRT(&failingWriter{limit: 50_000}, in.Graph, vps, prefixOf, 1700000000)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, errWriteFailed) {
+				t.Errorf("GOMAXPROCS=%d: WriteMRT returned %v, want the writer's error", procs, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("GOMAXPROCS=%d: WriteMRT hangs after its writer failed", procs)
+		}
 	}
 }
 

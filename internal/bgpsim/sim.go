@@ -32,9 +32,11 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/par"
 )
 
 // Class describes how an AS learned its best routes toward the origin, in
@@ -184,6 +186,25 @@ func (r *Result) NextHops(v int32) []int32 {
 	return r.nh.arena[o : o+m : o+m]
 }
 
+// WalkTies appends to path a best path from v (excluded) to the origin and
+// returns it, taking each step's tied next hop from the LCG stream seeded
+// with h; it returns nil where a step has no next hop or path grows past
+// maxLen ASes. The run must have set TrackNextHops.
+func (r *Result) WalkTies(v int32, h uint64, path []astopo.ASN, maxLen int) []astopo.ASN {
+	for v != r.Origin {
+		hops := r.NextHops(v)
+		if len(hops) == 0 {
+			return nil
+		}
+		h = h*6364136223846793005 + 1442695040888963407
+		v = hops[(h>>33)%uint64(len(hops))]
+		if path = append(path, r.Graph.ASNAt(int(v))); len(path) > maxLen {
+			return nil
+		}
+	}
+	return path
+}
+
 // tracked reports whether the run recorded the next-hop DAG.
 func (r *Result) tracked() bool { return r.nh.num != nil }
 
@@ -327,6 +348,39 @@ func (s *Simulator) Run(cfg Config) (*Result, error) {
 		return nil, s.ctx.Err()
 	}
 	return s.view(seeds[0].idx, -1, cfg.TrackNextHops), nil
+}
+
+// Visitor reads a destination sweep: called once per worker, on it, it
+// returns the function that worker calls with each origin's index in
+// g.ASes(), in increasing order, and its tracked Result, valid only during
+// the call.
+type Visitor func(w int) func(oi int, res *Result) error
+
+// ForEachOrigin is the destination sweep: one tracked propagation per AS of
+// g as origin, over par.For with one Simulator per worker, handed to every
+// visitor on the worker that ran it. Everything read off a world's best
+// paths (feeds, RIBs, trace campaigns) is a visitor, so one sweep serves
+// them all. The first error stops the sweep; an origin whose run failed is
+// visited by nobody.
+func ForEachOrigin(g *astopo.Graph, visitors ...Visitor) error {
+	origins := g.ASes()
+	return par.For(runtime.GOMAXPROCS(0), len(origins), func(w int) func(int) error {
+		sim := New(g)
+		fns := make([]func(int, *Result) error, len(visitors))
+		for i, v := range visitors {
+			fns[i] = v(w)
+		}
+		return func(oi int) error {
+			res, err := sim.Run(Config{Origin: origins[oi], TrackNextHops: true})
+			for _, fn := range fns {
+				if err != nil {
+					break
+				}
+				err = fn(oi, res)
+			}
+			return err
+		}
+	})
 }
 
 // view points the Simulator's reusable Result at the buffers the latest

@@ -1,6 +1,11 @@
 package bgpsim
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"flatnet/internal/astopo"
@@ -291,5 +296,66 @@ func TestBreakTiesSemantics(t *testing.T) {
 	i30, _ := g.Index(30)
 	if hops := all.NextHops(int32(i30)); len(hops) != 2 {
 		t.Fatalf("fixture lost its tie: %v", hops)
+	}
+}
+
+// The destination sweep hands every visitor each origin exactly once, on
+// the worker that ran it, with the tracked Result a fresh simulator gives,
+// and in increasing origin order per worker; a visitor's error stops it.
+func TestForEachOriginVisitsEachOriginOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 5; trial++ {
+		g := randomTopology(rng)
+		n := g.NumASes()
+		for _, procs := range []int{1, 2, 8} {
+			withGOMAXPROCS(t, procs)
+			var mu sync.Mutex
+			visits := make([][]int, 2) // per visitor, per origin
+			for v := range visits {
+				visits[v] = make([]int, n)
+			}
+			visitor := func(v int) Visitor {
+				return func(int) func(int, *Result) error {
+					ref, last := New(g), -1
+					return func(oi int, res *Result) error {
+						if oi <= last {
+							return fmt.Errorf("visitor %d: origin %d after %d on one worker", v, oi, last)
+						}
+						last = oi
+						want, err := ref.Run(Config{Origin: g.ASNAt(oi), TrackNextHops: true})
+						if err != nil {
+							return err
+						}
+						for i := 0; i < n; i++ {
+							if res.Class[i] != want.Class[i] || res.Dist[i] != want.Dist[i] ||
+								!slices.Equal(res.NextHops(int32(i)), want.NextHops(int32(i))) {
+								return fmt.Errorf("origin %d, AS index %d: sweep and fresh run differ", oi, i)
+							}
+						}
+						mu.Lock()
+						visits[v][oi]++
+						mu.Unlock()
+						return nil
+					}
+				}
+			}
+			if err := ForEachOrigin(g, visitor(0), visitor(1)); err != nil {
+				t.Fatal(err)
+			}
+			for v := range visits {
+				for oi, k := range visits[v] {
+					if k != 1 {
+						t.Fatalf("GOMAXPROCS=%d: visitor %d saw origin %d %d times", procs, v, oi, k)
+					}
+				}
+			}
+		}
+		stop := errors.New("stop")
+		err := ForEachOrigin(g, func(int) func(int, *Result) error {
+			return func(int, *Result) error { return stop }
+		})
+		if err != stop {
+			t.Fatalf("visitor error: ForEachOrigin returned %v", err)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"flatnet/internal/astopo"
+	"flatnet/internal/bgpfeed"
 	"flatnet/internal/bgpsim"
 	"flatnet/internal/core"
 	"flatnet/internal/ipasn"
@@ -58,8 +59,9 @@ type Env struct {
 	memo *memo
 
 	// traceBuildHook, when set, is called at the start of every
-	// trace-campaign build with the build's flight key; the concurrency
-	// tests use it to hold two distinct builds open at once.
+	// destination-sweep build (feed view and trace campaigns) with the
+	// build's flight key; the concurrency tests use it to hold two distinct
+	// builds open at once.
 	traceBuildHook func(key string)
 }
 
@@ -291,16 +293,17 @@ func (c Campaign) Neighbors(stage neighbors.Stage) astopo.ASSet {
 	return out
 }
 
-// foldCampaigns synthesizes a year's campaign for every paper cloud, nVMs
-// VMs each (<= 0: the §4.1 counts), in one TraceAllMulti pass, and keeps of
-// each traceroute only its facts. The resolvers and the stage chains are
-// built once for the pass, and each fact is written once, by index, on the
-// worker that traced it.
-func foldCampaigns(plan *netdb.Plan, year, nVMs int) ([]Campaign, error) {
+// foldCampaigns returns the visitor that synthesizes a year's campaign for
+// every paper cloud, nVMs VMs each (<= 0: the §4.1 counts), on a
+// destination sweep over the plan's graph, keeping of each traceroute only
+// its facts, and the campaigns it fills, to be read after the sweep. The
+// resolvers and stage chains are built once, and each fact is written
+// once, by index, on the worker that traced it.
+func foldCampaigns(plan *netdb.Plan, year, nVMs int) (bgpsim.Visitor, []Campaign, error) {
 	engine := tracesim.New(plan, tracesim.DefaultOptions(int64(year)))
 	res, err := neighbors.NewResolvers(plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	stages := neighbors.Stages()
 	chains := make([]ipasn.Resolver, len(stages))
@@ -313,55 +316,76 @@ func foldCampaigns(plan *netdb.Plan, year, nVMs int) ([]Campaign, error) {
 	for i, c := range Clouds() {
 		set, err := engine.VMs(c, nVMs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sets = append(sets, set)
 		out[i] = Campaign{VMs: len(set), dests: dests, facts: make([]traceFact, len(set)*dests)}
 	}
-	err = engine.TraceAllMulti(sets, func(si, vi, di int, tr tracesim.Traceroute) {
+	visit := engine.Campaigns(sets, func(si, vi, di int, tr tracesim.Traceroute) {
 		f := &out[si].facts[vi*dests+di]
 		for i, s := range stages {
 			f.neighbor[s], f.kept[s] = neighbors.Neighbor(&tr, tr.VM.CloudASN, chains[i], s)
 		}
 		f.reached, f.onBest = tr.Reached, tr.OnBestPath
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return visit, out, nil
+}
+
+// yearSweep is what a year's destination sweep leaves: the feed-visible
+// topology of feedVPCount vantage points, and every paper cloud's default
+// trace campaign, folded, in Clouds() order.
+type yearSweep struct {
+	feed      *astopo.Graph
+	campaigns []Campaign
+}
+
+// destSweep runs a year's destination sweep (bgpsim.ForEachOrigin) once per
+// Env scope, with the route collectors and the four clouds' campaigns as
+// its visitors: the propagation depends only on the destination, so both
+// products share it. Distinct years build concurrently.
+func (e *Env) destSweep(year int) (yearSweep, error) {
+	key := fmt.Sprintf("destsweep/%d", year)
+	return memoize(e, key, func() (yearSweep, error) {
+		plan, err := e.plan(year)
+		if err != nil {
+			return yearSweep{}, err
+		}
+		if e.traceBuildHook != nil {
+			e.traceBuildHook(key)
+		}
+		in := plan.Internet()
+		collect, feed, err := bgpfeed.Collector(in.Graph, bgpfeed.VantagePoints(in, feedVPCount))
+		if err != nil {
+			return yearSweep{}, err
+		}
+		trace, campaigns, err := foldCampaigns(plan, year, 0)
+		if err != nil {
+			return yearSweep{}, err
+		}
+		if err := bgpsim.ForEachOrigin(in.Graph, collect, trace); err != nil {
+			return yearSweep{}, err
+		}
+		return yearSweep{feed: feed(), campaigns: campaigns}, nil
+	})
 }
 
 // Traces returns one cloud's folded trace campaign for a year: the first
 // nVMs VM groups of the cloud's default campaign, or all of it for nVMs <= 0
-// (the paper's §4.1 VM counts). The first demand of a year folds every
-// paper cloud's default campaign in one shared pass — the per-destination
-// propagation is cloud-independent, so the four campaigns cost a single
-// sweep — and every later demand of that year reads it. A smaller count is
-// a prefix: VMs are selected per PoP in deployment order and each group's
-// traces depend only on its own VM and the destination, so group i is the
-// same in every campaign that includes it. A count above the default is
-// refused; `flatnet trace -vms` runs a larger campaign. Builds of distinct
-// years run concurrently, and errors are returned but never cached.
+// (the paper's §4.1 VM counts), read from the year's destination sweep. A
+// smaller count is a prefix: VMs are selected per PoP in deployment order
+// and each group's traces depend only on its own VM and the destination, so
+// group i is the same in every campaign that includes it. A count above the
+// default is refused; `flatnet trace -vms` runs a larger campaign.
 func (e *Env) Traces(year int, cloud string, nVMs int) (Campaign, error) {
 	k := slices.Index(Clouds(), cloud)
 	if k < 0 {
 		return Campaign{}, fmt.Errorf("experiments: no trace campaign for cloud %q", cloud)
 	}
-	key := fmt.Sprintf("traces/%d", year)
-	all, err := memoize(e, key, func() ([]Campaign, error) {
-		plan, err := e.plan(year)
-		if err != nil {
-			return nil, err
-		}
-		if e.traceBuildHook != nil {
-			e.traceBuildHook(key)
-		}
-		return foldCampaigns(plan, year, 0)
-	})
+	sw, err := e.destSweep(year)
 	if err != nil {
 		return Campaign{}, err
 	}
-	c := all[k]
+	c := sw.campaigns[k]
 	switch {
 	case nVMs <= 0:
 		return c, nil

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"flatnet/internal/astopo"
-	"flatnet/internal/bgpfeed"
 	"flatnet/internal/core"
 	"flatnet/internal/neighbors"
 )
@@ -13,16 +12,12 @@ import (
 // feedVPCount is the number of simulated route-collector vantage points.
 const feedVPCount = 40
 
-// feedGraph is one preset's BGP-feed-visible topology, collected once per
-// Env scope: §4.1 and the ablation read the same graph.
+// feedGraph is one preset's BGP-feed-visible topology, collected on the
+// year's destination sweep beside its trace campaigns: §4.1 and the
+// ablation read the same graph.
 func (e *Env) feedGraph(year int) (*astopo.Graph, error) {
-	in, _, _, err := e.preset(year)
-	if err != nil {
-		return nil, err
-	}
-	return memoize(e, fmt.Sprintf("feed/%d", year), func() (*astopo.Graph, error) {
-		return bgpfeed.Collect(in.Graph, bgpfeed.VantagePoints(in, feedVPCount))
-	})
+	sw, err := e.destSweep(year)
+	return sw.feed, err
 }
 
 // Sec41Row compares BGP-feed-visible with combined (feed + traceroute)

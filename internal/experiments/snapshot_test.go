@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"flatnet/internal/bgpsim"
 	"flatnet/internal/snapshot"
 )
 
@@ -141,7 +141,7 @@ func TestConcurrentTraceBuildsOverlapAndCoalesce(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := e.builds("traces/"); got != 2 {
+	if got := e.builds("destsweep/"); got != 2 {
 		t.Fatalf("ran %d trace builds, want exactly 2 (one per year)", got)
 	}
 	// Every 2020 cloud must now be served from cache without new builds.
@@ -151,7 +151,7 @@ func TestConcurrentTraceBuildsOverlapAndCoalesce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.builds("traces/"); got != 2 {
+	if got := e.builds("destsweep/"); got != 2 {
 		t.Fatalf("cache misses after the shared build: %d builds, want 2", got)
 	}
 }
@@ -175,7 +175,7 @@ func TestTraceBuildErrorRetried(t *testing.T) {
 	if want := 2 * e.In2020.Graph.NumASes(); tr.VMs != 2 || len(tr.facts) != want {
 		t.Fatalf("retry returned %d VM groups and %d facts, want 2 and %d", tr.VMs, len(tr.facts), want)
 	}
-	if got := e.builds("traces/"); got != 1 {
+	if got := e.builds("destsweep/"); got != 1 {
 		t.Fatalf("ran %d successful builds, want 1", got)
 	}
 }
@@ -207,15 +207,18 @@ func TestTracesArePrefixesOfOneBuild(t *testing.T) {
 			t.Errorf("%s, %d VMs (default %d): err %v, want a refusal naming the default", c, def.VMs+1, def.VMs, err)
 		}
 	}
-	if got := e.builds("traces/"); got != 1 {
+	if got := e.builds("destsweep/"); got != 1 {
 		t.Errorf("%d trace builds, want 1 for the year", got)
 	}
 	plan, err := e.Plan2020()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := foldCampaigns(plan, 2020, 4)
+	visit, direct, err := foldCampaigns(plan, 2020, 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bgpsim.ForEachOrigin(plan.Internet().Graph, visit); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range Clouds() {
@@ -226,20 +229,5 @@ func TestTracesArePrefixesOfOneBuild(t *testing.T) {
 		if !reflect.DeepEqual(tr, direct[i]) {
 			t.Errorf("%s: the default campaign's first %d groups differ from a campaign of those VMs alone", c, tr.VMs)
 		}
-	}
-}
-
-// §4.1, §5 (a 4-VM and a default campaign of two clouds), the ablation and
-// Appendix A all read the year's campaign: one build serves them all.
-func TestSec5BuildsOneTraceCampaign(t *testing.T) {
-	e := getEnv(t).Fresh()
-	for _, id := range []string{"sec41", "sec5", "ablation", "appA"} {
-		r, _ := ByID(id)
-		if _, err := r.Run(e, io.Discard); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-	}
-	if got := e.builds("traces/"); got != 1 {
-		t.Errorf("sec41, sec5, ablation and appA ran %d trace builds, want 1", got)
 	}
 }

@@ -11,9 +11,10 @@ import (
 	"flatnet/internal/bgpsim"
 )
 
-// traceAllSerial is the reference implementation TraceAllMulti is measured
-// against: one propagation per destination per call, single-threaded, no
-// distance caching. Its output is identical to TraceAll's.
+// traceAllSerial is the reference implementation Campaigns is measured
+// against: one propagation per destination per call, single-threaded, with
+// each VM's distance row built by the same cityRow helper. Its output is
+// identical to TraceAll's.
 func traceAllSerial(e *Engine, vms []VM) ([][]Traceroute, error) {
 	g := e.in.Graph
 	g.Freeze()
@@ -22,6 +23,10 @@ func traceAllSerial(e *Engine, vms []VM) ([][]Traceroute, error) {
 	for i := range out {
 		out[i] = make([]Traceroute, len(dests))
 	}
+	rows := make([][]float64, len(vms))
+	for vi, vm := range vms {
+		rows[vi] = e.cityRow(vm.City)
+	}
 	sim := bgpsim.New(g)
 	for di, d := range dests {
 		res, err := sim.Run(bgpsim.Config{Origin: d, TrackNextHops: true})
@@ -29,15 +34,15 @@ func traceAllSerial(e *Engine, vms []VM) ([][]Traceroute, error) {
 			return nil, err
 		}
 		for vi, vm := range vms {
-			out[vi][di] = e.trace(vm, d, res)
+			out[vi][di] = e.trace(vm, rows[vi], d, res)
 		}
 	}
 	return out, nil
 }
 
-// TraceAllMulti shares one propagation per destination across every VM set;
-// what it hands its caller must be the serial reference, trace for trace,
-// each (set, VM, destination) exactly once.
+// The Campaigns visitor shares one propagation per destination across every
+// VM set; what it hands its caller must be the serial reference, trace for
+// trace, each (set, VM, destination) exactly once.
 func TestTraceAllMultiMatchesSerial(t *testing.T) {
 	e := newEngine(t, 0.01425)
 	clouds := []string{"Google", "Amazon", "Microsoft", "IBM"}
@@ -56,10 +61,10 @@ func TestTraceAllMultiMatchesSerial(t *testing.T) {
 			visits[i] = append(visits[i], make([]int32, n))
 		}
 	}
-	err := e.TraceAllMulti(sets, func(si, vi, di int, tr Traceroute) {
+	err := bgpsim.ForEachOrigin(e.in.Graph, e.Campaigns(sets, func(si, vi, di int, tr Traceroute) {
 		multi[si][vi][di] = tr
 		atomic.AddInt32(&visits[si][vi][di], 1)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +81,12 @@ func TestTraceAllMultiMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(multi[i], serial) {
-			t.Fatalf("cloud %s: TraceAllMulti differs from the serial reference", c)
+			t.Fatalf("cloud %s: Campaigns differs from the serial reference", c)
 		}
 	}
 }
 
-// TraceAll fills its table from a one-set TraceAllMulti; it must still
+// TraceAll fills its table from a one-set Campaigns visitor; it must still
 // equal the serial reference byte for byte.
 func TestTraceAllMatchesSerial(t *testing.T) {
 	e := newEngine(t, 0.01425)

@@ -17,27 +17,25 @@
 //     variance on top (§5's "more locations, more peers, more noise").
 //
 // The per-destination propagation depends only on the destination, never on
-// the vantage point, so TraceAllMulti shares one tracked propagation per
-// destination across every cloud's VM set — the paper's four campaigns cost
-// one propagation sweep instead of four — and hands each traceroute to its
-// caller as it is made, keeping none: a consumer folds what it reads, and
-// TraceAll, which wants the table, fills it. The equivalence tests compare
-// it against a one-cloud-at-a-time serial reference kept beside them.
+// the vantage point, so Engine.Campaigns is a visitor on bgpsim.ForEachOrigin,
+// the one destination sweep: every cloud's VM set (and any other product of
+// the world, such as the route collectors of package bgpfeed) shares each
+// destination's tracked propagation. It hands each traceroute to its caller
+// as it is made, keeping none: a consumer folds what it reads, and TraceAll,
+// which wants the table, fills it. The equivalence tests compare it against
+// a one-cloud-at-a-time serial reference kept beside them.
 package tracesim
 
 import (
 	"fmt"
 	"net/netip"
-	"runtime"
+	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"flatnet/internal/astopo"
 	"flatnet/internal/bgpsim"
 	"flatnet/internal/geo"
 	"flatnet/internal/netdb"
-	"flatnet/internal/par"
 	"flatnet/internal/topogen"
 )
 
@@ -101,20 +99,12 @@ func DefaultOptions(seed int64) Options {
 	}
 }
 
-// Engine issues simulated traceroutes over one address plan. An Engine is
-// safe for concurrent use once built; the per-VM-city distance rows it
-// caches are published copy-on-write.
+// Engine issues simulated traceroutes over one address plan. It is
+// immutable and safe for concurrent use.
 type Engine struct {
 	plan *netdb.Plan
 	in   *topogen.Internet
 	opts Options
-
-	// dist caches, per VM city, the distance from that city to every AS's
-	// home city, indexed by dense graph index. Rows are immutable once
-	// published; the map is swapped atomically so the synthesis hot path
-	// reads it without locking.
-	distMu sync.Mutex
-	dist   atomic.Pointer[map[geo.CityID][]float64]
 }
 
 // New returns an Engine.
@@ -167,94 +157,63 @@ func (e *Engine) TraceAll(vms []VM) ([][]Traceroute, error) {
 	for i := range out {
 		out[i] = make([]Traceroute, n)
 	}
-	err := e.TraceAllMulti([][]VM{vms}, func(_, vi, di int, tr Traceroute) {
+	visit := e.Campaigns([][]VM{vms}, func(_, vi, di int, tr Traceroute) {
 		out[vi][di] = tr
 	})
-	if err != nil {
+	if err := bgpsim.ForEachOrigin(e.in.Graph, visit); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// TraceAllMulti synthesizes the campaigns of several VM sets at once,
-// sharing one tracked propagation per destination across all of them: the
-// propagation depends only on the destination, so four clouds' campaigns
-// cost one sweep instead of four. Nothing is kept: each traceroute is
-// handed to visit on the worker that made it, with its set, VM and
-// destination index (destinations in the graph's ASes() order). visit runs
-// once per triple, concurrently across destinations, and may keep tr:
-// nothing else holds its Hops or TruePath.
-func (e *Engine) TraceAllMulti(vmSets [][]VM, visit func(set, vm, dst int, tr Traceroute)) error {
-	g := e.in.Graph
-	dests := g.ASes()
-	// Build the per-city distance rows up front so the parallel section
-	// reads them lock-free.
+// Campaigns returns the visitor that synthesizes the campaigns of several
+// VM sets on a destination sweep (bgpsim.ForEachOrigin) over the plan's
+// graph. Each traceroute is handed to visit on the worker that made it,
+// with its set, VM and destination index (destinations in the graph's
+// ASes() order), and nothing is kept. visit runs once per triple,
+// concurrently across destinations, and may keep tr: nothing else holds its
+// Hops or TruePath. Each VM city's distance row is built once, here.
+func (e *Engine) Campaigns(vmSets [][]VM, visit func(set, vm, dst int, tr Traceroute)) bgpsim.Visitor {
+	dests := e.in.Graph.ASes() // freezes the graph the rows index
+	rows := make(map[geo.CityID][]float64)
 	for _, vms := range vmSets {
 		for _, vm := range vms {
-			e.cityRow(vm.City)
+			if _, ok := rows[vm.City]; !ok {
+				rows[vm.City] = e.cityRow(vm.City)
+			}
 		}
 	}
-	return par.For(runtime.GOMAXPROCS(0), len(dests), func(w int) func(i int) error {
-		sim := bgpsim.New(g)
-		return func(di int) error {
-			d := dests[di]
-			res, err := sim.Run(bgpsim.Config{Origin: d, TrackNextHops: true})
-			if err != nil {
-				return err
-			}
+	return func(int) func(int, *bgpsim.Result) error {
+		return func(di int, res *bgpsim.Result) error {
 			for si, vms := range vmSets {
 				for vi, vm := range vms {
-					visit(si, vi, di, e.trace(vm, d, res))
+					visit(si, vi, di, e.trace(vm, rows[vm.City], dests[di], res))
 				}
 			}
 			return nil
 		}
-	})
+	}
 }
 
-// cityRow returns the cached distance row for a VM city, building and
-// publishing it (copy-on-write) on first use.
+// cityRow returns the distance from a VM city to every AS's home city,
+// indexed by dense graph index.
 func (e *Engine) cityRow(city geo.CityID) []float64 {
-	if m := e.dist.Load(); m != nil {
-		if row, ok := (*m)[city]; ok {
-			return row
-		}
-	}
-	e.distMu.Lock()
-	defer e.distMu.Unlock()
-	old := e.dist.Load()
-	if old != nil {
-		if row, ok := (*old)[city]; ok {
-			return row
-		}
-	}
-	g := e.in.Graph
-	g.Freeze()
-	n := g.NumASes()
-	row := make([]float64, n)
-	for i := 0; i < n; i++ {
+	row := make([]float64, e.in.Graph.NumASes())
+	for i := range row {
 		row[i] = geo.CityDistanceKm(city, e.in.HomeCityAt(i))
 	}
-	next := make(map[geo.CityID][]float64, 8)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[city] = row
-	e.dist.Store(&next)
 	return row
 }
 
 // trace synthesizes one traceroute given the propagation result for the
-// destination.
-func (e *Engine) trace(vm VM, dst astopo.ASN, res *bgpsim.Result) Traceroute {
+// destination and the VM city's distance row (cityRow).
+func (e *Engine) trace(vm VM, row []float64, dst astopo.ASN, res *bgpsim.Result) Traceroute {
 	tr := Traceroute{VM: vm, DstASN: dst}
 	if pfx, ok := e.plan.ASPrefix[dst]; ok {
 		tr.Dst = pfx.Addr().Next()
 	}
 	h := pathHasher(vm, dst)
-	path, onBest := e.forwardPath(vm, dst, res, h)
+	path, onBest := e.forwardPath(vm, row, dst, res, h)
 	tr.TruePath = path
 	if path == nil {
 		return tr
@@ -326,12 +285,13 @@ func (e *Engine) trace(vm VM, dst astopo.ASN, res *bgpsim.Result) Traceroute {
 // forwardPath walks the tied-best next-hop DAG from the cloud toward the
 // destination, breaking ties deterministically. VMs in different cities
 // land on different tied paths; Amazon's early-exit default adds per-VM
-// index variance (§4.1, Appendix A). h must be pathHasher(vm, dst).
+// index variance (§4.1, Appendix A). h must be pathHasher(vm, dst), and row
+// the VM city's distance row.
 //
 // Every step after the first follows a tied-best next hop by construction,
 // so the Appendix A containment verdict (onBest) reduces to whether the
 // chosen first hop is one of the cloud's tied-best next hops.
-func (e *Engine) forwardPath(vm VM, dst astopo.ASN, res *bgpsim.Result, h uint64) (path []astopo.ASN, onBest bool) {
+func (e *Engine) forwardPath(vm VM, row []float64, dst astopo.ASN, res *bgpsim.Result, h uint64) (path []astopo.ASN, onBest bool) {
 	g := e.in.Graph
 	ci, ok := g.Index(vm.CloudASN)
 	if !ok || res.Class[ci] == bgpsim.ClassNone {
@@ -341,33 +301,13 @@ func (e *Engine) forwardPath(vm VM, dst astopo.ASN, res *bgpsim.Result, h uint64
 		return []astopo.ASN{dst}, true
 	}
 	oi, _ := g.Index(dst)
-	first, ok := e.firstHop(vm, res, int32(ci), int32(oi))
+	first, ok := e.firstHop(vm, row, res, int32(ci), int32(oi))
 	if !ok {
 		return nil, false
 	}
-	onBest = false
-	for _, nh := range res.NextHops(int32(ci)) {
-		if nh == first {
-			onBest = true
-			break
-		}
-	}
-	path = make([]astopo.ASN, 2, 8)
-	path[0], path[1] = vm.CloudASN, g.ASNAt(int(first))
-	cur := first
-	for cur != int32(oi) {
-		hops := res.NextHops(cur)
-		if len(hops) == 0 {
-			return nil, false
-		}
-		h = h*6364136223846793005 + 1442695040888963407
-		cur = hops[(h>>33)%uint64(len(hops))]
-		path = append(path, g.ASNAt(int(cur)))
-		if len(path) > 64 {
-			return nil, false // defensive: DAG walks cannot loop, but bound anyway
-		}
-	}
-	return path, onBest
+	// DAG walks cannot loop; the 64-AS bound is defensive.
+	path = res.WalkTies(first, h, append(make([]astopo.ASN, 0, 8), vm.CloudASN, g.ASNAt(int(first))), 64)
+	return path, path != nil && slices.Contains(res.NextHops(int32(ci)), first)
 }
 
 // regionalUseKm is how far from a regional peer's interconnection city a VM
@@ -400,7 +340,9 @@ const earlyExitSlackKm = 2500.0
 //     backbone. These fallback paths are exactly the traffic-engineering
 //     deviations that make some traced paths fall outside the tied-best
 //     set (Appendix A's Amazon result).
-func (e *Engine) firstHop(vm VM, res *bgpsim.Result, cloudIdx, dstIdx int32) (int32, bool) {
+//
+// row is the VM city's distance row.
+func (e *Engine) firstHop(vm VM, row []float64, res *bgpsim.Result, cloudIdx, dstIdx int32) (int32, bool) {
 	if cloudIdx == dstIdx {
 		return dstIdx, true
 	}
@@ -415,7 +357,7 @@ func (e *Engine) firstHop(vm VM, res *bgpsim.Result, cloudIdx, dstIdx int32) (in
 		if e.globalAS(n) {
 			return true
 		}
-		return e.hopDistance(vm.City, n) <= horizon
+		return row[n] <= horizon
 	}
 	g := e.in.Graph
 	exported := func(n int32) bool {
@@ -430,14 +372,14 @@ func (e *Engine) firstHop(vm VM, res *bgpsim.Result, cloudIdx, dstIdx int32) (in
 		}
 	}
 	anyExporting := func() (int32, bool) {
-		if best, ok := e.nearestWhere(vm.City, g.PeersOf(int(cloudIdx)), exported); ok {
+		if best, ok := nearestWhere(row, g.PeersOf(int(cloudIdx)), exported); ok {
 			return best, true
 		}
-		if best, ok := e.nearestWhere(vm.City, g.CustomersOf(int(cloudIdx)), exported); ok {
+		if best, ok := nearestWhere(row, g.CustomersOf(int(cloudIdx)), exported); ok {
 			return best, true
 		}
 		// Providers export whatever they have.
-		return e.nearestWhere(vm.City, g.ProvidersOf(int(cloudIdx)), func(n int32) bool {
+		return nearestWhere(row, g.ProvidersOf(int(cloudIdx)), func(n int32) bool {
 			return res.Class[n] != bgpsim.ClassNone
 		})
 	}
@@ -446,17 +388,17 @@ func (e *Engine) firstHop(vm VM, res *bgpsim.Result, cloudIdx, dstIdx int32) (in
 		// WAN-wide best next hop is used only when it is at least as
 		// close as the nearest exporting neighbor. A directly usable
 		// destination neighbor is always taken.
-		if dstIsNeighbor(g, cloudIdx, dstIdx) && usable(dstIdx) {
+		if _, ok := g.HasLink(vm.CloudASN, g.ASNAt(int(dstIdx))); ok && usable(dstIdx) {
 			return dstIdx, true
 		}
-		bestHop, okBest := e.nearestWhere(vm.City, res.NextHops(cloudIdx), usable)
+		bestHop, okBest := nearestWhere(row, res.NextHops(cloudIdx), usable)
 		exitHop, okExit := anyExporting()
 		switch {
 		case okBest && okExit:
 			// Exit early only when the local exit is substantially
 			// closer than the best-path egress; small differences
 			// still ride the best path.
-			if e.hopDistance(vm.City, bestHop)-e.hopDistance(vm.City, exitHop) > earlyExitSlackKm {
+			if row[bestHop]-row[exitHop] > earlyExitSlackKm {
 				return exitHop, true
 			}
 			return bestHop, true
@@ -466,7 +408,7 @@ func (e *Engine) firstHop(vm VM, res *bgpsim.Result, cloudIdx, dstIdx int32) (in
 			return exitHop, true
 		}
 	}
-	if best, ok := e.nearestWhere(vm.City, res.NextHops(cloudIdx), usable); ok {
+	if best, ok := nearestWhere(row, res.NextHops(cloudIdx), usable); ok {
 		return best, true
 	}
 	if best, ok := anyExporting(); ok {
@@ -479,25 +421,6 @@ func (e *Engine) firstHop(vm VM, res *bgpsim.Result, cloudIdx, dstIdx int32) (in
 	return 0, false
 }
 
-func dstIsNeighbor(g *astopo.Graph, cloudIdx, dstIdx int32) bool {
-	for _, n := range g.PeersOf(int(cloudIdx)) {
-		if n == dstIdx {
-			return true
-		}
-	}
-	for _, n := range g.CustomersOf(int(cloudIdx)) {
-		if n == dstIdx {
-			return true
-		}
-	}
-	for _, n := range g.ProvidersOf(int(cloudIdx)) {
-		if n == dstIdx {
-			return true
-		}
-	}
-	return false
-}
-
 func (e *Engine) globalAS(n int32) bool {
 	switch e.in.ClassAt(int(n)) {
 	case topogen.ClassTier1, topogen.ClassTier2, topogen.ClassTransit, topogen.ClassCloud:
@@ -507,43 +430,21 @@ func (e *Engine) globalAS(n int32) bool {
 }
 
 // nearestWhere picks the candidate passing the filter whose home city is
-// closest to the VM's city (lowest dense index breaks exact ties).
-func (e *Engine) nearestWhere(city geo.CityID, cands []int32, keep func(int32) bool) (int32, bool) {
+// closest to the VM's city, by the city's distance row (lowest dense index
+// breaks exact ties).
+func nearestWhere(row []float64, cands []int32, keep func(int32) bool) (int32, bool) {
 	var best int32
 	bestD := -1.0
-	if m := e.dist.Load(); m != nil {
-		if row, ok := (*m)[city]; ok {
-			for _, c := range cands {
-				if !keep(c) {
-					continue
-				}
-				d := row[c]
-				if bestD < 0 || d < bestD || (d == bestD && c < best) {
-					best, bestD = c, d
-				}
-			}
-			return best, bestD >= 0
-		}
-	}
 	for _, c := range cands {
 		if !keep(c) {
 			continue
 		}
-		d := e.hopDistance(city, c)
+		d := row[c]
 		if bestD < 0 || d < bestD || (d == bestD && c < best) {
 			best, bestD = c, d
 		}
 	}
 	return best, bestD >= 0
-}
-
-func (e *Engine) hopDistance(city geo.CityID, hop int32) float64 {
-	if m := e.dist.Load(); m != nil {
-		if row, ok := (*m)[city]; ok {
-			return row[hop]
-		}
-	}
-	return geo.CityDistanceKm(city, e.in.HomeCityAt(int(hop)))
 }
 
 // pathHasher seeds the per-(VM, destination) deterministic noise stream: an
