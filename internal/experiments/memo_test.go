@@ -171,21 +171,16 @@ func TestRelianceBuiltOncePerCloud(t *testing.T) {
 	}
 }
 
-// §4.1 and the ablation read the feed view, and they, §5 (a 4-VM and a
-// default campaign of two clouds) and Appendix A read the year's trace
-// campaigns: run on one scope, they share one destination sweep, which
-// builds both.
-func TestTraceExperimentsShareOneSweep(t *testing.T) {
+// §4.1 and the ablation read one feed view: run on one scope, they collect
+// it once, on the year's one destination sweep.
+func TestFeedViewCollectedOnce(t *testing.T) {
 	env := getEnv(t).Fresh()
-	for _, id := range []string{"sec41", "sec5", "ablation", "appA"} {
+	for _, id := range []string{"sec41", "ablation"} {
 		r, _ := ByID(id)
 		render(t, env, r)
 	}
-	if got := env.builds("destsweep/2020"); got != 1 {
-		t.Errorf("sec41, sec5, ablation and appA ran %d destination sweeps for 2020, want 1", got)
-	}
-	if got := env.builds(""); got != env.builds("destsweep/2020")+env.builds("plan/2020") {
-		t.Errorf("the trace experiments built %d results, want only the 2020 plan and sweep", got)
+	if got := env.builds("destsweep/"); got != 1 {
+		t.Errorf("sec41 and ablation ran %d destination sweeps, want 1", got)
 	}
 }
 

@@ -231,3 +231,20 @@ func TestTracesArePrefixesOfOneBuild(t *testing.T) {
 		}
 	}
 }
+
+// §4.1, §5 (a 4-VM and a default campaign of two clouds), the ablation and
+// Appendix A all read the year's campaign, and §4.1 and the ablation its
+// feed view: one destination sweep builds both and serves them all.
+func TestSec5BuildsOneTraceCampaign(t *testing.T) {
+	e := getEnv(t).Fresh()
+	for _, id := range []string{"sec41", "sec5", "ablation", "appA"} {
+		r, _ := ByID(id)
+		render(t, e, r)
+	}
+	if got := e.builds("destsweep/2020"); got != 1 {
+		t.Errorf("sec41, sec5, ablation and appA ran %d destination sweeps for 2020, want 1", got)
+	}
+	if got := e.builds(""); got != e.builds("destsweep/2020")+e.builds("plan/2020") {
+		t.Errorf("the trace experiments built %d results, want only the 2020 plan and sweep", got)
+	}
+}
